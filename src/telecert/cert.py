@@ -10,7 +10,6 @@ copies as possible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -241,36 +240,6 @@ def measurement_selftest_fidelity(violation: float, trust: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Internal derivation bookkeeping (partition sizes and deviation split).
-
-
-@dataclass(frozen=True)
-class DerivationScratch:
-    n: int
-    k_xx: float
-    k_zz: float
-    mu_xx: float
-    mu_zz: float
-    eps_xx: float
-    eps_zz: float
-    eps_prime_xx: float
-
-    @classmethod
-    def from_params(cls, params: CertificateParams) -> "DerivationScratch":
-        n = required_copies(params) - 1
-        return cls(
-            n=n,
-            k_xx=(n + 2) / 2.0,
-            k_zz=n / 2.0,
-            mu_xx=1.0,
-            mu_zz=1.0,
-            eps_xx=params.epsilon / 2.0,
-            eps_zz=params.epsilon / 2.0,
-            eps_prime_xx=params.epsilon / 2.0 if params.iid else 2.0,
-        )
-
-
-# ---------------------------------------------------------------------------
 # Inverse planner.
 
 
@@ -473,8 +442,3 @@ def sweep_rows(
         rows.append(row)
     return rows
 
-
-def write_certificate(cert: FidelityCertificate, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(cert.to_json(), handle, sort_keys=True, indent=1)
-        handle.write("\n")

@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__, cert, npa, protosim, sdp
 
 
@@ -38,12 +36,12 @@ def _document(args, payload: dict) -> dict:
     }
 
 
-def _write_json(args, payload: dict, path=None) -> None:
+def _write_json(args, payload: dict, path) -> None:
+    """Write the document to ``path``, or to stdout when it is None."""
     doc = _document(args, payload)
     text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    target = path or getattr(args, "out", None)
-    if target:
-        with open(target, "w") as handle:
+    if path:
+        with open(path, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -116,7 +114,7 @@ def cmd_plan(args) -> int:
         header = ["epsilon", "violation", "q", "x", "copies", "fidelity", "probability"]
         _write_csv(args, header, [payload["row"]], args.out)
     else:
-        _write_json(args, payload)
+        _write_json(args, payload, args.out)
     return 0 if result.feasible else 2
 
 
@@ -127,12 +125,11 @@ def cmd_certify(args) -> int:
         args.trust, args.inequality, args.iid, args.eps, args.q, args.x, alpha, alpha_source
     )
     certificate = cert.fidelity_bound(params)
-    _write_json(args, certificate.to_json())
+    _write_json(args, certificate.to_json(), args.out)
     return 0
 
 
-def _build_source(args, copies: int, rng) -> protosim.Source:
-    mode = "two-basis" if (args.inequality == "steering" or args.trust == "1sdi") else "four-setting"
+def _build_source(args, mode: str, copies: int, rng) -> protosim.Source:
     if args.source == "honest":
         return protosim.honest_ideal_source(mode)
     if args.source == "werner":
@@ -150,53 +147,46 @@ def cmd_simulate(args) -> int:
     params = cert.CertificateParams(
         args.trust, args.inequality, args.iid, args.eps, args.q, args.x, alpha, alpha_source
     )
-    copies = protosim.adjusted_copies(params)
-    streams = np.random.SeedSequence(args.seed).spawn(args.trials)
+    mode = protosim.protocol_mode(params)
+    trials = protosim.run_trials(
+        lambda copies, rng: _build_source(args, mode, copies, rng), params, args.trials, args.seed
+    )
+    stats = protosim.SoundnessStats.start(params, args.trials)
     rows = []
-    accepted = 0
-    violations = 0
-    for trial, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        source = _build_source(args, copies, rng)
-        transcript, certificate = protosim.run_protocol(source, params, rng)
+    for number, trial in enumerate(trials):
+        stats.record(trial)
+        transcript, certificate = trial.transcript, trial.certificate
         row = {
-            "trial": trial,
+            "trial": number,
             "verdict": "accept" if transcript.accepted else "reject",
             "statistic": transcript.statistic,
             "certified_F": certificate.fidelity if certificate else "",
-            "true_F": "",
+            "true_F": trial.true_fidelity if certificate else "",
             "teleport_F": "",
         }
-        if certificate is not None:
-            accepted += 1
-            true_f = protosim.true_extracted_fidelity(source, transcript.withheld)
-            row["true_F"] = true_f
-            if true_f < certificate.fidelity - 1e-12:
-                violations += 1
-            if args.teleport_inputs:
-                report = protosim.teleport_with_certificate(
-                    source, transcript, certificate, args.teleport_inputs, rng
-                )
-                row["teleport_F"] = report["empirical_fidelity"]
+        if certificate is not None and args.teleport_inputs:
+            report = protosim.teleport_with_certificate(
+                trial.source, transcript, certificate, args.teleport_inputs, trial.rng
+            )
+            row["teleport_F"] = report["empirical_fidelity"]
         rows.append(row)
-    template = cert.fidelity_bound(params)
     summary = {
         "schema": "protosim/1",
         "kind": "batch",
         "trials": args.trials,
-        "accepted": accepted,
-        "bound_violations": violations,
-        "certificate_fidelity": template.fidelity,
-        "certificate_probability": template.probability,
-        "copies": copies,
+        "accepted": stats.accepted,
+        "bound_violations": stats.bound_violations,
+        "certificate_fidelity": stats.certificate_fidelity,
+        "certificate_probability": stats.certificate_probability,
+        "copies": protosim.adjusted_copies(params),
     }
     if args.out:
         _write_csv(args, ["trial", "verdict", "statistic", "certified_F", "true_F", "teleport_F"], rows, args.out)
         if args.summary_out:
             _write_json(args, summary, args.summary_out)
     else:
-        _write_json(args, summary)
-    if args.trials == 1 and accepted == 0:
+        _write_json(args, summary, None)
+    if args.trials == 1 and stats.accepted == 0:
         return 2
     return 0
 
@@ -226,14 +216,14 @@ def cmd_derive_alpha(args) -> int:
                         {"kind": kind, "objective": objective, "epsilon": eps, "fidelity": fidelity}
                     )
         _write_csv(args, ["kind", "objective", "epsilon", "fidelity"], rows, args.curve_out)
-    _write_json(args, payload)
+    _write_json(args, payload, args.out)
     return 0
 
 
 def cmd_npa_export(args) -> int:
     _require(args, "eps")
     words = npa.generate_words(args.trust, args.word_cap or sdp.DEFAULT_WORD_CAP[args.trust])
-    w = npa.max_violation(args.trust, args.inequality) - args.eps
+    w = cert.max_violation(args.trust, args.inequality) - args.eps
     problem = npa.build_moment_problem(args.trust, words, args.objective, args.inequality, w)
     info = npa.export_sdpa(problem, args.out, constraints=args.constraints)
     if args.words_out:
@@ -261,7 +251,7 @@ def cmd_sdp_solve(args) -> int:
         "iterations": solution.iterations,
         "trace": solution.trace,
     }
-    _write_json(args, payload)
+    _write_json(args, payload, args.out)
     if solution.status == "infeasible":
         return 2
     if solution.status != "optimal":
@@ -317,7 +307,7 @@ def cmd_figure2(args) -> int:
             feasible_eps = [e for e, f in zip(grid, columns[f"F_{tag}"]) if f >= args.target_f]
             crossings[tag] = {
                 "epsilon": max(feasible_eps) if feasible_eps else None,
-                "violation": (2.0 * np.sqrt(2.0) - max(feasible_eps)) if feasible_eps else None,
+                "violation": (cert.max_violation(trust, "chsh") - max(feasible_eps)) if feasible_eps else None,
                 "q": q,
                 "x": x,
                 "planned_epsilon": result.params.epsilon,

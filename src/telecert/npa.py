@@ -36,6 +36,12 @@ _PROJ_SYMBOLS = {"E00": 0, "E01": 1}
 _OBS_SYMBOLS = {"Z": 0, "X": 1}
 
 
+#: Most equality constraints the dense SDPA reader and the solver's dense
+#: presolve accept; the reader refuses a larger header before allocating
+#: its one dense matrix per constraint.
+MAX_CONSTRAINTS = 20000
+
+
 class MissingWordError(ValueError):
     """A functional references a moment absent from the word set."""
 
@@ -111,12 +117,6 @@ class OperatorWord:
         if self.setting == SETTING_1SDI:
             return [("B", names_p[s]) for s in self.bob]
         return [("A", names_o[s]) for s in self.alice] + [("B", names_o[s]) for s in self.bob]
-
-
-def canonicalize(word: OperatorWord) -> OperatorWord:
-    """Return the canonical form (idempotent: the constructor already
-    reduces, so this is a fixpoint check by construction)."""
-    return OperatorWord(word.setting, word.alice, word.bob)
 
 
 def _alternating(max_length: int) -> list[tuple]:
@@ -279,14 +279,6 @@ def fidelity_functional(setting: str, objective: str) -> dict:
     return di_fidelity_functional(objective)
 
 
-def max_violation(setting: str, inequality: str) -> float:
-    if inequality == "steering":
-        if setting == SETTING_DI:
-            raise ValueError("steering needs a trusted side")
-        return 2.0
-    return 2.0 * np.sqrt(2.0)
-
-
 # ---------------------------------------------------------------------------
 # Moment evaluation against explicit models (the substitution oracle).
 
@@ -328,8 +320,6 @@ def evaluate_moments(setting: str, state, model: qcore.MeasurementModel, keys) -
                 cache[bob] = _local_operator(setting, "B", bob, model)
             out[key] = qcore.partial_trace_bob(rho, d_a, d_b, cache[bob])
         return out
-    d_a, d_b = model.alice_dim, model.bob_dim
-    r4 = rho.reshape(d_a, d_b, d_a, d_b)
     cache_a: dict = {}
     cache_b: dict = {}
     for key in keys:
@@ -338,7 +328,7 @@ def evaluate_moments(setting: str, state, model: qcore.MeasurementModel, keys) -
             cache_a[wa] = _local_operator(setting, "A", wa, model)
         if wb not in cache_b:
             cache_b[wb] = _local_operator(setting, "B", wb, model)
-        out[key] = complex(np.einsum("ac,bd,abcd->", cache_a[wa].T, cache_b[wb].T, r4))
+        out[key] = qcore.product_expectation(rho, cache_a[wa], cache_b[wb])
     return out
 
 
@@ -808,6 +798,10 @@ def read_sdpa_numeric(path):
                 continue
             rows.append(line)
     m = int(rows[0].split()[0])
+    if m > MAX_CONSTRAINTS:
+        raise ValueError(
+            f"file declares {m} constraints; the dense reader and solver accept at most {MAX_CONSTRAINTS}"
+        )
     nblocks = int(rows[1].split()[0])
     sizes = [abs(int(tok.strip("{},"))) for tok in rows[2].replace(",", " ").split()][:nblocks]
     c_values = [float(tok) for tok in rows[3].replace(",", " ").split()]

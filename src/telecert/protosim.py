@@ -10,13 +10,16 @@ extracted fidelity of the withheld pair.
 Outcome sampling uses the exact Born-rule joint distribution, reduced to
 (marginal, marginal, correlation) triples so that long iid and
 round-indexed sources vectorize over rounds; history-adaptive sources
-fall back to a per-round loop.
+fall back to a per-round loop.  Batches of runs come from one trial
+loop, :func:`run_trials`, which the soundness tally and the command line
+both consume.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,16 +27,19 @@ from . import cert, qcore
 
 SQRT2 = math.sqrt(2.0)
 
-#: Subset measurement bases per protocol mode.  Steering-type runs use
-#: two subsets (X x X and Z x Z); fully untrusted CHSH runs use the four
-#: setting pairs.  CHSH with one-sided trust is the steering layout with
-#: the statistic rescaled by sqrt(2).
-STEERING_SETTINGS = ("XX", "ZZ")
-CHSH_SETTINGS = ("00", "01", "10", "11")
-CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
+#: Subset layout per protocol mode: one measurement setting per subset,
+#: in setting order, with the sign its average carries in the statistic.
+#: Steering-type runs use two subsets (X x X and Z x Z); fully untrusted
+#: CHSH runs use the four setting pairs.  CHSH with one-sided trust is the
+#: steering layout with the statistic rescaled by sqrt(2).
+LAYOUTS = {
+    "two-basis": {"XX": 1.0, "ZZ": 1.0},
+    "four-setting": {"00": 1.0, "01": 1.0, "10": 1.0, "11": -1.0},
+}
 
 
-def _protocol_mode(params: cert.CertificateParams) -> str:
+def protocol_mode(params: cert.CertificateParams) -> str:
+    """The subset layout a run with these parameters measures."""
     if params.inequality == "steering" or params.trust == "1sdi":
         return "two-basis"
     return "four-setting"
@@ -50,7 +56,7 @@ class Source:
     adaptive = False
 
     def __init__(self, mode: str):
-        if mode not in ("two-basis", "four-setting"):
+        if mode not in LAYOUTS:
             raise ValueError(f"unknown protocol mode {mode!r}")
         self.mode = mode
 
@@ -60,19 +66,17 @@ class Source:
         m_b = np.empty(len(indices))
         corr = np.empty(len(indices))
         for pos, (i, t) in enumerate(zip(indices, settings)):
-            m_a[pos], m_b[pos], corr[pos] = self._single_statistics(int(i), int(t))
+            m_a[pos], m_b[pos], corr[pos] = self._pair_statistics(*self.pair(int(i)), int(t))
         return m_a, m_b, corr
 
-    def _single_statistics(self, index: int, setting: int):
-        state, model = self.pair(index)
+    def _pair_statistics(self, state, model: qcore.MeasurementModel, setting: int):
         a_obs, b_obs = self._observables(model, setting)
         rho = qcore._as_density(state)
-        d_b = model.bob_dim
-        eye_a = np.eye(rho.shape[0] // d_b)
-        eye_b = np.eye(d_b)
-        m_a = np.trace(np.kron(a_obs, eye_b) @ rho).real
-        m_b = np.trace(np.kron(eye_a, b_obs) @ rho).real
-        corr = np.trace(np.kron(a_obs, b_obs) @ rho).real
+        eye_a = np.eye(rho.shape[0] // model.bob_dim)
+        eye_b = np.eye(model.bob_dim)
+        m_a = qcore.product_expectation(rho, a_obs, eye_b).real
+        m_b = qcore.product_expectation(rho, eye_a, b_obs).real
+        corr = qcore.product_expectation(rho, a_obs, b_obs).real
         return m_a, m_b, corr
 
     def _observables(self, model: qcore.MeasurementModel, setting: int):
@@ -88,6 +92,14 @@ class Source:
         raise NotImplementedError
 
 
+def _ideal_pair(mode: str, visibility: float):
+    """Werner-type state around the mode's extraction target, with the
+    ideal Pauli devices of the untrusted side(s)."""
+    if mode == "two-basis":
+        return qcore.werner_state(visibility), qcore.ideal_model()
+    return qcore.rotated_werner_state(visibility), qcore.ideal_model(device_independent=True)
+
+
 class IidSource(Source):
     """Identical (state, model) every round."""
 
@@ -95,8 +107,7 @@ class IidSource(Source):
         super().__init__(mode)
         self.state = state
         self.model = model
-        n_settings = 2 if mode == "two-basis" else 4
-        self._stats = [self._single_statistics(0, t) for t in range(n_settings)]
+        self._stats = [self._pair_statistics(state, model, t) for t in range(len(LAYOUTS[mode]))]
 
     def statistics(self, indices, settings):
         table = np.array(self._stats)
@@ -107,22 +118,12 @@ class IidSource(Source):
         return self.state, self.model
 
 
-def honest_ideal_source(mode: str) -> IidSource:
-    if mode == "two-basis":
-        return IidSource(mode, qcore.bell_state(), qcore.ideal_model())
-    return IidSource(
-        mode,
-        qcore.TwoQubitState(np.outer(qcore.rotated_bell_vector(), qcore.rotated_bell_vector().conj())),
-        qcore.ideal_model(device_independent=True),
-    )
-
-
 def werner_source(mode: str, visibility: float) -> IidSource:
-    if mode == "two-basis":
-        return IidSource(mode, qcore.werner_state(visibility), qcore.ideal_model())
-    return IidSource(
-        mode, qcore.rotated_werner_state(visibility), qcore.ideal_model(device_independent=True)
-    )
+    return IidSource(mode, *_ideal_pair(mode, visibility))
+
+
+def honest_ideal_source(mode: str) -> IidSource:
+    return werner_source(mode, 1.0)
 
 
 class VisibilitySequenceSource(Source):
@@ -135,47 +136,31 @@ class VisibilitySequenceSource(Source):
         if np.any(self.visibilities < 0.0) or np.any(self.visibilities > 1.0):
             raise ValueError("visibilities must sit in [0, 1]")
         self.special = special or {}
-        if mode == "two-basis":
-            self.model = qcore.ideal_model()
-        else:
-            self.model = qcore.ideal_model(device_independent=True)
 
     def statistics(self, indices, settings):
-        v = self.visibilities[indices]
-        if self.mode == "two-basis":
-            corr = v.copy()
-        else:
-            signs = np.array(CHSH_SIGNS)[settings]
-            corr = v * signs / SQRT2
+        # Werner-type pairs on ideal devices: correlation v on both steering
+        # subsets, v/sqrt(2) with the subset's CHSH sign on the setting pairs.
+        signs = np.array(list(LAYOUTS[self.mode].values()))
+        corr = self.visibilities[indices] * signs[settings]
+        if self.mode == "four-setting":
+            corr /= SQRT2
         m_a = np.zeros(len(indices))
         m_b = np.zeros(len(indices))
-        for idx, (state, _) in self.special.items():
-            mask = indices == idx
-            if not np.any(mask):
-                continue
-            for pos in np.flatnonzero(mask):
-                m_a[pos], m_b[pos], corr[pos] = Source._single_statistics(
-                    self, int(indices[pos]), int(settings[pos])
-                )
+        for idx, (state, model) in self.special.items():
+            for pos in np.flatnonzero(indices == idx):
+                m_a[pos], m_b[pos], corr[pos] = self._pair_statistics(state, model, int(settings[pos]))
         return m_a, m_b, corr
 
     def pair(self, index: int):
         if index in self.special:
             return self.special[index]
-        v = float(self.visibilities[index])
-        if self.mode == "two-basis":
-            return qcore.werner_state(v), self.model
-        return qcore.rotated_werner_state(v), self.model
+        return _ideal_pair(self.mode, float(self.visibilities[index]))
 
 
 def one_bad_pair_source(mode: str, copies: int, bad_index: int, visibility: float = 1.0) -> VisibilitySequenceSource:
     """All pairs at the given visibility except one maximally mixed pair."""
-    bad_state = qcore.TwoQubitState(np.eye(4) / 4.0)
-    model = qcore.ideal_model() if mode == "two-basis" else qcore.ideal_model(device_independent=True)
     return VisibilitySequenceSource(
-        mode,
-        np.full(copies, visibility),
-        special={int(bad_index): (bad_state, model)},
+        mode, np.full(copies, visibility), special={int(bad_index): _ideal_pair(mode, 0.0)}
     )
 
 
@@ -266,14 +251,15 @@ class ProtocolTranscript:
 def adjusted_copies(params: cert.CertificateParams) -> int:
     """Copy count with the tested pairs divisible into the mode's subsets."""
     k = cert.required_copies(params)
-    groups = 2 if _protocol_mode(params) == "two-basis" else 4
+    groups = len(LAYOUTS[protocol_mode(params)])
     while (k - 1) % groups:
         k += 1
     return k
 
 
-def _sample_outcomes(m_a, m_b, corr, rng):
-    """Exact sampling of (+-1, +-1) pairs from marginals and correlation."""
+def sample_outcomes(m_a, m_b, corr, rng):
+    """Exact Born-rule sampling of one (+-1, +-1) pair per round from its
+    marginals and correlation: a from its marginal, then b given a."""
     p_a = np.clip(0.5 * (1.0 + m_a), 0.0, 1.0)
     a = np.where(rng.random(len(m_a)) < p_a, 1, -1)
     denom = 1.0 + a * m_a
@@ -297,12 +283,12 @@ def run_protocol(
     consumed as produced instead of subset-by-subset) and is certificate
     neutral.
     """
-    mode = _protocol_mode(params)
+    mode = protocol_mode(params)
     if source.mode != mode:
         raise ValueError(f"source mode {source.mode!r} does not match params ({mode})")
     k = adjusted_copies(params)
-    groups = 2 if mode == "two-basis" else 4
-    labels = STEERING_SETTINGS if mode == "two-basis" else CHSH_SETTINGS
+    layout = LAYOUTS[mode]
+    groups = len(layout)
     r = int(rng.integers(k))
     remaining = np.delete(np.arange(k), r)
     perm = rng.permutation(remaining)
@@ -320,28 +306,23 @@ def run_protocol(
         order = [i for i in range(k) if i != r] if memoryless else np.concatenate(subsets).tolist()
         for i in order:
             t = int(settings[i])
-            state, model = source.emit(i, history)
-            probe = IidSource(mode, state, model)
-            m_a, m_b, corr = probe.statistics(np.array([0]), np.array([t]))
-            a, b = _sample_outcomes(m_a, m_b, corr, rng)
+            stats = np.array([source._pair_statistics(*source.emit(i, history), t)])
+            a, b = sample_outcomes(*stats.T, rng)
             outcomes_a[i], outcomes_b[i] = a[0], b[0]
             history.append((t, int(a[0]), int(b[0])))
         source.emit(r, history)
     else:
         measured = np.concatenate(subsets)
         m_a, m_b, corr = source.statistics(measured, settings[measured])
-        a, b = _sample_outcomes(m_a, m_b, corr, rng)
+        a, b = sample_outcomes(m_a, m_b, corr, rng)
         outcomes_a[measured] = a
         outcomes_b[measured] = b
 
     chat = (outcomes_a * outcomes_b).astype(float)
     averages = [float(np.mean(chat[subset])) for subset in subsets]
-    if mode == "two-basis":
-        statistic = sum(averages)
-        if params.inequality == "chsh":
-            statistic *= SQRT2
-    else:
-        statistic = sum(s * a for s, a in zip(CHSH_SIGNS, averages))
+    statistic = sum(s * a for s, a in zip(layout.values(), averages))
+    if mode == "two-basis" and params.inequality == "chsh":
+        statistic *= SQRT2
     threshold = params.max_violation - params.epsilon
     accepted = statistic >= threshold
 
@@ -349,7 +330,7 @@ def run_protocol(
         copies=k,
         withheld=r,
         subsets=subsets,
-        setting_labels=labels,
+        setting_labels=tuple(layout),
         settings=settings,
         outcomes_a=outcomes_a,
         outcomes_b=outcomes_b,
@@ -380,6 +361,33 @@ def true_extracted_fidelity(source: Source, index: int) -> float:
     return qcore.fidelity_to_pure(extracted, extraction_target(source.mode))
 
 
+class Trial(NamedTuple):
+    """One protocol run of a batch; ``rng`` is the trial's own generator,
+    and ``true_fidelity`` is set for accepted runs only."""
+
+    source: Source
+    transcript: ProtocolTranscript
+    certificate: cert.FidelityCertificate | None
+    true_fidelity: float | None
+    rng: np.random.Generator
+
+
+def run_trials(source_factory, params: cert.CertificateParams, n_trials: int, seed: int):
+    """Repeated protocol runs with per-trial derived seeds, one Trial each.
+
+    ``source_factory(copies, rng)`` builds a fresh source per trial; the
+    true extracted fidelity of the withheld pair is evaluated for each
+    accepted run.
+    """
+    k = adjusted_copies(params)
+    for stream in np.random.SeedSequence(seed).spawn(n_trials):
+        rng = np.random.default_rng(stream)
+        source = source_factory(k, rng)
+        transcript, certificate = run_protocol(source, params, rng)
+        true_f = None if certificate is None else true_extracted_fidelity(source, transcript.withheld)
+        yield Trial(source, transcript, certificate, true_f, rng)
+
+
 @dataclass
 class SoundnessStats:
     trials: int
@@ -389,9 +397,21 @@ class SoundnessStats:
     certificate_probability: float
     min_true_fidelity: float
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.trials if self.trials else 0.0
+    @classmethod
+    def start(cls, params: cert.CertificateParams, n_trials: int) -> "SoundnessStats":
+        """Tally of no accepted runs yet, carrying the certificate that
+        every accepted run with these parameters receives."""
+        template = cert.fidelity_bound(params)
+        return cls(n_trials, 0, 0, template.fidelity, template.probability, 1.0)
+
+    def record(self, trial: Trial) -> None:
+        """Compare an accepted run's certified bound against the true
+        extracted fidelity of its withheld pair."""
+        if trial.certificate is None:
+            return
+        self.accepted += 1
+        self.bound_violations += trial.true_fidelity < trial.certificate.fidelity - 1e-12
+        self.min_true_fidelity = min(self.min_true_fidelity, trial.true_fidelity)
 
     @property
     def violation_fraction(self) -> float:
@@ -427,43 +447,15 @@ def soundness_experiment(
     n_trials: int,
     seed: int,
 ) -> SoundnessStats:
-    """Repeated protocol runs with per-trial derived seeds.
-
-    ``source_factory(copies, rng)`` builds a fresh source per trial; over
-    accepted trials the certified bound is compared against the true
-    extracted fidelity of the withheld pair.
-    """
+    """Soundness tally over :func:`run_trials`: over accepted trials the
+    certified bound is compared against the true extracted fidelity of
+    the withheld pair."""
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    k = adjusted_copies(params)
-    streams = np.random.SeedSequence(seed).spawn(n_trials)
-    accepted = 0
-    violations = 0
-    cert_f = cert_p = None
-    min_true = 1.0
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        source = source_factory(k, rng)
-        transcript, certificate = run_protocol(source, params, rng)
-        if certificate is None:
-            continue
-        accepted += 1
-        cert_f, cert_p = certificate.fidelity, certificate.probability
-        true_f = true_extracted_fidelity(source, transcript.withheld)
-        min_true = min(min_true, true_f)
-        if true_f < certificate.fidelity - 1e-12:
-            violations += 1
-    if cert_f is None:
-        template = cert.fidelity_bound(params)
-        cert_f, cert_p = template.fidelity, template.probability
-    return SoundnessStats(
-        trials=n_trials,
-        accepted=accepted,
-        bound_violations=violations,
-        certificate_fidelity=cert_f,
-        certificate_probability=cert_p,
-        min_true_fidelity=min_true,
-    )
+    stats = SoundnessStats.start(params, n_trials)
+    for trial in run_trials(source_factory, params, n_trials, seed):
+        stats.record(trial)
+    return stats
 
 
 def teleport_with_certificate(

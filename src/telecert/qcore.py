@@ -1,15 +1,14 @@
 """Dense linear algebra for two-qubit certification primitives.
 
 States, dichotomic observables, two-setting measurement models with
-untrusted projectors, Born-rule sampling, the ancilla-swap extraction
-channel, and the standard teleportation circuit.  Everything is complex
+untrusted projectors, the ancilla-swap extraction channel, and the
+standard teleportation circuit.  Everything is complex
 float64; Hermiticity is restored by explicit symmetrization after
 constructive operations, with a deviation check before symmetrizing.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +26,11 @@ __all__ = [
     "werner_state",
     "rotated_werner_state",
     "fidelity_to_pure",
+    "product_expectation",
     "correlation",
     "steering_value",
     "chsh_value",
     "chsh_optimal_settings",
-    "sample_round",
-    "sample_rounds",
     "swap_isometry_extract",
     "teleport_average_fidelity",
     "haar_random_vector",
@@ -152,9 +150,17 @@ def fidelity_to_pure(state: TwoQubitState, phi: np.ndarray) -> float:
     return float(min(1.0, max(0.0, value.real)))
 
 
+def product_expectation(rho: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> complex:
+    """tr((op_a x op_b) rho) for a density matrix on the op_a x op_b split,
+    without forming the Kronecker product."""
+    d_a, d_b = op_a.shape[0], op_b.shape[0]
+    r4 = rho.reshape(d_a, d_b, d_a, d_b)
+    return complex(np.einsum("ac,bd,abcd->", op_a.T, op_b.T, r4))
+
+
 def correlation(state: TwoQubitState, a: Observable, b: Observable) -> float:
     """tr((a x b) rho); the imaginary part must vanish to 1e-12."""
-    value = np.trace(np.kron(a.matrix, b.matrix) @ state.matrix)
+    value = product_expectation(state.matrix, a.matrix, b.matrix)
     if abs(value.imag) > 1e-12:
         raise ValueError(f"correlation has imaginary part {value.imag:.3e}")
     return float(value.real)
@@ -182,35 +188,6 @@ def chsh_optimal_settings() -> tuple:
     b0 = Observable((SIGMA_Z + SIGMA_X) / np.sqrt(2.0), "custom")
     b1 = Observable((SIGMA_Z - SIGMA_X) / np.sqrt(2.0), "custom")
     return a0, a1, b0, b1
-
-
-# ---------------------------------------------------------------------------
-# Sampling
-
-
-def _joint_probabilities(state: TwoQubitState, a: Observable, b: Observable) -> np.ndarray:
-    """Born-rule probabilities for outcome pairs (+,+), (+,-), (-,+), (-,-)."""
-    probs = np.empty(4)
-    for i, sa in enumerate((0, 1)):
-        for j, sb in enumerate((0, 1)):
-            op = np.kron(a.projector(sa), b.projector(sb))
-            probs[2 * i + j] = np.trace(op @ state.matrix).real
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
-
-
-def sample_rounds(state, a, b, n, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n independent outcome pairs (+-1, +-1) from the joint Born rule."""
-    probs = _joint_probabilities(state, a, b)
-    cells = rng.choice(4, size=n, p=probs)
-    a_out = 1 - 2 * (cells // 2)
-    b_out = 1 - 2 * (cells % 2)
-    return a_out.astype(np.int64), b_out.astype(np.int64)
-
-
-def sample_round(state, a, b, rng) -> tuple[int, int]:
-    a_out, b_out = sample_rounds(state, a, b, 1, rng)
-    return int(a_out[0]), int(b_out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +400,12 @@ def swap_isometry_extract(state, model: MeasurementModel, side: str = "bob") -> 
         ka = _extraction_kraus(model.alice_observable(0), model.alice_observable(1))
         kb = _extraction_kraus(model.bob_observable(0), model.bob_observable(1))
         out = np.empty((4, 4), dtype=complex)
-        r4 = rho.reshape(d_a, d_b, d_a, d_b)
         for i in (0, 1):
             for j in (0, 1):
                 for k in (0, 1):
                     for l in (0, 1):
-                        op_a = ka[k].conj().T @ ka[i]
-                        op_b = kb[l].conj().T @ kb[j]
-                        out[2 * i + j, 2 * k + l] = np.einsum(
-                            "ac,bd,abcd->", op_a.T, op_b.T, r4
+                        out[2 * i + j, 2 * k + l] = product_expectation(
+                            rho, ka[k].conj().T @ ka[i], kb[l].conj().T @ kb[j]
                         )
         return TwoQubitState(out)
     raise ValueError(f"unknown side {side!r}")
@@ -551,14 +525,3 @@ def model_from_json(doc: dict) -> MeasurementModel:
         )
         return MeasurementModel(doc["bob_dim"], bob, doc["alice_dim"], alice)
     return MeasurementModel(doc["bob_dim"], bob)
-
-
-def dump_json(doc: dict, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=1)
-        handle.write("\n")
-
-
-def load_json(path) -> dict:
-    with open(path) as handle:
-        return json.load(handle)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import npa
+from . import cert, npa
 
 DEFAULT_WORD_CAP = {npa.SETTING_1SDI: 3, npa.SETTING_DI: 4}
 
@@ -92,7 +92,7 @@ def _presolve(instance: SdpInstance, tol: float = 1e-9):
     m = len(instance.constraints)
     if m == 0:
         raise SdpError("instance has no constraints")
-    if m > 20000:
+    if m > npa.MAX_CONSTRAINTS:
         raise SdpError("constraint count too large for the dense presolve")
     rows_idx = np.triu_indices(n)
     # Diagonal entries first so the sqrt(2) off-diagonal scaling (making
@@ -447,11 +447,11 @@ def min_fidelity_curve(
 ):
     """Certified minimum fidelities at violation (max - eps) per grid point."""
     epsilons = [float(e) for e in epsilons]
-    if any(e <= 0.0 or e > 0.5 * npa.max_violation(setting, inequality) for e in epsilons):
+    wmax = cert.max_violation(setting, inequality)
+    if any(e <= 0.0 or e > 0.5 * wmax for e in epsilons):
         raise ValueError("epsilon grid must sit in (0, half the maximal violation]")
     cap = max_local_length or DEFAULT_WORD_CAP[setting]
     words = npa.generate_words(setting, cap)
-    wmax = npa.max_violation(setting, inequality)
     problem = npa.build_moment_problem(setting, words, objective, inequality, wmax)
     reduced = npa.reduce_problem(problem)
     curve = []

@@ -166,15 +166,6 @@ def test_measurement_selftest_points():
         cert.measurement_selftest_fidelity(2.1, "1sdi")
 
 
-def test_derivation_scratch_invariants():
-    scratch = cert.DerivationScratch.from_params(params())
-    assert scratch.k_xx == (scratch.n + 2) / 2
-    assert scratch.k_zz == scratch.n / 2
-    assert scratch.eps_xx == scratch.eps_zz == 0.125
-    assert scratch.mu_xx + scratch.mu_zz == 2.0
-    assert cert.DerivationScratch.from_params(params(iid=False)).eps_prime_xx == 2.0
-
-
 def test_planner_quoted_steering_point():
     res = cert.plan(2 / 3, 0.75, "1sdi", "steering", True, epsilon=0.25)
     assert res.feasible

@@ -2,10 +2,11 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
-from telecert import cli
+from telecert import cert, cli, protosim
 
 
 def run_cli(argv, capsys):
@@ -147,6 +148,54 @@ def test_npa_export_and_sdp_solve(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "optimal"
     assert doc["objective"] == pytest.approx(1 - 1.2543 * 0.1, abs=2e-3)
+
+
+def test_npa_export_report_to_stdout(tmp_path, capsys):
+    # without --report-out the report goes to stdout, not over the problem file
+    problem = tmp_path / "p.dat-s"
+    code, out = run_cli(
+        ["npa-export", "--trust", "1sdi", "--inequality", "steering", "--eps", "0.1", "--out", str(problem)],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["kind"] == "export"
+    code, out = run_cli(["sdp-solve", "--in", str(problem)], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "optimal"
+
+
+def test_sdp_solve_refuses_oversized_header(tmp_path, capsys):
+    # the header of the default fully untrusted export: 228162 constraints
+    # on one 162x162 block, about 48 GB as dense matrices
+    path = tmp_path / "big.dat-s"
+    path.write_text("228162\n1\n162\n1.0 0.0\n0 1 1 1 -1.0\n")
+    start = time.perf_counter()
+    code = cli.main(["sdp-solve", "--in", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "228162 constraints" in err and "at most 20000" in err
+    assert elapsed < 1.0
+
+
+def test_simulate_matches_soundness_experiment(capsys):
+    code, out = run_cli(
+        [
+            "simulate", "--non-iid", "--eps", "0.2", "--q", "4", "--x", "1",
+            "--source", "drift", "--visibility", "1.0", "--v-end", "0.9",
+            "--trials", "20", "--seed", "123",
+        ],
+        capsys,
+    )
+    assert code == 0
+    summary = json.loads(out)
+    params = cert.CertificateParams("1sdi", "steering", False, 0.2, 4.0, 1.0)
+    stats = protosim.soundness_experiment(
+        lambda k, rng: protosim.drifting_visibility_source("two-basis", k, 1.0, 0.9), params, 20, seed=123
+    )
+    assert (summary["accepted"], summary["bound_violations"]) == (stats.accepted, stats.bound_violations)
+    assert (stats.accepted, stats.bound_violations) == (20, 0)
+    assert summary["certificate_fidelity"] == stats.certificate_fidelity
 
 
 def test_figure2_outputs(tmp_path, capsys):

@@ -31,6 +31,22 @@ def test_honest_ideal_always_accepts():
         assert np.all(transcript.correlations[np.concatenate(transcript.subsets)] == 1)
 
 
+def test_honest_source_is_unit_visibility_werner():
+    for mode, n in (("two-basis", 2), ("four-setting", 4)):
+        honest = protosim.honest_ideal_source(mode)
+        werner = protosim.werner_source(mode, 1.0)
+        assert np.array_equal(honest.state.matrix, werner.state.matrix)
+        target = protosim.extraction_target(mode)
+        assert np.allclose(honest.state.matrix, np.outer(target, target.conj()), atol=1e-15)
+        indices, settings = np.zeros(n, dtype=int), np.arange(n)
+        for h, w in zip(honest.statistics(indices, settings), werner.statistics(indices, settings)):
+            assert np.array_equal(h, w)
+        # ideal correlations: 1 on both steering subsets, +-1/sqrt(2) on the CHSH pairs
+        signs = np.array(list(protosim.LAYOUTS[mode].values()))
+        expected = signs if mode == "two-basis" else signs / math.sqrt(2)
+        assert np.allclose(honest.statistics(indices, settings)[2], expected, atol=1e-12)
+
+
 def test_transcript_structure():
     rng = np.random.default_rng(2)
     params = steering_params()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from telecert import qcore as qc
+from telecert import protosim, qcore as qc
 
 
 def test_bell_state_entries():
@@ -101,9 +101,18 @@ def test_linearity_in_state():
         )
 
 
+def _sample(state, setting, n, rng, mode="two-basis"):
+    """n rounds at one subset setting through the protocol's Born-rule sampler
+    (two-basis: 0 is X x X, 1 is Z x Z; four-setting: 2x + y is A_x x B_y)."""
+    model = qc.ideal_model(device_independent=mode == "four-setting")
+    source = protosim.IidSource(mode, state, model)
+    m_a, m_b, corr = source.statistics(np.zeros(n, dtype=int), np.full(n, setting))
+    return protosim.sample_outcomes(m_a, m_b, corr, rng)
+
+
 def test_sample_round_bell_perfect_correlation():
     rng = np.random.default_rng(21)
-    a, b = qc.sample_rounds(qc.bell_state(), qc.OBS_X, qc.OBS_X, 500, rng)
+    a, b = _sample(qc.bell_state(), 0, 500, rng)
     assert np.all(a * b == 1)
 
 
@@ -111,7 +120,7 @@ def test_sample_round_werner_born_rule():
     v = 0.8
     rng = np.random.default_rng(22)
     n = 200_000
-    a, b = qc.sample_rounds(qc.werner_state(v), qc.OBS_Z, qc.OBS_Z, n, rng)
+    a, b = _sample(qc.werner_state(v), 1, n, rng)
     # oracle: Born rule on the joint projectors
     p_equal = sum(
         np.trace(np.kron(qc.OBS_Z.projector(s), qc.OBS_Z.projector(s)) @ qc.werner_state(v).matrix).real
@@ -124,19 +133,27 @@ def test_sample_round_werner_born_rule():
 
 
 def test_sample_round_reproducible():
-    out1 = qc.sample_rounds(qc.werner_state(0.6), qc.OBS_Z, qc.OBS_X, 64, np.random.default_rng(5))
-    out2 = qc.sample_rounds(qc.werner_state(0.6), qc.OBS_Z, qc.OBS_X, 64, np.random.default_rng(5))
+    # Z on Alice, X on Bob
+    out1 = _sample(qc.werner_state(0.6), 1, 64, np.random.default_rng(5), mode="four-setting")
+    out2 = _sample(qc.werner_state(0.6), 1, 64, np.random.default_rng(5), mode="four-setting")
     assert np.array_equal(out1[0], out2[0]) and np.array_equal(out1[1], out2[1])
-    single = qc.sample_round(qc.werner_state(0.6), qc.OBS_Z, qc.OBS_X, np.random.default_rng(5))
-    assert single == (int(out1[0][0]), int(out1[1][0]))
+    assert set(np.unique(out1[0])) <= {-1, 1} and set(np.unique(out1[1])) <= {-1, 1}
 
 
 def test_sampling_mean_matches_correlation():
     rng = np.random.default_rng(7)
     state = qc.werner_state(0.55)
     n = 1_000_000
-    a, b = qc.sample_rounds(state, qc.OBS_X, qc.OBS_X, n, rng)
+    a, b = _sample(state, 0, n, rng)
     assert abs(np.mean(a * b) - qc.correlation(state, qc.OBS_X, qc.OBS_X)) < 4 / np.sqrt(n)
+
+
+def test_public_names_resolve():
+    for name in qc.__all__:
+        assert hasattr(qc, name), name
+    namespace = {}
+    exec("from telecert.qcore import *", namespace)
+    assert set(qc.__all__) <= set(namespace)
 
 
 def test_extraction_ideal_is_identity():
@@ -225,7 +242,7 @@ def test_measurement_model_validation():
         qc.MeasurementModel(2, not_idempotent)
 
 
-def test_serialization_round_trip(tmp_path):
+def test_serialization_round_trip():
     state = qc.werner_state(0.77)
     doc = qc.state_to_json(state)
     assert doc["schema"] == "qcore/1"
@@ -237,7 +254,3 @@ def test_serialization_round_trip(tmp_path):
     mback = qc.model_from_json(json.loads(json.dumps(mdoc)))
     assert np.max(np.abs(mback.bob_projectors - model.bob_projectors)) < 1e-15
     assert np.max(np.abs(mback.alice_projectors - model.alice_projectors)) < 1e-15
-
-    path = tmp_path / "state.json"
-    qc.dump_json(doc, path)
-    assert qc.load_json(path) == doc
