@@ -53,6 +53,11 @@ def default_alpha(trust: str, inequality: str) -> float:
         raise ValueError(f"no default constant for ({trust}, {inequality})") from None
 
 
+def _check_epsilon(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise ValueError("epsilon must sit in (0, 1)")
+
+
 @dataclass(frozen=True)
 class CertificateParams:
     """Protocol parameters: trust setting, inequality, statistics model,
@@ -75,8 +80,7 @@ class CertificateParams:
             raise ValueError(f"unknown inequality {self.inequality!r}")
         if self.trust == "di" and self.inequality == "steering":
             raise ValueError("steering requires a trusted side")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must sit in (0, 1)")
+        _check_epsilon(self.epsilon)
         if self.q < 1.0:
             raise ValueError("q must be at least 1")
         if self.x <= 0.0:
@@ -171,10 +175,9 @@ def azuma_tail(copies: int, deviation: float) -> float:
     return math.exp(-copies * deviation * deviation / 8.0)
 
 
-def _noniid_inner(params: CertificateParams) -> float:
-    eps, q, x = params.epsilon, params.q, params.x
+def _noniid_inner(inequality: str, eps: float, q: float, x: float) -> float:
     log_term = math.log(1.0 / eps)
-    if params.inequality == "steering":
+    if inequality == "steering":
         return (
             2.0 * eps / q
             + 0.5 * eps
@@ -189,18 +192,29 @@ def _noniid_inner(params: CertificateParams) -> float:
     )
 
 
-def fidelity_bound(params: CertificateParams) -> FidelityCertificate:
-    """Certified fidelity of the withheld pair and the confidence with
-    which the certificate holds."""
-    eps, q, x, alpha = params.epsilon, params.q, params.x, params.alpha
-    if params.iid:
-        slack = (2.0 if params.inequality == "steering" else 4.0) * eps / q
+def _raw_bound(
+    inequality: str, iid: bool, eps: float, q: float, x: float, alpha: float
+) -> tuple[float, float]:
+    """Unclamped certified fidelity and probability: the one copy of the
+    certificate formula.  The arguments are not validated; callers build a
+    ``CertificateParams`` from them first."""
+    if iid:
+        slack = (2.0 if inequality == "steering" else 4.0) * eps / q
         raw_f = 1.0 - alpha * (slack + eps)
         raw_p = 1.0 - eps**x
     else:
-        radical = math.sqrt(alpha * _noniid_inner(params))
+        radical = math.sqrt(alpha * _noniid_inner(inequality, eps, q, x))
         raw_f = 1.0 - radical
         raw_p = (1.0 - eps**x) * (1.0 - radical)
+    return raw_f, raw_p
+
+
+def fidelity_bound(params: CertificateParams) -> FidelityCertificate:
+    """Certified fidelity of the withheld pair and the confidence with
+    which the certificate holds."""
+    raw_f, raw_p = _raw_bound(
+        params.inequality, params.iid, params.epsilon, params.q, params.x, params.alpha
+    )
     vacuous = raw_f <= 0.0 or raw_p <= 0.0
     return FidelityCertificate(
         fidelity=min(1.0, max(0.0, raw_f)),
@@ -260,11 +274,18 @@ class PlanResult:
 def _min_q_for_targets(
     trust, inequality, iid, eps, x, target_f, target_p, alpha, q_hi=1e9
 ) -> float | None:
-    """Smallest q meeting both targets at fixed (eps, x); None if q_hi fails."""
+    """Smallest q meeting both targets at fixed (eps, x); None if q_hi fails.
+
+    The inputs are validated once, at q = q_hi; every bisection point lies
+    in [1, q_hi].  With target_f in (0, 1) and target_p in [0, 1), as
+    ``plan`` requires, testing the unclamped bound below makes the same
+    decision as testing the clamped, non-vacuous ``fidelity_bound``.
+    """
+    alpha = CertificateParams(trust, inequality, iid, eps, q_hi, x, alpha).alpha
 
     def ok(q):
-        cert = fidelity_bound(CertificateParams(trust, inequality, iid, eps, q, x, alpha))
-        return cert.fidelity >= target_f and cert.probability >= target_p and not cert.vacuous
+        raw_f, raw_p = _raw_bound(inequality, iid, eps, q, x, alpha)
+        return raw_f >= target_f and raw_p >= target_p and raw_p > 0.0
 
     if not ok(q_hi):
         return None
@@ -313,6 +334,7 @@ def plan(
 
     def best_over_x(eps):
         # x must at least cover the probability target through 1 - eps^x.
+        _check_epsilon(eps)
         best = None
         x_lo, x_hi = x_bounds
         if target_probability > 0.0:

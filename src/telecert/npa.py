@@ -41,6 +41,11 @@ _OBS_SYMBOLS = {"Z": 0, "X": 1}
 #: its one dense matrix per constraint.
 MAX_CONSTRAINTS = 20000
 
+#: Most float64 entries in the reader's dense stack of (constraints + 1)
+#: matrices: the largest stack the constraint limit admits for the 81x81
+#: fully untrusted companion instance, about 1.05 GB.
+MAX_DENSE_ENTRIES = (MAX_CONSTRAINTS + 1) * 81**2
+
 
 class MissingWordError(ValueError):
     """A functional references a moment absent from the word set."""
@@ -804,10 +809,17 @@ def read_sdpa_numeric(path):
         )
     nblocks = int(rows[1].split()[0])
     sizes = [abs(int(tok.strip("{},"))) for tok in rows[2].replace(",", " ").split()][:nblocks]
+    dim = sum(sizes)
+    entries = (m + 1) * dim**2
+    if entries > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"file declares {m} constraints on a {dim}x{dim} matrix: {entries} dense entries "
+            f"({entries * 8 / 1e9:.2f} GB); the dense reader accepts at most {MAX_DENSE_ENTRIES} "
+            f"({MAX_DENSE_ENTRIES * 8 / 1e9:.2f} GB)"
+        )
     c_values = [float(tok) for tok in rows[3].replace(",", " ").split()]
     if len(c_values) != m:
         raise ValueError("constraint value line does not match the header")
-    dim = sum(sizes)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     mats = [np.zeros((dim, dim)) for _ in range(m + 1)]
     for line in rows[4:]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -198,6 +199,55 @@ def test_planner_infeasible_reported():
     assert "100" in res.reason
     res2 = cert.plan(0.999999, 0.0, "1sdi", "steering", True, epsilon=0.9)
     assert not res2.feasible
+
+
+def test_planner_validates_inputs():
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        cert.plan(0.7, 0.6, "1sdi", "steering", True, alpha=-1)
+    for eps in (0.0, 1.0, -0.5):
+        with pytest.raises(ValueError, match=r"epsilon must sit in \(0, 1\)"):
+            cert.plan(0.7, 0.6, "1sdi", "steering", True, epsilon=eps)
+
+
+def _reference_min_q(trust, inequality, iid, eps, x, target_f, target_p, alpha, q_hi=1e9):
+    # Reference: the planner's bisection decided on one full certificate per
+    # point, through its clamped fields and vacuous flag.
+    def ok(q):
+        c = cert.fidelity_bound(cert.CertificateParams(trust, inequality, iid, eps, q, x, alpha))
+        return c.fidelity >= target_f and c.probability >= target_p and not c.vacuous
+
+    if not ok(q_hi):
+        return None
+    lo, hi = 1.0, q_hi
+    if ok(lo):
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-9 * hi:
+            break
+    return hi
+
+
+def test_min_q_matches_certificate_bisection():
+    settings = [(t, i, iid) for t, i in (("1sdi", "steering"), ("1sdi", "chsh"), ("di", "chsh")) for iid in (True, False)]
+    grid = itertools.product(settings, (1e-3, 0.05, 0.3, 0.9), (0.05, 16.0), (0.0, 0.6), (0.5, 0.7, 0.9, 0.999), (None, 1e4))
+    outcomes = {"feasible": 0, "infeasible": 0, "vacuous": 0}
+    for (trust, inequality, iid), eps, x, target_p, target_f, alpha in grid:
+        alpha = alpha or cert.default_alpha(trust, inequality)
+        args = (trust, inequality, iid, eps, x, target_f, target_p, alpha)
+        expected = _reference_min_q(*args)
+        assert cert._min_q_for_targets(*args) == expected, args
+        if expected is not None:
+            outcomes["feasible"] += 1
+        elif cert.fidelity_bound(cert.CertificateParams(trust, inequality, iid, eps, 1e9, x, alpha)).vacuous:
+            outcomes["vacuous"] += 1
+        else:
+            outcomes["infeasible"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_werner_thresholds():

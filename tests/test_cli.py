@@ -126,28 +126,31 @@ def test_derive_alpha_cli(tmp_path, capsys):
 
 
 def test_npa_export_and_sdp_solve(tmp_path, capsys):
-    problem = tmp_path / "steer.dat-s"
-    words = tmp_path / "words.json"
-    code, _ = run_cli(
-        [
-            "npa-export", "--trust", "1sdi", "--inequality", "steering",
-            "--objective", "state", "--eps", "0.1",
-            "--out", str(problem), "--words-out", str(words),
-            "--report-out", str(tmp_path / "report.json"),
-        ],
-        capsys,
-    )
-    assert code == 0
-    wdoc = json.loads(words.read_text())
-    assert wdoc["schema"] == "npa/1" and len(wdoc["words"]) == 7
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["embedded_dimension"] == 28
+    # both constraint forms stay within the dense reader's size limits
+    for constraints, written in (("generated", 734), ("deduplicated", 278)):
+        problem = tmp_path / f"{constraints}.dat-s"
+        words = tmp_path / "words.json"
+        code, _ = run_cli(
+            [
+                "npa-export", "--trust", "1sdi", "--inequality", "steering",
+                "--objective", "state", "--eps", "0.1", "--constraints", constraints,
+                "--out", str(problem), "--words-out", str(words),
+                "--report-out", str(tmp_path / "report.json"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        wdoc = json.loads(words.read_text())
+        assert wdoc["schema"] == "npa/1" and len(wdoc["words"]) == 7
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["embedded_dimension"] == 28
+        assert report["constraints_written"] == written
 
-    code, out = run_cli(["sdp-solve", "--in", str(problem)], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["status"] == "optimal"
-    assert doc["objective"] == pytest.approx(1 - 1.2543 * 0.1, abs=2e-3)
+        code, out = run_cli(["sdp-solve", "--in", str(problem)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "optimal"
+        assert doc["objective"] == pytest.approx(1 - 1.2543 * 0.1, abs=2e-3)
 
 
 def test_npa_export_report_to_stdout(tmp_path, capsys):
@@ -176,6 +179,30 @@ def test_sdp_solve_refuses_oversized_header(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "228162 constraints" in err and "at most 20000" in err
     assert elapsed < 1.0
+
+
+def test_sdp_solve_refuses_oversized_dense_stack(tmp_path, capsys):
+    # the header of the deduplicated fully untrusted export: 12386
+    # constraints on one 162x162 block pass the constraint limit, but the
+    # dense stack would take about 2.6 GB
+    path = tmp_path / "dedup.dat-s"
+    path.write_text("12386\n1\n162\n1.0 0.0\n")
+    start = time.perf_counter()
+    code = cli.main(["sdp-solve", "--in", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "12386 constraints on a 162x162 matrix" in err and "2.60 GB" in err
+    assert elapsed < 1.0
+
+
+def test_plan_rejects_eps_outside_unit_interval(capsys):
+    for eps in ("0", "1", "-0.5"):
+        code = cli.main(["plan", "--target-f", "0.6667", "--eps", eps])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "telecert: error: epsilon must sit in (0, 1)\n"
 
 
 def test_simulate_matches_soundness_experiment(capsys):
