@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver and the self-testing-constant
+"""Primal-dual interior-point solver and the self-testing-constant
 derivation driver.
 
 The solver handles the standard pair
@@ -6,11 +6,16 @@ The solver handles the standard pair
     (P) min tr(C X)   s.t. tr(A_i X) = b_i,  X >= 0
     (D) max b.y       s.t. C - sum_i y_i A_i = S >= 0
 
-with Nesterov-Todd scaling and dense factorizations; problem sizes here
-are tiny by SDP standards (moment matrices up to 81x81), so no sparsity
-is exploited.  Moment problems are fed through a reduction that
-parametrizes the matrix by its free real moments, which keeps the
-constraint count near the number of distinct moments.
+with Nesterov-Todd scaling and dense factorizations of the n x n
+iterates and the m x m Schur matrix.  The constraint matrices are sparse
+(an 81x81 moment-problem constraint has a median of 28 nonzero entries),
+so each A_i is read once as its upper-triangle cells and the Schur
+matrix S_ij = tr(A_i W A_j W) is assembled from them (Fujisawa, Kojima &
+Nakata, Math. Prog. 79, 1997): one batched product W U_j W per group of
+constraints with equal cell count, then a gather at the cells of each
+A_i.  Moment problems are fed through a reduction that parametrizes the
+matrix by its free real moments, which keeps the constraint count near
+the number of distinct moments.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from . import cert, npa
 
@@ -70,6 +76,17 @@ def _check_symmetric(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 @dataclass
 class SdpSolution:
+    """Result of `solve`.
+
+    `termination` names the exit that ended the iteration:
+    "optimal", "infeasible-divergence", "stall", "schur-breakdown"
+    (the Schur matrix failed Cholesky at every jitter level),
+    "non-finite-scaling", "step-too-small", "iteration-cap",
+    "linalg-error" (an eigendecomposition or inverse failed) or, when no
+    iteration ran, "presolve-infeasible".  `status` is the verdict on the
+    reported iterate and can differ: a stall can still end "optimal".
+    """
+
     primal: np.ndarray
     dual: np.ndarray
     slack: np.ndarray
@@ -83,6 +100,7 @@ class SdpSolution:
     iterations: int
     trace: list
     kept_constraints: list
+    termination: str
 
 
 def _presolve(instance: SdpInstance, tol: float = 1e-9):
@@ -136,6 +154,90 @@ def _presolve(instance: SdpInstance, tol: float = 1e-9):
     return idx[kept]
 
 
+class _Cells:
+    """Constraint matrices read once as cells, with the three maps the
+    interior-point iteration needs.
+
+    Each A_i is held as the cells (row, column, value) of its upper
+    triangle with the diagonal halved, so that A_i = U_i + U_i^T.  The
+    constraints are stored sorted by cell count, and the Schur assembly
+    runs one batched matmul per group of equal count.  Every map takes
+    and returns constraints in the caller's order.
+    """
+
+    def __init__(self, mats):
+        stack = np.asarray(mats, dtype=float)
+        m, n, _ = stack.shape
+        self.n = n
+        self.norms = np.linalg.norm(stack.reshape(m, -1), axis=1)
+        rows, cols = np.triu_indices(n)
+        upper = stack[:, rows, cols]
+        upper[:, rows == cols] *= 0.5
+        counts = np.count_nonzero(upper, axis=1)
+        self.order = np.argsort(counts, kind="stable")
+        self.rank = np.argsort(self.order)
+        self.counts = counts[self.order]
+        upper = upper[self.order]
+        owner, cell = np.nonzero(upper)
+        r, c = rows[cell], cols[cell]
+        self.vals = upper[owner, cell]
+        self.pos = r * n + c
+        # Every cell at (r, c) and at (c, r): tr(A_i X) = sum v (X_rc + X_cr).
+        self.pos2 = np.stack([self.pos, c * n + r], axis=1).ravel()
+        self.vals2 = np.repeat(self.vals, 2)
+        self.starts2 = 2 * (np.cumsum(self.counts) - self.counts)
+        # Work buffers and, per group of equal count, the batched views
+        # of them that the Schur assembly multiplies.  The factor 2 makes
+        # the batch hold 2 W U_j W, whose product with A_i has the trace
+        # of A_i (W U_j W + W U_j^T W).
+        self._rows, self._cols, self._left_vals = r, c, 2.0 * self.vals[:, None]
+        self._left = np.empty((r.size, n))
+        self._right = np.empty((r.size, n))
+        self._half = np.empty((m, n, n))
+        self._gathered = np.empty((m, self.pos2.size))
+        self._sorted = np.empty((m, m))
+        self._unsort = self.rank[:, None] * m + self.rank[None, :]
+        self._products, self._reductions = [], []
+        lo = first = 0
+        for k, size in zip(*np.unique(self.counts, return_counts=True)):
+            batch, cells, pairs = slice(lo, lo + size), slice(first, first + size * k), slice(2 * first, 2 * (first + size * k))
+            self._products.append((
+                self._left[cells].reshape(size, k, n).transpose(0, 2, 1),
+                self._right[cells].reshape(size, k, n),
+                self._half[batch],
+            ))
+            self._reductions.append((
+                self._gathered[:, pairs].reshape(m, size, 2 * k).transpose(1, 0, 2),
+                self.vals2[pairs].reshape(size, 2 * k, 1),
+                self._sorted[batch, :, None],
+            ))
+            lo += size
+            first += size * k
+
+    def a_map(self, x):
+        """tr(A_i X) for every constraint."""
+        return np.add.reduceat(x.reshape(-1)[self.pos2] * self.vals2, self.starts2)[self.rank]
+
+    def a_adj(self, y):
+        """sum_i y_i A_i."""
+        weights = np.repeat(y[self.order], self.counts) * self.vals
+        u = np.bincount(self.pos, weights, minlength=self.n * self.n).reshape(self.n, self.n)
+        return u + u.T
+
+    def schur(self, w):
+        """S_ij = tr(A_i W A_j W) for a symmetric W."""
+        np.multiply(w[self._rows], self._left_vals, out=self._left)
+        np.take(w, self._cols, axis=0, out=self._right)
+        for left, right, out in self._products:
+            np.matmul(left, right, out=out)
+        # With mode="raise", numpy buffers `out`; the positions are in
+        # range by construction, so "wrap" writes in place.
+        np.take(self._half.reshape(len(self._half), -1), self.pos2, axis=1, out=self._gathered, mode="wrap")
+        for gathered, vals, out in self._reductions:
+            np.matmul(gathered, vals, out=out)
+        return np.take(self._sorted, self._unsort)
+
+
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
     """Nesterov-Todd scaling point W with W S W = X."""
     es, us = np.linalg.eigh(s)
@@ -150,21 +252,19 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     return 0.5 * (w + w.T)
 
 
-def _pd_factor(x: np.ndarray) -> np.ndarray:
-    """Lower-triangular-like factor of a (nearly) PD matrix."""
-    try:
-        return np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
+def _max_step(x: np.ndarray, dx: np.ndarray, tau: float) -> float:
+    """Largest alpha <= 1 with x + alpha dx staying positive definite,
+    shortened by tau: the eigenvalues of X^{-1/2} dX X^{-1/2} decide it."""
+    chol, info = lapack.dpotrf(x, lower=1)
+    if info == 0:
+        half, _ = lapack.dtrtrs(chol, dx, lower=1)
+        m, _ = lapack.dtrtrs(chol, half.T, lower=1)  # L^{-1} dX L^{-T}
+    else:
+        # Not numerically PD: an eigenvalue floor stands in for X^{-1/2}.
         eigs, vecs = np.linalg.eigh(0.5 * (x + x.T))
         floor = max(1e-14 * max(eigs.max(), 1.0), 1e-300)
-        return vecs * np.sqrt(np.clip(eigs, floor, None))
-
-
-def _max_step(x: np.ndarray, dx: np.ndarray, tau: float) -> float:
-    """Largest alpha <= 1 with x + alpha dx staying positive definite."""
-    l = _pd_factor(x)
-    li = np.linalg.inv(l)
-    m = li @ dx @ li.T
+        inv_half = vecs / np.sqrt(np.clip(eigs, floor, None))
+        m = inv_half.T @ dx @ inv_half
     lam = np.linalg.eigvalsh(0.5 * (m + m.T)).min()
     if lam >= 0.0:
         return 1.0
@@ -181,7 +281,8 @@ def solve(
 
     Status is "optimal" only when the duality gap and both residuals meet
     the certificate contract; structurally inconsistent constraints are
-    reported as "infeasible" instead of a silently wrong optimum.
+    reported as "infeasible" instead of a silently wrong optimum.  The
+    solution's `termination` names the exit (see `SdpSolution`).
     """
     try:
         kept = _presolve(instance)
@@ -189,26 +290,19 @@ def solve(
         zeros = np.zeros((instance.dim, instance.dim))
         return SdpSolution(
             zeros, np.zeros(len(instance.constraints)), zeros, np.nan, np.nan,
-            np.nan, np.nan, np.nan, np.nan, "infeasible", 0, [], [],
+            np.nan, np.nan, np.nan, np.nan, "infeasible", 0, [], [], "presolve-infeasible",
         )
     n = instance.dim
-    a_list = [instance.constraints[i][0] for i in kept]
+    cells = _Cells([instance.constraints[i][0] for i in kept])
     b = np.array([instance.constraints[i][1] for i in kept])
-    m = len(a_list)
-    a_stack = np.stack(a_list)
-    a_flat = a_stack.reshape(m, -1)
+    m = len(b)
     c = instance.objective
-
-    def a_map(mat):
-        return a_flat @ mat.reshape(-1)
-
-    def a_adj(y):
-        return np.einsum("i,ijk->jk", y, a_stack)
+    a_map, a_adj = cells.a_map, cells.a_adj
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
-    xi = max(10.0, np.sqrt(n), n * np.max((1.0 + np.abs(b)) / (1.0 + np.linalg.norm(a_flat, axis=1))))
-    eta = max(10.0, np.sqrt(n), (1.0 + max(np.linalg.norm(c), np.max(np.linalg.norm(a_flat, axis=1)))) / np.sqrt(n))
+    xi = max(10.0, np.sqrt(n), n * np.max((1.0 + np.abs(b)) / (1.0 + cells.norms)))
+    eta = max(10.0, np.sqrt(n), (1.0 + max(np.linalg.norm(c), np.max(cells.norms))) / np.sqrt(n))
     x = xi * np.eye(n)
     s = eta * np.eye(n)
     y = np.zeros(m)
@@ -247,37 +341,33 @@ def solve(
         else:
             stall += 1
         if mu / (1.0 + abs(pobj)) < gap_tol and rp_norm < feas_tol and rd_norm < feas_tol:
-            status = "optimal"
+            status = termination = "optimal"
             break
         if np.max(np.abs(y), initial=0.0) > 1e9 and rp_norm > 1e-6:
             # Diverging multipliers with a stuck primal residual: the
             # documented divergence heuristic for infeasibility.
             status = "infeasible"
+            termination = "infeasible-divergence"
             break
         if stall > 8:
-            break  # stagnated; fall back to the best iterate
+            termination = "stall"
+            break  # fall back to the best iterate
 
         try:
             w = _nt_scaling(x, s)
             if not np.all(np.isfinite(w)):
+                termination = "non-finite-scaling"
                 break
-            # W A_i W for all i via two large GEMMs instead of batched products.
-            right = (a_stack.reshape(m * n, n) @ w).reshape(m, n, n)
-            waw = (w @ right.transpose(1, 0, 2).reshape(n, m * n)).reshape(n, m, n)
-            waw = waw.transpose(1, 0, 2)
-            schur = a_flat @ waw.reshape(m, -1).T
+            schur = cells.schur(w)
             schur = 0.5 * (schur + schur.T)
-            cho = None
+            shift = max(np.trace(schur) / m, 1.0)
             for jitter in (1e-13, 1e-10, 1e-7):
-                try:
-                    cho = scipy.linalg.cho_factor(
-                        schur + jitter * max(np.trace(schur) / m, 1.0) * np.eye(m)
-                    )
+                chol, info = lapack.dpotrf(schur + jitter * shift * np.eye(m))
+                if info == 0:
                     break
-                except np.linalg.LinAlgError:
-                    continue
-            if cho is None:
-                break  # Schur breakdown: return the best iterate so far
+            else:
+                termination = "schur-breakdown"
+                break  # return the best iterate so far
 
             s_inv = np.linalg.inv(s)
             s_inv = 0.5 * (s_inv + s_inv.T)
@@ -285,7 +375,7 @@ def solve(
             def newton(sigma_mu):
                 rc = sigma_mu * s_inv - x
                 rhs = rp - a_map(rc - w @ rd @ w)
-                dy = scipy.linalg.cho_solve(cho, rhs)
+                dy, _ = lapack.dpotrs(chol, rhs)
                 ds = rd - a_adj(dy)
                 dx = rc - w @ ds @ w
                 return 0.5 * (dx + dx.T), dy, 0.5 * (ds + ds.T)
@@ -301,12 +391,16 @@ def solve(
             ap = _max_step(x, dx, tau_frac)
             ad = _max_step(s, ds, tau_frac)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            termination = "linalg-error"
             break
         if min(ap, ad) < 1e-10:
-            break  # no usable step left
+            termination = "step-too-small"
+            break
         x = 0.5 * ((x + ap * dx) + (x + ap * dx).T)
         s = 0.5 * ((s + ad * ds) + (s + ad * ds).T)
         y = y + ad * dy
+    else:
+        termination = "iteration-cap"
 
     if status != "infeasible" and best is not None:
         # Report the iterate with the best combined merit.
@@ -350,6 +444,7 @@ def solve(
         iterations=iteration,
         trace=trace,
         kept_constraints=list(kept),
+        termination=termination,
     )
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from telecert import npa, sdp
+from telecert import cert, npa, sdp
 
 
 def diag_constraint(n, i, value):
@@ -169,3 +170,136 @@ def test_state_problem_at_exact_maximum():
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0)
     result = sdp.solve_moment_problem(problem)
     assert result.bound == pytest.approx(1.0, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# Cell-based Schur assembly, step length and termination reasons
+
+
+def _companion(setting, inequality, eps):
+    wmax = cert.max_violation(setting, inequality)
+    words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
+    problem = npa.build_moment_problem(setting, words, "state", inequality, wmax)
+    instance, _, _ = sdp.companion_instance(npa.reduce_problem(problem), wmax - eps)
+    return instance
+
+
+def _random_spd(n, rng):
+    g = rng.standard_normal((n, n))
+    w = g @ g.T / n + np.eye(n)
+    return 0.5 * (w + w.T)
+
+
+def _assert_cells_match_dense(mats, rng):
+    stack = np.stack(mats)
+    m, n, _ = stack.shape
+    cells = sdp._Cells(mats)
+    w = _random_spd(n, rng)
+    x = rng.standard_normal((n, n))
+    x = x + x.T
+    y = rng.standard_normal(m)
+
+    waw = np.matmul(np.matmul(w, stack), w)
+    schur = stack.reshape(m, -1) @ waw.transpose(0, 2, 1).reshape(m, -1).T  # tr(A_i W A_j W)
+    a_map = np.einsum("iab,ba->i", stack, x)
+    a_adj = np.einsum("i,iab->ab", y, stack)
+
+    def rel(got, ref):
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    assert rel(cells.schur(w), schur) < 1e-12
+    assert rel(cells.a_map(x), a_map) < 1e-12
+    assert rel(cells.a_adj(y), a_adj) < 1e-12
+
+
+def test_cells_match_dense_formulas(tmp_path):
+    rng = np.random.default_rng(7)
+    # fully untrusted CHSH companion: negated 0/1 cell patterns, and the
+    # pivot-coupling terms give some constraints cells of both signs
+    di = _companion("di", "chsh", 0.1)
+    assert any(a.min() < 0 < a.max() for a, _ in di.constraints)
+    # one-sided steering companion
+    one_sided = _companion("1sdi", "steering", 0.1)
+    # a 28-dim export read back from its file
+    words = npa.generate_words("1sdi", 3)
+    problem = npa.build_moment_problem("1sdi", words, "state", "steering", 1.9)
+    path = tmp_path / "p.dat-s"
+    npa.export_sdpa(problem, path, constraints="deduplicated")
+    _, exported = npa.read_sdpa_numeric(path)
+    assert exported[0][0].shape == (28, 28)
+    # hand-made: negative entries, diagonal cells, equal and unequal cell counts
+    hand = [
+        np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, 0.5], [0.0, 0.5, -3.0]]),
+        np.array([[0.0, 0.0, 0.0], [0.0, -1.5, 0.0], [0.0, 0.0, 0.0]]),
+        np.array([[0.0, 0.0, 4.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]]),
+        np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+    ]
+    for mats in (
+        [a for a, _ in di.constraints],
+        [a for a, _ in one_sided.constraints],
+        [a for a, _ in exported],
+        hand,
+    ):
+        _assert_cells_match_dense(mats, rng)
+
+
+def _step_reference(x, dx, tau):
+    lam = scipy.linalg.eigh(dx, x, eigvals_only=True).min()
+    return 1.0 if lam >= 0.0 else min(1.0, -tau / lam)
+
+
+def test_max_step_matches_eigenvalue_reference():
+    rng = np.random.default_rng(3)
+    n = 6
+    for _ in range(5):
+        x = _random_spd(n, rng)
+        dx = rng.standard_normal((n, n))
+        dx = dx + dx.T
+        assert sdp._max_step(x, dx, 0.98) == pytest.approx(_step_reference(x, dx, 0.98), rel=1e-10)
+        assert sdp._max_step(x, x, 0.98) == 1.0
+
+    # Rank-deficient X: Cholesky fails and the eigenvalue fallback decides.
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    x = q @ np.diag([2.0, 1.0, 0.0]) @ q.T
+    x = 0.5 * (x + x.T)
+    assert scipy.linalg.lapack.dpotrf(x, lower=1)[1] > 0
+    # A direction inside the range of X hits the boundary at alpha = 1/2.
+    dx = q @ np.diag([-4.0, 0.5, 0.0]) @ q.T
+    assert sdp._max_step(x, 0.5 * (dx + dx.T), 0.98) == pytest.approx(0.49, rel=1e-8)
+    # A direction leaving the cone through the null space allows no step.
+    assert sdp._max_step(x, -np.eye(3), 0.98) < 1e-10
+
+
+def test_termination_reasons(monkeypatch):
+    coupling = np.array([[0.0, 0.5], [0.5, 0.0]])
+    instance = sdp.SdpInstance(
+        np.array([[0.0, 0.0], [0.0, 1.0]]), [diag_constraint(2, 0, 1.0), (coupling, 0.6)]
+    )
+    assert sdp.solve(instance).termination == "optimal"
+
+    capped = sdp.solve(instance, max_iterations=2)
+    assert (capped.termination, capped.status, capped.iterations) == ("iteration-cap", "max-iterations", 2)
+
+    diverged = sdp.solve(sdp.SdpInstance(np.eye(2), [diag_constraint(2, 0, -1.0)]))
+    assert (diverged.termination, diverged.status) == ("infeasible-divergence", "infeasible")
+
+    inconsistent = sdp.SdpInstance(np.eye(2), [diag_constraint(2, 0, 1.0), diag_constraint(2, 0, 2.0)])
+    assert sdp.solve(inconsistent).termination == "presolve-infeasible"
+
+    # A Schur matrix that fails Cholesky at every jitter level.  The 3x3
+    # instance keeps two constraints, so the 2x2 factorizations are the
+    # Schur ones and the 3x3 ones belong to the step length.
+    three = sdp.SdpInstance(np.eye(3), [diag_constraint(3, 0, 2.0), diag_constraint(3, 1, 0.5)])
+    dpotrf = scipy.linalg.lapack.dpotrf
+    schur_calls = []
+
+    def failing_schur(a, *args, **kwargs):
+        if a.shape[0] == 2:
+            schur_calls.append(a)
+            return a, 1
+        return dpotrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(sdp.lapack, "dpotrf", failing_schur)
+    broken = sdp.solve(three)
+    assert broken.termination == "schur-breakdown"
+    assert broken.iterations == 1 and len(schur_calls) == 3
