@@ -243,6 +243,7 @@ def cmd_sdp_solve(args) -> int:
         "schema": "sdp/1",
         "kind": "solution",
         "status": solution.status,
+        "termination": solution.termination,
         "objective": solution.primal_objective,
         "dual_objective": solution.dual_objective,
         "gap": solution.gap,

@@ -466,12 +466,6 @@ class MomentProblem:
         """
         return sum(len(c) * (len(c) - 1) // 2 for c in self.complex_classes().values())
 
-    def representative_cells(self) -> dict:
-        reps = {}
-        for key, cells in self.complex_classes().items():
-            reps[key] = cells[0]
-        return reps
-
     def functional_items(self, functional: dict) -> list:
         """Flatten a functional to ((word key, i, j), coefficient) items."""
         if self.setting == SETTING_1SDI:
@@ -483,21 +477,6 @@ class MomentProblem:
                 if abs(c[i, j]) > 1e-15
             ]
         return [(((wa, wb), 0, 0), coef) for (wa, wb), coef in functional.items()]
-
-    def cell_matrix(self, functional: dict) -> np.ndarray:
-        """Symmetric real matrix S with sum_rc S[r,c] Re(Gamma[r,c]) equal
-        to the functional value on any constraint-satisfying Gamma."""
-        reps = self.representative_cells()
-        mat = np.zeros((self.dim, self.dim))
-        for (key, i, j), coef in self.functional_items(functional):
-            r, c = reps[(key, i, j)]
-            mat[r, c] += coef
-        return 0.5 * (mat + mat.T)
-
-    def normalization_cells(self) -> list:
-        """Scalar cells whose sum is fixed to one (identity-word trace)."""
-        reps = self.representative_cells()
-        return [reps[(((), ()), i, i)] for i in range(self.block)]
 
 
 def build_moment_problem(
@@ -645,92 +624,48 @@ def words_from_json(doc: dict) -> list:
     ]
 
 
-def _embedding_patterns(problem: MomentProblem):
-    """Sparse patterns reading Re/Im of a complex cell from the 2x2 real
-    embedding [[A, -B], [B, A]]; both diagonal copies are averaged so any
-    feasible unstructured matrix maps back to a Hermitian moment matrix."""
-    n = problem.dim
-
-    def real_pattern(r, c):
-        if r == c:
-            return [(r, r, 0.5), (n + r, n + r, 0.5)]
-        return [(r, c, 0.25), (c, r, 0.25), (n + r, n + c, 0.25), (n + c, n + r, 0.25)]
-
-    def imag_pattern(r, c):
-        if r == c:
-            return []
-        return [(n + r, c, 0.25), (c, n + r, 0.25), (n + c, r, -0.25), (r, n + c, -0.25)]
-
-    return real_pattern, imag_pattern
-
-
-def _pattern_diff(pat_a, pat_b):
-    acc: dict = {}
-    for i, j, v in pat_a:
-        acc[(i, j)] = acc.get((i, j), 0.0) + v
-    for i, j, v in pat_b:
-        acc[(i, j)] = acc.get((i, j), 0.0) - v
-    return {k: v for k, v in acc.items() if abs(v) > 1e-15}
-
-
-def _upper_entries(entries: dict):
-    out = []
-    for (i, j), v in sorted(entries.items()):
-        if i <= j:
-            out.append((i, j, v))
-    return out
+def _cell_entry(cell, weight: float) -> tuple:
+    """SDPA entry (row, col, value) of a symmetric matrix F with
+    tr(F Gamma) = weight * Gamma[cell] on symmetric Gamma."""
+    r, c = cell
+    return (r, c, weight if r == c else 0.5 * weight)
 
 
 def export_sdpa(problem: MomentProblem, path, constraints: str = "generated") -> dict:
-    """Write the problem as a sparse SDPA file over the real embedding.
+    """Write the real reduction of the problem as a sparse SDPA file.
+
+    The variable is the real symmetric moment matrix (one block of the
+    moment dimension), which has the same optimum as the Hermitian one
+    (the conjugation argument above :class:`ReducedProblem`).  The objective, the violation level and
+    the normalization read one upper-triangle cell of each real class;
+    the equality constraints tie the upper-triangle cells of each class,
+    as a chain to its first cell (``deduplicated``) or as every pair
+    (``generated``).
 
     SDPA-dual semantics: max tr(F0 Y) s.t. tr(Fi Y) = c_i, Y >= 0, with
     F0 = -(objective reader), so the file's dual optimum equals minus the
     certified minimum; the first comment line records the convention.
-    ``constraints`` picks the generated pairwise equality list or the
-    deduplicated chain form.  Returns a summary dict (counts).
+    Returns a summary dict (counts).
     """
     if constraints not in ("generated", "deduplicated"):
         raise ValueError("constraints must be 'generated' or 'deduplicated'")
-    real_pattern, imag_pattern = _embedding_patterns(problem)
-    if constraints == "generated":
-        pairs = []
-        for cells in problem.complex_classes().values():
-            for a in range(len(cells)):
-                for b in range(a + 1, len(cells)):
-                    pairs.append((cells[a], cells[b]))
-    else:
-        pairs = problem.equality_chains()
+    reduced = reduce_problem(problem)
+    upper = [[(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if r <= c] for rows, cols in reduced.cells]
+    pairs = []
+    for cells in upper:
+        if constraints == "generated":
+            pairs.extend(itertools.combinations(cells, 2))
+        else:
+            pairs.extend((cells[0], cell) for cell in cells[1:])
 
-    p_cells = problem.cell_matrix(problem.p_coeffs)
-    q_cells = problem.cell_matrix(problem.q_coeffs)
-    norm_cells = problem.normalization_cells()
+    def reader(vec):
+        return [_cell_entry(upper[v][0], float(vec[v])) for v in np.flatnonzero(vec)]
 
-    def cellmat_pattern(mat):
-        acc: dict = {}
-        for r, c in zip(*np.nonzero(mat)):
-            for i, j, v in real_pattern(int(r), int(c)):
-                acc[(i, j)] = acc.get((i, j), 0.0) + mat[r, c] * v
-        return {k: v for k, v in acc.items() if abs(v) > 1e-15}
-
-    f0 = {k: -v for k, v in cellmat_pattern(p_cells).items()}
-    body = []  # (c_value, entries dict)
-    body.append((problem.violation, cellmat_pattern(q_cells)))
-    norm_entries: dict = {}
-    for r, c in norm_cells:
-        for i, j, v in real_pattern(r, c):
-            norm_entries[(i, j)] = norm_entries.get((i, j), 0.0) + v
-    body.append((1.0, norm_entries))
-    for (ra, ca), (rb, cb) in pairs:
-        re_diff = _pattern_diff(real_pattern(ra, ca), real_pattern(rb, cb))
-        if re_diff:
-            body.append((0.0, re_diff))
-        im_diff = _pattern_diff(imag_pattern(ra, ca), imag_pattern(rb, cb))
-        if im_diff:
-            body.append((0.0, im_diff))
+    body = [(problem.violation, reader(reduced.q)), (1.0, reader(reduced.norm))]
+    body.extend((0.0, [_cell_entry(a, 1.0), _cell_entry(b, -1.0)]) for a, b in pairs)
 
     meta = {
-        "schema": "npa-sdpa/1",
+        "schema": "npa-sdpa/2",
         "setting": problem.setting,
         "objective": problem.objective,
         "inequality": problem.inequality,
@@ -740,25 +675,23 @@ def export_sdpa(problem: MomentProblem, path, constraints: str = "generated") ->
     }
     lines = [
         '"telecert moment problem; dual optimum = -(minimum objective value); '
-        'variable is the 2x2 real embedding of the moment matrix',
+        'variable is the real symmetric moment matrix',
         '"meta ' + json.dumps(meta, separators=(",", ":"), sort_keys=True),
         f"{len(body)}",
         "1",
-        f"{2 * problem.dim}",
+        f"{problem.dim}",
         " ".join(repr(float(c)) for c, _ in body),
     ]
-    for i, j, v in _upper_entries(f0):
-        lines.append(f"0 1 {i + 1} {j + 1} {float(v)!r}")
-    for matno, (_, entries) in enumerate(body, start=1):
-        for i, j, v in _upper_entries(entries):
-            lines.append(f"{matno} 1 {i + 1} {j + 1} {float(v)!r}")
+    for matno, entries in enumerate([reader(-reduced.p)] + [entries for _, entries in body]):
+        for i, j, v in sorted(entries):
+            lines.append(f"{matno} 1 {i + 1} {j + 1} {v!r}")
     with open(path, "w") as handle:
         handle.write("\n".join(lines))
         handle.write("\n")
     return {
         "constraints_written": len(body),
         "equality_pairs": len(pairs),
-        "embedded_dimension": 2 * problem.dim,
+        "dimension": problem.dim,
     }
 
 
@@ -772,8 +705,10 @@ def import_sdpa(path) -> MomentProblem:
                 break
             if not line.startswith(('"', "*")):
                 break
-    if meta is None or meta.get("schema") != "npa-sdpa/1":
+    if meta is None:
         raise ValueError("file lacks the moment-problem metadata line")
+    if meta.get("schema") != "npa-sdpa/2":
+        raise ValueError(f"unexpected schema {meta.get('schema')!r}, expected 'npa-sdpa/2'")
     words = [
         OperatorWord.from_symbols(meta["setting"], [tuple(sym) for sym in symbols])
         for symbols in meta["words"]
@@ -802,6 +737,8 @@ def read_sdpa_numeric(path):
             if not line or line.startswith(('"', "*")):
                 continue
             rows.append(line)
+    if len(rows) < 4:
+        raise ValueError("file ends before the SDPA header is complete")
     m = int(rows[0].split()[0])
     if m > MAX_CONSTRAINTS:
         raise ValueError(
@@ -809,6 +746,8 @@ def read_sdpa_numeric(path):
         )
     nblocks = int(rows[1].split()[0])
     sizes = [abs(int(tok.strip("{},"))) for tok in rows[2].replace(",", " ").split()][:nblocks]
+    if len(sizes) != nblocks:
+        raise ValueError(f"block size line lists {len(sizes)} sizes for {nblocks} blocks")
     dim = sum(sizes)
     entries = (m + 1) * dim**2
     if entries > MAX_DENSE_ENTRIES:
@@ -823,9 +762,18 @@ def read_sdpa_numeric(path):
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     mats = [np.zeros((dim, dim)) for _ in range(m + 1)]
     for line in rows[4:]:
-        matno, blk, i, j, val = line.split()
-        matno, blk, i, j = int(matno), int(blk), int(i), int(j)
-        val = float(val)
+        fields = line.split()
+        if len(fields) != 5:
+            raise ValueError(f"entry {line!r}: expected 5 fields, got {len(fields)}")
+        matno, blk, i, j = (int(tok) for tok in fields[:4])
+        val = float(fields[4])
+        # Checked here: numpy would wrap a 0 or negative index to the far end.
+        if not 0 <= matno <= m:
+            raise ValueError(f"entry {line!r}: matrix number {matno} outside [0, {m}]")
+        if not 1 <= blk <= nblocks:
+            raise ValueError(f"entry {line!r}: block {blk} outside [1, {nblocks}]")
+        if not (1 <= i <= sizes[blk - 1] and 1 <= j <= sizes[blk - 1]):
+            raise ValueError(f"entry {line!r}: index outside [1, {sizes[blk - 1]}]")
         r = offsets[blk - 1] + i - 1
         c = offsets[blk - 1] + j - 1
         mats[matno][r, c] = val

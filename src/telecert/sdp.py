@@ -62,13 +62,19 @@ class SdpInstance:
             a = _check_symmetric(np.asarray(a, dtype=float))
             if a.shape != self.objective.shape:
                 raise ValueError("constraint dimension mismatch")
-            checked.append((a, float(b)))
+            b = float(b)
+            if not np.isfinite(b):
+                raise ValueError("constraint value is not finite")
+            checked.append((a, b))
         self.constraints = checked
 
 
 def _check_symmetric(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
+    # NaN fails every comparison, so the symmetry test below would pass it.
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(mat - mat.T)) > tol * max(1.0, np.max(np.abs(mat))):
         raise ValueError("matrix is not symmetric")
     return 0.5 * (mat + mat.T)

@@ -127,7 +127,7 @@ def test_derive_alpha_cli(tmp_path, capsys):
 
 def test_npa_export_and_sdp_solve(tmp_path, capsys):
     # both constraint forms stay within the dense reader's size limits
-    for constraints, written in (("generated", 734), ("deduplicated", 278)):
+    for constraints, written in (("generated", 168), ("deduplicated", 74)):
         problem = tmp_path / f"{constraints}.dat-s"
         words = tmp_path / "words.json"
         code, _ = run_cli(
@@ -143,13 +143,14 @@ def test_npa_export_and_sdp_solve(tmp_path, capsys):
         wdoc = json.loads(words.read_text())
         assert wdoc["schema"] == "npa/1" and len(wdoc["words"]) == 7
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["embedded_dimension"] == 28
+        assert report["dimension"] == 14
         assert report["constraints_written"] == written
 
         code, out = run_cli(["sdp-solve", "--in", str(problem)], capsys)
         assert code == 0
         doc = json.loads(out)
         assert doc["status"] == "optimal"
+        assert doc["termination"] == "optimal"
         assert doc["objective"] == pytest.approx(1 - 1.2543 * 0.1, abs=2e-3)
 
 
@@ -194,6 +195,48 @@ def test_sdp_solve_refuses_oversized_dense_stack(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "12386 constraints on a 162x162 matrix" in err and "2.60 GB" in err
     assert elapsed < 1.0
+
+
+# A valid two-constraint file on one 2x2 block, then one bad entry line.
+_GOOD_SDPA = "2\n1\n2\n1.0 0.5\n0 1 1 1 -1.0\n1 1 1 1 1.0\n2 1 2 2 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("3 1 1 1 1.0", "matrix number 3 outside [0, 2]"),
+        ("-1 1 1 1 1.0", "matrix number -1 outside [0, 2]"),
+        ("1 2 1 1 1.0", "block 2 outside [1, 1]"),
+        ("1 0 1 1 1.0", "block 0 outside [1, 1]"),
+        ("1 1 0 1 1.0", "index outside [1, 2]"),
+        ("1 1 1 3 1.0", "index outside [1, 2]"),
+        ("1 1 1 1", "expected 5 fields, got 4"),
+        ("1 1 1 1 1.0 7", "expected 5 fields, got 6"),
+    ],
+    ids=["matrix-above", "matrix-negative", "block-above", "block-zero", "row-zero", "column-above", "four-fields", "six-fields"],
+)
+def test_sdp_solve_refuses_malformed_entry(tmp_path, capsys, entry, message):
+    # each would index past the header's sizes, or wrap through numpy's
+    # negative indexing onto a different problem
+    path = tmp_path / "bad.dat-s"
+    path.write_text(_GOOD_SDPA + entry + "\n")
+    code = cli.main(["sdp-solve", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("telecert: error: entry ") and message in captured.err
+    path.write_text(_GOOD_SDPA)
+    assert cli.main(["sdp-solve", "--in", str(path)]) == 0
+
+
+def test_sdp_solve_refuses_nan_entry(tmp_path, capsys):
+    path = tmp_path / "nan.dat-s"
+    path.write_text("1\n1\n2\n1.0\n0 1 1 1 nan\n1 1 1 1 1.0\n")
+    code = cli.main(["sdp-solve", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "telecert: error: matrix has non-finite entries\n"
 
 
 def test_plan_rejects_eps_outside_unit_interval(capsys):

@@ -296,7 +296,7 @@ def test_export_import_round_trip(tmp_path):
     prob = npa.build_moment_problem("1sdi", words, "state", "steering", 2 - 0.13)
     path = tmp_path / "problem.dat-s"
     info = npa.export_sdpa(prob, path)
-    assert info["embedded_dimension"] == 28
+    assert info["dimension"] == 14
     back = npa.import_sdpa(path)
     assert back == prob
     # header bookkeeping: constraint count in the file matches the summary
@@ -326,18 +326,32 @@ def test_words_json_round_trip():
         assert npa.words_from_json(doc) == words
 
 
-def test_numeric_reader_matches_reduced_solution(tmp_path):
+@pytest.mark.parametrize("constraints", ["generated", "deduplicated"])
+@pytest.mark.parametrize(
+    "setting, objective, inequality, eps, cap",
+    [
+        ("1sdi", "state", "steering", 0.1, 3),
+        ("1sdi", "XB", "steering", 0.06, 3),
+        ("1sdi", "ZB", "chsh", 0.1, 3),
+        ("di", "state", "chsh", 0.1, 2),
+    ],
+    ids=["1sdi-state-steering", "1sdi-XB-steering", "1sdi-ZB-chsh", "di-state-chsh-cap2"],
+)
+def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequality, eps, cap, constraints):
+    # the exported file and the in-memory reduction pose one problem
     from telecert import sdp
 
-    words = npa.generate_words("1sdi", 3)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering", 2 - 0.1)
+    words = npa.generate_words(setting, cap)
+    prob = npa.build_moment_problem(
+        setting, words, objective, inequality, cert.max_violation(setting, inequality) - eps
+    )
     path = tmp_path / "p.dat-s"
-    npa.export_sdpa(prob, path)
-    objective, constraints = npa.read_sdpa_numeric(path)
-    sol = sdp.solve(sdp.SdpInstance(objective, constraints))
-    assert sol.status == "optimal"
+    npa.export_sdpa(prob, path, constraints=constraints)
+    objective_matrix, constraint_list = npa.read_sdpa_numeric(path)
+    file_sol = sdp.solve(sdp.SdpInstance(objective_matrix, constraint_list))
+    assert file_sol.status == "optimal"
     reduced = sdp.solve_moment_problem(prob)
-    assert sol.primal_objective == pytest.approx(reduced.bound, abs=2e-5)
+    assert file_sol.primal_objective == pytest.approx(reduced.bound, abs=1e-6)
 
 
 @pytest.mark.extended
@@ -348,10 +362,14 @@ def test_di_measurement_export_constraint_count(tmp_path):
     path = tmp_path / "di.dat-s"
     info = npa.export_sdpa(prob, path)
     assert info["constraints_written"] > 20000
-    assert info["equality_pairs"] == 116280
+    assert info["equality_pairs"] == 47700
     header_m = int(next(l for l in path.read_text().splitlines() if not l.startswith('"')))
     assert header_m == info["constraints_written"]
     assert npa.import_sdpa(path) == prob
+    # the chain form fits the dense reader's limits
+    dedup = npa.export_sdpa(prob, tmp_path / "dedup.dat-s", constraints="deduplicated")
+    assert (dedup["constraints_written"], dedup["dimension"]) == (3138, 81)
+    assert (dedup["constraints_written"] + 1) * dedup["dimension"] ** 2 <= npa.MAX_DENSE_ENTRIES
 
 
 def test_entry_keys_conjugate_symmetric():
@@ -376,32 +394,26 @@ def test_identity_word_required():
         npa.build_moment_problem("1sdi", words, "state", "steering", 2.0)
 
 
-def test_measurement_objective_file_route_consistency(tmp_path):
-    # the embedded-file route and the reduced in-memory route must agree
-    # on a measurement objective too (complex-moment equality patterns)
-    from telecert import sdp
-
-    words = npa.generate_words("1sdi", 3)
-    prob = npa.build_moment_problem("1sdi", words, "XB", "steering", 2 - 0.06)
-    path = tmp_path / "xb.dat-s"
-    npa.export_sdpa(prob, path)
-    objective, constraints = npa.read_sdpa_numeric(path)
-    file_sol = sdp.solve(sdp.SdpInstance(objective, constraints))
-    assert file_sol.status == "optimal"
-    reduced = sdp.solve_moment_problem(prob)
-    assert file_sol.primal_objective == pytest.approx(reduced.bound, abs=5e-5)
-
-
 def test_sdpa_error_paths(tmp_path):
     plain = tmp_path / "plain.dat-s"
     plain.write_text("2\n1\n2\n1.0 2.0\n1 1 1 1 1.0\n2 1 2 2 1.0\n")
     with pytest.raises(ValueError):
         npa.import_sdpa(plain)  # no metadata line
+    embedded = tmp_path / "embedded.dat-s"
+    embedded.write_text('"meta {"schema":"npa-sdpa/1"}\n' + plain.read_text())
+    with pytest.raises(ValueError, match="'npa-sdpa/1', expected 'npa-sdpa/2'"):
+        npa.import_sdpa(embedded)  # the retired 2x2 embedding format
     objective, constraints = npa.read_sdpa_numeric(plain)
     assert len(constraints) == 2
     broken = tmp_path / "broken.dat-s"
     broken.write_text("3\n1\n2\n1.0 2.0\n")  # header claims 3, c-line has 2
     with pytest.raises(ValueError):
+        npa.read_sdpa_numeric(broken)
+    broken.write_text("2\n1\n2\n")  # no c-line
+    with pytest.raises(ValueError, match="header is complete"):
+        npa.read_sdpa_numeric(broken)
+    broken.write_text("1\n2\n2\n1.0\n1 2 1 1 1.0\n")  # two blocks, one size
+    with pytest.raises(ValueError, match="1 sizes for 2 blocks"):
         npa.read_sdpa_numeric(broken)
     words = npa.generate_words("1sdi", 2)
     prob = npa.build_moment_problem("1sdi", words, "state", "steering", 1.9)

@@ -99,6 +99,18 @@ def test_asymmetric_matrices_rejected():
         sdp.SdpInstance(np.eye(2), [(bad, 0.0)])
 
 
+def test_non_finite_entries_rejected():
+    # NaN passes the symmetry comparison, so it is refused on its own
+    for bad in (np.nan, np.inf, -np.inf):
+        mat = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            sdp.SdpInstance(mat, [diag_constraint(2, 0, 1.0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            sdp.SdpInstance(np.eye(2), [(mat, 1.0)])
+        with pytest.raises(ValueError, match="not finite"):
+            sdp.SdpInstance(np.eye(2), [diag_constraint(2, 0, bad)])
+
+
 # ---------------------------------------------------------------------------
 # Moment-problem driving
 
@@ -220,13 +232,13 @@ def test_cells_match_dense_formulas(tmp_path):
     assert any(a.min() < 0 < a.max() for a, _ in di.constraints)
     # one-sided steering companion
     one_sided = _companion("1sdi", "steering", 0.1)
-    # a 28-dim export read back from its file
+    # a 14-dim export read back from its file
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 1.9)
     path = tmp_path / "p.dat-s"
     npa.export_sdpa(problem, path, constraints="deduplicated")
     _, exported = npa.read_sdpa_numeric(path)
-    assert exported[0][0].shape == (28, 28)
+    assert exported[0][0].shape == (14, 14)
     # hand-made: negative entries, diagonal cells, equal and unequal cell counts
     hand = [
         np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, 0.5], [0.0, 0.5, -3.0]]),
