@@ -77,6 +77,8 @@ def _resolve_alpha(args) -> tuple[float | None, str]:
     if path:
         with open(path) as handle:
             doc = json.load(handle)
+        if not isinstance(doc, dict) or not isinstance(doc.get("alpha"), (int, float)):
+            raise ValueError(f"{path}: not an alpha report (no numeric 'alpha' key)")
         return float(doc["alpha"]), "sdp-derived"
     return None, "paper-default"
 
@@ -445,6 +447,9 @@ def main(argv=None) -> int:
                 config = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"telecert: error: {exc}", file=sys.stderr)
+            return 1
+        if not isinstance(config, dict):
+            print("telecert: error: --config file must hold a JSON object", file=sys.stderr)
             return 1
         # File values become defaults; explicit flags still win.
         for sub in parser._telecert_subparsers.choices.values():

@@ -7,7 +7,13 @@ The solver handles the standard pair
     (D) max b.y       s.t. C - sum_i y_i A_i = S >= 0
 
 with Nesterov-Todd scaling and dense factorizations of the n x n
-iterates and the m x m Schur matrix.  The constraint matrices are sparse
+iterates and the m x m Schur matrix, all through numpy.  The two
+eigendecompositions of the scaling also give the factors that turn each
+step length into one symmetric eigenvalue problem, and one Cholesky
+factorization of the Schur matrix per iteration serves the predictor and
+the corrector.  The presolve splits the constraints into groups that
+share no matrix entry and pivots greedily within each group on the R of
+an unpivoted QR.  The constraint matrices are sparse
 (an 81x81 moment-problem constraint has a median of 28 nonzero entries),
 so each A_i is read once as its upper-triangle cells and the Schur
 matrix S_ij = tr(A_i W A_j W) is assembled from them (Fujisawa, Kojima &
@@ -23,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from . import cert, npa
 
@@ -88,7 +92,7 @@ class SdpSolution:
     "optimal", "infeasible-divergence", "stall", "schur-breakdown"
     (the Schur matrix failed Cholesky at every jitter level),
     "non-finite-scaling", "step-too-small", "iteration-cap",
-    "linalg-error" (an eigendecomposition or inverse failed) or, when no
+    "linalg-error" (an eigendecomposition or linear solve failed) or, when no
     iteration ran, "presolve-infeasible".  `status` is the verdict on the
     reported iterate and can differ: a stall can still end "optimal".
     """
@@ -138,18 +142,36 @@ def _presolve(instance: SdpInstance, tol: float = 1e-9):
         if np.max(np.abs(b[zero_rows])) > tol:
             raise _Infeasible("zero constraint matrix with nonzero value")
         idx = np.flatnonzero(~zero_rows)
+        if idx.size == 0:
+            raise SdpError("all constraints vanish")
         vecs, b, norms = vecs[idx], b[idx], norms[idx]
     else:
         idx = np.arange(m)
     scaled = vecs / norms[:, None]
     b_scaled = b / norms
-    # Rank-revealing QR on the transposed stack.
-    q, r, piv = scipy.linalg.qr(scaled.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] < 1e-14:
-        raise SdpError("all constraints vanish")
-    rank = int(np.sum(diag > 1e-10 * diag[0]))
-    kept = np.sort(piv[:rank])
+    # Constraints that share no matrix entry are orthogonal, so each
+    # connected group of them is rank-reduced on its own.
+    owner, entry = np.nonzero(scaled)
+    group = np.arange(len(idx))
+    while True:
+        lowest = np.full(scaled.shape[1], len(idx))
+        np.minimum.at(lowest, entry, group[owner])
+        merged = group.copy()
+        np.minimum.at(merged, owner, lowest[entry])
+        if np.array_equal(merged, group):
+            break
+        group = merged
+    # A constraint that shares no entry with another is independent of all.
+    labels, sizes = np.unique(group, return_counts=True)
+    kept = list(np.flatnonzero(np.isin(group, labels[sizes == 1])))
+    for label in labels[sizes > 1]:
+        members = np.flatnonzero(group == label)
+        sub = scaled[members]
+        sub = sub[:, np.any(sub, axis=0)]
+        # Q keeps the norms and inner products of the columns, so pivoting
+        # on R chooses the constraints that pivoting the stack would.
+        kept.extend(members[_greedy_pivots(np.linalg.qr(sub.T, mode="r"), 1e-10)])
+    kept = np.sort(kept)
     dropped = np.setdiff1d(np.arange(len(idx)), kept)
     if dropped.size:
         coeffs, *_ = np.linalg.lstsq(scaled[kept].T, scaled[dropped].T, rcond=None)
@@ -158,6 +180,42 @@ def _presolve(instance: SdpInstance, tol: float = 1e-9):
         if mismatch > 1e-8 * (1.0 + np.max(np.abs(b_scaled))):
             raise _Infeasible(f"inconsistent equality constraints (mismatch {mismatch:.3e})")
     return idx[kept]
+
+
+def _greedy_pivots(a: np.ndarray, tol: float) -> list:
+    """Columns of `a` in greedy order: each has the largest residual norm
+    after projecting out the columns before it, and the order ends when
+    that residual is at most tol."""
+    cols = list(range(a.shape[1]))
+    pivots = []
+    while a.size:
+        norms = np.linalg.norm(a, axis=0)
+        j = int(np.argmax(norms))
+        if norms[j] <= tol:
+            break
+        pivots.append(cols.pop(j))
+        q = a[:, j] / norms[j]
+        a = np.delete(a, j, axis=1)
+        a -= np.outer(q, q @ a)
+    return pivots
+
+
+def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve chol chol^T x = rhs by blocked substitution: numpy has no
+    triangular solve, and an LU solve of the whole matrix would cost more
+    than its Cholesky factorization."""
+    block = 128
+    if len(rhs) <= block:
+        return np.linalg.solve(chol @ chol.T, rhs)  # one solve, not two
+    x = rhs.copy()
+    starts = range(0, len(x), block)
+    for lo in starts:
+        hi = lo + block
+        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi], x[lo:hi] - chol[lo:hi, :lo] @ x[:lo])
+    for lo in reversed(starts):
+        hi = lo + block
+        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi].T, x[lo:hi] - chol[hi:, lo:hi].T @ x[hi:])
+    return x
 
 
 class _Cells:
@@ -245,7 +303,9 @@ class _Cells:
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """Nesterov-Todd scaling point W with W S W = X."""
+    """Nesterov-Todd scaling point W with W S W = X, and the factors
+    r_x = T^{-1/2} S^{1/2} and r_s = S^{-1/2} (T = S^{1/2} X S^{1/2}) with
+    r_x X r_x^T = r_s S r_s^T = I that the step lengths use."""
     es, us = np.linalg.eigh(s)
     es = np.clip(es, 1e-300, None)
     s_half = (us * np.sqrt(es)) @ us.T
@@ -255,22 +315,14 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     et = np.clip(et, 1e-300, None)
     t_half = (ut * np.sqrt(et)) @ ut.T
     w = s_ihalf @ t_half @ s_ihalf
-    return 0.5 * (w + w.T)
+    r_x = (ut / np.sqrt(et)) @ (ut.T @ s_half)
+    return 0.5 * (w + w.T), r_x, s_ihalf
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray, tau: float) -> float:
-    """Largest alpha <= 1 with x + alpha dx staying positive definite,
-    shortened by tau: the eigenvalues of X^{-1/2} dX X^{-1/2} decide it."""
-    chol, info = lapack.dpotrf(x, lower=1)
-    if info == 0:
-        half, _ = lapack.dtrtrs(chol, dx, lower=1)
-        m, _ = lapack.dtrtrs(chol, half.T, lower=1)  # L^{-1} dX L^{-T}
-    else:
-        # Not numerically PD: an eigenvalue floor stands in for X^{-1/2}.
-        eigs, vecs = np.linalg.eigh(0.5 * (x + x.T))
-        floor = max(1e-14 * max(eigs.max(), 1.0), 1e-300)
-        inv_half = vecs / np.sqrt(np.clip(eigs, floor, None))
-        m = inv_half.T @ dx @ inv_half
+def _max_step(r: np.ndarray, d: np.ndarray, tau: float) -> float:
+    """Largest alpha <= 1 with Z + alpha d staying positive definite,
+    shortened by tau, where r Z r^T = I: the eigenvalues of r d r^T decide it."""
+    m = r @ d @ r.T
     lam = np.linalg.eigvalsh(0.5 * (m + m.T)).min()
     if lam >= 0.0:
         return 1.0
@@ -360,7 +412,7 @@ def solve(
             break  # fall back to the best iterate
 
         try:
-            w = _nt_scaling(x, s)
+            w, r_x, r_s = _nt_scaling(x, s)
             if not np.all(np.isfinite(w)):
                 termination = "non-finite-scaling"
                 break
@@ -368,35 +420,37 @@ def solve(
             schur = 0.5 * (schur + schur.T)
             shift = max(np.trace(schur) / m, 1.0)
             for jitter in (1e-13, 1e-10, 1e-7):
-                chol, info = lapack.dpotrf(schur + jitter * shift * np.eye(m))
-                if info == 0:
+                try:
+                    chol = np.linalg.cholesky(schur + jitter * shift * np.eye(m))
                     break
+                except np.linalg.LinAlgError:
+                    pass
             else:
                 termination = "schur-breakdown"
                 break  # return the best iterate so far
 
-            s_inv = np.linalg.inv(s)
-            s_inv = 0.5 * (s_inv + s_inv.T)
+            # The right-hand side is affine in sigma*mu, so one solve with
+            # two columns serves the predictor and the corrector.
+            s_inv = r_s @ r_s.T
+            dy0, dy1 = _cho_solve(chol, np.stack([rp + a_map(x + w @ rd @ w), a_map(s_inv)], axis=1)).T
 
             def newton(sigma_mu):
-                rc = sigma_mu * s_inv - x
-                rhs = rp - a_map(rc - w @ rd @ w)
-                dy, _ = lapack.dpotrs(chol, rhs)
+                dy = dy0 - sigma_mu * dy1
                 ds = rd - a_adj(dy)
-                dx = rc - w @ ds @ w
+                dx = sigma_mu * s_inv - x - w @ ds @ w
                 return 0.5 * (dx + dx.T), dy, 0.5 * (ds + ds.T)
 
             # Predictor pass fixes the centering parameter.
             dx_a, dy_a, ds_a = newton(0.0)
-            ap = _max_step(x, dx_a, tau_frac)
-            ad = _max_step(s, ds_a, tau_frac)
+            ap = _max_step(r_x, dx_a, tau_frac)
+            ad = _max_step(r_s, ds_a, tau_frac)
             mu_aff = float(np.sum((x + ap * dx_a) * (s + ad * ds_a))) / n
             sigma = min(0.99, max((mu_aff / mu) ** 3, 1e-8))
 
             dx, dy, ds = newton(sigma * mu)
-            ap = _max_step(x, dx, tau_frac)
-            ad = _max_step(s, ds, tau_frac)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            ap = _max_step(r_x, dx, tau_frac)
+            ad = _max_step(r_s, ds, tau_frac)
+        except np.linalg.LinAlgError:
             termination = "linalg-error"
             break
         if min(ap, ad) < 1e-10:

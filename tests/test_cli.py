@@ -327,3 +327,20 @@ def test_config_file_defaults(tmp_path, capsys):
 def test_config_file_missing(capsys):
     code = cli.main(["certify", "--config", "/nonexistent/x.json", "--eps", "0.2", "--q", "3", "--x", "1"])
     assert code == 1
+
+
+def test_config_file_not_an_object(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps([["eps", 0.2]]))
+    code = cli.main(["certify", "--config", str(path), "--eps", "0.2", "--q", "3", "--x", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("telecert: error:")
+
+
+@pytest.mark.parametrize("doc", [{"per_objective": {"state": 1.3}}, [1.3], {"alpha": "high"}])
+def test_alpha_json_without_alpha(tmp_path, capsys, doc):
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["certify", "--eps", "0.2", "--q", "20", "--x", "1", "--alpha-json", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("telecert: error:")

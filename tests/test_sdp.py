@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from telecert import cert, npa, sdp
 
@@ -256,7 +255,8 @@ def test_cells_match_dense_formulas(tmp_path):
 
 
 def _step_reference(x, dx, tau):
-    lam = scipy.linalg.eigh(dx, x, eigvals_only=True).min()
+    # the generalized eigenvalues of (dX, X) are those of X^{-1} dX
+    lam = np.linalg.eigvals(np.linalg.solve(x, dx)).real.min()
     return 1.0 if lam >= 0.0 else min(1.0, -tau / lam)
 
 
@@ -265,21 +265,21 @@ def test_max_step_matches_eigenvalue_reference():
     n = 6
     for _ in range(5):
         x = _random_spd(n, rng)
-        dx = rng.standard_normal((n, n))
-        dx = dx + dx.T
-        assert sdp._max_step(x, dx, 0.98) == pytest.approx(_step_reference(x, dx, 0.98), rel=1e-10)
-        assert sdp._max_step(x, x, 0.98) == 1.0
-
-    # Rank-deficient X: Cholesky fails and the eigenvalue fallback decides.
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    x = q @ np.diag([2.0, 1.0, 0.0]) @ q.T
-    x = 0.5 * (x + x.T)
-    assert scipy.linalg.lapack.dpotrf(x, lower=1)[1] > 0
-    # A direction inside the range of X hits the boundary at alpha = 1/2.
-    dx = q @ np.diag([-4.0, 0.5, 0.0]) @ q.T
-    assert sdp._max_step(x, 0.5 * (dx + dx.T), 0.98) == pytest.approx(0.49, rel=1e-8)
-    # A direction leaving the cone through the null space allows no step.
-    assert sdp._max_step(x, -np.eye(3), 0.98) < 1e-10
+        s = _random_spd(n, rng)
+        w, r_x, r_s = sdp._nt_scaling(x, s)
+        assert np.allclose(w @ s @ w, x, atol=1e-10)
+        for z, r in ((x, r_x), (s, r_s)):
+            assert np.allclose(r @ z @ r.T, np.eye(n), atol=1e-10)
+            d = rng.standard_normal((n, n))
+            d = d + d.T
+            assert sdp._max_step(r, d, 0.98) == pytest.approx(_step_reference(z, d, 0.98), rel=1e-10)
+            assert sdp._max_step(r, z, 0.98) == 1.0
+            # A direction that leaves the cone along an eigenvector of Z
+            # hits the boundary at alpha = 1/4.
+            vals, vecs = np.linalg.eigh(z)
+            out = -4.0 * vals[0] * np.outer(vecs[:, 0], vecs[:, 0])
+            assert _step_reference(z, out, 0.98) == pytest.approx(0.245, rel=1e-8)
+            assert sdp._max_step(r, out, 0.98) == pytest.approx(0.245, rel=1e-8)
 
 
 def test_termination_reasons(monkeypatch):
@@ -298,20 +298,70 @@ def test_termination_reasons(monkeypatch):
     inconsistent = sdp.SdpInstance(np.eye(2), [diag_constraint(2, 0, 1.0), diag_constraint(2, 0, 2.0)])
     assert sdp.solve(inconsistent).termination == "presolve-infeasible"
 
-    # A Schur matrix that fails Cholesky at every jitter level.  The 3x3
-    # instance keeps two constraints, so the 2x2 factorizations are the
-    # Schur ones and the 3x3 ones belong to the step length.
+    # A Schur matrix that fails Cholesky at every jitter level: every
+    # Cholesky in `solve` is the Schur one, so the ladder makes three.
     three = sdp.SdpInstance(np.eye(3), [diag_constraint(3, 0, 2.0), diag_constraint(3, 1, 0.5)])
-    dpotrf = scipy.linalg.lapack.dpotrf
     schur_calls = []
 
-    def failing_schur(a, *args, **kwargs):
-        if a.shape[0] == 2:
-            schur_calls.append(a)
-            return a, 1
-        return dpotrf(a, *args, **kwargs)
+    def failing_cholesky(a):
+        schur_calls.append(a)
+        raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(sdp.lapack, "dpotrf", failing_schur)
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
     broken = sdp.solve(three)
     assert broken.termination == "schur-breakdown"
     assert broken.iterations == 1 and len(schur_calls) == 3
+
+
+def _exported_stack(tmp_path, setting, inequality, word_cap):
+    words = npa.generate_words(setting, word_cap)
+    wmax = cert.max_violation(setting, inequality)
+    problem = npa.build_moment_problem(setting, words, "state", inequality, wmax - 0.1)
+    path = tmp_path / f"{setting}.dat-s"
+    npa.export_sdpa(problem, path, constraints="generated")
+    return sdp.SdpInstance(*npa.read_sdpa_numeric(path))
+
+
+def test_presolve_on_exported_stacks(tmp_path):
+    # the one-sided file has more constraints (168) than the 105
+    # upper-triangle entries of its 14x14 matrix
+    one_sided = _exported_stack(tmp_path, "1sdi", "steering", 3)
+    assert (one_sided.dim, len(one_sided.constraints)) == (14, 168)
+    assert len(sdp._presolve(one_sided)) == 74
+    di = _exported_stack(tmp_path, "di", "chsh", 2)
+    assert len(di.constraints) == 1352
+    assert len(sdp._presolve(di)) == 274
+
+    # hand-made: a scaled duplicate is dropped, a conflicting one refused
+    a = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    c = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    kept = sdp._presolve(sdp.SdpInstance(np.eye(3), [(a, 1.0), (c, 0.5), (3.0 * a, 3.0)]))
+    assert len(kept) == 2 and 1 in kept
+    conflicting = sdp.SdpInstance(np.eye(3), [(a, 1.0), (c, 0.5), (3.0 * a, 2.0)])
+    assert sdp.solve(conflicting).termination == "presolve-infeasible"
+
+
+def test_pivoting_on_r_matches_pivoting_the_stack():
+    # rank 5 in 8 columns, with distinct norms so the greedy order is unique;
+    # the reference pivots the stack itself, `_greedy_pivots` its R
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((12, 5)) @ rng.standard_normal((5, 8)) * np.linspace(1.0, 2.0, 8)
+    order, residual = [], a.copy()
+    for _ in range(5):
+        norms = np.linalg.norm(residual, axis=0)
+        j = int(np.argmax(norms))
+        order.append(j)
+        q = residual[:, j] / norms[j]
+        residual -= np.outer(q, q @ residual)
+    r = np.linalg.qr(a, mode="r")
+    assert sdp._greedy_pivots(r, 1e-10 * np.linalg.norm(a, axis=0).max()) == order
+
+
+def test_cho_solve_matches_dense_solve():
+    rng = np.random.default_rng(5)
+    # one block, and several blocks with a short last one
+    for m in (40, 300):
+        a = _random_spd(m, rng)
+        rhs = rng.standard_normal((m, 2))
+        got = sdp._cho_solve(np.linalg.cholesky(a), rhs)
+        assert np.allclose(got, np.linalg.solve(a, rhs), rtol=1e-10, atol=1e-12)
