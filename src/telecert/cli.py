@@ -77,9 +77,10 @@ def _resolve_alpha(args) -> tuple[float | None, str]:
     if path:
         with open(path) as handle:
             doc = json.load(handle)
-        if not isinstance(doc, dict) or not isinstance(doc.get("alpha"), (int, float)):
+        alpha = doc.get("alpha") if isinstance(doc, dict) else None
+        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
             raise ValueError(f"{path}: not an alpha report (no numeric 'alpha' key)")
-        return float(doc["alpha"]), "sdp-derived"
+        return float(alpha), "sdp-derived"
     return None, "paper-default"
 
 

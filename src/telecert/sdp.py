@@ -182,22 +182,50 @@ def _presolve(instance: SdpInstance, tol: float = 1e-9):
     return idx[kept]
 
 
-def _greedy_pivots(a: np.ndarray, tol: float) -> list:
+def _greedy_pivots(a: np.ndarray, tol: float, block: int = 64) -> list:
     """Columns of `a` in greedy order: each has the largest residual norm
     after projecting out the columns before it, and the order ends when
-    that residual is at most tol."""
-    cols = list(range(a.shape[1]))
+    that residual is at most tol.
+
+    The projections are applied a block of pivots at a time, as in
+    LAPACK's xLAQPS.  Within a block the columns stay as they were,
+    column j's residual is c_j - f_j q, and its squared norm is downdated
+    by the new column of f, so a pivot costs one pass over the columns
+    and the block ends with one matrix product.  A block also ends when a
+    downdate has cancelled all but 1e-8 of a squared norm, since the rest
+    would be rounding; so a pivot keeps at least 1e-4 of its norm within
+    its block, and one Gram-Schmidt pass keeps q orthonormal."""
+    c = np.array(a.T)  # one contiguous row per column of a
+    ids = np.arange(len(c))
     pivots = []
-    while a.size:
-        norms = np.linalg.norm(a, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= tol:
-            break
-        pivots.append(cols.pop(j))
-        q = a[:, j] / norms[j]
-        a = np.delete(a, j, axis=1)
-        a -= np.outer(q, q @ a)
-    return pivots
+    while True:
+        norms2 = np.einsum("ij,ij->i", c, c)
+        # Projecting only shrinks a residual, so a column within tol of
+        # the span can never be a pivot.
+        live = norms2 > tol * tol
+        if not live.any():
+            return pivots
+        c, ids, norms2 = c[live], ids[live], norms2[live]
+        floor = 1e-8 * norms2
+        q = np.empty((block, c.shape[1]))
+        f = np.empty((len(c), block))
+        k = 0
+        while k < min(block, len(c)):
+            j = int(np.argmax(norms2))
+            v = c[j] - f[j, :k] @ q[:k]
+            nrm = np.linalg.norm(v)
+            if nrm <= tol:
+                return pivots
+            pivots.append(int(ids[j]))
+            q[k] = v / nrm
+            f[:, k] = c @ q[k]
+            norms2 -= f[:, k] ** 2
+            norms2[j] = floor[j] = -np.inf
+            k += 1
+            if np.any(norms2 < floor):
+                break
+        c -= f[:, :k] @ q[:k]
+        c[norms2 == -np.inf] = 0.0  # a pivot's residual is rounding: drop it
 
 
 def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -205,8 +233,6 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     triangular solve, and an LU solve of the whole matrix would cost more
     than its Cholesky factorization."""
     block = 128
-    if len(rhs) <= block:
-        return np.linalg.solve(chol @ chol.T, rhs)  # one solve, not two
     x = rhs.copy()
     starts = range(0, len(x), block)
     for lo in starts:
@@ -324,6 +350,8 @@ def _max_step(r: np.ndarray, d: np.ndarray, tau: float) -> float:
     shortened by tau, where r Z r^T = I: the eigenvalues of r d r^T decide it."""
     m = r @ d @ r.T
     lam = np.linalg.eigvalsh(0.5 * (m + m.T)).min()
+    if not np.isfinite(lam):
+        raise np.linalg.LinAlgError("step direction is not finite")
     if lam >= 0.0:
         return 1.0
     return min(1.0, -tau / lam)

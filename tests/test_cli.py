@@ -337,7 +337,7 @@ def test_config_file_not_an_object(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("telecert: error:")
 
 
-@pytest.mark.parametrize("doc", [{"per_objective": {"state": 1.3}}, [1.3], {"alpha": "high"}])
+@pytest.mark.parametrize("doc", [{"per_objective": {"state": 1.3}}, [1.3], {"alpha": "high"}, {"alpha": True}])
 def test_alpha_json_without_alpha(tmp_path, capsys, doc):
     path = tmp_path / "alpha.json"
     path.write_text(json.dumps(doc))

@@ -280,6 +280,10 @@ def test_max_step_matches_eigenvalue_reference():
             out = -4.0 * vals[0] * np.outer(vecs[:, 0], vecs[:, 0])
             assert _step_reference(z, out, 0.98) == pytest.approx(0.245, rel=1e-8)
             assert sdp._max_step(r, out, 0.98) == pytest.approx(0.245, rel=1e-8)
+    # A non-finite direction is an error, not a full step.  At 2x2 numpy's
+    # eigvalsh returns NaN instead of raising.
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._max_step(np.eye(2), np.full((2, 2), np.nan), 0.98)
 
 
 def test_termination_reasons(monkeypatch):
@@ -342,19 +346,29 @@ def test_presolve_on_exported_stacks(tmp_path):
 
 
 def test_pivoting_on_r_matches_pivoting_the_stack():
-    # rank 5 in 8 columns, with distinct norms so the greedy order is unique;
-    # the reference pivots the stack itself, `_greedy_pivots` its R
+    # rank 5 in 8 columns plus a near duplicate of column 0, with distinct
+    # norms so the greedy order is unique; the reference pivots the stack
+    # itself, `_greedy_pivots` its R, also in blocks short enough to end
+    # when the near duplicate's downdated norm has cancelled
     rng = np.random.default_rng(11)
     a = rng.standard_normal((12, 5)) @ rng.standard_normal((5, 8)) * np.linspace(1.0, 2.0, 8)
+    a = np.column_stack([a, a[:, 0] + 1e-8 * rng.standard_normal(12)])
+    tol = 1e-10 * np.linalg.norm(a, axis=0).max()
     order, residual = [], a.copy()
-    for _ in range(5):
+    while True:
         norms = np.linalg.norm(residual, axis=0)
         j = int(np.argmax(norms))
+        if norms[j] <= tol:
+            break
         order.append(j)
         q = residual[:, j] / norms[j]
         residual -= np.outer(q, q @ residual)
+    assert len(order) == 6 and order[-1] == 8
     r = np.linalg.qr(a, mode="r")
-    assert sdp._greedy_pivots(r, 1e-10 * np.linalg.norm(a, axis=0).max()) == order
+    for block in (1, 2, 4, 64):
+        assert sdp._greedy_pivots(r, tol, block) == order
+    # a pivot whose rounding residual exceeds tol is not picked again
+    assert sorted(sdp._greedy_pivots(rng.standard_normal((5, 3)) * 1e9, 1e-10)) == [0, 1, 2]
 
 
 def test_cho_solve_matches_dense_solve():
