@@ -403,9 +403,19 @@ class MomentProblem:
         self.dim = self.block * m
         if not any(w.key == ((), ()) for w in self.words):
             raise ValueError("word list must contain the identity word")
+        # canon(col^dag row) of one party depends only on the two local
+        # words, of which a word list has few, so each pair is reduced once.
+        reduce = _reduce_projector if self.setting == SETTING_1SDI else _reduce_observable
+        local: dict = {}
+
+        def product(col: tuple, row: tuple) -> tuple:
+            if (col, row) not in local:
+                local[col, row] = reduce(col[::-1] + row)
+            return local[col, row]
+
         self.entry_keys = [
-            [_entry_key(self.setting, self.words[k], self.words[l]) for l in range(m)]
-            for k in range(m)
+            [(product(col.alice, row.alice), product(col.bob, row.bob)) for col in self.words]
+            for row in self.words
         ]
         self.p_coeffs = fidelity_functional(self.setting, self.objective)
         self.q_coeffs = inequality_functional(self.setting, self.inequality)
@@ -432,17 +442,32 @@ class MomentProblem:
                 classes.setdefault(self.cell_key(r, c), []).append((r, c))
         return classes
 
-    def real_class_key(self, r: int, c: int) -> tuple:
-        key, i, j = self.cell_key(r, c)
-        alt = (_key_adjoint(key), j, i)
-        return min((key, i, j), alt)
-
     def real_classes(self) -> dict:
-        classes: dict = {}
-        for r in range(self.dim):
-            for c in range(self.dim):
-                classes.setdefault(self.real_class_key(r, c), []).append((r, c))
-        return classes
+        """Scalar cells grouped by real class (a moment and its adjoint):
+        {real class key: (rows, cols)}, each class in row-major order.
+
+        A cell's class depends only on its entry key and its place (i, j)
+        in the block, so it is worked out once per distinct entry key."""
+        b = self.block
+        key_ids: dict = {}
+        ids = np.array([[key_ids.setdefault(key, len(key_ids)) for key in row] for row in self.entry_keys])
+        real_ids: dict = {}
+        labels = np.empty((len(key_ids), b, b), dtype=np.intp)
+        for key, kid in key_ids.items():
+            for i in range(b):
+                for j in range(b):
+                    real = min((key, i, j), (_key_adjoint(key), j, i))
+                    labels[kid, i, j] = real_ids.setdefault(real, len(real_ids))
+        # scalar cell (b k + i, b l + j) of entry (k, l)
+        place = np.arange(b)
+        cell_labels = labels[ids[:, None, :, None], place[None, :, None, None], place].reshape(-1)
+        order = np.argsort(cell_labels, kind="stable")
+        rows, cols = np.divmod(order, self.dim)
+        ends = np.cumsum(np.bincount(cell_labels, minlength=len(real_ids)))
+        return {
+            real: (rows[end - size : end], cols[end - size : end])
+            for real, end, size in zip(real_ids, ends, np.diff(ends, prepend=0))
+        }
 
     # --- constraints -------------------------------------------------------
 
@@ -556,12 +581,6 @@ class ReducedProblem:
     def dim(self) -> int:
         return self.problem.dim
 
-    def basis_matrix(self, v: int) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim))
-        rows, cols = self.cells[v]
-        mat[rows, cols] = 1.0
-        return mat
-
     def moment_vector(self, gamma: np.ndarray) -> np.ndarray:
         """Project a numeric moment matrix onto the free real moments."""
         y = np.empty(len(self.keys))
@@ -580,12 +599,7 @@ def reduce_problem(problem: MomentProblem) -> ReducedProblem:
     classes = problem.real_classes()
     keys = sorted(classes.keys())
     index = {key: v for v, key in enumerate(keys)}
-    cells = []
-    for key in keys:
-        members = classes[key]
-        rows = np.array([r for r, _ in members], dtype=np.intp)
-        cols = np.array([c for _, c in members], dtype=np.intp)
-        cells.append((rows, cols))
+    cells = [classes[key] for key in keys]
 
     def vector_from(functional: dict) -> np.ndarray:
         vec = np.zeros(len(keys))
@@ -600,6 +614,42 @@ def reduce_problem(problem: MomentProblem) -> ReducedProblem:
     for i in range(problem.block):
         norm[index[(((), ()), i, i)]] += 1.0
     return ReducedProblem(problem, keys, index, cells, p, q, norm)
+
+
+def swap_symmetry(reduced: ReducedProblem):
+    """The Alice<->Bob swap as a symmetry of a fully untrusted reduced problem.
+
+    Returns (word_image, class_image), the images under the swap of each word and
+    of each real class, when all of these hold exactly: the word list is
+    closed under (a, b) -> (b, a), the swap maps the cells of every real
+    class onto the cells of one class, and p, q and norm take equal values
+    on a class and its image.  Returns None otherwise, as for one-sided
+    problems and for objectives such as ZAXB that the swap changes.
+    Averaging an optimum over the swap then gives an optimum with equal
+    moments on each class and its image.
+    """
+    problem = reduced.problem
+    if problem.setting != SETTING_DI:
+        return None
+    position = {w.key: k for k, w in enumerate(problem.words)}
+    try:
+        word_image = np.array([position[(w.bob, w.alice)] for w in problem.words], dtype=np.intp)
+    except KeyError:
+        return None
+    label = np.empty((problem.dim, problem.dim), dtype=np.intp)
+    for v, (rows, cols) in enumerate(reduced.cells):
+        label[rows, cols] = v
+    class_image = np.empty(len(reduced.cells), dtype=np.intp)
+    for v, (rows, cols) in enumerate(reduced.cells):
+        image = label[word_image[rows], word_image[cols]]
+        # The swap is a bijection on cells, so an image inside one class
+        # of the same size is that whole class.
+        if np.any(image != image[0]) or len(reduced.cells[image[0]][0]) != len(rows):
+            return None
+        class_image[v] = image[0]
+    if any(not np.array_equal(vec[class_image], vec) for vec in (reduced.p, reduced.q, reduced.norm)):
+        return None
+    return word_image, class_image
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,40 @@ The solver handles the standard pair
     (P) min tr(C X)   s.t. tr(A_i X) = b_i,  X >= 0
     (D) max b.y       s.t. C - sum_i y_i A_i = S >= 0
 
-with Nesterov-Todd scaling and dense factorizations of the n x n
-iterates and the m x m Schur matrix, all through numpy.  The two
-eigendecompositions of the scaling also give the factors that turn each
-step length into one symmetric eigenvalue problem, and one Cholesky
-factorization of the Schur matrix per iteration serves the predictor and
-the corrector.  The presolve splits the constraints into groups that
-share no matrix entry and pivots greedily within each group on the R of
-an unpivoted QR.  The constraint matrices are sparse
+with Nesterov-Todd scaling and dense factorizations of the iterates and
+the m x m Schur matrix, all through numpy.  The iteration runs per
+diagonal block: the connected components of the aggregate sparsity
+pattern of C and the kept A_i.  With C and every A_i block-diagonal, the
+iterates from xi I and eta I stay block-diagonal, so the split is exact:
+each block has its own scaling, step lengths and Schur part, the step is
+the shortest block step, and the Schur matrix is the sum of the parts.
+A test solves block-diagonal instances both ways and finds the same
+iteration count and objective.  The two eigendecompositions of each
+block's scaling also give the factors that turn its step length into
+one symmetric eigenvalue problem, and one Cholesky factorization of the
+Schur matrix per iteration serves the predictor and the corrector.  The presolve splits the constraints into
+groups that share no matrix entry and pivots greedily within each group
+on the R of an unpivoted QR.  The constraint matrices are sparse
 (an 81x81 moment-problem constraint has a median of 28 nonzero entries),
-so each A_i is read once as its upper-triangle cells and the Schur
-matrix S_ij = tr(A_i W A_j W) is assembled from them (Fujisawa, Kojima &
-Nakata, Math. Prog. 79, 1997): one batched product W U_j W per group of
-constraints with equal cell count, then a gather at the cells of each
-A_i.  Moment problems are fed through a reduction that parametrizes the
+so each A_i is read once as its upper-triangle cells, which also give
+the blocks, and the Schur matrix S_ij = tr(A_i W A_j W) is assembled
+from them block by block (Fujisawa, Kojima & Nakata, Math. Prog. 79,
+1997): one batched product W U_j W per group of constraints with equal
+cell count, then a gather at the cells of each A_i.  Tests compare the
+cell maps with dense formulas, also for constraints without a cell in a
+block.
+
+Moment problems are fed through a reduction that parametrizes the
 matrix by its free real moments, which keeps the constraint count near
-the number of distinct moments.
+the number of distinct moments.  Where the Alice<->Bob swap is a
+symmetry of the problem (`npa.swap_symmetry` checks the word list, the
+classes and the functionals exactly), a class and its swap image share
+one moment, and the companion is posed in the basis of the fixed words
+and the (w +- sigma w)/sqrt(2) pairs, where it is block-diagonal
+(Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  The fully
+untrusted `state`, `ZAZB` and `XAXB` problems then split 45 + 36 with 99
+constraints instead of 183 (`ZAXB` is not swap-symmetric); tests check
+their bounds against the unreduced solves to 1e-6.
 """
 
 from __future__ import annotations
@@ -249,19 +267,26 @@ class _Cells:
     interior-point iteration needs.
 
     Each A_i is held as the cells (row, column, value) of its upper
-    triangle with the diagonal halved, so that A_i = U_i + U_i^T.  The
-    constraints are stored sorted by cell count, and the Schur assembly
-    runs one batched matmul per group of equal count.  Every map takes
-    and returns constraints in the caller's order.
+    triangle with the diagonal halved, so that A_i = U_i + U_i^T, and the
+    constraints are stored sorted by cell count.  The diagonal blocks of
+    X are the connected components of the pattern of the cells and the
+    objective (`_blocks`).  The rows and columns are renumbered by `perm`
+    so that each block is a contiguous slice in `blocks`, and the maps
+    read and write X in that numbering.  Every map takes and returns
+    constraints in the caller's order.  The Schur matrix is the sum of one
+    `_SchurBlock` per block.
     """
 
-    def __init__(self, mats):
+    def __init__(self, mats, objective):
         stack = np.asarray(mats, dtype=float)
         m, n, _ = stack.shape
         self.n = n
         self.norms = np.linalg.norm(stack.reshape(m, -1), axis=1)
         rows, cols = np.triu_indices(n)
+        # The dense stack and its upper triangles are freed once the cells
+        # are read, before the Schur buffers exist.
         upper = stack[:, rows, cols]
+        del stack
         upper[:, rows == cols] *= 0.5
         counts = np.count_nonzero(upper, axis=1)
         self.order = np.argsort(counts, kind="stable")
@@ -269,40 +294,31 @@ class _Cells:
         self.counts = counts[self.order]
         upper = upper[self.order]
         owner, cell = np.nonzero(upper)
-        r, c = rows[cell], cols[cell]
         self.vals = upper[owner, cell]
+        del upper
+        r, c = rows[cell], cols[cell]
+        linked = objective != 0
+        linked[r, c] = linked[c, r] = True
+        groups = _blocks(linked)
+        self.perm = np.concatenate(groups)
+        ends = np.cumsum([len(idx) for idx in groups])
+        self.blocks = [slice(end - len(idx), end) for idx, end in zip(groups, ends)]
+        position = np.argsort(self.perm)
+        r, c = position[r], position[c]
         self.pos = r * n + c
-        # Every cell at (r, c) and at (c, r): tr(A_i X) = sum v (X_rc + X_cr).
-        self.pos2 = np.stack([self.pos, c * n + r], axis=1).ravel()
-        self.vals2 = np.repeat(self.vals, 2)
-        self.starts2 = 2 * (np.cumsum(self.counts) - self.counts)
-        # Work buffers and, per group of equal count, the batched views
-        # of them that the Schur assembly multiplies.  The factor 2 makes
-        # the batch hold 2 W U_j W, whose product with A_i has the trace
-        # of A_i (W U_j W + W U_j^T W).
-        self._rows, self._cols, self._left_vals = r, c, 2.0 * self.vals[:, None]
-        self._left = np.empty((r.size, n))
-        self._right = np.empty((r.size, n))
-        self._half = np.empty((m, n, n))
-        self._gathered = np.empty((m, self.pos2.size))
-        self._sorted = np.empty((m, m))
-        self._unsort = self.rank[:, None] * m + self.rank[None, :]
-        self._products, self._reductions = [], []
-        lo = first = 0
-        for k, size in zip(*np.unique(self.counts, return_counts=True)):
-            batch, cells, pairs = slice(lo, lo + size), slice(first, first + size * k), slice(2 * first, 2 * (first + size * k))
-            self._products.append((
-                self._left[cells].reshape(size, k, n).transpose(0, 2, 1),
-                self._right[cells].reshape(size, k, n),
-                self._half[batch],
-            ))
-            self._reductions.append((
-                self._gathered[:, pairs].reshape(m, size, 2 * k).transpose(1, 0, 2),
-                self.vals2[pairs].reshape(size, 2 * k, 1),
-                self._sorted[batch, :, None],
-            ))
-            lo += size
-            first += size * k
+        # Every cell at (r, c) and at (c, r): tr(A_i X) = sum v (X_rc + X_cr),
+        # after one zero product.  reduceat gives an empty segment the value
+        # at its start, so the constraints without a cell, sorted first,
+        # start at that zero.
+        self.pos2 = np.concatenate([[0], np.stack([self.pos, c * n + r], axis=1).ravel()])
+        self.vals2 = np.concatenate([[0.0], np.repeat(self.vals, 2)])
+        self.starts2 = np.where(self.counts > 0, 1 + 2 * (np.cumsum(self.counts) - self.counts), 0)
+        owner = self.order[owner]
+        self._parts = []
+        for sl in self.blocks:
+            inside = (r >= sl.start) & (r < sl.stop)
+            part = _SchurBlock(owner[inside], r[inside] - sl.start, c[inside] - sl.start, self.vals[inside], m, sl.stop - sl.start)
+            self._parts.append((sl, part))
 
     def a_map(self, x):
         """tr(A_i X) for every constraint."""
@@ -315,17 +331,75 @@ class _Cells:
         return u + u.T
 
     def schur(self, w):
-        """S_ij = tr(A_i W A_j W) for a symmetric W."""
+        """S_ij = tr(A_i W A_j W) for a symmetric W, block-diagonal on the blocks."""
+        return sum(part.schur(w[sl, sl]) for sl, part in self._parts)
+
+
+class _SchurBlock:
+    """The part of S_ij = tr(A_i W A_j W) from one diagonal block of W
+    (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997), assembled from the
+    cells (r, c, v) of the U_i in the block, owned by constraint `owner`
+    in the caller's order: one batched product W U_j W per group of
+    constraints with equal cell count, then a gather at the cells of each
+    A_i.  A constraint without a cell in the block has a zero row and
+    column.
+    """
+
+    def __init__(self, owner, r, c, vals, m, n):
+        counts = np.bincount(owner, minlength=m)
+        members = np.argsort(counts, kind="stable")
+        members = members[counts[members] > 0]
+        size_m = len(members)
+        slot = np.full(m, size_m)
+        slot[members] = np.arange(size_m)
+        grouped = np.argsort(slot[owner], kind="stable")
+        r, c, vals = r[grouped], c[grouped], vals[grouped]
+        counts = counts[members]
+        vals2 = np.repeat(vals, 2)
+        # Work buffers and, per group of equal count, the batched views
+        # of them that the assembly multiplies.  The factor 2 makes the
+        # batch hold 2 W U_j W, whose product with A_i has the trace of
+        # A_i (W U_j W + W U_j^T W).
+        self._rows, self._cols, self._left_vals = r, c, 2.0 * vals[:, None]
+        self._pos2 = np.stack([r * n + c, c * n + r], axis=1).ravel()
+        self._left = np.empty((r.size, n))
+        self._right = np.empty((r.size, n))
+        self._half = np.empty((size_m, n * n))
+        self._gathered = np.empty((size_m, self._pos2.size))
+        # The block's Schur matrix in member order, then one zero that the
+        # pairs with a constraint outside the block read.
+        self._padded = np.zeros(size_m * size_m + 1)
+        table = self._padded[:-1].reshape(size_m, size_m)
+        inside = slot < size_m
+        self._unsort = np.where(inside[:, None] & inside, slot[:, None] * size_m + slot, size_m * size_m)
+        self._products, self._reductions = [], []
+        lo = first = 0
+        for k, size in zip(*np.unique(counts, return_counts=True)):
+            batch, cells, pairs = slice(lo, lo + size), slice(first, first + size * k), slice(2 * first, 2 * (first + size * k))
+            self._products.append((
+                self._left[cells].reshape(size, k, n).transpose(0, 2, 1),
+                self._right[cells].reshape(size, k, n),
+                self._half[batch].reshape(size, n, n),
+            ))
+            self._reductions.append((
+                self._gathered[:, pairs].reshape(size_m, size, 2 * k).transpose(1, 0, 2),
+                vals2[pairs].reshape(size, 2 * k, 1),
+                table[batch, :, None],
+            ))
+            lo += size
+            first += size * k
+
+    def schur(self, w):
         np.multiply(w[self._rows], self._left_vals, out=self._left)
         np.take(w, self._cols, axis=0, out=self._right)
         for left, right, out in self._products:
             np.matmul(left, right, out=out)
         # With mode="raise", numpy buffers `out`; the positions are in
         # range by construction, so "wrap" writes in place.
-        np.take(self._half.reshape(len(self._half), -1), self.pos2, axis=1, out=self._gathered, mode="wrap")
+        np.take(self._half, self._pos2, axis=1, out=self._gathered, mode="wrap")
         for gathered, vals, out in self._reductions:
             np.matmul(gathered, vals, out=out)
-        return np.take(self._sorted, self._unsort)
+        return np.take(self._padded, self._unsort)
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
@@ -357,6 +431,19 @@ def _max_step(r: np.ndarray, d: np.ndarray, tau: float) -> float:
     return min(1.0, -tau / lam)
 
 
+def _blocks(linked: np.ndarray) -> list:
+    """Index sets of the connected components of a symmetric boolean
+    pattern, ordered by their smallest index."""
+    n = len(linked)
+    label = np.arange(n)
+    while True:
+        merged = np.minimum(label, np.where(linked, label, n).min(axis=1))
+        merged = merged[merged]
+        if np.array_equal(merged, label):
+            return [np.flatnonzero(label == root) for root in np.unique(label)]
+        label = merged
+
+
 def solve(
     instance: SdpInstance,
     gap_tol: float = 1e-8,
@@ -369,6 +456,12 @@ def solve(
     the certificate contract; structurally inconsistent constraints are
     reported as "infeasible" instead of a silently wrong optimum.  The
     solution's `termination` names the exit (see `SdpSolution`).
+
+    The iterates are kept with their diagonal blocks (`_blocks`)
+    contiguous.  From the block-diagonal start xi I, eta I they stay
+    block-diagonal, so the scaling, the step lengths and the Schur
+    assembly run per block: the step is the shortest block step and the
+    Schur matrix is the sum over the blocks.
     """
     try:
         kept = _presolve(instance)
@@ -379,16 +472,17 @@ def solve(
             np.nan, np.nan, np.nan, np.nan, "infeasible", 0, [], [], "presolve-infeasible",
         )
     n = instance.dim
-    cells = _Cells([instance.constraints[i][0] for i in kept])
+    cells = _Cells([instance.constraints[i][0] for i in kept], instance.objective)
+    blocks, norms = cells.blocks, cells.norms
     b = np.array([instance.constraints[i][1] for i in kept])
     m = len(b)
-    c = instance.objective
+    c = instance.objective[np.ix_(cells.perm, cells.perm)]
     a_map, a_adj = cells.a_map, cells.a_adj
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
-    xi = max(10.0, np.sqrt(n), n * np.max((1.0 + np.abs(b)) / (1.0 + cells.norms)))
-    eta = max(10.0, np.sqrt(n), (1.0 + max(np.linalg.norm(c), np.max(cells.norms))) / np.sqrt(n))
+    xi = max(10.0, np.sqrt(n), n * np.max((1.0 + np.abs(b)) / (1.0 + norms)))
+    eta = max(10.0, np.sqrt(n), (1.0 + max(np.linalg.norm(c), np.max(norms))) / np.sqrt(n))
     x = xi * np.eye(n)
     s = eta * np.eye(n)
     y = np.zeros(m)
@@ -397,8 +491,7 @@ def solve(
     status = "max-iterations"
     tau_frac = 0.98
     stall = 0
-    best_rp = np.inf
-    best = None  # (merit, x, y, s)
+    best = None  # (merit, x, y, s); the iterates are never modified in place
     iteration = 0
     for iteration in range(1, max_iterations + 1):
         rp = b - a_map(x)
@@ -422,7 +515,7 @@ def solve(
         )
         merit = max(mu / (1.0 + abs(pobj)), rp_norm, rd_norm)
         if best is None or merit < best[0]:
-            best = (merit, x.copy(), y.copy(), s.copy())
+            best = (merit, x, y, s)
             stall = 0
         else:
             stall += 1
@@ -440,7 +533,13 @@ def solve(
             break  # fall back to the best iterate
 
         try:
-            w, r_x, r_s = _nt_scaling(x, s)
+            w, s_inv = np.zeros((n, n)), np.zeros((n, n))
+            r_x, r_s = [], []
+            for sl in blocks:
+                w_block, r_x_block, r_s_block = _nt_scaling(x[sl, sl], s[sl, sl])
+                w[sl, sl], s_inv[sl, sl] = w_block, r_s_block @ r_s_block.T
+                r_x.append(r_x_block)
+                r_s.append(r_s_block)
             if not np.all(np.isfinite(w)):
                 termination = "non-finite-scaling"
                 break
@@ -459,33 +558,40 @@ def solve(
 
             # The right-hand side is affine in sigma*mu, so one solve with
             # two columns serves the predictor and the corrector.
-            s_inv = r_s @ r_s.T
             dy0, dy1 = _cho_solve(chol, np.stack([rp + a_map(x + w @ rd @ w), a_map(s_inv)], axis=1)).T
 
+            # rd and a_adj(dy) are symmetric bit for bit, so ds is too; dx
+            # holds products with w and is symmetrized.
             def newton(sigma_mu):
                 dy = dy0 - sigma_mu * dy1
                 ds = rd - a_adj(dy)
                 dx = sigma_mu * s_inv - x - w @ ds @ w
-                return 0.5 * (dx + dx.T), dy, 0.5 * (ds + ds.T)
+                return 0.5 * (dx + dx.T), dy, ds
+
+            def steps(dx, ds):
+                ap = ad = 1.0
+                for sl, r_x_block, r_s_block in zip(blocks, r_x, r_s):
+                    ap = min(ap, _max_step(r_x_block, dx[sl, sl], tau_frac))
+                    ad = min(ad, _max_step(r_s_block, ds[sl, sl], tau_frac))
+                return ap, ad
 
             # Predictor pass fixes the centering parameter.
             dx_a, dy_a, ds_a = newton(0.0)
-            ap = _max_step(r_x, dx_a, tau_frac)
-            ad = _max_step(r_s, ds_a, tau_frac)
+            ap, ad = steps(dx_a, ds_a)
             mu_aff = float(np.sum((x + ap * dx_a) * (s + ad * ds_a))) / n
             sigma = min(0.99, max((mu_aff / mu) ** 3, 1e-8))
 
             dx, dy, ds = newton(sigma * mu)
-            ap = _max_step(r_x, dx, tau_frac)
-            ad = _max_step(r_s, ds, tau_frac)
+            ap, ad = steps(dx, ds)
         except np.linalg.LinAlgError:
             termination = "linalg-error"
             break
         if min(ap, ad) < 1e-10:
             termination = "step-too-small"
             break
-        x = 0.5 * ((x + ap * dx) + (x + ap * dx).T)
-        s = 0.5 * ((s + ad * ds) + (s + ad * ds).T)
+        # Sums of symmetric matrices: x and s stay symmetric bit for bit.
+        x = x + ap * dx
+        s = s + ad * ds
         y = y + ad * dy
     else:
         termination = "iteration-cap"
@@ -518,10 +624,11 @@ def solve(
         status = "optimal" if contract else "max-iterations"
     dual_full = np.zeros(len(instance.constraints))
     dual_full[kept] = y
+    back = np.ix_(np.argsort(cells.perm), np.argsort(cells.perm))
     return SdpSolution(
-        primal=x,
+        primal=x[back],
         dual=dual_full,
-        slack=s,
+        slack=s[back],
         primal_objective=pobj,
         dual_objective=dobj,
         gap=gap,
@@ -549,17 +656,75 @@ class MomentSolveResult:
     gamma: np.ndarray
 
 
+def _moment_basis(reduced: npa.ReducedProblem):
+    """Free moments of the companion and their matrices.
+
+    Returns (of_class, mats): the free moment of each real class, and the
+    stack of matrices G_v with Gamma = sum_v y_v G_v in some orthonormal
+    basis of the word space.  Without a symmetry each class is its own
+    moment and G_v is its 0/1 cell pattern in the word basis.  When the
+    Alice<->Bob swap is a symmetry (`npa.swap_symmetry`), a class and its
+    image share one moment, and G_v is written in the basis of the fixed
+    words and (w + sigma w)/sqrt(2), followed by the (w - sigma w)/sqrt(2).
+    There G_v is block-diagonal, symmetric part then antisymmetric part.
+    Each entry is an integer sum over cells times 1, 1/sqrt(2) or 1/2, so
+    the entries off the blocks are exact zeros.
+    """
+    n = reduced.dim
+    classes = len(reduced.cells)
+    # Word r is sum_t sign[r, t] e_basis[r, t]; sign 0 marks padding.
+    basis = np.zeros((n, 2), dtype=np.intp)
+    sign = np.zeros((n, 2))
+    paired = np.zeros(n, dtype=np.intp)  # 1 for a (w +- sigma w)/sqrt(2)
+    swap = npa.swap_symmetry(reduced)
+    if swap is None:
+        of_class = np.arange(classes)
+        basis[:, 0] = np.arange(n)
+        sign[:, 0] = 1.0
+    else:
+        words, image = swap  # the swap images of the words and of the classes
+        _, of_class = np.unique(np.minimum(np.arange(classes), image), return_inverse=True)
+        fixed = np.flatnonzero(words == np.arange(n))
+        first = np.flatnonzero(words > np.arange(n))
+        pairs = np.stack([len(fixed) + np.arange(len(first)), n - len(first) + np.arange(len(first))], axis=1)
+        basis[fixed, 0] = np.arange(len(fixed))
+        sign[fixed, 0] = 1.0
+        basis[first] = basis[words[first]] = pairs
+        sign[first] = (1.0, 1.0)
+        sign[words[first]] = (1.0, -1.0)
+        paired[len(fixed):] = 1
+    rows = np.concatenate([r for r, _ in reduced.cells])
+    cols = np.concatenate([c for _, c in reduced.cells])
+    owner = np.repeat(of_class, [len(r) for r, _ in reduced.cells])
+    count = int(of_class.max()) + 1
+    flat = ((owner[:, None, None] * n + basis[rows][:, :, None]) * n + basis[cols][:, None, :]).ravel()
+    weight = (sign[rows][:, :, None] * sign[cols][:, None, :]).ravel()
+    mats = np.bincount(flat, weight, minlength=count * n * n).reshape(count, n, n)
+    scale = np.array([1.0, np.sqrt(0.5), 0.5])[paired[:, None] + paired]
+    mats *= scale
+    return of_class, mats
+
+
 def companion_instance(reduced: npa.ReducedProblem, violation: float):
     """Pose min p.y over the parametrized moment matrix as the dual of a
     standard-form instance.
 
-    The two scalar equalities (normalization and inequality level) are
-    eliminated by pivoting, leaving  max b.z  s.t.  C0 - sum z_j (-G_j) >= 0
-    whose companion primal is returned; the minimum equals
-    offset - (companion optimum).
+    The free moments and their matrices come from `_moment_basis`, merged
+    under the Alice<->Bob swap where it is a symmetry.  The two scalar
+    equalities (normalization and inequality level) are eliminated by
+    pivoting, leaving  max b.z  s.t.  C0 - sum z_j (-G_j) >= 0  whose
+    companion primal is returned; the minimum equals
+    offset - (companion optimum).  `recover` maps z to the moments of all
+    real classes.
     """
-    m = len(reduced.keys)
-    e = np.vstack([reduced.norm, reduced.q])
+    of_class, mats = _moment_basis(reduced)
+    m = len(mats)
+
+    def merged(vec):
+        return np.bincount(of_class, vec, minlength=m)
+
+    p = merged(reduced.p)
+    e = np.vstack([merged(reduced.norm), merged(reduced.q)])
     d = np.array([1.0, violation])
     p1 = int(np.argmax(np.abs(e[0])))
     if abs(e[0, p1]) < 1e-12:
@@ -577,24 +742,23 @@ def companion_instance(reduced: npa.ReducedProblem, violation: float):
     y0 = np.zeros(m)
     y0[pivots] = y_piv0
 
-    basis_piv = [reduced.basis_matrix(p1), reduced.basis_matrix(p2)]
-    c0 = y_piv0[0] * basis_piv[0] + y_piv0[1] * basis_piv[1]
-    p = reduced.p
+    c0 = y_piv0[0] * mats[p1] + y_piv0[1] * mats[p2]
     offset = float(p @ y0)
-    constraints = []
-    b_eff = np.empty(len(free))
-    for col, v in enumerate(free):
-        g = reduced.basis_matrix(v)
-        g = g + coupling[0, col] * basis_piv[0] + coupling[1, col] * basis_piv[1]
-        b_eff[col] = p[v] + coupling[0, col] * p[pivots[0]] + coupling[1, col] * p[pivots[1]]
-        constraints.append((-g, -b_eff[col]))
-    instance = SdpInstance(c0, constraints)
+    # G_j of free moment j plus its coupling terms, which sit on the few
+    # cells of the two pivot moments.
+    g = mats[free]
+    for k, v in enumerate(pivots):
+        rows, cols = np.nonzero(mats[v])
+        g[:, rows, cols] += np.outer(coupling[k], mats[v, rows, cols])
+    del mats  # SdpInstance copies the constraints next to g
+    b_eff = p[free] + coupling[0] * p[p1] + coupling[1] * p[p2]
+    instance = SdpInstance(c0, list(zip(np.negative(g, out=g), -b_eff)))
 
     def recover(z: np.ndarray) -> np.ndarray:
         y = y0.copy()
         y[free] += z
         y[pivots] += coupling @ z
-        return y
+        return y[of_class]
 
     return instance, offset, recover
 
@@ -633,8 +797,7 @@ def min_fidelity_curve(
     wmax = cert.max_violation(setting, inequality)
     if any(e <= 0.0 or e > 0.5 * wmax for e in epsilons):
         raise ValueError("epsilon grid must sit in (0, half the maximal violation]")
-    cap = max_local_length or DEFAULT_WORD_CAP[setting]
-    words = npa.generate_words(setting, cap)
+    words = npa.generate_words(setting, _word_cap(setting, max_local_length))
     problem = npa.build_moment_problem(setting, words, objective, inequality, wmax)
     reduced = npa.reduce_problem(problem)
     curve = []
@@ -645,6 +808,12 @@ def min_fidelity_curve(
             raise SdpError(f"grid point eps={eps}: solver status {sol.status}")
         curve.append((eps, float(offset - sol.primal_objective)))
     return curve
+
+
+def _word_cap(setting: str, max_local_length: int | None) -> int:
+    """The local word length cap: the setting's default when none is given.
+    A cap below 1 is kept, for `npa.generate_words` to refuse."""
+    return DEFAULT_WORD_CAP[setting] if max_local_length is None else max_local_length
 
 
 def fit_alpha(curve, min_points: int = 5) -> float:
@@ -683,7 +852,6 @@ def derive_alpha(
         )
     alphas = {objective: fit_alpha(curve, min_points=min(5, len(epsilons))) for objective, curve in curves.items()}
     alpha = max(alphas.values())
-    cap = max_local_length or DEFAULT_WORD_CAP[setting]
     return {
         "setting": setting,
         "inequality": inequality,
@@ -691,6 +859,6 @@ def derive_alpha(
         "alpha": alpha,
         "per_objective": alphas,
         "curves": curves,
-        "word_cap": cap,
+        "word_cap": _word_cap(setting, max_local_length),
         "epsilons": list(epsilons),
     }

@@ -125,6 +125,26 @@ def test_derive_alpha_cli(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_word_cap_below_one_refused(tmp_path, capsys):
+    derive = ["derive-alpha", "--trust", "1sdi", "--inequality", "steering", "--kind", "state", "--eps-grid", "0.1"]
+    out_path = tmp_path / "p.dat-s"
+    export = [
+        "npa-export", "--trust", "1sdi", "--inequality", "steering", "--objective", "state",
+        "--eps", "0.1", "--out", str(out_path),
+    ]
+    # 0 is a cap, not "unset": it is refused like any cap below 1
+    for cap in ("0", "-1"):
+        assert run_cli(derive + ["--word-cap", cap], capsys) == (1, "")
+        assert run_cli(export + ["--word-cap", cap], capsys) == (1, "")
+        assert not out_path.exists()
+    code, out = run_cli(derive + ["--word-cap", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["reports"]["state"]["word_cap"] == 2
+    code, out = run_cli(derive, capsys)
+    assert code == 0
+    assert json.loads(out)["reports"]["state"]["word_cap"] == 3
+
+
 def test_npa_export_and_sdp_solve(tmp_path, capsys):
     # both constraint forms stay within the dense reader's size limits
     for constraints, written in (("generated", 168), ("deduplicated", 74)):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -419,3 +421,38 @@ def test_sdpa_error_paths(tmp_path):
     prob = npa.build_moment_problem("1sdi", words, "state", "steering", 1.9)
     with pytest.raises(ValueError):
         npa.export_sdpa(prob, tmp_path / "x.dat-s", constraints="everything")
+
+
+def test_swap_symmetry_detection():
+    words = npa.generate_words("di", 4)
+    identity = np.arange(len(words))
+    for objective in ("state", "ZAZB", "XAXB"):
+        reduced = npa.reduce_problem(npa.build_moment_problem("di", words, objective, "chsh", 2.7))
+        word_image, class_image = npa.swap_symmetry(reduced)
+        # an involution of the 81 words fixing the 9 with equal local words
+        assert np.array_equal(word_image[word_image], identity)
+        assert [words[k].alice for k in np.flatnonzero(word_image == identity)] == [
+            words[k].bob for k in np.flatnonzero(word_image == identity)
+        ]
+        assert np.count_nonzero(word_image == identity) == 9
+        assert np.array_equal(class_image[class_image], np.arange(185))
+        assert len(np.unique(np.minimum(np.arange(185), class_image))) == 101
+    # a class whose cells the swap sends into two classes
+    moved = np.flatnonzero(class_image != np.arange(185))
+    u = moved[0]
+    w = next(v for v in moved if v not in (u, class_image[u]))
+    cells = list(reduced.cells)
+    (ru, cu), (rw, cw) = cells[u], cells[w]
+    cells[u] = (np.r_[ru[1:], rw[:1]], np.r_[cu[1:], cw[:1]])
+    cells[w] = (np.r_[rw[1:], ru[:1]], np.r_[cw[1:], cu[:1]])
+    assert npa.swap_symmetry(dataclasses.replace(reduced, cells=cells)) is None
+    # ZAXB becomes XAZB under the swap
+    zaxb = npa.reduce_problem(npa.build_moment_problem("di", words, "ZAXB", "chsh", 2.7))
+    assert npa.swap_symmetry(zaxb) is None
+    # a word whose swap image is not in the list
+    lopsided = npa.generate_words("di", 3) + [npa.OperatorWord("di", (0, 1, 0, 1), ())]
+    reduced = npa.reduce_problem(npa.build_moment_problem("di", lopsided, "state", "chsh", 2.7))
+    assert npa.swap_symmetry(reduced) is None
+    # one-sided problems have no Alice words to swap
+    one_sided = npa.reduce_problem(npa.build_moment_problem("1sdi", npa.generate_words("1sdi", 3), "state", "steering", 1.9))
+    assert npa.swap_symmetry(one_sided) is None

@@ -201,11 +201,15 @@ def _random_spd(n, rng):
     return 0.5 * (w + w.T)
 
 
-def _assert_cells_match_dense(mats, rng):
+def _assert_cells_match_dense(mats, rng, sizes=None):
+    # the Schur matrix for a W that is block-diagonal on blocks of `sizes`
     stack = np.stack(mats)
     m, n, _ = stack.shape
-    cells = sdp._Cells(mats)
-    w = _random_spd(n, rng)
+    cells = sdp._Cells(mats, np.zeros((n, n)))
+    assert [sl.stop - sl.start for sl in cells.blocks] == (sizes or [n])
+    w = np.zeros((n, n))
+    for sl in cells.blocks:
+        w[sl, sl] = _random_spd(sl.stop - sl.start, rng)
     x = rng.standard_normal((n, n))
     x = x + x.T
     y = rng.standard_normal(m)
@@ -245,13 +249,13 @@ def test_cells_match_dense_formulas(tmp_path):
         np.array([[0.0, 0.0, 4.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]]),
         np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
     ]
-    for mats in (
-        [a for a, _ in di.constraints],
-        [a for a, _ in one_sided.constraints],
-        [a for a, _ in exported],
-        hand,
+    for mats, sizes in (
+        ([a for a, _ in di.constraints], [45, 36]),
+        ([a for a, _ in one_sided.constraints], None),
+        ([a for a, _ in exported], None),
+        (hand, None),
     ):
-        _assert_cells_match_dense(mats, rng)
+        _assert_cells_match_dense(mats, rng, sizes)
 
 
 def _step_reference(x, dx, tau):
@@ -379,3 +383,153 @@ def test_cho_solve_matches_dense_solve():
         rhs = rng.standard_normal((m, 2))
         got = sdp._cho_solve(np.linalg.cholesky(a), rhs)
         assert np.allclose(got, np.linalg.solve(a, rhs), rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Diagonal blocks and the Alice<->Bob swap reduction
+
+
+def test_cells_with_constraints_empty_in_a_block():
+    rng = np.random.default_rng(13)
+    # the swap-reduced fully untrusted companion splits 45 + 36, and some
+    # of its constraints have no cell in the antisymmetric block
+    di = _companion("di", "chsh", 0.1)
+    stack = np.array([a for a, _ in di.constraints])
+    empty = ~np.any(stack[:, 45:, 45:], axis=(1, 2))
+    assert 0 < np.count_nonzero(empty) < len(empty)
+    _assert_cells_match_dense(list(stack), rng, [45, 36])
+    # hand-made: blocks {0, 1} and {2}; constraints empty in one block,
+    # in both (first, in between and last) and spanning both
+    zero = np.zeros((3, 3))
+    a = np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -3.0]])
+    c = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
+    d = np.array([[0.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    _assert_cells_match_dense([zero, a, zero, c, d, zero], rng, [2, 1])
+    # no cell at all
+    cells = sdp._Cells([zero, zero], np.zeros((3, 3)))
+    assert not cells.a_map(np.ones((3, 3))).any()
+    assert not cells.a_adj(np.ones(2)).any()
+    assert not cells.schur(np.eye(3)).any()
+
+
+def test_blocks_of_the_aggregate_pattern():
+    # blocks {0, 2, 4} and {1, 3}, interleaved, from the objective and the
+    # constraint together; index 5 touches nothing
+    objective = np.zeros((6, 6))
+    objective[0, 2] = objective[2, 0] = 1.0
+    a = np.zeros((6, 6))
+    a[2, 4] = a[4, 2] = a[1, 3] = a[3, 1] = 1.0
+    a[1, 1] = 2.0
+    cells = sdp._Cells([a], objective)
+    assert list(cells.perm) == [0, 2, 4, 1, 3, 5]
+    assert [(sl.start, sl.stop) for sl in cells.blocks] == [(0, 3), (3, 5), (5, 6)]
+    # the maps read and write X renumbered by perm
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((6, 6))
+    x = x + x.T
+    renumber = np.ix_(cells.perm, cells.perm)
+    assert cells.a_map(x[renumber]) == pytest.approx([np.sum(a * x)], rel=1e-12)
+    assert np.array_equal(cells.a_adj(np.array([1.5])), 1.5 * a[renumber])
+    w = np.zeros((6, 6))
+    for sl in cells.blocks:
+        w[sl, sl] = _random_spd(sl.stop - sl.start, rng)
+    a_new = a[renumber]
+    assert cells.schur(w) == pytest.approx(np.trace(a_new @ w @ a_new @ w), rel=1e-12)
+
+
+def test_block_split_matches_single_block(monkeypatch):
+    # min tr(C X) over the elliptope of a 5x5 matrix with blocks {0, 2, 4}
+    # and {1, 3}, plus one constraint that reads both blocks
+    rng = np.random.default_rng(17)
+    first, second = np.array([0, 2, 4]), np.array([1, 3])
+    objective = np.zeros((5, 5))
+    for idx in (first, second):
+        g = rng.standard_normal((len(idx), len(idx)))
+        objective[np.ix_(idx, idx)] = g + g.T
+    constraints = [diag_constraint(5, i, 1.0) for i in range(5)]
+    across = np.zeros((5, 5))
+    across[0, 2] = across[2, 0] = across[1, 3] = across[3, 1] = 0.5
+    constraints.append((across, 0.2))
+    block_diagonal = sdp.SdpInstance(objective, constraints)
+    # the DI companion, whose swap-adapted basis splits it 45 + 36
+    companion = _companion("di", "chsh", 0.05)
+    split = [sdp.solve(instance) for instance in (block_diagonal, companion)]
+
+    monkeypatch.setattr(sdp, "_blocks", lambda linked: [np.arange(len(linked))])
+    for instance, got in zip((block_diagonal, companion), split):
+        whole = sdp.solve(instance)
+        assert got.status == whole.status == "optimal"
+        assert got.iterations == whole.iterations
+        assert got.primal_objective == pytest.approx(whole.primal_objective, abs=1e-10)
+        assert np.allclose(got.primal, whole.primal, atol=1e-8)
+        assert np.allclose(got.slack, whole.slack, atol=1e-8)
+
+
+def test_swap_reduced_bounds_match_unreduced(monkeypatch):
+    wmax = cert.max_violation("di", "chsh")
+    words = npa.generate_words("di", 4)
+    reduced = npa.reduce_problem(npa.build_moment_problem("di", words, "state", "chsh", wmax))
+    _, image = npa.swap_symmetry(reduced)
+
+    def bound(eps):
+        instance, offset, recover = sdp.companion_instance(reduced, wmax - eps)
+        sol = sdp.solve(instance)
+        assert sol.status == "optimal"
+        return instance, offset - sol.primal_objective, recover(sol.dual)
+
+    runs = {eps: bound(eps) for eps in (0.01, 0.1, 0.2)}
+    monkeypatch.setattr(npa, "swap_symmetry", lambda reduced: None)
+    for eps, (instance, value, moments) in runs.items():
+        full_instance, full, _ = bound(eps)
+        assert (len(instance.constraints), len(full_instance.constraints)) == (99, 183)
+        assert value == pytest.approx(full, abs=1e-6)
+        # the adapted basis puts exact zeros off the 45 + 36 blocks
+        for mat in [instance.objective] + [a for a, _ in instance.constraints]:
+            assert not mat[:45, 45:].any() and not mat[45:, :45].any()
+        # the moments come back for all 185 classes, equal on swapped ones
+        assert len(moments) == 185
+        assert np.array_equal(moments[image], moments)
+        assert reduced.q @ moments == pytest.approx(wmax - eps, abs=1e-7)
+        assert reduced.norm @ moments == pytest.approx(1.0, abs=1e-9)
+        assert reduced.p @ moments == pytest.approx(value, abs=2e-6)
+        assert np.linalg.eigvalsh(reduced.assemble(moments)).min() >= -1e-7
+
+
+def test_swap_adapted_basis_is_orthogonal():
+    # sum_v y_v G_v in the adapted basis is Q^T Gamma Q for an orthogonal Q,
+    # Gamma the word-basis moment matrix with y on each class and its image
+    words = npa.generate_words("di", 4)
+    reduced = npa.reduce_problem(npa.build_moment_problem("di", words, "XAXB", "chsh", 2.7))
+    of_class, mats = sdp._moment_basis(reduced)
+    assert mats.shape == (101, 81, 81)
+    y = np.random.default_rng(23).standard_normal(101)
+    adapted = np.tensordot(y, mats, axes=1)
+    gamma = reduced.assemble(y[of_class])
+    assert not adapted[:45, 45:].any()
+    assert np.allclose(np.linalg.eigvalsh(adapted), np.linalg.eigvalsh(gamma), rtol=0, atol=1e-12 * np.abs(gamma).max())
+
+
+@pytest.mark.parametrize("setting, inequality", [("1sdi", "steering"), ("di", "chsh")])
+def test_state_curves_are_convex(setting, inequality):
+    # F_min is the value function of a convex program in the violation
+    # level, and F_min(0) = 1: its chord slopes do not decrease, and
+    # (1 - F_min)/eps does not increase.  Each point is known to within its
+    # duality gap, which sets the slack.
+    wmax = cert.max_violation(setting, inequality)
+    words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
+    reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, "state", inequality, wmax))
+    eps = (0.01, 0.02, 0.05, 0.1, 0.2)
+    values, errors = [], []
+    for e in eps:
+        instance, offset, _ = sdp.companion_instance(reduced, wmax - e)
+        sol = sdp.solve(instance)
+        assert sol.status == "optimal"
+        values.append(offset - sol.primal_objective)
+        errors.append(abs(sol.gap) + 1e-9)
+    slopes = [(values[k + 1] - values[k]) / (eps[k + 1] - eps[k]) for k in range(4)]
+    slack = [(errors[k] + errors[k + 1]) / (eps[k + 1] - eps[k]) for k in range(4)]
+    for k in range(3):
+        assert slopes[k] <= slopes[k + 1] + slack[k] + slack[k + 1]
+    ratios = [(1.0 - f) / e for e, f in zip(eps, values)]
+    for k in range(4):
+        assert ratios[k + 1] <= ratios[k] + errors[k] / eps[k] + errors[k + 1] / eps[k + 1]
