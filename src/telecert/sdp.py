@@ -17,17 +17,17 @@ A test solves block-diagonal instances both ways and finds the same
 iteration count and objective.  The two eigendecompositions of each
 block's scaling also give the factors that turn its step length into
 one symmetric eigenvalue problem, and one Cholesky factorization of the
-Schur matrix per iteration serves the predictor and the corrector.  The presolve splits the constraints into
-groups that share no matrix entry and pivots greedily within each group
-on the R of an unpivoted QR.  The constraint matrices are sparse
-(an 81x81 moment-problem constraint has a median of 28 nonzero entries),
-so each A_i is read once as its upper-triangle cells, which also give
-the blocks, and the Schur matrix S_ij = tr(A_i W A_j W) is assembled
-from them block by block (Fujisawa, Kojima & Nakata, Math. Prog. 79,
-1997): one batched product W U_j W per group of constraints with equal
-cell count, then a gather at the cells of each A_i.  Tests compare the
-cell maps with dense formulas, also for constraints without a cell in a
-block.
+Schur matrix per iteration serves the predictor and the corrector.  The
+presolve splits the constraints into groups that share no matrix entry
+and pivots greedily within each group on the R of an unpivoted QR.  The
+constraint matrices are sparse (an 81x81 moment-problem constraint has a
+median of 28 nonzero entries), so each A_i is read once as its
+upper-triangle cells, which also give the blocks, and the Schur matrix
+S_ij = tr(A_i W A_j W) is assembled from them block by block (Fujisawa,
+Kojima & Nakata, Math. Prog. 79, 1997): one batched product W U_j W per
+group of constraints with equal cell count, then a gather at the cells
+of each A_i.  Tests compare the cell maps with dense formulas, also for
+constraints without a cell in a block.
 
 Moment problems are fed through a reduction that parametrizes the
 matrix by its free real moments, which keeps the constraint count near
