@@ -81,14 +81,15 @@ class CertificateParams:
         if self.trust == "di" and self.inequality == "steering":
             raise ValueError("steering requires a trusted side")
         _check_epsilon(self.epsilon)
-        if self.q < 1.0:
-            raise ValueError("q must be at least 1")
-        if self.x <= 0.0:
-            raise ValueError("x must be positive")
         if self.alpha is None:
             object.__setattr__(self, "alpha", default_alpha(self.trust, self.inequality))
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        # NaN fails every comparison, so each range is written to hold.
+        if not 1.0 <= self.q < math.inf:
+            raise ValueError("q must be finite and at least 1")
+        if not 0.0 < self.x < math.inf:
+            raise ValueError("x must be finite and positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
 
     @property
     def max_violation(self) -> float:
@@ -271,25 +272,25 @@ class PlanResult:
         return doc
 
 
-def _min_q_for_targets(
-    trust, inequality, iid, eps, x, target_f, target_p, alpha, q_hi=1e9
-) -> float | None:
-    """Smallest q meeting both targets at fixed (eps, x); None if q_hi fails.
+def _min_q_for_targets(trust, inequality, iid, eps, x, target_f, target_p, alpha) -> float | None:
+    """Smallest q meeting both targets at fixed (eps, x); None if the
+    largest q tried, q_max, fails.
 
-    The inputs are validated once, at q = q_hi; every bisection point lies
-    in [1, q_hi].  With target_f in (0, 1) and target_p in [0, 1), as
-    ``plan`` requires, testing the unclamped bound below makes the same
-    decision as testing the clamped, non-vacuous ``fidelity_bound``.
+    The inputs are validated once, at q = q_max; every bisection point
+    lies in [1, q_max].  With target_f in (0, 1) and target_p in [0, 1),
+    as ``plan`` requires, testing the unclamped bound below makes the
+    same decision as testing the clamped, non-vacuous ``fidelity_bound``.
     """
-    alpha = CertificateParams(trust, inequality, iid, eps, q_hi, x, alpha).alpha
+    q_max = 1e9
+    alpha = CertificateParams(trust, inequality, iid, eps, q_max, x, alpha).alpha
 
     def ok(q):
         raw_f, raw_p = _raw_bound(inequality, iid, eps, q, x, alpha)
         return raw_f >= target_f and raw_p >= target_p and raw_p > 0.0
 
-    if not ok(q_hi):
+    if not ok(q_max):
         return None
-    lo, hi = 1.0, q_hi
+    lo, hi = 1.0, q_max
     if ok(lo):
         return lo
     for _ in range(200):
@@ -310,8 +311,6 @@ def plan(
     inequality: str,
     iid: bool,
     epsilon: float | None = None,
-    epsilon_bounds: tuple = (1e-3, 0.999),
-    x_bounds: tuple = (0.05, 16.0),
     max_copies: float | None = None,
     alpha: float | None = None,
     alpha_source: str = "paper-default",
@@ -336,7 +335,7 @@ def plan(
         # x must at least cover the probability target through 1 - eps^x.
         _check_epsilon(eps)
         best = None
-        x_lo, x_hi = x_bounds
+        x_lo, x_hi = 0.05, 16.0
         if target_probability > 0.0:
             x_floor = math.log(1.0 - target_probability) / math.log(eps)
             x_lo = max(x_lo, min(x_floor, x_hi))
@@ -355,8 +354,7 @@ def plan(
     if epsilon is not None:
         eps_grid = [float(epsilon)]
     else:
-        lo, hi = epsilon_bounds
-        hi = min(hi, 0.999)
+        lo, hi = 1e-3, 0.999
         eps_grid = [lo * (hi / lo) ** (t / 119.0) for t in range(120)]
 
     best = None

@@ -241,7 +241,7 @@ def cmd_npa_export(args) -> int:
 def cmd_sdp_solve(args) -> int:
     _require(args, "infile")
     objective, constraints = npa.read_sdpa_numeric(args.infile)
-    instance = sdp.SdpInstance(objective, constraints)
+    instance = sdp.SdpInstance(objective, sdp.Constraints(*constraints))
     solution = sdp.solve(instance, max_iterations=args.max_iterations)
     payload = {
         "schema": "sdp/1",

@@ -36,15 +36,15 @@ _PROJ_SYMBOLS = {"E00": 0, "E01": 1}
 _OBS_SYMBOLS = {"Z": 0, "X": 1}
 
 
-#: Most equality constraints the dense SDPA reader and the solver's dense
-#: presolve accept; the reader refuses a larger header before allocating
-#: its one dense matrix per constraint.
+#: Most equality constraints the SDPA reader and the solver's presolve
+#: accept; the reader refuses a larger header before reading any entry.
 MAX_CONSTRAINTS = 20000
 
-#: Most float64 entries in the reader's dense stack of (constraints + 1)
-#: matrices: the largest stack the constraint limit admits for the 81x81
-#: fully untrusted companion instance, about 1.05 GB.
-MAX_DENSE_ENTRIES = (MAX_CONSTRAINTS + 1) * 81**2
+#: Most float64 entries in the solver's Schur workspace, one W U_j W
+#: product of the matrix dimension squared per constraint
+#: (`sdp._SchurBlock`): the largest the constraint limit admits for the
+#: 81x81 fully untrusted companion instance, about 1.05 GB.
+MAX_DENSE_ENTRIES = MAX_CONSTRAINTS * 81**2
 
 
 class MissingWordError(ValueError):
@@ -775,10 +775,13 @@ def import_sdpa(path) -> MomentProblem:
 def read_sdpa_numeric(path):
     """Parse the numeric body of a sparse SDPA file.
 
-    Returns (objective C, constraint list [(A_i, b_i)]) posed so that
-    min tr(C X) s.t. tr(A_i X) = b_i, X >= 0 is the file's dual; for
-    files written by :func:`export_sdpa` that minimum is the certified
-    minimum objective value directly.
+    Returns (objective C, constraints (owner, rows, cols, values, b)):
+    the entries of each A_i as the cells of its upper triangle, the form
+    `sdp.Constraints` takes, posed so that min tr(C X) s.t.
+    tr(A_i X) = b_i, X >= 0 is the file's dual; for files written by
+    :func:`export_sdpa` that minimum is the certified minimum objective
+    value directly.  An entry below the diagonal sets its mirror cell,
+    and an entry given again replaces the earlier value.
     """
     rows = []
     with open(path) as handle:
@@ -791,26 +794,25 @@ def read_sdpa_numeric(path):
         raise ValueError("file ends before the SDPA header is complete")
     m = int(rows[0].split()[0])
     if m > MAX_CONSTRAINTS:
-        raise ValueError(
-            f"file declares {m} constraints; the dense reader and solver accept at most {MAX_CONSTRAINTS}"
-        )
+        raise ValueError(f"file declares {m} constraints; the solver accepts at most {MAX_CONSTRAINTS}")
     nblocks = int(rows[1].split()[0])
     sizes = [abs(int(tok.strip("{},"))) for tok in rows[2].replace(",", " ").split()][:nblocks]
     if len(sizes) != nblocks:
         raise ValueError(f"block size line lists {len(sizes)} sizes for {nblocks} blocks")
     dim = sum(sizes)
-    entries = (m + 1) * dim**2
+    entries = m * dim**2
     if entries > MAX_DENSE_ENTRIES:
         raise ValueError(
-            f"file declares {m} constraints on a {dim}x{dim} matrix: {entries} dense entries "
-            f"({entries * 8 / 1e9:.2f} GB); the dense reader accepts at most {MAX_DENSE_ENTRIES} "
-            f"({MAX_DENSE_ENTRIES * 8 / 1e9:.2f} GB)"
+            f"file declares {m} constraints on a {dim}x{dim} matrix: the solver's Schur workspace "
+            f"would hold {entries} float64 entries ({entries * 8 / 1e9:.2f} GB); it accepts at most "
+            f"{MAX_DENSE_ENTRIES} ({MAX_DENSE_ENTRIES * 8 / 1e9:.2f} GB)"
         )
     c_values = [float(tok) for tok in rows[3].replace(",", " ").split()]
     if len(c_values) != m:
         raise ValueError("constraint value line does not match the header")
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    mats = [np.zeros((dim, dim)) for _ in range(m + 1)]
+    objective = np.zeros((dim, dim))
+    cells = {}  # a repeated cell keeps its last value
     for line in rows[4:]:
         fields = line.split()
         if len(fields) != 5:
@@ -824,10 +826,10 @@ def read_sdpa_numeric(path):
             raise ValueError(f"entry {line!r}: block {blk} outside [1, {nblocks}]")
         if not (1 <= i <= sizes[blk - 1] and 1 <= j <= sizes[blk - 1]):
             raise ValueError(f"entry {line!r}: index outside [1, {sizes[blk - 1]}]")
-        r = offsets[blk - 1] + i - 1
-        c = offsets[blk - 1] + j - 1
-        mats[matno][r, c] = val
-        mats[matno][c, r] = val
-    objective = -mats[0]
-    constraints = [(mats[k], c_values[k - 1]) for k in range(1, m + 1)]
-    return objective, constraints
+        r, c = sorted((offsets[blk - 1] + i - 1, offsets[blk - 1] + j - 1))
+        if matno == 0:
+            objective[r, c] = objective[c, r] = val
+        else:
+            cells[matno - 1, r, c] = val
+    owner, r, c = np.array(list(cells), dtype=np.intp).reshape(-1, 3).T
+    return -objective, (owner, r, c, np.fromiter(cells.values(), float, len(cells)), np.array(c_values))

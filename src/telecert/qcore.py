@@ -429,50 +429,28 @@ def purify_with_bob_ancilla(state: TwoQubitState) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 # Teleportation
 
-_BELL_BASIS = None
-
-
-def _bell_basis() -> np.ndarray:
-    """Columns: Phi+, Psi+, Phi-, Psi- with Pauli corrections I, X, Z, XZ."""
-    global _BELL_BASIS
-    if _BELL_BASIS is None:
-        s = 1.0 / np.sqrt(2.0)
-        basis = np.zeros((4, 4), dtype=complex)
-        basis[:, 0] = [s, 0, 0, s]
-        basis[:, 1] = [0, s, s, 0]
-        basis[:, 2] = [s, 0, 0, -s]
-        basis[:, 3] = [0, s, -s, 0]
-        _BELL_BASIS = basis
-    return _BELL_BASIS
-
-
-_CORRECTIONS = None
-
-
-def _corrections() -> list[np.ndarray]:
-    global _CORRECTIONS
-    if _CORRECTIONS is None:
-        _CORRECTIONS = [ID2, SIGMA_X, SIGMA_Z, SIGMA_X @ SIGMA_Z]
-    return _CORRECTIONS
+#: Columns: Phi+, Psi+, Phi-, Psi- with Pauli corrections I, X, Z, XZ.
+_BELL_BASIS = np.array(
+    [[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]], dtype=complex
+) * (1.0 / np.sqrt(2.0))
+_CORRECTIONS = (ID2, SIGMA_X, SIGMA_Z, SIGMA_X @ SIGMA_Z)
 
 
 def teleport_average_fidelity(resource: TwoQubitState, n_inputs: int, rng) -> float:
     """Mean teleportation fidelity over Haar-random pure input qubits."""
     if n_inputs < 1:
         raise ValueError("n_inputs must be at least 1")
-    basis = _bell_basis()
-    corrections = _corrections()
     rho = resource.matrix.reshape(2, 2, 2, 2)  # indices (a, b, a', b')
     total = 0.0
     for _ in range(n_inputs):
         phi = haar_random_vector(2, rng)
         fid = 0.0
         for k in range(4):
-            beta = basis[:, k].reshape(2, 2)  # (input, alice-half)
+            beta = _BELL_BASIS[:, k].reshape(2, 2)  # (input, alice-half)
             # Unnormalized Bob state after projecting (input x alice) on beta_k.
             amp_in = np.einsum("c,ca->a", phi, beta.conj())  # contract input leg
             bob = np.einsum("a,e,abed->bd", amp_in, amp_in.conj(), rho)
-            corrected = corrections[k] @ bob @ corrections[k].conj().T
+            corrected = _CORRECTIONS[k] @ bob @ _CORRECTIONS[k].conj().T
             fid += np.real(np.vdot(phi, corrected @ phi))
         total += fid
     return float(total / n_inputs)

@@ -18,16 +18,16 @@ iteration count and objective.  The two eigendecompositions of each
 block's scaling also give the factors that turn its step length into
 one symmetric eigenvalue problem, and one Cholesky factorization of the
 Schur matrix per iteration serves the predictor and the corrector.  The
-presolve splits the constraints into groups that share no matrix entry
-and pivots greedily within each group on the R of an unpivoted QR.  The
 constraint matrices are sparse (an 81x81 moment-problem constraint has a
-median of 28 nonzero entries), so each A_i is read once as its
-upper-triangle cells, which also give the blocks, and the Schur matrix
-S_ij = tr(A_i W A_j W) is assembled from them block by block (Fujisawa,
-Kojima & Nakata, Math. Prog. 79, 1997): one batched product W U_j W per
-group of constraints with equal cell count, then a gather at the cells
-of each A_i.  Tests compare the cell maps with dense formulas, also for
-constraints without a cell in a block.
+median of 28 nonzero entries), so an instance holds each A_i only as the
+cells of its upper triangle (`Constraints`), as the companion and the
+SDPA reader write them; the objective is dense.  The presolve splits the
+constraints into groups that share no matrix entry and pivots greedily
+within each group on the R of an unpivoted QR of the group's entries.
+The cells give the blocks, and the Schur matrix S_ij = tr(A_i W A_j W)
+is assembled from them block by block (Fujisawa, Kojima & Nakata, Math.
+Prog. 79, 1997): one batched product W U_j W per group of constraints
+with equal cell count, then a gather at the cells of each A_i.
 
 Moment problems are fed through a reduction that parametrizes the
 matrix by its free real moments, which keeps the constraint count near
@@ -69,26 +69,59 @@ class _Infeasible(Exception):
 
 
 @dataclass
+class Constraints:
+    """Equality constraints tr(A_i X) = rhs[i], one per entry of `rhs`.
+
+    Each symmetric A_i is held as the cells of its upper triangle: for
+    every k with owner[k] == i, A_i[rows[k], cols[k]] and its mirror
+    entry equal values[k], and every other entry of A_i is zero.
+    """
+
+    owner: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    rhs: np.ndarray
+
+    def __len__(self):
+        return len(self.rhs)
+
+    def norms(self):
+        """Frobenius norms of the A_i."""
+        weights = np.where(self.rows == self.cols, 1.0, 2.0) * self.values**2
+        return np.sqrt(np.bincount(self.owner, weights, minlength=len(self)))
+
+
+@dataclass
 class SdpInstance:
-    """min tr(objective @ X) subject to tr(A_i @ X) = b_i and X >= 0."""
+    """min tr(objective @ X) subject to tr(A_i @ X) = b_i and X >= 0, with
+    a dense symmetric objective.  The constraints' cells are checked in one
+    pass and kept sorted by constraint, row and column, without zeros."""
 
     objective: np.ndarray
-    constraints: list
+    constraints: Constraints
     dim: int = field(init=False)
 
     def __post_init__(self):
         self.objective = _check_symmetric(np.asarray(self.objective, dtype=float))
-        self.dim = self.objective.shape[0]
-        checked = []
-        for a, b in self.constraints:
-            a = _check_symmetric(np.asarray(a, dtype=float))
-            if a.shape != self.objective.shape:
-                raise ValueError("constraint dimension mismatch")
-            b = float(b)
-            if not np.isfinite(b):
-                raise ValueError("constraint value is not finite")
-            checked.append((a, b))
-        self.constraints = checked
+        n = self.dim = self.objective.shape[0]
+        con = self.constraints
+        owner, rows, cols = (np.asarray(a, dtype=np.intp) for a in (con.owner, con.rows, con.cols))
+        values, rhs = np.asarray(con.values, dtype=float), np.asarray(con.rhs, dtype=float)
+        if rhs.ndim != 1 or not owner.shape == rows.shape == cols.shape == values.shape == (values.size,):
+            raise ValueError("constraint cells and values must be 1-D arrays of one length")
+        if np.any((owner < 0) | (owner >= len(rhs)) | (rows < 0) | (rows > cols) | (cols >= n)):
+            raise ValueError("constraint cell outside the constraints or the upper triangle")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("constraint matrix has non-finite entries")
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("constraint value is not finite")
+        key = (owner * n + rows) * n + cols
+        order = np.argsort(key, kind="stable")
+        if np.any(key[order[1:]] == key[order[:-1]]):
+            raise ValueError("constraint cell given twice")
+        order = order[values[order] != 0.0]
+        self.constraints = Constraints(owner[order], rows[order], cols[order], values[order], rhs)
 
 
 def _check_symmetric(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -131,73 +164,55 @@ class SdpSolution:
     termination: str
 
 
-def _presolve(instance: SdpInstance, tol: float = 1e-9):
+def _presolve(instance: SdpInstance):
     """Deduplicate and rank-reduce equality constraints; detect linear
     inconsistency outright.  Returns the indices of the kept constraints."""
-    n = instance.dim
-    m = len(instance.constraints)
+    con = instance.constraints
+    n, m = instance.dim, len(con)
     if m == 0:
         raise SdpError("instance has no constraints")
     if m > npa.MAX_CONSTRAINTS:
-        raise SdpError("constraint count too large for the dense presolve")
-    rows_idx = np.triu_indices(n)
-    # Diagonal entries first so the sqrt(2) off-diagonal scaling (making
-    # the vectorization a trace isometry) can address one slice.
-    order = np.concatenate(
-        [np.flatnonzero(rows_idx[0] == rows_idx[1]), np.flatnonzero(rows_idx[0] != rows_idx[1])]
-    )
-    iu = (rows_idx[0][order], rows_idx[1][order])
-    vecs = np.empty((m, iu[0].size))
-    b = np.empty(m)
-    for i, (a, bi) in enumerate(instance.constraints):
-        v = a[iu].copy()
-        v[n:] *= np.sqrt(2.0)
-        vecs[i] = v
-        b[i] = bi
-    norms = np.linalg.norm(vecs, axis=1)
-    zero_rows = norms < 1e-14
-    if np.any(zero_rows):
-        if np.max(np.abs(b[zero_rows])) > tol:
-            raise _Infeasible("zero constraint matrix with nonzero value")
-        idx = np.flatnonzero(~zero_rows)
-        if idx.size == 0:
-            raise SdpError("all constraints vanish")
-        vecs, b, norms = vecs[idx], b[idx], norms[idx]
-    else:
-        idx = np.arange(m)
-    scaled = vecs / norms[:, None]
-    b_scaled = b / norms
+        raise SdpError("constraint count too large for the Schur assembly")
+    norms = con.norms()
+    live = norms >= 1e-14
+    if not np.all(live) and np.max(np.abs(con.rhs[~live])) > 1e-9:
+        raise _Infeasible("zero constraint matrix with nonzero value")
+    if not np.any(live):
+        raise SdpError("all constraints vanish")
+    b_scaled = np.divide(con.rhs, norms, out=np.zeros(m), where=live)
+    # Each A_i as a vector: its upper-triangle entries, diagonal entries
+    # first, the others scaled by sqrt(2) so that the vectorization is a
+    # trace isometry, and normalized.
+    cell = live[con.owner]
+    owner, rows, cols, values = con.owner[cell], con.rows[cell], con.cols[cell], con.values[cell]
+    diagonal = rows == cols
+    _, entry = np.unique(np.where(diagonal, rows, n + rows * n + cols), return_inverse=True)
+    value = np.where(diagonal, values, values * np.sqrt(2.0)) / norms[owner]
     # Constraints that share no matrix entry are orthogonal, so each
-    # connected group of them is rank-reduced on its own.
-    owner, entry = np.nonzero(scaled)
-    group = np.arange(len(idx))
-    while True:
-        lowest = np.full(scaled.shape[1], len(idx))
-        np.minimum.at(lowest, entry, group[owner])
-        merged = group.copy()
-        np.minimum.at(merged, owner, lowest[entry])
-        if np.array_equal(merged, group):
-            break
-        group = merged
-    # A constraint that shares no entry with another is independent of all.
-    labels, sizes = np.unique(group, return_counts=True)
-    kept = list(np.flatnonzero(np.isin(group, labels[sizes == 1])))
-    for label in labels[sizes > 1]:
-        members = np.flatnonzero(group == label)
-        sub = scaled[members]
-        sub = sub[:, np.any(sub, axis=0)]
+    # connected group of them is rank-reduced on its own, and a constraint
+    # that shares no entry with another is independent of all.
+    group = _components(m + entry.size, owner, m + entry)[:m]
+    size = np.bincount(group[live], minlength=m)
+    kept = [np.flatnonzero(live & (size[group] == 1))]
+    mismatch = 0.0
+    for root in np.flatnonzero(size > 1):
+        inside = group[owner] == root
+        members, row = np.unique(owner[inside], return_inverse=True)
+        entries, col = np.unique(entry[inside], return_inverse=True)
+        sub = np.zeros((len(members), len(entries)))
+        sub[row, col] = value[inside]
         # Q keeps the norms and inner products of the columns, so pivoting
         # on R chooses the constraints that pivoting the stack would.
-        kept.extend(members[_greedy_pivots(np.linalg.qr(sub.T, mode="r"), 1e-10)])
-    kept = np.sort(kept)
-    dropped = np.setdiff1d(np.arange(len(idx)), kept)
-    if dropped.size:
-        coeffs, *_ = np.linalg.lstsq(scaled[kept].T, scaled[dropped].T, rcond=None)
-        b_pred = coeffs.T @ b_scaled[kept]
-        mismatch = np.max(np.abs(b_pred - b_scaled[dropped]))
-        if mismatch > 1e-8 * (1.0 + np.max(np.abs(b_scaled))):
-            raise _Infeasible(f"inconsistent equality constraints (mismatch {mismatch:.3e})")
-    return idx[kept]
+        pivots = np.zeros(len(members), dtype=bool)
+        pivots[_greedy_pivots(np.linalg.qr(sub.T, mode="r"), 1e-10)] = True
+        kept.append(members[pivots])
+        if not pivots.all():
+            coeffs, *_ = np.linalg.lstsq(sub[pivots].T, sub[~pivots].T, rcond=None)
+            b_pred = coeffs.T @ b_scaled[members[pivots]]
+            mismatch = max(mismatch, np.max(np.abs(b_pred - b_scaled[members[~pivots]])))
+    if mismatch > 1e-8 * (1.0 + np.max(np.abs(b_scaled))):
+        raise _Infeasible(f"inconsistent equality constraints (mismatch {mismatch:.3e})")
+    return np.sort(np.concatenate(kept))
 
 
 def _greedy_pivots(a: np.ndarray, tol: float, block: int = 64) -> list:
@@ -263,43 +278,34 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class _Cells:
-    """Constraint matrices read once as cells, with the three maps the
-    interior-point iteration needs.
+    """The constraints' cells with the three maps the interior-point
+    iteration needs.
 
     Each A_i is held as the cells (row, column, value) of its upper
     triangle with the diagonal halved, so that A_i = U_i + U_i^T, and the
     constraints are stored sorted by cell count.  The diagonal blocks of
     X are the connected components of the pattern of the cells and the
-    objective (`_blocks`).  The rows and columns are renumbered by `perm`
-    so that each block is a contiguous slice in `blocks`, and the maps
-    read and write X in that numbering.  Every map takes and returns
+    objective (`_components`).  The rows and columns are renumbered by
+    `perm` so that each block is a contiguous slice in `blocks`, and the
+    maps read and write X in that numbering.  Every map takes and returns
     constraints in the caller's order.  The Schur matrix is the sum of one
     `_SchurBlock` per block.
     """
 
-    def __init__(self, mats, objective):
-        stack = np.asarray(mats, dtype=float)
-        m, n, _ = stack.shape
-        self.n = n
-        self.norms = np.linalg.norm(stack.reshape(m, -1), axis=1)
-        rows, cols = np.triu_indices(n)
-        # The dense stack and its upper triangles are freed once the cells
-        # are read, before the Schur buffers exist.
-        upper = stack[:, rows, cols]
-        del stack
-        upper[:, rows == cols] *= 0.5
-        counts = np.count_nonzero(upper, axis=1)
+    def __init__(self, constraints: Constraints, objective: np.ndarray):
+        n = self.n = len(objective)
+        m = len(constraints)
+        owner, r, c = constraints.owner, constraints.rows, constraints.cols
+        vals = np.where(r == c, 0.5 * constraints.values, constraints.values)
+        counts = np.bincount(owner, minlength=m)
         self.order = np.argsort(counts, kind="stable")
         self.rank = np.argsort(self.order)
         self.counts = counts[self.order]
-        upper = upper[self.order]
-        owner, cell = np.nonzero(upper)
-        self.vals = upper[owner, cell]
-        del upper
-        r, c = rows[cell], cols[cell]
-        linked = objective != 0
-        linked[r, c] = linked[c, r] = True
-        groups = _blocks(linked)
+        # Sorted by count; within a constraint in the instance's order.
+        grouped = np.argsort(self.rank[owner], kind="stable")
+        owner, r, c, self.vals = owner[grouped], r[grouped], c[grouped], vals[grouped]
+        label = _components(n, *np.concatenate([np.nonzero(objective), (r, c)], axis=1))
+        groups = [np.flatnonzero(label == root) for root in np.unique(label)]
         self.perm = np.concatenate(groups)
         ends = np.cumsum([len(idx) for idx in groups])
         self.blocks = [slice(end - len(idx), end) for idx, end in zip(groups, ends)]
@@ -313,7 +319,6 @@ class _Cells:
         self.pos2 = np.concatenate([[0], np.stack([self.pos, c * n + r], axis=1).ravel()])
         self.vals2 = np.concatenate([[0.0], np.repeat(self.vals, 2)])
         self.starts2 = np.where(self.counts > 0, 1 + 2 * (np.cumsum(self.counts) - self.counts), 0)
-        owner = self.order[owner]
         self._parts = []
         for sl in self.blocks:
             inside = (r >= sl.start) & (r < sl.stop)
@@ -431,25 +436,21 @@ def _max_step(r: np.ndarray, d: np.ndarray, tau: float) -> float:
     return min(1.0, -tau / lam)
 
 
-def _blocks(linked: np.ndarray) -> list:
-    """Index sets of the connected components of a symmetric boolean
-    pattern, ordered by their smallest index."""
-    n = len(linked)
-    label = np.arange(n)
+def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on 0 .. size-1 with the edges
+    (a[k], b[k]): each node is labelled by the smallest node of its
+    component."""
+    label = np.arange(size)
     while True:
-        merged = np.minimum(label, np.where(linked, label, n).min(axis=1))
+        merged = label.copy()
+        np.minimum.at(merged, np.concatenate([a, b]), np.concatenate([label[b], label[a]]))
         merged = merged[merged]
         if np.array_equal(merged, label):
-            return [np.flatnonzero(label == root) for root in np.unique(label)]
+            return label
         label = merged
 
 
-def solve(
-    instance: SdpInstance,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iterations: int = 100,
-) -> SdpSolution:
+def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
     """Path-following solve; deterministic for identical inputs.
 
     Status is "optimal" only when the duality gap and both residuals meet
@@ -457,7 +458,7 @@ def solve(
     reported as "infeasible" instead of a silently wrong optimum.  The
     solution's `termination` names the exit (see `SdpSolution`).
 
-    The iterates are kept with their diagonal blocks (`_blocks`)
+    The iterates are kept with their diagonal blocks (`_Cells.blocks`)
     contiguous.  From the block-diagonal start xi I, eta I they stay
     block-diagonal, so the scaling, the step lengths and the Schur
     assembly run per block: the step is the shortest block step and the
@@ -472,9 +473,13 @@ def solve(
             np.nan, np.nan, np.nan, np.nan, "infeasible", 0, [], [], "presolve-infeasible",
         )
     n = instance.dim
-    cells = _Cells([instance.constraints[i][0] for i in kept], instance.objective)
-    blocks, norms = cells.blocks, cells.norms
-    b = np.array([instance.constraints[i][1] for i in kept])
+    con = instance.constraints
+    inside = np.isin(con.owner, kept)
+    owner = np.searchsorted(kept, con.owner[inside])  # renumbered 0, 1, ... in kept
+    constraints = Constraints(owner, con.rows[inside], con.cols[inside], con.values[inside], con.rhs[kept])
+    cells = _Cells(constraints, instance.objective)
+    blocks, norms = cells.blocks, constraints.norms()
+    b = constraints.rhs
     m = len(b)
     c = instance.objective[np.ix_(cells.perm, cells.perm)]
     a_map, a_adj = cells.a_map, cells.a_adj
@@ -519,7 +524,7 @@ def solve(
             stall = 0
         else:
             stall += 1
-        if mu / (1.0 + abs(pobj)) < gap_tol and rp_norm < feas_tol and rd_norm < feas_tol:
+        if mu / (1.0 + abs(pobj)) < 1e-8 and rp_norm < 1e-8 and rd_norm < 1e-8:
             status = termination = "optimal"
             break
         if np.max(np.abs(y), initial=0.0) > 1e9 and rp_norm > 1e-6:
@@ -659,16 +664,18 @@ class MomentSolveResult:
 def _moment_basis(reduced: npa.ReducedProblem):
     """Free moments of the companion and their matrices.
 
-    Returns (of_class, mats): the free moment of each real class, and the
-    stack of matrices G_v with Gamma = sum_v y_v G_v in some orthonormal
-    basis of the word space.  Without a symmetry each class is its own
-    moment and G_v is its 0/1 cell pattern in the word basis.  When the
-    Alice<->Bob swap is a symmetry (`npa.swap_symmetry`), a class and its
-    image share one moment, and G_v is written in the basis of the fixed
-    words and (w + sigma w)/sqrt(2), followed by the (w - sigma w)/sqrt(2).
-    There G_v is block-diagonal, symmetric part then antisymmetric part.
-    Each entry is an integer sum over cells times 1, 1/sqrt(2) or 1/2, so
-    the entries off the blocks are exact zeros.
+    Returns (of_class, cells): the free moment of each real class, and
+    the upper-triangle cells (owner, rows, cols, values) of the matrices
+    G_v with Gamma = sum_v y_v G_v in some orthonormal basis of the word
+    space, sorted by moment, row and column.  Without a symmetry each
+    class is its own moment and G_v is its 0/1 cell pattern in the word
+    basis.  When the Alice<->Bob swap is a symmetry
+    (`npa.swap_symmetry`), a class and its image share one moment, and
+    G_v is written in the basis of the fixed words and
+    (w + sigma w)/sqrt(2), followed by the (w - sigma w)/sqrt(2).  There
+    G_v is block-diagonal, symmetric part then antisymmetric part.  Each
+    entry is an integer sum over cells times 1, 1/sqrt(2) or 1/2, so the
+    entries off the blocks cancel exactly and have no cell.
     """
     n = reduced.dim
     classes = len(reduced.cells)
@@ -696,13 +703,18 @@ def _moment_basis(reduced: npa.ReducedProblem):
     rows = np.concatenate([r for r, _ in reduced.cells])
     cols = np.concatenate([c for _, c in reduced.cells])
     owner = np.repeat(of_class, [len(r) for r, _ in reduced.cells])
-    count = int(of_class.max()) + 1
-    flat = ((owner[:, None, None] * n + basis[rows][:, :, None]) * n + basis[cols][:, None, :]).ravel()
+    # Every class holds a cell and its mirror, so the upper triangle
+    # collects all of G_v; each cell sums its terms in input order.
+    row = np.broadcast_to(basis[rows][:, :, None], (len(rows), 2, 2)).ravel()
+    col = np.broadcast_to(basis[cols][:, None, :], (len(rows), 2, 2)).ravel()
     weight = (sign[rows][:, :, None] * sign[cols][:, None, :]).ravel()
-    mats = np.bincount(flat, weight, minlength=count * n * n).reshape(count, n, n)
-    scale = np.array([1.0, np.sqrt(0.5), 0.5])[paired[:, None] + paired]
-    mats *= scale
-    return of_class, mats
+    term = (row <= col) & (weight != 0.0)
+    key = (np.repeat(owner, 4)[term] * n + row[term]) * n + col[term]
+    key, slot = np.unique(key, return_inverse=True)
+    owner, row, col = key // (n * n), key // n % n, key % n
+    values = np.bincount(slot, weight[term]) * np.array([1.0, np.sqrt(0.5), 0.5])[paired[row] + paired[col]]
+    cell = values != 0.0
+    return of_class, (owner[cell], row[cell], col[cell], values[cell])
 
 
 def companion_instance(reduced: npa.ReducedProblem, violation: float):
@@ -717,8 +729,9 @@ def companion_instance(reduced: npa.ReducedProblem, violation: float):
     offset - (companion optimum).  `recover` maps z to the moments of all
     real classes.
     """
-    of_class, mats = _moment_basis(reduced)
-    m = len(mats)
+    of_class, (owner, rows, cols, values) = _moment_basis(reduced)
+    n = reduced.dim
+    m = int(of_class.max()) + 1
 
     def merged(vec):
         return np.bincount(of_class, vec, minlength=m)
@@ -742,17 +755,25 @@ def companion_instance(reduced: npa.ReducedProblem, violation: float):
     y0 = np.zeros(m)
     y0[pivots] = y_piv0
 
-    c0 = y_piv0[0] * mats[p1] + y_piv0[1] * mats[p2]
+    c0 = np.zeros((n, n))
+    for y, v in zip(y_piv0, pivots):
+        on = owner == v
+        c0[rows[on], cols[on]] += y * values[on]
+    c0 += np.triu(c0, 1).T
     offset = float(p @ y0)
     # G_j of free moment j plus its coupling terms, which sit on the few
-    # cells of the two pivot moments.
-    g = mats[free]
+    # cells of the two pivot moments; each cell sums them in that order.
+    own = np.flatnonzero(~np.isin(owner, pivots))
+    terms = [(np.searchsorted(free, owner[own]), own, np.ones(len(own)))]
     for k, v in enumerate(pivots):
-        rows, cols = np.nonzero(mats[v])
-        g[:, rows, cols] += np.outer(coupling[k], mats[v, rows, cols])
-    del mats  # SdpInstance copies the constraints next to g
+        on = np.flatnonzero(owner == v)
+        j = np.repeat(np.arange(len(free)), len(on))
+        terms.append((j, np.tile(on, len(free)), coupling[k, j]))
+    j, cell, weight = (np.concatenate(part) for part in zip(*terms))
+    key, slot = np.unique((j * n + rows[cell]) * n + cols[cell], return_inverse=True)
+    g_values = np.bincount(slot, weight * values[cell])
     b_eff = p[free] + coupling[0] * p[p1] + coupling[1] * p[p2]
-    instance = SdpInstance(c0, list(zip(np.negative(g, out=g), -b_eff)))
+    instance = SdpInstance(c0, Constraints(key // (n * n), key // n % n, key % n, -g_values, -b_eff))
 
     def recover(z: np.ndarray) -> np.ndarray:
         y = y0.copy()
@@ -763,11 +784,11 @@ def companion_instance(reduced: npa.ReducedProblem, violation: float):
     return instance, offset, recover
 
 
-def solve_moment_problem(problem: npa.MomentProblem, **solver_kwargs) -> MomentSolveResult:
+def solve_moment_problem(problem: npa.MomentProblem) -> MomentSolveResult:
     """Certified minimum of the problem objective at its violation level."""
     reduced = npa.reduce_problem(problem)
     instance, offset, recover = companion_instance(reduced, problem.violation)
-    sol = solve(instance, **solver_kwargs)
+    sol = solve(instance)
     if sol.status != "optimal":
         # Never report a bound the solver could not certify (an unreachable
         # violation level shows up here as an unbounded companion).
@@ -790,12 +811,11 @@ def min_fidelity_curve(
     inequality: str,
     epsilons,
     max_local_length: int | None = None,
-    **solver_kwargs,
 ):
     """Certified minimum fidelities at violation (max - eps) per grid point."""
     epsilons = [float(e) for e in epsilons]
     wmax = cert.max_violation(setting, inequality)
-    if any(e <= 0.0 or e > 0.5 * wmax for e in epsilons):
+    if not all(0.0 < e <= 0.5 * wmax for e in epsilons):
         raise ValueError("epsilon grid must sit in (0, half the maximal violation]")
     words = npa.generate_words(setting, _word_cap(setting, max_local_length))
     problem = npa.build_moment_problem(setting, words, objective, inequality, wmax)
@@ -803,7 +823,7 @@ def min_fidelity_curve(
     curve = []
     for eps in epsilons:
         instance, offset, recover = companion_instance(reduced, wmax - eps)
-        sol = solve(instance, **solver_kwargs)
+        sol = solve(instance)
         if sol.status not in ("optimal",):
             raise SdpError(f"grid point eps={eps}: solver status {sol.status}")
         curve.append((eps, float(offset - sol.primal_objective)))
@@ -832,7 +852,6 @@ def derive_alpha(
     kind: str,
     epsilons=(0.01, 0.02, 0.05, 0.1, 0.2),
     max_local_length: int | None = None,
-    **solver_kwargs,
 ) -> dict:
     """Self-testing constant for the state bound or the measurement bound.
 
@@ -848,7 +867,7 @@ def derive_alpha(
     curves = {}
     for objective in objectives:
         curves[objective] = min_fidelity_curve(
-            setting, objective, inequality, epsilons, max_local_length, **solver_kwargs
+            setting, objective, inequality, epsilons, max_local_length
         )
     alphas = {objective: fit_alpha(curve, min_points=min(5, len(epsilons))) for objective, curve in curves.items()}
     alpha = max(alphas.values())

@@ -4,9 +4,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from telecert import cert, cli, protosim
+from telecert import cert, cli, npa, protosim
 
 
 def run_cli(argv, capsys):
@@ -146,7 +147,7 @@ def test_word_cap_below_one_refused(tmp_path, capsys):
 
 
 def test_npa_export_and_sdp_solve(tmp_path, capsys):
-    # both constraint forms stay within the dense reader's size limits
+    # both constraint forms stay within the reader's size limits
     for constraints, written in (("generated", 168), ("deduplicated", 74)):
         problem = tmp_path / f"{constraints}.dat-s"
         words = tmp_path / "words.json"
@@ -190,7 +191,7 @@ def test_npa_export_report_to_stdout(tmp_path, capsys):
 
 def test_sdp_solve_refuses_oversized_header(tmp_path, capsys):
     # the header of the default fully untrusted export: 228162 constraints
-    # on one 162x162 block, about 48 GB as dense matrices
+    # on one 162x162 block, about 48 GB of Schur workspace
     path = tmp_path / "big.dat-s"
     path.write_text("228162\n1\n162\n1.0 0.0\n0 1 1 1 -1.0\n")
     start = time.perf_counter()
@@ -205,7 +206,7 @@ def test_sdp_solve_refuses_oversized_header(tmp_path, capsys):
 def test_sdp_solve_refuses_oversized_dense_stack(tmp_path, capsys):
     # the header of the deduplicated fully untrusted export: 12386
     # constraints on one 162x162 block pass the constraint limit, but the
-    # dense stack would take about 2.6 GB
+    # solver's Schur workspace would take about 2.6 GB
     path = tmp_path / "dedup.dat-s"
     path.write_text("12386\n1\n162\n1.0 0.0\n")
     start = time.perf_counter()
@@ -257,6 +258,47 @@ def test_sdp_solve_refuses_nan_entry(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "telecert: error: matrix has non-finite entries\n"
+
+
+def test_sdp_solve_reads_lower_and_repeated_entries(tmp_path, capsys):
+    # min G11 s.t. G00 = 1, G01 = 0.6, as a dense reader would read it: an
+    # entry below the diagonal sets its mirror cell, and a repeated entry
+    # replaces the earlier one
+    header = "2\n1\n2\n1.0 0.6\n0 1 2 2 -1.0\n"
+    path = tmp_path / "p.dat-s"
+    outputs, cells = [], []
+    for body in ("1 1 1 1 1.0\n2 1 1 2 0.5\n", "1 1 1 1 7.0\n2 1 2 1 0.5\n1 1 1 1 1.0\n"):
+        path.write_text(header + body)
+        cells.append(npa.read_sdpa_numeric(path)[1])
+        assert cli.main(["sdp-solve", "--in", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert [a.tolist() for a in cells[0]] == [[0, 1], [0, 0], [0, 1], [1.0, 0.5], [1.0, 0.6]]
+    assert all(np.array_equal(a, b) for a, b in zip(*cells))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["objective"] == pytest.approx(0.36, abs=1e-6)
+
+
+def test_certify_refuses_non_finite_parameters(tmp_path, capsys):
+    # NaN passes every range check, and an infinite q or x overflows the
+    # copy count
+    base = ["certify", "--eps", "0.2", "--q", "20", "--x", "1"]
+    path = tmp_path / "alpha.json"
+    path.write_text('{"alpha": NaN}')  # json.load accepts NaN
+    cases = [(base + [f"--{name}", value], name) for name in ("q", "x", "alpha") for value in ("nan", "inf")]
+    cases.append((base + ["--alpha-json", str(path)], "alpha"))
+    for argv, name in cases:
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"telecert: error: {name} must be") and "finite" in captured.err
+
+
+def test_derive_alpha_refuses_nan_grid(capsys):
+    code = cli.main(["derive-alpha", "--trust", "1sdi", "--kind", "state", "--eps-grid", "0.1,nan"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "telecert: error: epsilon grid must sit in (0, half the maximal violation]\n"
 
 
 def test_plan_rejects_eps_outside_unit_interval(capsys):

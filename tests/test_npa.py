@@ -349,8 +349,8 @@ def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequ
     )
     path = tmp_path / "p.dat-s"
     npa.export_sdpa(prob, path, constraints=constraints)
-    objective_matrix, constraint_list = npa.read_sdpa_numeric(path)
-    file_sol = sdp.solve(sdp.SdpInstance(objective_matrix, constraint_list))
+    objective_matrix, constraints = npa.read_sdpa_numeric(path)
+    file_sol = sdp.solve(sdp.SdpInstance(objective_matrix, sdp.Constraints(*constraints)))
     assert file_sol.status == "optimal"
     reduced = sdp.solve_moment_problem(prob)
     assert file_sol.primal_objective == pytest.approx(reduced.bound, abs=1e-6)
@@ -368,7 +368,7 @@ def test_di_measurement_export_constraint_count(tmp_path):
     header_m = int(next(l for l in path.read_text().splitlines() if not l.startswith('"')))
     assert header_m == info["constraints_written"]
     assert npa.import_sdpa(path) == prob
-    # the chain form fits the dense reader's limits
+    # the chain form fits the reader's limits
     dedup = npa.export_sdpa(prob, tmp_path / "dedup.dat-s", constraints="deduplicated")
     assert (dedup["constraints_written"], dedup["dimension"]) == (3138, 81)
     assert (dedup["constraints_written"] + 1) * dedup["dimension"] ** 2 <= npa.MAX_DENSE_ENTRIES
@@ -405,8 +405,11 @@ def test_sdpa_error_paths(tmp_path):
     embedded.write_text('"meta {"schema":"npa-sdpa/1"}\n' + plain.read_text())
     with pytest.raises(ValueError, match="'npa-sdpa/1', expected 'npa-sdpa/2'"):
         npa.import_sdpa(embedded)  # the retired 2x2 embedding format
-    objective, constraints = npa.read_sdpa_numeric(plain)
-    assert len(constraints) == 2
+    objective, (owner, rows, cols, values, rhs) = npa.read_sdpa_numeric(plain)
+    assert objective.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert [owner.tolist(), rows.tolist(), cols.tolist(), values.tolist(), rhs.tolist()] == [
+        [0, 1], [0, 1], [0, 1], [1.0, 1.0], [1.0, 2.0]
+    ]
     broken = tmp_path / "broken.dat-s"
     broken.write_text("3\n1\n2\n1.0 2.0\n")  # header claims 3, c-line has 2
     with pytest.raises(ValueError):

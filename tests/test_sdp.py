@@ -10,26 +10,49 @@ def diag_constraint(n, i, value):
     return a, value
 
 
+def dense_instance(objective, constraints):
+    """An instance from (dense symmetric A_i, b_i) pairs: the cells of the
+    upper triangles."""
+    n = len(objective)
+    mats = np.array([a for a, _ in constraints], dtype=float).reshape(len(constraints), n, n)
+    assert np.array_equal(mats, mats.transpose(0, 2, 1))
+    owner, rows, cols = np.nonzero(np.triu(mats))
+    cells = sdp.Constraints(owner, rows, cols, mats[owner, rows, cols], [b for _, b in constraints])
+    return sdp.SdpInstance(objective, cells)
+
+
+def cell_constraints(owner, rows, cols, values, rhs):
+    return sdp.Constraints(*(np.array(a) for a in (owner, rows, cols, values, rhs)))
+
+
+def dense_matrices(instance):
+    """The instance's A_i as an (m, n, n) stack."""
+    con = instance.constraints
+    mats = np.zeros((len(con), instance.dim, instance.dim))
+    mats[con.owner, con.rows, con.cols] = mats[con.owner, con.cols, con.rows] = con.values
+    return mats
+
+
 def test_two_by_two_offdiagonal_minimum():
     # min G11 s.t. G00 = 1, G01 = c: PSD forces G11 >= c^2 (determinant)
     c = 0.6
     objective = np.array([[0.0, 0.0], [0.0, 1.0]])
     coupling = np.array([[0.0, 0.5], [0.5, 0.0]])
-    instance = sdp.SdpInstance(objective, [diag_constraint(2, 0, 1.0), (coupling, c)])
+    instance = dense_instance(objective, [diag_constraint(2, 0, 1.0), (coupling, c)])
     sol = sdp.solve(instance)
     assert sol.status == "optimal"
     assert sol.primal_objective == pytest.approx(c * c, abs=1e-6)
 
 
 def test_trace_minimum():
-    instance = sdp.SdpInstance(np.eye(2), [diag_constraint(2, 0, 1.0)])
+    instance = dense_instance(np.eye(2), [diag_constraint(2, 0, 1.0)])
     sol = sdp.solve(instance)
     assert sol.status == "optimal"
     assert sol.primal_objective == pytest.approx(1.0, abs=1e-6)
 
 
 def test_solution_contract():
-    instance = sdp.SdpInstance(np.eye(3), [diag_constraint(3, 0, 2.0), diag_constraint(3, 1, 0.5)])
+    instance = dense_instance(np.eye(3), [diag_constraint(3, 0, 2.0), diag_constraint(3, 1, 0.5)])
     sol = sdp.solve(instance)
     assert sol.status == "optimal"
     assert sol.gap <= 1e-6 * (1 + abs(sol.primal_objective))
@@ -42,7 +65,7 @@ def test_weak_duality_along_trace():
     c = 0.77
     objective = np.array([[0.0, 0.0], [0.0, 1.0]])
     coupling = np.array([[0.0, 0.5], [0.5, 0.0]])
-    instance = sdp.SdpInstance(objective, [diag_constraint(2, 0, 1.0), (coupling, c)])
+    instance = dense_instance(objective, [diag_constraint(2, 0, 1.0), (coupling, c)])
     sol = sdp.solve(instance)
     for entry in sol.trace:
         assert entry["dual_bound"] <= entry["primal_objective"] + 1e-8
@@ -51,9 +74,9 @@ def test_weak_duality_along_trace():
 def test_scale_covariance():
     base = np.array([[1.0, 0.2], [0.2, 2.0]])
     constraints = [diag_constraint(2, 0, 1.0), diag_constraint(2, 1, 0.3)]
-    ref = sdp.solve(sdp.SdpInstance(base, constraints)).primal_objective
+    ref = sdp.solve(dense_instance(base, constraints)).primal_objective
     for s in (0.01, 7.0, 300.0):
-        scaled = sdp.solve(sdp.SdpInstance(s * base, constraints)).primal_objective
+        scaled = sdp.solve(dense_instance(s * base, constraints)).primal_objective
         assert scaled == pytest.approx(s * ref, rel=1e-6)
 
 
@@ -61,7 +84,7 @@ def test_determinism():
     c = 0.31
     objective = np.array([[0.4, 0.1], [0.1, 1.0]])
     coupling = np.array([[0.0, 0.5], [0.5, 0.0]])
-    instance = sdp.SdpInstance(objective, [diag_constraint(2, 0, 1.0), (coupling, c)])
+    instance = dense_instance(objective, [diag_constraint(2, 0, 1.0), (coupling, c)])
     a = sdp.solve(instance)
     b = sdp.solve(instance)
     assert a.primal_objective == b.primal_objective
@@ -70,14 +93,14 @@ def test_determinism():
 
 
 def test_structural_infeasibility_detected():
-    instance = sdp.SdpInstance(
+    instance = dense_instance(
         np.eye(2), [diag_constraint(2, 0, 1.0), diag_constraint(2, 0, 2.0)]
     )
     assert sdp.solve(instance).status == "infeasible"
 
 
 def test_cone_infeasibility_detected():
-    instance = sdp.SdpInstance(np.eye(2), [diag_constraint(2, 0, -1.0)])
+    instance = dense_instance(np.eye(2), [diag_constraint(2, 0, -1.0)])
     assert sdp.solve(instance).status == "infeasible"
 
 
@@ -85,17 +108,19 @@ def test_redundant_constraints_deduplicated():
     # the same constraint three times plus a scaled copy must not break
     a = np.array([[1.0, 0.0], [0.0, 0.0]])
     constraints = [(a, 1.0), (a, 1.0), (a.copy(), 1.0), (2 * a, 2.0), (np.eye(2) * 0.0, 0.0)]
-    sol = sdp.solve(sdp.SdpInstance(np.eye(2), constraints))
+    sol = sdp.solve(dense_instance(np.eye(2), constraints))
     assert sol.status == "optimal"
     assert sol.primal_objective == pytest.approx(1.0, abs=1e-6)
 
 
 def test_asymmetric_matrices_rejected():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        sdp.SdpInstance(bad, [diag_constraint(2, 0, 1.0)])
-    with pytest.raises(ValueError):
-        sdp.SdpInstance(np.eye(2), [(bad, 0.0)])
+    with pytest.raises(ValueError, match="not symmetric"):
+        dense_instance(bad, [diag_constraint(2, 0, 1.0)])
+    # a constraint is symmetric by construction: the entry below the
+    # diagonal that made it asymmetric has no cell
+    with pytest.raises(ValueError, match="upper triangle"):
+        sdp.SdpInstance(np.eye(2), cell_constraints([0], [1], [0], [1.0], [0.0]))
 
 
 def test_non_finite_entries_rejected():
@@ -103,11 +128,37 @@ def test_non_finite_entries_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         mat = np.array([[bad, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="non-finite"):
-            sdp.SdpInstance(mat, [diag_constraint(2, 0, 1.0)])
+            dense_instance(mat, [diag_constraint(2, 0, 1.0)])
         with pytest.raises(ValueError, match="non-finite"):
-            sdp.SdpInstance(np.eye(2), [(mat, 1.0)])
+            sdp.SdpInstance(np.eye(2), cell_constraints([0, 0], [0, 1], [0, 1], [bad, 1.0], [1.0]))
         with pytest.raises(ValueError, match="not finite"):
-            sdp.SdpInstance(np.eye(2), [diag_constraint(2, 0, bad)])
+            dense_instance(np.eye(2), [diag_constraint(2, 0, bad)])
+
+
+def test_instance_cell_contract():
+    # constraint 0 is [[1, 2], [2, 0]], constraint 1 is [[0, 0], [0, 3]]
+    good = ([1, 0, 0, 0], [1, 0, 0, 1], [1, 0, 1, 1], [3.0, 1.0, 2.0, 0.0], [1.0, 0.5])
+    instance = sdp.SdpInstance(np.eye(2), cell_constraints(*good))
+    con = instance.constraints
+    assert len(con) == 2
+    # sorted by constraint, row and column, without the zero cell
+    assert (list(con.owner), list(con.rows), list(con.cols)) == ([0, 0, 1], [0, 0, 1], [0, 1, 1])
+    assert list(con.values) == [1.0, 2.0, 3.0] and list(con.rhs) == [1.0, 0.5]
+    assert con.norms() == pytest.approx([3.0, 3.0], rel=1e-15)
+    # below the diagonal, out of the matrix, out of the constraints, twice
+    outside = "outside the constraints or the upper triangle"
+    for owner, rows, cols, message in (
+        ([0], [1], [0], outside),
+        ([0], [0], [2], outside),
+        ([0], [-1], [0], outside),
+        ([2], [0], [0], outside),
+        ([-1], [0], [0], outside),
+        ([1, 0, 1], [0, 1, 0], [1, 1, 1], "given twice"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            sdp.SdpInstance(np.eye(2), cell_constraints(owner, rows, cols, [1.0] * len(owner), [1.0, 0.5]))
+    with pytest.raises(ValueError, match="one length"):
+        sdp.SdpInstance(np.eye(2), cell_constraints([0, 0], [0], [0], [1.0], [1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +252,11 @@ def _random_spd(n, rng):
     return 0.5 * (w + w.T)
 
 
-def _assert_cells_match_dense(mats, rng, sizes=None):
+def _assert_cells_match_dense(instance, rng, sizes=None):
     # the Schur matrix for a W that is block-diagonal on blocks of `sizes`
-    stack = np.stack(mats)
+    stack = dense_matrices(instance)
     m, n, _ = stack.shape
-    cells = sdp._Cells(mats, np.zeros((n, n)))
+    cells = sdp._Cells(instance.constraints, np.zeros((n, n)))
     assert [sl.stop - sl.start for sl in cells.blocks] == (sizes or [n])
     w = np.zeros((n, n))
     for sl in cells.blocks:
@@ -232,7 +283,7 @@ def test_cells_match_dense_formulas(tmp_path):
     # fully untrusted CHSH companion: negated 0/1 cell patterns, and the
     # pivot-coupling terms give some constraints cells of both signs
     di = _companion("di", "chsh", 0.1)
-    assert any(a.min() < 0 < a.max() for a, _ in di.constraints)
+    assert any(a.min() < 0 < a.max() for a in dense_matrices(di))
     # one-sided steering companion
     one_sided = _companion("1sdi", "steering", 0.1)
     # a 14-dim export read back from its file
@@ -240,8 +291,9 @@ def test_cells_match_dense_formulas(tmp_path):
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 1.9)
     path = tmp_path / "p.dat-s"
     npa.export_sdpa(problem, path, constraints="deduplicated")
-    _, exported = npa.read_sdpa_numeric(path)
-    assert exported[0][0].shape == (14, 14)
+    objective, constraints = npa.read_sdpa_numeric(path)
+    exported = sdp.SdpInstance(objective, sdp.Constraints(*constraints))
+    assert exported.dim == 14
     # hand-made: negative entries, diagonal cells, equal and unequal cell counts
     hand = [
         np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, 0.5], [0.0, 0.5, -3.0]]),
@@ -249,13 +301,13 @@ def test_cells_match_dense_formulas(tmp_path):
         np.array([[0.0, 0.0, 4.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]]),
         np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
     ]
-    for mats, sizes in (
-        ([a for a, _ in di.constraints], [45, 36]),
-        ([a for a, _ in one_sided.constraints], None),
-        ([a for a, _ in exported], None),
-        (hand, None),
+    for instance, sizes in (
+        (di, [45, 36]),
+        (one_sided, None),
+        (exported, None),
+        (dense_instance(np.zeros((3, 3)), [(a, 0.0) for a in hand]), None),
     ):
-        _assert_cells_match_dense(mats, rng, sizes)
+        _assert_cells_match_dense(instance, rng, sizes)
 
 
 def _step_reference(x, dx, tau):
@@ -292,7 +344,7 @@ def test_max_step_matches_eigenvalue_reference():
 
 def test_termination_reasons(monkeypatch):
     coupling = np.array([[0.0, 0.5], [0.5, 0.0]])
-    instance = sdp.SdpInstance(
+    instance = dense_instance(
         np.array([[0.0, 0.0], [0.0, 1.0]]), [diag_constraint(2, 0, 1.0), (coupling, 0.6)]
     )
     assert sdp.solve(instance).termination == "optimal"
@@ -300,15 +352,15 @@ def test_termination_reasons(monkeypatch):
     capped = sdp.solve(instance, max_iterations=2)
     assert (capped.termination, capped.status, capped.iterations) == ("iteration-cap", "max-iterations", 2)
 
-    diverged = sdp.solve(sdp.SdpInstance(np.eye(2), [diag_constraint(2, 0, -1.0)]))
+    diverged = sdp.solve(dense_instance(np.eye(2), [diag_constraint(2, 0, -1.0)]))
     assert (diverged.termination, diverged.status) == ("infeasible-divergence", "infeasible")
 
-    inconsistent = sdp.SdpInstance(np.eye(2), [diag_constraint(2, 0, 1.0), diag_constraint(2, 0, 2.0)])
+    inconsistent = dense_instance(np.eye(2), [diag_constraint(2, 0, 1.0), diag_constraint(2, 0, 2.0)])
     assert sdp.solve(inconsistent).termination == "presolve-infeasible"
 
     # A Schur matrix that fails Cholesky at every jitter level: every
     # Cholesky in `solve` is the Schur one, so the ladder makes three.
-    three = sdp.SdpInstance(np.eye(3), [diag_constraint(3, 0, 2.0), diag_constraint(3, 1, 0.5)])
+    three = dense_instance(np.eye(3), [diag_constraint(3, 0, 2.0), diag_constraint(3, 1, 0.5)])
     schur_calls = []
 
     def failing_cholesky(a):
@@ -327,7 +379,8 @@ def _exported_stack(tmp_path, setting, inequality, word_cap):
     problem = npa.build_moment_problem(setting, words, "state", inequality, wmax - 0.1)
     path = tmp_path / f"{setting}.dat-s"
     npa.export_sdpa(problem, path, constraints="generated")
-    return sdp.SdpInstance(*npa.read_sdpa_numeric(path))
+    objective, constraints = npa.read_sdpa_numeric(path)
+    return sdp.SdpInstance(objective, sdp.Constraints(*constraints))
 
 
 def test_presolve_on_exported_stacks(tmp_path):
@@ -343,9 +396,9 @@ def test_presolve_on_exported_stacks(tmp_path):
     # hand-made: a scaled duplicate is dropped, a conflicting one refused
     a = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
     c = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    kept = sdp._presolve(sdp.SdpInstance(np.eye(3), [(a, 1.0), (c, 0.5), (3.0 * a, 3.0)]))
+    kept = sdp._presolve(dense_instance(np.eye(3), [(a, 1.0), (c, 0.5), (3.0 * a, 3.0)]))
     assert len(kept) == 2 and 1 in kept
-    conflicting = sdp.SdpInstance(np.eye(3), [(a, 1.0), (c, 0.5), (3.0 * a, 2.0)])
+    conflicting = dense_instance(np.eye(3), [(a, 1.0), (c, 0.5), (3.0 * a, 2.0)])
     assert sdp.solve(conflicting).termination == "presolve-infeasible"
 
 
@@ -394,19 +447,19 @@ def test_cells_with_constraints_empty_in_a_block():
     # the swap-reduced fully untrusted companion splits 45 + 36, and some
     # of its constraints have no cell in the antisymmetric block
     di = _companion("di", "chsh", 0.1)
-    stack = np.array([a for a, _ in di.constraints])
-    empty = ~np.any(stack[:, 45:, 45:], axis=(1, 2))
+    empty = ~np.any(dense_matrices(di)[:, 45:, 45:], axis=(1, 2))
     assert 0 < np.count_nonzero(empty) < len(empty)
-    _assert_cells_match_dense(list(stack), rng, [45, 36])
+    _assert_cells_match_dense(di, rng, [45, 36])
     # hand-made: blocks {0, 1} and {2}; constraints empty in one block,
     # in both (first, in between and last) and spanning both
     zero = np.zeros((3, 3))
     a = np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -3.0]])
     c = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
     d = np.array([[0.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    _assert_cells_match_dense([zero, a, zero, c, d, zero], rng, [2, 1])
+    hand = dense_instance(zero, [(mat, 0.0) for mat in (zero, a, zero, c, d, zero)])
+    _assert_cells_match_dense(hand, rng, [2, 1])
     # no cell at all
-    cells = sdp._Cells([zero, zero], np.zeros((3, 3)))
+    cells = sdp._Cells(dense_instance(zero, [(zero, 0.0), (zero, 0.0)]).constraints, zero)
     assert not cells.a_map(np.ones((3, 3))).any()
     assert not cells.a_adj(np.ones(2)).any()
     assert not cells.schur(np.eye(3)).any()
@@ -420,7 +473,7 @@ def test_blocks_of_the_aggregate_pattern():
     a = np.zeros((6, 6))
     a[2, 4] = a[4, 2] = a[1, 3] = a[3, 1] = 1.0
     a[1, 1] = 2.0
-    cells = sdp._Cells([a], objective)
+    cells = sdp._Cells(dense_instance(objective, [(a, 0.0)]).constraints, objective)
     assert list(cells.perm) == [0, 2, 4, 1, 3, 5]
     assert [(sl.start, sl.stop) for sl in cells.blocks] == [(0, 3), (3, 5), (5, 6)]
     # the maps read and write X renumbered by perm
@@ -450,12 +503,12 @@ def test_block_split_matches_single_block(monkeypatch):
     across = np.zeros((5, 5))
     across[0, 2] = across[2, 0] = across[1, 3] = across[3, 1] = 0.5
     constraints.append((across, 0.2))
-    block_diagonal = sdp.SdpInstance(objective, constraints)
+    block_diagonal = dense_instance(objective, constraints)
     # the DI companion, whose swap-adapted basis splits it 45 + 36
     companion = _companion("di", "chsh", 0.05)
     split = [sdp.solve(instance) for instance in (block_diagonal, companion)]
 
-    monkeypatch.setattr(sdp, "_blocks", lambda linked: [np.arange(len(linked))])
+    monkeypatch.setattr(sdp, "_components", lambda size, a, b: np.zeros(size, dtype=np.intp))
     for instance, got in zip((block_diagonal, companion), split):
         whole = sdp.solve(instance)
         assert got.status == whole.status == "optimal"
@@ -484,7 +537,7 @@ def test_swap_reduced_bounds_match_unreduced(monkeypatch):
         assert (len(instance.constraints), len(full_instance.constraints)) == (99, 183)
         assert value == pytest.approx(full, abs=1e-6)
         # the adapted basis puts exact zeros off the 45 + 36 blocks
-        for mat in [instance.objective] + [a for a, _ in instance.constraints]:
+        for mat in [instance.objective, *dense_matrices(instance)]:
             assert not mat[:45, 45:].any() and not mat[45:, :45].any()
         # the moments come back for all 185 classes, equal on swapped ones
         assert len(moments) == 185
@@ -500,8 +553,10 @@ def test_swap_adapted_basis_is_orthogonal():
     # Gamma the word-basis moment matrix with y on each class and its image
     words = npa.generate_words("di", 4)
     reduced = npa.reduce_problem(npa.build_moment_problem("di", words, "XAXB", "chsh", 2.7))
-    of_class, mats = sdp._moment_basis(reduced)
-    assert mats.shape == (101, 81, 81)
+    of_class, (owner, rows, cols, values) = sdp._moment_basis(reduced)
+    assert of_class.max() + 1 == 101 and np.all(rows <= cols)
+    mats = np.zeros((101, 81, 81))
+    mats[owner, rows, cols] = mats[owner, cols, rows] = values
     y = np.random.default_rng(23).standard_normal(101)
     adapted = np.tensordot(y, mats, axes=1)
     gamma = reduced.assemble(y[of_class])
