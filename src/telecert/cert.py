@@ -145,12 +145,17 @@ def required_copies(params: CertificateParams) -> int:
     copy counts); K - 1 is forced even so the tested pairs split into two
     equal halves.
     """
-    eps, q, x = params.epsilon, params.q, params.x
+    return _copies(params.inequality, params.iid, params.epsilon, params.q, params.x)
+
+
+def _copies(inequality: str, iid: bool, eps: float, q: float, x: float) -> int:
+    """``required_copies`` on plain floats, shared with the planner.  The
+    arguments are not validated."""
     log_term = math.log(1.0 / eps)
-    if params.inequality == "steering":
-        base = 4.0 if params.iid else 16.0
+    if inequality == "steering":
+        base = 4.0 if iid else 16.0
     else:
-        base = 8.0 if params.iid else 32.0
+        base = 8.0 if iid else 32.0
     k = math.ceil(base * q * q * x / (eps * eps) * log_term + 1.0)
     if (k - 1) % 2:
         k += 1
@@ -176,21 +181,25 @@ def azuma_tail(copies: int, deviation: float) -> float:
     return math.exp(-copies * deviation * deviation / 8.0)
 
 
-def _noniid_inner(inequality: str, eps: float, q: float, x: float) -> float:
+#: Coefficient c of the slack term c * eps / q in both bounds.
+_SLACK = {"steering": 2.0, "chsh": 4.0}
+
+
+def _noniid_rest(inequality: str, eps: float, q: float, x: float) -> tuple[float, float]:
+    """The two terms of the non-iid bound's inner term besides c * eps / q:
+    one linear in eps, and a fraction that falls as q grows.  They are
+    returned apart so that ``_raw_bound`` adds them in the order that
+    fixes the bound's rounding."""
     log_term = math.log(1.0 / eps)
     if inequality == "steering":
-        return (
-            2.0 * eps / q
-            + 0.5 * eps
-            + (4.0 * q * q * x * eps * log_term + 2.0 * eps * eps)
-            / (8.0 * q * q * x * log_term + eps * eps)
+        fraction = (4.0 * q * q * x * eps * log_term + 2.0 * eps * eps) / (
+            8.0 * q * q * x * log_term + eps * eps
         )
-    return (
-        4.0 * eps / q
-        + 0.75 * eps
-        + (4.0 * q * q * x * eps * log_term + (2.0 + math.sqrt(2.0)) * eps * eps)
-        / (16.0 * q * q * x * log_term + 2.0 * eps * eps)
+        return 0.5 * eps, fraction
+    fraction = (4.0 * q * q * x * eps * log_term + (2.0 + math.sqrt(2.0)) * eps * eps) / (
+        16.0 * q * q * x * log_term + 2.0 * eps * eps
     )
+    return 0.75 * eps, fraction
 
 
 def _raw_bound(
@@ -198,13 +207,15 @@ def _raw_bound(
 ) -> tuple[float, float]:
     """Unclamped certified fidelity and probability: the one copy of the
     certificate formula.  The arguments are not validated; callers build a
-    ``CertificateParams`` from them first."""
+    ``CertificateParams`` from them first (the planner once per eps, its
+    q and x lying in the valid ranges by construction)."""
     if iid:
-        slack = (2.0 if inequality == "steering" else 4.0) * eps / q
+        slack = _SLACK[inequality] * eps / q
         raw_f = 1.0 - alpha * (slack + eps)
         raw_p = 1.0 - eps**x
     else:
-        radical = math.sqrt(alpha * _noniid_inner(inequality, eps, q, x))
+        linear, fraction = _noniid_rest(inequality, eps, q, x)
+        radical = math.sqrt(alpha * (_SLACK[inequality] * eps / q + linear + fraction))
         raw_f = 1.0 - radical
         raw_p = (1.0 - eps**x) * (1.0 - radical)
     return raw_f, raw_p
@@ -272,17 +283,29 @@ class PlanResult:
         return doc
 
 
-def _min_q_for_targets(trust, inequality, iid, eps, x, target_f, target_p, alpha) -> float | None:
-    """Smallest q meeting both targets at fixed (eps, x); None if the
-    largest q tried, q_max, fails.
+def _min_q_for_targets(inequality, iid, eps, x, target_f, target_p, alpha) -> float | None:
+    """Smallest q meeting both targets at fixed (eps, x); None if q_max
+    fails.
 
-    The inputs are validated once, at q = q_max; every bisection point
-    lies in [1, q_max].  With target_f in (0, 1) and target_p in [0, 1),
-    as ``plan`` requires, testing the unclamped bound below makes the
-    same decision as testing the clamped, non-vacuous ``fidelity_bound``.
+    The inputs must be valid ``CertificateParams`` fields (``plan``
+    checks them once per eps).  With target_f in (0, 1) and target_p in
+    [0, 1), as ``plan`` requires, testing the unclamped bound below makes
+    the same decision as testing the clamped, non-vacuous
+    ``fidelity_bound``.
+
+    iid: raw_f >= target_f exactly when alpha * (c * eps / q + eps) <=
+    1 - target_f, and raw_p does not depend on q, so the smallest q is
+    c * eps / ((1 - target_f) / alpha - eps).  Non-iid: both targets hold
+    exactly when alpha * (c * eps / q + rest(q)) <= r^2, with
+    r = min(1 - target_f, 1 - target_p / (1 - eps^x)) and rest(q) the
+    ``_noniid_rest`` terms, which fall as q grows.  So q is the fixed
+    point of q <- c * eps / (r^2 / alpha - rest(q)), a falling map; it
+    is iterated inside the bracket [lo, hi] that the iterates establish.
+    Either way q is then stepped up one float at a time until the
+    unclamped bound passes, so every returned q is certified by the same
+    formula as ``fidelity_bound``.
     """
     q_max = 1e9
-    alpha = CertificateParams(trust, inequality, iid, eps, q_max, x, alpha).alpha
 
     def ok(q):
         raw_f, raw_p = _raw_bound(inequality, iid, eps, q, x, alpha)
@@ -290,18 +313,51 @@ def _min_q_for_targets(trust, inequality, iid, eps, x, target_f, target_p, alpha
 
     if not ok(q_max):
         return None
-    lo, hi = 1.0, q_max
-    if ok(lo):
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
+    if ok(1.0):
+        return 1.0
+    slack = _SLACK[inequality] * eps
+    if iid:
+        gap = (1.0 - target_f) / alpha - eps
+        q = slack / gap if gap > 0.0 else q_max
+    else:
+        r = min(1.0 - target_f, 1.0 - target_p / (1.0 - eps**x))
+        threshold = r * r / alpha
+        lo, hi = 1.0, q_max
+        q, last = q_max, None
+        for _ in range(100):
+            gap = threshold - sum(_noniid_rest(inequality, eps, q, x))
+            if slack / q > gap:
+                lo = q
+            else:
+                hi = q
+            # Stop within a few ulps: the bracket has closed, or below
+            # q reaches its own image.
+            if hi - lo <= 1e-15 * hi:
+                break
+            step = math.inf
+            if gap > 0.0:
+                image = slack / gap
+                if abs(image - q) <= 1e-15 * q:
+                    break
+                step = image
+                if last is not None and q != last[0]:
+                    # Wegstein's step q + (image - q) / (1 - s), s the
+                    # secant slope of the map, converges where the plain
+                    # step crawls (s near -1) or cycles (s below -1).  The
+                    # map falls, so s < 0 puts it between q and its image.
+                    s = (image - last[1]) / (q - last[0])
+                    if s < 0.0:
+                        step = q + (image - q) / (1.0 - s)
+                last = (q, image)
+            if not lo < step < hi:
+                step = math.sqrt(lo * hi)
+            q = step
         else:
-            lo = mid
-        if hi - lo <= 1e-9 * hi:
-            break
-    return hi
+            q = hi
+    q = min(max(q, 1.0), q_max)
+    while not ok(q):
+        q = math.nextafter(q, math.inf)
+    return q
 
 
 def plan(
@@ -318,35 +374,39 @@ def plan(
     """Parameters minimizing the copy count subject to the certificate
     meeting (target_fidelity, target_probability).
 
-    Grid search over x (and epsilon when free) with bisection refinement;
-    the returned parameters are re-verified through ``fidelity_bound``.
+    Grid search over x (and epsilon when free); at each grid point the
+    smallest q comes from ``_min_q_for_targets`` in closed form (iid) or
+    by a fixed-point iteration (non-iid), checked on the unclamped bound.
+    The returned parameters are re-verified through ``fidelity_bound``.
     Deterministic: ties resolve to the smallest (epsilon, q, x).
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError("target fidelity must sit in (0, 1)")
     if not 0.0 <= target_probability < 1.0:
         raise ValueError("target probability must sit in [0, 1)")
+    # NaN fails the comparison, so a NaN limit is refused too.
+    if max_copies is not None and not max_copies >= 1.0:
+        raise ValueError("max copies must be at least 1")
     alpha_value = alpha if alpha is not None else default_alpha(trust, inequality)
 
-    def copies_for(eps, q, x):
-        return required_copies(CertificateParams(trust, inequality, iid, eps, q, x, alpha_value))
-
     def best_over_x(eps):
-        # x must at least cover the probability target through 1 - eps^x.
-        _check_epsilon(eps)
+        # Every grid x is finite and positive, so one check covers the
+        # (eps, x) points below.
+        CertificateParams(trust, inequality, iid, eps, 1.0, 1.0, alpha_value)
         best = None
         x_lo, x_hi = 0.05, 16.0
+        # x must at least cover the probability target through 1 - eps^x.
         if target_probability > 0.0:
             x_floor = math.log(1.0 - target_probability) / math.log(eps)
             x_lo = max(x_lo, min(x_floor, x_hi))
         xs = [x_lo * (x_hi / x_lo) ** (t / 39.0) for t in range(40)]
         for x in xs:
             q = _min_q_for_targets(
-                trust, inequality, iid, eps, x, target_fidelity, target_probability, alpha_value
+                inequality, iid, eps, x, target_fidelity, target_probability, alpha_value
             )
             if q is None:
                 continue
-            k = copies_for(eps, q, x)
+            k = _copies(inequality, iid, eps, q, x)
             if best is None or k < best[0] or (k == best[0] and (q, x) < (best[1], best[2])):
                 best = (k, q, x)
         return best
@@ -399,8 +459,11 @@ def werner_visibility_threshold(
     protocol must run at epsilon = (1 - v) * maximal violation.  Defaults:
     confidence 0.75 with at most 1.2e5 copies in the iid setting, 0.6 with
     at most 1e8 copies in the martingale setting (the feasibility envelope
-    of the quoted operating points).
+    of the quoted operating points).  The visibility is bisected until
+    its bracket is narrower than tol, which must be finite and positive.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     if target_probability is None:
         target_probability = 0.75 if iid else 0.6
     if max_copies is None:

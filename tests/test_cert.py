@@ -207,14 +207,21 @@ def test_planner_validates_inputs():
     for eps in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError, match=r"epsilon must sit in \(0, 1\)"):
             cert.plan(0.7, 0.6, "1sdi", "steering", True, epsilon=eps)
+    for limit in (math.nan, 0.0, -5.0):
+        with pytest.raises(ValueError, match="max copies must be at least 1"):
+            cert.plan(0.7, 0.6, "1sdi", "steering", True, max_copies=limit)
+
+
+def _meets(trust, inequality, iid, eps, q, x, target_f, target_p, alpha):
+    c = cert.fidelity_bound(cert.CertificateParams(trust, inequality, iid, eps, q, x, alpha))
+    return c.fidelity >= target_f and c.probability >= target_p and not c.vacuous
 
 
 def _reference_min_q(trust, inequality, iid, eps, x, target_f, target_p, alpha, q_hi=1e9):
-    # Reference: the planner's bisection decided on one full certificate per
-    # point, through its clamped fields and vacuous flag.
+    # Reference: bisection on q to 1e-9 relative, deciding on one full
+    # certificate per point, through its clamped fields and vacuous flag.
     def ok(q):
-        c = cert.fidelity_bound(cert.CertificateParams(trust, inequality, iid, eps, q, x, alpha))
-        return c.fidelity >= target_f and c.probability >= target_p and not c.vacuous
+        return _meets(trust, inequality, iid, eps, q, x, target_f, target_p, alpha)
 
     if not ok(q_hi):
         return None
@@ -233,21 +240,64 @@ def _reference_min_q(trust, inequality, iid, eps, x, target_f, target_p, alpha, 
 
 
 def test_min_q_matches_certificate_bisection():
+    # The closed form and the bisection land on different floats near the
+    # same root, so the check is: the same decision, a certified q no
+    # larger than the bisection's, and q (1 - 1e-9), the bisection's own
+    # resolution, not certified.
     settings = [(t, i, iid) for t, i in (("1sdi", "steering"), ("1sdi", "chsh"), ("di", "chsh")) for iid in (True, False)]
-    grid = itertools.product(settings, (1e-3, 0.05, 0.3, 0.9), (0.05, 16.0), (0.0, 0.6), (0.5, 0.7, 0.9, 0.999), (None, 1e4))
-    outcomes = {"feasible": 0, "infeasible": 0, "vacuous": 0}
+    grid = itertools.product(
+        settings,
+        (1e-3, 1.2e-3, 0.01, 0.05, 0.1, 0.3, 0.6, 0.9),
+        (0.05, 1.0, 16.0),
+        (0.0, 0.6, 0.75),
+        (0.5, 2 / 3, 0.7, 0.9, 0.999),
+        (None, 1e4),
+    )
+    outcomes = {"floor": 0, "feasible": 0, "infeasible": 0, "vacuous": 0}
     for (trust, inequality, iid), eps, x, target_p, target_f, alpha in grid:
         alpha = alpha or cert.default_alpha(trust, inequality)
         args = (trust, inequality, iid, eps, x, target_f, target_p, alpha)
         expected = _reference_min_q(*args)
-        assert cert._min_q_for_targets(*args) == expected, args
-        if expected is not None:
-            outcomes["feasible"] += 1
-        elif cert.fidelity_bound(cert.CertificateParams(trust, inequality, iid, eps, 1e9, x, alpha)).vacuous:
-            outcomes["vacuous"] += 1
-        else:
-            outcomes["infeasible"] += 1
+        q = cert._min_q_for_targets(*args[1:])
+        assert (q is None) == (expected is None), args
+        if expected is None:
+            vacuous = cert.fidelity_bound(cert.CertificateParams(trust, inequality, iid, eps, 1e9, x, alpha)).vacuous
+            outcomes["vacuous" if vacuous else "infeasible"] += 1
+            continue
+        assert _meets(trust, inequality, iid, eps, q, x, target_f, target_p, alpha), (args, q)
+        assert q <= expected, (args, q, expected)
+        if q == 1.0:
+            outcomes["floor"] += 1
+            continue
+        assert not _meets(trust, inequality, iid, eps, q * (1.0 - 1e-9), x, target_f, target_p, alpha), (args, q)
+        outcomes["feasible"] += 1
     assert min(outcomes.values()) > 0, outcomes
+
+
+#: The ten benchmark plans at F = 2/3 as the bisection planner chose them:
+#: (trust, inequality, iid, fixed eps or None, confidence) -> (eps, x, copies, q).
+BISECTION_PLANS = {
+    ("1sdi", "steering", True, 0.25, 0.75): (0.25, 1.0, 104771, 34.363636410156076),
+    ("1sdi", "steering", False, 0.08, 0.6): (0.08, 0.9578697203668957, 2313043, 19.555774043305906),
+    ("1sdi", "chsh", True, 2 * math.sqrt(2) - 2.49, 0.75): (0.3384271247461901, 1.2795226740961827, 173905, 42.378552169014334),
+    ("1sdi", "chsh", False, 2 * math.sqrt(2) - 2.73, 0.6): (0.09842712474619031, 1.0208485657720223, 1934809, 15.731861176398821),
+    ("1sdi", "steering", True, None, 0.75): (0.08727609692162908, 0.5684612676845922, 729, 1.000000001),
+    ("1sdi", "chsh", True, None, 0.75): (0.07332904312332808, 0.530578361627298, 2065, 1.000000001),
+    ("di", "chsh", True, None, 0.75): (0.0581366880612156, 0.4872810742350119, 3603, 1.047624186844919),
+    ("1sdi", "steering", False, None, 0.6): (0.028971641004567606, 0.6702283913319973, 45247, 1.000000001),
+    ("1sdi", "chsh", False, None, 0.6): (0.025796466956848268, 0.6538051609376406, 128513, 1.0571522041089791),
+    ("di", "chsh", False, None, 0.6): (0.019298700504635617, 0.6165111540786282, 227303, 1.042580912886747),
+}
+
+
+@pytest.mark.parametrize("key", list(BISECTION_PLANS), ids=lambda key: "-".join(map(str, key[:3])) + ("-free" if key[3] is None else "-fixed"))
+def test_plan_matches_bisection_planner(key):
+    trust, inequality, iid, eps, confidence = key
+    epsilon, x, copies, q = BISECTION_PLANS[key]
+    res = cert.plan(2 / 3, confidence, trust, inequality, iid, epsilon=eps)
+    assert res.feasible
+    assert (res.params.epsilon, res.params.x, res.certificate.copies) == (epsilon, x, copies)
+    assert res.params.q == pytest.approx(q, rel=1e-9, abs=0.0)
 
 
 def test_werner_thresholds():
@@ -255,6 +305,17 @@ def test_werner_thresholds():
     assert v_iid == pytest.approx(0.875, abs=5e-3)
     v_non = cert.werner_visibility_threshold(iid=False)
     assert v_non == pytest.approx(0.9565, abs=5e-3)
+
+
+def test_werner_threshold_refuses_bad_tolerance(monkeypatch):
+    # tol = 0 would bisect forever; the refusal must come before any plan.
+    def no_plan(*args, **kwargs):
+        raise AssertionError("plan called")
+
+    monkeypatch.setattr(cert, "plan", no_plan)
+    for tol in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            cert.werner_visibility_threshold(iid=True, tol=tol)
 
 
 def test_trace_distance_table_consistency():

@@ -310,6 +310,15 @@ def test_plan_rejects_eps_outside_unit_interval(capsys):
         assert captured.err == "telecert: error: epsilon must sit in (0, 1)\n"
 
 
+def test_plan_rejects_copy_limit_below_one(capsys):
+    for limit in ("nan", "-5"):
+        code = cli.main(["plan", "--target-f", "0.6667", "--eps", "0.25", "--max-k", limit])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "telecert: error: max copies must be at least 1\n"
+
+
 def test_simulate_matches_soundness_experiment(capsys):
     code, out = run_cli(
         [
