@@ -406,6 +406,9 @@ def plan(
             )
             if q is None:
                 continue
+            # The plan returns q with a 1e-9 relative margin; its copy
+            # count, the one reported, is what the search minimizes.
+            q *= 1.0 + 1e-9
             k = _copies(inequality, iid, eps, q, x)
             if best is None or k < best[0] or (k == best[0] and (q, x) < (best[1], best[2])):
                 best = (k, q, x)
@@ -435,7 +438,7 @@ def plan(
         reason += f" for {trust}/{inequality} ({'iid' if iid else 'non-iid'})"
         return PlanResult(False, None, None, reason)
     k, eps, q, x = best
-    params = CertificateParams(trust, inequality, iid, eps, q * (1.0 + 1e-9), x, alpha_value, alpha_source)
+    params = CertificateParams(trust, inequality, iid, eps, q, x, alpha_value, alpha_source)
     cert = fidelity_bound(params)
     if cert.fidelity < target_fidelity or cert.probability < target_probability:
         return PlanResult(False, None, None, "re-verification failed at the optimum")

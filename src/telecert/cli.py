@@ -225,8 +225,7 @@ def cmd_derive_alpha(args) -> int:
 
 def cmd_npa_export(args) -> int:
     _require(args, "eps")
-    cap = sdp.DEFAULT_WORD_CAP[args.trust] if args.word_cap is None else args.word_cap
-    words = npa.generate_words(args.trust, cap)
+    words = npa.generate_words(args.trust, sdp._word_cap(args.trust, args.word_cap))
     w = cert.max_violation(args.trust, args.inequality) - args.eps
     problem = npa.build_moment_problem(args.trust, words, args.objective, args.inequality, w)
     info = npa.export_sdpa(problem, args.out, constraints=args.constraints)

@@ -7,10 +7,17 @@ The fidelity functionals of the swap extraction and the inequality
 functionals are derived symbolically from the same circuit algebra used
 by :mod:`telecert.qcore`, so the two routes can be cross-checked
 numerically entry by entry.
+
+Which cells of the moment matrix carry the same moment is held as
+integer labels: an entry id per word pair (its canonical key), a complex
+label per scalar cell and a real label per scalar cell, each numbered in
+the sorted order of the tuples it stands for.  The equality constraints,
+the real reduction, the swap check and the SDPA export all read them.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -363,27 +370,78 @@ def functional_keys(setting: str, functional: dict) -> list:
 # The moment problem.
 
 
-def _entry_key(setting: str, row: OperatorWord, col: OperatorWord) -> tuple:
-    """Canonical word key of the moment at (row, col): canon(col^dag row)."""
-    if setting == SETTING_1SDI:
-        return ((), _reduce_projector(col.bob[::-1] + row.bob))
-    return (
-        _reduce_observable(col.alice[::-1] + row.alice),
-        _reduce_observable(col.bob[::-1] + row.bob),
-    )
+def _entry_table(setting: str, words) -> tuple[list, np.ndarray]:
+    """The distinct canonical keys canon(col^dag row) of a word list, in
+    sorted order, and the m x m array of their positions: the entry id
+    of each (row, col) pair of words.
+
+    One party's part of the key depends only on the two local words, of
+    which a word list has few, so each pair of distinct local words is
+    reduced once per party, into a product table whose ids follow the
+    sorted order of the products.  (Alice id, Bob id) pairs then sort as
+    the (Alice word, Bob word) keys do."""
+    reduce = _reduce_projector if setting == SETTING_1SDI else _reduce_observable
+    code, products = 0, []
+    for local in ([w.alice for w in words], [w.bob for w in words]):
+        distinct = sorted(set(local))
+        table = [[reduce(col[::-1] + row) for row in distinct] for col in distinct]
+        values = sorted(set(itertools.chain.from_iterable(table)))
+        ids = np.array([[values.index(word) for word in line] for line in table])
+        at = np.array([distinct.index(word) for word in local])
+        # entry (k, l) holds the product of column word l with row word k
+        code = code * len(values) + ids[at[None, :], at[:, None]]
+        products.append(values)
+    codes, entry_ids = np.unique(code, return_inverse=True)
+    alice, bob = products
+    keys = [(alice[c // len(bob)], bob[c % len(bob)]) for c in codes.tolist()]
+    return keys, entry_ids.reshape(code.shape)
 
 
-def _key_adjoint(key: tuple) -> tuple:
-    return (key[0][::-1], key[1][::-1])
+def _cell_labels(entry_ids: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complex and real labels of the scalar cells of a moment matrix.
+
+    Scalar cell (b k + i, b l + j) of block size b carries the complex
+    moment (key, i, j) with key the entry id at (k, l), labelled
+    (entry id * b + i) * b + j, which orders as (key, i, j) does.  Its
+    mirror cell carries the adjoint moment (adjoint key, j, i); a real
+    class joins the two.  Real labels number the classes in the order of
+    the smaller of their two complex labels.
+    """
+    place = np.arange(block)
+    complex_ = (entry_ids[:, None, :, None] * block + place[:, None, None]) * block + place
+    complex_ = complex_.reshape(block * len(entry_ids), -1)
+    _, real = np.unique(np.minimum(complex_, complex_.T), return_inverse=True)
+    return complex_, real.reshape(complex_.shape)
+
+
+def _tied_pairs(labels: np.ndarray, every: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (a, b), a < b, that carry equal labels, label by label in
+    increasing order: every such pair, in lexicographic order, when
+    ``every``; else each later position of a label with its first."""
+    order = np.argsort(labels, kind="stable")
+    tied = labels[order]
+    start = np.flatnonzero(np.r_[True, tied[1:] != tied[:-1]])
+    size = np.diff(np.r_[start, len(order)])
+    at = np.arange(len(order))
+    if every:
+        later = np.repeat(start + size, size) - at - 1
+        first = np.repeat(at, later)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    else:
+        first = np.repeat(start, size)
+        first, second = first[first != at], at[first != at]
+    return order[first], order[second]
 
 
 @dataclass
 class MomentProblem:
     """Symbolic moment matrix plus objective/inequality data.
 
-    ``entry_keys[k][l]`` is the canonical word key of cell block (k, l);
-    one-sided problems have 2x2 trusted-side blocks (block=2), fully
-    untrusted ones scalar entries (block=1).
+    ``keys`` are the distinct canonical word keys canon(col^dag row) of
+    the word pairs, sorted, and ``entry_ids[k, l]`` is the position in
+    ``keys`` of the key of cell block (k, l); one-sided problems have 2x2
+    trusted-side blocks (block=2), fully untrusted ones scalar entries
+    (block=1).
     """
 
     setting: str
@@ -393,92 +451,34 @@ class MomentProblem:
     violation: float
     block: int = field(init=False, compare=False)
     dim: int = field(init=False, compare=False)
-    entry_keys: list = field(init=False, compare=False, repr=False)
+    keys: list = field(init=False, compare=False, repr=False)
+    entry_ids: np.ndarray = field(init=False, compare=False, repr=False)
     p_coeffs: dict = field(init=False, compare=False, repr=False)
     q_coeffs: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        m = len(self.words)
         self.block = 2 if self.setting == SETTING_1SDI else 1
-        self.dim = self.block * m
+        self.dim = self.block * len(self.words)
         if not any(w.key == ((), ()) for w in self.words):
             raise ValueError("word list must contain the identity word")
-        # canon(col^dag row) of one party depends only on the two local
-        # words, of which a word list has few, so each pair is reduced once.
-        reduce = _reduce_projector if self.setting == SETTING_1SDI else _reduce_observable
-        local: dict = {}
-
-        def product(col: tuple, row: tuple) -> tuple:
-            if (col, row) not in local:
-                local[col, row] = reduce(col[::-1] + row)
-            return local[col, row]
-
-        self.entry_keys = [
-            [(product(col.alice, row.alice), product(col.bob, row.bob)) for col in self.words]
-            for row in self.words
-        ]
+        self.keys, self.entry_ids = _entry_table(self.setting, self.words)
         self.p_coeffs = fidelity_functional(self.setting, self.objective)
         self.q_coeffs = inequality_functional(self.setting, self.inequality)
-        available = {key for row in self.entry_keys for key in row}
         needed = set(functional_keys(self.setting, self.p_coeffs))
         needed |= set(functional_keys(self.setting, self.q_coeffs))
-        missing = needed - available
+        missing = needed - set(self.keys)
         if missing:
             raise MissingWordError(f"moment matrix lacks required words: {sorted(missing)}")
 
-    # --- cell-level views -------------------------------------------------
-
-    def cell_key(self, r: int, c: int) -> tuple:
-        """(word key, i, j) identifying the complex value at scalar cell (r, c)."""
-        k, i = divmod(r, self.block)
-        l, j = divmod(c, self.block)
-        return (self.entry_keys[k][l], i, j)
-
-    def complex_classes(self) -> dict:
-        """Group all scalar cells by their complex moment identity."""
-        classes: dict = {}
-        for r in range(self.dim):
-            for c in range(self.dim):
-                classes.setdefault(self.cell_key(r, c), []).append((r, c))
-        return classes
-
-    def real_classes(self) -> dict:
-        """Scalar cells grouped by real class (a moment and its adjoint):
-        {real class key: (rows, cols)}, each class in row-major order.
-
-        A cell's class depends only on its entry key and its place (i, j)
-        in the block, so it is worked out once per distinct entry key."""
-        b = self.block
-        key_ids: dict = {}
-        ids = np.array([[key_ids.setdefault(key, len(key_ids)) for key in row] for row in self.entry_keys])
-        real_ids: dict = {}
-        labels = np.empty((len(key_ids), b, b), dtype=np.intp)
-        for key, kid in key_ids.items():
-            for i in range(b):
-                for j in range(b):
-                    real = min((key, i, j), (_key_adjoint(key), j, i))
-                    labels[kid, i, j] = real_ids.setdefault(real, len(real_ids))
-        # scalar cell (b k + i, b l + j) of entry (k, l)
-        place = np.arange(b)
-        cell_labels = labels[ids[:, None, :, None], place[None, :, None, None], place].reshape(-1)
-        order = np.argsort(cell_labels, kind="stable")
-        rows, cols = np.divmod(order, self.dim)
-        ends = np.cumsum(np.bincount(cell_labels, minlength=len(real_ids)))
-        return {
-            real: (rows[end - size : end], cols[end - size : end])
-            for real, end, size in zip(real_ids, ends, np.diff(ends, prepend=0))
-        }
-
     # --- constraints -------------------------------------------------------
 
-    def equality_chains(self) -> list:
+    def equality_chains(self) -> np.ndarray:
         """Deduplicated equality constraints: each extra cell of a complex
-        class is tied to the class representative."""
-        pairs = []
-        for cells in self.complex_classes().values():
-            rep = cells[0]
-            pairs.extend((rep, cell) for cell in cells[1:])
-        return pairs
+        class tied to the class's first cell in row-major order, as an
+        array of ((row, col), (row, col)) pairs."""
+        complex_, _ = _cell_labels(self.entry_ids, self.block)
+        pairs = np.stack(_tied_pairs(complex_.ravel(), every=False), axis=1)
+        return np.stack(np.divmod(pairs, self.dim), axis=-1)
 
     def generated_equality_count(self) -> int:
         """Number of generated equality constraints.
@@ -489,19 +489,20 @@ class MomentProblem:
         cross-party commutation); conjugate-mirror duplicates are counted
         once because the matrix is Hermitian by construction.
         """
-        return sum(len(c) * (len(c) - 1) // 2 for c in self.complex_classes().values())
+        complex_, _ = _cell_labels(self.entry_ids, self.block)
+        sizes = np.bincount(complex_.ravel())
+        return int(np.sum(sizes * (sizes - 1) // 2))
 
-    def functional_items(self, functional: dict) -> list:
-        """Flatten a functional to ((word key, i, j), coefficient) items."""
+    def functional_items(self, functional: dict) -> tuple[np.ndarray, np.ndarray]:
+        """A functional's terms as (complex labels, coefficients), in the
+        order of its items."""
         if self.setting == SETTING_1SDI:
-            return [
-                ((((), w), i, j), c[i, j])
-                for w, c in functional.items()
-                for i in (0, 1)
-                for j in (0, 1)
-                if abs(c[i, j]) > 1e-15
-            ]
-        return [(((wa, wb), 0, 0), coef) for (wa, wb), coef in functional.items()]
+            items = [(((), w), i, j, c[i, j]) for w, c in functional.items() for i, j in np.argwhere(np.abs(c) > 1e-15)]
+        else:
+            items = [(key, 0, 0, coef) for key, coef in functional.items()]
+        b = self.block
+        labels = [(bisect.bisect_left(self.keys, key) * b + i) * b + j for key, i, j, _ in items]
+        return np.array(labels, dtype=np.intp), np.array([coef for *_, coef in items])
 
 
 def build_moment_problem(
@@ -523,36 +524,24 @@ def instantiate_gamma(model: qcore.MeasurementModel, state, words) -> np.ndarray
     if not words:
         raise ValueError("need at least one word")
     setting = words[0].setting
-    m = len(words)
-    keys = {
-        _entry_key(setting, words[k], words[l])
-        for k in range(m)
-        for l in range(m)
-    }
-    moments = evaluate_moments(setting, state, model, keys)
-    block = 2 if setting == SETTING_1SDI else 1
-    gamma = np.zeros((block * m, block * m), dtype=complex)
-    for k in range(m):
-        for l in range(m):
-            value = moments[_entry_key(setting, words[k], words[l])]
-            if block == 1:
-                gamma[k, l] = value
-            else:
-                gamma[2 * k : 2 * k + 2, 2 * l : 2 * l + 2] = np.asarray(value)[
-                    np.ix_((0, 1), (0, 1))
-                ]
+    keys, entry_ids = _entry_table(setting, words)
+    # one moment per key, in key order: a scalar, or a 2x2 one-sided block
+    moments = np.array(list(evaluate_moments(setting, state, model, keys).values()), dtype=complex)
+    gamma = moments[entry_ids]
+    if setting == SETTING_1SDI:
+        gamma = gamma.transpose(0, 2, 1, 3).reshape(2 * len(words), 2 * len(words))
     return gamma
 
 
 def check_gamma(problem: MomentProblem, gamma: np.ndarray, tol: float = 1e-10) -> dict:
     """Constraint residuals and eigenvalue floor of a numeric moment matrix."""
-    worst = 0.0
-    for (ra, ca), (rb, cb) in problem.equality_chains():
-        worst = max(worst, abs(gamma[ra, ca] - gamma[rb, cb]))
+    rows, cols = problem.equality_chains().T
+    tied = gamma[rows, cols]
+    worst = float(np.max(np.abs(tied[0] - tied[1]), initial=0.0))
     herm = float(np.max(np.abs(gamma - gamma.conj().T)))
     min_eig = float(np.linalg.eigvalsh(0.5 * (gamma + gamma.conj().T)).min())
     return {
-        "max_equality_residual": float(worst),
+        "max_equality_residual": worst,
         "hermiticity": herm,
         "min_eigenvalue": min_eig,
         "ok": worst <= tol and herm <= tol and min_eig >= -1e-9,
@@ -569,10 +558,15 @@ def check_gamma(problem: MomentProblem, gamma: np.ndarray, tol: float = 1e-10) -
 
 @dataclass
 class ReducedProblem:
+    """The moment problem over its free real moments, one per real class.
+
+    ``label[r, c]`` is the real class of scalar cell (r, c) (see
+    `_cell_labels`); p, q and norm are the objective, the inequality and
+    the normalization as vectors over the classes.
+    """
+
     problem: MomentProblem
-    keys: list
-    index: dict
-    cells: list          # per class: (rows array, cols array)
+    label: np.ndarray
     p: np.ndarray
     q: np.ndarray
     norm: np.ndarray
@@ -582,38 +576,34 @@ class ReducedProblem:
         return self.problem.dim
 
     def moment_vector(self, gamma: np.ndarray) -> np.ndarray:
-        """Project a numeric moment matrix onto the free real moments."""
-        y = np.empty(len(self.keys))
-        for v, (rows, cols) in enumerate(self.cells):
-            y[v] = float(np.mean(gamma[rows, cols].real))
-        return y
+        """Project a numeric moment matrix onto the free real moments: the
+        mean real part of each class's cells."""
+        cells = self.label.ravel()
+        return np.bincount(cells, gamma.real.ravel()) / np.bincount(cells)
 
     def assemble(self, y: np.ndarray) -> np.ndarray:
-        gamma = np.zeros((self.dim, self.dim))
-        for v, (rows, cols) in enumerate(self.cells):
-            gamma[rows, cols] = y[v]
-        return gamma
+        return y[self.label]
 
 
 def reduce_problem(problem: MomentProblem) -> ReducedProblem:
-    classes = problem.real_classes()
-    keys = sorted(classes.keys())
-    index = {key: v for v, key in enumerate(keys)}
-    cells = [classes[key] for key in keys]
+    complex_, label = _cell_labels(problem.entry_ids, problem.block)
+    # The real class of each complex label, read at its first cell; every
+    # key fills a whole block, so the labels run over 0..max without gaps.
+    _, cell = np.unique(complex_, return_index=True)
+    real = label.ravel()[cell]
+    classes = int(label.max()) + 1
 
-    def vector_from(functional: dict) -> np.ndarray:
-        vec = np.zeros(len(keys))
-        for (key, i, j), coef in problem.functional_items(functional):
-            real_key = min((key, i, j), (_key_adjoint(key), j, i))
-            vec[index[real_key]] += coef
+    def vector_from(labels, coefs) -> np.ndarray:
+        vec = np.zeros(classes)
+        np.add.at(vec, real[labels], coefs)
         return vec
 
-    p = vector_from(problem.p_coeffs)
-    q = vector_from(problem.q_coeffs)
-    norm = np.zeros(len(keys))
-    for i in range(problem.block):
-        norm[index[(((), ()), i, i)]] += 1.0
-    return ReducedProblem(problem, keys, index, cells, p, q, norm)
+    p = vector_from(*problem.functional_items(problem.p_coeffs))
+    q = vector_from(*problem.functional_items(problem.q_coeffs))
+    # The identity key ((), ()) sorts first: its diagonal places (0, i, i).
+    b = problem.block
+    norm = vector_from(np.arange(b) * (b + 1), np.ones(b))
+    return ReducedProblem(problem, label, p, q, norm)
 
 
 def swap_symmetry(reduced: ReducedProblem):
@@ -636,17 +626,15 @@ def swap_symmetry(reduced: ReducedProblem):
         word_image = np.array([position[(w.bob, w.alice)] for w in problem.words], dtype=np.intp)
     except KeyError:
         return None
-    label = np.empty((problem.dim, problem.dim), dtype=np.intp)
-    for v, (rows, cols) in enumerate(reduced.cells):
-        label[rows, cols] = v
-    class_image = np.empty(len(reduced.cells), dtype=np.intp)
-    for v, (rows, cols) in enumerate(reduced.cells):
-        image = label[word_image[rows], word_image[cols]]
-        # The swap is a bijection on cells, so an image inside one class
-        # of the same size is that whole class.
-        if np.any(image != image[0]) or len(reduced.cells[image[0]][0]) != len(rows):
-            return None
-        class_image[v] = image[0]
+    # Cells are word pairs here (block 1): the class of each cell's image.
+    image = reduced.label[np.ix_(word_image, word_image)]
+    class_image = np.empty(len(reduced.p), dtype=np.intp)
+    class_image[reduced.label] = image
+    sizes = np.bincount(reduced.label.ravel())
+    # The swap is a bijection on cells, so the image of a class inside one
+    # class of the same size is that whole class.
+    if not np.array_equal(class_image[reduced.label], image) or not np.array_equal(sizes[class_image], sizes):
+        return None
     if any(not np.array_equal(vec[class_image], vec) for vec in (reduced.p, reduced.q, reduced.norm)):
         return None
     return word_image, class_image
@@ -674,13 +662,6 @@ def words_from_json(doc: dict) -> list:
     ]
 
 
-def _cell_entry(cell, weight: float) -> tuple:
-    """SDPA entry (row, col, value) of a symmetric matrix F with
-    tr(F Gamma) = weight * Gamma[cell] on symmetric Gamma."""
-    r, c = cell
-    return (r, c, weight if r == c else 0.5 * weight)
-
-
 def export_sdpa(problem: MomentProblem, path, constraints: str = "generated") -> dict:
     """Write the real reduction of the problem as a sparse SDPA file.
 
@@ -700,19 +681,24 @@ def export_sdpa(problem: MomentProblem, path, constraints: str = "generated") ->
     if constraints not in ("generated", "deduplicated"):
         raise ValueError("constraints must be 'generated' or 'deduplicated'")
     reduced = reduce_problem(problem)
-    upper = [[(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if r <= c] for rows, cols in reduced.cells]
-    pairs = []
-    for cells in upper:
-        if constraints == "generated":
-            pairs.extend(itertools.combinations(cells, 2))
-        else:
-            pairs.extend((cells[0], cell) for cell in cells[1:])
-
-    def reader(vec):
-        return [_cell_entry(upper[v][0], float(vec[v])) for v in np.flatnonzero(vec)]
-
-    body = [(problem.violation, reader(reduced.q)), (1.0, reader(reduced.norm))]
-    body.extend((0.0, [_cell_entry(a, 1.0), _cell_entry(b, -1.0)]) for a, b in pairs)
+    rows, cols = np.triu_indices(problem.dim)
+    upper = reduced.label[rows, cols]
+    first, other = _tied_pairs(upper, every=constraints == "generated")
+    # Matrix 0 reads the objective, 1 the violation level and 2 the
+    # normalization, each class at its first upper-triangle cell (they are
+    # in row-major order); each further matrix ties a pair of cells.
+    readers = np.stack([-reduced.p, reduced.q, reduced.norm])
+    matno, cls = np.nonzero(readers)
+    _, reads = np.unique(upper, return_index=True)
+    matno, cell, weight = (
+        np.r_[matno, np.repeat(3 + np.arange(len(first)), 2)],
+        np.r_[reads[cls], np.stack([first, other], axis=1).ravel()],
+        np.r_[readers[matno, cls], np.tile([1.0, -1.0], len(first))],
+    )
+    order = np.lexsort((cell, matno))
+    matno, r, c, weight = matno[order], rows[cell[order]], cols[cell[order]], weight[order]
+    # tr(F Gamma) = weight * Gamma[r, c] on symmetric Gamma
+    value = np.where(r == c, weight, 0.5 * weight)
 
     meta = {
         "schema": "npa-sdpa/2",
@@ -723,24 +709,26 @@ def export_sdpa(problem: MomentProblem, path, constraints: str = "generated") ->
         "words": [w.symbols() for w in problem.words],
         "constraints": constraints,
     }
+    c_values = [repr(float(problem.violation)), "1.0"] + ["0.0"] * len(first)
     lines = [
         '"telecert moment problem; dual optimum = -(minimum objective value); '
         'variable is the real symmetric moment matrix',
         '"meta ' + json.dumps(meta, separators=(",", ":"), sort_keys=True),
-        f"{len(body)}",
+        f"{len(c_values)}",
         "1",
         f"{problem.dim}",
-        " ".join(repr(float(c)) for c, _ in body),
+        " ".join(c_values),
     ]
-    for matno, entries in enumerate([reader(-reduced.p)] + [entries for _, entries in body]):
-        for i, j, v in sorted(entries):
-            lines.append(f"{matno} 1 {i + 1} {j + 1} {v!r}")
+    lines.extend(
+        f"{k} 1 {i} {j} {x!r}"
+        for k, i, j, x in zip(matno.tolist(), (r + 1).tolist(), (c + 1).tolist(), value.tolist())
+    )
     with open(path, "w") as handle:
         handle.write("\n".join(lines))
         handle.write("\n")
     return {
-        "constraints_written": len(body),
-        "equality_pairs": len(pairs),
+        "constraints_written": len(c_values),
+        "equality_pairs": len(first),
         "dimension": problem.dim,
     }
 

@@ -379,6 +379,8 @@ def run_trials(source_factory, params: cert.CertificateParams, n_trials: int, se
     true extracted fidelity of the withheld pair is evaluated for each
     accepted run.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
     k = adjusted_copies(params)
     for stream in np.random.SeedSequence(seed).spawn(n_trials):
         rng = np.random.default_rng(stream)
@@ -450,8 +452,6 @@ def soundness_experiment(
     """Soundness tally over :func:`run_trials`: over accepted trials the
     certified bound is compared against the true extracted fidelity of
     the withheld pair."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
     stats = SoundnessStats.start(params, n_trials)
     for trial in run_trials(source_factory, params, n_trials, seed):
         stats.record(trial)

@@ -678,7 +678,7 @@ def _moment_basis(reduced: npa.ReducedProblem):
     entries off the blocks cancel exactly and have no cell.
     """
     n = reduced.dim
-    classes = len(reduced.cells)
+    classes = len(reduced.p)
     # Word r is sum_t sign[r, t] e_basis[r, t]; sign 0 marks padding.
     basis = np.zeros((n, 2), dtype=np.intp)
     sign = np.zeros((n, 2))
@@ -700,9 +700,10 @@ def _moment_basis(reduced: npa.ReducedProblem):
         sign[first] = (1.0, 1.0)
         sign[words[first]] = (1.0, -1.0)
         paired[len(fixed):] = 1
-    rows = np.concatenate([r for r, _ in reduced.cells])
-    cols = np.concatenate([c for _, c in reduced.cells])
-    owner = np.repeat(of_class, [len(r) for r, _ in reduced.cells])
+    # The cells class by class, each class in row-major order.
+    order = np.argsort(reduced.label, axis=None, kind="stable")
+    rows, cols = np.divmod(order, n)
+    owner = of_class[reduced.label.ravel()[order]]
     # Every class holds a cell and its mirror, so the upper triangle
     # collects all of G_v; each cell sums its terms in input order.
     row = np.broadcast_to(basis[rows][:, :, None], (len(rows), 2, 2)).ravel()

@@ -201,6 +201,16 @@ def test_planner_infeasible_reported():
     assert not res2.feasible
 
 
+def test_plan_holds_returned_copies_to_limit():
+    # At the q that plan returns, this point needs 174601599 copies, two
+    # more than at the q its search solved for.
+    targets = (0.5873479283597857, 0.5, "di", "chsh", False)
+    eps = 0.14065298639990395
+    assert not cert.plan(*targets, epsilon=eps, max_copies=174601597).feasible
+    res = cert.plan(*targets, epsilon=eps, max_copies=174601599)
+    assert res.feasible and res.certificate.copies == cert.required_copies(res.params) == 174601599
+
+
 def test_planner_validates_inputs():
     with pytest.raises(ValueError, match="alpha must be positive"):
         cert.plan(0.7, 0.6, "1sdi", "steering", True, alpha=-1)

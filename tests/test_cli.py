@@ -91,6 +91,12 @@ def test_simulate_single_reject_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_simulate_refuses_trial_count_below_one(capsys, trials):
+    assert cli.main(["simulate", "--eps", "0.1", "--q", "4", "--x", "1", "--trials", trials]) == 1
+    assert capsys.readouterr().err == "telecert: error: n_trials must be at least 1\n"
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     argv = [
         "simulate", "--eps", "0.2", "--q", "4", "--x", "1",

@@ -287,7 +287,7 @@ def test_equality_counts_di_measurement():
     wd = npa.generate_words("di", 4)
     prob = npa.build_moment_problem("di", wd, "XAXB", "chsh", 2.0)
     assert prob.dim == 81
-    assert len(prob.complex_classes()) == 289
+    assert len(prob.keys) == 289  # scalar entries: one complex class per word key
     assert len(prob.equality_chains()) == 6272
     assert prob.generated_equality_count() == 116280
     assert prob.generated_equality_count() > 20000
@@ -385,9 +385,45 @@ def test_entry_keys_conjugate_symmetric():
         m = len(words)
         for k in range(m):
             for l in range(m):
-                assert prob.entry_keys[k][l] == npa._key_adjoint(prob.entry_keys[l][k])
+                alice, bob = prob.keys[prob.entry_ids[l, k]]
+                assert prob.keys[prob.entry_ids[k, l]] == (alice[::-1], bob[::-1])
     w = word("di", ("A", "Z"), ("A", "X"), ("B", "Z"))
     assert w.adjoint().alice == (1, 0) and w.adjoint().bob == (0,)
+
+
+@pytest.mark.parametrize(
+    "setting, words",
+    [("1sdi", npa.generate_words("1sdi", cap)) for cap in (1, 2, 3)]
+    + [("di", npa.generate_words("di", cap)) for cap in (1, 2, 3)]
+    + [("di", npa.generate_words("di", 3) + [npa.OperatorWord("di", (0, 1, 0, 1), ())])],
+    ids=["1sdi-cap1", "1sdi-cap2", "1sdi-cap3", "di-cap1", "di-cap2", "di-cap3", "di-lopsided"],
+)
+def test_cell_labels_match_tuple_reference(setting, words):
+    # per-cell tuple keys: canon(col^dag row) through the word constructor
+    b = 2 if setting == "1sdi" else 1
+    entry = [
+        [npa.OperatorWord(setting, col.alice[::-1] + row.alice, col.bob[::-1] + row.bob).key for col in words]
+        for row in words
+    ]
+    keys, entry_ids = npa._entry_table(setting, words)
+    assert keys == sorted({key for row in entry for key in row})
+    assert [[keys[v] for v in row] for row in entry_ids.tolist()] == entry
+    cell = [[(entry[r // b][c // b], r % b, c % b) for c in range(b * len(words))] for r in range(b * len(words))]
+    real = [[min(cell[r][c], cell[c][r]) for c in range(len(cell))] for r in range(len(cell))]
+
+    def ranks(grid):
+        order = {value: n for n, value in enumerate(sorted({value for row in grid for value in row}))}
+        return [[order[value] for value in row] for row in grid]
+
+    complex_labels, real_labels = npa._cell_labels(entry_ids, b)
+    assert complex_labels.tolist() == ranks(cell)
+    assert real_labels.tolist() == ranks(real)
+    try:
+        problem = npa.build_moment_problem(setting, words, "state", "steering" if b == 2 else "chsh", 1.9)
+    except npa.MissingWordError:
+        return  # cap 1 words are too short for the fidelity functional
+    assert problem.keys == keys and np.array_equal(problem.entry_ids, entry_ids)
+    assert npa.reduce_problem(problem).label.tolist() == ranks(real)
 
 
 def test_identity_word_required():
@@ -444,11 +480,10 @@ def test_swap_symmetry_detection():
     moved = np.flatnonzero(class_image != np.arange(185))
     u = moved[0]
     w = next(v for v in moved if v not in (u, class_image[u]))
-    cells = list(reduced.cells)
-    (ru, cu), (rw, cw) = cells[u], cells[w]
-    cells[u] = (np.r_[ru[1:], rw[:1]], np.r_[cu[1:], cw[:1]])
-    cells[w] = (np.r_[rw[1:], ru[:1]], np.r_[cw[1:], cu[:1]])
-    assert npa.swap_symmetry(dataclasses.replace(reduced, cells=cells)) is None
+    label = reduced.label.copy()
+    cell_u, cell_w = np.flatnonzero(label == u)[0], np.flatnonzero(label == w)[0]
+    label.flat[cell_u], label.flat[cell_w] = w, u
+    assert npa.swap_symmetry(dataclasses.replace(reduced, label=label)) is None
     # ZAXB becomes XAZB under the swap
     zaxb = npa.reduce_problem(npa.build_moment_problem("di", words, "ZAXB", "chsh", 2.7))
     assert npa.swap_symmetry(zaxb) is None
