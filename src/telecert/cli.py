@@ -132,28 +132,31 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _build_source(args, mode: str, copies: int, rng) -> protosim.Source:
-    if args.source == "honest":
-        return protosim.honest_ideal_source(mode)
-    if args.source == "werner":
-        return protosim.werner_source(mode, args.visibility)
+def _source_factory(args, mode: str):
+    """``source_factory(copies, rng)`` for run_trials.  The iid sources
+    consume no randomness, so one instance serves the whole batch."""
+    if args.source in ("honest", "werner"):
+        source = (
+            protosim.honest_ideal_source(mode) if args.source == "honest" else protosim.werner_source(mode, args.visibility)
+        )
+        return lambda copies, rng: source
     if args.source == "one-bad-pair":
-        return protosim.one_bad_pair_source(mode, copies, int(rng.integers(copies)), args.visibility)
+        return lambda copies, rng: protosim.one_bad_pair_source(mode, copies, int(rng.integers(copies)), args.visibility)
     if args.source == "drift":
-        return protosim.drifting_visibility_source(mode, copies, args.visibility, args.v_end)
+        return lambda copies, rng: protosim.drifting_visibility_source(mode, copies, args.visibility, args.v_end)
     raise ValueError(f"unknown source {args.source!r}")
 
 
 def cmd_simulate(args) -> int:
     _require(args, "eps", "q", "x")
+    if args.teleport_inputs < 0:
+        raise ValueError("--teleport-inputs must be at least 0 (0 skips teleportation)")
     alpha, alpha_source = _resolve_alpha(args)
     params = cert.CertificateParams(
         args.trust, args.inequality, args.iid, args.eps, args.q, args.x, alpha, alpha_source
     )
     mode = protosim.protocol_mode(params)
-    trials = protosim.run_trials(
-        lambda copies, rng: _build_source(args, mode, copies, rng), params, args.trials, args.seed
-    )
+    trials = protosim.run_trials(_source_factory(args, mode), params, args.trials, args.seed)
     stats = protosim.SoundnessStats.start(params, args.trials)
     rows = []
     for number, trial in enumerate(trials):

@@ -7,18 +7,23 @@ maximal violation.  Accepted runs carry the finite-statistics
 certificate, which the soundness harness compares against the true
 extracted fidelity of the withheld pair.
 
-Outcome sampling uses the exact Born-rule joint distribution, reduced to
-(marginal, marginal, correlation) triples so that long iid and
-round-indexed sources vectorize over rounds; history-adaptive sources
-fall back to a per-round loop.  Batches of runs come from one trial
-loop, :func:`run_trials`, which the soundness tally and the command line
-both consume.
+Acceptance reads only each subset's agreement count, the number of its
+pairs with outcome product ab = +1, and by the Born rule a pair with
+correlation <AB> agrees with probability (1 + <AB>)/2.  So a run samples
+counts, not outcomes: an iid source draws one binomial count per subset,
+a round-indexed source draws the random partition and one uniform per
+tested pair, and only a history-adaptive source, whose strategy reads
+the (setting, a, b) history, is measured round by round from the exact
+joint outcome distribution.  Batches of runs come from one trial loop,
+:func:`run_trials`, which the soundness tally and the command line both
+consume.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,8 +55,8 @@ def protocol_mode(params: cert.CertificateParams) -> str:
 
 
 class Source:
-    """Base source: override ``statistics`` for vectorized sampling or
-    ``pair`` for the physical states handed to extraction/teleportation."""
+    """Base source: override ``pair`` with the physical state and devices
+    of each round, and ``correlations`` where they have a closed form."""
 
     adaptive = False
 
@@ -60,16 +65,15 @@ class Source:
             raise ValueError(f"unknown protocol mode {mode!r}")
         self.mode = mode
 
-    # (marginal_a, marginal_b, correlation) per round for given settings
-    def statistics(self, indices: np.ndarray, settings: np.ndarray):
-        m_a = np.empty(len(indices))
-        m_b = np.empty(len(indices))
-        corr = np.empty(len(indices))
-        for pos, (i, t) in enumerate(zip(indices, settings)):
-            m_a[pos], m_b[pos], corr[pos] = self._pair_statistics(*self.pair(int(i)), int(t))
-        return m_a, m_b, corr
+    def correlations(self, rounds: np.ndarray) -> np.ndarray:
+        """<AB> of each pair in ``rounds``, a (subsets, size) array of pair
+        indices whose row t is measured at setting t."""
+        return np.array(
+            [[self.pair_statistics(*self.pair(int(i)), t)[2] for i in row] for t, row in enumerate(rounds)]
+        )
 
-    def _pair_statistics(self, state, model: qcore.MeasurementModel, setting: int):
+    def pair_statistics(self, state, model: qcore.MeasurementModel, setting: int):
+        """Born-rule (marginal_a, marginal_b, correlation) of one pair."""
         a_obs, b_obs = self._observables(model, setting)
         rho = qcore._as_density(state)
         eye_a = np.eye(rho.shape[0] // model.bob_dim)
@@ -101,18 +105,22 @@ def _ideal_pair(mode: str, visibility: float):
 
 
 class IidSource(Source):
-    """Identical (state, model) every round."""
+    """Identical (state, model) every round, so each subset's agreement
+    count is binomial and every pair extracts alike."""
 
     def __init__(self, mode: str, state: qcore.TwoQubitState, model: qcore.MeasurementModel):
         super().__init__(mode)
         self.state = state
         self.model = model
-        self._stats = [self._pair_statistics(state, model, t) for t in range(len(LAYOUTS[mode]))]
+        #: <AB> at each subset's setting, in layout order.
+        self.setting_correlations = np.array(
+            [self.pair_statistics(state, model, t)[2] for t in range(len(LAYOUTS[mode]))]
+        )
 
-    def statistics(self, indices, settings):
-        table = np.array(self._stats)
-        chosen = table[settings]
-        return chosen[:, 0], chosen[:, 1], chosen[:, 2]
+    @functools.cached_property
+    def extracted_fidelity(self) -> float:
+        """True extracted fidelity of every pair, evaluated on first use."""
+        return _extracted_fidelity(self.mode, self.state, self.model)
 
     def pair(self, index: int):
         return self.state, self.model
@@ -137,19 +145,17 @@ class VisibilitySequenceSource(Source):
             raise ValueError("visibilities must sit in [0, 1]")
         self.special = special or {}
 
-    def statistics(self, indices, settings):
+    def correlations(self, rounds):
         # Werner-type pairs on ideal devices: correlation v on both steering
         # subsets, v/sqrt(2) with the subset's CHSH sign on the setting pairs.
         signs = np.array(list(LAYOUTS[self.mode].values()))
-        corr = self.visibilities[indices] * signs[settings]
         if self.mode == "four-setting":
-            corr /= SQRT2
-        m_a = np.zeros(len(indices))
-        m_b = np.zeros(len(indices))
+            signs /= SQRT2
+        corr = self.visibilities[rounds] * signs[:, None]
         for idx, (state, model) in self.special.items():
-            for pos in np.flatnonzero(indices == idx):
-                m_a[pos], m_b[pos], corr[pos] = self._pair_statistics(state, model, int(settings[pos]))
-        return m_a, m_b, corr
+            for t, pos in zip(*np.nonzero(rounds == idx)):
+                corr[t, pos] = self.pair_statistics(state, model, int(t))[2]
+        return corr
 
     def pair(self, index: int):
         if index in self.special:
@@ -171,25 +177,27 @@ def drifting_visibility_source(mode: str, copies: int, v_start: float, v_end: fl
 class AdaptiveSource(Source):
     """History-dependent strategy: ``strategy(history)`` returns the next
     (state, model); history holds (setting, a, b) triples of measured
-    rounds in measurement order.  Sampling is per-round (slow path)."""
+    rounds in measurement order.  Sampling is per-round (slow path), and
+    only the withheld pair of the latest run is kept."""
 
     adaptive = True
 
     def __init__(self, mode: str, strategy):
         super().__init__(mode)
         self.strategy = strategy
-        self._emitted: dict = {}
+        self._withheld: tuple | None = None  # (index, pair)
 
-    def emit(self, index: int, history: list):
-        pair = self.strategy(list(history))
-        self._emitted[index] = pair
-        return pair
+    def emit(self, history: list):
+        return self.strategy(list(history))
+
+    def withhold(self, index: int, history: list) -> None:
+        """Emit the withheld pair, which sees the full measured history."""
+        self._withheld = (index, self.emit(history))
 
     def pair(self, index: int):
-        if index not in self._emitted:
-            # The withheld pair sees the full measured history.
-            raise RuntimeError("adaptive pair requested before emission")
-        return self._emitted[index]
+        if self._withheld is None or self._withheld[0] != index:
+            raise RuntimeError("only the withheld pair of the latest run is kept")
+        return self._withheld[1]
 
 
 # ---------------------------------------------------------------------------
@@ -198,54 +206,18 @@ class AdaptiveSource(Source):
 
 @dataclass
 class ProtocolTranscript:
+    """What acceptance read from one run: per subset, in setting order,
+    the number of tested pairs whose outcomes agreed and the average
+    correlation (2 agreements - size) / size."""
+
     copies: int
     withheld: int
-    subsets: list
-    setting_labels: tuple
-    settings: np.ndarray = field(repr=False)
-    outcomes_a: np.ndarray = field(repr=False)
-    outcomes_b: np.ndarray = field(repr=False)
-    subset_averages: list = field(default_factory=list)
-    statistic: float = 0.0
-    threshold: float = 0.0
-    accepted: bool = False
+    agreements: list
+    subset_averages: list
+    statistic: float
+    threshold: float
+    accepted: bool
     memoryless: bool = False
-
-    @property
-    def correlations(self) -> np.ndarray:
-        return self.outcomes_a * self.outcomes_b
-
-    def check(self) -> None:
-        sizes = {len(s) for s in self.subsets}
-        if len(sizes) != 1:
-            raise ValueError("subsets are not equal-sized")
-        measured = np.concatenate(self.subsets)
-        if self.withheld in measured:
-            raise ValueError("withheld pair was measured")
-        if len(measured) != self.copies - 1 or len(set(measured.tolist())) != self.copies - 1:
-            raise ValueError("subsets do not partition the tested pairs")
-        chat = self.correlations[measured]
-        if not np.all(np.abs(chat) == 1):
-            raise ValueError("correlations must be +-1")
-
-    def to_json(self, include_rounds: bool = True) -> dict:
-        doc = {
-            "schema": "protosim/1",
-            "copies": self.copies,
-            "withheld": int(self.withheld),
-            "setting_labels": list(self.setting_labels),
-            "subset_averages": [float(a) for a in self.subset_averages],
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "accepted": self.accepted,
-            "memoryless": self.memoryless,
-        }
-        if include_rounds:
-            doc["subsets"] = [s.tolist() for s in self.subsets]
-            doc["settings"] = self.settings.tolist()
-            doc["outcomes_a"] = self.outcomes_a.tolist()
-            doc["outcomes_b"] = self.outcomes_b.tolist()
-        return doc
 
 
 def adjusted_copies(params: cert.CertificateParams) -> int:
@@ -270,6 +242,26 @@ def sample_outcomes(m_a, m_b, corr, rng):
     return a.astype(np.int8), b.astype(np.int8)
 
 
+def _measure_adaptively(source: AdaptiveSource, rounds: np.ndarray, withheld: int, rng, memoryless: bool):
+    """Agreement counts of an adaptive source, measured round by round in
+    subset order (``memoryless``: in production order), each outcome pair
+    drawn from the Born rule of the pair the strategy emits."""
+    rounds = np.sort(rounds, axis=1)
+    settings = np.empty(rounds.size + 1, dtype=int)
+    settings[rounds] = np.arange(len(rounds))[:, None]
+    order = np.delete(np.arange(len(settings)), withheld) if memoryless else rounds.ravel()
+    agreements = np.zeros(len(rounds), dtype=int)
+    history: list = []
+    for i in order.tolist():
+        t = int(settings[i])
+        stats = np.array([source.pair_statistics(*source.emit(history), t)])
+        a, b = sample_outcomes(*stats.T, rng)
+        agreements[t] += a[0] == b[0]
+        history.append((t, int(a[0]), int(b[0])))
+    source.withhold(withheld, history)
+    return agreements
+
+
 def run_protocol(
     source: Source,
     params: cert.CertificateParams,
@@ -279,47 +271,29 @@ def run_protocol(
     """One protocol execution: returns (transcript, certificate or None).
 
     The withheld pair is chosen before any measurement and never sampled;
-    ``memoryless`` only changes the recorded measurement order (pairs
-    consumed as produced instead of subset-by-subset) and is certificate
-    neutral.
+    ``memoryless`` only changes the order in which an adaptive source is
+    measured (pairs consumed as produced instead of subset-by-subset) and
+    is certificate neutral.
     """
     mode = protocol_mode(params)
     if source.mode != mode:
         raise ValueError(f"source mode {source.mode!r} does not match params ({mode})")
     k = adjusted_copies(params)
     layout = LAYOUTS[mode]
-    groups = len(layout)
+    size = (k - 1) // len(layout)
     r = int(rng.integers(k))
-    remaining = np.delete(np.arange(k), r)
-    perm = rng.permutation(remaining)
-    size = (k - 1) // groups
-    subsets = [np.sort(perm[t * size : (t + 1) * size]) for t in range(groups)]
-
-    settings = np.full(k, -1, dtype=np.int8)
-    for t, subset in enumerate(subsets):
-        settings[subset] = t
-    outcomes_a = np.zeros(k, dtype=np.int8)
-    outcomes_b = np.zeros(k, dtype=np.int8)
-
-    if source.adaptive:
-        history: list = []
-        order = [i for i in range(k) if i != r] if memoryless else np.concatenate(subsets).tolist()
-        for i in order:
-            t = int(settings[i])
-            stats = np.array([source._pair_statistics(*source.emit(i, history), t)])
-            a, b = sample_outcomes(*stats.T, rng)
-            outcomes_a[i], outcomes_b[i] = a[0], b[0]
-            history.append((t, int(a[0]), int(b[0])))
-        source.emit(r, history)
+    if isinstance(source, IidSource):
+        agreements = rng.binomial(size, np.clip(0.5 * (1.0 + source.setting_correlations), 0.0, 1.0))
     else:
-        measured = np.concatenate(subsets)
-        m_a, m_b, corr = source.statistics(measured, settings[measured])
-        a, b = sample_outcomes(m_a, m_b, corr, rng)
-        outcomes_a[measured] = a
-        outcomes_b[measured] = b
+        rounds = rng.permutation(np.delete(np.arange(k), r)).reshape(len(layout), size)
+        if source.adaptive:
+            agreements = _measure_adaptively(source, rounds, r, rng, memoryless)
+        else:
+            agree = rng.random(rounds.shape) < 0.5 * (1.0 + source.correlations(rounds))
+            agreements = np.count_nonzero(agree, axis=1)
 
-    chat = (outcomes_a * outcomes_b).astype(float)
-    averages = [float(np.mean(chat[subset])) for subset in subsets]
+    agreements = [int(c) for c in agreements]
+    averages = [(2 * c - size) / size for c in agreements]
     statistic = sum(s * a for s, a in zip(layout.values(), averages))
     if mode == "two-basis" and params.inequality == "chsh":
         statistic *= SQRT2
@@ -329,11 +303,7 @@ def run_protocol(
     transcript = ProtocolTranscript(
         copies=k,
         withheld=r,
-        subsets=subsets,
-        setting_labels=tuple(layout),
-        settings=settings,
-        outcomes_a=outcomes_a,
-        outcomes_b=outcomes_b,
+        agreements=agreements,
         subset_averages=averages,
         statistic=float(statistic),
         threshold=float(threshold),
@@ -355,10 +325,15 @@ def extraction_target(mode: str) -> np.ndarray:
 def true_extracted_fidelity(source: Source, index: int) -> float:
     """Fidelity of the extraction output of one pair against the mode's
     reference state, evaluated at the devices the source actually used."""
-    state, model = source.pair(index)
-    side = "bob" if source.mode == "two-basis" else "both"
+    if isinstance(source, IidSource):
+        return source.extracted_fidelity
+    return _extracted_fidelity(source.mode, *source.pair(index))
+
+
+def _extracted_fidelity(mode: str, state, model: qcore.MeasurementModel) -> float:
+    side = "bob" if mode == "two-basis" else "both"
     extracted = qcore.swap_isometry_extract(state, model, side=side)
-    return qcore.fidelity_to_pure(extracted, extraction_target(source.mode))
+    return qcore.fidelity_to_pure(extracted, extraction_target(mode))
 
 
 class Trial(NamedTuple):
@@ -375,8 +350,9 @@ class Trial(NamedTuple):
 def run_trials(source_factory, params: cert.CertificateParams, n_trials: int, seed: int):
     """Repeated protocol runs with per-trial derived seeds, one Trial each.
 
-    ``source_factory(copies, rng)`` builds a fresh source per trial; the
-    true extracted fidelity of the withheld pair is evaluated for each
+    ``source_factory(copies, rng)`` gives each trial's source: a fresh one,
+    or one shared by the batch when it keeps no per-run state; the true
+    extracted fidelity of the withheld pair is evaluated for each
     accepted run.
     """
     if n_trials < 1:

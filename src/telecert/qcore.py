@@ -433,26 +433,26 @@ def purify_with_bob_ancilla(state: TwoQubitState) -> tuple[np.ndarray, int]:
 _BELL_BASIS = np.array(
     [[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]], dtype=complex
 ) * (1.0 / np.sqrt(2.0))
-_CORRECTIONS = (ID2, SIGMA_X, SIGMA_Z, SIGMA_X @ SIGMA_Z)
+_CORRECTIONS = np.array([ID2, SIGMA_X, SIGMA_Z, SIGMA_X @ SIGMA_Z])
 
 
 def teleport_average_fidelity(resource: TwoQubitState, n_inputs: int, rng) -> float:
-    """Mean teleportation fidelity over Haar-random pure input qubits."""
+    """Mean teleportation fidelity over Haar-random pure input qubits,
+    drawn from ``rng`` as ``n_inputs`` calls of ``haar_random_vector(2, rng)``
+    would draw them."""
     if n_inputs < 1:
         raise ValueError("n_inputs must be at least 1")
     rho = resource.matrix.reshape(2, 2, 2, 2)  # indices (a, b, a', b')
-    total = 0.0
-    for _ in range(n_inputs):
-        phi = haar_random_vector(2, rng)
-        fid = 0.0
-        for k in range(4):
-            beta = _BELL_BASIS[:, k].reshape(2, 2)  # (input, alice-half)
-            # Unnormalized Bob state after projecting (input x alice) on beta_k.
-            amp_in = np.einsum("c,ca->a", phi, beta.conj())  # contract input leg
-            bob = np.einsum("a,e,abed->bd", amp_in, amp_in.conj(), rho)
-            corrected = _CORRECTIONS[k] @ bob @ _CORRECTIONS[k].conj().T
-            fid += np.real(np.vdot(phi, corrected @ phi))
-        total += fid
+    z = rng.standard_normal((n_inputs, 2, 2))
+    phi = z[:, 0] + 1j * z[:, 1]
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    beta = _BELL_BASIS.T.reshape(4, 2, 2)  # (outcome, input, alice-half)
+    # Unnormalized Bob state per input and outcome after projecting
+    # (input x alice) on beta_k, then Bob's Pauli correction.
+    amp = np.einsum("nc,kca->nka", phi, beta.conj())
+    bob = np.einsum("nka,nke,abed->nkbd", amp, amp.conj(), rho)
+    corrected = _CORRECTIONS @ bob @ _CORRECTIONS.conj().transpose(0, 2, 1)
+    total = np.einsum("nb,nkbd,nd->", phi.conj(), corrected, phi).real
     return float(total / n_inputs)
 
 

@@ -97,6 +97,20 @@ def test_simulate_refuses_trial_count_below_one(capsys, trials):
     assert capsys.readouterr().err == "telecert: error: n_trials must be at least 1\n"
 
 
+def test_simulate_refuses_negative_teleport_inputs(tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the inputs were checked")
+
+    monkeypatch.setattr(protosim, "run_protocol", no_trials)
+    out = tmp_path / "runs.csv"
+    argv = ["simulate", "--eps", "0.15", "--q", "5.45", "--x", "1", "--teleport-inputs", "-1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "telecert: error: --teleport-inputs must be at least 0 (0 skips teleportation)\n"
+    assert not out.exists()
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     argv = [
         "simulate", "--eps", "0.2", "--q", "4", "--x", "1",

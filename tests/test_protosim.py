@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,27 @@ from telecert import cert, protosim, qcore as qc
 
 def steering_params(eps=0.15, q=5.45, x=1.0, iid=True):
     return cert.CertificateParams("1sdi", "steering", iid, eps, q, x)
+
+
+def check_transcript(transcript, params):
+    """Structure every run's transcript has: the withheld pair in range,
+    one agreement count per subset of (K - 1) / subsets tested pairs, the
+    averages and statistic recomputed from the counts, and the verdict."""
+    mode = protosim.protocol_mode(params)
+    layout = protosim.LAYOUTS[mode]
+    k = protosim.adjusted_copies(params)
+    size = (k - 1) // len(layout)
+    assert transcript.copies == k
+    assert 0 <= transcript.withheld < k
+    assert len(transcript.agreements) == len(layout)
+    assert all(0 <= c <= size for c in transcript.agreements)
+    assert transcript.subset_averages == [(2 * c - size) / size for c in transcript.agreements]
+    statistic = sum(sign * avg for sign, avg in zip(layout.values(), transcript.subset_averages))
+    if mode == "two-basis" and params.inequality == "chsh":
+        statistic *= math.sqrt(2)
+    assert transcript.statistic == pytest.approx(statistic, abs=1e-12)
+    assert transcript.threshold == params.max_violation - params.epsilon
+    assert transcript.accepted == (transcript.statistic >= transcript.threshold)
 
 
 def test_adjusted_copies_partition():
@@ -25,10 +48,10 @@ def test_honest_ideal_always_accepts():
     source = protosim.honest_ideal_source("two-basis")
     for _ in range(25):
         transcript, certificate = protosim.run_protocol(source, params, rng)
-        transcript.check()
+        check_transcript(transcript, params)
         assert transcript.accepted
         assert certificate is not None
-        assert np.all(transcript.correlations[np.concatenate(transcript.subsets)] == 1)
+        assert transcript.subset_averages == [1.0, 1.0]
 
 
 def test_honest_source_is_unit_visibility_werner():
@@ -38,29 +61,37 @@ def test_honest_source_is_unit_visibility_werner():
         assert np.array_equal(honest.state.matrix, werner.state.matrix)
         target = protosim.extraction_target(mode)
         assert np.allclose(honest.state.matrix, np.outer(target, target.conj()), atol=1e-15)
-        indices, settings = np.zeros(n, dtype=int), np.arange(n)
-        for h, w in zip(honest.statistics(indices, settings), werner.statistics(indices, settings)):
-            assert np.array_equal(h, w)
+        assert np.array_equal(honest.setting_correlations, werner.setting_correlations)
         # ideal correlations: 1 on both steering subsets, +-1/sqrt(2) on the CHSH pairs
         signs = np.array(list(protosim.LAYOUTS[mode].values()))
         expected = signs if mode == "two-basis" else signs / math.sqrt(2)
-        assert np.allclose(honest.statistics(indices, settings)[2], expected, atol=1e-12)
+        assert len(honest.setting_correlations) == n
+        assert np.allclose(honest.setting_correlations, expected, atol=1e-12)
+        # the round-indexed closed form agrees with the iid Born-rule values
+        rounds = np.arange(n).reshape(n, 1)
+        sequence = protosim.VisibilitySequenceSource(mode, np.ones(n))
+        assert np.allclose(sequence.correlations(rounds)[:, 0], expected, atol=1e-12)
 
 
 def test_transcript_structure():
     rng = np.random.default_rng(2)
     params = steering_params()
     transcript, _ = protosim.run_protocol(protosim.werner_source("two-basis", 0.9), params, rng)
-    transcript.check()
-    k = transcript.copies
-    assert len(transcript.subsets) == 2
-    assert all(len(s) == (k - 1) // 2 for s in transcript.subsets)
-    r = transcript.withheld
-    assert transcript.settings[r] == -1
-    assert transcript.outcomes_a[r] == 0 and transcript.outcomes_b[r] == 0
-    doc = transcript.to_json(include_rounds=False)
-    assert doc["schema"] == "protosim/1"
-    assert doc["accepted"] == transcript.accepted
+    check_transcript(transcript, params)
+
+    # a round-indexed run partitions every pair but the withheld one into
+    # equal subsets, and never asks for the withheld pair's correlation
+    class Recording(protosim.VisibilitySequenceSource):
+        def correlations(self, rounds):
+            self.rounds = rounds
+            return super().correlations(rounds)
+
+    k = protosim.adjusted_copies(params)
+    source = Recording("two-basis", np.linspace(1.0, 0.8, k))
+    transcript, _ = protosim.run_protocol(source, params, rng)
+    check_transcript(transcript, params)
+    assert source.rounds.shape == (2, (k - 1) // 2)
+    assert sorted(source.rounds.ravel().tolist()) == [i for i in range(k) if i != transcript.withheld]
 
 
 def test_werner_acceptance_rate_with_margin():
@@ -120,8 +151,7 @@ def test_chsh_modes():
     acc = 0
     for _ in range(10):
         transcript, _ = protosim.run_protocol(source, params, rng)
-        transcript.check()
-        assert len(transcript.subsets) == 4
+        check_transcript(transcript, params)
         acc += transcript.accepted
     assert acc == 10  # ~14 sigma margin at these sizes
 
@@ -129,6 +159,7 @@ def test_chsh_modes():
     params_1sdi = cert.CertificateParams("1sdi", "chsh", True, 0.2, 8.0, 1.0)
     source_1sdi = protosim.honest_ideal_source("two-basis")
     transcript, certificate = protosim.run_protocol(source_1sdi, params_1sdi, rng)
+    check_transcript(transcript, params_1sdi)
     assert transcript.accepted
     assert transcript.statistic == pytest.approx(2 * math.sqrt(2), abs=1e-12)
     assert certificate.fidelity == pytest.approx(1 - 0.90 * (4 * 0.2 / 8.0 + 0.2), abs=1e-12)
@@ -157,11 +188,11 @@ def test_one_bad_pair_statistics_match_oracle():
     k = 2001
     bad_index = 1000
     source = protosim.one_bad_pair_source("two-basis", k, bad_index)
-    indices = np.array([0, bad_index, k - 1])
-    settings = np.array([0, 0, 1])
-    m_a, m_b, corr = source.statistics(indices, settings)
-    assert np.allclose(corr, [1.0, 0.0, 1.0], atol=1e-12)
-    assert np.allclose(m_a, 0.0, atol=1e-12) and np.allclose(m_b, 0.0, atol=1e-12)
+    corr = source.correlations(np.array([[0, bad_index], [k - 1, bad_index + 1]]))
+    assert np.allclose(corr, [[1.0, 0.0], [1.0, 1.0]], atol=1e-12)
+    # the maximally mixed pair has zero marginals too
+    m_a, m_b, _ = source.pair_statistics(*source.pair(bad_index), 1)
+    assert abs(m_a) < 1e-12 and abs(m_b) < 1e-12
 
 
 def test_soundness_one_bad_pair():
@@ -223,21 +254,35 @@ def test_adaptive_source_runs():
     rng = np.random.default_rng(14)
     source = protosim.AdaptiveSource("two-basis", strategy)
     transcript, certificate = protosim.run_protocol(source, params, rng)
-    transcript.check()
+    check_transcript(transcript, params)
     state, _ = source.pair(transcript.withheld)
     assert state.matrix.shape == (4, 4)
+    # only the withheld pair's emission is kept
+    with pytest.raises(RuntimeError):
+        source.pair((transcript.withheld + 1) % transcript.copies)
 
 
 def test_memoryless_flag_is_metadata_only():
     params = steering_params()
-    rng = np.random.default_rng(15)
-    transcript, certificate = protosim.run_protocol(
-        protosim.werner_source("two-basis", 0.97), params, rng, memoryless=True
-    )
-    transcript.check()
-    assert transcript.memoryless
+    source = protosim.werner_source("two-basis", 0.97)
+    runs = [
+        protosim.run_protocol(source, params, np.random.default_rng(15), memoryless=flag) for flag in (False, True)
+    ]
+    (plain, plain_cert), (transcript, certificate) = runs
+    check_transcript(transcript, params)
+    assert transcript.memoryless and not plain.memoryless
+    assert dataclasses.replace(transcript, memoryless=False) == plain
+    assert certificate == plain_cert
     if transcript.accepted:
         assert certificate.fidelity == cert.fidelity_bound(params).fidelity
+
+    # on the per-round path it only reorders the measurements
+    small = steering_params(eps=0.4, q=1.2, x=0.5)
+    adaptive = protosim.AdaptiveSource("two-basis", lambda history: (qc.werner_state(0.97), qc.ideal_model()))
+    transcript, certificate = protosim.run_protocol(adaptive, small, np.random.default_rng(15), memoryless=True)
+    check_transcript(transcript, small)
+    assert transcript.memoryless
+    assert certificate == (cert.fidelity_bound(small) if transcript.accepted else None)
 
 
 def test_teleport_with_certificate():
@@ -312,6 +357,96 @@ def test_iid_source_with_arbitrary_model():
     source = ArbitrarySource("two-basis")
     params = cert.CertificateParams("1sdi", "steering", True, 0.6, 1.0, 0.5)
     transcript, certificate = protosim.run_protocol(source, params, rng)
-    transcript.check()
+    check_transcript(transcript, params)
     fid = protosim.true_extracted_fidelity(source, transcript.withheld)
     assert 0.0 <= fid <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Count sampler against exact count laws at small K
+
+#: Smallest runs of each layout: K = 9 (two subsets of 4), K = 13 (four of 3).
+TINY = {
+    "two-basis": cert.CertificateParams("1sdi", "steering", True, 0.5, 1.0, 0.7),
+    "four-setting": cert.CertificateParams("di", "chsh", True, 0.5, 1.0, 0.5),
+}
+
+
+def binomial_pmf(n, p):
+    return np.array([math.comb(n, c) * p**c * (1 - p) ** (n - c) for c in range(n + 1)])
+
+
+def subset_count_pmf(probabilities, size):
+    """Exact law of one subset's agreement count when pair i agrees with
+    probability probabilities[i]: the withheld pair and the subset are
+    uniformly random, so average the Poisson-binomial pmf (a convolution
+    of Bernoulli pmfs) over every (withheld pair, subset) choice."""
+    k = len(probabilities)
+    total = np.zeros(size + 1)
+    choices = 0
+    for withheld in range(k):
+        rest = [i for i in range(k) if i != withheld]
+        for subset in itertools.combinations(rest, size):
+            pmf = np.ones(1)
+            for i in subset:
+                pmf = np.convolve(pmf, [1 - probabilities[i], probabilities[i]])
+            total += pmf
+            choices += 1
+    return total / choices
+
+
+def agreement_probabilities(mode, visibilities):
+    """(subsets, K) Born-rule agreement probabilities (1 + <AB>)/2 of
+    Werner-type pairs on ideal devices, per subset setting."""
+    signs = np.array(list(protosim.LAYOUTS[mode].values()))
+    scale = 1.0 if mode == "two-basis" else 1 / math.sqrt(2)
+    return 0.5 * (1 + scale * signs[:, None] * np.asarray(visibilities)[None, :])
+
+
+def count_frequencies(source, params, trials, seed):
+    rng = np.random.default_rng(seed)
+    groups = len(protosim.LAYOUTS[source.mode])
+    size = (protosim.adjusted_copies(params) - 1) // groups
+    freq = np.zeros((groups, size + 1))
+    for _ in range(trials):
+        transcript, _ = protosim.run_protocol(source, params, rng)
+        freq[np.arange(groups), transcript.agreements] += 1
+    return freq / trials, size
+
+
+def total_variation(p, q):
+    return 0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum()
+
+
+# With 4000 trials the observed total-variation distances sit at 0.02 or
+# less.  A visibility off by 0.2, an ignored bad pair or a partition into
+# consecutive pairs instead of a random one each moves one of these laws
+# by 0.059 or more.
+TV_BOUND = 0.04
+
+
+@pytest.mark.parametrize("mode", ["two-basis", "four-setting"])
+def test_iid_counts_are_binomial(mode):
+    params = TINY[mode]
+    k = protosim.adjusted_copies(params)
+    assert k == {"two-basis": 9, "four-setting": 13}[mode]
+    freq, size = count_frequencies(protosim.werner_source(mode, 0.6), params, 4000, seed=51)
+    for t, p in enumerate(agreement_probabilities(mode, [0.6])[:, 0]):
+        assert total_variation(freq[t], binomial_pmf(size, p)) < TV_BOUND
+
+
+@pytest.mark.parametrize("mode", ["two-basis", "four-setting"])
+def test_round_indexed_counts_are_poisson_binomial(mode):
+    params = TINY[mode]
+    k = protosim.adjusted_copies(params)
+    bad = 3
+    one_bad = np.ones(k)
+    one_bad[bad] = 0.0
+    cases = [
+        (protosim.drifting_visibility_source(mode, k, 1.0, 0.0), np.linspace(1.0, 0.0, k)),
+        (protosim.one_bad_pair_source(mode, k, bad), one_bad),
+    ]
+    for number, (source, visibilities) in enumerate(cases):
+        freq, size = count_frequencies(source, params, 4000, seed=52 + number)
+        for t, p in enumerate(agreement_probabilities(mode, visibilities)):
+            assert total_variation(freq[t], subset_count_pmf(p, size)) < TV_BOUND

@@ -102,12 +102,12 @@ def test_linearity_in_state():
 
 
 def _sample(state, setting, n, rng, mode="two-basis"):
-    """n rounds at one subset setting through the protocol's Born-rule sampler
-    (two-basis: 0 is X x X, 1 is Z x Z; four-setting: 2x + y is A_x x B_y)."""
+    """n rounds at one subset setting through the per-round Born-rule sampler
+    of adaptive runs (two-basis: 0 is X x X, 1 is Z x Z; four-setting:
+    2x + y is A_x x B_y)."""
     model = qc.ideal_model(device_independent=mode == "four-setting")
-    source = protosim.IidSource(mode, state, model)
-    m_a, m_b, corr = source.statistics(np.zeros(n, dtype=int), np.full(n, setting))
-    return protosim.sample_outcomes(m_a, m_b, corr, rng)
+    stats = protosim.Source(mode).pair_statistics(state, model, setting)
+    return protosim.sample_outcomes(*(np.full(n, value) for value in stats), rng)
 
 
 def test_sample_round_bell_perfect_correlation():
@@ -222,6 +222,33 @@ def test_teleport_werner_average():
     for v, expected in ((0.0, 0.5), (0.5, 0.75), (1.0, 1.0)):
         emp = qc.teleport_average_fidelity(qc.werner_state(v), 40, rng)
         assert emp == pytest.approx(expected, abs=1e-10)
+
+
+def _teleport_loop(resource, n_inputs, rng):
+    """Input-by-input reference for ``teleport_average_fidelity``."""
+    rho = resource.matrix.reshape(2, 2, 2, 2)
+    total = 0.0
+    for _ in range(n_inputs):
+        phi = qc.haar_random_vector(2, rng)
+        for k in range(4):
+            amp = np.einsum("c,ca->a", phi, qc._BELL_BASIS[:, k].reshape(2, 2).conj())
+            bob = np.einsum("a,e,abed->bd", amp, amp.conj(), rho)
+            corrected = qc._CORRECTIONS[k] @ bob @ qc._CORRECTIONS[k].conj().T
+            total += np.real(np.vdot(phi, corrected @ phi))
+    return total / n_inputs
+
+
+def test_teleport_matches_input_loop():
+    # same Haar draws as successive haar_random_vector calls; only the
+    # summation order differs, so agreement to a few float64 ulps
+    rng = np.random.default_rng(31)
+    for n_inputs in (1, 3, 64):
+        psi = qc.haar_random_vector(4, rng)
+        resource = qc.TwoQubitState(0.6 * np.outer(psi, psi.conj()) + 0.4 * qc.werner_state(0.5).matrix)
+        seed = int(rng.integers(2**32))
+        batched = qc.teleport_average_fidelity(resource, n_inputs, np.random.default_rng(seed))
+        looped = _teleport_loop(resource, n_inputs, np.random.default_rng(seed))
+        assert batched == pytest.approx(looped, abs=1e-14)
 
 
 def test_teleport_beats_entangled_fidelity():
