@@ -12,7 +12,7 @@ Which cells of the moment matrix carry the same moment is held as
 integer labels: an entry id per word pair (its canonical key), a complex
 label per scalar cell and a real label per scalar cell, each numbered in
 the sorted order of the tuples it stands for.  The equality constraints,
-the real reduction, the swap check and the SDPA export all read them.
+the real reduction, the symmetry check and the SDPA export all read them.
 """
 
 from __future__ import annotations
@@ -606,38 +606,68 @@ def reduce_problem(problem: MomentProblem) -> ReducedProblem:
     return ReducedProblem(problem, label, p, q, norm)
 
 
-def swap_symmetry(reduced: ReducedProblem):
-    """The Alice<->Bob swap as a symmetry of a fully untrusted reduced problem.
-
-    Returns (word_image, class_image), the images under the swap of each word and
-    of each real class, when all of these hold exactly: the word list is
-    closed under (a, b) -> (b, a), the swap maps the cells of every real
-    class onto the cells of one class, and p, q and norm take equal values
-    on a class and its image.  Returns None otherwise, as for one-sided
-    problems and for objectives such as ZAXB that the swap changes.
-    Averaging an optimum over the swap then gives an optimum with equal
-    moments on each class and its image.
-    """
-    problem = reduced.problem
-    if problem.setting != SETTING_DI:
-        return None
-    position = {w.key: k for k, w in enumerate(problem.words)}
-    try:
-        word_image = np.array([position[(w.bob, w.alice)] for w in problem.words], dtype=np.intp)
-    except KeyError:
-        return None
-    # Cells are word pairs here (block 1): the class of each cell's image.
+def _class_action(reduced: ReducedProblem, word_image: np.ndarray, word_sign: np.ndarray):
+    """The action on the real classes of the signed row permutation that
+    sends row k to word_sign[k] times row word_image[k]: (class_image,
+    class_sign), or None unless it maps the cells of every class onto the
+    cells of one class with one sign and keeps p, q and norm up to that
+    sign.  Cell (r, c) goes to (word_image[r], word_image[c]) with sign
+    word_sign[r] word_sign[c]."""
     image = reduced.label[np.ix_(word_image, word_image)]
+    sign = np.outer(word_sign, word_sign)
     class_image = np.empty(len(reduced.p), dtype=np.intp)
     class_image[reduced.label] = image
+    class_sign = np.empty(len(reduced.p))
+    class_sign[reduced.label] = sign
     sizes = np.bincount(reduced.label.ravel())
-    # The swap is a bijection on cells, so the image of a class inside one
+    # The map is a bijection on cells, so the image of a class inside one
     # class of the same size is that whole class.
-    if not np.array_equal(class_image[reduced.label], image) or not np.array_equal(sizes[class_image], sizes):
+    if not (
+        np.array_equal(class_image[reduced.label], image)
+        and np.array_equal(class_sign[reduced.label], sign)
+        and np.array_equal(sizes[class_image], sizes)
+    ):
         return None
-    if any(not np.array_equal(vec[class_image], vec) for vec in (reduced.p, reduced.q, reduced.norm)):
+    if any(not np.array_equal(vec[class_image] * class_sign, vec) for vec in (reduced.p, reduced.q, reduced.norm)):
         return None
-    return word_image, class_image
+    return class_image, class_sign
+
+
+def symmetry_group(reduced: ReducedProblem):
+    """The symmetries of a reduced problem among the Alice<->Bob swap
+    (a, b) -> (b, a) and the global sign flip (A, B) -> (-A, -B).
+
+    A symmetry is a signed word permutation: the swap sends word k to the
+    word of swapped parts with sign +1, the flip sends it to itself with
+    sign (-1)^length.  Each is checked exactly (`_class_action`): the word
+    list is closed under it, each class maps onto one class with one sign,
+    and p, q and norm are invariant up to that sign.  Returns
+    (word_image, word_sign, class_image, class_sign), one row per element
+    of the group found, element t the product of the generators at the set
+    bits of t; row 0 is the identity.  One-sided problems get the trivial
+    group.  Averaging an optimum over the group gives an optimum whose
+    moments are equal up to the sign on each class orbit, and zero on a
+    class an element maps onto itself with sign -1.
+    """
+    problem = reduced.problem
+    n = problem.dim
+    elements = [(np.arange(n), np.ones(n))]
+    candidates = []
+    if problem.setting == SETTING_DI:
+        flip = (-1.0) ** np.array([w.length for w in problem.words])
+        position = {w.key: k for k, w in enumerate(problem.words)}
+        swapped = [position.get((w.bob, w.alice)) for w in problem.words]
+        candidates = [(np.arange(n), flip)]
+        if None not in swapped:
+            swap = np.array(swapped, dtype=np.intp)
+            candidates = [(swap, np.ones(n)), (np.arange(n), flip), (swap, flip)]
+    for image, sign in candidates:
+        known = any(np.array_equal(image, i) and np.array_equal(sign, s) for i, s in elements)
+        if not known and _class_action(reduced, image, sign) is not None:
+            # candidate after each element: row k goes to s[k] sign[i[k]] image[i[k]]
+            elements += [(image[i], s * sign[i]) for i, s in elements]
+    actions = [_class_action(reduced, i, s) for i, s in elements]
+    return tuple(np.array(part) for part in (*zip(*elements), *zip(*actions)))
 
 
 # ---------------------------------------------------------------------------

@@ -442,13 +442,21 @@ def teleport_with_certificate(
     rng,
 ) -> dict:
     """Teleport through the withheld pair of an accepted run and compare
-    the empirical average fidelity against the certified bound."""
+    the empirical average fidelity against the certified bound.
+
+    The fully untrusted target is the rotated Bell state (I x R)|Phi+>,
+    R real, symmetric and orthogonal, so there Bob first applies the fixed
+    R^dag = R and the standard Phi+ protocol follows."""
     if not transcript.accepted:
         raise ValueError("transcript was rejected; nothing to teleport through")
     state, model = source.pair(transcript.withheld)
     rho = qcore._as_density(state)
     if model.bob_dim != 2 or rho.shape != (4, 4):
         raise ValueError("teleportation needs qubit pairs on both sides")
+    if source.mode == "four-setting":
+        # target[2 i + j] = R[j, i] / sqrt(2)
+        undo = np.kron(np.eye(2), SQRT2 * extraction_target(source.mode).real.reshape(2, 2).T)
+        rho = undo.T @ rho @ undo
     empirical = qcore.teleport_average_fidelity(qcore.TwoQubitState(rho), n_inputs, rng)
     entangled_fidelity = true_extracted_fidelity(source, transcript.withheld)
     return {

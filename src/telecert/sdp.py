@@ -31,15 +31,18 @@ with equal cell count, then a gather at the cells of each A_i.
 
 Moment problems are fed through a reduction that parametrizes the
 matrix by its free real moments, which keeps the constraint count near
-the number of distinct moments.  Where the Alice<->Bob swap is a
-symmetry of the problem (`npa.swap_symmetry` checks the word list, the
-classes and the functionals exactly), a class and its swap image share
-one moment, and the companion is posed in the basis of the fixed words
-and the (w +- sigma w)/sqrt(2) pairs, where it is block-diagonal
-(Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  The fully
-untrusted `state`, `ZAZB` and `XAXB` problems then split 45 + 36 with 99
-constraints instead of 183 (`ZAXB` is not swap-symmetric); tests check
-their bounds against the unreduced solves to 1e-6.
+the number of distinct moments.  The problem's symmetries among the
+Alice<->Bob swap and the global sign flip (A, B) -> (-A, -B) form an
+abelian group (`npa.symmetry_group` checks each element exactly on the
+word list, the classes and the functionals).  Each orbit of classes
+shares one moment up to sign, the classes of odd word length that the
+flip negates are zero, and the companion is posed in a basis adapted to
+the group's characters, where it is block-diagonal (Gatermann & Parrilo,
+J. Pure Appl. Algebra 192, 2004).  The fully untrusted `state`, `ZAZB`
+and `XAXB` problems keep the whole group and split 25 + 16 + 20 + 20
+with 59 constraints, and `ZAXB` keeps the flip and splits 41 + 40 with
+103, instead of one 81x81 block with 183; tests check their bounds
+against the unreduced solves to 1e-6.
 """
 
 from __future__ import annotations
@@ -664,58 +667,57 @@ class MomentSolveResult:
 def _moment_basis(reduced: npa.ReducedProblem):
     """Free moments of the companion and their matrices.
 
-    Returns (of_class, cells): the free moment of each real class, and
-    the upper-triangle cells (owner, rows, cols, values) of the matrices
-    G_v with Gamma = sum_v y_v G_v in some orthonormal basis of the word
-    space, sorted by moment, row and column.  Without a symmetry each
-    class is its own moment and G_v is its 0/1 cell pattern in the word
-    basis.  When the Alice<->Bob swap is a symmetry
-    (`npa.swap_symmetry`), a class and its image share one moment, and
-    G_v is written in the basis of the fixed words and
-    (w + sigma w)/sqrt(2), followed by the (w - sigma w)/sqrt(2).  There
-    G_v is block-diagonal, symmetric part then antisymmetric part.  Each
-    entry is an integer sum over cells times 1, 1/sqrt(2) or 1/2, so the
-    entries off the blocks cancel exactly and have no cell.
+    Returns (of_class, sign, cells): each real class carries sign times
+    the free moment of_class, and cells are the upper-triangle cells
+    (owner, rows, cols, values) of the matrices G_v with
+    Gamma = sum_v y_v G_v in an orthonormal basis of the word space,
+    sorted by moment, row and column.  The symmetry group
+    (`npa.symmetry_group`) merges each orbit of classes into one moment,
+    up to sign, and gives the classes it forces to zero sign 0 and no
+    moment.  The basis holds, per character chi of the group and per orbit
+    of words with representative w, the nonzero sum_g chi(g) g(w), whose
+    entries are +-1/sqrt(orbit size) (Gatermann & Parrilo, J. Pure Appl.
+    Algebra 192, 2004).  G_v is block-diagonal on the characters; each
+    entry is an integer sum over cells times one scale, so the entries off
+    the blocks cancel exactly and have no cell.  For the trivial group,
+    each class is its own moment and G_v its 0/1 cell pattern.
     """
     n = reduced.dim
-    classes = len(reduced.p)
-    # Word r is sum_t sign[r, t] e_basis[r, t]; sign 0 marks padding.
-    basis = np.zeros((n, 2), dtype=np.intp)
-    sign = np.zeros((n, 2))
-    paired = np.zeros(n, dtype=np.intp)  # 1 for a (w +- sigma w)/sqrt(2)
-    swap = npa.swap_symmetry(reduced)
-    if swap is None:
-        of_class = np.arange(classes)
-        basis[:, 0] = np.arange(n)
-        sign[:, 0] = 1.0
-    else:
-        words, image = swap  # the swap images of the words and of the classes
-        _, of_class = np.unique(np.minimum(np.arange(classes), image), return_inverse=True)
-        fixed = np.flatnonzero(words == np.arange(n))
-        first = np.flatnonzero(words > np.arange(n))
-        pairs = np.stack([len(fixed) + np.arange(len(first)), n - len(first) + np.arange(len(first))], axis=1)
-        basis[fixed, 0] = np.arange(len(fixed))
-        sign[fixed, 0] = 1.0
-        basis[first] = basis[words[first]] = pairs
-        sign[first] = (1.0, 1.0)
-        sign[words[first]] = (1.0, -1.0)
-        paired[len(fixed):] = 1
-    # The cells class by class, each class in row-major order.
-    order = np.argsort(reduced.label, axis=None, kind="stable")
-    rows, cols = np.divmod(order, n)
-    owner = of_class[reduced.label.ravel()[order]]
-    # Every class holds a cell and its mirror, so the upper triangle
-    # collects all of G_v; each cell sums its terms in input order.
-    row = np.broadcast_to(basis[rows][:, :, None], (len(rows), 2, 2)).ravel()
-    col = np.broadcast_to(basis[cols][:, None, :], (len(rows), 2, 2)).ravel()
-    weight = (sign[rows][:, :, None] * sign[cols][:, None, :]).ravel()
-    term = (row <= col) & (weight != 0.0)
-    key = (np.repeat(owner, 4)[term] * n + row[term]) * n + col[term]
-    key, slot = np.unique(key, return_inverse=True)
+    words, signs, class_image, class_sign = npa.symmetry_group(reduced)
+    order = len(words)
+    # A class's moment is its orbit's smallest class times the sign of an
+    # element that maps it there; an element that fixes it with sign -1
+    # forces it to zero.
+    classes = np.arange(class_image.shape[1])
+    to_first = np.argmin(class_image, axis=0)
+    sign = class_sign[to_first, classes]
+    sign[np.any((class_image == classes) & (class_sign < 0), axis=0)] = 0.0
+    of_class = np.zeros(len(classes), dtype=np.intp)
+    _, of_class[sign != 0.0] = np.unique(class_image[to_first, classes][sign != 0.0], return_inverse=True)
+    # Element t is the product of the generators at the set bits of t, so
+    # character c takes the value (-1)^popcount(c & t) on it.
+    chi = np.array([[(-1.0) ** bin(c & t).count("1") for t in range(order)] for c in range(order)])
+    first = np.flatnonzero(np.min(words, axis=0) == np.arange(n))
+    vectors = np.zeros((order, len(first), n))
+    for c in range(order):
+        np.add.at(vectors[c], (np.arange(len(first)), words[:, first]), chi[c][:, None] * signs[:, first])
+    vectors = np.sign(vectors.reshape(-1, n))
+    vectors = vectors[np.any(vectors, axis=1)]
+    size = np.count_nonzero(vectors, axis=1)
+    # Word r is the sum of its terms coef e_column / sqrt(size), and cell
+    # (r, c) of Gamma adds coef coef' e_column e_column'^T per pair of
+    # terms of r and c.  Summing every cell makes the upper triangle
+    # collect all of G_v, and the integer weights sum exactly in any order.
+    word, column = np.nonzero(vectors.T)
+    coef = vectors[column, word]
+    label = reduced.label[np.ix_(word, word)]
+    weight = sign[label] * np.outer(coef, coef)
+    term = (column[:, None] <= column) & (weight != 0.0)
+    key, slot = np.unique(((of_class[label] * n + column[:, None]) * n + column)[term], return_inverse=True)
     owner, row, col = key // (n * n), key // n % n, key % n
-    values = np.bincount(slot, weight[term]) * np.array([1.0, np.sqrt(0.5), 0.5])[paired[row] + paired[col]]
+    values = np.bincount(slot, weight[term]) / np.sqrt(size[row] * size[col])
     cell = values != 0.0
-    return of_class, (owner[cell], row[cell], col[cell], values[cell])
+    return of_class, sign, (owner[cell], row[cell], col[cell], values[cell])
 
 
 def companion_instance(reduced: npa.ReducedProblem, violation: float):
@@ -723,19 +725,21 @@ def companion_instance(reduced: npa.ReducedProblem, violation: float):
     standard-form instance.
 
     The free moments and their matrices come from `_moment_basis`, merged
-    under the Alice<->Bob swap where it is a symmetry.  The two scalar
+    under the problem's symmetry group; a class the group forces to zero
+    has no moment, so it is in neither the free moments nor the cells of
+    their matrices.  The two scalar
     equalities (normalization and inequality level) are eliminated by
     pivoting, leaving  max b.z  s.t.  C0 - sum z_j (-G_j) >= 0  whose
     companion primal is returned; the minimum equals
     offset - (companion optimum).  `recover` maps z to the moments of all
     real classes.
     """
-    of_class, (owner, rows, cols, values) = _moment_basis(reduced)
+    of_class, sign, (owner, rows, cols, values) = _moment_basis(reduced)
     n = reduced.dim
     m = int(of_class.max()) + 1
 
     def merged(vec):
-        return np.bincount(of_class, vec, minlength=m)
+        return np.bincount(of_class, sign * vec, minlength=m)
 
     p = merged(reduced.p)
     e = np.vstack([merged(reduced.norm), merged(reduced.q)])
@@ -780,29 +784,28 @@ def companion_instance(reduced: npa.ReducedProblem, violation: float):
         y = y0.copy()
         y[free] += z
         y[pivots] += coupling @ z
-        return y[of_class]
+        return sign * y[of_class]
 
     return instance, offset, recover
 
 
-def solve_moment_problem(problem: npa.MomentProblem) -> MomentSolveResult:
-    """Certified minimum of the problem objective at its violation level."""
-    reduced = npa.reduce_problem(problem)
-    instance, offset, recover = companion_instance(reduced, problem.violation)
+def solve_moment_problem(reduced: npa.ReducedProblem, violation: float) -> MomentSolveResult:
+    """Certified minimum of the reduced problem's objective at a violation
+    level: the one per-point path, and the one place that refuses a solve
+    that did not end "optimal"."""
+    instance, offset, recover = companion_instance(reduced, violation)
     sol = solve(instance)
     if sol.status != "optimal":
         # Never report a bound the solver could not certify (an unreachable
         # violation level shows up here as an unbounded companion).
-        raise SdpError(f"moment problem solve ended with status {sol.status!r}")
-    bound = offset - sol.primal_objective
+        raise SdpError(f"moment problem at violation {violation!r}: solve ended with status {sol.status!r}")
     y = recover(sol.dual)
-    gamma = reduced.assemble(y)
     return MomentSolveResult(
-        bound=float(bound),
-        violation=problem.violation,
+        bound=float(offset - sol.primal_objective),
+        violation=violation,
         solution=sol,
         moments=y,
-        gamma=gamma,
+        gamma=reduced.assemble(y),
     )
 
 
@@ -821,14 +824,7 @@ def min_fidelity_curve(
     words = npa.generate_words(setting, _word_cap(setting, max_local_length))
     problem = npa.build_moment_problem(setting, words, objective, inequality, wmax)
     reduced = npa.reduce_problem(problem)
-    curve = []
-    for eps in epsilons:
-        instance, offset, recover = companion_instance(reduced, wmax - eps)
-        sol = solve(instance)
-        if sol.status not in ("optimal",):
-            raise SdpError(f"grid point eps={eps}: solver status {sol.status}")
-        curve.append((eps, float(offset - sol.primal_objective)))
-    return curve
+    return [(eps, solve_moment_problem(reduced, wmax - eps).bound) for eps in epsilons]
 
 
 def _word_cap(setting: str, max_local_length: int | None) -> int:

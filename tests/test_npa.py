@@ -352,7 +352,7 @@ def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequ
     objective_matrix, constraints = npa.read_sdpa_numeric(path)
     file_sol = sdp.solve(sdp.SdpInstance(objective_matrix, sdp.Constraints(*constraints)))
     assert file_sol.status == "optimal"
-    reduced = sdp.solve_moment_problem(prob)
+    reduced = sdp.solve_moment_problem(npa.reduce_problem(prob), prob.violation)
     assert file_sol.primal_objective == pytest.approx(reduced.bound, abs=1e-6)
 
 
@@ -465,32 +465,61 @@ def test_sdpa_error_paths(tmp_path):
 def test_swap_symmetry_detection():
     words = npa.generate_words("di", 4)
     identity = np.arange(len(words))
+    parity = (-1.0) ** np.array([w.length for w in words])
     for objective in ("state", "ZAZB", "XAXB"):
         reduced = npa.reduce_problem(npa.build_moment_problem("di", words, objective, "chsh", 2.7))
-        word_image, class_image = npa.swap_symmetry(reduced)
+        word_image, word_sign, class_image, class_sign = npa.symmetry_group(reduced)
+        # identity, swap, flip and swap plus flip
+        assert len(word_image) == 4
+        assert np.array_equal(word_image[0], identity) and np.all(word_sign[0] == 1.0)
+        swap = word_image[1]
         # an involution of the 81 words fixing the 9 with equal local words
-        assert np.array_equal(word_image[word_image], identity)
-        assert [words[k].alice for k in np.flatnonzero(word_image == identity)] == [
-            words[k].bob for k in np.flatnonzero(word_image == identity)
+        assert np.all(word_sign[1] == 1.0)
+        assert np.array_equal(swap[swap], identity)
+        assert [words[k].alice for k in np.flatnonzero(swap == identity)] == [
+            words[k].bob for k in np.flatnonzero(swap == identity)
         ]
-        assert np.count_nonzero(word_image == identity) == 9
-        assert np.array_equal(class_image[class_image], np.arange(185))
-        assert len(np.unique(np.minimum(np.arange(185), class_image))) == 101
-    # a class whose cells the swap sends into two classes
-    moved = np.flatnonzero(class_image != np.arange(185))
+        assert np.count_nonzero(swap == identity) == 9
+        assert np.array_equal(class_image[1][class_image[1]], np.arange(185))
+        assert len(np.unique(np.minimum(np.arange(185), class_image[1]))) == 101
+        # the flip fixes every word and class, with sign (-1)^length
+        assert np.array_equal(word_image[2], identity) and np.array_equal(word_sign[2], parity)
+        assert np.array_equal(class_image[2], np.arange(185))
+        assert np.count_nonzero(class_sign[2] < 0) == 80
+        assert np.array_equal(word_image[3], swap) and np.array_equal(word_sign[3], parity)
+    # a class whose cells the swap sends into two classes, and the flip
+    # with two signs
+    image = class_image[1]
+    moved = np.flatnonzero((image != np.arange(185)) & (class_sign[2] > 0))
     u = moved[0]
-    w = next(v for v in moved if v not in (u, class_image[u]))
+    w = next(v for v in moved if v not in (u, image[u]))
     label = reduced.label.copy()
     cell_u, cell_w = np.flatnonzero(label == u)[0], np.flatnonzero(label == w)[0]
     label.flat[cell_u], label.flat[cell_w] = w, u
-    assert npa.swap_symmetry(dataclasses.replace(reduced, label=label)) is None
-    # ZAXB becomes XAZB under the swap
+    word_image, word_sign, _, _ = npa.symmetry_group(dataclasses.replace(reduced, label=label))
+    assert np.array_equal(word_image, [identity, identity]) and np.array_equal(word_sign, [np.ones(81), parity])
+    odd = np.flatnonzero(class_sign[2] < 0)[0]
+    label.flat[np.flatnonzero(label == odd)[0]] = u
+    assert len(npa.symmetry_group(dataclasses.replace(reduced, label=label))[0]) == 1
+    # ZAXB becomes XAZB under the swap, and keeps only the flip
     zaxb = npa.reduce_problem(npa.build_moment_problem("di", words, "ZAXB", "chsh", 2.7))
-    assert npa.swap_symmetry(zaxb) is None
-    # a word whose swap image is not in the list
+    word_image, word_sign, _, _ = npa.symmetry_group(zaxb)
+    assert np.array_equal(word_image, [identity, identity]) and np.array_equal(word_sign, [np.ones(81), parity])
+    # an odd objective term keeps the flip out, and the swap with it unless
+    # the term's swap image is there too
+    position = {w.key: k for k, w in enumerate(words)}
+    za, zb = (reduced.label[position[key], 0] for key in (((0,), ()), ((), (0,))))
+    for terms, order in (([za], 1), ([za, zb], 2)):
+        p = reduced.p.copy()
+        p[terms] = 0.3
+        word_image, word_sign, _, _ = npa.symmetry_group(dataclasses.replace(reduced, p=p))
+        assert len(word_image) == order and np.all(word_sign == 1.0)
+    # a word whose swap image is not in the list: the flip alone
     lopsided = npa.generate_words("di", 3) + [npa.OperatorWord("di", (0, 1, 0, 1), ())]
     reduced = npa.reduce_problem(npa.build_moment_problem("di", lopsided, "state", "chsh", 2.7))
-    assert npa.swap_symmetry(reduced) is None
-    # one-sided problems have no Alice words to swap
+    assert len(npa.symmetry_group(reduced)[0]) == 2
+    # one-sided problems have the trivial group
     one_sided = npa.reduce_problem(npa.build_moment_problem("1sdi", npa.generate_words("1sdi", 3), "state", "steering", 1.9))
-    assert npa.swap_symmetry(one_sided) is None
+    word_image, word_sign, class_image, class_sign = npa.symmetry_group(one_sided)
+    assert np.array_equal(word_image, [np.arange(14)]) and np.array_equal(word_sign, np.ones((1, 14)))
+    assert np.array_equal(class_image, [np.arange(len(one_sided.p))]) and np.all(class_sign == 1.0)

@@ -450,3 +450,17 @@ def test_round_indexed_counts_are_poisson_binomial(mode):
         freq, size = count_frequencies(source, params, 4000, seed=52 + number)
         for t, p in enumerate(agreement_probabilities(mode, visibilities)):
             assert total_variation(freq[t], subset_count_pmf(p, size)) < TV_BOUND
+
+
+@pytest.mark.parametrize("visibility", [1.0, 0.995])
+def test_fully_untrusted_pair_teleports_at_werner_fidelity(visibility):
+    # the rotated Bell resource is (I x R)|Phi+>: once Bob undoes R, a
+    # Werner pair of visibility v teleports with fidelity (1 + v)/2
+    source = protosim.werner_source("four-setting", visibility)
+    transcript = protosim.ProtocolTranscript(
+        copies=5, withheld=0, agreements=np.zeros(4, dtype=np.int64), subset_averages=np.ones(4),
+        statistic=2 * np.sqrt(2), threshold=2.5, accepted=True, memoryless=False,
+    )
+    certificate = cert.fidelity_bound(cert.CertificateParams("di", "chsh", True, 0.02, 1.04, 0.62))
+    report = protosim.teleport_with_certificate(source, transcript, certificate, 30, np.random.default_rng(3))
+    assert report["empirical_fidelity"] == pytest.approx((1 + visibility) / 2, abs=1e-12)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,7 +170,7 @@ def test_instance_cell_contract():
 def test_state_problem_at_maximal_violation():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0 - 1e-6)
-    result = sdp.solve_moment_problem(problem)
+    result = sdp.solve_moment_problem(npa.reduce_problem(problem), problem.violation)
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
 
@@ -176,7 +178,7 @@ def test_minimizing_moment_matrix_is_feasible():
     words = npa.generate_words("1sdi", 3)
     eps = 0.1
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0 - eps)
-    result = sdp.solve_moment_problem(problem)
+    result = sdp.solve_moment_problem(npa.reduce_problem(problem), problem.violation)
     reduced = npa.reduce_problem(problem)
     gamma = result.gamma
     assert np.linalg.eigvalsh(gamma).min() >= -1e-7
@@ -224,13 +226,13 @@ def test_unreachable_violation_level_raises():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.2)
     with pytest.raises(sdp.SdpError):
-        sdp.solve_moment_problem(problem)
+        sdp.solve_moment_problem(npa.reduce_problem(problem), problem.violation)
 
 
 def test_state_problem_at_exact_maximum():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0)
-    result = sdp.solve_moment_problem(problem)
+    result = sdp.solve_moment_problem(npa.reduce_problem(problem), problem.violation)
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
 
@@ -302,7 +304,7 @@ def test_cells_match_dense_formulas(tmp_path):
         np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
     ]
     for instance, sizes in (
-        (di, [45, 36]),
+        (di, [25, 16, 20, 20]),
         (one_sided, None),
         (exported, None),
         (dense_instance(np.zeros((3, 3)), [(a, 0.0) for a in hand]), None),
@@ -439,17 +441,18 @@ def test_cho_solve_matches_dense_solve():
 
 
 # ---------------------------------------------------------------------------
-# Diagonal blocks and the Alice<->Bob swap reduction
+# Diagonal blocks and the symmetry reduction
 
 
 def test_cells_with_constraints_empty_in_a_block():
     rng = np.random.default_rng(13)
-    # the swap-reduced fully untrusted companion splits 45 + 36, and some
-    # of its constraints have no cell in the antisymmetric block
+    # the symmetry-reduced fully untrusted companion splits 25 + 16 + 20 +
+    # 20, and some of its constraints have no cell in the last three blocks
     di = _companion("di", "chsh", 0.1)
-    empty = ~np.any(dense_matrices(di)[:, 45:, 45:], axis=(1, 2))
-    assert 0 < np.count_nonzero(empty) < len(empty)
-    _assert_cells_match_dense(di, rng, [45, 36])
+    for lo, hi in ((25, 41), (41, 61), (61, 81)):
+        empty = ~np.any(dense_matrices(di)[:, lo:hi, lo:hi], axis=(1, 2))
+        assert 0 < np.count_nonzero(empty) < len(empty)
+    _assert_cells_match_dense(di, rng, [25, 16, 20, 20])
     # hand-made: blocks {0, 1} and {2}; constraints empty in one block,
     # in both (first, in between and last) and spanning both
     zero = np.zeros((3, 3))
@@ -504,7 +507,7 @@ def test_block_split_matches_single_block(monkeypatch):
     across[0, 2] = across[2, 0] = across[1, 3] = across[3, 1] = 0.5
     constraints.append((across, 0.2))
     block_diagonal = dense_instance(objective, constraints)
-    # the DI companion, whose swap-adapted basis splits it 45 + 36
+    # the DI companion, whose symmetry-adapted basis splits it 25 + 16 + 20 + 20
     companion = _companion("di", "chsh", 0.05)
     split = [sdp.solve(instance) for instance in (block_diagonal, companion)]
 
@@ -518,50 +521,111 @@ def test_block_split_matches_single_block(monkeypatch):
         assert np.allclose(got.slack, whole.slack, atol=1e-8)
 
 
+def trivial_group(reduced):
+    """`npa.symmetry_group` with symmetry detection disabled."""
+    n, classes = reduced.dim, len(reduced.p)
+    return np.arange(n)[None], np.ones((1, n)), np.arange(classes)[None], np.ones((1, classes))
+
+
+def _bounds(reduced, violations):
+    runs = {}
+    for violation in violations:
+        instance, offset, recover = sdp.companion_instance(reduced, violation)
+        sol = sdp.solve(instance)
+        assert sol.status == "optimal"
+        runs[violation] = instance, offset - sol.primal_objective, recover(sol.dual)
+    return runs
+
+
+# constraints and blocks of the reduced companion; 183 constraints unreduced
+SPLITS = {"state": (59, [25, 16, 20, 20]), "ZAZB": (59, [25, 16, 20, 20]), "XAXB": (59, [25, 16, 20, 20]), "ZAXB": (103, [41, 40])}
+
+
 def test_swap_reduced_bounds_match_unreduced(monkeypatch):
+    # every fully untrusted objective at eps 0.01, 0.1 and 0.2, reduced by
+    # its symmetry group and with symmetry detection disabled
+    wmax = cert.max_violation("di", "chsh")
+    words = npa.generate_words("di", 4)
+    violations = [wmax - eps for eps in (0.01, 0.1, 0.2)]
+    reduced = {obj: npa.reduce_problem(npa.build_moment_problem("di", words, obj, "chsh", wmax)) for obj in SPLITS}
+    groups = {obj: npa.symmetry_group(red) for obj, red in reduced.items()}
+    runs = {obj: _bounds(red, violations) for obj, red in reduced.items()}
+    monkeypatch.setattr(npa, "symmetry_group", trivial_group)
+    # the classes of cells (r, c) with an odd total word length
+    lengths = np.array([w.length for w in words])
+    odd = np.zeros(185, dtype=bool)
+    odd[reduced["state"].label[(lengths[:, None] + lengths) % 2 == 1]] = True
+    assert np.count_nonzero(odd) == 80
+    for objective, red in reduced.items():
+        _, _, class_image, class_sign = groups[objective]
+        full_runs = _bounds(red, violations)
+        constraints, sizes = SPLITS[objective]
+        for violation, (instance, value, moments) in runs[objective].items():
+            full_instance, full, _ = full_runs[violation]
+            assert (len(instance.constraints), len(full_instance.constraints)) == (constraints, 183)
+            assert value == pytest.approx(full, abs=1e-6)
+            cells = sdp._Cells(instance.constraints, instance.objective)
+            assert [sl.stop - sl.start for sl in cells.blocks] == sizes
+            assert np.array_equal(cells.perm, np.arange(81))
+            # the moments come back for all 185 classes: zero on odd ones,
+            # equal on swap pairs, and invariant under every element
+            assert len(moments) == 185
+            assert not moments[odd].any()
+            for image, sign in zip(class_image, class_sign):
+                assert np.array_equal(moments[image] * sign, moments)
+            assert red.q @ moments == pytest.approx(violation, abs=1e-7)
+            assert red.norm @ moments == pytest.approx(1.0, abs=1e-9)
+            assert red.p @ moments == pytest.approx(value, abs=2e-6)
+            assert np.linalg.eigvalsh(red.assemble(moments)).min() >= -1e-7
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_odd_objective_term_keeps_the_flip_out(monkeypatch, paired):
+    # an objective that reads <Z_A> (and <Z_B>, its swap image, when
+    # paired) is not flip-symmetric: the group keeps at most the swap, and
+    # the reduced solve still matches the unreduced one
     wmax = cert.max_violation("di", "chsh")
     words = npa.generate_words("di", 4)
     reduced = npa.reduce_problem(npa.build_moment_problem("di", words, "state", "chsh", wmax))
-    _, image = npa.swap_symmetry(reduced)
-
-    def bound(eps):
-        instance, offset, recover = sdp.companion_instance(reduced, wmax - eps)
-        sol = sdp.solve(instance)
-        assert sol.status == "optimal"
-        return instance, offset - sol.primal_objective, recover(sol.dual)
-
-    runs = {eps: bound(eps) for eps in (0.01, 0.1, 0.2)}
-    monkeypatch.setattr(npa, "swap_symmetry", lambda reduced: None)
-    for eps, (instance, value, moments) in runs.items():
-        full_instance, full, _ = bound(eps)
-        assert (len(instance.constraints), len(full_instance.constraints)) == (99, 183)
-        assert value == pytest.approx(full, abs=1e-6)
-        # the adapted basis puts exact zeros off the 45 + 36 blocks
-        for mat in [instance.objective, *dense_matrices(instance)]:
-            assert not mat[:45, 45:].any() and not mat[45:, :45].any()
-        # the moments come back for all 185 classes, equal on swapped ones
-        assert len(moments) == 185
-        assert np.array_equal(moments[image], moments)
-        assert reduced.q @ moments == pytest.approx(wmax - eps, abs=1e-7)
-        assert reduced.norm @ moments == pytest.approx(1.0, abs=1e-9)
-        assert reduced.p @ moments == pytest.approx(value, abs=2e-6)
-        assert np.linalg.eigvalsh(reduced.assemble(moments)).min() >= -1e-7
+    # cell (k, 0) carries the moment of word k
+    position = {w.key: k for k, w in enumerate(words)}
+    za, zb = (reduced.label[position[key], 0] for key in (((0,), ()), ((), (0,))))
+    p = reduced.p.copy()
+    p[[za, zb] if paired else [za]] += 0.3
+    odd = dataclasses.replace(reduced, p=p)
+    word_image, word_sign, _, _ = npa.symmetry_group(odd)
+    assert len(word_image) == (2 if paired else 1) and np.all(word_sign == 1.0)
+    violation = wmax - 0.1
+    (_, value, moments), = _bounds(odd, [violation]).values()
+    (_, even_value, _), = _bounds(reduced, [violation]).values()
+    monkeypatch.setattr(npa, "symmetry_group", trivial_group)
+    (_, full, _), = _bounds(odd, [violation]).values()
+    assert value == pytest.approx(full, abs=1e-6)
+    # the odd term moves the optimum, so a wrongly kept flip would show
+    assert value < even_value - 1e-3
+    assert p @ moments == pytest.approx(value, abs=2e-6)
 
 
 def test_swap_adapted_basis_is_orthogonal():
     # sum_v y_v G_v in the adapted basis is Q^T Gamma Q for an orthogonal Q,
-    # Gamma the word-basis moment matrix with y on each class and its image
+    # Gamma the word-basis moment matrix with y, up to sign, on each orbit
+    # of classes and zero on the odd ones
     words = npa.generate_words("di", 4)
-    reduced = npa.reduce_problem(npa.build_moment_problem("di", words, "XAXB", "chsh", 2.7))
-    of_class, (owner, rows, cols, values) = sdp._moment_basis(reduced)
-    assert of_class.max() + 1 == 101 and np.all(rows <= cols)
-    mats = np.zeros((101, 81, 81))
-    mats[owner, rows, cols] = mats[owner, cols, rows] = values
-    y = np.random.default_rng(23).standard_normal(101)
-    adapted = np.tensordot(y, mats, axes=1)
-    gamma = reduced.assemble(y[of_class])
-    assert not adapted[:45, 45:].any()
-    assert np.allclose(np.linalg.eigvalsh(adapted), np.linalg.eigvalsh(gamma), rtol=0, atol=1e-12 * np.abs(gamma).max())
+    rng = np.random.default_rng(23)
+    for objective, moments, sizes in (("XAXB", 61, [25, 16, 20, 20]), ("ZAXB", 105, [41, 40])):
+        reduced = npa.reduce_problem(npa.build_moment_problem("di", words, objective, "chsh", 2.7))
+        of_class, sign, (owner, rows, cols, values) = sdp._moment_basis(reduced)
+        assert of_class.max() + 1 == moments and np.all(rows <= cols)
+        assert np.count_nonzero(sign == 0.0) == 80
+        mats = np.zeros((moments, 81, 81))
+        mats[owner, rows, cols] = mats[owner, cols, rows] = values
+        y = rng.standard_normal(moments)
+        adapted = np.tensordot(y, mats, axes=1)
+        gamma = reduced.assemble(sign * y[of_class])
+        ends = np.cumsum(sizes)
+        for lo, hi in zip(ends - sizes, ends):
+            assert not adapted[lo:hi, hi:].any()
+        assert np.allclose(np.linalg.eigvalsh(adapted), np.linalg.eigvalsh(gamma), rtol=0, atol=1e-12 * np.abs(gamma).max())
 
 
 @pytest.mark.parametrize("setting, inequality", [("1sdi", "steering"), ("di", "chsh")])
