@@ -10,6 +10,7 @@ success, 2 on infeasible targets or a rejected run, 1 on errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -438,10 +439,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every call without --config, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    if "--config" in argv:
+    if "--config" not in argv:
+        parser = _shared_parser()
+    else:
         index = argv.index("--config")
         if index + 1 >= len(argv):
             print("telecert: error: --config requires a path", file=sys.stderr)
@@ -455,7 +463,9 @@ def main(argv=None) -> int:
         if not isinstance(config, dict):
             print("telecert: error: --config file must hold a JSON object", file=sys.stderr)
             return 1
-        # File values become defaults; explicit flags still win.
+        # File values become defaults of a parser of this call's own, so
+        # they never reach a later call; explicit flags still win.
+        parser = build_parser()
         for sub in parser._telecert_subparsers.choices.values():
             known = {action.dest for action in sub._actions}
             sub.set_defaults(**{k: v for k, v in config.items() if k in known})

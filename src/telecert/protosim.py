@@ -14,9 +14,12 @@ counts, not outcomes: an iid source draws one binomial count per subset,
 a round-indexed source draws the random partition and one uniform per
 tested pair, and only a history-adaptive source, whose strategy reads
 the (setting, a, b) history, is measured round by round from the exact
-joint outcome distribution.  Batches of runs come from one trial loop,
-:func:`run_trials`, which the soundness tally and the command line both
-consume.
+joint outcome distribution.  Such a round is a handful of scalar
+operations: the pair's marginals and correlation come from one product
+with an operator stack kept on the measurement model, and its outcomes
+from two uniforms through :func:`born_outcomes`.  Batches of runs come
+from one trial loop, :func:`run_trials`, which the soundness tally and
+the command line both consume.
 """
 
 from __future__ import annotations
@@ -74,14 +77,22 @@ class Source:
 
     def pair_statistics(self, state, model: qcore.MeasurementModel, setting: int):
         """Born-rule (marginal_a, marginal_b, correlation) of one pair."""
-        a_obs, b_obs = self._observables(model, setting)
         rho = qcore._as_density(state)
-        eye_a = np.eye(rho.shape[0] // model.bob_dim)
-        eye_b = np.eye(model.bob_dim)
-        m_a = qcore.product_expectation(rho, a_obs, eye_b).real
-        m_b = qcore.product_expectation(rho, eye_a, b_obs).real
-        corr = qcore.product_expectation(rho, a_obs, b_obs).real
+        m_a, m_b, corr = (self._expectation_stack(model, setting) @ rho.ravel()).real.tolist()
         return m_a, m_b, corr
+
+    def _expectation_stack(self, model: qcore.MeasurementModel, setting: int) -> np.ndarray:
+        """Rows O^T.ravel() of O = A x I, I x B and A x B, so that the
+        product with rho.ravel() gives each tr(O rho); built once per
+        (mode, setting) and kept on the model."""
+        key = ("pair_statistics", self.mode, setting)
+        stack = model.derived.get(key)
+        if stack is None:
+            a_obs, b_obs = self._observables(model, setting)
+            eye_a, eye_b = np.eye(len(a_obs)), np.eye(len(b_obs))
+            operators = (np.kron(a_obs, eye_b), np.kron(eye_a, b_obs), np.kron(a_obs, b_obs))
+            stack = model.derived[key] = np.array([op.T.ravel() for op in operators])
+        return stack
 
     def _observables(self, model: qcore.MeasurementModel, setting: int):
         if self.mode == "two-basis":
@@ -177,8 +188,11 @@ def drifting_visibility_source(mode: str, copies: int, v_start: float, v_end: fl
 class AdaptiveSource(Source):
     """History-dependent strategy: ``strategy(history)`` returns the next
     (state, model); history holds (setting, a, b) triples of measured
-    rounds in measurement order.  Sampling is per-round (slow path), and
-    only the withheld pair of the latest run is kept."""
+    rounds in measurement order.  Sampling is per round, since the
+    strategy reads every outcome: a round costs the strategy's call and a
+    few scalar operations, and a strategy that reuses its model object
+    reuses that model's operator stacks.  Only the withheld pair of the
+    latest run is kept."""
 
     adaptive = True
 
@@ -229,35 +243,40 @@ def adjusted_copies(params: cert.CertificateParams) -> int:
     return k
 
 
-def sample_outcomes(m_a, m_b, corr, rng):
-    """Exact Born-rule sampling of one (+-1, +-1) pair per round from its
-    marginals and correlation: a from its marginal, then b given a."""
-    p_a = np.clip(0.5 * (1.0 + m_a), 0.0, 1.0)
-    a = np.where(rng.random(len(m_a)) < p_a, 1, -1)
+def born_outcomes(m_a, m_b, corr, u_a, u_b):
+    """Exact Born-rule (+-1, +-1) outcomes of a pair with these marginals
+    and correlation from two uniforms in [0, 1): a from its marginal, then
+    b given a.  Takes floats or equal-shape arrays, with the same
+    arithmetic on both."""
+    # u < p on [0, 1) equals u < clip(p, 0, 1), so no clipping is needed.
+    a = 2 * (u_a < 0.5 * (1.0 + m_a)) - 1
     denom = 1.0 + a * m_a
-    denom = np.where(np.abs(denom) < 1e-15, 1e-15, denom)
-    cond = (m_b + a * corr) / denom
-    p_b = np.clip(0.5 * (1.0 + cond), 0.0, 1.0)
-    b = np.where(rng.random(len(m_b)) < p_b, 1, -1)
-    return a.astype(np.int8), b.astype(np.int8)
+    tiny = abs(denom) < 1e-15  # a drawn at probability ~0: any b will do
+    denom = denom * (1 - tiny) + 1e-15 * tiny
+    b = 2 * (u_b < 0.5 * (1.0 + (m_b + a * corr) / denom)) - 1
+    return a, b
 
 
 def _measure_adaptively(source: AdaptiveSource, rounds: np.ndarray, withheld: int, rng, memoryless: bool):
     """Agreement counts of an adaptive source, measured round by round in
     subset order (``memoryless``: in production order), each outcome pair
-    drawn from the Born rule of the pair the strategy emits."""
+    drawn from the Born rule of the pair the strategy emits with two
+    uniforms, a's before b's."""
     rounds = np.sort(rounds, axis=1)
     settings = np.empty(rounds.size + 1, dtype=int)
     settings[rounds] = np.arange(len(rounds))[:, None]
     order = np.delete(np.arange(len(settings)), withheld) if memoryless else rounds.ravel()
-    agreements = np.zeros(len(rounds), dtype=int)
+    settings = settings.tolist()
+    agreements = [0] * len(rounds)
     history: list = []
     for i in order.tolist():
-        t = int(settings[i])
-        stats = np.array([source.pair_statistics(*source.emit(history), t)])
-        a, b = sample_outcomes(*stats.T, rng)
-        agreements[t] += a[0] == b[0]
-        history.append((t, int(a[0]), int(b[0])))
+        t = settings[i]
+        m_a, m_b, corr = source.pair_statistics(*source.emit(history), t)
+        u_a = rng.random()
+        u_b = rng.random()
+        a, b = born_outcomes(m_a, m_b, corr, u_a, u_b)
+        agreements[t] += a == b
+        history.append((t, a, b))
     source.withhold(withheld, history)
     return agreements
 

@@ -55,10 +55,11 @@ HERMITICITY_TOL = 1e-10
 def _hermitize(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Symmetrize (M + M†)/2, rejecting inputs that deviate beyond ``tol``."""
     matrix = np.asarray(matrix, dtype=complex)
-    deviation = np.max(np.abs(matrix - matrix.conj().T))
+    adjoint = matrix.conj().T
+    deviation = np.abs(matrix - adjoint).max()
     if deviation > tol:
         raise ValueError(f"matrix deviates from Hermitian by {deviation:.3e}")
-    return 0.5 * (matrix + matrix.conj().T)
+    return 0.5 * (matrix + adjoint)
 
 
 @dataclass
@@ -95,12 +96,12 @@ class TwoQubitState:
         self.matrix = _hermitize(self.matrix)
         if self.matrix.shape != (4, 4):
             raise ValueError("two-qubit state must be 4x4")
-        trace = np.trace(self.matrix).real
+        trace = self.matrix.trace().real
         if abs(trace - 1.0) > 1e-12:
             raise ValueError(f"trace {trace!r} is not 1")
-        eigs = np.linalg.eigvalsh(self.matrix)
-        if eigs.min() < -1e-10:
-            raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
+        floor = np.linalg.eigvalsh(self.matrix)[0]
+        if floor < -1e-10:
+            raise ValueError(f"negative eigenvalue {floor:.3e}")
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -125,20 +126,25 @@ def rotated_bell_vector() -> np.ndarray:
     return np.array([c, s, s, -c], dtype=complex) / np.sqrt(2.0)
 
 
-def werner_state(v: float) -> TwoQubitState:
-    """Mixture v |bell><bell| + (1 - v) I/4 with visibility v in [0, 1]."""
+_BELL_PROJECTOR = np.outer(bell_vector(), bell_vector().conj())
+_ROTATED_BELL_PROJECTOR = np.outer(rotated_bell_vector(), rotated_bell_vector().conj())
+_MAXIMALLY_MIXED = np.eye(4) / 4.0
+
+
+def _werner_mixture(projector: np.ndarray, v: float) -> TwoQubitState:
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility {v!r} outside [0, 1]")
-    b = bell_vector()
-    return TwoQubitState(v * np.outer(b, b.conj()) + (1.0 - v) * np.eye(4) / 4.0)
+    return TwoQubitState(v * projector + (1.0 - v) * _MAXIMALLY_MIXED)
+
+
+def werner_state(v: float) -> TwoQubitState:
+    """Mixture v |bell><bell| + (1 - v) I/4 with visibility v in [0, 1]."""
+    return _werner_mixture(_BELL_PROJECTOR, v)
 
 
 def rotated_werner_state(v: float) -> TwoQubitState:
     """Werner-type mixture around the rotated Bell state (CHSH-adapted)."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility {v!r} outside [0, 1]")
-    b = rotated_bell_vector()
-    return TwoQubitState(v * np.outer(b, b.conj()) + (1.0 - v) * np.eye(4) / 4.0)
+    return _werner_mixture(_ROTATED_BELL_PROJECTOR, v)
 
 
 def fidelity_to_pure(state: TwoQubitState, phi: np.ndarray) -> float:
@@ -203,12 +209,17 @@ class MeasurementModel:
     setting 1 the X-type one (observable = 2 E_{0|y} - identity).  In the
     fully untrusted configuration Alice gets her own family
     ``alice_projectors[x][a]``.
+
+    A model is not changed after construction: ``derived`` memoizes
+    operators that callers build from it (the protocol simulator keeps
+    its per-setting expectation stacks there).
     """
 
     bob_dim: int
     bob_projectors: np.ndarray
     alice_dim: int | None = None
     alice_projectors: np.ndarray | None = None
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.bob_projectors = np.asarray(self.bob_projectors, dtype=complex)

@@ -415,6 +415,20 @@ def test_config_file_defaults(tmp_path, capsys):
     assert json.loads(out)["params"]["epsilon"] == 0.2
 
 
+def test_config_file_does_not_reach_later_calls(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"eps": 0.25, "target_p": 0.6}))
+    argv = ["plan", "--target-f", "0.6667"]
+    code, out = run_cli(argv + ["--config", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["eps"] == 0.25
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["eps"] is None and config["target_p"] == 0.75 and config["config"] is None
+    assert config == cli._config_of(cli.build_parser().parse_args(argv))
+
+
 def test_config_file_missing(capsys):
     code = cli.main(["certify", "--config", "/nonexistent/x.json", "--eps", "0.2", "--q", "3", "--x", "1"])
     assert code == 1

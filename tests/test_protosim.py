@@ -285,6 +285,103 @@ def test_memoryless_flag_is_metadata_only():
     assert certificate == (cert.fidelity_bound(small) if transcript.accepted else None)
 
 
+def _parity_strategy(history):
+    """Visibility set by the parity of the anticorrelated rounds so far."""
+    anti = sum(1 for _, a, b in history if a != b)
+    return qc.werner_state(0.5 if anti % 2 else 0.9), qc.ideal_model()
+
+
+_DI_MODEL = qc.ideal_model(device_independent=True)
+
+
+def _last_round_strategy(history):
+    """Lower visibility right after an anticorrelated round."""
+    last = history[-1] if history else (0, 1, 1)
+    return qc.rotated_werner_state(0.6 if last[1] != last[2] else 0.95), _DI_MODEL
+
+
+#: (withheld, agreements) of seeds 0-3, recorded before the per-round
+#: sampler was rewritten with scalar arithmetic; the random stream (two
+#: uniforms per round, a's before b's) must not change.
+PINNED_ADAPTIVE = {
+    ("two-basis", False): [(56, [27, 29]), (31, [31, 30]), (56, [30, 28]), (54, [33, 33])],
+    ("two-basis", True): [(56, [28, 28]), (31, [29, 32]), (56, [28, 30]), (54, [33, 33])],
+    ("four-setting", False): [(113, [21, 24, 28, 3]), (62, [29, 26, 26, 9]), (111, [28, 30, 27, 5]), (107, [30, 27, 29, 6])],
+    ("four-setting", True): [(113, [24, 23, 21, 4]), (62, [22, 23, 26, 5]), (111, [27, 24, 28, 3]), (107, [23, 29, 26, 5])],
+}
+
+
+@pytest.mark.parametrize("mode, memoryless", sorted(PINNED_ADAPTIVE))
+def test_adaptive_random_stream_is_pinned(mode, memoryless):
+    trust, inequality, strategy = (
+        ("1sdi", "steering", _parity_strategy) if mode == "two-basis" else ("di", "chsh", _last_round_strategy)
+    )
+    params = cert.CertificateParams(trust, inequality, False, 0.4, 1.2, 0.5)
+    runs = []
+    for seed in range(4):
+        source = protosim.AdaptiveSource(mode, strategy)
+        transcript, _ = protosim.run_protocol(source, params, np.random.default_rng(seed), memoryless=memoryless)
+        check_transcript(transcript, params)
+        runs.append((transcript.withheld, transcript.agreements))
+    assert runs == PINNED_ADAPTIVE[mode, memoryless]
+
+
+def test_greedy_adversary_soundness_is_pinned():
+    # The benchmark's adaptive adversary: a maximally mixed pair while
+    # under 5% of the measured rounds came out anticorrelated.
+    model = qc.ideal_model()
+
+    def greedy(history):
+        anti = sum(1 for _, a, b in history if a != b)
+        return qc.werner_state(0.0 if anti < 0.05 * len(history) else 1.0), model
+
+    params = steering_params(eps=0.3, q=1.2, x=1.0, iid=False)
+    stats = protosim.soundness_experiment(lambda k, rng: protosim.AdaptiveSource("two-basis", greedy), params, 12, seed=5)
+    assert stats.to_json() == {
+        "schema": "protosim/1",
+        "kind": "soundness",
+        "trials": 12,
+        "accepted": 12,
+        "bound_violations": 0,
+        "violation_fraction": 0.0,
+        "certificate_fidelity": 0.0,
+        "certificate_probability": 0.0,
+        "min_true_fidelity": 0.9999999999999993,
+    }
+
+
+@pytest.mark.parametrize("mode", ["two-basis", "four-setting"])
+@pytest.mark.parametrize("aux_dim", [1, 2])
+def test_pair_statistics_match_product_expectation(mode, aux_dim):
+    rng = np.random.default_rng(40 + aux_dim)
+    source = protosim.Source(mode)
+    for _ in range(3):
+        model = qc.random_projective_model(2, rng, alice_dim=2 if mode == "four-setting" else None)
+        if aux_dim > 1:
+            model = model.extended(aux_dim)
+        dim = 2 * model.bob_dim
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        if mode == "four-setting":  # a two-basis stack kept on the same model is not reused
+            protosim.Source("two-basis").pair_statistics(rho, model, 0)
+        for setting in range(len(protosim.LAYOUTS[mode])):
+            if mode == "two-basis":
+                a_obs = qc.SIGMA_X if setting == 0 else qc.SIGMA_Z
+                b_obs = model.bob_observable(1 - setting)
+            else:
+                x, y = divmod(setting, 2)
+                a_obs, b_obs = model.alice_observable(x), model.bob_observable(y)
+            oracle = [
+                qc.product_expectation(rho, a_obs, np.eye(model.bob_dim)).real,
+                qc.product_expectation(rho, np.eye(2), b_obs).real,
+                qc.product_expectation(rho, a_obs, b_obs).real,
+            ]
+            for _ in range(2):  # the second call reads the stack kept on the model
+                stats = source.pair_statistics(rho, model, setting)
+                assert np.allclose(stats, oracle, rtol=0.0, atol=1e-14)
+
+
 def test_teleport_with_certificate():
     rng = np.random.default_rng(16)
     params = steering_params()

@@ -107,7 +107,9 @@ def _sample(state, setting, n, rng, mode="two-basis"):
     2x + y is A_x x B_y)."""
     model = qc.ideal_model(device_independent=mode == "four-setting")
     stats = protosim.Source(mode).pair_statistics(state, model, setting)
-    return protosim.sample_outcomes(*(np.full(n, value) for value in stats), rng)
+    u_a = rng.random(n)
+    u_b = rng.random(n)
+    return protosim.born_outcomes(*(np.full(n, value) for value in stats), u_a, u_b)
 
 
 def test_sample_round_bell_perfect_correlation():
