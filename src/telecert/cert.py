@@ -1,11 +1,11 @@
 """Finite-statistics fidelity certificates.
 
-Closed-form bounds for the test-then-teleport protocol: Chernoff-Hoeffding
-concentration when the source is iid, Azuma-Hoeffding martingale
-concentration when it is not, the average-to-individual fidelity step for
-the withheld pair, copy-count formulas, and an inverse planner that finds
+Closed-form bounds for the test-then-teleport protocol: the certified
+fidelity of the withheld pair and its confidence, for iid sources and,
+through the average-to-individual step, for non-iid ones; copy-count
+formulas; the measurement self-test bound; an inverse planner that finds
 protocol parameters meeting a fidelity/confidence target with as few
-copies as possible.
+copies as possible; and visibility thresholds for Werner-type sources.
 """
 
 from __future__ import annotations
@@ -162,25 +162,6 @@ def _copies(inequality: str, iid: bool, eps: float, q: float, x: float) -> int:
     return int(k)
 
 
-def chernoff_tail(copies: int, deviation: float) -> float:
-    """Tail bound exp(-K d^2 / 2) for a mean of K independent +-1 scores
-    deviating by d."""
-    if copies < 1:
-        raise ValueError("copies must be at least 1")
-    if deviation < 0.0:
-        raise ValueError("deviation must be nonnegative")
-    return math.exp(-0.5 * copies * deviation * deviation)
-
-
-def azuma_tail(copies: int, deviation: float) -> float:
-    """Martingale tail bound exp(-K d^2 / 8); increments are bounded by 2."""
-    if copies < 1:
-        raise ValueError("copies must be at least 1")
-    if deviation < 0.0:
-        raise ValueError("deviation must be nonnegative")
-    return math.exp(-copies * deviation * deviation / 8.0)
-
-
 #: Coefficient c of the slack term c * eps / q in both bounds.
 _SLACK = {"steering": 2.0, "chsh": 4.0}
 
@@ -215,6 +196,9 @@ def _raw_bound(
         raw_p = 1.0 - eps**x
     else:
         linear, fraction = _noniid_rest(inequality, eps, q, x)
+        # Average-to-individual step: given an average-fidelity deficit eta,
+        # one uniformly chosen copy has fidelity at least 1 - sqrt(eta)
+        # with probability at least 1 - sqrt(eta).
         radical = math.sqrt(alpha * (_SLACK[inequality] * eps / q + linear + fraction))
         raw_f = 1.0 - radical
         raw_p = (1.0 - eps**x) * (1.0 - radical)
@@ -238,15 +222,6 @@ def fidelity_bound(params: CertificateParams) -> FidelityCertificate:
         vacuous=vacuous,
         params=params,
     )
-
-
-def lemma_individual_from_average(eta: float) -> tuple[float, float]:
-    """Fidelity of one uniformly chosen copy given an average-fidelity
-    deficit eta: bound and confidence are both 1 - sqrt(eta)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must sit in [0, 1]")
-    root = math.sqrt(eta)
-    return 1.0 - root, 1.0 - root
 
 
 def measurement_selftest_fidelity(violation: float, trust: str) -> float:

@@ -189,10 +189,8 @@ def cmd_simulate(args) -> int:
     }
     if args.out:
         _write_csv(args, ["trial", "verdict", "statistic", "certified_F", "true_F", "teleport_F"], rows, args.out)
-        if args.summary_out:
-            _write_json(args, summary, args.summary_out)
-    else:
-        _write_json(args, summary, None)
+    if args.summary_out or not args.out:
+        _write_json(args, summary, args.summary_out)
     if args.trials == 1 and stats.accepted == 0:
         return 2
     return 0
@@ -441,21 +439,16 @@ def build_parser() -> _Parser:
 
 @functools.cache
 def _shared_parser() -> _Parser:
-    """The parser of every call without --config, built once per process."""
+    """The parser that reads every call's argv first, built once per process."""
     return build_parser()
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if "--config" not in argv:
-        parser = _shared_parser()
-    else:
-        index = argv.index("--config")
-        if index + 1 >= len(argv):
-            print("telecert: error: --config requires a path", file=sys.stderr)
-            return 1
+    args = _shared_parser().parse_args(argv)
+    if args.config is not None:
         try:
-            with open(argv[index + 1]) as handle:
+            with open(args.config) as handle:
                 config = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"telecert: error: {exc}", file=sys.stderr)
@@ -469,7 +462,7 @@ def main(argv=None) -> int:
         for sub in parser._telecert_subparsers.choices.values():
             known = {action.dest for action in sub._actions}
             sub.set_defaults(**{k: v for k, v in config.items() if k in known})
-    args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, sdp.SdpError) as exc:

@@ -575,12 +575,6 @@ class ReducedProblem:
     def dim(self) -> int:
         return self.problem.dim
 
-    def moment_vector(self, gamma: np.ndarray) -> np.ndarray:
-        """Project a numeric moment matrix onto the free real moments: the
-        mean real part of each class's cells."""
-        cells = self.label.ravel()
-        return np.bincount(cells, gamma.real.ravel()) / np.bincount(cells)
-
     def assemble(self, y: np.ndarray) -> np.ndarray:
         return y[self.label]
 
@@ -682,16 +676,6 @@ def words_to_json(words) -> dict:
     }
 
 
-def words_from_json(doc: dict) -> list:
-    if doc.get("schema") != "npa/1":
-        raise ValueError(f"unexpected schema {doc.get('schema')!r}")
-    setting = doc["setting"]
-    return [
-        OperatorWord.from_symbols(setting, [tuple(sym) for sym in symbols])
-        for symbols in doc["words"]
-    ]
-
-
 def export_sdpa(problem: MomentProblem, path, constraints: str = "generated") -> dict:
     """Write the real reduction of the problem as a sparse SDPA file.
 
@@ -761,33 +745,6 @@ def export_sdpa(problem: MomentProblem, path, constraints: str = "generated") ->
         "equality_pairs": len(first),
         "dimension": problem.dim,
     }
-
-
-def import_sdpa(path) -> MomentProblem:
-    """Rebuild the moment problem from the metadata comment line."""
-    meta = None
-    with open(path) as handle:
-        for line in handle:
-            if line.startswith('"meta '):
-                meta = json.loads(line[6:])
-                break
-            if not line.startswith(('"', "*")):
-                break
-    if meta is None:
-        raise ValueError("file lacks the moment-problem metadata line")
-    if meta.get("schema") != "npa-sdpa/2":
-        raise ValueError(f"unexpected schema {meta.get('schema')!r}, expected 'npa-sdpa/2'")
-    words = [
-        OperatorWord.from_symbols(meta["setting"], [tuple(sym) for sym in symbols])
-        for symbols in meta["words"]
-    ]
-    return build_moment_problem(
-        meta["setting"],
-        words,
-        meta["objective"],
-        meta["inequality"],
-        float(meta["violation"]),
-    )
 
 
 def read_sdpa_numeric(path):

@@ -1,10 +1,10 @@
 """Dense linear algebra for two-qubit certification primitives.
 
-States, dichotomic observables, two-setting measurement models with
+States, Werner-type mixtures, two-setting measurement models with
 untrusted projectors, the ancilla-swap extraction channel, and the
-standard teleportation circuit.  Everything is complex
-float64; Hermiticity is restored by explicit symmetrization after
-constructive operations, with a deviation check before symmetrizing.
+standard teleportation circuit.  Everything is complex float64;
+Hermiticity is restored by explicit symmetrization after constructive
+operations, with a deviation check before symmetrizing.
 """
 
 from __future__ import annotations
@@ -13,38 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Observable",
-    "TwoQubitState",
-    "MeasurementModel",
-    "Assemblage",
-    "OBS_X",
-    "OBS_Z",
-    "bell_state",
-    "bell_vector",
-    "rotated_bell_vector",
-    "werner_state",
-    "rotated_werner_state",
-    "fidelity_to_pure",
-    "product_expectation",
-    "correlation",
-    "steering_value",
-    "chsh_value",
-    "chsh_optimal_settings",
-    "swap_isometry_extract",
-    "teleport_average_fidelity",
-    "haar_random_vector",
-    "random_projective_model",
-    "ideal_model",
-    "purify_with_bob_ancilla",
-    "state_to_json",
-    "state_from_json",
-    "model_to_json",
-    "model_from_json",
-]
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
@@ -60,30 +29,6 @@ def _hermitize(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if deviation > tol:
         raise ValueError(f"matrix deviates from Hermitian by {deviation:.3e}")
     return 0.5 * (matrix + adjoint)
-
-
-@dataclass
-class Observable:
-    """A binary-outcome observable: 2x2 Hermitian with M^2 = identity."""
-
-    matrix: np.ndarray
-    label: str = "custom"
-
-    def __post_init__(self):
-        self.matrix = _hermitize(self.matrix, tol=1e-12)
-        if self.matrix.shape != (2, 2):
-            raise ValueError("observable must be 2x2")
-        if np.max(np.abs(self.matrix @ self.matrix - ID2)) > 1e-12:
-            raise ValueError("observable must square to the identity")
-
-    def projector(self, outcome: int) -> np.ndarray:
-        """Eigenprojector onto outcome +1 (outcome=0) or -1 (outcome=1)."""
-        sign = 1.0 if outcome == 0 else -1.0
-        return 0.5 * (ID2 + sign * self.matrix)
-
-
-OBS_X = Observable(SIGMA_X, "X")
-OBS_Z = Observable(SIGMA_Z, "Z")
 
 
 @dataclass
@@ -112,11 +57,6 @@ def bell_vector() -> np.ndarray:
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
     return v
-
-
-def bell_state() -> TwoQubitState:
-    v = bell_vector()
-    return TwoQubitState(np.outer(v, v.conj()))
 
 
 def rotated_bell_vector() -> np.ndarray:
@@ -164,40 +104,8 @@ def product_expectation(rho: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> 
     return complex(np.einsum("ac,bd,abcd->", op_a.T, op_b.T, r4))
 
 
-def correlation(state: TwoQubitState, a: Observable, b: Observable) -> float:
-    """tr((a x b) rho); the imaginary part must vanish to 1e-12."""
-    value = product_expectation(state.matrix, a.matrix, b.matrix)
-    if abs(value.imag) > 1e-12:
-        raise ValueError(f"correlation has imaginary part {value.imag:.3e}")
-    return float(value.real)
-
-
-def steering_value(state: TwoQubitState) -> float:
-    """<X x X> + <Z x Z>, the two-setting steering functional (max 2)."""
-    return correlation(state, OBS_X, OBS_X) + correlation(state, OBS_Z, OBS_Z)
-
-
-def chsh_value(state: TwoQubitState, settings) -> float:
-    """<A0 B0> + <A1 B0> + <A0 B1> - <A1 B1> for settings (A0, A1, B0, B1)."""
-    a0, a1, b0, b1 = settings
-    return (
-        correlation(state, a0, b0)
-        + correlation(state, a1, b0)
-        + correlation(state, a0, b1)
-        - correlation(state, a1, b1)
-    )
-
-
-def chsh_optimal_settings() -> tuple:
-    """Settings reaching 2*sqrt(2) on the standard Bell state."""
-    a0, a1 = OBS_Z, OBS_X
-    b0 = Observable((SIGMA_Z + SIGMA_X) / np.sqrt(2.0), "custom")
-    b1 = Observable((SIGMA_Z - SIGMA_X) / np.sqrt(2.0), "custom")
-    return a0, a1, b0, b1
-
-
 # ---------------------------------------------------------------------------
-# Measurement models and assemblages
+# Measurement models
 
 
 @dataclass
@@ -319,36 +227,6 @@ def haar_random_vector(dim: int, rng) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-@dataclass
-class Assemblage:
-    """Sub-normalized conditional states tau_{b|y} on the trusted side."""
-
-    elements: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_state_and_model(cls, state, model: MeasurementModel) -> "Assemblage":
-        rho = _as_density(state)
-        d_a = rho.shape[0] // model.bob_dim
-        elements = {}
-        for y in (0, 1):
-            for b in (0, 1):
-                elements[(b, y)] = partial_trace_bob(
-                    rho, d_a, model.bob_dim, model.bob_projectors[y][b]
-                )
-        return cls(elements)
-
-    def reduced_state(self, y: int = 0) -> np.ndarray:
-        return self.elements[(0, y)] + self.elements[(1, y)]
-
-    def check(self, tol: float = 1e-10) -> None:
-        """No-signalling across settings and unit total trace."""
-        r0, r1 = self.reduced_state(0), self.reduced_state(1)
-        if np.max(np.abs(r0 - r1)) > tol:
-            raise ValueError("assemblage signals between settings")
-        if abs(np.trace(r0).real - 1.0) > tol:
-            raise ValueError("assemblage total trace is not 1")
-
-
 def partial_trace_bob(rho: np.ndarray, d_a: int, d_b: int, op_b: np.ndarray) -> np.ndarray:
     """tr_B[(1 x op_b) rho] as a d_a x d_a matrix."""
     r4 = rho.reshape(d_a, d_b, d_a, d_b)
@@ -422,21 +300,6 @@ def swap_isometry_extract(state, model: MeasurementModel, side: str = "bob") -> 
     raise ValueError(f"unknown side {side!r}")
 
 
-def purify_with_bob_ancilla(state: TwoQubitState) -> tuple[np.ndarray, int]:
-    """Purify a two-qubit state by enlarging Bob with a 4-dim ancilla.
-
-    Returns the pure vector on A x (B x ancilla) together with the new
-    Bob dimension (8); pair it with ``ideal_model().extended(4)``.
-    """
-    eigs, vecs = np.linalg.eigh(state.matrix)
-    eigs = np.clip(eigs, 0.0, None)
-    amp = np.zeros((2, 2, 4), dtype=complex)
-    for k in range(4):
-        amp[:, :, k] = np.sqrt(eigs[k]) * vecs[:, k].reshape(2, 2)
-    vec = amp.reshape(2, 8).reshape(-1)
-    return vec / np.linalg.norm(vec), 8
-
-
 # ---------------------------------------------------------------------------
 # Teleportation
 
@@ -465,52 +328,3 @@ def teleport_average_fidelity(resource: TwoQubitState, n_inputs: int, rng) -> fl
     corrected = _CORRECTIONS @ bob @ _CORRECTIONS.conj().transpose(0, 2, 1)
     total = np.einsum("nb,nkbd,nd->", phi.conj(), corrected, phi).real
     return float(total / n_inputs)
-
-
-# ---------------------------------------------------------------------------
-# Serialization ("qcore/1")
-
-
-def _matrix_to_json(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix, dtype=complex)]
-
-
-def _matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
-def state_to_json(state: TwoQubitState) -> dict:
-    return {"schema": "qcore/1", "kind": "two_qubit_state", "matrix": _matrix_to_json(state.matrix)}
-
-
-def state_from_json(doc: dict) -> TwoQubitState:
-    if doc.get("schema") != "qcore/1":
-        raise ValueError(f"unexpected schema {doc.get('schema')!r}")
-    return TwoQubitState(_matrix_from_json(doc["matrix"]))
-
-
-def model_to_json(model: MeasurementModel) -> dict:
-    doc = {
-        "schema": "qcore/1",
-        "kind": "measurement_model",
-        "bob_dim": model.bob_dim,
-        "bob_projectors": [[_matrix_to_json(model.bob_projectors[y][b]) for b in (0, 1)] for y in (0, 1)],
-    }
-    if model.device_independent:
-        doc["alice_dim"] = model.alice_dim
-        doc["alice_projectors"] = [
-            [_matrix_to_json(model.alice_projectors[x][a]) for a in (0, 1)] for x in (0, 1)
-        ]
-    return doc
-
-
-def model_from_json(doc: dict) -> MeasurementModel:
-    if doc.get("schema") != "qcore/1":
-        raise ValueError(f"unexpected schema {doc.get('schema')!r}")
-    bob = np.array([[_matrix_from_json(doc["bob_projectors"][y][b]) for b in (0, 1)] for y in (0, 1)])
-    if "alice_projectors" in doc:
-        alice = np.array(
-            [[_matrix_from_json(doc["alice_projectors"][x][a]) for a in (0, 1)] for x in (0, 1)]
-        )
-        return MeasurementModel(doc["bob_dim"], bob, doc["alice_dim"], alice)
-    return MeasurementModel(doc["bob_dim"], bob)

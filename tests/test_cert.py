@@ -64,21 +64,6 @@ def test_even_adjustment():
         assert (k - 1) % 2 == 0
 
 
-def test_tail_bounds():
-    assert cert.chernoff_tail(100, 0.2) == pytest.approx(math.exp(-2), rel=1e-12)
-    assert cert.chernoff_tail(100, 0.0) == 1.0
-    assert cert.chernoff_tail(10**9, 0.2) < 1e-300
-    assert cert.azuma_tail(100, 0.4) == pytest.approx(math.exp(-2), rel=1e-12)
-    assert cert.azuma_tail(100, 0.0) == 1.0
-    for k in (1, 10, 1000):
-        for d in (0.0, 0.1, 0.5):
-            assert cert.azuma_tail(k, d) >= cert.chernoff_tail(k, d)
-    with pytest.raises(ValueError):
-        cert.chernoff_tail(0, 0.1)
-    with pytest.raises(ValueError):
-        cert.azuma_tail(10, -0.1)
-
-
 def test_fidelity_bound_iid_quoted_point():
     c = cert.fidelity_bound(params())
     assert c.fidelity == pytest.approx(1 - 1.26 * (0.5 / 35 + 0.25), abs=1e-12)
@@ -141,18 +126,6 @@ def test_vacuous_flag():
     c = cert.fidelity_bound(params(eps=0.9, q=1.0))
     assert c.vacuous and c.fidelity == 0.0
     assert 0.0 <= c.probability <= 1.0
-
-
-def test_lemma_individual():
-    assert cert.lemma_individual_from_average(0.04) == (pytest.approx(0.8), pytest.approx(0.8))
-    assert cert.lemma_individual_from_average(0.0) == (1.0, 1.0)
-    assert cert.lemma_individual_from_average(1.0) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        cert.lemma_individual_from_average(1.5)
-    # composed with an average bound it never beats the average bound
-    for eta in np.linspace(0, 1, 21):
-        f, _ = cert.lemma_individual_from_average(float(eta))
-        assert f <= 1 - eta + 1e-12
 
 
 def test_measurement_selftest_points():

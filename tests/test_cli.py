@@ -80,6 +80,24 @@ def test_simulate_csv_outputs(tmp_path, capsys):
     assert doc["copies"] == 10019
 
 
+def test_simulate_summary_out_alone(tmp_path, capsys):
+    # the summary goes to --summary-out whenever it is given, and to
+    # stdout only when neither output flag is
+    argv = ["simulate", "--eps", "0.15", "--q", "5.45", "--x", "1", "--trials", "2", "--seed", "3"]
+    code, printed = run_cli(argv, capsys)
+    assert code == 0
+    summary = tmp_path / "summary.json"
+    code, out = run_cli(argv + ["--summary-out", str(summary)], capsys)
+    assert (code, out) == (0, "")
+    doc = json.loads(summary.read_text())
+    assert doc["config"].pop("summary_out") == str(summary)
+    expected = json.loads(printed)
+    assert expected["config"].pop("summary_out") is None
+    assert doc == expected
+    code, out = run_cli(argv + ["--out", str(tmp_path / "runs.csv")], capsys)
+    assert (code, out) == (0, "")
+
+
 def test_simulate_single_reject_exit_code(capsys):
     code, out = run_cli(
         [
@@ -413,6 +431,18 @@ def test_config_file_defaults(tmp_path, capsys):
     # explicit flags still override the file
     code, out = run_cli(["certify", "--config", str(path), "--eps", "0.2"], capsys)
     assert json.loads(out)["params"]["epsilon"] == 0.2
+
+
+def test_config_flag_spellings(tmp_path, capsys):
+    # argparse accepts --config=path and unique prefixes; each reads the file
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"eps": 0.25, "q": 35.0, "x": 1.0}))
+    outs = []
+    for spelling in (["--config", str(path)], [f"--config={path}"], ["--conf", str(path)]):
+        code, out = run_cli(["certify", *spelling], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_config_file_does_not_reach_later_calls(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,28 @@ from telecert import cert, npa, qcore as qc
 
 def word(setting, *symbols):
     return npa.OperatorWord.from_symbols(setting, list(symbols))
+
+
+def real_moments(red, gamma):
+    """The free real moments of a model's moment matrix, whose cells of
+    one real class carry one value."""
+    y = np.empty(len(red.p))
+    y[red.label] = gamma.real
+    return y
+
+
+def assert_sdpa_meta(path, prob, constraints):
+    """The file's metadata line records the exported moment problem."""
+    line = next(l for l in path.read_text().splitlines() if l.startswith('"meta '))
+    assert json.loads(line[len('"meta '):]) == {
+        "schema": "npa-sdpa/2",
+        "setting": prob.setting,
+        "objective": prob.objective,
+        "inequality": prob.inequality,
+        "violation": repr(float(prob.violation)),
+        "words": json.loads(json.dumps(npa.words_to_json(prob.words)["words"])),
+        "constraints": constraints,
+    }
 
 
 def test_canonicalize_projector_idempotence():
@@ -193,11 +216,11 @@ def test_ideal_model_objective_values():
     words = npa.generate_words("1sdi", 3)
     red = npa.reduce_problem(npa.build_moment_problem("1sdi", words, "state", "steering", 2.0))
     gamma = npa.instantiate_gamma(qc.ideal_model(), qc.bell_vector(), words)
-    y = red.moment_vector(gamma)
+    y = real_moments(red, gamma)
     for objective in ("state", "ZB", "XB"):
         prob = npa.build_moment_problem("1sdi", words, objective, "steering", 2.0)
         r = npa.reduce_problem(prob)
-        assert r.p @ r.moment_vector(gamma) == pytest.approx(1.0, abs=1e-12)
+        assert r.p @ real_moments(r, gamma) == pytest.approx(1.0, abs=1e-12)
     assert red.q @ y == pytest.approx(2.0, abs=1e-12)
 
     wd = npa.generate_words("di", 4)
@@ -207,19 +230,19 @@ def test_ideal_model_objective_values():
     for objective in ("state", "ZAZB", "XAXB", "ZAXB"):
         prob = npa.build_moment_problem("di", wd, objective, "chsh", 2 * np.sqrt(2))
         r = npa.reduce_problem(prob)
-        yd = r.moment_vector(gd)
+        yd = real_moments(r, gd)
         assert r.p @ yd == pytest.approx(1.0, abs=1e-12)
         assert r.q @ yd == pytest.approx(2 * np.sqrt(2), abs=1e-12)
 
 
-def test_werner_purification_objective_value():
+def test_werner_purification_objective_value(purify_with_bob_ancilla):
     v = 0.69
     words = npa.generate_words("1sdi", 3)
     prob = npa.build_moment_problem("1sdi", words, "state", "steering", 2 * v)
     red = npa.reduce_problem(prob)
-    vec, _ = qc.purify_with_bob_ancilla(qc.werner_state(v))
+    vec, _ = purify_with_bob_ancilla(qc.werner_state(v))
     gamma = npa.instantiate_gamma(qc.ideal_model().extended(4), vec, words)
-    y = red.moment_vector(gamma)
+    y = real_moments(red, gamma)
     assert red.p @ y == pytest.approx((1 + 3 * v) / 4, abs=1e-10)
     assert red.q @ y == pytest.approx(2 * v, abs=1e-10)
 
@@ -272,13 +295,13 @@ def test_dimension_mismatch_rejected():
         npa.instantiate_gamma(qc.ideal_model(), qc.haar_random_vector(6, np.random.default_rng(0)), words)
 
 
-def test_reduced_assembly_round_trip():
+def test_reduced_assembly_round_trip(purify_with_bob_ancilla):
     words = npa.generate_words("1sdi", 3)
     prob = npa.build_moment_problem("1sdi", words, "state", "steering", 1.9)
     red = npa.reduce_problem(prob)
-    vec, _ = qc.purify_with_bob_ancilla(qc.werner_state(0.81))
+    vec, _ = purify_with_bob_ancilla(qc.werner_state(0.81))
     gamma = npa.instantiate_gamma(qc.ideal_model().extended(4), vec, words)
-    y = red.moment_vector(gamma)
+    y = real_moments(red, gamma)
     # real moments reassemble to the real part of the instantiated matrix
     assert np.max(np.abs(red.assemble(y) - gamma.real)) < 1e-10
 
@@ -299,8 +322,7 @@ def test_export_import_round_trip(tmp_path):
     path = tmp_path / "problem.dat-s"
     info = npa.export_sdpa(prob, path)
     assert info["dimension"] == 14
-    back = npa.import_sdpa(path)
-    assert back == prob
+    assert_sdpa_meta(path, prob, "generated")
     # header bookkeeping: constraint count in the file matches the summary
     lines = [l for l in path.read_text().splitlines() if not l.startswith('"')]
     assert int(lines[0]) == info["constraints_written"]
@@ -315,7 +337,7 @@ def test_export_deduplicated_variant(tmp_path):
     prob = npa.build_moment_problem("1sdi", words, "state", "steering", 1.8)
     path = tmp_path / "dedup.dat-s"
     info = npa.export_sdpa(prob, path, constraints="deduplicated")
-    assert npa.import_sdpa(path) == prob
+    assert_sdpa_meta(path, prob, "deduplicated")
     full = npa.export_sdpa(prob, tmp_path / "full.dat-s", constraints="generated")
     assert info["constraints_written"] < full["constraints_written"]
 
@@ -325,7 +347,11 @@ def test_words_json_round_trip():
         words = npa.generate_words(setting, cap)
         doc = npa.words_to_json(words)
         assert doc["schema"] == "npa/1"
-        assert npa.words_from_json(doc) == words
+        doc = json.loads(json.dumps(doc))
+        assert [
+            npa.OperatorWord.from_symbols(doc["setting"], [tuple(sym) for sym in symbols])
+            for symbols in doc["words"]
+        ] == words
 
 
 @pytest.mark.parametrize("constraints", ["generated", "deduplicated"])
@@ -367,7 +393,7 @@ def test_di_measurement_export_constraint_count(tmp_path):
     assert info["equality_pairs"] == 47700
     header_m = int(next(l for l in path.read_text().splitlines() if not l.startswith('"')))
     assert header_m == info["constraints_written"]
-    assert npa.import_sdpa(path) == prob
+    assert_sdpa_meta(path, prob, "generated")
     # the chain form fits the reader's limits
     dedup = npa.export_sdpa(prob, tmp_path / "dedup.dat-s", constraints="deduplicated")
     assert (dedup["constraints_written"], dedup["dimension"]) == (3138, 81)
@@ -435,12 +461,6 @@ def test_identity_word_required():
 def test_sdpa_error_paths(tmp_path):
     plain = tmp_path / "plain.dat-s"
     plain.write_text("2\n1\n2\n1.0 2.0\n1 1 1 1 1.0\n2 1 2 2 1.0\n")
-    with pytest.raises(ValueError):
-        npa.import_sdpa(plain)  # no metadata line
-    embedded = tmp_path / "embedded.dat-s"
-    embedded.write_text('"meta {"schema":"npa-sdpa/1"}\n' + plain.read_text())
-    with pytest.raises(ValueError, match="'npa-sdpa/1', expected 'npa-sdpa/2'"):
-        npa.import_sdpa(embedded)  # the retired 2x2 embedding format
     objective, (owner, rows, cols, values, rhs) = npa.read_sdpa_numeric(plain)
     assert objective.tolist() == [[0.0, 0.0], [0.0, 0.0]]
     assert [owner.tolist(), rows.tolist(), cols.tolist(), values.tolist(), rhs.tolist()] == [

@@ -430,7 +430,7 @@ def test_subset_mean_concentration_rate():
     params = steering_params(eps=0.4, q=2.2)
     k = protosim.adjusted_copies(params)
     subset = (k - 1) // 2
-    bound = cert.chernoff_tail(subset, t)
+    bound = math.exp(-0.5 * subset * t * t)
     runs = 150
     source = protosim.werner_source("two-basis", v)
     hits = 0
