@@ -420,54 +420,51 @@ def plan(
     return PlanResult(True, params, cert)
 
 
-def werner_visibility_threshold(
-    iid: bool,
-    target_fidelity: float = 2.0 / 3.0,
-    target_probability: float | None = None,
-    max_copies: float | None = None,
-    trust: str = "1sdi",
-    inequality: str = "steering",
-    alpha: float | None = None,
-    tol: float = 5e-4,
-) -> float:
+#: The Werner-threshold search: the fidelity target is the classical
+#: teleportation bound 2/3, the setting is the one-sided steering one whose
+#: visibilities the paper quotes, and the bisection stops once its bracket
+#: is narrower than 5e-4, well inside the three quoted digits.
+WERNER_TARGET_FIDELITY = 2.0 / 3.0
+WERNER_TRUST, WERNER_INEQUALITY = "1sdi", "steering"
+WERNER_TOLERANCE = 5e-4
+
+
+def werner_visibility_threshold(iid: bool) -> float:
     """Minimum Werner visibility whose violation level still certifies the
-    fidelity target.
+    fidelity target `WERNER_TARGET_FIDELITY` in the `WERNER_TRUST` /
+    `WERNER_INEQUALITY` setting with the paper's alpha.
 
     A visibility-v source attains violation v * (maximal violation), so the
-    protocol must run at epsilon = (1 - v) * maximal violation.  Defaults:
-    confidence 0.75 with at most 1.2e5 copies in the iid setting, 0.6 with
-    at most 1e8 copies in the martingale setting (the feasibility envelope
-    of the quoted operating points).  The visibility is bisected until
-    its bracket is narrower than tol, which must be finite and positive.
+    protocol must run at epsilon = (1 - v) * maximal violation.  The
+    confidence and copy budget are the feasibility envelope of the quoted
+    operating points: confidence 0.75 with at most 1.2e5 copies in the iid
+    setting, 0.6 with at most 1e8 copies in the martingale setting.  The
+    visibility is bisected until its bracket is narrower than
+    `WERNER_TOLERANCE`.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be finite and positive")
-    if target_probability is None:
-        target_probability = 0.75 if iid else 0.6
-    if max_copies is None:
-        max_copies = 1.2e5 if iid else 1e8
-    top = max_violation(trust, inequality)
+    target_probability = 0.75 if iid else 0.6
+    max_copies = 1.2e5 if iid else 1e8
+    top = max_violation(WERNER_TRUST, WERNER_INEQUALITY)
 
     def feasible(v):
         eps = (1.0 - v) * top
         if eps <= 0.0 or eps >= 1.0:
             return eps <= 0.0
         result = plan(
-            target_fidelity,
+            WERNER_TARGET_FIDELITY,
             target_probability,
-            trust,
-            inequality,
+            WERNER_TRUST,
+            WERNER_INEQUALITY,
             iid,
             epsilon=eps,
             max_copies=max_copies,
-            alpha=alpha,
         )
         return result.feasible
 
     lo, hi = 0.5, 1.0
     if feasible(lo):
         return lo
-    while hi - lo > tol:
+    while hi - lo > WERNER_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -486,7 +483,6 @@ def sweep_rows(
     epsilons,
     q: float,
     x: float,
-    alpha: float | None = None,
 ) -> list[dict]:
     """Rows of (epsilon, iid and non-iid fidelity/copies/probability)."""
     rows = []
@@ -494,7 +490,7 @@ def sweep_rows(
         row = {"epsilon": float(eps), "violation": max_violation(trust, inequality) - float(eps)}
         for iid in (True, False):
             cert = fidelity_bound(
-                CertificateParams(trust, inequality, iid, float(eps), q, x, alpha)
+                CertificateParams(trust, inequality, iid, float(eps), q, x)
             )
             tag = "iid" if iid else "noniid"
             row[f"fidelity_{tag}"] = cert.fidelity

@@ -240,17 +240,28 @@ def cmd_npa_export(args) -> int:
 
 
 def cmd_sdp_solve(args) -> int:
+    """Solve the file's problem in the free-moment form of
+    `sdp.companion_instance`: `objective` is the file problem's minimum,
+    and the other figures are the companion solve's."""
     _require(args, "infile")
+    if args.max_iterations < 1:
+        raise ValueError("--max-iterations must be at least 1")
     objective, constraints = npa.read_sdpa_numeric(args.infile)
-    instance = sdp.SdpInstance(objective, sdp.Constraints(*constraints))
+    problem = sdp.SdpInstance(objective, sdp.Constraints(*constraints))
+    try:
+        instance, offset, _ = sdp.companion_instance(*sdp.fold_ties(problem))
+    except sdp.InfeasibleError as exc:
+        verdict = {"status": "infeasible", "termination": "inconsistent-constraints", "reason": str(exc)}
+        _write_json(args, {"schema": "sdp/1", "kind": "solution", **verdict}, args.out)
+        return 2
     solution = sdp.solve(instance, max_iterations=args.max_iterations)
     payload = {
         "schema": "sdp/1",
         "kind": "solution",
         "status": solution.status,
         "termination": solution.termination,
-        "objective": solution.primal_objective,
-        "dual_objective": solution.dual_objective,
+        "objective": offset - solution.primal_objective,
+        "constraints": len(instance.constraints),
         "gap": solution.gap,
         "primal_residual": solution.primal_residual,
         "dual_residual": solution.dual_residual,

@@ -43,15 +43,14 @@ _PROJ_SYMBOLS = {"E00": 0, "E01": 1}
 _OBS_SYMBOLS = {"Z": 0, "X": 1}
 
 
-#: Most equality constraints the SDPA reader and the solver's presolve
-#: accept; the reader refuses a larger header before reading any entry.
-MAX_CONSTRAINTS = 20000
-
-#: Most float64 entries in the solver's Schur workspace, one W U_j W
-#: product of the matrix dimension squared per constraint
-#: (`sdp._SchurBlock`): the largest the constraint limit admits for the
-#: 81x81 fully untrusted companion instance, about 1.05 GB.
-MAX_DENSE_ENTRIES = MAX_CONSTRAINTS * 81**2
+#: Most float64 entries the companion of an SDPA file may hold in the
+#: solver's Schur workspace (`sdp._SchurBlock`), one product of the matrix
+#: dimension squared per free moment.  A file's n x n matrix has at most
+#: n(n+1)/2 free moments, when no tie joins two cells, so the reader
+#: refuses a header whose n exceeds that bound before reading any entry:
+#: it admits the 81x81 fully untrusted problem, about 174 MB.  The dense
+#: equality rows of a folded file (`sdp.fold_ties`) share the bound.
+MAX_WORKSPACE_ENTRIES = 81**2 * (81 * 82 // 2)
 
 
 class MissingWordError(ValueError):
@@ -756,7 +755,9 @@ def read_sdpa_numeric(path):
     tr(A_i X) = b_i, X >= 0 is the file's dual; for files written by
     :func:`export_sdpa` that minimum is the certified minimum objective
     value directly.  An entry below the diagonal sets its mirror cell,
-    and an entry given again replaces the earlier value.
+    and an entry given again replaces the earlier value.  The blocks are
+    checked against `MAX_WORKSPACE_ENTRIES` on the header, before any
+    entry is read.
     """
     rows = []
     with open(path) as handle:
@@ -768,19 +769,19 @@ def read_sdpa_numeric(path):
     if len(rows) < 4:
         raise ValueError("file ends before the SDPA header is complete")
     m = int(rows[0].split()[0])
-    if m > MAX_CONSTRAINTS:
-        raise ValueError(f"file declares {m} constraints; the solver accepts at most {MAX_CONSTRAINTS}")
     nblocks = int(rows[1].split()[0])
     sizes = [abs(int(tok.strip("{},"))) for tok in rows[2].replace(",", " ").split()][:nblocks]
     if len(sizes) != nblocks:
         raise ValueError(f"block size line lists {len(sizes)} sizes for {nblocks} blocks")
+    if nblocks < 1 or 0 in sizes:
+        raise ValueError(f"block size line {rows[2]!r}: every block needs a size of at least 1")
     dim = sum(sizes)
-    entries = m * dim**2
-    if entries > MAX_DENSE_ENTRIES:
+    entries = dim**2 * (dim * (dim + 1) // 2)
+    if entries > MAX_WORKSPACE_ENTRIES:
         raise ValueError(
-            f"file declares {m} constraints on a {dim}x{dim} matrix: the solver's Schur workspace "
-            f"would hold {entries} float64 entries ({entries * 8 / 1e9:.2f} GB); it accepts at most "
-            f"{MAX_DENSE_ENTRIES} ({MAX_DENSE_ENTRIES * 8 / 1e9:.2f} GB)"
+            f"file declares a {dim}x{dim} matrix: its companion may have {dim * (dim + 1) // 2} free moments, "
+            f"whose Schur workspace would hold {entries} float64 entries ({entries * 8 / 1e9:.2f} GB); "
+            f"the solver accepts at most {MAX_WORKSPACE_ENTRIES} ({MAX_WORKSPACE_ENTRIES * 8 / 1e9:.2f} GB)"
         )
     c_values = [float(tok) for tok in rows[3].replace(",", " ").split()]
     if len(c_values) != m:

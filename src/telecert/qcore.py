@@ -178,10 +178,9 @@ def _check_projector_family(projectors: np.ndarray, dim: int) -> None:
             raise ValueError("projectors do not sum to identity")
 
 
-def ideal_model(bob_dim: int = 2, device_independent: bool = False) -> MeasurementModel:
-    """Exact Pauli model: setting 0 measures sigma_Z, setting 1 sigma_X."""
-    if bob_dim != 2:
-        raise ValueError("ideal model is defined on a qubit; extend afterwards")
+def ideal_model(device_independent: bool = False) -> MeasurementModel:
+    """Exact Pauli model on qubits (extend afterwards for a larger Bob):
+    setting 0 measures sigma_Z, setting 1 sigma_X."""
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
     proj = np.array(

@@ -9,7 +9,7 @@ The solver handles the standard pair
 with Nesterov-Todd scaling and dense factorizations of the iterates and
 the m x m Schur matrix, all through numpy.  The iteration runs per
 diagonal block: the connected components of the aggregate sparsity
-pattern of C and the kept A_i.  With C and every A_i block-diagonal, the
+pattern of C and the A_i.  With C and every A_i block-diagonal, the
 iterates from xi I and eta I stay block-diagonal, so the split is exact:
 each block has its own scaling, step lengths and Schur part, the step is
 the shortest block step, and the Schur matrix is the sum of the parts.
@@ -20,21 +20,29 @@ one symmetric eigenvalue problem, and one Cholesky factorization of the
 Schur matrix per iteration serves the predictor and the corrector.  The
 constraint matrices are sparse (an 81x81 moment-problem constraint has a
 median of 28 nonzero entries), so an instance holds each A_i only as the
-cells of its upper triangle (`Constraints`), as the companion and the
-SDPA reader write them; the objective is dense.  The presolve splits the
-constraints into groups that share no matrix entry and pivots greedily
-within each group on the R of an unpivoted QR of the group's entries.
-The cells give the blocks, and the Schur matrix S_ij = tr(A_i W A_j W)
-is assembled from them block by block (Fujisawa, Kojima & Nakata, Math.
-Prog. 79, 1997): one batched product W U_j W per group of constraints
-with equal cell count, then a gather at the cells of each A_i.
+cells of its upper triangle (`Constraints`), as the companion writes
+them; the objective is dense.  The cells give the blocks, and the Schur
+matrix S_ij = tr(A_i W A_j W) is assembled from them block by block
+(Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997): one batched product
+W U_j W per group of constraints with equal cell count, then a gather at
+the cells of each A_i.
 
-Moment problems are fed through a reduction that parametrizes the
-matrix by its free real moments, which keeps the constraint count near
-the number of distinct moments.  The problem's symmetries among the
-Alice<->Bob swap and the global sign flip (A, B) -> (-A, -B) form an
-abelian group (`npa.symmetry_group` checks each element exactly on the
-word list, the classes and the functionals).  Each orbit of classes
+Every solve is posed in one formulation, the free-moment (dual) form of
+`companion_instance`: the matrix is parametrized by its free real
+moments, the few equality rows are eliminated by pivoting, and what is
+left has one constraint per free moment, linearly independent by
+construction, so `solve` has no presolve.  For moment problems that form
+is the small one (Lofberg, "Dualize it", Optim. Methods Softw. 24, 2009).
+An SDPA file's problem is brought to it by `fold_ties`, which joins the
+cells its tie constraints equate into classes, the structure of
+`npa.ReducedProblem.label`: the deduplicated and the generated exports
+of the fully untrusted problem (3138 and 47702 constraints) both fold to
+its 185 classes and solve with 183 constraints.
+
+The problem's symmetries among the Alice<->Bob swap and the global sign
+flip (A, B) -> (-A, -B) form an abelian group (`npa.symmetry_group`
+checks each element exactly on the word list, the classes and the
+functionals).  Each orbit of classes
 shares one moment up to sign, the classes of odd word length that the
 flip negates are zero, and the companion is posed in a basis adapted to
 the group's characters, where it is block-diagonal (Gatermann & Parrilo,
@@ -67,8 +75,8 @@ class SdpError(RuntimeError):
     pass
 
 
-class _Infeasible(Exception):
-    pass
+class InfeasibleError(SdpError):
+    """The equality rows contradict each other: no matrix meets them."""
 
 
 @dataclass
@@ -145,10 +153,11 @@ class SdpSolution:
     `termination` names the exit that ended the iteration:
     "optimal", "infeasible-divergence", "stall", "schur-breakdown"
     (the Schur matrix failed Cholesky at every jitter level),
-    "non-finite-scaling", "step-too-small", "iteration-cap",
-    "linalg-error" (an eigendecomposition or linear solve failed) or, when no
-    iteration ran, "presolve-infeasible".  `status` is the verdict on the
-    reported iterate and can differ: a stall can still end "optimal".
+    "non-finite-scaling", "step-too-small", "iteration-cap" or
+    "linalg-error" (an eigendecomposition or linear solve failed).
+    `status` is the verdict on the reported iterate and can differ: a stall
+    can still end "optimal".  `kept_constraints` lists every constraint:
+    the instances are full-rank by construction (`companion_instance`).
     """
 
     primal: np.ndarray
@@ -165,103 +174,6 @@ class SdpSolution:
     trace: list
     kept_constraints: list
     termination: str
-
-
-def _presolve(instance: SdpInstance):
-    """Deduplicate and rank-reduce equality constraints; detect linear
-    inconsistency outright.  Returns the indices of the kept constraints."""
-    con = instance.constraints
-    n, m = instance.dim, len(con)
-    if m == 0:
-        raise SdpError("instance has no constraints")
-    if m > npa.MAX_CONSTRAINTS:
-        raise SdpError("constraint count too large for the Schur assembly")
-    norms = con.norms()
-    live = norms >= 1e-14
-    if not np.all(live) and np.max(np.abs(con.rhs[~live])) > 1e-9:
-        raise _Infeasible("zero constraint matrix with nonzero value")
-    if not np.any(live):
-        raise SdpError("all constraints vanish")
-    b_scaled = np.divide(con.rhs, norms, out=np.zeros(m), where=live)
-    # Each A_i as a vector: its upper-triangle entries, diagonal entries
-    # first, the others scaled by sqrt(2) so that the vectorization is a
-    # trace isometry, and normalized.
-    cell = live[con.owner]
-    owner, rows, cols, values = con.owner[cell], con.rows[cell], con.cols[cell], con.values[cell]
-    diagonal = rows == cols
-    _, entry = np.unique(np.where(diagonal, rows, n + rows * n + cols), return_inverse=True)
-    value = np.where(diagonal, values, values * np.sqrt(2.0)) / norms[owner]
-    # Constraints that share no matrix entry are orthogonal, so each
-    # connected group of them is rank-reduced on its own, and a constraint
-    # that shares no entry with another is independent of all.
-    group = _components(m + entry.size, owner, m + entry)[:m]
-    size = np.bincount(group[live], minlength=m)
-    kept = [np.flatnonzero(live & (size[group] == 1))]
-    mismatch = 0.0
-    for root in np.flatnonzero(size > 1):
-        inside = group[owner] == root
-        members, row = np.unique(owner[inside], return_inverse=True)
-        entries, col = np.unique(entry[inside], return_inverse=True)
-        sub = np.zeros((len(members), len(entries)))
-        sub[row, col] = value[inside]
-        # Q keeps the norms and inner products of the columns, so pivoting
-        # on R chooses the constraints that pivoting the stack would.
-        pivots = np.zeros(len(members), dtype=bool)
-        pivots[_greedy_pivots(np.linalg.qr(sub.T, mode="r"), 1e-10)] = True
-        kept.append(members[pivots])
-        if not pivots.all():
-            coeffs, *_ = np.linalg.lstsq(sub[pivots].T, sub[~pivots].T, rcond=None)
-            b_pred = coeffs.T @ b_scaled[members[pivots]]
-            mismatch = max(mismatch, np.max(np.abs(b_pred - b_scaled[members[~pivots]])))
-    if mismatch > 1e-8 * (1.0 + np.max(np.abs(b_scaled))):
-        raise _Infeasible(f"inconsistent equality constraints (mismatch {mismatch:.3e})")
-    return np.sort(np.concatenate(kept))
-
-
-def _greedy_pivots(a: np.ndarray, tol: float, block: int = 64) -> list:
-    """Columns of `a` in greedy order: each has the largest residual norm
-    after projecting out the columns before it, and the order ends when
-    that residual is at most tol.
-
-    The projections are applied a block of pivots at a time, as in
-    LAPACK's xLAQPS.  Within a block the columns stay as they were,
-    column j's residual is c_j - f_j q, and its squared norm is downdated
-    by the new column of f, so a pivot costs one pass over the columns
-    and the block ends with one matrix product.  A block also ends when a
-    downdate has cancelled all but 1e-8 of a squared norm, since the rest
-    would be rounding; so a pivot keeps at least 1e-4 of its norm within
-    its block, and one Gram-Schmidt pass keeps q orthonormal."""
-    c = np.array(a.T)  # one contiguous row per column of a
-    ids = np.arange(len(c))
-    pivots = []
-    while True:
-        norms2 = np.einsum("ij,ij->i", c, c)
-        # Projecting only shrinks a residual, so a column within tol of
-        # the span can never be a pivot.
-        live = norms2 > tol * tol
-        if not live.any():
-            return pivots
-        c, ids, norms2 = c[live], ids[live], norms2[live]
-        floor = 1e-8 * norms2
-        q = np.empty((block, c.shape[1]))
-        f = np.empty((len(c), block))
-        k = 0
-        while k < min(block, len(c)):
-            j = int(np.argmax(norms2))
-            v = c[j] - f[j, :k] @ q[:k]
-            nrm = np.linalg.norm(v)
-            if nrm <= tol:
-                return pivots
-            pivots.append(int(ids[j]))
-            q[k] = v / nrm
-            f[:, k] = c @ q[k]
-            norms2 -= f[:, k] ** 2
-            norms2[j] = floor[j] = -np.inf
-            k += 1
-            if np.any(norms2 < floor):
-                break
-        c -= f[:, :k] @ q[:k]
-        c[norms2 == -np.inf] = 0.0  # a pivot's residual is rounding: drop it
 
 
 def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -457,9 +369,9 @@ def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
     """Path-following solve; deterministic for identical inputs.
 
     Status is "optimal" only when the duality gap and both residuals meet
-    the certificate contract; structurally inconsistent constraints are
-    reported as "infeasible" instead of a silently wrong optimum.  The
-    solution's `termination` names the exit (see `SdpSolution`).
+    the certificate contract.  The constraint matrices must be linearly
+    independent, as `companion_instance` makes them; there is no presolve.
+    The solution's `termination` names the exit (see `SdpSolution`).
 
     The iterates are kept with their diagonal blocks (`_Cells.blocks`)
     contiguous.  From the block-diagonal start xi I, eta I they stay
@@ -467,19 +379,10 @@ def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
     assembly run per block: the step is the shortest block step and the
     Schur matrix is the sum over the blocks.
     """
-    try:
-        kept = _presolve(instance)
-    except _Infeasible:
-        zeros = np.zeros((instance.dim, instance.dim))
-        return SdpSolution(
-            zeros, np.zeros(len(instance.constraints)), zeros, np.nan, np.nan,
-            np.nan, np.nan, np.nan, np.nan, "infeasible", 0, [], [], "presolve-infeasible",
-        )
     n = instance.dim
-    con = instance.constraints
-    inside = np.isin(con.owner, kept)
-    owner = np.searchsorted(kept, con.owner[inside])  # renumbered 0, 1, ... in kept
-    constraints = Constraints(owner, con.rows[inside], con.cols[inside], con.values[inside], con.rhs[kept])
+    constraints = instance.constraints
+    if len(constraints) == 0:
+        raise SdpError("instance has no constraints")
     cells = _Cells(constraints, instance.objective)
     blocks, norms = cells.blocks, constraints.norms()
     b = constraints.rhs
@@ -630,12 +533,10 @@ def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
             and np.linalg.eigvalsh(x).min() >= -1e-8
         )
         status = "optimal" if contract else "max-iterations"
-    dual_full = np.zeros(len(instance.constraints))
-    dual_full[kept] = y
     back = np.ix_(np.argsort(cells.perm), np.argsort(cells.perm))
     return SdpSolution(
         primal=x[back],
-        dual=dual_full,
+        dual=y,
         slack=s[back],
         primal_objective=pobj,
         dual_objective=dobj,
@@ -646,7 +547,7 @@ def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
         status=status,
         iterations=iteration,
         trace=trace,
-        kept_constraints=list(kept),
+        kept_constraints=list(range(m)),
         termination=termination,
     )
 
@@ -664,26 +565,28 @@ class MomentSolveResult:
     gamma: np.ndarray
 
 
-def _moment_basis(reduced: npa.ReducedProblem):
+def _moment_basis(label: np.ndarray, group):
     """Free moments of the companion and their matrices.
 
-    Returns (of_class, sign, cells): each real class carries sign times
-    the free moment of_class, and cells are the upper-triangle cells
-    (owner, rows, cols, values) of the matrices G_v with
-    Gamma = sum_v y_v G_v in an orthonormal basis of the word space,
-    sorted by moment, row and column.  The symmetry group
-    (`npa.symmetry_group`) merges each orbit of classes into one moment,
-    up to sign, and gives the classes it forces to zero sign 0 and no
-    moment.  The basis holds, per character chi of the group and per orbit
-    of words with representative w, the nonzero sum_g chi(g) g(w), whose
-    entries are +-1/sqrt(orbit size) (Gatermann & Parrilo, J. Pure Appl.
-    Algebra 192, 2004).  G_v is block-diagonal on the characters; each
-    entry is an integer sum over cells times one scale, so the entries off
-    the blocks cancel exactly and have no cell.  For the trivial group,
-    each class is its own moment and G_v its 0/1 cell pattern.
+    `label` gives the real class of each cell of the n x n matrix, and
+    `group` is a symmetry group of the problem in the form
+    `npa.symmetry_group` returns.  Returns (of_class, sign, cells): each
+    real class carries sign times the free moment of_class, and cells are
+    the upper-triangle cells (owner, rows, cols, values) of the matrices
+    G_v with Gamma = sum_v y_v G_v in an orthonormal basis of the word
+    space, sorted by moment, row and column.  The group merges each orbit
+    of classes into one moment, up to sign, and gives the classes it forces
+    to zero sign 0 and no moment.  The basis holds, per character chi of
+    the group and per orbit of words with representative w, the nonzero
+    sum_g chi(g) g(w), whose entries are +-1/sqrt(orbit size) (Gatermann &
+    Parrilo, J. Pure Appl. Algebra 192, 2004).  G_v is block-diagonal on
+    the characters; each entry is an integer sum over cells times one
+    scale, so the entries off the blocks cancel exactly and have no cell.
+    For the trivial group, each class is its own moment and G_v its 0/1
+    cell pattern.
     """
-    n = reduced.dim
-    words, signs, class_image, class_sign = npa.symmetry_group(reduced)
+    n = len(label)
+    words, signs, class_image, class_sign = group
     order = len(words)
     # A class's moment is its orbit's smallest class times the sign of an
     # element that maps it there; an element that fixes it with sign -1
@@ -710,55 +613,72 @@ def _moment_basis(reduced: npa.ReducedProblem):
     # collect all of G_v, and the integer weights sum exactly in any order.
     word, column = np.nonzero(vectors.T)
     coef = vectors[column, word]
-    label = reduced.label[np.ix_(word, word)]
-    weight = sign[label] * np.outer(coef, coef)
+    cell_class = label[np.ix_(word, word)]
+    weight = sign[cell_class] * np.outer(coef, coef)
     term = (column[:, None] <= column) & (weight != 0.0)
-    key, slot = np.unique(((of_class[label] * n + column[:, None]) * n + column)[term], return_inverse=True)
+    key, slot = np.unique(((of_class[cell_class] * n + column[:, None]) * n + column)[term], return_inverse=True)
     owner, row, col = key // (n * n), key // n % n, key % n
     values = np.bincount(slot, weight[term]) / np.sqrt(size[row] * size[col])
     cell = values != 0.0
     return of_class, sign, (owner[cell], row[cell], col[cell], values[cell])
 
 
-def companion_instance(reduced: npa.ReducedProblem, violation: float):
-    """Pose min p.y over the parametrized moment matrix as the dual of a
-    standard-form instance.
+def companion_instance(label: np.ndarray, p: np.ndarray, e, d, group):
+    """Pose min p.y subject to e @ y = d over the moment matrix
+    Gamma = sum_v y_v G_v >= 0 as the dual of a standard-form instance.
 
-    The free moments and their matrices come from `_moment_basis`, merged
-    under the problem's symmetry group; a class the group forces to zero
-    has no moment, so it is in neither the free moments nor the cells of
-    their matrices.  The two scalar
-    equalities (normalization and inequality level) are eliminated by
-    pivoting, leaving  max b.z  s.t.  C0 - sum z_j (-G_j) >= 0  whose
-    companion primal is returned; the minimum equals
-    offset - (companion optimum).  `recover` maps z to the moments of all
-    real classes.
+    `label` gives the class of each cell, and p and the k rows of e are
+    vectors over the classes.  The free moments and their matrices come
+    from `_moment_basis`, merged under `group`; a class the group forces
+    to zero has no moment, so it is in neither the free moments nor the
+    cells of their matrices.  The k equalities are eliminated by pivoting:
+    each row, reduced by the rows kept before it, pivots on its largest
+    entry off the earlier pivots.  A row whose reduced entries are all at
+    most 1e-10 of its largest entry depends on the kept rows and is
+    dropped when its value agrees with theirs, and `InfeasibleError` is
+    raised when it does not.  What is left,
+    max b.z  s.t.  C0 - sum z_j (-G_j) >= 0,  has one constraint matrix
+    per free moment that no pivot takes, each with cells of its own moment,
+    so they are linearly independent; its companion primal is returned,
+    and the minimum equals offset - (companion optimum).  `recover` maps z
+    to the moments of all classes.
     """
-    of_class, sign, (owner, rows, cols, values) = _moment_basis(reduced)
-    n = reduced.dim
+    of_class, sign, (owner, rows, cols, values) = _moment_basis(label, group)
+    n = len(label)
     m = int(of_class.max()) + 1
 
     def merged(vec):
         return np.bincount(of_class, sign * vec, minlength=m)
 
-    p = merged(reduced.p)
-    e = np.vstack([merged(reduced.norm), merged(reduced.q)])
-    d = np.array([1.0, violation])
-    p1 = int(np.argmax(np.abs(e[0])))
-    if abs(e[0, p1]) < 1e-12:
-        raise SdpError("degenerate normalization row")
-    row1 = e[1] - e[1, p1] / e[0, p1] * e[0]
-    p2 = int(np.argmax(np.abs(row1)))
-    if abs(row1[p2]) < 1e-12 or p2 == p1:
-        raise SdpError("inequality functional is parallel to normalization")
-    pivots = [p1, p2]
-    free = [v for v in range(m) if v not in pivots]
+    p = merged(p)
+    e_all = np.array([merged(row) for row in e]).reshape(-1, m)
+    d_all = np.asarray(d, dtype=float)
+    kept, pivots, pivot_rows = [], [], []
+    for i, row in enumerate(e_all):
+        for v, prior in zip(pivots, pivot_rows):
+            row = row - row[v] / prior[v] * prior
+        size = np.abs(row)
+        size[pivots] = 0.0
+        v = int(np.argmax(size))
+        if size[v] > 1e-10 * np.max(np.abs(e_all[i])):
+            kept.append(i)
+            pivots.append(v)
+            pivot_rows.append(row)
+    e, d = e_all[kept], d_all[kept]
+    free = np.flatnonzero(~np.isin(np.arange(m), pivots))
     e_piv = e[:, pivots]
     e_free = e[:, free]
     y_piv0 = np.linalg.solve(e_piv, d)
-    coupling = -np.linalg.solve(e_piv, e_free)  # 2 x (m-2)
+    coupling = -np.linalg.solve(e_piv, e_free)  # k x (m-k)
     y0 = np.zeros(m)
     y0[pivots] = y_piv0
+    # A dropped row is a combination of the kept ones, which y0 meets, so
+    # it holds at y0 exactly when its value agrees with theirs.
+    dropped = np.setdiff1d(np.arange(len(e_all)), kept)
+    mismatch = np.abs(e_all[dropped] @ y0 - d_all[dropped])
+    scale = np.abs(d_all[dropped]) + np.abs(e_all[dropped]) @ np.abs(y0)
+    if np.any(mismatch > 1e-9 * scale):
+        raise InfeasibleError(f"inconsistent equality constraints (mismatch {np.max(mismatch):.3e})")
 
     c0 = np.zeros((n, n))
     for y, v in zip(y_piv0, pivots):
@@ -766,18 +686,19 @@ def companion_instance(reduced: npa.ReducedProblem, violation: float):
         c0[rows[on], cols[on]] += y * values[on]
     c0 += np.triu(c0, 1).T
     offset = float(p @ y0)
-    # G_j of free moment j plus its coupling terms, which sit on the few
-    # cells of the two pivot moments; each cell sums them in that order.
+    # G_j of free moment j plus its coupling terms, which sit on the cells
+    # of the pivot moments; each cell sums them in pivot order.
     own = np.flatnonzero(~np.isin(owner, pivots))
     terms = [(np.searchsorted(free, owner[own]), own, np.ones(len(own)))]
+    b_eff = p[free]
     for k, v in enumerate(pivots):
         on = np.flatnonzero(owner == v)
         j = np.repeat(np.arange(len(free)), len(on))
         terms.append((j, np.tile(on, len(free)), coupling[k, j]))
+        b_eff = b_eff + coupling[k] * p[v]
     j, cell, weight = (np.concatenate(part) for part in zip(*terms))
     key, slot = np.unique((j * n + rows[cell]) * n + cols[cell], return_inverse=True)
     g_values = np.bincount(slot, weight * values[cell])
-    b_eff = p[free] + coupling[0] * p[p1] + coupling[1] * p[p2]
     instance = SdpInstance(c0, Constraints(key // (n * n), key // n % n, key % n, -g_values, -b_eff))
 
     def recover(z: np.ndarray) -> np.ndarray:
@@ -789,11 +710,60 @@ def companion_instance(reduced: npa.ReducedProblem, violation: float):
     return instance, offset, recover
 
 
+def fold_ties(instance: SdpInstance):
+    """The problem min tr(C X) s.t. tr(A_i X) = b_i, X >= 0 of an SDPA
+    file, over the classes of cells that its tie constraints join, as
+    `companion_instance` takes it.
+
+    A tie is a constraint on two cells with right-hand side 0 whose
+    effective coefficients (the value on the diagonal, twice it off the
+    diagonal, as tr(A_i X) weighs them) sum to zero: it says that the two
+    cells are equal.  `_components` joins the tied cells; the classes are
+    numbered by their first upper-triangle cell in row-major order, and
+    every cell of the matrix is in one.  Every other constraint is a row
+    over the classes.  Returns (label, p, e, d, group) with the trivial
+    group: a file carries no words to find symmetries on.  The dense rows
+    are refused before they are built when they would hold more than
+    `npa.MAX_WORKSPACE_ENTRIES` entries.
+    """
+    con = instance.constraints
+    n, m = instance.dim, len(con)
+    effective = np.where(con.rows == con.cols, 1.0, 2.0) * con.values
+    tie = (
+        (np.bincount(con.owner, minlength=m) == 2)
+        & (con.rhs == 0.0)
+        & (np.bincount(con.owner, effective, minlength=m) == 0.0)
+    )
+    # The cells are sorted by constraint, so a tie's two cells are adjacent.
+    cell = con.rows * n + con.cols
+    first, second = cell[tie[con.owner]].reshape(-1, 2).T
+    upper = np.triu(_components(n * n, first, second).reshape(n, n))
+    _, label = np.unique(upper + np.triu(upper, 1).T, return_inverse=True)
+    label = label.reshape(n, n)
+    classes = int(label.max()) + 1
+    row = np.cumsum(~tie) - 1  # the row of each constraint that is not a tie
+    k = m - int(np.count_nonzero(tie))
+    if k * classes > npa.MAX_WORKSPACE_ENTRIES:
+        raise ValueError(
+            f"{k} constraints that are not ties over {classes} classes of cells: their rows would hold "
+            f"{k * classes} float64 entries; the solver accepts at most {npa.MAX_WORKSPACE_ENTRIES}"
+        )
+    on = ~tie[con.owner]
+    e = np.bincount(
+        row[con.owner[on]] * classes + label[con.rows[on], con.cols[on]], effective[on], minlength=k * classes
+    ).reshape(k, classes)
+    p = np.bincount(label.ravel(), instance.objective.ravel(), minlength=classes)
+    group = (np.arange(n)[None], np.ones((1, n)), np.arange(classes)[None], np.ones((1, classes)))
+    return label, p, e, con.rhs[~tie], group
+
+
 def solve_moment_problem(reduced: npa.ReducedProblem, violation: float) -> MomentSolveResult:
     """Certified minimum of the reduced problem's objective at a violation
     level: the one per-point path, and the one place that refuses a solve
     that did not end "optimal"."""
-    instance, offset, recover = companion_instance(reduced, violation)
+    instance, offset, recover = companion_instance(
+        reduced.label, reduced.p, [reduced.norm, reduced.q], [1.0, violation], npa.symmetry_group(reduced)
+    )
     sol = solve(instance)
     if sol.status != "optimal":
         # Never report a bound the solver could not certify (an unreachable
@@ -833,11 +803,9 @@ def _word_cap(setting: str, max_local_length: int | None) -> int:
     return DEFAULT_WORD_CAP[setting] if max_local_length is None else max_local_length
 
 
-def fit_alpha(curve, min_points: int = 5) -> float:
+def fit_alpha(curve) -> float:
     """Pointwise-max slope so that F >= 1 - alpha * eps holds on the grid."""
     pts = [(float(e), float(f)) for e, f in curve]
-    if len(pts) < min_points:
-        raise ValueError(f"need at least {min_points} grid points, got {len(pts)}")
     if any(e <= 0 for e, _ in pts):
         raise ValueError("epsilon values must be positive")
     return max((1.0 - f) / e for e, f in pts)
@@ -866,7 +834,7 @@ def derive_alpha(
         curves[objective] = min_fidelity_curve(
             setting, objective, inequality, epsilons, max_local_length
         )
-    alphas = {objective: fit_alpha(curve, min_points=min(5, len(epsilons))) for objective, curve in curves.items()}
+    alphas = {objective: fit_alpha(curve) for objective, curve in curves.items()}
     alpha = max(alphas.values())
     return {
         "setting": setting,

@@ -290,17 +290,6 @@ def test_werner_thresholds():
     assert v_non == pytest.approx(0.9565, abs=5e-3)
 
 
-def test_werner_threshold_refuses_bad_tolerance(monkeypatch):
-    # tol = 0 would bisect forever; the refusal must come before any plan.
-    def no_plan(*args, **kwargs):
-        raise AssertionError("plan called")
-
-    monkeypatch.setattr(cert, "plan", no_plan)
-    for tol in (0.0, -1e-3, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            cert.werner_visibility_threshold(iid=True, tol=tol)
-
-
 def test_trace_distance_table_consistency():
     # sqrt(2 alpha) reproduces the quoted trace-distance coefficients
     pairs = [

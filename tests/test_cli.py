@@ -210,6 +210,8 @@ def test_npa_export_and_sdp_solve(tmp_path, capsys):
         doc = json.loads(out)
         assert doc["status"] == "optimal"
         assert doc["termination"] == "optimal"
+        # both forms fold into the 33 real classes; two rows are pivoted out
+        assert doc["constraints"] == 31
         assert doc["objective"] == pytest.approx(1 - 1.2543 * 0.1, abs=2e-3)
 
 
@@ -228,32 +230,71 @@ def test_npa_export_report_to_stdout(tmp_path, capsys):
 
 
 def test_sdp_solve_refuses_oversized_header(tmp_path, capsys):
-    # the header of the default fully untrusted export: 228162 constraints
-    # on one 162x162 block, about 48 GB of Schur workspace
+    # the header of a 162x162 moment-matrix export: its companion may have
+    # 13203 free moments, whose Schur workspace would take about 2.8 GB.
+    # The header is refused before the entry line, which would fail.
     path = tmp_path / "big.dat-s"
-    path.write_text("228162\n1\n162\n1.0 0.0\n0 1 1 1 -1.0\n")
+    path.write_text("228162\n1\n162\n1.0 0.0\nnot an entry\n")
     start = time.perf_counter()
     code = cli.main(["sdp-solve", "--in", str(path)])
     elapsed = time.perf_counter() - start
     assert code == 1
     err = capsys.readouterr().err
-    assert "228162 constraints" in err and "at most 20000" in err
+    assert "a 162x162 matrix" in err and "13203 free moments" in err and "2.77 GB" in err
+    assert f"at most {npa.MAX_WORKSPACE_ENTRIES}" in err
     assert elapsed < 1.0
+    # the largest admitted dimension is the fully untrusted problem's 81
+    assert 81**2 * (81 * 82 // 2) <= npa.MAX_WORKSPACE_ENTRIES < 82**2 * (82 * 83 // 2)
 
 
 def test_sdp_solve_refuses_oversized_dense_stack(tmp_path, capsys):
-    # the header of the deduplicated fully untrusted export: 12386
-    # constraints on one 162x162 block pass the constraint limit, but the
-    # solver's Schur workspace would take about 2.6 GB
-    path = tmp_path / "dedup.dat-s"
-    path.write_text("12386\n1\n162\n1.0 0.0\n")
+    # an 81x81 file passes the header, but 6562 constraints that are not
+    # ties would make a dense 6562 x 3321 row matrix, past the workspace
+    # bound; it is refused before that matrix is built
+    m = 6562
+    path = tmp_path / "rows.dat-s"
+    path.write_text(f"{m}\n1\n81\n" + " ".join(["1.0"] * m) + "\n" + "".join(f"{i} 1 1 1 1.0\n" for i in range(1, m + 1)))
     start = time.perf_counter()
     code = cli.main(["sdp-solve", "--in", str(path)])
     elapsed = time.perf_counter() - start
     assert code == 1
     err = capsys.readouterr().err
-    assert "12386 constraints on a 162x162 matrix" in err and "2.60 GB" in err
-    assert elapsed < 1.0
+    assert "6562 constraints that are not ties over 3321 classes" in err
+    assert elapsed < 5.0
+
+
+def test_sdp_solve_max_iterations_below_one(tmp_path, capsys):
+    # no iteration would run and the starting point would be the answer;
+    # refused before the file is read
+    for bad in ("0", "-3"):
+        code = cli.main(["sdp-solve", "--in", str(tmp_path / "absent.dat-s"), "--max-iterations", bad])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "telecert: error: --max-iterations must be at least 1\n"
+    path = tmp_path / "good.dat-s"
+    path.write_text(_GOOD_SDPA)
+    assert cli.main(["sdp-solve", "--in", str(path), "--max-iterations", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["termination"] == "iteration-cap"
+
+
+def test_sdp_solve_redundant_and_conflicting_rows(tmp_path, capsys):
+    # min G11 on a 2x2 block with G00 = 1 written four ways (once, again,
+    # scaled by 3 and, with G01, as a row that reduces to it) and a zero
+    # row: the dependent rows are dropped, and the minimum is 0
+    head = "0 1 2 2 -1.0\n1 1 1 1 1.0\n2 1 1 1 1.0\n3 1 1 1 3.0\n4 1 1 1 1.0\n4 1 1 2 0.5\n5 1 1 1 0.0\n6 1 1 2 0.5\n"
+    path = tmp_path / "rows.dat-s"
+    path.write_text("6\n1\n2\n1.0 1.0 3.0 1.0 0.0 0.0\n" + head)
+    code, out = run_cli(["sdp-solve", "--in", str(path)], capsys)
+    doc = json.loads(out)
+    assert (code, doc["status"], doc["constraints"]) == (0, "optimal", 1)
+    assert doc["objective"] == pytest.approx(0.0, abs=1e-6)
+    # the scaled copy with a value that disagrees: infeasible, exit 2,
+    # before any iteration
+    path.write_text("6\n1\n2\n1.0 1.0 2.0 1.0 0.0 0.0\n" + head)
+    code, out = run_cli(["sdp-solve", "--in", str(path)], capsys)
+    doc = json.loads(out)
+    assert (code, doc["status"], doc["termination"]) == (2, "infeasible", "inconsistent-constraints")
+    assert doc["reason"].startswith("inconsistent equality constraints")
 
 
 # A valid two-constraint file on one 2x2 block, then one bad entry line.

@@ -366,7 +366,8 @@ def test_words_json_round_trip():
     ids=["1sdi-state-steering", "1sdi-XB-steering", "1sdi-ZB-chsh", "di-state-chsh-cap2"],
 )
 def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequality, eps, cap, constraints):
-    # the exported file and the in-memory reduction pose one problem
+    # the exported file and the in-memory reduction pose one problem: the
+    # file's ties fold into the real classes, and its minimum is the bound
     from telecert import sdp
 
     words = npa.generate_words(setting, cap)
@@ -376,10 +377,12 @@ def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequ
     path = tmp_path / "p.dat-s"
     npa.export_sdpa(prob, path, constraints=constraints)
     objective_matrix, constraints = npa.read_sdpa_numeric(path)
-    file_sol = sdp.solve(sdp.SdpInstance(objective_matrix, sdp.Constraints(*constraints)))
+    problem = sdp.SdpInstance(objective_matrix, sdp.Constraints(*constraints))
+    companion, offset, _ = sdp.companion_instance(*sdp.fold_ties(problem))
+    file_sol = sdp.solve(companion)
     assert file_sol.status == "optimal"
     reduced = sdp.solve_moment_problem(npa.reduce_problem(prob), prob.violation)
-    assert file_sol.primal_objective == pytest.approx(reduced.bound, abs=1e-6)
+    assert offset - file_sol.primal_objective == pytest.approx(reduced.bound, abs=1e-6)
 
 
 @pytest.mark.extended
@@ -394,10 +397,16 @@ def test_di_measurement_export_constraint_count(tmp_path):
     header_m = int(next(l for l in path.read_text().splitlines() if not l.startswith('"')))
     assert header_m == info["constraints_written"]
     assert_sdpa_meta(path, prob, "generated")
-    # the chain form fits the reader's limits
+    # both forms fit the reader's limits, and fold into the 185 real
+    # classes with the violation and normalization rows left over
+    from telecert import sdp
+
     dedup = npa.export_sdpa(prob, tmp_path / "dedup.dat-s", constraints="deduplicated")
     assert (dedup["constraints_written"], dedup["dimension"]) == (3138, 81)
-    assert (dedup["constraints_written"] + 1) * dedup["dimension"] ** 2 <= npa.MAX_DENSE_ENTRIES
+    for written in (path, tmp_path / "dedup.dat-s"):
+        objective, cells = npa.read_sdpa_numeric(written)
+        label, _, e, _, _ = sdp.fold_ties(sdp.SdpInstance(objective, sdp.Constraints(*cells)))
+        assert label.max() + 1 == 185 and e.shape == (2, 185)
 
 
 def test_entry_keys_conjugate_symmetric():
@@ -476,6 +485,11 @@ def test_sdpa_error_paths(tmp_path):
     broken.write_text("1\n2\n2\n1.0\n1 2 1 1 1.0\n")  # two blocks, one size
     with pytest.raises(ValueError, match="1 sizes for 2 blocks"):
         npa.read_sdpa_numeric(broken)
+    # a zero-size block, alone or beside another, and no block at all
+    for header in ("1\n1\n0\n1.0\n", "1\n2\n2 0\n1.0\n1 1 1 1 1.0\n", "1\n0\n0\n1.0\n"):
+        broken.write_text(header)
+        with pytest.raises(ValueError, match="block size line .*every block needs a size of at least 1"):
+            npa.read_sdpa_numeric(broken)
     words = npa.generate_words("1sdi", 2)
     prob = npa.build_moment_problem("1sdi", words, "state", "steering", 1.9)
     with pytest.raises(ValueError):

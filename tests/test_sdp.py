@@ -27,6 +27,26 @@ def cell_constraints(owner, rows, cols, values, rhs):
     return sdp.Constraints(*(np.array(a) for a in (owner, rows, cols, values, rhs)))
 
 
+def moment_companion(reduced, violation):
+    """The companion `sdp.solve_moment_problem` solves."""
+    group = npa.symmetry_group(reduced)
+    return sdp.companion_instance(reduced.label, reduced.p, [reduced.norm, reduced.q], [1.0, violation], group)
+
+
+def file_companion(instance):
+    """The companion `sdp-solve` poses for a file's standard-form problem."""
+    return sdp.companion_instance(*sdp.fold_ties(instance))
+
+
+def file_minimum(instance):
+    """The file problem's minimum through its companion, and the companion's
+    constraint count."""
+    companion, offset, _ = file_companion(instance)
+    sol = sdp.solve(companion)
+    assert sol.status == "optimal"
+    return offset - sol.primal_objective, len(companion.constraints)
+
+
 def dense_matrices(instance):
     """The instance's A_i as an (m, n, n) stack."""
     con = instance.constraints
@@ -95,10 +115,17 @@ def test_determinism():
 
 
 def test_structural_infeasibility_detected():
+    # X00 = 1 and X00 = 2: the elimination finds the second row dependent
+    # and its value in conflict, before any solve
     instance = dense_instance(
         np.eye(2), [diag_constraint(2, 0, 1.0), diag_constraint(2, 0, 2.0)]
     )
-    assert sdp.solve(instance).status == "infeasible"
+    with pytest.raises(sdp.InfeasibleError, match="inconsistent equality constraints"):
+        file_companion(instance)
+    # a zero row with a nonzero value
+    zero = np.zeros((2, 2))
+    with pytest.raises(sdp.InfeasibleError):
+        file_companion(dense_instance(np.eye(2), [diag_constraint(2, 0, 1.0), (zero, 1e-3)]))
 
 
 def test_cone_infeasibility_detected():
@@ -107,12 +134,14 @@ def test_cone_infeasibility_detected():
 
 
 def test_redundant_constraints_deduplicated():
-    # the same constraint three times plus a scaled copy must not break
+    # the same constraint three times plus a scaled copy and a zero row:
+    # the elimination keeps one, and the companion has one constraint per
+    # other cell class, X01 and X11
     a = np.array([[1.0, 0.0], [0.0, 0.0]])
     constraints = [(a, 1.0), (a, 1.0), (a.copy(), 1.0), (2 * a, 2.0), (np.eye(2) * 0.0, 0.0)]
-    sol = sdp.solve(dense_instance(np.eye(2), constraints))
-    assert sol.status == "optimal"
-    assert sol.primal_objective == pytest.approx(1.0, abs=1e-6)
+    value, count = file_minimum(dense_instance(np.eye(2), constraints))
+    assert value == pytest.approx(1.0, abs=1e-6)
+    assert count == 2
 
 
 def test_asymmetric_matrices_rejected():
@@ -201,11 +230,9 @@ def test_fit_alpha():
     line = [(0.01 * k, 1 - 1.26 * 0.01 * k) for k in range(1, 6)]
     assert sdp.fit_alpha(line) == pytest.approx(1.26, abs=1e-12)
     two_points = [(0.1, 0.9), (0.2, 0.76)]
-    assert sdp.fit_alpha(two_points, min_points=2) == pytest.approx(1.2, abs=1e-12)
+    assert sdp.fit_alpha(two_points) == pytest.approx(1.2, abs=1e-12)
     with pytest.raises(ValueError):
-        sdp.fit_alpha(two_points)  # default needs five grid points
-    with pytest.raises(ValueError):
-        sdp.fit_alpha([(0.0, 1.0)], min_points=1)
+        sdp.fit_alpha([(0.0, 1.0)])
 
 
 def test_curve_rejects_bad_grid():
@@ -244,7 +271,7 @@ def _companion(setting, inequality, eps):
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
     problem = npa.build_moment_problem(setting, words, "state", inequality, wmax)
-    instance, _, _ = sdp.companion_instance(npa.reduce_problem(problem), wmax - eps)
+    instance, _, _ = moment_companion(npa.reduce_problem(problem), wmax - eps)
     return instance
 
 
@@ -357,8 +384,9 @@ def test_termination_reasons(monkeypatch):
     diverged = sdp.solve(dense_instance(np.eye(2), [diag_constraint(2, 0, -1.0)]))
     assert (diverged.termination, diverged.status) == ("infeasible-divergence", "infeasible")
 
-    inconsistent = dense_instance(np.eye(2), [diag_constraint(2, 0, 1.0), diag_constraint(2, 0, 2.0)])
-    assert sdp.solve(inconsistent).termination == "presolve-infeasible"
+    # an instance without constraints is refused before any iteration
+    with pytest.raises(sdp.SdpError, match="no constraints"):
+        sdp.solve(sdp.SdpInstance(np.eye(2), cell_constraints([], [], [], [], [])))
 
     # A Schur matrix that fails Cholesky at every jitter level: every
     # Cholesky in `solve` is the Schur one, so the ladder makes three.
@@ -382,52 +410,38 @@ def _exported_stack(tmp_path, setting, inequality, word_cap):
     path = tmp_path / f"{setting}.dat-s"
     npa.export_sdpa(problem, path, constraints="generated")
     objective, constraints = npa.read_sdpa_numeric(path)
-    return sdp.SdpInstance(objective, sdp.Constraints(*constraints))
+    return sdp.SdpInstance(objective, sdp.Constraints(*constraints)), problem
 
 
-def test_presolve_on_exported_stacks(tmp_path):
+def test_fold_on_exported_stacks(tmp_path):
     # the one-sided file has more constraints (168) than the 105
-    # upper-triangle entries of its 14x14 matrix
-    one_sided = _exported_stack(tmp_path, "1sdi", "steering", 3)
-    assert (one_sided.dim, len(one_sided.constraints)) == (14, 168)
-    assert len(sdp._presolve(one_sided)) == 74
-    di = _exported_stack(tmp_path, "di", "chsh", 2)
-    assert len(di.constraints) == 1352
-    assert len(sdp._presolve(di)) == 274
+    # upper-triangle entries of its 14x14 matrix; the ties of each file
+    # fold into the real classes of its reduction, and the violation and
+    # normalization rows take two pivots
+    for setting, inequality, cap, written, classes in (
+        ("1sdi", "steering", 3, 168, 33),
+        ("di", "chsh", 2, 1352, 53),
+    ):
+        instance, problem = _exported_stack(tmp_path, setting, inequality, cap)
+        assert len(instance.constraints) == written
+        label, p, e, d, _ = sdp.fold_ties(instance)
+        reduced = npa.reduce_problem(problem)
+        assert label.max() + 1 == len(reduced.p) == classes
+        # the same partition of the cells as the real reduction's
+        pairs = np.unique(np.stack([label.ravel(), reduced.label.ravel()]), axis=1)
+        assert pairs.shape[1] == classes
+        assert e.shape == (2, classes) and list(d) == [pytest.approx(problem.violation), 1.0]
+        value, count = file_minimum(instance)
+        assert count == classes - 2
+        assert value == pytest.approx(sdp.solve_moment_problem(reduced, problem.violation).bound, abs=1e-6)
 
     # hand-made: a scaled duplicate is dropped, a conflicting one refused
     a = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
     c = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    kept = sdp._presolve(dense_instance(np.eye(3), [(a, 1.0), (c, 0.5), (3.0 * a, 3.0)]))
-    assert len(kept) == 2 and 1 in kept
-    conflicting = dense_instance(np.eye(3), [(a, 1.0), (c, 0.5), (3.0 * a, 2.0)])
-    assert sdp.solve(conflicting).termination == "presolve-infeasible"
-
-
-def test_pivoting_on_r_matches_pivoting_the_stack():
-    # rank 5 in 8 columns plus a near duplicate of column 0, with distinct
-    # norms so the greedy order is unique; the reference pivots the stack
-    # itself, `_greedy_pivots` its R, also in blocks short enough to end
-    # when the near duplicate's downdated norm has cancelled
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((12, 5)) @ rng.standard_normal((5, 8)) * np.linspace(1.0, 2.0, 8)
-    a = np.column_stack([a, a[:, 0] + 1e-8 * rng.standard_normal(12)])
-    tol = 1e-10 * np.linalg.norm(a, axis=0).max()
-    order, residual = [], a.copy()
-    while True:
-        norms = np.linalg.norm(residual, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= tol:
-            break
-        order.append(j)
-        q = residual[:, j] / norms[j]
-        residual -= np.outer(q, q @ residual)
-    assert len(order) == 6 and order[-1] == 8
-    r = np.linalg.qr(a, mode="r")
-    for block in (1, 2, 4, 64):
-        assert sdp._greedy_pivots(r, tol, block) == order
-    # a pivot whose rounding residual exceeds tol is not picked again
-    assert sorted(sdp._greedy_pivots(rng.standard_normal((5, 3)) * 1e9, 1e-10)) == [0, 1, 2]
+    _, count = file_minimum(dense_instance(np.eye(3), [(a, 1.0), (c, 0.5), (3.0 * a, 3.0)]))
+    assert count == 6 - 2
+    with pytest.raises(sdp.InfeasibleError):
+        file_companion(dense_instance(np.eye(3), [(a, 1.0), (c, 0.5), (3.0 * a, 2.0)]))
 
 
 def test_cho_solve_matches_dense_solve():
@@ -530,7 +544,7 @@ def trivial_group(reduced):
 def _bounds(reduced, violations):
     runs = {}
     for violation in violations:
-        instance, offset, recover = sdp.companion_instance(reduced, violation)
+        instance, offset, recover = moment_companion(reduced, violation)
         sol = sdp.solve(instance)
         assert sol.status == "optimal"
         runs[violation] = instance, offset - sol.primal_objective, recover(sol.dual)
@@ -614,7 +628,7 @@ def test_swap_adapted_basis_is_orthogonal():
     rng = np.random.default_rng(23)
     for objective, moments, sizes in (("XAXB", 61, [25, 16, 20, 20]), ("ZAXB", 105, [41, 40])):
         reduced = npa.reduce_problem(npa.build_moment_problem("di", words, objective, "chsh", 2.7))
-        of_class, sign, (owner, rows, cols, values) = sdp._moment_basis(reduced)
+        of_class, sign, (owner, rows, cols, values) = sdp._moment_basis(reduced.label, npa.symmetry_group(reduced))
         assert of_class.max() + 1 == moments and np.all(rows <= cols)
         assert np.count_nonzero(sign == 0.0) == 80
         mats = np.zeros((moments, 81, 81))
@@ -640,7 +654,7 @@ def test_state_curves_are_convex(setting, inequality):
     eps = (0.01, 0.02, 0.05, 0.1, 0.2)
     values, errors = [], []
     for e in eps:
-        instance, offset, _ = sdp.companion_instance(reduced, wmax - e)
+        instance, offset, _ = moment_companion(reduced, wmax - e)
         sol = sdp.solve(instance)
         assert sol.status == "optimal"
         values.append(offset - sol.primal_objective)
@@ -652,3 +666,53 @@ def test_state_curves_are_convex(setting, inequality):
     ratios = [(1.0 - f) / e for e, f in zip(eps, values)]
     for k in range(4):
         assert ratios[k + 1] <= ratios[k] + errors[k] / eps[k] + errors[k + 1] / eps[k + 1]
+
+
+def _relative_smallest_singular_value(instance):
+    """sigma_min / sigma_max of the dense m x n(n+1)/2 stack of the
+    constraint matrices, each written as its upper triangle with the
+    entries off the diagonal scaled by sqrt(2) (a trace isometry)."""
+    n, con = instance.dim, instance.constraints
+    rows, cols = np.triu_indices(n)
+    column = np.zeros((n, n), dtype=np.intp)
+    column[rows, cols] = np.arange(len(rows))
+    stack = np.zeros((len(con), len(rows)))
+    stack[con.owner, column[con.rows, con.cols]] = np.where(con.rows == con.cols, 1.0, np.sqrt(2.0)) * con.values
+    singular = np.linalg.svd(stack, compute_uv=False)
+    assert len(singular) == len(con)  # no more constraints than entries
+    return singular[-1] / singular[0]
+
+
+#: Floor on the smallest relative singular value of a companion's
+#: constraint stack.  The free moments own disjoint cells, so the stack is
+#: well conditioned: about 0.38 for the one-sided companions and 0.088 for
+#: the fully untrusted ones.  A dependent stack reads about 1e-16.
+INDEPENDENCE_FLOOR = 1e-2
+
+
+def test_companion_constraints_are_independent(tmp_path):
+    # `solve` has no presolve: it relies on the companion's constraint
+    # matrices being linearly independent, for every README objective at
+    # both ends of the default grid and for the folded exports
+    for setting, inequality in (("1sdi", "steering"), ("1sdi", "chsh"), ("di", "chsh")):
+        wmax = cert.max_violation(setting, inequality)
+        words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
+        for objective in npa.OBJECTIVES[setting]:
+            reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality, wmax))
+            for eps in (0.01, 0.2):
+                instance, _, _ = moment_companion(reduced, wmax - eps)
+                assert _relative_smallest_singular_value(instance) >= INDEPENDENCE_FLOOR
+    for setting, inequality, form, constraints in (
+        ("1sdi", "steering", "generated", 31),
+        ("1sdi", "steering", "deduplicated", 31),
+        ("di", "chsh", "deduplicated", 183),
+        ("di", "chsh", "generated", 183),
+    ):
+        words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
+        problem = npa.build_moment_problem(setting, words, "state", inequality, cert.max_violation(setting, inequality) - 0.1)
+        path = tmp_path / f"{setting}-{form}.dat-s"
+        npa.export_sdpa(problem, path, constraints=form)
+        objective, cells = npa.read_sdpa_numeric(path)
+        instance, _, _ = file_companion(sdp.SdpInstance(objective, sdp.Constraints(*cells)))
+        assert len(instance.constraints) == constraints
+        assert _relative_smallest_singular_value(instance) >= INDEPENDENCE_FLOOR
