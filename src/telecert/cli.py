@@ -72,15 +72,28 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _resolve_alpha(args) -> tuple[float | None, str]:
+    """The slope of the command's certificate: --alpha, else the state bound
+    of an --alpha-json report derived for the command's --trust and
+    --inequality, else None for the published constant."""
     if getattr(args, "alpha", None) is not None:
         return float(args.alpha), "explicit"
     path = getattr(args, "alpha_json", None)
     if path:
         with open(path) as handle:
             doc = json.load(handle)
-        alpha = doc.get("alpha") if isinstance(doc, dict) else None
+        reports = doc.get("reports") if isinstance(doc, dict) else None
+        state = reports.get("state") if isinstance(reports, dict) else None
+        if not isinstance(state, dict):
+            raise ValueError(f"{path}: not a state-bound alpha report (no 'reports.state'; derive it with --kind state)")
+        derived_for = (state.get("setting"), state.get("inequality"))
+        if derived_for != (args.trust, args.inequality):
+            raise ValueError(
+                f"{path}: alpha derived for --trust {derived_for[0]} --inequality {derived_for[1]}, "
+                f"not --trust {args.trust} --inequality {args.inequality}"
+            )
+        alpha = state.get("alpha")
         if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-            raise ValueError(f"{path}: not an alpha report (no numeric 'alpha' key)")
+            raise ValueError(f"{path}: not an alpha report (no numeric 'reports.state.alpha')")
         return float(alpha), "sdp-derived"
     return None, "paper-default"
 

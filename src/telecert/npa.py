@@ -747,25 +747,16 @@ def export_sdpa(problem: MomentProblem, path, constraints: str = "generated") ->
 
 
 def read_sdpa_numeric(path):
-    """Parse the numeric body of a sparse SDPA file.
-
-    Returns (objective C, constraints (owner, rows, cols, values, b)):
-    the entries of each A_i as the cells of its upper triangle, the form
-    `sdp.Constraints` takes, posed so that min tr(C X) s.t.
-    tr(A_i X) = b_i, X >= 0 is the file's dual; for files written by
-    :func:`export_sdpa` that minimum is the certified minimum objective
-    value directly.  An entry below the diagonal sets its mirror cell,
-    and an entry given again replaces the earlier value.  The blocks are
-    checked against `MAX_WORKSPACE_ENTRIES` on the header, before any
-    entry is read.
+    """Parse the numeric body of a sparse SDPA file into (objective C,
+    (owner, rows, cols, values, b)): the A_i as the cells of their upper
+    triangles in (matrix, row, column) order, the form `sdp.Constraints`
+    takes, so that min tr(C X) s.t. tr(A_i X) = b_i, X >= 0 is the file's
+    dual, for :func:`export_sdpa` files the certified minimum.  A lower
+    entry sets its mirror cell, and a repeated one replaces the earlier
+    value.  The header is checked against `MAX_WORKSPACE_ENTRIES` first.
     """
-    rows = []
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith(('"', "*")):
-                continue
-            rows.append(line)
+        rows = [line for line in map(str.strip, handle) if line and not line.startswith(('"', "*"))]
     if len(rows) < 4:
         raise ValueError("file ends before the SDPA header is complete")
     m = int(rows[0].split()[0])
@@ -786,26 +777,35 @@ def read_sdpa_numeric(path):
     c_values = [float(tok) for tok in rows[3].replace(",", " ").split()]
     if len(c_values) != m:
         raise ValueError("constraint value line does not match the header")
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    objective = np.zeros((dim, dim))
-    cells = {}  # a repeated cell keeps its last value
-    for line in rows[4:]:
-        fields = line.split()
-        if len(fields) != 5:
-            raise ValueError(f"entry {line!r}: expected 5 fields, got {len(fields)}")
-        matno, blk, i, j = (int(tok) for tok in fields[:4])
-        val = float(fields[4])
-        # Checked here: numpy would wrap a 0 or negative index to the far end.
-        if not 0 <= matno <= m:
-            raise ValueError(f"entry {line!r}: matrix number {matno} outside [0, {m}]")
-        if not 1 <= blk <= nblocks:
-            raise ValueError(f"entry {line!r}: block {blk} outside [1, {nblocks}]")
-        if not (1 <= i <= sizes[blk - 1] and 1 <= j <= sizes[blk - 1]):
-            raise ValueError(f"entry {line!r}: index outside [1, {sizes[blk - 1]}]")
-        r, c = sorted((offsets[blk - 1] + i - 1, offsets[blk - 1] + j - 1))
-        if matno == 0:
-            objective[r, c] = objective[c, r] = val
-        else:
-            cells[matno - 1, r, c] = val
-    owner, r, c = np.array(list(cells), dtype=np.intp).reshape(-1, 3).T
-    return -objective, (owner, r, c, np.fromiter(cells.values(), float, len(cells)), np.array(c_values))
+    body = rows[4:]
+    width = np.fromiter(map(len, map(str.split, body)), np.intp, len(body))
+    if np.any(width != 5):
+        k = int(np.argmax(width != 5))
+        raise ValueError(f"entry {body[k]!r}: expected 5 fields, got {width[k]}")
+    try:
+        table = np.array(" ".join(body).split(), dtype=float).reshape(-1, 5)
+    except ValueError:  # numpy names the token, not its line
+        for line in body:
+            try:
+                np.array(line.split(), dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"entry {line!r}: {exc}") from None
+    matno, blk, i, j, val = table.T
+    # Checked here: numpy would wrap a 0 or negative index to the far end.
+    block = np.clip(np.nan_to_num(blk), 1, nblocks).astype(np.intp) - 1
+    start, size = np.cumsum([0] + sizes)[block], np.array(sizes)[block]
+    faults = np.array([~((0 <= matno) & (matno <= m)), ~((1 <= blk) & (blk <= nblocks)),
+                       ~((1 <= i) & (i <= size) & (1 <= j) & (j <= size)), np.modf(table[:, :4])[0].any(axis=1)])
+    if np.any(faults):
+        k = int(np.argmax(faults.any(axis=0)))
+        matno_k, blk_k = body[k].split()[:2]
+        reason = [f"matrix number {matno_k} outside [0, {m}]", f"block {blk_k} outside [1, {nblocks}]",
+                  f"index outside [1, {size[k]}]", "matrix number, block and indices must be integers"]
+        raise ValueError(f"entry {body[k]!r}: {reason[int(np.argmax(faults[:, k]))]}")
+    r, c = np.sort([start + i - 1, start + j - 1], axis=0).astype(np.intp)
+    # a repeated cell keeps its last value, the first one of the reversed lines
+    key, last = np.unique(((matno.astype(np.intp) * dim + r) * dim + c)[::-1], return_index=True)
+    owner, r, c, val = key // (dim * dim), key // dim % dim, key % dim, val[::-1][last]
+    objective, top = np.zeros((dim, dim)), owner == 0
+    objective[r[top], c[top]] = objective[c[top], r[top]] = val[top]
+    return -objective, (owner[~top] - 1, r[~top], c[~top], val[~top], np.array(c_values))

@@ -164,7 +164,6 @@ class SdpSolution:
     dual: np.ndarray
     slack: np.ndarray
     primal_objective: float
-    dual_objective: float
     gap: float
     relative_gap: float
     primal_residual: float
@@ -539,7 +538,6 @@ def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
         dual=y,
         slack=s[back],
         primal_objective=pobj,
-        dual_objective=dobj,
         gap=gap,
         relative_gap=float(rel_gap),
         primal_residual=rp_norm,
@@ -631,9 +629,10 @@ def companion_instance(label: np.ndarray, p: np.ndarray, e, d, group):
     vectors over the classes.  The free moments and their matrices come
     from `_moment_basis`, merged under `group`; a class the group forces
     to zero has no moment, so it is in neither the free moments nor the
-    cells of their matrices.  The k equalities are eliminated by pivoting:
+    cells of their matrices.  The k equalities are eliminated in one sweep:
     each row, reduced by the rows kept before it, pivots on its largest
-    entry off the earlier pivots.  A row whose reduced entries are all at
+    entry off the earlier pivots, and its pivot column is then eliminated
+    from the later rows.  A row whose reduced entries are all at
     most 1e-10 of its largest entry depends on the kept rows and is
     dropped when its value agrees with theirs, and `InfeasibleError` is
     raised when it does not.  What is left,
@@ -653,17 +652,16 @@ def companion_instance(label: np.ndarray, p: np.ndarray, e, d, group):
     p = merged(p)
     e_all = np.array([merged(row) for row in e]).reshape(-1, m)
     d_all = np.asarray(d, dtype=float)
-    kept, pivots, pivot_rows = [], [], []
-    for i, row in enumerate(e_all):
-        for v, prior in zip(pivots, pivot_rows):
-            row = row - row[v] / prior[v] * prior
+    reduced, kept, pivots = e_all.copy(), [], []
+    for i, row in enumerate(reduced):
         size = np.abs(row)
         size[pivots] = 0.0
         v = int(np.argmax(size))
         if size[v] > 1e-10 * np.max(np.abs(e_all[i])):
             kept.append(i)
             pivots.append(v)
-            pivot_rows.append(row)
+            later = i + 1 + np.flatnonzero(reduced[i + 1 :, v])
+            reduced[later] -= reduced[later, v, None] / row[v] * row
     e, d = e_all[kept], d_all[kept]
     free = np.flatnonzero(~np.isin(np.arange(m), pivots))
     e_piv = e[:, pivots]

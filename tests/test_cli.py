@@ -312,19 +312,26 @@ _GOOD_SDPA = "2\n1\n2\n1.0 0.5\n0 1 1 1 -1.0\n1 1 1 1 1.0\n2 1 2 2 1.0\n"
         ("1 1 1 3 1.0", "index outside [1, 2]"),
         ("1 1 1 1", "expected 5 fields, got 4"),
         ("1 1 1 1 1.0 7", "expected 5 fields, got 6"),
+        ("1 1 1 1 high", "could not convert string to float: 'high'"),
+        ("1 1 1.5 1 1.0", "matrix number, block and indices must be integers"),
+        ("2 nan 1 1 1.0", "block nan outside [1, 1]"),
     ],
-    ids=["matrix-above", "matrix-negative", "block-above", "block-zero", "row-zero", "column-above", "four-fields", "six-fields"],
+    ids=[
+        "matrix-above", "matrix-negative", "block-above", "block-zero", "row-zero", "column-above", "four-fields",
+        "six-fields", "not-a-number", "fractional-index", "nan-block",
+    ],
 )
 def test_sdp_solve_refuses_malformed_entry(tmp_path, capsys, entry, message):
     # each would index past the header's sizes, or wrap through numpy's
-    # negative indexing onto a different problem
+    # negative indexing onto a different problem; the message names the
+    # line, which follows good ones
     path = tmp_path / "bad.dat-s"
     path.write_text(_GOOD_SDPA + entry + "\n")
     code = cli.main(["sdp-solve", "--in", str(path)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("telecert: error: entry ") and message in captured.err
+    assert captured.err == f"telecert: error: entry {entry!r}: {message}\n"
     path.write_text(_GOOD_SDPA)
     assert cli.main(["sdp-solve", "--in", str(path)]) == 0
 
@@ -362,7 +369,9 @@ def test_certify_refuses_non_finite_parameters(tmp_path, capsys):
     # copy count
     base = ["certify", "--eps", "0.2", "--q", "20", "--x", "1"]
     path = tmp_path / "alpha.json"
-    path.write_text('{"alpha": NaN}')  # json.load accepts NaN
+    # json.load accepts NaN; the report matches the command, so the NaN
+    # reaches the finite check
+    path.write_text('{"reports": {"state": {"setting": "1sdi", "inequality": "steering", "alpha": NaN}}}')
     cases = [(base + [f"--{name}", value], name) for name in ("q", "x", "alpha") for value in ("nan", "inf")]
     cases.append((base + ["--alpha-json", str(path)], "alpha"))
     for argv, name in cases:
@@ -520,3 +529,59 @@ def test_alpha_json_without_alpha(tmp_path, capsys, doc):
     code = cli.main(["certify", "--eps", "0.2", "--q", "20", "--x", "1", "--alpha-json", str(path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("telecert: error:")
+
+
+@pytest.fixture(scope="module")
+def alpha_reports(tmp_path_factory):
+    """derive-alpha reports at one grid point: the one-sided CHSH state
+    bound, and the one-sided steering measurement bound alone."""
+    folder = tmp_path_factory.mktemp("alpha")
+    paths = {}
+    for inequality, kind in (("chsh", "state"), ("steering", "measurement")):
+        paths[kind] = folder / f"{inequality}-{kind}.json"
+        argv = ["derive-alpha", "--trust", "1sdi", "--inequality", inequality, "--kind", kind, "--eps-grid", "0.1"]
+        assert cli.main(argv + ["--out", str(paths[kind])]) == 0
+    return paths
+
+
+_ALPHA_COMMANDS = {
+    "plan": ["plan", "--target-f", "0.6667", "--eps", "0.1"],
+    "certify": ["certify", "--eps", "0.02", "--q", "2", "--x", "1"],
+    "simulate": ["simulate", "--eps", "0.02", "--q", "2", "--x", "1", "--trials", "2", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ALPHA_COMMANDS))
+@pytest.mark.parametrize(
+    "kind, trust, inequality, message",
+    [
+        ("state", "di", "chsh", "alpha derived for --trust 1sdi --inequality chsh, not --trust di --inequality chsh"),
+        ("state", "1sdi", "steering", "alpha derived for --trust 1sdi --inequality chsh, not --trust 1sdi --inequality steering"),
+        ("measurement", "1sdi", "steering", "not a state-bound alpha report (no 'reports.state'"),
+    ],
+    ids=["other-trust", "other-inequality", "measurement-only"],
+)
+def test_alpha_json_must_match_the_command(alpha_reports, capsys, command, kind, trust, inequality, message):
+    # a report derived for another setting or inequality, or one without
+    # the state bound (whose top-level alpha is a measurement slope), would
+    # put a foreign slope into the certificate
+    argv = _ALPHA_COMMANDS[command] + ["--trust", trust, "--inequality", inequality]
+    code = cli.main(argv + ["--alpha-json", str(alpha_reports[kind])])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"telecert: error: {alpha_reports[kind]}: {message}")
+
+
+def test_alpha_json_matching_report(alpha_reports, capsys):
+    report = json.loads(alpha_reports["state"].read_text())
+    alpha = report["reports"]["state"]["alpha"]
+    for command, argv in _ALPHA_COMMANDS.items():
+        argv = argv + ["--trust", "1sdi", "--inequality", "chsh", "--alpha-json", str(alpha_reports["state"])]
+        code, out = run_cli(argv, capsys)
+        assert code == 0, command
+        doc = json.loads(out)
+        if command == "certify":
+            assert doc["params"]["alpha"] == alpha and doc["params"]["alpha_source"] == "sdp-derived"
+            params = cert.CertificateParams("1sdi", "chsh", True, 0.02, 2.0, 1.0, alpha, "sdp-derived")
+            assert doc["fidelity"] == cert.fidelity_bound(params).fidelity

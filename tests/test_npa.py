@@ -496,6 +496,50 @@ def test_sdpa_error_paths(tmp_path):
         npa.export_sdpa(prob, tmp_path / "x.dat-s", constraints="everything")
 
 
+def test_sdpa_reader_matches_cell_reference(tmp_path):
+    # Two blocks (3 and 4) and five constraint matrices, written once in
+    # order and once shuffled, with a third of the entries given below the
+    # diagonal and a quarter given first with a stale value: both read to
+    # the reference arrays, the cells in (matrix, row, column) order.
+    rng = np.random.default_rng(7)
+    sizes, m = (3, 4), 5
+    offsets = np.cumsum((0,) + sizes)
+    entries = {}
+    for matno in range(m + 1):
+        for _ in range(6):
+            blk = int(rng.integers(1, 3))
+            i, j = sorted(int(x) for x in rng.integers(1, sizes[blk - 1] + 1, size=2))
+            entries[matno, blk, i, j] = float(rng.uniform(-1.0, 1.0))
+    objective = np.zeros((7, 7))
+    cells = []
+    for (matno, blk, i, j), val in sorted(entries.items()):
+        r, c = offsets[blk - 1] + i - 1, offsets[blk - 1] + j - 1
+        if matno == 0:
+            objective[r, c] = objective[c, r] = -val
+        else:
+            cells.append((matno - 1, r, c, val))
+    owner, rows, cols, values = (np.array(a) for a in zip(*cells))
+    rhs = rng.uniform(-1.0, 1.0, m)
+    head = f"{m}\n2\n{{3, 4}}\n" + " ".join(repr(float(b)) for b in rhs) + "\n"
+    ordered = [f"{matno} {blk} {i} {j} {val!r}" for (matno, blk, i, j), val in entries.items()]
+    shuffled = []
+    for n in rng.permutation(len(entries)):
+        (matno, blk, i, j), val = list(entries.items())[n]
+        if rng.random() < 0.25:
+            shuffled.append(f"{matno} {blk} {i} {j} {val + 1.0!r}")
+        if rng.random() < 0.33:
+            i, j = j, i
+        shuffled.append(f"{matno} {blk} {i} {j} {val!r}")
+    assert len(shuffled) > len(ordered)
+    for body in (ordered, shuffled):
+        path = tmp_path / "cells.dat-s"
+        path.write_text(head + "\n".join(body) + "\n")
+        got_objective, got = npa.read_sdpa_numeric(path)
+        assert np.array_equal(got_objective, objective)
+        for a, b in zip(got, (owner, rows, cols, values, rhs)):
+            assert np.array_equal(a, b)
+
+
 def test_swap_symmetry_detection():
     words = npa.generate_words("di", 4)
     identity = np.arange(len(words))

@@ -716,3 +716,93 @@ def test_companion_constraints_are_independent(tmp_path):
         instance, _, _ = file_companion(sdp.SdpInstance(objective, sdp.Constraints(*cells)))
         assert len(instance.constraints) == constraints
         assert _relative_smallest_singular_value(instance) >= INDEPENDENCE_FLOOR
+
+
+def _left_looking_pivots(e):
+    """The row elimination `companion_instance` ran before its sweep, kept
+    as the reference: each row is reduced by the kept rows before it, one
+    at a time, then pivots on its largest entry off the earlier pivots."""
+    kept, pivots, pivot_rows = [], [], []
+    for i, row in enumerate(e):
+        for v, prior in zip(pivots, pivot_rows):
+            row = row - row[v] / prior[v] * prior
+        size = np.abs(row)
+        size[pivots] = 0.0
+        v = int(np.argmax(size))
+        if size[v] > 1e-10 * np.max(np.abs(e[i])):
+            kept.append(i)
+            pivots.append(v)
+            pivot_rows.append(row)
+    return kept, pivots
+
+
+def _sparse_rows(rng, k, classes):
+    """k rows over the classes and values that a random moment vector
+    meets.  A row has one to three nonzero entries, or, after the first
+    two and with probability 0.3, is an integer combination of two earlier
+    rows, zero included, so that it depends on the rows before it."""
+    e = np.zeros((k, classes))
+    for i in range(k):
+        if i >= 2 and rng.random() < 0.3:
+            e[i] = rng.integers(-2, 3, size=2) @ e[rng.choice(i, 2, replace=False)]
+        else:
+            count = rng.integers(1, 4)
+            e[i, rng.choice(classes, count, replace=False)] = rng.uniform(0.5, 2.0, count) * rng.choice([-1.0, 1.0], count)
+    return e, e @ rng.standard_normal(classes)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 20, 45])
+def test_sweep_matches_left_looking_elimination(k):
+    # The sweep applies the reference's operations in the same order to
+    # every row, so the kept rows, their pivots and the instance built on
+    # them are bit-identical, and so is every InfeasibleError decision.
+    # Each class is one upper-triangle cell (trivial group), so the
+    # reference instance is read off y0 and the coupling directly: the
+    # objective holds y0 on the pivot cells, and constraint j holds -1 on
+    # its free moment's cell and minus coupling column j on the pivots'.
+    # 36 classes put k = 45 past full rank.
+    n = 8
+    classes = n * (n + 1) // 2
+    rows, cols = np.triu_indices(n)
+    label = np.zeros((n, n), dtype=np.intp)
+    label[rows, cols] = label[cols, rows] = np.arange(classes)
+    group = (np.arange(n)[None], np.ones((1, n)), np.arange(classes)[None], np.ones((1, classes)))
+    rng = np.random.default_rng(k)
+    outcomes = set()
+    for trial in range(6):
+        e, d = _sparse_rows(rng, k, classes)
+        kept, pivots = _left_looking_pivots(e)
+        dropped = np.setdiff1d(np.arange(k), kept)
+        if trial % 2 and len(dropped):
+            d[rng.choice(dropped)] += 0.1  # a dependent row that conflicts
+        p = rng.standard_normal(classes)
+        free = np.setdiff1d(np.arange(classes), pivots)
+        e_piv = e[kept][:, pivots]
+        y0 = np.zeros(classes)
+        y0[pivots] = np.linalg.solve(e_piv, d[kept])
+        coupling = -np.linalg.solve(e_piv, e[kept][:, free])
+        scale = np.abs(d[dropped]) + np.abs(e[dropped]) @ np.abs(y0)
+        infeasible = bool(np.any(np.abs(e[dropped] @ y0 - d[dropped]) > 1e-9 * scale))
+        outcomes.add((infeasible, len(dropped) > 0))
+        if infeasible:
+            with pytest.raises(sdp.InfeasibleError):
+                sdp.companion_instance(label, p, e, d, group)
+            continue
+        instance, offset, _ = sdp.companion_instance(label, p, e, d, group)
+        objective = np.zeros((n, n))
+        objective[rows, cols] = objective[cols, rows] = y0
+        assert np.array_equal(instance.objective, objective)
+        stack = np.zeros((len(free), classes))
+        stack[np.arange(len(free)), free] = -1.0
+        stack[:, pivots] = -coupling.T
+        owner, cell = np.nonzero(stack)
+        con = instance.constraints
+        expected = (owner, rows[cell], cols[cell], stack[owner, cell])
+        assert all(np.array_equal(a, b) for a, b in zip((con.owner, con.rows, con.cols, con.values), expected))
+        b_eff = p[free]
+        for row, v in enumerate(pivots):
+            b_eff = b_eff + coupling[row] * p[v]
+        assert np.array_equal(con.rhs, -b_eff)
+        assert offset == float(p @ y0)
+    # from k = 5 on, dependent rows come both agreeing and conflicting
+    assert {(False, True), (True, True)} <= outcomes if k >= 5 else outcomes == {(False, False)}
