@@ -335,6 +335,41 @@ def _min_q_for_targets(inequality, iid, eps, x, target_f, target_p, alpha) -> fl
     return q
 
 
+#: Widening of r in the planner's floors.  A floor must hold for every q
+#: that ``_min_q_for_targets`` certifies in float arithmetic, which can meet
+#: the targets with r a few ulps (about 1e-15) beyond its exact value;
+#: widening r by 1e-9 covers that, and the rounding of the floor's own few
+#: operations, with six orders of magnitude to spare.  It only loosens the
+#: floor, and it makes ``bound <= eps`` in ``_q_floor`` a proof that no q
+#: meets the targets.
+_FLOOR_WIDENING = 1e-9
+
+
+def _q_floor(inequality, iid, eps, r, alpha) -> float | None:
+    """Lower bound on every q that meets the targets at this eps, given r,
+    the room the targets leave (below); None if no q meets them.
+
+    iid: the fidelity target needs alpha * (c * eps / q + eps) <= r with
+    r = 1 - target_fidelity.  Non-iid: both targets need the radical at
+    most r = min(1 - target_fidelity, 1 - target_probability / (1 - eps^x)),
+    so alpha * (c * eps / q + rest) <= r^2, with rest the two
+    ``_noniid_rest`` terms.  Their sum is at least eps: for eps < 1 the
+    steering fraction exceeds eps/2 by eps^2 (2 - eps/2) / (its
+    denominator), and the CHSH fraction exceeds eps/4 by
+    eps^2 (2 + sqrt(2) - eps/2) / (its denominator).  Either way
+    q >= c * eps / (bound - eps), with bound = r / alpha (iid) or
+    r^2 / alpha, and no q qualifies when bound <= eps.  A larger r gives
+    a smaller floor, so r = 1 - target_fidelity bounds every x at this eps.
+    """
+    s = r + _FLOOR_WIDENING
+    if s <= 0.0:
+        return None
+    gap = (s if iid else s * s) / alpha - eps
+    if gap <= 0.0:
+        return None
+    return max(1.0, _SLACK[inequality] * eps / gap)
+
+
 def plan(
     target_fidelity: float,
     target_probability: float,
@@ -349,11 +384,29 @@ def plan(
     """Parameters minimizing the copy count subject to the certificate
     meeting (target_fidelity, target_probability).
 
-    Grid search over x (and epsilon when free); at each grid point the
-    smallest q comes from ``_min_q_for_targets`` in closed form (iid) or
-    by a fixed-point iteration (non-iid), checked on the unclamped bound.
-    The returned parameters are re-verified through ``fidelity_bound``.
-    Deterministic: ties resolve to the smallest (epsilon, q, x).
+    The candidates are the points of a grid: 120 log-spaced epsilons
+    (or the given one) times, per epsilon, 40 log-spaced x from the
+    smallest x that reaches the probability target up to 16.  At a point
+    the smallest q comes from ``_min_q_for_targets`` in closed form (iid)
+    or by a fixed-point iteration (non-iid), checked on the unclamped
+    bound, and the plan is the candidate with the lexicographically
+    smallest (copies, epsilon, q, x) among those within max_copies.
+
+    The search is a branch and bound (Land and Doig, 1960) on a floor
+    for a point's copy count: ``_copies`` at the q of ``_q_floor``, which
+    cannot exceed the point's count since ``_copies`` does not fall as q
+    or x grows.  Each epsilon row gets the floor at its first x with
+    r = 1 - target_fidelity, which bounds every point of the row; rows
+    that no q can serve are dropped.  Rows are visited in ascending floor
+    order until a floor exceeds the smallest count found so far (or
+    max_copies).  Within a row the distinct x are visited in ascending
+    order until the row's floor at x exceeds it, and non-iid, an x whose
+    own floor (the probability target can leave less room) exceeds it is
+    skipped.  A pruned point has more copies than a candidate already
+    found or than max_copies, and a floor equal to the count found is not
+    pruned, so the selection, which does not depend on the visiting order,
+    is the one an exhaustive pass over the grid makes.  The returned
+    parameters are re-verified through ``fidelity_bound``.
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError("target fidelity must sit in (0, 1)")
@@ -364,18 +417,48 @@ def plan(
         raise ValueError("max copies must be at least 1")
     alpha_value = alpha if alpha is not None else default_alpha(trust, inequality)
 
-    def best_over_x(eps):
+    if epsilon is not None:
+        eps_grid = [float(epsilon)]
+    else:
+        lo, hi = 1e-3, 0.999
+        eps_grid = [lo * (hi / lo) ** (t / 119.0) for t in range(120)]
+    x_hi = 16.0
+    r_fidelity = 1.0 - target_fidelity
+    rows = []
+    for eps in eps_grid:
         # Every grid x is finite and positive, so one check covers the
-        # (eps, x) points below.
+        # (eps, x) points of the row.
         CertificateParams(trust, inequality, iid, eps, 1.0, 1.0, alpha_value)
-        best = None
-        x_lo, x_hi = 0.05, 16.0
+        x_lo = 0.05
         # x must at least cover the probability target through 1 - eps^x.
         if target_probability > 0.0:
             x_floor = math.log(1.0 - target_probability) / math.log(eps)
             x_lo = max(x_lo, min(x_floor, x_hi))
-        xs = [x_lo * (x_hi / x_lo) ** (t / 39.0) for t in range(40)]
-        for x in xs:
+        # The fidelity target alone bounds q at every x of the row.
+        q_floor = _q_floor(inequality, iid, eps, r_fidelity, alpha_value)
+        if q_floor is not None:
+            rows.append((_copies(inequality, iid, eps, q_floor, x_lo), eps, x_lo, q_floor))
+    rows.sort()
+
+    limit = math.inf if max_copies is None else max_copies
+    best = None
+    for row_floor, eps, x_lo, row_q in rows:
+        if row_floor > limit:
+            break
+        # Ascending and without repeats (forty copies of 16 when the
+        # probability target alone needs x >= 16); the order of the visits
+        # does not change the minimum.
+        for x in sorted({x_lo * (x_hi / x_lo) ** (t / 39.0) for t in range(40)}):
+            if _copies(inequality, iid, eps, row_q, x) > limit:
+                break
+            if not iid:
+                room = 1.0 - eps**x
+                if room <= 0.0:
+                    continue  # no q gives positive confidence
+                r = min(r_fidelity, 1.0 - target_probability / room)
+                q_floor = _q_floor(inequality, iid, eps, r, alpha_value)
+                if q_floor is None or _copies(inequality, iid, eps, q_floor, x) > limit:
+                    continue
             q = _min_q_for_targets(
                 inequality, iid, eps, x, target_fidelity, target_probability, alpha_value
             )
@@ -385,27 +468,9 @@ def plan(
             # count, the one reported, is what the search minimizes.
             q *= 1.0 + 1e-9
             k = _copies(inequality, iid, eps, q, x)
-            if best is None or k < best[0] or (k == best[0] and (q, x) < (best[1], best[2])):
-                best = (k, q, x)
-        return best
-
-    if epsilon is not None:
-        eps_grid = [float(epsilon)]
-    else:
-        lo, hi = 1e-3, 0.999
-        eps_grid = [lo * (hi / lo) ** (t / 119.0) for t in range(120)]
-
-    best = None
-    for eps in eps_grid:
-        found = best_over_x(eps)
-        if found is None:
-            continue
-        k, q, x = found
-        if max_copies is not None and k > max_copies:
-            continue
-        key = (k, eps, q, x)
-        if best is None or key < best:
-            best = key
+            key = (k, eps, q, x)
+            if k <= limit and (best is None or key < best):
+                best, limit = key, k
     if best is None:
         reason = "fidelity/probability targets unreachable"
         if max_copies is not None:

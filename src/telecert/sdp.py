@@ -438,7 +438,9 @@ def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
             status = "infeasible"
             termination = "infeasible-divergence"
             break
-        if stall > 8:
+        # Three non-improving iterates: on the README derivations no merit
+        # improved after more than two.
+        if stall > 2:
             termination = "stall"
             break  # fall back to the best iterate
 

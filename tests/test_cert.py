@@ -283,6 +283,168 @@ def test_plan_matches_bisection_planner(key):
     assert res.params.q == pytest.approx(q, rel=1e-9, abs=0.0)
 
 
+def _exhaustive_plan(target_f, target_p, trust, inequality, iid, epsilon=None, max_copies=None, alpha=None):
+    # Reference: the planner before its branch and bound, which calls
+    # _min_q_for_targets at every point of the eps x x grid.
+    if not 0.0 < target_f < 1.0:
+        raise ValueError("target fidelity must sit in (0, 1)")
+    if not 0.0 <= target_p < 1.0:
+        raise ValueError("target probability must sit in [0, 1)")
+    if max_copies is not None and not max_copies >= 1.0:
+        raise ValueError("max copies must be at least 1")
+    alpha_value = alpha if alpha is not None else cert.default_alpha(trust, inequality)
+
+    def best_over_x(eps):
+        cert.CertificateParams(trust, inequality, iid, eps, 1.0, 1.0, alpha_value)
+        best = None
+        x_lo, x_hi = 0.05, 16.0
+        if target_p > 0.0:
+            x_lo = max(x_lo, min(math.log(1.0 - target_p) / math.log(eps), x_hi))
+        for x in [x_lo * (x_hi / x_lo) ** (t / 39.0) for t in range(40)]:
+            q = cert._min_q_for_targets(inequality, iid, eps, x, target_f, target_p, alpha_value)
+            if q is None:
+                continue
+            q *= 1.0 + 1e-9
+            k = cert._copies(inequality, iid, eps, q, x)
+            if best is None or k < best[0] or (k == best[0] and (q, x) < (best[1], best[2])):
+                best = (k, q, x)
+        return best
+
+    if epsilon is not None:
+        eps_grid = [float(epsilon)]
+    else:
+        eps_grid = [1e-3 * (0.999 / 1e-3) ** (t / 119.0) for t in range(120)]
+    best = None
+    for eps in eps_grid:
+        found = best_over_x(eps)
+        if found is None or (max_copies is not None and found[0] > max_copies):
+            continue
+        key = (found[0], eps, found[1], found[2])
+        if best is None or key < best:
+            best = key
+    if best is None:
+        reason = "fidelity/probability targets unreachable"
+        if max_copies is not None:
+            reason += f" within {max_copies:g} copies"
+        reason += f" for {trust}/{inequality} ({'iid' if iid else 'non-iid'})"
+        return cert.PlanResult(False, None, None, reason)
+    k, eps, q, x = best
+    params = cert.CertificateParams(trust, inequality, iid, eps, q, x, alpha_value, "paper-default")
+    c = cert.fidelity_bound(params)
+    if c.fidelity < target_f or c.probability < target_p:
+        return cert.PlanResult(False, None, None, "re-verification failed at the optimum")
+    return cert.PlanResult(True, params, c)
+
+
+_SETTINGS = (("1sdi", "steering"), ("1sdi", "chsh"), ("di", "chsh"))
+
+
+def _random_targets(count, seed=17):
+    # Typical and near-boundary targets: free and fixed eps, copy limits,
+    # explicit alphas, P = 0, and targets no grid point reaches.  Near the
+    # boundary the fidelity target sits a relative 1e-14 to 1e-2 inside
+    # what alpha * eps allows at the fixed eps, where the floors are tight.
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        trust, inequality = _SETTINGS[rng.integers(3)]
+        iid = bool(rng.integers(2))
+        alpha = float(10 ** rng.uniform(-2, 1)) if rng.random() < 0.3 else None
+        eps = None if rng.random() < 0.5 else float(10 ** rng.uniform(-4, -0.01))
+        limit = float(10 ** rng.uniform(0, 9)) if rng.random() < 0.3 else None
+        kind = rng.integers(4)
+        if kind == 0:
+            target_f = 2 / 3
+        elif kind == 1:
+            target_f = float(rng.uniform(0.01, 0.999999))
+        else:
+            a = alpha or cert.default_alpha(trust, inequality)
+            e = eps or float(10 ** rng.uniform(-3, -0.5))
+            inner = a * e * (1 + 10 ** rng.uniform(-14, -2))
+            target_f = 1 - (inner if iid else math.sqrt(inner))
+            if not 0 < target_f < 1:
+                target_f = 0.9
+        target_p = (0.0, 0.6, 0.75, float(rng.uniform(0, 0.99)))[rng.integers(4)]
+        yield (target_f, target_p, trust, inequality, iid), dict(epsilon=eps, max_copies=limit, alpha=alpha)
+
+
+def _plan_doc(result):
+    return (
+        result.feasible,
+        result.reason,
+        result.params,
+        None if result.certificate is None else result.certificate.to_json(),
+    )
+
+
+def test_plan_matches_exhaustive_grid_search():
+    seen = {"free": 0, "fixed": 0, "limit": 0, "alpha": 0, "p0": 0, "feasible": 0, "infeasible": 0}
+    for args, kwargs in _random_targets(320):
+        expected = _exhaustive_plan(*args, **kwargs)
+        assert _plan_doc(cert.plan(*args, **kwargs)) == _plan_doc(expected), (args, kwargs)
+        seen["fixed" if kwargs["epsilon"] is not None else "free"] += 1
+        seen["limit"] += kwargs["max_copies"] is not None
+        seen["alpha"] += kwargs["alpha"] is not None
+        seen["p0"] += args[1] == 0.0
+        seen["feasible" if expected.feasible else "infeasible"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_q_floor_bounds_copy_count():
+    # The floor's copy count never exceeds the count at the q that
+    # _min_q_for_targets returns, at the fidelity-only r (the row floor)
+    # and at the point's own r.
+    grid = itertools.product(
+        _SETTINGS, (True, False), (1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.6, 0.9),
+        (0.05, 0.5, 1.0, 4.0, 16.0), (0.0, 0.6, 0.75), (0.5, 2 / 3, 0.8, 0.95),
+    )
+    checked = 0
+    for (trust, inequality), iid, eps, x, target_p, target_f in grid:
+        alpha = cert.default_alpha(trust, inequality)
+        q = cert._min_q_for_targets(inequality, iid, eps, x, target_f, target_p, alpha)
+        rs = [1.0 - target_f]
+        if not iid:
+            rs.append(min(rs[0], 1.0 - target_p / (1.0 - eps**x)))
+        for r in rs:
+            floor = cert._q_floor(inequality, iid, eps, r, alpha)
+            if q is None:
+                continue
+            assert floor is not None, (trust, inequality, iid, eps, x, target_p, target_f)
+            assert floor <= q
+            assert cert._copies(inequality, iid, eps, floor, x) <= cert._copies(inequality, iid, eps, q, x)
+            checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("target_p", (0.0, 0.6, 0.75, 0.9))
+@pytest.mark.parametrize("iid", (True, False))
+@pytest.mark.parametrize("trust, inequality", _SETTINGS)
+def test_plan_keeps_a_copy_count_equal_to_the_limit(trust, inequality, iid, target_p):
+    # With the limit at the plan's own copy count the plan stays: a floor
+    # equal to the limit (at q = 1 the floor is exact) is no reason to prune.
+    res = cert.plan(2 / 3, target_p, trust, inequality, iid)
+    assert res.feasible
+    at_limit = cert.plan(2 / 3, target_p, trust, inequality, iid, max_copies=res.certificate.copies)
+    assert _plan_doc(at_limit) == _plan_doc(res)
+    below = cert.plan(2 / 3, target_p, trust, inequality, iid, max_copies=res.certificate.copies - 1)
+    assert not below.feasible or below.certificate.copies < res.certificate.copies
+
+
+@pytest.mark.parametrize("iid", (True, False))
+@pytest.mark.parametrize("trust, inequality", _SETTINGS)
+def test_free_plan_calls_few_min_q(monkeypatch, trust, inequality, iid):
+    calls = []
+    min_q = cert._min_q_for_targets
+
+    def counted(*args):
+        calls.append(args)
+        return min_q(*args)
+
+    monkeypatch.setattr(cert, "_min_q_for_targets", counted)
+    assert cert.plan(2 / 3, 0.75 if iid else 0.6, trust, inequality, iid).feasible
+    # The exhaustive grid takes 120 * 40 = 4800.
+    assert 1 <= len(calls) <= 200
+
+
 def test_werner_thresholds():
     v_iid = cert.werner_visibility_threshold(iid=True)
     assert v_iid == pytest.approx(0.875, abs=5e-3)

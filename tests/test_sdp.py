@@ -226,6 +226,20 @@ def test_curve_monotone_and_below_werner_ceiling():
         assert f <= 1 - 0.375 * eps + 1e-5
 
 
+def test_default_grid_steering_state_points_are_pinned():
+    # Most of these solves end by `stall`; stopping after three
+    # non-improving iterates instead of nine returns the same best iterate,
+    # so the points keep their floats.
+    curve = sdp.min_fidelity_curve("1sdi", "state", "steering", (0.01, 0.02, 0.05, 0.1, 0.2))
+    assert [f for _, f in curve] == [
+        0.9869651762555081,
+        0.9740408486099383,
+        0.9359260592714804,
+        0.8745688738527542,
+        0.7597815277730847,
+    ]
+
+
 def test_fit_alpha():
     line = [(0.01 * k, 1 - 1.26 * 0.01 * k) for k in range(1, 6)]
     assert sdp.fit_alpha(line) == pytest.approx(1.26, abs=1e-12)
