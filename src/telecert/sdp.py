@@ -14,13 +14,27 @@ iterates from xi I and eta I stay block-diagonal, so the split is exact:
 each block has its own scaling, step lengths and Schur part, the step is
 the shortest block step, and the Schur matrix is the sum of the parts.
 A test solves block-diagonal instances both ways and finds the same
-iteration count and objective.  The two eigendecompositions of each
-block's scaling also give the factors that turn its step length into
-one symmetric eigenvalue problem, and one Cholesky factorization of the
-Schur matrix per iteration serves the predictor and the corrector.  The
-constraint matrices are sparse (an 81x81 moment-problem constraint has a
-median of 28 nonzero entries), so an instance holds each A_i only as the
-cells of its upper triangle (`Constraints`), as the companion writes
+iteration count and objective.
+
+Each iteration is a Mehrotra predictor-corrector step (Mehrotra, SIAM J.
+Optim. 2, 1992) in the NT-scaled frame of each block (Todd, Toh &
+Tutuncu, SIAM J. Optim. 8, 1998): a Cholesky factor of X and one
+eigendecomposition give G with G G^T = W and G^-1 X G^-T = G^T S G = D
+diagonal.  In that frame the complementarity equation is diagonal, so
+its solve is one division, V_ij = 2 R_ij / (d_i + d_j), and the step
+length of a direction dZ~ is read off the smallest eigenvalue of
+D^-1/2 dZ~ D^-1/2, one stacked `eigvalsh` per block and pass.  The
+predictor (sigma = 0) fixes sigma = (mu_aff / mu)^3 and gives
+Mehrotra's second-order term M = sym(dX~_a dS~_a).  The corrector is
+solved with and without M, and M is kept only when its step reaches a
+lower mu than the plain direction's: far from the central path it can
+overshoot.  The direction is affine in its target, so one Cholesky
+factorization of the Schur matrix per iteration serves the three
+right-hand sides.
+
+The constraint matrices are sparse (an 81x81 moment-problem constraint
+has a median of 28 nonzero entries), so an instance holds each A_i only
+as the cells of its upper triangle (`Constraints`), as the companion writes
 them; the objective is dense.  The cells give the blocks, and the Schur
 matrix S_ij = tr(A_i W A_j W) is assembled from them block by block
 (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997): one batched product
@@ -56,6 +70,7 @@ against the unreduced solves to 1e-6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -322,32 +337,62 @@ class _SchurBlock:
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """Nesterov-Todd scaling point W with W S W = X, and the factors
-    r_x = T^{-1/2} S^{1/2} and r_s = S^{-1/2} (T = S^{1/2} X S^{1/2}) with
-    r_x X r_x^T = r_s S r_s^T = I that the step lengths use."""
-    es, us = np.linalg.eigh(s)
-    es = np.clip(es, 1e-300, None)
-    s_half = (us * np.sqrt(es)) @ us.T
-    s_ihalf = (us / np.sqrt(es)) @ us.T
-    t = s_half @ x @ s_half
-    et, ut = np.linalg.eigh(0.5 * (t + t.T))
-    et = np.clip(et, 1e-300, None)
-    t_half = (ut * np.sqrt(et)) @ ut.T
-    w = s_ihalf @ t_half @ s_ihalf
-    r_x = (ut / np.sqrt(et)) @ (ut.T @ s_half)
-    return 0.5 * (w + w.T), r_x, s_ihalf
+    """The Nesterov-Todd scaled frame of one block (Todd, Toh & Tutuncu,
+    SIAM J. Optim. 8, 1998): with the Cholesky factor X = L L^T and
+    L^T S L = Q diag(e) Q^T, G = L Q diag(e^{-1/4}) and d = e^{1/2}.  Then
+    G G^T = W, the scaling point with W S W = X, and
+    G^{-1} X G^{-T} = G^T S G = diag(d).  An X that is not numerically
+    positive definite raises `np.linalg.LinAlgError`."""
+    low = np.linalg.cholesky(x)
+    t = low.T @ s @ low
+    e, q = np.linalg.eigh(0.5 * (t + t.T))
+    e = np.clip(e, 1e-300, None)
+    return low @ (q * e**-0.25), np.sqrt(e)
 
 
-def _max_step(r: np.ndarray, d: np.ndarray, tau: float) -> float:
-    """Largest alpha <= 1 with Z + alpha d staying positive definite,
-    shortened by tau, where r Z r^T = I: the eigenvalues of r d r^T decide it."""
-    m = r @ d @ r.T
-    lam = np.linalg.eigvalsh(0.5 * (m + m.T)).min()
-    if not np.isfinite(lam):
+class _Frame(NamedTuple):
+    """One block's NT-scaled frame at one iterate."""
+
+    block: slice  # the block's rows and columns
+    g: np.ndarray  # G with G G^T = W (`_nt_scaling`)
+    d: np.ndarray  # G^-1 X G^-T = G^T S G = diag(d)
+    lyapunov: np.ndarray  # 2 / (d_i + d_j): V with 1/2 (D V + V D) = R is R * lyapunov
+    scale: np.ndarray  # 1 / sqrt(d_i d_j): dZ * scale is D^-1/2 dZ D^-1/2
+
+
+def _max_step(lam: np.ndarray, tau: float) -> np.ndarray:
+    """Largest alpha <= 1 with diag(d) + alpha dZ staying positive definite,
+    shortened by tau, for each scaled direction dZ whose
+    D^{-1/2} dZ D^{-1/2} has the smallest eigenvalue in `lam`."""
+    if not np.all(np.isfinite(lam)):
         raise np.linalg.LinAlgError("step direction is not finite")
-    if lam >= 0.0:
-        return 1.0
-    return min(1.0, -tau / lam)
+    return np.minimum(1.0, -tau / np.minimum(lam, -tau))
+
+
+def _directions(cells: _Cells, chol: np.ndarray, frames: list, rp: np.ndarray, rd: np.ndarray, targets: list):
+    """Search directions for a stack of complementarity targets.
+
+    `frames` holds the `_Frame` of each block, and `targets` per block a
+    stack of symmetric right-hand sides R.  For each R the direction meets
+    A(dX) = rp, dS = rd - A*(dy) and, with dX~ = G^-1 dX G^-T and
+    dS~ = G^T dS G,
+        1/2 (D (dX~ + dS~) + (dX~ + dS~) D) = R,
+    that is dX~ + dS~ = V with V_ij = 2 R_ij / (d_i + d_j).  Then
+    dX = G (V - G^T rd G) G^T + W A*(dy) W, so the Schur system
+    M dy = rp - A(G (V - G^T rd G) G^T) takes one column per target, all
+    on the one Cholesky factor.  Returns the stacks dy and dS, and per
+    block the stacks dX~ and dS~.
+    """
+    k = np.zeros((len(targets[0]), cells.n, cells.n))
+    sums = []
+    for f, r in zip(frames, targets):
+        sums.append(r * f.lyapunov)
+        k[:, f.block, f.block] = f.g @ (sums[-1] - f.g.T @ rd[f.block, f.block] @ f.g) @ f.g.T
+    dy = _cho_solve(chol, np.stack([rp - cells.a_map(k_j) for k_j in k], axis=1)).T
+    # rd and a_adj(dy) are symmetric bit for bit, so dS is too.
+    ds = np.stack([rd - cells.a_adj(dy_j) for dy_j in dy])
+    ds_t = [f.g.T @ ds[:, f.block, f.block] @ f.g for f in frames]
+    return dy, ds, [v - t for v, t in zip(sums, ds_t)], ds_t
 
 
 def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -377,6 +422,13 @@ def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
     block-diagonal, so the scaling, the step lengths and the Schur
     assembly run per block: the step is the shortest block step and the
     Schur matrix is the sum over the blocks.
+
+    Each iteration takes the predictor (sigma = 0), then sigma =
+    (mu_aff / mu)^3 and two corrector directions on the same Cholesky
+    factor (`_directions`): the plain one, with the target sigma mu I - D^2
+    in the NT-scaled frame of each block, and Mehrotra's, which also
+    subtracts sym(dX~_a dS~_a).  Mehrotra's is taken only when its step
+    reaches a lower mu than the plain one's.
     """
     n = instance.dim
     constraints = instance.constraints
@@ -396,6 +448,19 @@ def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
     x = xi * np.eye(n)
     s = eta * np.eye(n)
     y = np.zeros(m)
+
+    def reached(frames, dx_t, ds_t, ap, ad):
+        """mu = tr(X S) / n at the steps of each direction, read in the
+        scaled frame: tr((D + ap dX~)(D + ad dS~)), expanded."""
+        total = 0.0
+        for f, dx_b, ds_b in zip(frames, dx_t, ds_t):
+            total = total + (
+                f.d @ f.d
+                + ap * (dx_b.diagonal(0, 1, 2) @ f.d)
+                + ad * (ds_b.diagonal(0, 1, 2) @ f.d)
+                + ap * ad * np.einsum("kij,kij->k", dx_b, ds_b)
+            )
+        return total / n
 
     trace = []
     status = "max-iterations"
@@ -445,13 +510,13 @@ def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
             break  # fall back to the best iterate
 
         try:
-            w, s_inv = np.zeros((n, n)), np.zeros((n, n))
-            r_x, r_s = [], []
+            frames = []
+            w = np.zeros((n, n))
             for sl in blocks:
-                w_block, r_x_block, r_s_block = _nt_scaling(x[sl, sl], s[sl, sl])
-                w[sl, sl], s_inv[sl, sl] = w_block, r_s_block @ r_s_block.T
-                r_x.append(r_x_block)
-                r_s.append(r_s_block)
+                g, d = _nt_scaling(x[sl, sl], s[sl, sl])
+                w[sl, sl] = g @ g.T
+                r = 1.0 / np.sqrt(d)
+                frames.append(_Frame(sl, g, d, 2.0 / (d[:, None] + d), r[:, None] * r))
             if not np.all(np.isfinite(w)):
                 termination = "non-finite-scaling"
                 break
@@ -468,33 +533,40 @@ def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
                 termination = "schur-breakdown"
                 break  # return the best iterate so far
 
-            # The right-hand side is affine in sigma*mu, so one solve with
-            # two columns serves the predictor and the corrector.
-            dy0, dy1 = _cho_solve(chol, np.stack([rp + a_map(x + w @ rd @ w), a_map(s_inv)], axis=1)).T
+            # Predictor: sigma = 0 and no second-order term, R = -D^2.  Then
+            # dX~ = -D - dS~, and one eigvalsh per block gives both steps:
+            # the primal one reads the largest eigenvalue of the dual's.
+            _, _, dx_t, ds_t = _directions(cells, chol, frames, rp, rd, [np.diag(-f.d * f.d)[None] for f in frames])
+            lam = np.inf
+            for f, ds_b in zip(frames, ds_t):
+                vals = np.linalg.eigvalsh(ds_b[0] * f.scale)
+                lam = np.minimum(lam, (-1.0 - vals[-1], vals[0]))
+            ap, ad = _max_step(lam, tau_frac)
+            sigma_mu = min(0.99, max((reached(frames, dx_t, ds_t, ap, ad)[0] / mu) ** 3, 1e-8)) * mu
 
-            # rd and a_adj(dy) are symmetric bit for bit, so ds is too; dx
-            # holds products with w and is symmetrized.
-            def newton(sigma_mu):
-                dy = dy0 - sigma_mu * dy1
-                ds = rd - a_adj(dy)
-                dx = sigma_mu * s_inv - x - w @ ds @ w
-                return 0.5 * (dx + dx.T), dy, ds
-
-            def steps(dx, ds):
-                ap = ad = 1.0
-                for sl, r_x_block, r_s_block in zip(blocks, r_x, r_s):
-                    ap = min(ap, _max_step(r_x_block, dx[sl, sl], tau_frac))
-                    ad = min(ad, _max_step(r_s_block, ds[sl, sl], tau_frac))
-                return ap, ad
-
-            # Predictor pass fixes the centering parameter.
-            dx_a, dy_a, ds_a = newton(0.0)
-            ap, ad = steps(dx_a, ds_a)
-            mu_aff = float(np.sum((x + ap * dx_a) * (s + ad * ds_a))) / n
-            sigma = min(0.99, max((mu_aff / mu) ** 3, 1e-8))
-
-            dx, dy, ds = newton(sigma * mu)
-            ap, ad = steps(dx, ds)
+            # Corrector: R = sigma mu I - D^2 - M with Mehrotra's
+            # second-order term M = sym(dX~_a dS~_a), and the plain
+            # direction without M; one eigvalsh per block gives the steps
+            # of both.
+            targets = []
+            for f, dx_b, ds_b in zip(frames, dx_t, ds_t):
+                centre = np.diag(sigma_mu - f.d * f.d)
+                prod = dx_b[0] @ ds_b[0]
+                targets.append(np.stack([centre, centre - 0.5 * (prod + prod.T)]))
+            dy, ds, dx_t, ds_t = _directions(cells, chol, frames, rp, rd, targets)
+            lam = np.inf
+            for f, dx_b, ds_b in zip(frames, dx_t, ds_t):
+                lam = np.minimum(lam, np.linalg.eigvalsh(np.concatenate([dx_b, ds_b]) * f.scale).min(axis=1))
+            ap, ad = _max_step(lam, tau_frac).reshape(2, 2)
+            # Far from the central path the term can overshoot: keep it only
+            # when it reaches a lower mu than the plain direction.
+            mu_plain, mu_corr = reached(frames, dx_t, ds_t, ap, ad)
+            pick = 1 if mu_corr < mu_plain else 0
+            ap, ad, dy, ds = ap[pick], ad[pick], dy[pick], ds[pick]
+            dx = np.zeros((n, n))
+            for f, dx_b in zip(frames, dx_t):
+                dx[f.block, f.block] = f.g @ dx_b[pick] @ f.g.T
+            dx = 0.5 * (dx + dx.T)
         except np.linalg.LinAlgError:
             termination = "linalg-error"
             break
@@ -687,14 +759,17 @@ def companion_instance(label: np.ndarray, p: np.ndarray, e, d, group):
     c0 += np.triu(c0, 1).T
     offset = float(p @ y0)
     # G_j of free moment j plus its coupling terms, which sit on the cells
-    # of the pivot moments; each cell sums them in pivot order.
+    # of the pivot moments; each cell sums them in pivot order.  Only the
+    # free moments with a nonzero coupling to a pivot get its terms: a zero
+    # term adds nothing to any cell's sum.
     own = np.flatnonzero(~np.isin(owner, pivots))
     terms = [(np.searchsorted(free, owner[own]), own, np.ones(len(own)))]
     b_eff = p[free]
     for k, v in enumerate(pivots):
         on = np.flatnonzero(owner == v)
-        j = np.repeat(np.arange(len(free)), len(on))
-        terms.append((j, np.tile(on, len(free)), coupling[k, j]))
+        coupled = np.flatnonzero(coupling[k])
+        j = np.repeat(coupled, len(on))
+        terms.append((j, np.tile(on, len(coupled)), coupling[k, j]))
         b_eff = b_eff + coupling[k] * p[v]
     j, cell, weight = (np.concatenate(part) for part in zip(*terms))
     key, slot = np.unique((j * n + rows[cell]) * n + cols[cell], return_inverse=True)
@@ -779,6 +854,18 @@ def solve_moment_problem(reduced: npa.ReducedProblem, violation: float) -> Momen
     )
 
 
+def _curve_solves(setting: str, objective: str, inequality: str, epsilons, max_local_length: int | None):
+    """(eps, `MomentSolveResult`) at violation (max - eps) per grid point."""
+    epsilons = [float(e) for e in epsilons]
+    wmax = cert.max_violation(setting, inequality)
+    if not all(0.0 < e <= 0.5 * wmax for e in epsilons):
+        raise ValueError("epsilon grid must sit in (0, half the maximal violation]")
+    words = npa.generate_words(setting, _word_cap(setting, max_local_length))
+    problem = npa.build_moment_problem(setting, words, objective, inequality, wmax)
+    reduced = npa.reduce_problem(problem)
+    return [(eps, solve_moment_problem(reduced, wmax - eps)) for eps in epsilons]
+
+
 def min_fidelity_curve(
     setting: str,
     objective: str,
@@ -787,14 +874,8 @@ def min_fidelity_curve(
     max_local_length: int | None = None,
 ):
     """Certified minimum fidelities at violation (max - eps) per grid point."""
-    epsilons = [float(e) for e in epsilons]
-    wmax = cert.max_violation(setting, inequality)
-    if not all(0.0 < e <= 0.5 * wmax for e in epsilons):
-        raise ValueError("epsilon grid must sit in (0, half the maximal violation]")
-    words = npa.generate_words(setting, _word_cap(setting, max_local_length))
-    problem = npa.build_moment_problem(setting, words, objective, inequality, wmax)
-    reduced = npa.reduce_problem(problem)
-    return [(eps, solve_moment_problem(reduced, wmax - eps).bound) for eps in epsilons]
+    points = _curve_solves(setting, objective, inequality, epsilons, max_local_length)
+    return [(eps, result.bound) for eps, result in points]
 
 
 def _word_cap(setting: str, max_local_length: int | None) -> int:
@@ -821,7 +902,9 @@ def derive_alpha(
     """Self-testing constant for the state bound or the measurement bound.
 
     The measurement constant is the worst case over the measurement
-    objectives of the setting.
+    objectives of the setting.  `solves` reports, per objective and grid
+    point, how each solve ended: its `termination`, `iterations` and
+    `relative_gap`, and no wall time, so that reruns are byte-identical.
     """
     if kind == "state":
         objectives = ("state",)
@@ -829,11 +912,19 @@ def derive_alpha(
         objectives = MEASUREMENT_OBJECTIVES[setting]
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    curves = {}
+    curves, solves = {}, {}
     for objective in objectives:
-        curves[objective] = min_fidelity_curve(
-            setting, objective, inequality, epsilons, max_local_length
-        )
+        points = _curve_solves(setting, objective, inequality, epsilons, max_local_length)
+        curves[objective] = [(eps, result.bound) for eps, result in points]
+        solves[objective] = [
+            {
+                "epsilon": eps,
+                "termination": result.solution.termination,
+                "iterations": result.solution.iterations,
+                "relative_gap": result.solution.relative_gap,
+            }
+            for eps, result in points
+        ]
     alphas = {objective: fit_alpha(curve) for objective, curve in curves.items()}
     alpha = max(alphas.values())
     return {
@@ -843,6 +934,7 @@ def derive_alpha(
         "alpha": alpha,
         "per_objective": alphas,
         "curves": curves,
+        "solves": solves,
         "word_cap": _word_cap(setting, max_local_length),
         "epsilons": list(epsilons),
     }

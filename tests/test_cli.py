@@ -159,6 +159,10 @@ def test_derive_alpha_cli(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["alpha"] == pytest.approx(1.2815, abs=5e-3)
+    # how each solve ended sits beside its curve point
+    report = doc["reports"]["state"]
+    assert [row["epsilon"] for row in report["solves"]["state"]] == [eps for eps, _ in report["curves"]["state"]]
+    assert all(row["termination"] in ("optimal", "stall") for row in report["solves"]["state"])
     lines = curve.read_text().splitlines()
     assert lines[1] == "kind,objective,epsilon,fidelity"
     assert len(lines) == 5
