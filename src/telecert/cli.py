@@ -212,12 +212,8 @@ def cmd_simulate(args) -> int:
 def cmd_derive_alpha(args) -> int:
     grid = _parse_grid(args.eps_grid)
     setting = args.trust
-    report = {}
     kinds = ("state", "measurement") if args.kind == "both" else (args.kind,)
-    for kind in kinds:
-        report[kind] = sdp.derive_alpha(
-            setting, args.inequality, kind, grid, max_local_length=args.word_cap
-        )
+    report = sdp.derive_alphas(setting, args.inequality, kinds, grid, max_local_length=args.word_cap)
     main_kind = kinds[0]
     payload = {
         "schema": "sdp/1",

@@ -32,6 +32,26 @@ overshoot.  The direction is affine in its target, so one Cholesky
 factorization of the Schur matrix per iteration serves the three
 right-hand sides.
 
+Instances that share their constraint cells (owner, row, column and
+value of every cell) but differ in the objective and the right-hand sides
+are solved as one family (`solve_family`); `solve` is the family of one.
+The iterates carry a leading member axis, and the NT scaling, the Schur
+Cholesky factors, the directions, the step-length `eigvalsh` calls and
+the maps of the constraints run as stacked numpy calls; the Schur matrix
+is assembled per member.  Each stacked call (LAPACK's Cholesky, eigh,
+eigvalsh and solve, BLAS products and dots, sums over trailing axes, one
+reduceat row per member) computes a member's slice as the call on that
+slice alone would, so the members are independent: each keeps its own
+best iterate, stall count, termination and status, leaves the stack when
+it ends, and gets its solo solution bit for bit, as the tests check.  The
+driver solves every companion of a command this way, grouped by their
+cells and diagonal blocks (`_families`).  The constraint cells of a
+companion do not move with the violation level, and the one-sided
+`state`, `ZB` and `XB` problems share theirs, as do the fully untrusted
+`state`, `ZAZB` and `XAXB` ones; `ZAXB` has its own.  So a one-point
+one-sided `derive-alpha --kind both` is one run of three members, and the
+default grid one of fifteen.
+
 The constraint matrices are sparse (an 81x81 moment-problem constraint
 has a median of 28 nonzero entries), so an instance holds each A_i only
 as the cells of its upper triangle (`Constraints`), as the companion writes
@@ -163,7 +183,7 @@ def _check_symmetric(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 @dataclass
 class SdpSolution:
-    """Result of `solve`.
+    """Result of `solve`, and of each member of `solve_family`.
 
     `termination` names the exit that ended the iteration:
     "optimal", "infeasible-divergence", "stall", "schur-breakdown"
@@ -191,18 +211,24 @@ class SdpSolution:
 
 
 def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve chol chol^T x = rhs by blocked substitution: numpy has no
-    triangular solve, and an LU solve of the whole matrix would cost more
-    than its Cholesky factorization."""
+    """Solve chol chol^T x = rhs on the trailing two axes, for a factor and
+    a stack of columns or for a stack of both, by blocked substitution:
+    numpy has no triangular solve, and an LU solve of the whole matrix
+    would cost more than its Cholesky factorization.  Up to one block, the
+    substitution is the two solves with the whole factor."""
     block = 128
+    if rhs.shape[-2] <= block:
+        return np.linalg.solve(chol.swapaxes(-1, -2), np.linalg.solve(chol, rhs))
     x = rhs.copy()
-    starts = range(0, len(x), block)
+    starts = range(0, x.shape[-2], block)
     for lo in starts:
         hi = lo + block
-        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi], x[lo:hi] - chol[lo:hi, :lo] @ x[:lo])
+        x[..., lo:hi, :] = np.linalg.solve(chol[..., lo:hi, lo:hi], x[..., lo:hi, :] - chol[..., lo:hi, :lo] @ x[..., :lo, :])
     for lo in reversed(starts):
         hi = lo + block
-        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi].T, x[lo:hi] - chol[hi:, lo:hi].T @ x[hi:])
+        x[..., lo:hi, :] = np.linalg.solve(
+            chol[..., lo:hi, lo:hi].swapaxes(-1, -2), x[..., lo:hi, :] - chol[..., hi:, lo:hi].swapaxes(-1, -2) @ x[..., hi:, :]
+        )
     return x
 
 
@@ -241,6 +267,8 @@ class _Cells:
         position = np.argsort(self.perm)
         r, c = position[r], position[c]
         self.pos = r * n + c
+        self.owners = np.repeat(self.order, self.counts)  # the constraint of each cell
+        self._scatter = {}  # per stack size, the cells' positions in the flattened stack
         # Every cell at (r, c) and at (c, r): tr(A_i X) = sum v (X_rc + X_cr),
         # after one zero product.  reduceat gives an empty segment the value
         # at its start, so the constraints without a cell, sorted first,
@@ -255,14 +283,26 @@ class _Cells:
             self._parts.append((sl, part))
 
     def a_map(self, x):
-        """tr(A_i X) for every constraint."""
-        return np.add.reduceat(x.reshape(-1)[self.pos2] * self.vals2, self.starts2)[self.rank]
+        """tr(A_i X) for every constraint, over any leading axes of X.  Each
+        matrix's sums come from a reduceat along its own row of products,
+        as they do for that matrix alone: on one flat array, the last
+        segment of a matrix would run into the next one's leading zero."""
+        flat = x.reshape(-1, self.n * self.n)
+        sums = np.add.reduceat(flat.take(self.pos2, axis=1) * self.vals2, self.starts2, axis=1)
+        return sums.take(self.rank, axis=1).reshape(*x.shape[:-2], -1)
 
     def a_adj(self, y):
-        """sum_i y_i A_i."""
-        weights = np.repeat(y[self.order], self.counts) * self.vals
-        u = np.bincount(self.pos, weights, minlength=self.n * self.n).reshape(self.n, self.n)
-        return u + u.T
+        """sum_i y_i A_i, over any leading axes of y.  One bincount adds up
+        the cells of every matrix, each matrix's in the order it adds them
+        alone."""
+        flat = y.reshape(-1, y.shape[-1])
+        count, size = len(flat), self.n * self.n
+        if count not in self._scatter:
+            self._scatter[count] = (np.arange(count)[:, None] * size + self.pos).ravel()
+        weights = flat.take(self.owners, axis=1) * self.vals
+        u = np.bincount(self._scatter[count], weights.ravel(), minlength=count * size)
+        u = u.reshape(*y.shape[:-1], self.n, self.n)
+        return u + u.swapaxes(-1, -2)
 
     def schur(self, w):
         """S_ij = tr(A_i W A_j W) for a symmetric W, block-diagonal on the blocks."""
@@ -338,61 +378,250 @@ class _SchurBlock:
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
     """The Nesterov-Todd scaled frame of one block (Todd, Toh & Tutuncu,
-    SIAM J. Optim. 8, 1998): with the Cholesky factor X = L L^T and
-    L^T S L = Q diag(e) Q^T, G = L Q diag(e^{-1/4}) and d = e^{1/2}.  Then
-    G G^T = W, the scaling point with W S W = X, and
-    G^{-1} X G^{-T} = G^T S G = diag(d).  An X that is not numerically
-    positive definite raises `np.linalg.LinAlgError`."""
+    SIAM J. Optim. 8, 1998), for one pair of matrices or a stack of them:
+    with the Cholesky factor X = L L^T and L^T S L = Q diag(e) Q^T,
+    G = L Q diag(e^{-1/4}) and d = e^{1/2}.  Then G G^T = W, the scaling
+    point with W S W = X, and G^{-1} X G^{-T} = G^T S G = diag(d).  An X
+    that is not numerically positive definite raises
+    `np.linalg.LinAlgError`."""
     low = np.linalg.cholesky(x)
-    t = low.T @ s @ low
-    e, q = np.linalg.eigh(0.5 * (t + t.T))
-    e = np.clip(e, 1e-300, None)
-    return low @ (q * e**-0.25), np.sqrt(e)
+    t = low.swapaxes(-1, -2) @ s @ low
+    e, q = np.linalg.eigh(0.5 * (t + t.swapaxes(-1, -2)))
+    e = np.maximum(e, 1e-300)
+    return low @ (q * e[..., None, :] ** -0.25), np.sqrt(e)
 
 
 class _Frame(NamedTuple):
-    """One block's NT-scaled frame at one iterate."""
+    """One block's NT-scaled frame at the iterate of each member."""
 
     block: slice  # the block's rows and columns
-    g: np.ndarray  # G with G G^T = W (`_nt_scaling`)
-    d: np.ndarray  # G^-1 X G^-T = G^T S G = diag(d)
+    g: np.ndarray  # G with G G^T = W (`_nt_scaling`), per member
+    d: np.ndarray  # G^-1 X G^-T = G^T S G = diag(d), per member
     lyapunov: np.ndarray  # 2 / (d_i + d_j): V with 1/2 (D V + V D) = R is R * lyapunov
     scale: np.ndarray  # 1 / sqrt(d_i d_j): dZ * scale is D^-1/2 dZ D^-1/2
+    dd: np.ndarray  # d.d, a column per member
+
+    def take(self, rows):
+        return _Frame(self.block, *(a[rows] for a in self[1:]))
 
 
 def _max_step(lam: np.ndarray, tau: float) -> np.ndarray:
     """Largest alpha <= 1 with diag(d) + alpha dZ staying positive definite,
     shortened by tau, for each scaled direction dZ whose
     D^{-1/2} dZ D^{-1/2} has the smallest eigenvalue in `lam`."""
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise np.linalg.LinAlgError("step direction is not finite")
     return np.minimum(1.0, -tau / np.minimum(lam, -tau))
 
 
-def _directions(cells: _Cells, chol: np.ndarray, frames: list, rp: np.ndarray, rd: np.ndarray, targets: list):
-    """Search directions for a stack of complementarity targets.
+def _diagonal(v: np.ndarray) -> np.ndarray:
+    """The diagonal matrices with the entries of v's last axis."""
+    size = v.shape[-1]
+    out = np.zeros(v.shape[:-1] + (size * size,))
+    out[..., :: size + 1] = v
+    return out.reshape(v.shape + (size,))
 
-    `frames` holds the `_Frame` of each block, and `targets` per block a
-    stack of symmetric right-hand sides R.  For each R the direction meets
-    A(dX) = rp, dS = rd - A*(dy) and, with dX~ = G^-1 dX G^-T and
-    dS~ = G^T dS G,
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The dot product of each row of u with the row of v, each taken as
+    the vector dot of that pair alone."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _directions(cells: _Cells, chol: np.ndarray, frames: list, rp: np.ndarray, rd: np.ndarray, targets: list):
+    """Search directions for a stack of members and, per member, a stack
+    of complementarity targets.
+
+    The member axis comes first everywhere: in the Schur factors `chol`,
+    the residuals rp and rd, the `_Frame` of each block in `frames`, and,
+    per block in `targets`, the symmetric right-hand sides R, member by
+    target.  For each R the direction meets A(dX) = rp, dS = rd - A*(dy)
+    and, with dX~ = G^-1 dX G^-T and dS~ = G^T dS G,
         1/2 (D (dX~ + dS~) + (dX~ + dS~) D) = R,
     that is dX~ + dS~ = V with V_ij = 2 R_ij / (d_i + d_j).  Then
-    dX = G (V - G^T rd G) G^T + W A*(dy) W, so the Schur system
+    dX = G (V - G^T rd G) G^T + W A*(dy) W, so a member's Schur system
     M dy = rp - A(G (V - G^T rd G) G^T) takes one column per target, all
-    on the one Cholesky factor.  Returns the stacks dy and dS, and per
-    block the stacks dX~ and dS~.
+    on its one Cholesky factor.  Returns the stacks dy and dS, and per
+    block the stacks dX~ and dS~, each member by target.
     """
-    k = np.zeros((len(targets[0]), cells.n, cells.n))
+    count, size = targets[0].shape[:2]
+    k = np.zeros((count, size, cells.n, cells.n))
     sums = []
     for f, r in zip(frames, targets):
-        sums.append(r * f.lyapunov)
-        k[:, f.block, f.block] = f.g @ (sums[-1] - f.g.T @ rd[f.block, f.block] @ f.g) @ f.g.T
-    dy = _cho_solve(chol, np.stack([rp - cells.a_map(k_j) for k_j in k], axis=1)).T
+        sums.append(r * f.lyapunov[:, None])
+        frame_rd = f.g.swapaxes(-1, -2) @ rd[:, f.block, f.block] @ f.g
+        k[:, :, f.block, f.block] = f.g[:, None] @ (sums[-1] - frame_rd[:, None]) @ f.g.swapaxes(-1, -2)[:, None]
+    dy = _cho_solve(chol, (rp[:, None] - cells.a_map(k)).swapaxes(-1, -2)).swapaxes(-1, -2)
     # rd and a_adj(dy) are symmetric bit for bit, so dS is too.
-    ds = np.stack([rd - cells.a_adj(dy_j) for dy_j in dy])
-    ds_t = [f.g.T @ ds[:, f.block, f.block] @ f.g for f in frames]
+    ds = rd[:, None] - cells.a_adj(dy)
+    ds_t = [f.g.swapaxes(-1, -2)[:, None] @ ds[:, :, f.block, f.block] @ f.g[:, None] for f in frames]
     return dy, ds, [v - t for v, t in zip(sums, ds_t)], ds_t
+
+
+def _reached(frames: list, dx_t: list, ds_t: list, ap: np.ndarray, ad: np.ndarray, n: int) -> np.ndarray:
+    """mu = tr(X S) / n at the steps (ap, ad) of each direction, member by
+    target, read in the scaled frame: tr((D + ap dX~)(D + ad dS~)),
+    expanded."""
+    total = 0.0
+    for f, dx_b, ds_b in zip(frames, dx_t, ds_t):
+        d = f.d[:, :, None]
+        total = total + (
+            f.dd
+            + ap * (dx_b.diagonal(0, 2, 3) @ d)[..., 0]
+            + ad * (ds_b.diagonal(0, 2, 3) @ d)[..., 0]
+            + ap * ad * np.einsum("mkij,mkij->mk", dx_b, ds_b)
+        )
+    return total / n
+
+
+def _schur_factors(schur: np.ndarray):
+    """Cholesky factors of a stack of Schur matrices, each shifted by
+    jitter * max(tr / m, 1) on the ladder 1e-13, 1e-10, 1e-7 until it
+    factors.  Each rung is one stacked call; when it raises, the members
+    are factored one by one, so that one member's failure is not the
+    others'.  Returns the factors and, when some member failed at every
+    rung, the mask of those members (else None)."""
+    m = schur.shape[-1]
+    shift = np.maximum(schur.trace(axis1=1, axis2=2) / m, 1.0)
+    eye = np.eye(m)
+    try:
+        return np.linalg.cholesky(schur + (1e-13 * shift)[:, None, None] * eye), None
+    except np.linalg.LinAlgError:
+        pass
+    chol = np.empty_like(schur)
+    pending = np.arange(len(schur))
+    for jitter in (1e-13, 1e-10, 1e-7):
+        shifted = schur[pending] + (jitter * shift[pending])[:, None, None] * eye
+        if jitter > 1e-13:  # the first rung was just tried on the whole stack
+            try:
+                chol[pending] = np.linalg.cholesky(shifted)
+                return chol, None
+            except np.linalg.LinAlgError:
+                pass
+        factored = []
+        for k, j in enumerate(pending if len(pending) > 1 else ()):
+            try:
+                chol[j] = np.linalg.cholesky(shifted[k : k + 1])[0]
+                factored.append(k)
+            except np.linalg.LinAlgError:
+                pass
+        pending = np.delete(pending, factored)
+        if not len(pending):
+            return chol, None
+    return chol, np.isin(np.arange(len(schur)), pending)
+
+
+def _step(cells: _Cells, x: np.ndarray, s: np.ndarray, rp: np.ndarray, rd: np.ndarray, mu: list, tau: float):
+    """One predictor-corrector step for each member of a stack of iterates.
+
+    The NT scaling (`_nt_scaling`) runs per block over the whole stack and
+    the Schur matrix per member (`_Cells.schur`).  The predictor (sigma = 0,
+    target -D^2) fixes sigma = (mu_aff / mu)^3 and Mehrotra's term
+    M = sym(dX~_a dS~_a).  The corrector is solved with the target
+    sigma mu I - D^2 with and without M on the same Cholesky factor
+    (`_directions`), and M is kept only when its step reaches a lower mu
+    than the plain direction's: far from the central path it can
+    overshoot.  One stacked `eigvalsh` per block and pass gives the step
+    lengths; the predictor's primal step reads the largest eigenvalue of
+    its scaled dS~, since there dX~ = -D - dS~.
+
+    Returns (ends, ap, ad, dx, ds, dy) over the stack: ends[j] names the
+    exit of member j when it gets no step ("non-finite-scaling" or
+    "schur-breakdown"), else None, and its entries of the other arrays are
+    then NaN.  A failed factorization of X or eigensolve, or a step
+    direction that is not finite, raises `np.linalg.LinAlgError` for the
+    whole stack.
+    """
+    count, n, m = len(x), cells.n, rp.shape[-1]
+    frames = []
+    w = np.zeros((count, n, n))
+    for sl in cells.blocks:
+        g, d = _nt_scaling(x[:, sl, sl], s[:, sl, sl])
+        w[:, sl, sl] = g @ g.swapaxes(-1, -2)
+        r = 1.0 / np.sqrt(d)
+        frames.append(_Frame(sl, g, d, 2.0 / (d[:, :, None] + d[:, None]), r[:, :, None] * r[:, None], _dots(d, d)[:, None]))
+    ends = [None] * count
+    live = np.arange(count)
+    if not np.isfinite(w).all():
+        finite = np.isfinite(w).all(axis=(1, 2))
+        ends = [None if ok else "non-finite-scaling" for ok in finite]
+        live = live[finite]
+        if not len(live):
+            return _no_step(ends, n, m)
+    schur = np.array([cells.schur(w[j]) for j in live])
+    chol, broken = _schur_factors(0.5 * (schur + schur.swapaxes(-1, -2)))
+    if broken is not None:
+        for j in live[broken]:
+            ends[j] = "schur-breakdown"
+        chol, live = chol[~broken], live[~broken]
+        if not len(live):
+            return _no_step(ends, n, m)
+    if len(live) < count:
+        frames = [f.take(live) for f in frames]
+        rp, rd, mu = rp[live], rd[live], [mu[j] for j in live]
+    size = len(live)
+
+    # Predictor: sigma = 0 and no second-order term, R = -D^2.
+    _, _, dx_t, ds_t = _directions(cells, chol, frames, rp, rd, [_diagonal(-f.d * f.d)[:, None] for f in frames])
+    lam = np.inf
+    for f, ds_b in zip(frames, ds_t):
+        vals = np.linalg.eigvalsh(ds_b[:, 0] * f.scale)
+        lam = np.minimum(lam, (-1.0 - vals[:, -1], vals[:, 0]))
+    ap, ad = _max_step(lam, tau)
+    predicted = _reached(frames, dx_t, ds_t, ap[:, None], ad[:, None], n)[:, 0]
+    sigma_mu = np.array([min(0.99, max((p / mu_j) ** 3, 1e-8)) * mu_j for p, mu_j in zip(predicted, mu)])
+
+    # Corrector: R = sigma mu I - D^2 - M, and the plain direction without M.
+    targets = []
+    for f, dx_b, ds_b in zip(frames, dx_t, ds_t):
+        centre = _diagonal(sigma_mu[:, None] - f.d * f.d)
+        prod = dx_b[:, 0] @ ds_b[:, 0]
+        targets.append(np.stack([centre, centre - 0.5 * (prod + prod.swapaxes(-1, -2))], axis=1))
+    dy, ds, dx_t, ds_t = _directions(cells, chol, frames, rp, rd, targets)
+    lam = np.inf
+    for f, dx_b, ds_b in zip(frames, dx_t, ds_t):
+        lam = np.minimum(lam, np.linalg.eigvalsh(np.concatenate([dx_b, ds_b], axis=1) * f.scale[:, None]).min(axis=-1))
+    ap, ad = _max_step(lam, tau).reshape(size, 2, 2).transpose(1, 0, 2)
+    mu_plain, mu_corr = _reached(frames, dx_t, ds_t, ap, ad, n).T
+    pick = (mu_corr < mu_plain).tolist()
+    # One direction for the whole stack is a plain index, else one per member.
+    pick = (slice(None), int(pick[0])) if len(set(pick)) == 1 else (np.arange(size), np.array(pick, dtype=np.intp))
+    dx = np.zeros((size, n, n))
+    for f, dx_b in zip(frames, dx_t):
+        dx[:, f.block, f.block] = f.g @ dx_b[pick] @ f.g.swapaxes(-1, -2)
+    dx = 0.5 * (dx + dx.swapaxes(-1, -2))
+    picked = (ap[pick], ad[pick], dx, ds[pick], dy[pick])
+    if size == count:
+        return (ends,) + picked
+    return (ends,) + tuple(_spread(a, live, count) for a in picked)
+
+
+def _no_step(ends: list, n: int, m: int):
+    """`_step`'s outcome for members that all end without a step."""
+    return (ends,) + tuple(np.full((len(ends),) + shape, np.nan) for shape in ((), (), (n, n), (n, n), (m,)))
+
+
+def _spread(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """values at `rows` of a stack of `count` members, NaN elsewhere."""
+    out = np.full((count,) + values.shape[1:], np.nan)
+    out[rows] = values
+    return out
+
+
+def _step_each(cells: _Cells, x, s, rp, rd, mu, tau):
+    """`_step` member by member, after the stacked step raised: a member
+    whose own step raises ends with "linalg-error", and the others take
+    the step they take in the stack."""
+    n, m = cells.n, rp.shape[-1]
+    if len(x) == 1:
+        return _no_step(["linalg-error"], n, m)
+    parts = []
+    for j in range(len(x)):
+        try:
+            parts.append(_step(cells, x[j : j + 1], s[j : j + 1], rp[j : j + 1], rd[j : j + 1], mu[j : j + 1], tau))
+        except np.linalg.LinAlgError:
+            parts.append(_no_step(["linalg-error"], n, m))
+    return ([end for part in parts for end in part[0]],) + tuple(np.concatenate(a) for a in list(zip(*parts))[1:])
 
 
 def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -409,75 +638,26 @@ def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         label = merged
 
 
-def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
-    """Path-following solve; deterministic for identical inputs.
+class _Member:
+    """One instance of a family: its data, and its own record of the run."""
 
-    Status is "optimal" only when the duality gap and both residuals meet
-    the certificate contract.  The constraint matrices must be linearly
-    independent, as `companion_instance` makes them; there is no presolve.
-    The solution's `termination` names the exit (see `SdpSolution`).
+    def __init__(self, instance: SdpInstance, cells: _Cells, norms: np.ndarray):
+        n = cells.n
+        self.b = b = instance.constraints.rhs
+        self.c = c = instance.objective[np.ix_(cells.perm, cells.perm)]
+        self.norm_b = 1.0 + np.linalg.norm(b)
+        self.norm_c = 1.0 + np.linalg.norm(c)
+        self.xi = max(10.0, np.sqrt(n), n * np.max((1.0 + np.abs(b)) / (1.0 + norms)))
+        self.eta = max(10.0, np.sqrt(n), (1.0 + max(np.linalg.norm(c), np.max(norms))) / np.sqrt(n))
+        self.trace = []
+        self.status = "max-iterations"
+        self.stall = 0
+        self.best = None  # (merit, x, y, s); the iterates are never modified in place
+        self.end = None  # (termination, iterations, x, y, s)
 
-    The iterates are kept with their diagonal blocks (`_Cells.blocks`)
-    contiguous.  From the block-diagonal start xi I, eta I they stay
-    block-diagonal, so the scaling, the step lengths and the Schur
-    assembly run per block: the step is the shortest block step and the
-    Schur matrix is the sum over the blocks.
-
-    Each iteration takes the predictor (sigma = 0), then sigma =
-    (mu_aff / mu)^3 and two corrector directions on the same Cholesky
-    factor (`_directions`): the plain one, with the target sigma mu I - D^2
-    in the NT-scaled frame of each block, and Mehrotra's, which also
-    subtracts sym(dX~_a dS~_a).  Mehrotra's is taken only when its step
-    reaches a lower mu than the plain one's.
-    """
-    n = instance.dim
-    constraints = instance.constraints
-    if len(constraints) == 0:
-        raise SdpError("instance has no constraints")
-    cells = _Cells(constraints, instance.objective)
-    blocks, norms = cells.blocks, constraints.norms()
-    b = constraints.rhs
-    m = len(b)
-    c = instance.objective[np.ix_(cells.perm, cells.perm)]
-    a_map, a_adj = cells.a_map, cells.a_adj
-
-    norm_b = 1.0 + np.linalg.norm(b)
-    norm_c = 1.0 + np.linalg.norm(c)
-    xi = max(10.0, np.sqrt(n), n * np.max((1.0 + np.abs(b)) / (1.0 + norms)))
-    eta = max(10.0, np.sqrt(n), (1.0 + max(np.linalg.norm(c), np.max(norms))) / np.sqrt(n))
-    x = xi * np.eye(n)
-    s = eta * np.eye(n)
-    y = np.zeros(m)
-
-    def reached(frames, dx_t, ds_t, ap, ad):
-        """mu = tr(X S) / n at the steps of each direction, read in the
-        scaled frame: tr((D + ap dX~)(D + ad dS~)), expanded."""
-        total = 0.0
-        for f, dx_b, ds_b in zip(frames, dx_t, ds_t):
-            total = total + (
-                f.d @ f.d
-                + ap * (dx_b.diagonal(0, 1, 2) @ f.d)
-                + ad * (ds_b.diagonal(0, 1, 2) @ f.d)
-                + ap * ad * np.einsum("kij,kij->k", dx_b, ds_b)
-            )
-        return total / n
-
-    trace = []
-    status = "max-iterations"
-    tau_frac = 0.98
-    stall = 0
-    best = None  # (merit, x, y, s); the iterates are never modified in place
-    iteration = 0
-    for iteration in range(1, max_iterations + 1):
-        rp = b - a_map(x)
-        rd = c - s - a_adj(y)
-        mu = float(np.sum(x * s)) / n
-        pobj = float(np.sum(c * x))
-        dobj = float(b @ y)
-        rp_norm = np.linalg.norm(rp) / norm_b
-        rd_norm = np.linalg.norm(rd) / norm_c
-        dual_safe = dobj - abs(y @ rp) - abs(np.sum(rd * x))
-        trace.append(
+    def check(self, iteration, mu, pobj, dobj, rp_norm, rd_norm, dual_safe, y_max, x, y, s):
+        """Record the iterate, and name the exit it takes, if any."""
+        self.trace.append(
             {
                 "iteration": iteration - 1,
                 "mu": mu,
@@ -489,139 +669,186 @@ def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
             }
         )
         merit = max(mu / (1.0 + abs(pobj)), rp_norm, rd_norm)
-        if best is None or merit < best[0]:
-            best = (merit, x, y, s)
-            stall = 0
+        if self.best is None or merit < self.best[0]:
+            self.best = (merit, x, y, s)
+            self.stall = 0
         else:
-            stall += 1
+            self.stall += 1
         if mu / (1.0 + abs(pobj)) < 1e-8 and rp_norm < 1e-8 and rd_norm < 1e-8:
-            status = termination = "optimal"
-            break
-        if np.max(np.abs(y), initial=0.0) > 1e9 and rp_norm > 1e-6:
+            self.status = "optimal"
+            return "optimal"
+        if y_max > 1e9 and rp_norm > 1e-6:
             # Diverging multipliers with a stuck primal residual: the
             # documented divergence heuristic for infeasibility.
-            status = "infeasible"
-            termination = "infeasible-divergence"
-            break
+            self.status = "infeasible"
+            return "infeasible-divergence"
         # Three non-improving iterates: on the README derivations no merit
         # improved after more than two.
-        if stall > 2:
-            termination = "stall"
-            break  # fall back to the best iterate
+        if self.stall > 2:
+            return "stall"  # fall back to the best iterate
+        return None
 
-        try:
-            frames = []
-            w = np.zeros((n, n))
-            for sl in blocks:
-                g, d = _nt_scaling(x[sl, sl], s[sl, sl])
-                w[sl, sl] = g @ g.T
-                r = 1.0 / np.sqrt(d)
-                frames.append(_Frame(sl, g, d, 2.0 / (d[:, None] + d), r[:, None] * r))
-            if not np.all(np.isfinite(w)):
-                termination = "non-finite-scaling"
-                break
-            schur = cells.schur(w)
-            schur = 0.5 * (schur + schur.T)
-            shift = max(np.trace(schur) / m, 1.0)
-            for jitter in (1e-13, 1e-10, 1e-7):
-                try:
-                    chol = np.linalg.cholesky(schur + jitter * shift * np.eye(m))
-                    break
-                except np.linalg.LinAlgError:
-                    pass
+    def solution(self, cells: _Cells, m: int) -> SdpSolution:
+        n, b, c = cells.n, self.b, self.c
+        termination, iterations, x, y, s = self.end
+        norm_b, norm_c, status = self.norm_b, self.norm_c, self.status
+        if status != "infeasible" and self.best is not None:
+            # Report the iterate with the best combined merit.
+            _, xb, yb, sb = self.best
+            final_merit = max(
+                float(np.sum(x * s)) / n / (1.0 + abs(float(np.sum(c * x)))),
+                float(np.linalg.norm(b - cells.a_map(x)) / norm_b),
+                float(np.linalg.norm(c - s - cells.a_adj(y)) / norm_c),
+            )
+            if self.best[0] < final_merit:
+                x, y, s = xb, yb, sb
+        rp = b - cells.a_map(x)
+        rd = c - s - cells.a_adj(y)
+        pobj = float(np.sum(c * x))
+        dobj = float(b @ y)
+        gap = float(np.sum(x * s))
+        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj))
+        rp_norm = float(np.linalg.norm(rp) / norm_b)
+        rd_norm = float(np.linalg.norm(rd) / norm_c)
+        if status != "infeasible":
+            contract = (
+                gap <= 1e-6 * (1.0 + abs(pobj))
+                and rp_norm <= 1e-7
+                and rd_norm <= 1e-7
+                and np.linalg.eigvalsh(x).min() >= -1e-8
+            )
+            status = "optimal" if contract else "max-iterations"
+        back = np.ix_(np.argsort(cells.perm), np.argsort(cells.perm))
+        return SdpSolution(
+            primal=x[back],
+            dual=y,
+            slack=s[back],
+            primal_objective=pobj,
+            gap=gap,
+            relative_gap=float(rel_gap),
+            primal_residual=rp_norm,
+            dual_residual=rd_norm,
+            status=status,
+            iterations=iterations,
+            trace=self.trace,
+            kept_constraints=list(range(m)),
+            termination=termination,
+        )
+
+
+def solve(instance: SdpInstance, max_iterations: int = 100) -> SdpSolution:
+    """Path-following solve of one instance: the family of one
+    (`solve_family`).  Deterministic for identical inputs.
+
+    Status is "optimal" only when the duality gap and both residuals meet
+    the certificate contract.  The constraint matrices must be linearly
+    independent, as `companion_instance` makes them; there is no presolve.
+    The solution's `termination` names the exit (see `SdpSolution`).
+    """
+    return solve_family([instance], max_iterations)[0]
+
+
+def solve_family(instances, max_iterations: int = 100) -> list:
+    """Solve instances that share their constraint cells in one run: one
+    `SdpSolution` per instance, each bit for bit the one that instance
+    gets alone when the members' objectives give the same diagonal blocks.
+
+    The members may differ in the objective C and the right-hand sides b.
+    The blocks (`_Cells.blocks`) come from the cells and the union of the
+    objectives' patterns.  The iterates carry a leading member axis; each
+    member's iteration is its own (`_step`), and every stacked numpy call
+    (Cholesky, eigh, eigvalsh, solve, matmul, the maps of `_Cells` and
+    sums over trailing axes) computes each member's slice as the call on
+    that slice alone would.  The Schur matrix is assembled per member.
+    Each member keeps its own best iterate, stall count, termination and
+    status, and it leaves the stack when it ends; a factorization that
+    fails for one member ends that member alone.
+
+    The iterates are kept with their diagonal blocks contiguous.  From the
+    block-diagonal start xi I, eta I they stay block-diagonal, so the
+    scaling, the step lengths and the Schur assembly run per block: the
+    step is the shortest block step and the Schur matrix is the sum over
+    the blocks.
+    """
+    if not instances:
+        raise ValueError("a family needs at least one instance")
+    first = instances[0].constraints
+    if len(first) == 0:
+        raise SdpError("instance has no constraints")
+    n, m = instances[0].dim, len(first)
+    for other in instances[1:]:
+        con = other.constraints
+        if other.dim != n or len(con) != m or not all(
+            np.array_equal(getattr(first, name), getattr(con, name)) for name in ("owner", "rows", "cols", "values")
+        ):
+            raise ValueError("the instances of a family must share their constraint cells")
+    pattern = instances[0].objective != 0.0
+    for other in instances[1:]:
+        pattern |= other.objective != 0.0
+    cells = _Cells(first, pattern)
+    norms = first.norms()
+    members = [_Member(inst, cells, norms) for inst in instances]
+    live = np.arange(len(members))  # the members still iterating, in stack order
+    x = np.eye(n) * np.array([mem.xi for mem in members])[:, None, None]
+    s = np.eye(n) * np.array([mem.eta for mem in members])[:, None, None]
+    y = np.zeros((len(members), m))
+    b = np.stack([mem.b for mem in members])
+    c = np.stack([mem.c for mem in members])
+    norm_b = np.array([mem.norm_b for mem in members])
+    norm_c = np.array([mem.norm_c for mem in members])
+    tau_frac = 0.98
+    iteration = 0
+    for iteration in range(1, max_iterations + 1):
+        rp = b - cells.a_map(x)
+        rd = c - s - cells.a_adj(y)
+        xs = np.add.reduce(x * s, axis=(1, 2))
+        cx = np.add.reduce(c * x, axis=(1, 2))
+        rdx = np.add.reduce(rd * x, axis=(1, 2))
+        rd_flat = rd.reshape(len(rd), -1)
+        dobj, yrp = _dots(b, y), _dots(y, rp)
+        rp_norm = np.sqrt(_dots(rp, rp)) / norm_b
+        rd_norm = np.sqrt(_dots(rd_flat, rd_flat)) / norm_c
+        y_max = np.abs(y).max(axis=1, initial=0.0)
+        going, mu = [], []
+        for j, i in enumerate(live):
+            mu_j, pobj, dobj_j = float(xs[j]) / n, float(cx[j]), float(dobj[j])
+            dual_safe = dobj_j - abs(yrp[j]) - abs(rdx[j])
+            args = (mu_j, pobj, dobj_j, rp_norm[j], rd_norm[j], dual_safe, y_max[j], x[j], y[j], s[j])
+            end = members[i].check(iteration, *args)
+            if end is None:
+                going.append(j)
+                mu.append(mu_j)
             else:
-                termination = "schur-breakdown"
-                break  # return the best iterate so far
-
-            # Predictor: sigma = 0 and no second-order term, R = -D^2.  Then
-            # dX~ = -D - dS~, and one eigvalsh per block gives both steps:
-            # the primal one reads the largest eigenvalue of the dual's.
-            _, _, dx_t, ds_t = _directions(cells, chol, frames, rp, rd, [np.diag(-f.d * f.d)[None] for f in frames])
-            lam = np.inf
-            for f, ds_b in zip(frames, ds_t):
-                vals = np.linalg.eigvalsh(ds_b[0] * f.scale)
-                lam = np.minimum(lam, (-1.0 - vals[-1], vals[0]))
-            ap, ad = _max_step(lam, tau_frac)
-            sigma_mu = min(0.99, max((reached(frames, dx_t, ds_t, ap, ad)[0] / mu) ** 3, 1e-8)) * mu
-
-            # Corrector: R = sigma mu I - D^2 - M with Mehrotra's
-            # second-order term M = sym(dX~_a dS~_a), and the plain
-            # direction without M; one eigvalsh per block gives the steps
-            # of both.
-            targets = []
-            for f, dx_b, ds_b in zip(frames, dx_t, ds_t):
-                centre = np.diag(sigma_mu - f.d * f.d)
-                prod = dx_b[0] @ ds_b[0]
-                targets.append(np.stack([centre, centre - 0.5 * (prod + prod.T)]))
-            dy, ds, dx_t, ds_t = _directions(cells, chol, frames, rp, rd, targets)
-            lam = np.inf
-            for f, dx_b, ds_b in zip(frames, dx_t, ds_t):
-                lam = np.minimum(lam, np.linalg.eigvalsh(np.concatenate([dx_b, ds_b]) * f.scale).min(axis=1))
-            ap, ad = _max_step(lam, tau_frac).reshape(2, 2)
-            # Far from the central path the term can overshoot: keep it only
-            # when it reaches a lower mu than the plain direction.
-            mu_plain, mu_corr = reached(frames, dx_t, ds_t, ap, ad)
-            pick = 1 if mu_corr < mu_plain else 0
-            ap, ad, dy, ds = ap[pick], ad[pick], dy[pick], ds[pick]
-            dx = np.zeros((n, n))
-            for f, dx_b in zip(frames, dx_t):
-                dx[f.block, f.block] = f.g @ dx_b[pick] @ f.g.T
-            dx = 0.5 * (dx + dx.T)
+                members[i].end = (end, iteration, x[j], y[j], s[j])
+        if len(going) < len(live):
+            x, s, y, b, c, norm_b, norm_c, rp, rd, live = (a[going] for a in (x, s, y, b, c, norm_b, norm_c, rp, rd, live))
+            if not len(live):
+                break
+        try:
+            ends, ap, ad, dx, ds, dy = _step(cells, x, s, rp, rd, mu, tau_frac)
         except np.linalg.LinAlgError:
-            termination = "linalg-error"
-            break
-        if min(ap, ad) < 1e-10:
-            termination = "step-too-small"
-            break
+            ends, ap, ad, dx, ds, dy = _step_each(cells, x, s, rp, rd, mu, tau_frac)
+        going = []
+        for j, i in enumerate(live):
+            end = ends[j] or ("step-too-small" if min(ap[j], ad[j]) < 1e-10 else None)
+            if end is None:
+                going.append(j)
+            else:
+                members[i].end = (end, iteration, x[j], y[j], s[j])
+        if len(going) < len(live):
+            x, s, y, b, c, norm_b, norm_c, ap, ad, dx, ds, dy, live = (
+                a[going] for a in (x, s, y, b, c, norm_b, norm_c, ap, ad, dx, ds, dy, live)
+            )
+            if not len(live):
+                break
         # Sums of symmetric matrices: x and s stay symmetric bit for bit.
-        x = x + ap * dx
-        s = s + ad * ds
-        y = y + ad * dy
+        x = x + ap[:, None, None] * dx
+        s = s + ad[:, None, None] * ds
+        y = y + ad[:, None] * dy
     else:
-        termination = "iteration-cap"
-
-    if status != "infeasible" and best is not None:
-        # Report the iterate with the best combined merit.
-        _, xb, yb, sb = best
-        final_merit = max(
-            float(np.sum(x * s)) / n / (1.0 + abs(float(np.sum(c * x)))),
-            float(np.linalg.norm(b - a_map(x)) / norm_b),
-            float(np.linalg.norm(c - s - a_adj(y)) / norm_c),
-        )
-        if best[0] < final_merit:
-            x, y, s = xb, yb, sb
-    rp = b - a_map(x)
-    rd = c - s - a_adj(y)
-    pobj = float(np.sum(c * x))
-    dobj = float(b @ y)
-    gap = float(np.sum(x * s))
-    rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj))
-    rp_norm = float(np.linalg.norm(rp) / norm_b)
-    rd_norm = float(np.linalg.norm(rd) / norm_c)
-    if status != "infeasible":
-        contract = (
-            gap <= 1e-6 * (1.0 + abs(pobj))
-            and rp_norm <= 1e-7
-            and rd_norm <= 1e-7
-            and np.linalg.eigvalsh(x).min() >= -1e-8
-        )
-        status = "optimal" if contract else "max-iterations"
-    back = np.ix_(np.argsort(cells.perm), np.argsort(cells.perm))
-    return SdpSolution(
-        primal=x[back],
-        dual=y,
-        slack=s[back],
-        primal_objective=pobj,
-        gap=gap,
-        relative_gap=float(rel_gap),
-        primal_residual=rp_norm,
-        dual_residual=rd_norm,
-        status=status,
-        iterations=iteration,
-        trace=trace,
-        kept_constraints=list(range(m)),
-        termination=termination,
-    )
+        for j, i in enumerate(live):
+            members[i].end = ("iteration-cap", iteration, x[j], y[j], s[j])
+    return [mem.solution(cells, m) for mem in members]
 
 
 # ---------------------------------------------------------------------------
@@ -832,38 +1059,76 @@ def fold_ties(instance: SdpInstance):
     return label, p, e, con.rhs[~tie], group
 
 
-def solve_moment_problem(reduced: npa.ReducedProblem, violation: float) -> MomentSolveResult:
-    """Certified minimum of the reduced problem's objective at a violation
-    level: the one per-point path, and the one place that refuses a solve
-    that did not end "optimal"."""
-    instance, offset, recover = companion_instance(
-        reduced.label, reduced.p, [reduced.norm, reduced.q], [1.0, violation], npa.symmetry_group(reduced)
-    )
-    sol = solve(instance)
-    if sol.status != "optimal":
-        # Never report a bound the solver could not certify (an unreachable
-        # violation level shows up here as an unbounded companion).
-        raise SdpError(f"moment problem at violation {violation!r}: solve ended with status {sol.status!r}")
-    y = recover(sol.dual)
-    return MomentSolveResult(
-        bound=float(offset - sol.primal_objective),
-        violation=violation,
-        solution=sol,
-        moments=y,
-        gamma=reduced.assemble(y),
-    )
+def _families(instances) -> list:
+    """The instances grouped into families for `solve_family`: the lists of
+    indices of the instances with the same constraint cells and the same
+    diagonal blocks, in order of first appearance.  With equal blocks, the
+    union of the members' objective patterns gives each member its own
+    blocks, so each member's solution is the one it gets alone."""
+    families = {}
+    for k, instance in enumerate(instances):
+        con = instance.constraints
+        edges = np.concatenate([np.nonzero(instance.objective), (con.rows, con.cols)], axis=1)
+        cells = (con.owner, con.rows, con.cols, con.values, _components(instance.dim, *edges))
+        families.setdefault((instance.dim, len(con)) + tuple(a.tobytes() for a in cells), []).append(k)
+    return list(families.values())
 
 
-def _curve_solves(setting: str, objective: str, inequality: str, epsilons, max_local_length: int | None):
-    """(eps, `MomentSolveResult`) at violation (max - eps) per grid point."""
+def solve_moment_problems(points) -> list:
+    """Certified minima of reduced problems' objectives at violation levels,
+    one `MomentSolveResult` per (reduced problem, violation) pair.
+
+    The symmetry group is found once per reduced problem, and the
+    companions that share their cells and blocks are solved as one family
+    (`_families`, `solve_family`).  This is the one place that refuses a
+    solve that did not end "optimal", member by member, in the order of
+    `points`."""
+    groups, posed = {}, []
+    for reduced, violation in points:
+        if id(reduced) not in groups:
+            groups[id(reduced)] = npa.symmetry_group(reduced)
+        posed.append(
+            companion_instance(reduced.label, reduced.p, [reduced.norm, reduced.q], [1.0, violation], groups[id(reduced)])
+        )
+    solutions = [None] * len(posed)
+    for family in _families([instance for instance, _, _ in posed]):
+        for k, sol in zip(family, solve_family([posed[k][0] for k in family])):
+            solutions[k] = sol
+    results = []
+    for (reduced, violation), (_, offset, recover), sol in zip(points, posed, solutions):
+        if sol.status != "optimal":
+            # Never report a bound the solver could not certify (an
+            # unreachable violation level shows up here as an unbounded
+            # companion).
+            raise SdpError(f"moment problem at violation {violation!r}: solve ended with status {sol.status!r}")
+        y = recover(sol.dual)
+        results.append(
+            MomentSolveResult(
+                bound=float(offset - sol.primal_objective),
+                violation=violation,
+                solution=sol,
+                moments=y,
+                gamma=reduced.assemble(y),
+            )
+        )
+    return results
+
+
+def _curve_solves(setting: str, inequality: str, objectives, epsilons, max_local_length: int | None) -> dict:
+    """{objective: [(eps, `MomentSolveResult`)]} at violation (max - eps)
+    per grid point, from one word list, one reduced problem per objective
+    and one solve per family of companions."""
     epsilons = [float(e) for e in epsilons]
     wmax = cert.max_violation(setting, inequality)
     if not all(0.0 < e <= 0.5 * wmax for e in epsilons):
         raise ValueError("epsilon grid must sit in (0, half the maximal violation]")
     words = npa.generate_words(setting, _word_cap(setting, max_local_length))
-    problem = npa.build_moment_problem(setting, words, objective, inequality, wmax)
-    reduced = npa.reduce_problem(problem)
-    return [(eps, solve_moment_problem(reduced, wmax - eps)) for eps in epsilons]
+    points = []
+    for objective in objectives:
+        reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality, wmax))
+        points += [(reduced, wmax - eps) for eps in epsilons]
+    results = iter(solve_moment_problems(points))
+    return {objective: [(eps, next(results)) for eps in epsilons] for objective in objectives}
 
 
 def min_fidelity_curve(
@@ -874,7 +1139,7 @@ def min_fidelity_curve(
     max_local_length: int | None = None,
 ):
     """Certified minimum fidelities at violation (max - eps) per grid point."""
-    points = _curve_solves(setting, objective, inequality, epsilons, max_local_length)
+    points = _curve_solves(setting, inequality, (objective,), epsilons, max_local_length)[objective]
     return [(eps, result.bound) for eps, result in points]
 
 
@@ -899,42 +1164,56 @@ def derive_alpha(
     epsilons=(0.01, 0.02, 0.05, 0.1, 0.2),
     max_local_length: int | None = None,
 ) -> dict:
-    """Self-testing constant for the state bound or the measurement bound.
+    """Self-testing constant for the state bound or the measurement bound:
+    the report of `derive_alphas` for one kind."""
+    return derive_alphas(setting, inequality, (kind,), epsilons, max_local_length)[kind]
+
+
+def derive_alphas(setting: str, inequality: str, kinds, epsilons, max_local_length: int | None = None) -> dict:
+    """Self-testing constants per kind ("state" or "measurement"), from
+    one run of `_curve_solves` over the objectives of every kind, so that
+    the companions of all kinds and grid points that share their cells
+    are solved as one family.
 
     The measurement constant is the worst case over the measurement
     objectives of the setting.  `solves` reports, per objective and grid
     point, how each solve ended: its `termination`, `iterations` and
     `relative_gap`, and no wall time, so that reruns are byte-identical.
     """
-    if kind == "state":
-        objectives = ("state",)
-    elif kind == "measurement":
-        objectives = MEASUREMENT_OBJECTIVES[setting]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    curves, solves = {}, {}
-    for objective in objectives:
-        points = _curve_solves(setting, objective, inequality, epsilons, max_local_length)
-        curves[objective] = [(eps, result.bound) for eps, result in points]
-        solves[objective] = [
-            {
-                "epsilon": eps,
-                "termination": result.solution.termination,
-                "iterations": result.solution.iterations,
-                "relative_gap": result.solution.relative_gap,
-            }
-            for eps, result in points
-        ]
-    alphas = {objective: fit_alpha(curve) for objective, curve in curves.items()}
-    alpha = max(alphas.values())
-    return {
-        "setting": setting,
-        "inequality": inequality,
-        "kind": kind,
-        "alpha": alpha,
-        "per_objective": alphas,
-        "curves": curves,
-        "solves": solves,
-        "word_cap": _word_cap(setting, max_local_length),
-        "epsilons": list(epsilons),
-    }
+    objectives = {}
+    for kind in kinds:
+        if kind == "state":
+            objectives[kind] = ("state",)
+        elif kind == "measurement":
+            objectives[kind] = MEASUREMENT_OBJECTIVES[setting]
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+    points = _curve_solves(setting, inequality, [o for kind in kinds for o in objectives[kind]], epsilons, max_local_length)
+    reports = {}
+    for kind in kinds:
+        curves = {objective: [(eps, result.bound) for eps, result in points[objective]] for objective in objectives[kind]}
+        solves = {
+            objective: [
+                {
+                    "epsilon": eps,
+                    "termination": result.solution.termination,
+                    "iterations": result.solution.iterations,
+                    "relative_gap": result.solution.relative_gap,
+                }
+                for eps, result in points[objective]
+            ]
+            for objective in objectives[kind]
+        }
+        alphas = {objective: fit_alpha(curve) for objective, curve in curves.items()}
+        reports[kind] = {
+            "setting": setting,
+            "inequality": inequality,
+            "kind": kind,
+            "alpha": max(alphas.values()),
+            "per_objective": alphas,
+            "curves": curves,
+            "solves": solves,
+            "word_cap": _word_cap(setting, max_local_length),
+            "epsilons": list(epsilons),
+        }
+    return reports

@@ -381,7 +381,7 @@ def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequ
     companion, offset, _ = sdp.companion_instance(*sdp.fold_ties(problem))
     file_sol = sdp.solve(companion)
     assert file_sol.status == "optimal"
-    reduced = sdp.solve_moment_problem(npa.reduce_problem(prob), prob.violation)
+    reduced = sdp.solve_moment_problems([(npa.reduce_problem(prob), prob.violation)])[0]
     assert offset - file_sol.primal_objective == pytest.approx(reduced.bound, abs=1e-6)
 
 

@@ -28,7 +28,7 @@ def cell_constraints(owner, rows, cols, values, rhs):
 
 
 def moment_companion(reduced, violation):
-    """The companion `sdp.solve_moment_problem` solves."""
+    """The companion `sdp.solve_moment_problems` solves."""
     group = npa.symmetry_group(reduced)
     return sdp.companion_instance(reduced.label, reduced.p, [reduced.norm, reduced.q], [1.0, violation], group)
 
@@ -199,7 +199,7 @@ def test_instance_cell_contract():
 def test_state_problem_at_maximal_violation():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0 - 1e-6)
-    result = sdp.solve_moment_problem(npa.reduce_problem(problem), problem.violation)
+    result = sdp.solve_moment_problems([(npa.reduce_problem(problem), problem.violation)])[0]
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
 
@@ -207,7 +207,7 @@ def test_minimizing_moment_matrix_is_feasible():
     words = npa.generate_words("1sdi", 3)
     eps = 0.1
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0 - eps)
-    result = sdp.solve_moment_problem(npa.reduce_problem(problem), problem.violation)
+    result = sdp.solve_moment_problems([(npa.reduce_problem(problem), problem.violation)])[0]
     reduced = npa.reduce_problem(problem)
     gamma = result.gamma
     assert np.linalg.eigvalsh(gamma).min() >= -1e-7
@@ -275,7 +275,7 @@ ITERATION_CEILING = {"1sdi": 450, "di": 80}
 
 
 def test_default_grid_iteration_budget():
-    # Every point comes back through `solve_moment_problem`, which refuses
+    # Every point comes back through `solve_moment_problems`, which refuses
     # any status but "optimal", so a derivation that returns is certified.
     totals = dict.fromkeys(ITERATION_CEILING, 0)
     for setting, inequality, kind in (
@@ -297,13 +297,13 @@ def test_unreachable_violation_level_raises():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.2)
     with pytest.raises(sdp.SdpError):
-        sdp.solve_moment_problem(npa.reduce_problem(problem), problem.violation)
+        sdp.solve_moment_problems([(npa.reduce_problem(problem), problem.violation)])
 
 
 def test_state_problem_at_exact_maximum():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0)
-    result = sdp.solve_moment_problem(npa.reduce_problem(problem), problem.violation)
+    result = sdp.solve_moment_problems([(npa.reduce_problem(problem), problem.violation)])[0]
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
 
@@ -457,9 +457,14 @@ def test_corrector_solves_the_scaled_newton_system(monkeypatch):
     # Every direction `solve` builds meets the Newton equations in the
     # original frame and the complementarity equation in the scaled one;
     # the corrector's target is the predictor's sigma mu I - D^2 less
-    # Mehrotra's term sym(dX~_a dS~_a).
+    # Mehrotra's term sym(dX~_a dS~_a).  Checked for each member of every
+    # call: a solve alone, and a family of two that shares its cells.
     rng = np.random.default_rng(11)
     instance = _two_block_instance(rng)
+    con = instance.constraints
+    other = sdp.SdpInstance(
+        -0.5 * instance.objective, sdp.Constraints(con.owner, con.rows, con.cols, con.values, con.rhs * [1, 1, 1, 1, 1, 2, 3])
+    )
     calls = []
     directions = sdp._directions
 
@@ -470,38 +475,44 @@ def test_corrector_solves_the_scaled_newton_system(monkeypatch):
 
     monkeypatch.setattr(sdp, "_directions", recording)
     sdp.solve(instance, max_iterations=6)
-    assert len(calls) == 12
+    assert len(calls) == 12 and all(len(call[2]) == 1 for call in calls)
+    sdp.solve_family([instance, other], max_iterations=6)
+    assert len(calls) == 24 and all(len(call[2]) == 2 for call in calls[12:])
     stack = None
     for count, (cells, frames, rp, rd, targets, (dy, ds, dx_t, ds_t)) in enumerate(calls):
         assert [sl.stop - sl.start for sl, *_ in frames] == [3, 2]
         if stack is None:
             # the constraint matrices in the solver's numbering
             stack = dense_matrices(instance)[:, cells.perm][:, :, cells.perm]
-        for j in range(len(dy)):
-            dx = np.zeros_like(rd)
-            for (sl, g, d, *_), dx_b, ds_b, target in zip(frames, dx_t, ds_t, targets):
-                dx[sl, sl] = g @ dx_b[j] @ g.T
-                # dS~ is G^T dS G, and dX~ + dS~ solves the scaled equation
-                assert np.max(np.abs(g.T @ ds[j][sl, sl] @ g - ds_b[j])) < 1e-10
-                total = dx_b[j] + ds_b[j]
-                assert np.max(np.abs(0.5 * (np.diag(d) @ total + total @ np.diag(d)) - target[j])) < 1e-10
-            assert np.max(np.abs(np.einsum("iab,ba->i", stack, dx) - rp)) < 1e-10
-            assert np.max(np.abs(rd - np.einsum("i,iab->ab", dy[j], stack) - ds[j])) < 1e-10
+        for i in range(len(rp)):
+            for j in range(dy.shape[1]):
+                dx = np.zeros_like(rd[i])
+                for (sl, g, d, *_), dx_b, ds_b, target in zip(frames, dx_t, ds_t, targets):
+                    g, d = g[i], d[i]
+                    dx[sl, sl] = g @ dx_b[i, j] @ g.T
+                    # dS~ is G^T dS G, and dX~ + dS~ solves the scaled equation
+                    assert np.max(np.abs(g.T @ ds[i, j][sl, sl] @ g - ds_b[i, j])) < 1e-10
+                    total = dx_b[i, j] + ds_b[i, j]
+                    assert np.max(np.abs(0.5 * (np.diag(d) @ total + total @ np.diag(d)) - target[i, j])) < 1e-10
+                assert np.max(np.abs(np.einsum("iab,ba->i", stack, dx) - rp[i])) < 1e-10
+                assert np.max(np.abs(rd[i] - np.einsum("i,iab->ab", dy[i, j], stack) - ds[i, j])) < 1e-10
         if count % 2 == 0:
             # predictor: sigma = 0, no second-order term
-            assert len(dy) == 1
+            assert dy.shape[1] == 1
             for (_, _, d, *_), target in zip(frames, targets):
-                assert np.array_equal(target[0], -np.diag(d * d))
+                for i in range(len(rp)):
+                    assert np.array_equal(target[i, 0], -np.diag(d[i] * d[i]))
             predictor = dx_t, ds_t
         else:
             # plain and corrected
-            assert len(dy) == 2
+            assert dy.shape[1] == 2
             for (_, _, d, *_), target, dx_a, ds_a in zip(frames, targets, *predictor):
-                sigma_mu = np.diag(target[0]) + d * d
-                assert np.allclose(sigma_mu, sigma_mu[0], rtol=1e-12) and sigma_mu[0] > 0.0
-                assert np.allclose(target[0], np.diag(sigma_mu[0] - d * d), rtol=0.0, atol=1e-12)
-                product = dx_a[0] @ ds_a[0]
-                assert np.max(np.abs(target[1] - (target[0] - 0.5 * (product + product.T)))) < 1e-12
+                for i in range(len(rp)):
+                    sigma_mu = np.diag(target[i, 0]) + d[i] * d[i]
+                    assert np.allclose(sigma_mu, sigma_mu[0], rtol=1e-12) and sigma_mu[0] > 0.0
+                    assert np.allclose(target[i, 0], np.diag(sigma_mu[0] - d[i] * d[i]), rtol=0.0, atol=1e-12)
+                    product = dx_a[i, 0] @ ds_a[i, 0]
+                    assert np.max(np.abs(target[i, 1] - (target[i, 0] - 0.5 * (product + product.T)))) < 1e-12
 
 
 def test_termination_reasons(monkeypatch):
@@ -529,7 +540,8 @@ def test_termination_reasons(monkeypatch):
     schur_calls = []
 
     def failing_cholesky(a, size):
-        if a.shape != (size, size):
+        # the solver factors stacks: the matrices are the trailing two axes
+        if a.shape[-2:] != (size, size):
             return cholesky(a)
         schur_calls.append(a)
         raise np.linalg.LinAlgError("not positive definite")
@@ -574,7 +586,7 @@ def test_fold_on_exported_stacks(tmp_path):
         assert e.shape == (2, classes) and list(d) == [pytest.approx(problem.violation), 1.0]
         value, count = file_minimum(instance)
         assert count == classes - 2
-        assert value == pytest.approx(sdp.solve_moment_problem(reduced, problem.violation).bound, abs=1e-6)
+        assert value == pytest.approx(sdp.solve_moment_problems([(reduced, problem.violation)])[0].bound, abs=1e-6)
 
     # hand-made: a scaled duplicate is dropped, a conflicting one refused
     a = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -593,6 +605,14 @@ def test_cho_solve_matches_dense_solve():
         rhs = rng.standard_normal((m, 2))
         got = sdp._cho_solve(np.linalg.cholesky(a), rhs)
         assert np.allclose(got, np.linalg.solve(a, rhs), rtol=1e-10, atol=1e-12)
+    # a stack of factors, each solved as it is alone
+    for m in (40, 300):
+        a = np.stack([_random_spd(m, rng) for _ in range(3)])
+        rhs = rng.standard_normal((3, m, 2))
+        got = sdp._cho_solve(np.linalg.cholesky(a), rhs)
+        for k in range(3):
+            assert np.array_equal(got[k], sdp._cho_solve(np.linalg.cholesky(a[k]), rhs[k]))
+            assert np.allclose(got[k], np.linalg.solve(a[k], rhs[k]), rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,3 +1020,144 @@ def test_coupling_terms_only_at_nonzero_couplings(setting, inequality):
         (reference.owner, reference.rows, reference.cols, reference.values, reference.rhs),
     ):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Families: instances that share their constraint cells, solved in one run
+
+DEFAULT_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
+
+
+def _companions(setting, inequality, objectives, epsilons):
+    """The companions `derive_alphas` poses, objective by objective."""
+    wmax = cert.max_violation(setting, inequality)
+    words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
+    instances = []
+    for objective in objectives:
+        reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality, wmax))
+        instances += [moment_companion(reduced, wmax - eps)[0] for eps in epsilons]
+    return instances
+
+
+def _assert_solo(got, instance, max_iterations=100):
+    """A family member's solution is the instance's own solve, bit for bit."""
+    alone = sdp.solve(instance, max_iterations)
+    assert (got.iterations, got.termination, got.status) == (alone.iterations, alone.termination, alone.status)
+    for name in ("primal", "dual", "slack"):
+        assert np.array_equal(getattr(got, name), getattr(alone, name))
+    assert got.primal_objective == alone.primal_objective and got.trace == alone.trace
+
+
+@pytest.mark.parametrize(
+    "setting, inequality, objectives, epsilons",
+    [
+        ("1sdi", "steering", ("state", "ZB", "XB"), (0.1,)),
+        ("1sdi", "chsh", ("state", "ZB", "XB"), (0.1,)),
+        # the one-sided default grid, one family of 15
+        ("1sdi", "steering", ("state", "ZB", "XB"), DEFAULT_GRID),
+        ("di", "chsh", ("state", "ZAZB", "XAXB"), (0.1,)),
+    ],
+)
+def test_family_members_are_their_solo_solves(setting, inequality, objectives, epsilons):
+    instances = _companions(setting, inequality, objectives, epsilons)
+    assert sdp._families(instances) == [list(range(len(instances)))]
+    family = sdp.solve_family(instances)
+    assert len(family) == len(instances)
+    for got, instance in zip(family, instances):
+        assert got.status == "optimal"
+        _assert_solo(got, instance)
+
+
+def test_a_member_that_ends_does_not_stop_the_others():
+    # Capped at 15 iterations, the default-grid family has members that
+    # stall, members that converge and one that hits the cap, each as alone.
+    instances = _companions("1sdi", "steering", ("state", "ZB", "XB"), DEFAULT_GRID)
+    family = sdp.solve_family(instances, max_iterations=15)
+    ends = {sol.termination for sol in family}
+    assert {"stall", "optimal", "iteration-cap"} <= ends
+    assert len({sol.iterations for sol in family}) > 2
+    for got, instance in zip(family, instances):
+        _assert_solo(got, instance, max_iterations=15)
+
+
+def test_a_failing_factorization_ends_only_its_member(monkeypatch):
+    instances = _companions("1sdi", "chsh", ("state", "ZB", "XB"), (0.1,))
+    m = len(instances[0].constraints)
+    # The second member's first Schur matrix is negative definite, so it
+    # fails Cholesky at every jitter level; the stacked call raises for the
+    # whole stack, and the members are then factored one by one.
+    schur, calls = sdp._Cells.schur, []
+
+    def poisoned(self, w):
+        calls.append(w)
+        return -np.eye(m) if len(calls) == 2 else schur(self, w)
+
+    monkeypatch.setattr(sdp._Cells, "schur", poisoned)
+    family = sdp.solve_family(instances)
+    monkeypatch.setattr(sdp._Cells, "schur", schur)
+    assert (family[1].termination, family[1].iterations) == ("schur-breakdown", 1)
+    for k in (0, 2):
+        _assert_solo(family[k], instances[k])
+
+    # The third member's X at its start, xi I, fails its factorization:
+    # the stacked step raises, and the members then step one by one.
+    con = instances[2].constraints
+    marked = sdp.SdpInstance(instances[2].objective, sdp.Constraints(con.owner, con.rows, con.cols, con.values, 7.0 * con.rhs))
+    instances[2] = marked
+    cells = sdp._Cells(con, marked.objective)
+    xi = sdp._Member(marked, cells, con.norms()).xi
+    assert all(sdp._Member(inst, cells, con.norms()).xi != xi for inst in instances[:2])
+    cholesky = np.linalg.cholesky
+
+    def failing(a):
+        if a.shape[-1] == marked.dim and np.any(a[..., 0, 0] == xi):
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    family = sdp.solve_family(instances)
+    assert (family[2].termination, family[2].iterations) == ("linalg-error", 1)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    for k in (0, 1):
+        _assert_solo(family[k], instances[k])
+
+
+def test_families_group_identical_cells_only():
+    # fully untrusted, both kinds at one eps: {state, ZAZB, XAXB} share
+    # their cells, and ZAXB, which keeps only the flip, has its own
+    instances = _companions("di", "chsh", ("state", "ZAZB", "XAXB", "ZAXB"), (0.1,))
+    assert sdp._families(instances) == [[0, 1, 2], [3]]
+    with pytest.raises(ValueError, match="share their constraint cells"):
+        sdp.solve_family([instances[0], instances[3]])
+    # the same cells with one value changed, or one right-hand side fewer
+    con = instances[0].constraints
+    values = con.values.copy()
+    values[0] *= 2.0
+    changed = sdp.SdpInstance(instances[0].objective, sdp.Constraints(con.owner, con.rows, con.cols, values, con.rhs))
+    assert sdp._families([instances[0], changed]) == [[0], [1]]
+    with pytest.raises(ValueError, match="share their constraint cells"):
+        sdp.solve_family([instances[0], changed])
+    # the same cells, but an objective that joins two blocks: batched, the
+    # member alone would get finer blocks, so the grouping keeps it apart
+    joined = instances[0].objective.copy()
+    joined[0, 30] = joined[30, 0] = 1.0
+    assert sdp._families([instances[0], sdp.SdpInstance(joined, con)]) == [[0], [1]]
+
+
+def test_commands_solve_one_run_per_family(monkeypatch):
+    sizes = []
+    family = sdp.solve_family
+
+    def recording(instances, max_iterations=100):
+        sizes.append(len(instances))
+        return family(instances, max_iterations)
+
+    monkeypatch.setattr(sdp, "solve_family", recording)
+    sdp.derive_alphas("1sdi", "steering", ("state", "measurement"), (0.1,))
+    assert sizes == [3]
+    sizes.clear()
+    sdp.derive_alphas("1sdi", "steering", ("state", "measurement"), DEFAULT_GRID)
+    assert sizes == [15]
+    sizes.clear()
+    sdp.derive_alphas("di", "chsh", ("state", "measurement"), (0.1,))
+    assert sizes == [3, 1]
