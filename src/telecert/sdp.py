@@ -43,14 +43,18 @@ eigvalsh and solve, BLAS products and dots, sums over trailing axes, one
 reduceat row per member) computes a member's slice as the call on that
 slice alone would, so the members are independent: each keeps its own
 best iterate, stall count, termination and status, leaves the stack when
-it ends, and gets its solo solution bit for bit, as the tests check.  The
-driver solves every companion of a command this way, grouped by their
-cells and diagonal blocks (`_families`).  The constraint cells of a
-companion do not move with the violation level, and the one-sided
-`state`, `ZB` and `XB` problems share theirs, as do the fully untrusted
-`state`, `ZAZB` and `XAXB` ones; `ZAXB` has its own.  So a one-point
-one-sided `derive-alpha --kind both` is one run of three members, and the
-default grid one of fifteen.
+it ends, and gets its solo solution bit for bit, as the tests check.  A
+stacked step either steps every member or raises, and then it is redone
+member by member (`_step_each`): each member climbs its own jitter ladder
+for the Schur factorization, and a member whose own step fails ends there
+while the others take their solo steps.  The driver solves every
+companion of a command this way, grouped by their cells and diagonal
+blocks (`_families`).  The constraint cells of a companion do not move
+with the violation level, and the one-sided `state`, `ZB` and `XB`
+problems share theirs, as do the fully untrusted `state`, `ZAZB` and
+`XAXB` ones; `ZAXB` has its own.  So a one-point one-sided `derive-alpha
+--kind both` is one run of three members, and the default grid one of
+fifteen.
 
 The constraint matrices are sparse (an 81x81 moment-problem constraint
 has a median of 28 nonzero entries), so an instance holds each A_i only
@@ -401,9 +405,6 @@ class _Frame(NamedTuple):
     scale: np.ndarray  # 1 / sqrt(d_i d_j): dZ * scale is D^-1/2 dZ D^-1/2
     dd: np.ndarray  # d.d, a column per member
 
-    def take(self, rows):
-        return _Frame(self.block, *(a[rows] for a in self[1:]))
-
 
 def _max_step(lam: np.ndarray, tau: float) -> np.ndarray:
     """Largest alpha <= 1 with diag(d) + alpha dZ staying positive definite,
@@ -474,41 +475,26 @@ def _reached(frames: list, dx_t: list, ds_t: list, ap: np.ndarray, ad: np.ndarra
     return total / n
 
 
-def _schur_factors(schur: np.ndarray):
+class _NoStep(Exception):
+    """A stack of iterates that gets no step; the argument names the exit
+    ("non-finite-scaling" or "schur-breakdown")."""
+
+
+def _schur_factors(schur: np.ndarray) -> np.ndarray:
     """Cholesky factors of a stack of Schur matrices, each shifted by
-    jitter * max(tr / m, 1) on the ladder 1e-13, 1e-10, 1e-7 until it
-    factors.  Each rung is one stacked call; when it raises, the members
-    are factored one by one, so that one member's failure is not the
-    others'.  Returns the factors and, when some member failed at every
-    rung, the mask of those members (else None)."""
+    jitter * max(tr / m, 1).  A stack of one climbs the ladder 1e-13,
+    1e-10, 1e-7 until it factors; a larger stack tries the first rung
+    only, in one stacked call.  Raises `_NoStep` when the last rung tried
+    fails."""
     m = schur.shape[-1]
     shift = np.maximum(schur.trace(axis1=1, axis2=2) / m, 1.0)
     eye = np.eye(m)
-    try:
-        return np.linalg.cholesky(schur + (1e-13 * shift)[:, None, None] * eye), None
-    except np.linalg.LinAlgError:
-        pass
-    chol = np.empty_like(schur)
-    pending = np.arange(len(schur))
-    for jitter in (1e-13, 1e-10, 1e-7):
-        shifted = schur[pending] + (jitter * shift[pending])[:, None, None] * eye
-        if jitter > 1e-13:  # the first rung was just tried on the whole stack
-            try:
-                chol[pending] = np.linalg.cholesky(shifted)
-                return chol, None
-            except np.linalg.LinAlgError:
-                pass
-        factored = []
-        for k, j in enumerate(pending if len(pending) > 1 else ()):
-            try:
-                chol[j] = np.linalg.cholesky(shifted[k : k + 1])[0]
-                factored.append(k)
-            except np.linalg.LinAlgError:
-                pass
-        pending = np.delete(pending, factored)
-        if not len(pending):
-            return chol, None
-    return chol, np.isin(np.arange(len(schur)), pending)
+    for jitter in (1e-13, 1e-10, 1e-7) if len(schur) == 1 else (1e-13,):
+        try:
+            return np.linalg.cholesky(schur + (jitter * shift)[:, None, None] * eye)
+        except np.linalg.LinAlgError:
+            pass
+    raise _NoStep("schur-breakdown")
 
 
 def _step(cells: _Cells, x: np.ndarray, s: np.ndarray, rp: np.ndarray, rd: np.ndarray, mu: list, tau: float):
@@ -525,14 +511,13 @@ def _step(cells: _Cells, x: np.ndarray, s: np.ndarray, rp: np.ndarray, rd: np.nd
     lengths; the predictor's primal step reads the largest eigenvalue of
     its scaled dS~, since there dX~ = -D - dS~.
 
-    Returns (ends, ap, ad, dx, ds, dy) over the stack: ends[j] names the
-    exit of member j when it gets no step ("non-finite-scaling" or
-    "schur-breakdown"), else None, and its entries of the other arrays are
-    then NaN.  A failed factorization of X or eigensolve, or a step
-    direction that is not finite, raises `np.linalg.LinAlgError` for the
-    whole stack.
+    Returns (ap, ad, dx, ds, dy) for the whole stack, or raises: `_NoStep`
+    for a scaling that is not finite or a Schur matrix that does not factor
+    (`_schur_factors`), and `np.linalg.LinAlgError` for a failed
+    factorization of X or eigensolve, or a step direction that is not
+    finite.
     """
-    count, n, m = len(x), cells.n, rp.shape[-1]
+    count, n = len(x), cells.n
     frames = []
     w = np.zeros((count, n, n))
     for sl in cells.blocks:
@@ -540,26 +525,10 @@ def _step(cells: _Cells, x: np.ndarray, s: np.ndarray, rp: np.ndarray, rd: np.nd
         w[:, sl, sl] = g @ g.swapaxes(-1, -2)
         r = 1.0 / np.sqrt(d)
         frames.append(_Frame(sl, g, d, 2.0 / (d[:, :, None] + d[:, None]), r[:, :, None] * r[:, None], _dots(d, d)[:, None]))
-    ends = [None] * count
-    live = np.arange(count)
     if not np.isfinite(w).all():
-        finite = np.isfinite(w).all(axis=(1, 2))
-        ends = [None if ok else "non-finite-scaling" for ok in finite]
-        live = live[finite]
-        if not len(live):
-            return _no_step(ends, n, m)
-    schur = np.array([cells.schur(w[j]) for j in live])
-    chol, broken = _schur_factors(0.5 * (schur + schur.swapaxes(-1, -2)))
-    if broken is not None:
-        for j in live[broken]:
-            ends[j] = "schur-breakdown"
-        chol, live = chol[~broken], live[~broken]
-        if not len(live):
-            return _no_step(ends, n, m)
-    if len(live) < count:
-        frames = [f.take(live) for f in frames]
-        rp, rd, mu = rp[live], rd[live], [mu[j] for j in live]
-    size = len(live)
+        raise _NoStep("non-finite-scaling")
+    schur = np.array([cells.schur(wj) for wj in w])
+    chol = _schur_factors(0.5 * (schur + schur.swapaxes(-1, -2)))
 
     # Predictor: sigma = 0 and no second-order term, R = -D^2.
     _, _, dx_t, ds_t = _directions(cells, chol, frames, rp, rd, [_diagonal(-f.d * f.d)[:, None] for f in frames])
@@ -581,47 +550,44 @@ def _step(cells: _Cells, x: np.ndarray, s: np.ndarray, rp: np.ndarray, rd: np.nd
     lam = np.inf
     for f, dx_b, ds_b in zip(frames, dx_t, ds_t):
         lam = np.minimum(lam, np.linalg.eigvalsh(np.concatenate([dx_b, ds_b], axis=1) * f.scale[:, None]).min(axis=-1))
-    ap, ad = _max_step(lam, tau).reshape(size, 2, 2).transpose(1, 0, 2)
+    ap, ad = _max_step(lam, tau).reshape(count, 2, 2).transpose(1, 0, 2)
     mu_plain, mu_corr = _reached(frames, dx_t, ds_t, ap, ad, n).T
     pick = (mu_corr < mu_plain).tolist()
     # One direction for the whole stack is a plain index, else one per member.
-    pick = (slice(None), int(pick[0])) if len(set(pick)) == 1 else (np.arange(size), np.array(pick, dtype=np.intp))
-    dx = np.zeros((size, n, n))
+    pick = (slice(None), int(pick[0])) if len(set(pick)) == 1 else (np.arange(count), np.array(pick, dtype=np.intp))
+    dx = np.zeros((count, n, n))
     for f, dx_b in zip(frames, dx_t):
         dx[:, f.block, f.block] = f.g @ dx_b[pick] @ f.g.swapaxes(-1, -2)
     dx = 0.5 * (dx + dx.swapaxes(-1, -2))
-    picked = (ap[pick], ad[pick], dx, ds[pick], dy[pick])
-    if size == count:
-        return (ends,) + picked
-    return (ends,) + tuple(_spread(a, live, count) for a in picked)
+    return ap[pick], ad[pick], dx, ds[pick], dy[pick]
 
 
-def _no_step(ends: list, n: int, m: int):
-    """`_step`'s outcome for members that all end without a step."""
-    return (ends,) + tuple(np.full((len(ends),) + shape, np.nan) for shape in ((), (), (n, n), (n, n), (m,)))
+def _step_each(cells: _Cells, x, s, rp, rd, mu, tau, error: Exception):
+    """`_step` member by member, after the stacked step raised `error`.
+
+    Each member climbs its own jitter ladder, and a member whose own step
+    raises ends with the exit its exception names ("linalg-error" for
+    `np.linalg.LinAlgError`); a stack of one ends at once with `error`'s.
+    Returns the exit of each member (None for a member that steps) and the
+    stacked (ap, ad, dx, ds, dy), with a zero step for each member that
+    ends."""
+    ends = [_exit(error)] if len(x) == 1 else [None] * len(x)
+    zero = (np.zeros(1),) * 2 + (np.zeros((1, cells.n, cells.n)),) * 2 + (np.zeros((1, rp.shape[-1])),)
+    steps = []
+    for j, end in enumerate(ends):
+        if end is None:
+            try:
+                steps.append(_step(cells, x[j : j + 1], s[j : j + 1], rp[j : j + 1], rd[j : j + 1], mu[j : j + 1], tau))
+                continue
+            except (_NoStep, np.linalg.LinAlgError) as err:
+                ends[j] = _exit(err)
+        steps.append(zero)
+    return ends, [np.concatenate(a) for a in zip(*steps)]
 
 
-def _spread(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
-    """values at `rows` of a stack of `count` members, NaN elsewhere."""
-    out = np.full((count,) + values.shape[1:], np.nan)
-    out[rows] = values
-    return out
-
-
-def _step_each(cells: _Cells, x, s, rp, rd, mu, tau):
-    """`_step` member by member, after the stacked step raised: a member
-    whose own step raises ends with "linalg-error", and the others take
-    the step they take in the stack."""
-    n, m = cells.n, rp.shape[-1]
-    if len(x) == 1:
-        return _no_step(["linalg-error"], n, m)
-    parts = []
-    for j in range(len(x)):
-        try:
-            parts.append(_step(cells, x[j : j + 1], s[j : j + 1], rp[j : j + 1], rd[j : j + 1], mu[j : j + 1], tau))
-        except np.linalg.LinAlgError:
-            parts.append(_no_step(["linalg-error"], n, m))
-    return ([end for part in parts for end in part[0]],) + tuple(np.concatenate(a) for a in list(zip(*parts))[1:])
+def _exit(error: Exception) -> str:
+    """The exit a member takes when its step raises `error`."""
+    return error.args[0] if isinstance(error, _NoStep) else "linalg-error"
 
 
 def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -761,8 +727,9 @@ def solve_family(instances, max_iterations: int = 100) -> list:
     sums over trailing axes) computes each member's slice as the call on
     that slice alone would.  The Schur matrix is assembled per member.
     Each member keeps its own best iterate, stall count, termination and
-    status, and it leaves the stack when it ends; a factorization that
-    fails for one member ends that member alone.
+    status, and it leaves the stack when it ends.  A stacked step that
+    raises is redone member by member (`_step_each`), so a member whose
+    own step fails ends alone.
 
     The iterates are kept with their diagonal blocks contiguous.  From the
     block-diagonal start xi I, eta I they stay block-diagonal, so the
@@ -825,9 +792,9 @@ def solve_family(instances, max_iterations: int = 100) -> list:
             if not len(live):
                 break
         try:
-            ends, ap, ad, dx, ds, dy = _step(cells, x, s, rp, rd, mu, tau_frac)
-        except np.linalg.LinAlgError:
-            ends, ap, ad, dx, ds, dy = _step_each(cells, x, s, rp, rd, mu, tau_frac)
+            ends, (ap, ad, dx, ds, dy) = [None] * len(live), _step(cells, x, s, rp, rd, mu, tau_frac)
+        except (_NoStep, np.linalg.LinAlgError) as error:
+            ends, (ap, ad, dx, ds, dy) = _step_each(cells, x, s, rp, rd, mu, tau_frac, error)
         going = []
         for j, i in enumerate(live):
             end = ends[j] or ("step-too-small" if min(ap[j], ad[j]) < 1e-10 else None)

@@ -1080,37 +1080,62 @@ def test_a_member_that_ends_does_not_stop_the_others():
         _assert_solo(got, instance, max_iterations=15)
 
 
-def test_a_failing_factorization_ends_only_its_member(monkeypatch):
-    instances = _companions("1sdi", "chsh", ("state", "ZB", "XB"), (0.1,))
-    m = len(instances[0].constraints)
-    # The second member's first Schur matrix is negative definite, so it
-    # fails Cholesky at every jitter level; the stacked call raises for the
-    # whole stack, and the members are then factored one by one.
-    schur, calls = sdp._Cells.schur, []
+def _poison_schur(monkeypatch, instance, call):
+    """Make `_Cells.schur` return a negative definite matrix, which fails
+    Cholesky at every jitter level, for the W that `instance` meets at its
+    `call`-th iteration alone.  A family member meets its solo W bit for
+    bit, in the stacked step and when it is redone alone, so the poison
+    keys on that member.  Returns the unpatched `_Cells.schur`."""
+    schur, seen = sdp._Cells.schur, []
+
+    def recording(self, w):
+        seen.append(w.copy())
+        return schur(self, w)
+
+    monkeypatch.setattr(sdp._Cells, "schur", recording)
+    sdp.solve(instance)
+    target, m = seen[call - 1], len(instance.constraints)
 
     def poisoned(self, w):
-        calls.append(w)
-        return -np.eye(m) if len(calls) == 2 else schur(self, w)
+        return -np.eye(m) if np.array_equal(w, target) else schur(self, w)
 
     monkeypatch.setattr(sdp._Cells, "schur", poisoned)
+    return schur
+
+
+def _mark(instances, k):
+    """The instances with member k's right-hand sides scaled by 7, and the
+    xi of its start xi I, which no other member shares."""
+    con = instances[k].constraints
+    marked = sdp.SdpInstance(instances[k].objective, sdp.Constraints(con.owner, con.rows, con.cols, con.values, 7.0 * con.rhs))
+    instances = instances[:k] + [marked] + instances[k + 1 :]
+    cells = sdp._Cells(con, marked.objective)
+    xi = sdp._Member(marked, cells, con.norms()).xi
+    assert all(sdp._Member(inst, cells, con.norms()).xi != xi for j, inst in enumerate(instances) if j != k)
+    return instances, xi
+
+
+def test_a_failing_factorization_ends_only_its_member(monkeypatch):
+    # The marked second member's first Schur matrix is negative definite,
+    # so it fails Cholesky at every jitter level; the stacked call raises
+    # for the whole stack, and the members then step one by one.  (The
+    # unmarked `state` and `ZB` members meet the same W.)
+    instances, _ = _mark(_companions("1sdi", "chsh", ("state", "ZB", "XB"), (0.1,)), 1)
+    schur = _poison_schur(monkeypatch, instances[1], 1)
     family = sdp.solve_family(instances)
     monkeypatch.setattr(sdp._Cells, "schur", schur)
     assert (family[1].termination, family[1].iterations) == ("schur-breakdown", 1)
     for k in (0, 2):
         _assert_solo(family[k], instances[k])
 
-    # The third member's X at its start, xi I, fails its factorization:
-    # the stacked step raises, and the members then step one by one.
-    con = instances[2].constraints
-    marked = sdp.SdpInstance(instances[2].objective, sdp.Constraints(con.owner, con.rows, con.cols, con.values, 7.0 * con.rhs))
-    instances[2] = marked
-    cells = sdp._Cells(con, marked.objective)
-    xi = sdp._Member(marked, cells, con.norms()).xi
-    assert all(sdp._Member(inst, cells, con.norms()).xi != xi for inst in instances[:2])
+    # The marked third member's X at its start, xi I, fails its
+    # factorization: the stacked step raises, and the members then step
+    # one by one.
+    instances, xi = _mark(_companions("1sdi", "chsh", ("state", "ZB", "XB"), (0.1,)), 2)
     cholesky = np.linalg.cholesky
 
     def failing(a):
-        if a.shape[-1] == marked.dim and np.any(a[..., 0, 0] == xi):
+        if a.shape[-1] == instances[2].dim and np.any(a[..., 0, 0] == xi):
             raise np.linalg.LinAlgError("not positive definite")
         return cholesky(a)
 
@@ -1118,6 +1143,52 @@ def test_a_failing_factorization_ends_only_its_member(monkeypatch):
     family = sdp.solve_family(instances)
     assert (family[2].termination, family[2].iterations) == ("linalg-error", 1)
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    for k in (0, 1):
+        _assert_solo(family[k], instances[k])
+
+
+def test_a_factorization_failing_after_stacked_steps_ends_only_its_member(monkeypatch):
+    # The marked first member steps with the others three times, then its
+    # Schur matrix at the fourth iterate fails at every jitter level.
+    instances, _ = _mark(_companions("1sdi", "chsh", ("state", "ZB", "XB"), (0.1,)), 0)
+    schur = _poison_schur(monkeypatch, instances[0], 4)
+    family = sdp.solve_family(instances)
+    monkeypatch.setattr(sdp._Cells, "schur", schur)
+    assert (family[0].termination, family[0].iterations) == ("schur-breakdown", 4)
+    assert family[0].trace == sdp.solve(instances[0]).trace[:4]
+    for k in (1, 2):
+        _assert_solo(family[k], instances[k])
+
+
+@pytest.mark.parametrize("exit", ["non-finite-scaling", "step-too-small"])
+def test_an_exit_without_a_step_ends_only_its_member(monkeypatch, exit):
+    # The marked member, alone and in its family, gets a scaling with NaN
+    # in it, or corrector steps of 1e-12, at its start xi I.
+    instances, xi = _mark(_companions("1sdi", "chsh", ("state", "ZB", "XB"), (0.1,)), 2)
+    nt_scaling, max_step, marked = sdp._nt_scaling, sdp._max_step, [None]
+
+    def scaling(x, s):
+        marked[0] = x[:, 0, 0] == xi
+        g, d = nt_scaling(x, s)
+        if exit == "non-finite-scaling":
+            g[marked[0]] = np.nan
+        return g, d
+
+    def shortened(lam, tau):
+        steps = max_step(lam, tau)
+        # the corrector's steps, four per member
+        if exit == "step-too-small" and steps.shape == (len(marked[0]), 4):
+            steps[marked[0]] = 1e-12
+        return steps
+
+    monkeypatch.setattr(sdp, "_nt_scaling", scaling)
+    monkeypatch.setattr(sdp, "_max_step", shortened)
+    alone = sdp.solve(instances[2])
+    family = sdp.solve_family(instances)
+    monkeypatch.setattr(sdp, "_nt_scaling", nt_scaling)
+    monkeypatch.setattr(sdp, "_max_step", max_step)
+    for sol in (alone, family[2]):
+        assert (sol.termination, sol.iterations) == (exit, 1)
     for k in (0, 1):
         _assert_solo(family[k], instances[k])
 
