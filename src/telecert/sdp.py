@@ -47,14 +47,15 @@ it ends, and gets its solo solution bit for bit, as the tests check.  A
 stacked step either steps every member or raises, and then it is redone
 member by member (`_step_each`): each member climbs its own jitter ladder
 for the Schur factorization, and a member whose own step fails ends there
-while the others take their solo steps.  The driver solves every
-companion of a command this way, grouped by their cells and diagonal
-blocks (`_families`).  The constraint cells of a companion do not move
-with the violation level, and the one-sided `state`, `ZB` and `XB`
-problems share theirs, as do the fully untrusted `state`, `ZAZB` and
-`XAXB` ones; `ZAXB` has its own.  So a one-point one-sided `derive-alpha
---kind both` is one run of three members, and the default grid one of
-fifteen.
+while the others take their solo steps.  The driver builds the part of
+a companion that neither the objective nor the violation level moves
+(`_Companion`: free moments, row elimination, constraint cells) once per
+command and symmetry group, poses each distinct point on it once, and
+solves the points that share their cells and blocks as one family
+(`_families`).  The one-sided `state` and `ZB` problems are one, as are
+the fully untrusted `state` and `ZAZB`; a one-point one-sided
+`derive-alpha --kind both` is one run of two members, the default grid
+one of ten.
 
 The constraint matrices are sparse (an 81x81 moment-problem constraint
 has a median of 28 nonzero entries), so an instance holds each A_i only
@@ -889,6 +890,103 @@ def _moment_basis(label: np.ndarray, group):
     return of_class, sign, (owner[cell], row[cell], col[cell], values[cell])
 
 
+class _Companion:
+    """The part of the companion of min p.y s.t. e @ y = d over
+    Gamma = sum_v y_v G_v >= 0 that neither p nor d moves: the free moments
+    under `group` (`_moment_basis`), the elimination of the rows of e, and
+    the constraint cells of the G_j.  `pose` adds p and d.
+
+    The k rows of e are eliminated in one sweep: each row, reduced by the
+    rows kept before it, pivots on its largest entry off the earlier
+    pivots, and its pivot column is then eliminated from the later rows.
+    A row whose reduced entries are all at most 1e-10 of its largest entry
+    depends on the kept rows and is dropped; whether its value agrees with
+    theirs depends on d, so `pose` checks it.  What is left,
+    max b.z  s.t.  C0 - sum z_j (-G_j) >= 0,  has one constraint matrix
+    per free moment that no pivot takes, each with cells of its own moment,
+    so they are linearly independent.
+    """
+
+    def __init__(self, label: np.ndarray, e, group):
+        self.of_class, self.sign, (owner, rows, cols, values) = _moment_basis(label, group)
+        n = self.n = len(label)
+        m = self.m = int(self.of_class.max()) + 1
+        e_all = self.e_all = np.array([self._merged(row) for row in e]).reshape(-1, m)
+        reduced, kept, pivots = e_all.copy(), [], []
+        for i, row in enumerate(reduced):
+            size = np.abs(row)
+            size[pivots] = 0.0
+            v = int(np.argmax(size))
+            if size[v] > 1e-10 * np.max(np.abs(e_all[i])):
+                kept.append(i)
+                pivots.append(v)
+                later = i + 1 + np.flatnonzero(reduced[i + 1 :, v])
+                reduced[later] -= reduced[later, v, None] / row[v] * row
+        self.kept, self.pivots = kept, pivots
+        self.dropped = np.setdiff1d(np.arange(len(e_all)), kept)
+        self.free = free = np.flatnonzero(~np.isin(np.arange(m), pivots))
+        self.e_piv = e_all[kept][:, pivots]
+        self.coupling = coupling = -np.linalg.solve(self.e_piv, e_all[kept][:, free])  # k x (m-k)
+        # The cells of each pivot moment, where C0 holds its value.
+        self.pivot_cells = [np.flatnonzero(owner == v) for v in pivots]
+        self.rows, self.cols, self.values = rows, cols, values
+        # G_j of free moment j plus its coupling terms, which sit on the cells
+        # of the pivot moments; each cell sums them in pivot order.  Only the
+        # free moments with a nonzero coupling to a pivot get its terms: a zero
+        # term adds nothing to any cell's sum.
+        own = np.flatnonzero(~np.isin(owner, pivots))
+        terms = [(np.searchsorted(free, owner[own]), own, np.ones(len(own)))]
+        for k, on in enumerate(self.pivot_cells):
+            coupled = np.flatnonzero(coupling[k])
+            j = np.repeat(coupled, len(on))
+            terms.append((j, np.tile(on, len(coupled)), coupling[k, j]))
+        j, cell, weight = (np.concatenate(part) for part in zip(*terms))
+        key, slot = np.unique((j * n + rows[cell]) * n + cols[cell], return_inverse=True)
+        self.cells = (key // (n * n), key // n % n, key % n, -np.bincount(slot, weight * values[cell]))
+
+    def _merged(self, vec):
+        """A vector over the classes as one over the free moments."""
+        return np.bincount(self.of_class, self.sign * vec, minlength=self.m)
+
+    def pose(self, p, d):
+        """The companion at objective p and right-hand sides d, as
+        `companion_instance` returns it: the standard-form instance, the
+        offset and `recover`.  Raises `InfeasibleError` when a dropped
+        row's value disagrees with the kept rows'."""
+        p = self._merged(p)
+        d_all = np.asarray(d, dtype=float)
+        pivots, free, coupling = self.pivots, self.free, self.coupling
+        y_piv0 = np.linalg.solve(self.e_piv, d_all[self.kept])
+        y0 = np.zeros(self.m)
+        y0[pivots] = y_piv0
+        # A dropped row is a combination of the kept ones, which y0 meets, so
+        # it holds at y0 exactly when its value agrees with theirs.
+        e_dropped, d_dropped = self.e_all[self.dropped], d_all[self.dropped]
+        mismatch = np.abs(e_dropped @ y0 - d_dropped)
+        scale = np.abs(d_dropped) + np.abs(e_dropped) @ np.abs(y0)
+        if np.any(mismatch > 1e-9 * scale):
+            raise InfeasibleError(f"inconsistent equality constraints (mismatch {np.max(mismatch):.3e})")
+
+        c0 = np.zeros((self.n, self.n))
+        for y, on in zip(y_piv0, self.pivot_cells):
+            c0[self.rows[on], self.cols[on]] += y * self.values[on]
+        c0 += np.triu(c0, 1).T
+        offset = float(p @ y0)
+        b_eff = p[free]
+        for k, v in enumerate(pivots):
+            b_eff = b_eff + coupling[k] * p[v]
+        instance = SdpInstance(c0, Constraints(*self.cells, -b_eff))
+        sign, of_class = self.sign, self.of_class
+
+        def recover(z: np.ndarray) -> np.ndarray:
+            y = y0.copy()
+            y[free] += z
+            y[pivots] += coupling @ z
+            return sign * y[of_class]
+
+        return instance, offset, recover
+
+
 def companion_instance(label: np.ndarray, p: np.ndarray, e, d, group):
     """Pose min p.y subject to e @ y = d over the moment matrix
     Gamma = sum_v y_v G_v >= 0 as the dual of a standard-form instance.
@@ -897,86 +995,16 @@ def companion_instance(label: np.ndarray, p: np.ndarray, e, d, group):
     vectors over the classes.  The free moments and their matrices come
     from `_moment_basis`, merged under `group`; a class the group forces
     to zero has no moment, so it is in neither the free moments nor the
-    cells of their matrices.  The k equalities are eliminated in one sweep:
-    each row, reduced by the rows kept before it, pivots on its largest
-    entry off the earlier pivots, and its pivot column is then eliminated
-    from the later rows.  A row whose reduced entries are all at
-    most 1e-10 of its largest entry depends on the kept rows and is
-    dropped when its value agrees with theirs, and `InfeasibleError` is
-    raised when it does not.  What is left,
-    max b.z  s.t.  C0 - sum z_j (-G_j) >= 0,  has one constraint matrix
-    per free moment that no pivot takes, each with cells of its own moment,
-    so they are linearly independent; its companion primal is returned,
-    and the minimum equals offset - (companion optimum).  `recover` maps z
-    to the moments of all classes.
+    cells of their matrices.  The structure that p and d do not move (the
+    free moments, the elimination of the rows of e and the constraint
+    cells) is built by `_Companion`, and its `pose` adds p and d: a
+    dependent row of e is dropped when its value agrees with the kept
+    rows', and `InfeasibleError` is raised when it does not.  Returns the
+    standard-form instance, the offset, with the minimum equal to
+    offset - (the instance's optimum), and `recover`, which maps the
+    instance's dual z to the moments of all classes.
     """
-    of_class, sign, (owner, rows, cols, values) = _moment_basis(label, group)
-    n = len(label)
-    m = int(of_class.max()) + 1
-
-    def merged(vec):
-        return np.bincount(of_class, sign * vec, minlength=m)
-
-    p = merged(p)
-    e_all = np.array([merged(row) for row in e]).reshape(-1, m)
-    d_all = np.asarray(d, dtype=float)
-    reduced, kept, pivots = e_all.copy(), [], []
-    for i, row in enumerate(reduced):
-        size = np.abs(row)
-        size[pivots] = 0.0
-        v = int(np.argmax(size))
-        if size[v] > 1e-10 * np.max(np.abs(e_all[i])):
-            kept.append(i)
-            pivots.append(v)
-            later = i + 1 + np.flatnonzero(reduced[i + 1 :, v])
-            reduced[later] -= reduced[later, v, None] / row[v] * row
-    e, d = e_all[kept], d_all[kept]
-    free = np.flatnonzero(~np.isin(np.arange(m), pivots))
-    e_piv = e[:, pivots]
-    e_free = e[:, free]
-    y_piv0 = np.linalg.solve(e_piv, d)
-    coupling = -np.linalg.solve(e_piv, e_free)  # k x (m-k)
-    y0 = np.zeros(m)
-    y0[pivots] = y_piv0
-    # A dropped row is a combination of the kept ones, which y0 meets, so
-    # it holds at y0 exactly when its value agrees with theirs.
-    dropped = np.setdiff1d(np.arange(len(e_all)), kept)
-    mismatch = np.abs(e_all[dropped] @ y0 - d_all[dropped])
-    scale = np.abs(d_all[dropped]) + np.abs(e_all[dropped]) @ np.abs(y0)
-    if np.any(mismatch > 1e-9 * scale):
-        raise InfeasibleError(f"inconsistent equality constraints (mismatch {np.max(mismatch):.3e})")
-
-    c0 = np.zeros((n, n))
-    for y, v in zip(y_piv0, pivots):
-        on = owner == v
-        c0[rows[on], cols[on]] += y * values[on]
-    c0 += np.triu(c0, 1).T
-    offset = float(p @ y0)
-    # G_j of free moment j plus its coupling terms, which sit on the cells
-    # of the pivot moments; each cell sums them in pivot order.  Only the
-    # free moments with a nonzero coupling to a pivot get its terms: a zero
-    # term adds nothing to any cell's sum.
-    own = np.flatnonzero(~np.isin(owner, pivots))
-    terms = [(np.searchsorted(free, owner[own]), own, np.ones(len(own)))]
-    b_eff = p[free]
-    for k, v in enumerate(pivots):
-        on = np.flatnonzero(owner == v)
-        coupled = np.flatnonzero(coupling[k])
-        j = np.repeat(coupled, len(on))
-        terms.append((j, np.tile(on, len(coupled)), coupling[k, j]))
-        b_eff = b_eff + coupling[k] * p[v]
-    j, cell, weight = (np.concatenate(part) for part in zip(*terms))
-    key, slot = np.unique((j * n + rows[cell]) * n + cols[cell], return_inverse=True)
-    g_values = np.bincount(slot, weight * values[cell])
-    instance = SdpInstance(c0, Constraints(key // (n * n), key // n % n, key % n, -g_values, -b_eff))
-
-    def recover(z: np.ndarray) -> np.ndarray:
-        y = y0.copy()
-        y[free] += z
-        y[pivots] += coupling @ z
-        return sign * y[of_class]
-
-    return instance, offset, recover
+    return _Companion(label, e, group).pose(p, d)
 
 
 def fold_ties(instance: SdpInstance):
@@ -1041,28 +1069,46 @@ def _families(instances) -> list:
     return list(families.values())
 
 
+def _data_key(*arrays) -> tuple:
+    """The bytes of each array, a dictionary key for their data.  The
+    arrays keyed have fixed dtypes, and their shapes follow from their
+    sizes once the label, which is square, is in the key: the vectors run
+    over its classes and the group's rows over its words or classes."""
+    return tuple(np.asarray(a).tobytes() for a in arrays)
+
+
 def solve_moment_problems(points) -> list:
     """Certified minima of reduced problems' objectives at violation levels,
     one `MomentSolveResult` per (reduced problem, violation) pair.
 
-    The symmetry group is found once per reduced problem, and the
-    companions that share their cells and blocks are solved as one family
-    (`_families`, `solve_family`).  This is the one place that refuses a
-    solve that did not end "optimal", member by member, in the order of
-    `points`."""
-    groups, posed = {}, []
+    A reduced problem is known by its data (label, p, norm and q), and a
+    point by that data and its violation.  The symmetry group is found
+    once per distinct reduced problem, the companion structure
+    (`_Companion`) is built once per distinct label, norm, q and group,
+    and each distinct point is posed and solved once; its solution goes
+    to every point that posed it.  The companions that share their cells
+    and blocks are solved as one family (`_families`, `solve_family`).
+    This is the one place that refuses a solve that did not end
+    "optimal", point by point, in the order of `points`."""
+    groups, structures, distinct, posed, of_point = {}, {}, {}, [], []
     for reduced, violation in points:
-        if id(reduced) not in groups:
-            groups[id(reduced)] = npa.symmetry_group(reduced)
-        posed.append(
-            companion_instance(reduced.label, reduced.p, [reduced.norm, reduced.q], [1.0, violation], groups[id(reduced)])
-        )
+        data = _data_key(reduced.label, reduced.p, reduced.norm, reduced.q)
+        if (data, violation) not in distinct:
+            if data not in groups:
+                groups[data] = npa.symmetry_group(reduced)
+            shared = (data[0],) + data[2:] + _data_key(*groups[data])
+            if shared not in structures:
+                structures[shared] = _Companion(reduced.label, [reduced.norm, reduced.q], groups[data])
+            distinct[data, violation] = len(posed)
+            posed.append(structures[shared].pose(reduced.p, [1.0, violation]))
+        of_point.append(distinct[data, violation])
     solutions = [None] * len(posed)
     for family in _families([instance for instance, _, _ in posed]):
         for k, sol in zip(family, solve_family([posed[k][0] for k in family])):
             solutions[k] = sol
     results = []
-    for (reduced, violation), (_, offset, recover), sol in zip(points, posed, solutions):
+    for (reduced, violation), k in zip(points, of_point):
+        (_, offset, recover), sol = posed[k], solutions[k]
         if sol.status != "optimal":
             # Never report a bound the solver could not certify (an
             # unreachable violation level shows up here as an unbounded
@@ -1084,7 +1130,7 @@ def solve_moment_problems(points) -> list:
 def _curve_solves(setting: str, inequality: str, objectives, epsilons, max_local_length: int | None) -> dict:
     """{objective: [(eps, `MomentSolveResult`)]} at violation (max - eps)
     per grid point, from one word list, one reduced problem per objective
-    and one solve per family of companions."""
+    and one solve per distinct point (`solve_moment_problems`)."""
     epsilons = [float(e) for e in epsilons]
     wmax = cert.max_violation(setting, inequality)
     if not all(0.0 < e <= 0.5 * wmax for e in epsilons):
@@ -1139,13 +1185,14 @@ def derive_alpha(
 def derive_alphas(setting: str, inequality: str, kinds, epsilons, max_local_length: int | None = None) -> dict:
     """Self-testing constants per kind ("state" or "measurement"), from
     one run of `_curve_solves` over the objectives of every kind, so that
-    the companions of all kinds and grid points that share their cells
-    are solved as one family.
+    the points of all kinds that are one problem are solved once and the
+    companions that share their cells are solved as one family.
 
     The measurement constant is the worst case over the measurement
     objectives of the setting.  `solves` reports, per objective and grid
     point, how each solve ended: its `termination`, `iterations` and
-    `relative_gap`, and no wall time, so that reruns are byte-identical.
+    `relative_gap`, and no wall time, so that reruns at a fixed BLAS
+    thread count are byte-identical.
     """
     objectives = {}
     for kind in kinds:

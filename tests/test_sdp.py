@@ -1022,6 +1022,49 @@ def test_coupling_terms_only_at_nonzero_couplings(setting, inequality):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _assert_same_companion(got, fresh, z):
+    (instance, offset, recover), (want, want_offset, want_recover) = got, fresh
+    assert np.array_equal(instance.objective, want.objective)
+    con, ref = instance.constraints, want.constraints
+    for name in ("owner", "rows", "cols", "values", "rhs"):
+        assert np.array_equal(getattr(con, name), getattr(ref, name))
+    assert offset == want_offset
+    assert np.array_equal(recover(z), want_recover(z))
+
+
+@pytest.mark.parametrize("setting, inequality, other", [("1sdi", "steering", "XB"), ("di", "chsh", "XAXB")])
+def test_one_structure_poses_every_point_as_a_fresh_companion(setting, inequality, other):
+    # `state` and `other` share their label, norm, q and group, so one
+    # structure poses both objectives at every violation level
+    wmax = cert.max_violation(setting, inequality)
+    words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
+    state, reduced = (
+        npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality, wmax))
+        for objective in ("state", other)
+    )
+    group = npa.symmetry_group(state)
+    assert all(np.array_equal(a, b) for a, b in zip(group, npa.symmetry_group(reduced)))
+    e = [state.norm, state.q]
+    structure = sdp._Companion(state.label, e, group)
+    rng = np.random.default_rng(31)
+    for red in (state, reduced):
+        for violation in (wmax - 0.01, wmax - 0.2):
+            got = structure.pose(red.p, [1.0, violation])
+            z = rng.standard_normal(len(got[0].constraints))
+            _assert_same_companion(got, sdp.companion_instance(red.label, red.p, e, [1.0, violation], group), z)
+    # a dependent third row: the pose whose value for it disagrees raises,
+    # and the structure still poses the ones that agree
+    e = [state.norm, state.q, state.norm + state.q]
+    structure = sdp._Companion(state.label, e, group)
+    for violation in (wmax - 0.01, wmax - 0.2):
+        with pytest.raises(sdp.InfeasibleError):
+            structure.pose(state.p, [1.0, violation, 1.1 + violation])
+        d = [1.0, violation, 1.0 + violation]
+        got = structure.pose(state.p, d)
+        z = rng.standard_normal(len(got[0].constraints))
+        _assert_same_companion(got, sdp.companion_instance(state.label, state.p, e, d, group), z)
+
+
 # ---------------------------------------------------------------------------
 # Families: instances that share their constraint cells, solved in one run
 
@@ -1216,6 +1259,10 @@ def test_families_group_identical_cells_only():
 
 
 def test_commands_solve_one_run_per_family(monkeypatch):
+    # Each distinct companion of a command is solved once: the one-sided
+    # `state` and `ZB` points are one, and so are the fully untrusted
+    # `state` and `ZAZB` ones.  `ZAXB` has a family of its own.  A command
+    # for both kinds reports per kind what the kind's own command reports.
     sizes = []
     family = sdp.solve_family
 
@@ -1224,11 +1271,14 @@ def test_commands_solve_one_run_per_family(monkeypatch):
         return family(instances, max_iterations)
 
     monkeypatch.setattr(sdp, "solve_family", recording)
-    sdp.derive_alphas("1sdi", "steering", ("state", "measurement"), (0.1,))
-    assert sizes == [3]
-    sizes.clear()
-    sdp.derive_alphas("1sdi", "steering", ("state", "measurement"), DEFAULT_GRID)
-    assert sizes == [15]
-    sizes.clear()
-    sdp.derive_alphas("di", "chsh", ("state", "measurement"), (0.1,))
-    assert sizes == [3, 1]
+    for setting, inequality, epsilons, runs in (
+        ("1sdi", "steering", (0.1,), [2]),
+        ("1sdi", "chsh", DEFAULT_GRID, [10]),
+        ("di", "chsh", (0.1,), [2, 1]),
+        ("di", "chsh", DEFAULT_GRID, [10, 5]),
+    ):
+        sizes.clear()
+        reports = sdp.derive_alphas(setting, inequality, ("state", "measurement"), epsilons)
+        assert sizes == runs
+        for kind, report in reports.items():
+            assert report == sdp.derive_alpha(setting, inequality, kind, epsilons)
