@@ -259,8 +259,9 @@ class PlanResult:
 
 
 def _min_q_for_targets(inequality, iid, eps, x, target_f, target_p, alpha) -> float | None:
-    """Smallest q meeting both targets at fixed (eps, x); None if q_max
-    fails.
+    """A q meeting both targets at fixed (eps, x), None if q_max fails: the
+    estimate below of the smallest such q, stepped up to the first float
+    that passes, which can sit thousands of ulps above the smallest.
 
     The inputs must be valid ``CertificateParams`` fields (``plan``
     checks them once per eps).  With target_f in (0, 1) and target_p in
@@ -276,9 +277,8 @@ def _min_q_for_targets(inequality, iid, eps, x, target_f, target_p, alpha) -> fl
     ``_noniid_rest`` terms, which fall as q grows.  So q is the fixed
     point of q <- c * eps / (r^2 / alpha - rest(q)), a falling map; it
     is iterated inside the bracket [lo, hi] that the iterates establish.
-    Either way q is then stepped up one float at a time until the
-    unclamped bound passes, so every returned q is certified by the same
-    formula as ``fidelity_bound``.
+    The step up tests the unclamped bound, so every returned q is
+    certified by the same formula as ``fidelity_bound``.
     """
     q_max = 1e9
 
@@ -387,10 +387,10 @@ def plan(
     The candidates are the points of a grid: 120 log-spaced epsilons
     (or the given one) times, per epsilon, 40 log-spaced x from the
     smallest x that reaches the probability target up to 16.  At a point
-    the smallest q comes from ``_min_q_for_targets`` in closed form (iid)
-    or by a fixed-point iteration (non-iid), checked on the unclamped
-    bound, and the plan is the candidate with the lexicographically
-    smallest (copies, epsilon, q, x) among those within max_copies.
+    q is ``_min_q_for_targets``'s closed-form (iid) or fixed-point
+    (non-iid) estimate of the smallest q, stepped up to the first float
+    passing the unclamped bound; the plan is the lexicographically
+    smallest (copies, epsilon, q, x) among the candidates within max_copies.
 
     The search is a branch and bound (Land and Doig, 1960) on a floor
     for a point's copy count: ``_copies`` at the q of ``_q_floor``, which

@@ -119,9 +119,6 @@ class OperatorWord:
     def length(self) -> int:
         return len(self.alice) + len(self.bob)
 
-    def adjoint(self) -> "OperatorWord":
-        return OperatorWord(self.setting, self.alice[::-1], self.bob[::-1])
-
     def symbols(self) -> list:
         names_p = {v: k for k, v in _PROJ_SYMBOLS.items()}
         names_o = {v: k for k, v in _OBS_SYMBOLS.items()}

@@ -231,7 +231,6 @@ class ProtocolTranscript:
     statistic: float
     threshold: float
     accepted: bool
-    memoryless: bool = False
 
 
 def adjusted_copies(params: cert.CertificateParams) -> int:
@@ -257,42 +256,28 @@ def born_outcomes(m_a, m_b, corr, u_a, u_b):
     return a, b
 
 
-def _measure_adaptively(source: AdaptiveSource, rounds: np.ndarray, withheld: int, rng, memoryless: bool):
+def _measure_adaptively(source: AdaptiveSource, rounds: np.ndarray, withheld: int, rng):
     """Agreement counts of an adaptive source, measured round by round in
-    subset order (``memoryless``: in production order), each outcome pair
-    drawn from the Born rule of the pair the strategy emits with two
-    uniforms, a's before b's."""
-    rounds = np.sort(rounds, axis=1)
-    settings = np.empty(rounds.size + 1, dtype=int)
-    settings[rounds] = np.arange(len(rounds))[:, None]
-    order = np.delete(np.arange(len(settings)), withheld) if memoryless else rounds.ravel()
-    settings = settings.tolist()
+    subset order, each outcome pair drawn from the Born rule of the pair
+    the strategy emits with two uniforms, a's before b's."""
     agreements = [0] * len(rounds)
     history: list = []
-    for i in order.tolist():
-        t = settings[i]
-        m_a, m_b, corr = source.pair_statistics(*source.emit(history), t)
-        u_a = rng.random()
-        u_b = rng.random()
-        a, b = born_outcomes(m_a, m_b, corr, u_a, u_b)
-        agreements[t] += a == b
-        history.append((t, a, b))
+    for t, subset in enumerate(rounds.tolist()):
+        for _ in subset:
+            m_a, m_b, corr = source.pair_statistics(*source.emit(history), t)
+            u_a = rng.random()
+            u_b = rng.random()
+            a, b = born_outcomes(m_a, m_b, corr, u_a, u_b)
+            agreements[t] += a == b
+            history.append((t, a, b))
     source.withhold(withheld, history)
     return agreements
 
 
-def run_protocol(
-    source: Source,
-    params: cert.CertificateParams,
-    rng,
-    memoryless: bool = False,
-):
+def run_protocol(source: Source, params: cert.CertificateParams, rng):
     """One protocol execution: returns (transcript, certificate or None).
 
-    The withheld pair is chosen before any measurement and never sampled;
-    ``memoryless`` only changes the order in which an adaptive source is
-    measured (pairs consumed as produced instead of subset-by-subset) and
-    is certificate neutral.
+    The withheld pair is chosen before any measurement and never sampled.
     """
     mode = protocol_mode(params)
     if source.mode != mode:
@@ -306,7 +291,7 @@ def run_protocol(
     else:
         rounds = rng.permutation(np.delete(np.arange(k), r)).reshape(len(layout), size)
         if source.adaptive:
-            agreements = _measure_adaptively(source, rounds, r, rng, memoryless)
+            agreements = _measure_adaptively(source, rounds, r, rng)
         else:
             agree = rng.random(rounds.shape) < 0.5 * (1.0 + source.correlations(rounds))
             agreements = np.count_nonzero(agree, axis=1)
@@ -327,7 +312,6 @@ def run_protocol(
         statistic=float(statistic),
         threshold=float(threshold),
         accepted=bool(accepted),
-        memoryless=memoryless,
     )
     certificate = cert.fidelity_bound(params) if accepted else None
     return transcript, certificate

@@ -48,9 +48,6 @@ class TwoQubitState:
         if floor < -1e-10:
             raise ValueError(f"negative eigenvalue {floor:.3e}")
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 def bell_vector() -> np.ndarray:
     """The maximally entangled vector (|00> + |11>)/sqrt(2)."""

@@ -50,12 +50,11 @@ for the Schur factorization, and a member whose own step fails ends there
 while the others take their solo steps.  The driver builds the part of
 a companion that neither the objective nor the violation level moves
 (`_Companion`: free moments, row elimination, constraint cells) once per
-command and symmetry group, poses each distinct point on it once, and
-solves the points that share their cells and blocks as one family
-(`_families`).  The one-sided `state` and `ZB` problems are one, as are
-the fully untrusted `state` and `ZAZB`; a one-point one-sided
-`derive-alpha --kind both` is one run of two members, the default grid
-one of ten.
+command and symmetry group and poses each distinct point on it once; the
+points posed on one structure are one family.  The one-sided `state` and
+`ZB` problems are one, as are the fully untrusted `state` and `ZAZB`; a
+one-point one-sided `derive-alpha --kind both` is one run of two
+members, the default grid one of ten.
 
 The constraint matrices are sparse (an 81x81 moment-problem constraint
 has a median of 28 nonzero entries), so an instance holds each A_i only
@@ -553,9 +552,7 @@ def _step(cells: _Cells, x: np.ndarray, s: np.ndarray, rp: np.ndarray, rd: np.nd
         lam = np.minimum(lam, np.linalg.eigvalsh(np.concatenate([dx_b, ds_b], axis=1) * f.scale[:, None]).min(axis=-1))
     ap, ad = _max_step(lam, tau).reshape(count, 2, 2).transpose(1, 0, 2)
     mu_plain, mu_corr = _reached(frames, dx_t, ds_t, ap, ad, n).T
-    pick = (mu_corr < mu_plain).tolist()
-    # One direction for the whole stack is a plain index, else one per member.
-    pick = (slice(None), int(pick[0])) if len(set(pick)) == 1 else (np.arange(count), np.array(pick, dtype=np.intp))
+    pick = (np.arange(count), (mu_corr < mu_plain).astype(np.intp))
     dx = np.zeros((count, n, n))
     for f, dx_b in zip(frames, dx_t):
         dx[:, f.block, f.block] = f.g @ dx_b[pick] @ f.g.swapaxes(-1, -2)
@@ -826,7 +823,6 @@ def solve_family(instances, max_iterations: int = 100) -> list:
 @dataclass
 class MomentSolveResult:
     bound: float
-    violation: float
     solution: SdpSolution
     moments: np.ndarray
     gamma: np.ndarray
@@ -1054,21 +1050,6 @@ def fold_ties(instance: SdpInstance):
     return label, p, e, con.rhs[~tie], group
 
 
-def _families(instances) -> list:
-    """The instances grouped into families for `solve_family`: the lists of
-    indices of the instances with the same constraint cells and the same
-    diagonal blocks, in order of first appearance.  With equal blocks, the
-    union of the members' objective patterns gives each member its own
-    blocks, so each member's solution is the one it gets alone."""
-    families = {}
-    for k, instance in enumerate(instances):
-        con = instance.constraints
-        edges = np.concatenate([np.nonzero(instance.objective), (con.rows, con.cols)], axis=1)
-        cells = (con.owner, con.rows, con.cols, con.values, _components(instance.dim, *edges))
-        families.setdefault((instance.dim, len(con)) + tuple(a.tobytes() for a in cells), []).append(k)
-    return list(families.values())
-
-
 def _data_key(*arrays) -> tuple:
     """The bytes of each array, a dictionary key for their data.  The
     arrays keyed have fixed dtypes, and their shapes follow from their
@@ -1086,10 +1067,10 @@ def solve_moment_problems(points) -> list:
     once per distinct reduced problem, the companion structure
     (`_Companion`) is built once per distinct label, norm, q and group,
     and each distinct point is posed and solved once; its solution goes
-    to every point that posed it.  The companions that share their cells
-    and blocks are solved as one family (`_families`, `solve_family`).
-    This is the one place that refuses a solve that did not end
-    "optimal", point by point, in the order of `points`."""
+    to every point that posed it.  The points posed on one structure
+    share its cells and blocks and are one family (`solve_family`).  This
+    is the one place that refuses a solve that did not end "optimal",
+    point by point, in the order of `points`."""
     groups, structures, distinct, posed, of_point = {}, {}, {}, [], []
     for reduced, violation in points:
         data = _data_key(reduced.label, reduced.p, reduced.norm, reduced.q)
@@ -1098,12 +1079,14 @@ def solve_moment_problems(points) -> list:
                 groups[data] = npa.symmetry_group(reduced)
             shared = (data[0],) + data[2:] + _data_key(*groups[data])
             if shared not in structures:
-                structures[shared] = _Companion(reduced.label, [reduced.norm, reduced.q], groups[data])
+                structures[shared] = (_Companion(reduced.label, [reduced.norm, reduced.q], groups[data]), [])
+            structure, family = structures[shared]
             distinct[data, violation] = len(posed)
-            posed.append(structures[shared].pose(reduced.p, [1.0, violation]))
+            family.append(len(posed))
+            posed.append(structure.pose(reduced.p, [1.0, violation]))
         of_point.append(distinct[data, violation])
     solutions = [None] * len(posed)
-    for family in _families([instance for instance, _, _ in posed]):
+    for _, family in structures.values():
         for k, sol in zip(family, solve_family([posed[k][0] for k in family])):
             solutions[k] = sol
     results = []
@@ -1118,7 +1101,6 @@ def solve_moment_problems(points) -> list:
         results.append(
             MomentSolveResult(
                 bound=float(offset - sol.primal_objective),
-                violation=violation,
                 solution=sol,
                 moments=y,
                 gamma=reduced.assemble(y),

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -262,29 +261,6 @@ def test_adaptive_source_runs():
         source.pair((transcript.withheld + 1) % transcript.copies)
 
 
-def test_memoryless_flag_is_metadata_only():
-    params = steering_params()
-    source = protosim.werner_source("two-basis", 0.97)
-    runs = [
-        protosim.run_protocol(source, params, np.random.default_rng(15), memoryless=flag) for flag in (False, True)
-    ]
-    (plain, plain_cert), (transcript, certificate) = runs
-    check_transcript(transcript, params)
-    assert transcript.memoryless and not plain.memoryless
-    assert dataclasses.replace(transcript, memoryless=False) == plain
-    assert certificate == plain_cert
-    if transcript.accepted:
-        assert certificate.fidelity == cert.fidelity_bound(params).fidelity
-
-    # on the per-round path it only reorders the measurements
-    small = steering_params(eps=0.4, q=1.2, x=0.5)
-    adaptive = protosim.AdaptiveSource("two-basis", lambda history: (qc.werner_state(0.97), qc.ideal_model()))
-    transcript, certificate = protosim.run_protocol(adaptive, small, np.random.default_rng(15), memoryless=True)
-    check_transcript(transcript, small)
-    assert transcript.memoryless
-    assert certificate == (cert.fidelity_bound(small) if transcript.accepted else None)
-
-
 def _parity_strategy(history):
     """Visibility set by the parity of the anticorrelated rounds so far."""
     anti = sum(1 for _, a, b in history if a != b)
@@ -304,15 +280,14 @@ def _last_round_strategy(history):
 #: sampler was rewritten with scalar arithmetic; the random stream (two
 #: uniforms per round, a's before b's) must not change.
 PINNED_ADAPTIVE = {
-    ("two-basis", False): [(56, [27, 29]), (31, [31, 30]), (56, [30, 28]), (54, [33, 33])],
-    ("two-basis", True): [(56, [28, 28]), (31, [29, 32]), (56, [28, 30]), (54, [33, 33])],
-    ("four-setting", False): [(113, [21, 24, 28, 3]), (62, [29, 26, 26, 9]), (111, [28, 30, 27, 5]), (107, [30, 27, 29, 6])],
-    ("four-setting", True): [(113, [24, 23, 21, 4]), (62, [22, 23, 26, 5]), (111, [27, 24, 28, 3]), (107, [23, 29, 26, 5])],
+    "two-basis": [(56, [27, 29]), (31, [31, 30]), (56, [30, 28]), (54, [33, 33])],
+    "four-setting": [(113, [21, 24, 28, 3]), (62, [29, 26, 26, 9]), (111, [28, 30, 27, 5]), (107, [30, 27, 29, 6])],
 }
 
 
-@pytest.mark.parametrize("mode, memoryless", sorted(PINNED_ADAPTIVE))
-def test_adaptive_random_stream_is_pinned(mode, memoryless):
+# The ids keep the names the streams were first recorded under.
+@pytest.mark.parametrize("mode", sorted(PINNED_ADAPTIVE), ids=lambda mode: f"{mode}-False")
+def test_adaptive_random_stream_is_pinned(mode):
     trust, inequality, strategy = (
         ("1sdi", "steering", _parity_strategy) if mode == "two-basis" else ("di", "chsh", _last_round_strategy)
     )
@@ -320,10 +295,10 @@ def test_adaptive_random_stream_is_pinned(mode, memoryless):
     runs = []
     for seed in range(4):
         source = protosim.AdaptiveSource(mode, strategy)
-        transcript, _ = protosim.run_protocol(source, params, np.random.default_rng(seed), memoryless=memoryless)
+        transcript, _ = protosim.run_protocol(source, params, np.random.default_rng(seed))
         check_transcript(transcript, params)
         runs.append((transcript.withheld, transcript.agreements))
-    assert runs == PINNED_ADAPTIVE[mode, memoryless]
+    assert runs == PINNED_ADAPTIVE[mode]
 
 
 def test_greedy_adversary_soundness_is_pinned():
@@ -556,7 +531,7 @@ def test_fully_untrusted_pair_teleports_at_werner_fidelity(visibility):
     source = protosim.werner_source("four-setting", visibility)
     transcript = protosim.ProtocolTranscript(
         copies=5, withheld=0, agreements=np.zeros(4, dtype=np.int64), subset_averages=np.ones(4),
-        statistic=2 * np.sqrt(2), threshold=2.5, accepted=True, memoryless=False,
+        statistic=2 * np.sqrt(2), threshold=2.5, accepted=True,
     )
     certificate = cert.fidelity_bound(cert.CertificateParams("di", "chsh", True, 0.02, 1.04, 0.62))
     report = protosim.teleport_with_certificate(source, transcript, certificate, 30, np.random.default_rng(3))

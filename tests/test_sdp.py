@@ -1103,7 +1103,6 @@ def _assert_solo(got, instance, max_iterations=100):
 )
 def test_family_members_are_their_solo_solves(setting, inequality, objectives, epsilons):
     instances = _companions(setting, inequality, objectives, epsilons)
-    assert sdp._families(instances) == [list(range(len(instances)))]
     family = sdp.solve_family(instances)
     assert len(family) == len(instances)
     for got, instance in zip(family, instances):
@@ -1236,26 +1235,43 @@ def test_an_exit_without_a_step_ends_only_its_member(monkeypatch, exit):
         _assert_solo(family[k], instances[k])
 
 
-def test_families_group_identical_cells_only():
-    # fully untrusted, both kinds at one eps: {state, ZAZB, XAXB} share
-    # their cells, and ZAXB, which keeps only the flip, has its own
-    instances = _companions("di", "chsh", ("state", "ZAZB", "XAXB", "ZAXB"), (0.1,))
-    assert sdp._families(instances) == [[0, 1, 2], [3]]
+def test_families_group_identical_cells_only(monkeypatch):
+    # The driver solves the points posed on one structure as one family.
+    # Each member gets its solo solution because, on every README
+    # derivation, the points of a structure have its cells, and no
+    # point's objective joins two blocks of those cells.
+    families = []
+    family = sdp.solve_family
+
+    def recording(instances, max_iterations=100):
+        families.append(instances)
+        return family(instances, max_iterations)
+
+    monkeypatch.setattr(sdp, "solve_family", recording)
+    for setting, inequality in (("1sdi", "steering"), ("1sdi", "chsh"), ("di", "chsh")):
+        sdp.derive_alphas(setting, inequality, ("state", "measurement"), DEFAULT_GRID)
+    assert [len(instances) for instances in families] == [10, 10, 10, 5]
+    for instances in families:
+        con = instances[0].constraints
+        blocks = sdp._components(instances[0].dim, con.rows, con.cols)
+        for instance in instances:
+            assert all(
+                np.array_equal(getattr(con, name), getattr(instance.constraints, name))
+                for name in ("owner", "rows", "cols", "values")
+            )
+            edges = np.concatenate([np.nonzero(instance.objective), (con.rows, con.cols)], axis=1)
+            assert np.array_equal(sdp._components(instance.dim, *edges), blocks)
+    # solve_family refuses instances whose cells differ: fully untrusted
+    # `state` and `ZAXB`, which keeps only the flip, or one value changed
+    state, flip = families[2][0], families[3][0]
     with pytest.raises(ValueError, match="share their constraint cells"):
-        sdp.solve_family([instances[0], instances[3]])
-    # the same cells with one value changed, or one right-hand side fewer
-    con = instances[0].constraints
+        sdp.solve_family([state, flip])
+    con = state.constraints
     values = con.values.copy()
     values[0] *= 2.0
-    changed = sdp.SdpInstance(instances[0].objective, sdp.Constraints(con.owner, con.rows, con.cols, values, con.rhs))
-    assert sdp._families([instances[0], changed]) == [[0], [1]]
+    changed = sdp.SdpInstance(state.objective, sdp.Constraints(con.owner, con.rows, con.cols, values, con.rhs))
     with pytest.raises(ValueError, match="share their constraint cells"):
-        sdp.solve_family([instances[0], changed])
-    # the same cells, but an objective that joins two blocks: batched, the
-    # member alone would get finer blocks, so the grouping keeps it apart
-    joined = instances[0].objective.copy()
-    joined[0, 30] = joined[30, 0] = 1.0
-    assert sdp._families([instances[0], sdp.SdpInstance(joined, con)]) == [[0], [1]]
+        sdp.solve_family([state, changed])
 
 
 def test_commands_solve_one_run_per_family(monkeypatch):
