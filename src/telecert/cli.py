@@ -165,6 +165,9 @@ def cmd_simulate(args) -> int:
     _require(args, "eps", "q", "x")
     if args.teleport_inputs < 0:
         raise ValueError("--teleport-inputs must be at least 0 (0 skips teleportation)")
+    for flag, value in (("--visibility", args.visibility), ("--v-end", args.v_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite")
     alpha, alpha_source = _resolve_alpha(args)
     params = cert.CertificateParams(
         args.trust, args.inequality, args.iid, args.eps, args.q, args.x, alpha, alpha_source

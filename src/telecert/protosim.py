@@ -152,7 +152,8 @@ class VisibilitySequenceSource(Source):
     def __init__(self, mode: str, visibilities: np.ndarray, special: dict | None = None):
         super().__init__(mode)
         self.visibilities = np.asarray(visibilities, dtype=float)
-        if np.any(self.visibilities < 0.0) or np.any(self.visibilities > 1.0):
+        # Written to hold, so that NaN fails it too.
+        if not np.all((self.visibilities >= 0.0) & (self.visibilities <= 1.0)):
             raise ValueError("visibilities must sit in [0, 1]")
         self.special = special or {}
 

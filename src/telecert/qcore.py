@@ -5,10 +5,17 @@ untrusted projectors, the ancilla-swap extraction channel, and the
 standard teleportation circuit.  Everything is complex float64;
 Hermiticity is restored by explicit symmetrization after constructive
 operations, with a deviation check before symmetrizing.
+
+The constant objects are built and checked once per process and then
+shared: the ideal Pauli devices (one model per trust setting) and the
+Werner-type states (a bounded cache keyed by visibility), whose arrays
+are read-only, and each model's extraction products, kept in its
+``derived`` memo.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,25 +70,34 @@ def rotated_bell_vector() -> np.ndarray:
     return np.array([c, s, s, -c], dtype=complex) / np.sqrt(2.0)
 
 
-_BELL_PROJECTOR = np.outer(bell_vector(), bell_vector().conj())
-_ROTATED_BELL_PROJECTOR = np.outer(rotated_bell_vector(), rotated_bell_vector().conj())
+_WERNER_PROJECTORS = {
+    "bell": np.outer(bell_vector(), bell_vector().conj()),
+    "rotated": np.outer(rotated_bell_vector(), rotated_bell_vector().conj()),
+}
 _MAXIMALLY_MIXED = np.eye(4) / 4.0
 
 
-def _werner_mixture(projector: np.ndarray, v: float) -> TwoQubitState:
+# Bounded, so a drifting source's continuum of visibilities cannot grow
+# memory; a refused v raises on every call, since exceptions are not cached.
+@functools.lru_cache(maxsize=64)
+def _werner_mixture(target: str, v: float) -> TwoQubitState:
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility {v!r} outside [0, 1]")
-    return TwoQubitState(v * projector + (1.0 - v) * _MAXIMALLY_MIXED)
+    state = TwoQubitState(v * _WERNER_PROJECTORS[target] + (1.0 - v) * _MAXIMALLY_MIXED)
+    state.matrix.flags.writeable = False
+    return state
 
 
 def werner_state(v: float) -> TwoQubitState:
-    """Mixture v |bell><bell| + (1 - v) I/4 with visibility v in [0, 1]."""
-    return _werner_mixture(_BELL_PROJECTOR, v)
+    """Mixture v |bell><bell| + (1 - v) I/4 with visibility v in [0, 1],
+    shared from a bounded cache and with a read-only matrix."""
+    return _werner_mixture("bell", v)
 
 
 def rotated_werner_state(v: float) -> TwoQubitState:
-    """Werner-type mixture around the rotated Bell state (CHSH-adapted)."""
-    return _werner_mixture(_ROTATED_BELL_PROJECTOR, v)
+    """Werner-type mixture around the rotated Bell state (CHSH-adapted),
+    shared like :func:`werner_state`."""
+    return _werner_mixture("rotated", v)
 
 
 def fidelity_to_pure(state: TwoQubitState, phi: np.ndarray) -> float:
@@ -115,9 +131,10 @@ class MeasurementModel:
     fully untrusted configuration Alice gets her own family
     ``alice_projectors[x][a]``.
 
-    A model is not changed after construction: ``derived`` memoizes
-    operators that callers build from it (the protocol simulator keeps
-    its per-setting expectation stacks there).
+    A model is not changed after construction, and the shared ideal
+    models' read-only projector arrays enforce this: ``derived`` memoizes
+    operators built from it (the extraction products, and the protocol
+    simulator's per-setting expectation stacks).
     """
 
     bob_dim: int
@@ -177,7 +194,13 @@ def _check_projector_family(projectors: np.ndarray, dim: int) -> None:
 
 def ideal_model(device_independent: bool = False) -> MeasurementModel:
     """Exact Pauli model on qubits (extend afterwards for a larger Bob):
-    setting 0 measures sigma_Z, setting 1 sigma_X."""
+    setting 0 measures sigma_Z, setting 1 sigma_X.  One shared model per
+    trust setting, with read-only projector arrays."""
+    return _ideal_model(bool(device_independent))
+
+
+@functools.lru_cache(maxsize=None)
+def _ideal_model(device_independent: bool) -> MeasurementModel:
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
     proj = np.array(
@@ -186,8 +209,9 @@ def ideal_model(device_independent: bool = False) -> MeasurementModel:
             [np.outer(plus, plus.conj()), np.outer(minus, minus.conj())],
         ]
     )
+    proj.flags.writeable = False
     if device_independent:
-        return MeasurementModel(2, proj, 2, proj.copy())
+        return MeasurementModel(2, proj, 2, proj)
     return MeasurementModel(2, proj)
 
 
@@ -255,6 +279,18 @@ def _extraction_kraus(observable_z: np.ndarray, observable_x: np.ndarray) -> lis
     return [e, observable_x @ (np.eye(dim) - e)]
 
 
+def _extraction_products(model: MeasurementModel, party: str) -> list:
+    """``products[i][j] = K_j^dag K_i`` of one party's extraction Kraus
+    pair, built once per model and kept in ``model.derived``."""
+    key = ("extraction_products", party)
+    products = model.derived.get(key)
+    if products is None:
+        observable = model.bob_observable if party == "bob" else model.alice_observable
+        kraus = _extraction_kraus(observable(0), observable(1))
+        products = model.derived[key] = [[kraus[j].conj().T @ kraus[i] for j in (0, 1)] for i in (0, 1)]
+    return products
+
+
 def swap_isometry_extract(state, model: MeasurementModel, side: str = "bob") -> TwoQubitState:
     """Apply the swap extraction to the untrusted side(s) and return the
     two-qubit marginal on the ancilla register(s).
@@ -268,12 +304,12 @@ def swap_isometry_extract(state, model: MeasurementModel, side: str = "bob") -> 
         d_a = rho.shape[0] // d_b
         if d_a * d_b != rho.shape[0] or d_a != 2:
             raise ValueError("one-sided extraction expects a qubit on the trusted side")
-        kraus = _extraction_kraus(model.bob_observable(0), model.bob_observable(1))
+        products = _extraction_products(model, "bob")
         out = np.zeros((4, 4), dtype=complex)
         for i in (0, 1):
             for j in (0, 1):
                 # Output index is 2a + ancilla, so Alice stays the leading qubit.
-                block = partial_trace_bob(rho, d_a, d_b, kraus[j].conj().T @ kraus[i])
+                block = partial_trace_bob(rho, d_a, d_b, products[i][j])
                 out[np.ix_((i, 2 + i), (j, 2 + j))] = block
         return TwoQubitState(out)
     if side == "both":
@@ -282,16 +318,13 @@ def swap_isometry_extract(state, model: MeasurementModel, side: str = "bob") -> 
         d_a, d_b = model.alice_dim, model.bob_dim
         if d_a * d_b != rho.shape[0]:
             raise ValueError("state dimension does not match the model")
-        ka = _extraction_kraus(model.alice_observable(0), model.alice_observable(1))
-        kb = _extraction_kraus(model.bob_observable(0), model.bob_observable(1))
+        pa, pb = _extraction_products(model, "alice"), _extraction_products(model, "bob")
         out = np.empty((4, 4), dtype=complex)
         for i in (0, 1):
             for j in (0, 1):
                 for k in (0, 1):
                     for l in (0, 1):
-                        out[2 * i + j, 2 * k + l] = product_expectation(
-                            rho, ka[k].conj().T @ ka[i], kb[l].conj().T @ kb[j]
-                        )
+                        out[2 * i + j, 2 * k + l] = product_expectation(rho, pa[i][k], pb[j][l])
         return TwoQubitState(out)
     raise ValueError(f"unknown side {side!r}")
 

@@ -129,6 +129,21 @@ def test_simulate_refuses_negative_teleport_inputs(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["one-bad-pair", "drift"])
+@pytest.mark.parametrize("flag", ["--visibility", "--v-end"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_refuses_non_finite_visibility(tmp_path, capsys, source, flag, value):
+    # NaN fails every comparison, so it slips past a range check written
+    # as `v < 0 or v > 1` and every trial reads as rejected
+    out = tmp_path / "runs.csv"
+    argv = ["simulate", "--non-iid", "--eps", "0.3", "--q", "3", "--x", "1", "--source", source, flag, value, "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"telecert: error: {flag} must be finite\n"
+    assert not out.exists()
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     argv = [
         "simulate", "--eps", "0.2", "--q", "4", "--x", "1",

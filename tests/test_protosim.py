@@ -301,6 +301,53 @@ def test_adaptive_random_stream_is_pinned(mode):
     assert runs == PINNED_ADAPTIVE[mode]
 
 
+#: (withheld, agreements, true_fidelity) of trials 0-3 of a seed-11 batch,
+#: recorded before the constant states, models and extraction products
+#: were shared; no reuse may shift a random draw or an output bit.
+PINNED_SEQUENCE = {
+    ("two-basis", "one-bad-pair"): [
+        (59, [30, 30], 0.9249999999999994), (54, [31, 30], 0.9249999999999994),
+        (11, [32, 32], 0.9249999999999994), (0, [31, 32], 0.9249999999999994),
+    ],
+    ("two-basis", "drift"): [
+        (48, [31, 29], 0.8909090909090902), (43, [32, 30], 0.9022727272727268),
+        (23, [32, 32], 0.947727272727272), (45, [30, 32], 0.8977272727272722),
+    ],
+    ("four-setting", "one-bad-pair"): [
+        (118, [25, 27, 28, 7], None), (107, [25, 30, 25, 4], 0.924999999999999),
+        (22, [26, 28, 27, 5], 0.924999999999999), (1, [27, 25, 26, 7], None),
+    ],
+    ("four-setting", "drift"): [
+        (95, [26, 27, 27, 6], 0.8920454545454535), (86, [26, 30, 25, 5], 0.9022727272727263),
+        (46, [26, 27, 28, 3], 0.9477272727272718), (90, [27, 24, 26, 7], None),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode, kind", sorted(PINNED_SEQUENCE))
+def test_sequence_random_stream_is_pinned(mode, kind):
+    trust, inequality = ("1sdi", "steering") if mode == "two-basis" else ("di", "chsh")
+    params = cert.CertificateParams(trust, inequality, False, 0.4, 1.2, 0.5)
+    if kind == "one-bad-pair":
+        factory = lambda k, rng: protosim.one_bad_pair_source(mode, k, int(rng.integers(k)), 0.9)
+    else:
+        factory = lambda k, rng: protosim.drifting_visibility_source(mode, k, 1.0, 0.8)
+    runs = []
+    for trial in protosim.run_trials(factory, params, 4, seed=11):
+        check_transcript(trial.transcript, params)
+        runs.append((trial.transcript.withheld, trial.transcript.agreements, trial.true_fidelity))
+    assert runs == PINNED_SEQUENCE[(mode, kind)]
+
+
+@pytest.mark.parametrize("mode", sorted(protosim.LAYOUTS))
+def test_sequence_sources_refuse_nan_visibility(mode):
+    nan = float("nan")
+    with pytest.raises(ValueError, match="visibilities must sit in"):
+        protosim.one_bad_pair_source(mode, 5, 1, nan)
+    with pytest.raises(ValueError, match="visibilities must sit in"):
+        protosim.drifting_visibility_source(mode, 5, 1.0, nan)
+
+
 def test_greedy_adversary_soundness_is_pinned():
     # The benchmark's adaptive adversary: a maximally mixed pair while
     # under 5% of the measured rounds came out anticorrelated.

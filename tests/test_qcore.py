@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from telecert import protosim, qcore as qc
+from telecert import npa, protosim, qcore as qc
 
 
 def test_bell_state_entries():
@@ -105,6 +107,45 @@ def test_sampling_mean_matches_correlation():
     assert abs(np.mean(a * b) - correlation) < 4 / np.sqrt(n)
 
 
+def test_ideal_models_are_shared_and_read_only():
+    for di in (False, True):
+        model = qc.ideal_model(device_independent=di)
+        assert qc.ideal_model(di) is model and qc.ideal_model(device_independent=di) is model
+        families = [model.bob_projectors] + ([model.alice_projectors] if di else [])
+        for family in families:
+            with pytest.raises(ValueError):
+                family[0, 0, 0, 0] = 0.0
+    assert qc.ideal_model() is qc.ideal_model(False)
+    assert qc.ideal_model() is not qc.ideal_model(True)
+
+
+def test_werner_states_are_shared_and_read_only():
+    for build in (qc.werner_state, qc.rotated_werner_state):
+        state = build(0.37)
+        assert build(0.37) is state
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = 0.0
+    assert qc.werner_state(0.37) is not qc.rotated_werner_state(0.37)
+    # refusals are not cached: each call checks again
+    for v in (1.2, float("nan")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside"):
+                qc.werner_state(v)
+
+
+def test_extended_ideal_model_is_fresh(purify_with_bob_ancilla):
+    shared = qc.ideal_model()
+    model = shared.extended(4)
+    assert model is not shared.extended(4)
+    assert model.derived == {}
+    assert model.bob_projectors.flags.writeable
+    # the Gamma instantiated on it is the one an unshared Pauli model gives
+    unshared = qc.MeasurementModel(2, shared.bob_projectors.copy()).extended(4)
+    words = npa.generate_words("1sdi", 3)
+    vec, _ = purify_with_bob_ancilla(qc.werner_state(0.81))
+    assert np.array_equal(npa.instantiate_gamma(model, vec, words), npa.instantiate_gamma(unshared, vec, words))
+
+
 def test_extraction_ideal_is_identity():
     ext = qc.swap_isometry_extract(qc.bell_vector(), qc.ideal_model(), side="bob")
     assert np.max(np.abs(ext.matrix - qc.werner_state(1.0).matrix)) < 1e-12
@@ -129,6 +170,30 @@ def test_extraction_both_sides_ideal():
     target = qc.rotated_bell_vector()
     ext = qc.swap_isometry_extract(target, qc.ideal_model(device_independent=True), side="both")
     assert qc.fidelity_to_pure(ext, target) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_extraction_reuses_the_kraus_products_bit_for_bit():
+    # reference: the Kraus products formed afresh at each use
+    def reference(rho, model, side):
+        kb = qc._extraction_kraus(model.bob_observable(0), model.bob_observable(1))
+        out = np.zeros((4, 4), dtype=complex)
+        if side == "bob":
+            for i, j in itertools.product((0, 1), repeat=2):
+                block = qc.partial_trace_bob(rho, 2, model.bob_dim, kb[j].conj().T @ kb[i])
+                out[np.ix_((i, 2 + i), (j, 2 + j))] = block
+        else:
+            ka = qc._extraction_kraus(model.alice_observable(0), model.alice_observable(1))
+            for i, j, k, l in itertools.product((0, 1), repeat=4):
+                out[2 * i + j, 2 * k + l] = qc.product_expectation(rho, ka[k].conj().T @ ka[i], kb[l].conj().T @ kb[j])
+        return qc.TwoQubitState(out).matrix
+
+    rng = np.random.default_rng(8)
+    for side, alice_dim in (("bob", None), ("both", 2)):
+        model = qc.random_projective_model(4, rng, alice_dim=alice_dim)
+        for _ in range(2):  # the second call reads the products kept on the model
+            g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+            assert np.array_equal(qc.swap_isometry_extract(rho, model, side=side).matrix, reference(rho, model, side))
 
 
 def test_extraction_matches_functional_route():
