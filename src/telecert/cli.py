@@ -5,6 +5,13 @@ sdp-solve, figure2.  Every output embeds the invoking configuration, the
 seed, formula identifiers, and the package version; identical
 (config, seed) runs produce byte-identical files.  Exit codes: 0 on
 success, 2 on infeasible targets or a rejected run, 1 on errors.
+
+Only the standard library and the pure-Python planner `cert` load with
+this module.  The numerical modules load on demand, inside the command
+that runs them: `simulate` imports `protosim` (and with it `qcore` and
+numpy), and `derive-alpha`, `npa-export` and `sdp-solve` import `sdp`
+and `npa`.  So `plan`, `certify`, `figure2` and `--help` start without
+numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import json
 import math
 import sys
 
-from . import __version__, cert, npa, protosim, sdp
+from . import SdpError, __version__, cert
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,6 +156,8 @@ def cmd_certify(args) -> int:
 def _source_factory(args, mode: str):
     """``source_factory(copies, rng)`` for run_trials.  The iid sources
     consume no randomness, so one instance serves the whole batch."""
+    from . import protosim
+
     if args.source in ("honest", "werner"):
         source = (
             protosim.honest_ideal_source(mode) if args.source == "honest" else protosim.werner_source(mode, args.visibility)
@@ -172,6 +181,16 @@ def cmd_simulate(args) -> int:
     params = cert.CertificateParams(
         args.trust, args.inequality, args.iid, args.eps, args.q, args.x, alpha, alpha_source
     )
+    # A flag the source never reads would be echoed in the summary's config
+    # as if it had been simulated.
+    if args.source == "honest" and args.visibility != 1.0:
+        raise ValueError("--visibility must be 1.0 with --source honest, which is visibility 1")
+    if args.source != "drift" and args.v_end != 1.0:
+        raise ValueError(f"--v-end is read only by --source drift, not --source {args.source}")
+    if args.seed < 0:
+        raise ValueError("--seed must be at least 0")
+    from . import protosim
+
     mode = protosim.protocol_mode(params)
     trials = protosim.run_trials(_source_factory(args, mode), params, args.trials, args.seed)
     stats = protosim.SoundnessStats.start(params, args.trials)
@@ -213,6 +232,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_derive_alpha(args) -> int:
+    from . import sdp
+
     grid = _parse_grid(args.eps_grid)
     setting = args.trust
     kinds = ("state", "measurement") if args.kind == "both" else (args.kind,)
@@ -239,6 +260,8 @@ def cmd_derive_alpha(args) -> int:
 
 def cmd_npa_export(args) -> int:
     _require(args, "eps")
+    from . import npa, sdp
+
     words = npa.generate_words(args.trust, sdp._word_cap(args.trust, args.word_cap))
     w = cert.max_violation(args.trust, args.inequality) - args.eps
     problem = npa.build_moment_problem(args.trust, words, args.objective, args.inequality, w)
@@ -258,6 +281,8 @@ def cmd_sdp_solve(args) -> int:
     _require(args, "infile")
     if args.max_iterations < 1:
         raise ValueError("--max-iterations must be at least 1")
+    from . import npa, sdp
+
     objective, constraints = npa.read_sdpa_numeric(args.infile)
     problem = sdp.SdpInstance(objective, sdp.Constraints(*constraints))
     try:
@@ -383,7 +408,8 @@ def _require(args, *names):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="telecert", description=__doc__)
+    # the docstring's last paragraph, on what loads when, is not for --help
+    parser = _Parser(prog="telecert", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
     parser._telecert_subparsers = subparsers
@@ -488,7 +514,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, sdp.SdpError) as exc:
+    except (ValueError, OSError, SdpError) as exc:
         print(f"telecert: error: {exc}", file=sys.stderr)
         return 1
 

@@ -98,7 +98,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import cert, npa
+from . import SdpError, cert, npa
 
 DEFAULT_WORD_CAP = {npa.SETTING_1SDI: 3, npa.SETTING_DI: 4}
 
@@ -108,10 +108,6 @@ MEASUREMENT_OBJECTIVES = {
     npa.SETTING_1SDI: ("ZB", "XB"),
     npa.SETTING_DI: ("ZAZB", "XAXB", "ZAXB"),
 }
-
-
-class SdpError(RuntimeError):
-    pass
 
 
 class InfeasibleError(SdpError):

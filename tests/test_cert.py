@@ -1,5 +1,8 @@
+import ast
 import itertools
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,15 @@ from telecert import cert
 
 def params(trust="1sdi", inequality="steering", iid=True, eps=0.25, q=35.0, x=1.0, alpha=None):
     return cert.CertificateParams(trust, inequality, iid, eps, q, x, alpha)
+
+
+def test_cert_imports_only_the_standard_library():
+    # the planner's commands load cert and no numerical module
+    tree = ast.parse(pathlib.Path(cert.__file__).read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    # a relative import names "." and fails: a sibling module may load numpy
+    names |= {"." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert names and all(name.split(".")[0] in sys.stdlib_module_names for name in names), names
 
 
 def test_param_validation():

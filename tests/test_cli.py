@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -7,7 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from telecert import cert, cli, npa, protosim
+import telecert
+from telecert import cert, cli, npa, protosim, sdp
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(argv, capsys):
@@ -141,6 +146,53 @@ def test_simulate_refuses_non_finite_visibility(tmp_path, capsys, source, flag, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"telecert: error: {flag} must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "source, flag, value, message",
+    [
+        ("honest", "--visibility", "0.5", "--visibility must be 1.0 with --source honest, which is visibility 1"),
+        ("honest", "--v-end", "0.8", "--v-end is read only by --source drift, not --source honest"),
+        ("werner", "--v-end", "0.8", "--v-end is read only by --source drift, not --source werner"),
+        ("one-bad-pair", "--v-end", "0.8", "--v-end is read only by --source drift, not --source one-bad-pair"),
+    ],
+)
+def test_simulate_refuses_flags_its_source_never_reads(tmp_path, capsys, monkeypatch, source, flag, value, message):
+    # the summary echoes every flag, so an unread one would be recorded as
+    # if it had been simulated
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the flags were checked")
+
+    monkeypatch.setattr(protosim, "run_protocol", no_trials)
+    out = tmp_path / "runs.csv"
+    argv = ["simulate", "--non-iid", "--eps", "0.3", "--q", "3", "--x", "1", "--source", source, flag, value, "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"telecert: error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_honest_source_at_visibility_one_runs_unchanged(capsys):
+    argv = ["simulate", "--non-iid", "--eps", "0.3", "--q", "3", "--x", "1", "--source", "honest", "--trials", "3"]
+    default = run_cli(argv, capsys)
+    explicit = run_cli(argv + ["--visibility", "1.0", "--v-end", "1.0"], capsys)
+    assert default[0] == explicit[0] == 0
+    assert json.loads(default[1])["accepted"] == 3
+    assert explicit[1] == default[1]
+
+
+def test_simulate_refuses_negative_seed(tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the seed was checked")
+
+    monkeypatch.setattr(protosim, "run_protocol", no_trials)
+    out = tmp_path / "runs.csv"
+    assert cli.main(["simulate", "--eps", "0.15", "--q", "5.45", "--x", "1", "--seed", "-1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "telecert: error: --seed must be at least 0\n"
     assert not out.exists()
 
 
@@ -486,6 +538,75 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+NUMERICAL = ("numpy", "telecert.npa", "telecert.sdp", "telecert.protosim", "telecert.qcore")
+
+
+def _modules_loaded_by(argv, cwd):
+    """The numpy and telecert modules a fresh interpreter holds after
+    `cli.main(argv)`, or after `cli.build_parser()` when argv is None."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from telecert import cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is None:\n"
+        "    cli.build_parser()\n"
+        "    code = 0\n"
+        "else:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=env, cwd=cwd, check=True
+    )
+    code, modules = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    return {name for name in modules if name.split(".")[0] == "numpy" or name.startswith("telecert")}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (None, NUMERICAL),
+        (["plan", "--target-f", "0.6667", "--eps", "0.25"], NUMERICAL),
+        (["certify", "--eps", "0.25", "--q", "35", "--x", "1"], NUMERICAL),
+        (["figure2", "--out", "figure2.csv"], NUMERICAL),
+        (["simulate", "--eps", "0.15", "--q", "5.45", "--x", "1", "--source", "werner", "--visibility", "0.95", "--trials", "2"], ("telecert.sdp", "telecert.npa")),
+        (["derive-alpha", "--trust", "1sdi", "--eps-grid", "0.1"], ("telecert.protosim",)),
+    ],
+    ids=["build_parser", "plan", "certify", "figure2", "simulate", "derive-alpha"],
+)
+def test_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
+    # the planner's commands are pure Python; loading numpy and compiling
+    # the solver would be most of their start-up
+    loaded = _modules_loaded_by(argv, tmp_path)
+    assert "telecert.cert" in loaded
+    assert loaded.isdisjoint(absent), sorted(loaded & set(absent))
+
+
+def test_sdp_errors_are_the_package_root_class():
+    # the command line catches the root's class without importing the solver
+    assert sdp.SdpError is telecert.SdpError
+    assert issubclass(sdp.InfeasibleError, telecert.SdpError)
+    assert telecert.SdpError.__bases__ == (RuntimeError,)
+
+
+def test_solver_refusal_exits_one(capsys, monkeypatch):
+    solve_family = sdp.solve_family
+
+    def unfinished(instances, **kwargs):
+        return [dataclasses.replace(sol, status="max-iterations") for sol in solve_family(instances, **kwargs)]
+
+    monkeypatch.setattr(sdp, "solve_family", unfinished)
+    code = cli.main(["derive-alpha", "--trust", "1sdi", "--kind", "state", "--eps-grid", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("telecert: error: moment problem at violation ")
+    assert captured.err.endswith(": solve ended with status 'max-iterations'\n")
 
 
 def test_config_file_defaults(tmp_path, capsys):
