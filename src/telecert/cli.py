@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: plan, certify, simulate, derive-alpha, npa-export,
-sdp-solve, figure2.  Every output embeds the invoking configuration, the
-seed, formula identifiers, and the package version; identical
-(config, seed) runs produce byte-identical files.  Exit codes: 0 on
+sdp-solve, figure2.  Every output embeds the invoking configuration
+(with `simulate`'s seed), formula identifiers, and the package version;
+identical configurations produce byte-identical files.  Exit codes: 0 on
 success, 2 on infeasible targets or a rejected run, 1 on errors.
 
 Only the standard library and the pure-Python planner `cert` load with
@@ -38,7 +38,6 @@ def _config_of(args: argparse.Namespace) -> dict:
 def _document(args, payload: dict) -> dict:
     return {
         "version": __version__,
-        "seed": getattr(args, "seed", None),
         "config": _config_of(args),
         **payload,
     }
@@ -134,11 +133,7 @@ def cmd_plan(args) -> int:
             "fidelity": result.certificate.fidelity,
             "probability": result.certificate.probability,
         }
-    if args.format == "csv" and args.out and result.feasible:
-        header = ["epsilon", "violation", "q", "x", "copies", "fidelity", "probability"]
-        _write_csv(args, header, [payload["row"]], args.out)
-    else:
-        _write_json(args, payload, args.out)
+    _write_json(args, payload, args.out)
     return 0 if result.feasible else 2
 
 
@@ -313,26 +308,33 @@ def cmd_sdp_solve(args) -> int:
     return 0
 
 
+#: The paper's Figure 2: the classical teleportation bound F = 2/3, the
+#: confidence targets (iid and martingale curves), the operating CHSH
+#: violations each curve is anchored at, and the copy-count cap.
+FIGURE2_TARGET_F = 2.0 / 3.0
+FIGURE2_TARGET_P = {True: 0.75, False: 0.6}
+FIGURE2_PLAN_EPS = {True: 2 * math.sqrt(2) - 2.49, False: 2 * math.sqrt(2) - 2.73}
+FIGURE2_MAX_K = 1e8
+
+
 def cmd_figure2(args) -> int:
     grid = _parse_grid(args.eps_grid)
-    anchors = {True: args.plan_eps_iid, False: args.plan_eps_noniid}
-    probabilities = {True: args.target_p_iid, False: args.target_p}
     families = []
     for trust in ("1sdi", "di"):
         planned = {}
         for iid in (True, False):
             plan_kwargs = dict(
-                target_fidelity=args.target_f,
-                target_probability=probabilities[iid],
+                target_fidelity=FIGURE2_TARGET_F,
+                target_probability=FIGURE2_TARGET_P[iid],
                 trust=trust,
                 inequality="chsh",
                 iid=iid,
-                max_copies=args.max_k,
+                max_copies=FIGURE2_MAX_K,
             )
             # Anchor the curve at the quoted operating violation when that
             # point is reachable for this trust level; otherwise fall back
             # to the copy-minimizing parameters.
-            result = cert.plan(epsilon=anchors[iid], **plan_kwargs)
+            result = cert.plan(epsilon=FIGURE2_PLAN_EPS[iid], **plan_kwargs)
             if not result.feasible:
                 result = cert.plan(**plan_kwargs)
             planned[iid] = result
@@ -358,7 +360,7 @@ def cmd_figure2(args) -> int:
             columns[f"F_{tag}"] = [r[key] for r in rows]
             columns[f"K_{tag}"] = [r[kkey] for r in rows]
             header.extend([f"F_{tag}", f"K_{tag}"])
-            feasible_eps = [e for e, f in zip(grid, columns[f"F_{tag}"]) if f >= args.target_f]
+            feasible_eps = [e for e, f in zip(grid, columns[f"F_{tag}"]) if f >= FIGURE2_TARGET_F]
             crossings[tag] = {
                 "epsilon": max(feasible_eps) if feasible_eps else None,
                 "violation": (cert.max_violation(trust, "chsh") - max(feasible_eps)) if feasible_eps else None,
@@ -375,7 +377,7 @@ def cmd_figure2(args) -> int:
         rows.append(row)
     _write_csv(args, header, rows, args.out)
     if args.crossings_out:
-        _write_json(args, {"schema": "cert/1", "kind": "figure2-crossings", "classical_bound": args.target_f, "crossings": crossings}, args.crossings_out)
+        _write_json(args, {"schema": "cert/1", "kind": "figure2-crossings", "classical_bound": FIGURE2_TARGET_F, "crossings": crossings}, args.crossings_out)
     return 0
 
 
@@ -383,9 +385,7 @@ def cmd_figure2(args) -> int:
 
 
 def _add_common(sub, out_default=None):
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=out_default)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--config", default=None, help="JSON file with flag defaults (dest names)")
 
 
@@ -434,6 +434,7 @@ def build_parser() -> _Parser:
     _add_params(p)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--x", type=float, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--source", choices=("honest", "werner", "one-bad-pair", "drift"), default="honest")
     p.add_argument("--visibility", type=float, default=1.0)
     p.add_argument("--v-end", type=float, default=1.0)
@@ -453,8 +454,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_derive_alpha)
 
     p = subparsers.add_parser("npa-export", help="write the moment problem as sparse SDPA")
-    _add_common(p)
-    p.add_argument("--trust", choices=("1sdi", "di"), default="1sdi")
+    _add_common(p, out_default="problem.dat-s")
+    p.add_argument("--trust", choices=cert.TRUSTS, default="1sdi")
     p.add_argument("--inequality", choices=cert.INEQUALITIES, default="steering")
     p.add_argument("--objective", default="state")
     p.add_argument("--eps", type=float, default=None)
@@ -463,7 +464,6 @@ def build_parser() -> _Parser:
     p.add_argument("--words-out", default=None)
     p.add_argument("--report-out", default=None)
     p.set_defaults(func=cmd_npa_export)
-    p.set_defaults(out="problem.dat-s")
 
     p = subparsers.add_parser("sdp-solve", help="solve a sparse SDPA file")
     _add_common(p)
@@ -471,15 +471,9 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iterations", type=int, default=100)
     p.set_defaults(func=cmd_sdp_solve)
 
-    p = subparsers.add_parser("figure2", help="certification curves and classical-bound crossings")
+    p = subparsers.add_parser("figure2", help="the paper's Figure 2: certification curves and classical-bound crossings")
     _add_common(p, out_default="figure2.csv")
     p.add_argument("--eps-grid", default=",".join(repr(round(0.02 * k, 2)) for k in range(1, 31)))
-    p.add_argument("--target-f", type=float, default=2.0 / 3.0)
-    p.add_argument("--target-p", type=float, default=0.6, help="confidence target (martingale curves)")
-    p.add_argument("--target-p-iid", type=float, default=0.75)
-    p.add_argument("--plan-eps-iid", type=float, default=2 * math.sqrt(2) - 2.49)
-    p.add_argument("--plan-eps-noniid", type=float, default=2 * math.sqrt(2) - 2.73)
-    p.add_argument("--max-k", type=float, default=1e8)
     p.add_argument("--crossings-out", default=None)
     p.set_defaults(func=cmd_figure2)
 
@@ -506,11 +500,20 @@ def main(argv=None) -> int:
             print("telecert: error: --config file must hold a JSON object", file=sys.stderr)
             return 1
         # File values become defaults of a parser of this call's own, so
-        # they never reach a later call; explicit flags still win.
+        # they never reach a later call; explicit flags still win.  A key
+        # the command has no option for would be echoed in its output's
+        # config as if it had acted on it.
         parser = build_parser()
-        for sub in parser._telecert_subparsers.choices.values():
-            known = {action.dest for action in sub._actions}
-            sub.set_defaults(**{k: v for k, v in config.items() if k in known})
+        sub = parser._telecert_subparsers.choices[args.command]
+        takes_value = {action.dest: action.nargs != 0 for action in sub._actions if action.dest != "help"}
+        unknown = sorted(set(config) - set(takes_value))
+        if unknown:
+            print(f"telecert: error: --config keys that {args.command} has no option for: {', '.join(unknown)}", file=sys.stderr)
+            return 1
+        # argparse converts a string default with its option's own type,
+        # as if it had been given as the flag, so a value of the wrong
+        # kind is a usage error; --iid and --non-iid take no value.
+        sub.set_defaults(**{k: str(v) if v is not None and takes_value[k] else v for k, v in config.items()})
         args = parser.parse_args(argv)
     try:
         return args.func(args)

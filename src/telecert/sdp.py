@@ -212,24 +212,10 @@ class SdpSolution:
 
 def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve chol chol^T x = rhs on the trailing two axes, for a factor and
-    a stack of columns or for a stack of both, by blocked substitution:
-    numpy has no triangular solve, and an LU solve of the whole matrix
-    would cost more than its Cholesky factorization.  Up to one block, the
-    substitution is the two solves with the whole factor."""
-    block = 128
-    if rhs.shape[-2] <= block:
-        return np.linalg.solve(chol.swapaxes(-1, -2), np.linalg.solve(chol, rhs))
-    x = rhs.copy()
-    starts = range(0, x.shape[-2], block)
-    for lo in starts:
-        hi = lo + block
-        x[..., lo:hi, :] = np.linalg.solve(chol[..., lo:hi, lo:hi], x[..., lo:hi, :] - chol[..., lo:hi, :lo] @ x[..., :lo, :])
-    for lo in reversed(starts):
-        hi = lo + block
-        x[..., lo:hi, :] = np.linalg.solve(
-            chol[..., lo:hi, lo:hi].swapaxes(-1, -2), x[..., lo:hi, :] - chol[..., hi:, lo:hi].swapaxes(-1, -2) @ x[..., hi:, :]
-        )
-    return x
+    a stack of columns or for a stack of both, as two solves with the
+    whole factor: numpy has no triangular solve, and an LU solve of the
+    whole matrix would cost more than its Cholesky factorization."""
+    return np.linalg.solve(chol.swapaxes(-1, -2), np.linalg.solve(chol, rhs))
 
 
 class _Cells:

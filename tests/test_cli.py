@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -660,6 +661,102 @@ def test_config_file_not_an_object(tmp_path, capsys):
     code = cli.main(["certify", "--config", str(path), "--eps", "0.2", "--q", "3", "--x", "1"])
     assert code == 1
     assert capsys.readouterr().err.startswith("telecert: error:")
+
+
+def test_config_values_are_read_as_their_flags(tmp_path, capsys):
+    # a number is converted by its option's own type, as the flag's text
+    # would be: q = 35 is the float 35.0 of --q 35
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"eps": 0.25, "q": 35, "x": 1}))
+    code, out = run_cli(["certify", "--config", str(path)], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["config"].pop("config") == str(path)
+    code, out = run_cli(["certify", "--eps", "0.25", "--q", "35", "--x", "1"], capsys)
+    expected = json.loads(out)
+    assert expected["config"].pop("config") is None
+    assert doc == expected
+    # a value its flag would refuse is a usage error, not a traceback
+    path.write_text(json.dumps({"eps": [0.25], "q": 35, "x": 1}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify", "--config", str(path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "telecert certify: error: argument --eps: invalid float value: '[0.25]'\n"
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [({"eps": 0.25, "q": 35, "x": 1, "sed": 5, "visibility": 0.5}, "sed, visibility"), ({"seed": 5}, "seed")],
+    ids=["misspelt-and-foreign", "seed"],
+)
+def test_config_keys_the_command_has_no_option_for_refused(tmp_path, capsys, config, named):
+    # the output's config would echo them as if the command had acted on them
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["certify", "--config", str(path), "--eps", "0.25", "--q", "35", "--x", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"telecert: error: --config keys that certify has no option for: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, rest",
+    [
+        (["certify", "--eps", "0.25", "--q", "35", "--x", "1", "--seed", "5"], "--seed 5"),
+        (["plan", "--target-f", "0.6667", "--eps", "0.25", "--format", "csv"], "--format csv"),
+        (["figure2", "--target-f", "0.5"], "--target-f 0.5"),
+    ],
+    ids=["certify-seed", "plan-format", "figure2-target-f"],
+)
+def test_options_no_command_reads_are_usage_errors(capsys, argv, rest):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"telecert: error: unrecognized arguments: {rest}\n"
+
+
+def _representative_argv(command, folder):
+    """One run of ``command`` with every output written under ``folder``."""
+    sdpa = folder / "in.dat-s"
+    sdpa.write_text(_GOOD_SDPA)
+    out = ["--out", str(folder / "out")]
+    return {
+        "plan": ["plan", "--target-f", "0.6667", "--eps", "0.25", *out],
+        "certify": ["certify", "--eps", "0.25", "--q", "35", "--x", "1", *out],
+        "simulate": [
+            "simulate", "--eps", "0.15", "--q", "5.45", "--x", "1", "--source", "werner", "--visibility", "0.95",
+            "--trials", "2", *out, "--summary-out", str(folder / "summary.json"),
+        ],
+        "derive-alpha": [
+            "derive-alpha", "--trust", "1sdi", "--kind", "state", "--eps-grid", "0.1", *out,
+            "--curve-out", str(folder / "curve.csv"),
+        ],
+        "npa-export": [
+            "npa-export", "--eps", "0.1", *out, "--words-out", str(folder / "words.json"),
+            "--report-out", str(folder / "report.json"),
+        ],
+        "sdp-solve": ["sdp-solve", "--in", str(sdpa), *out],
+        "figure2": ["figure2", "--eps-grid", "0.1,0.2", *out, "--crossings-out", str(folder / "crossings.json")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(cli.build_parser()._telecert_subparsers.choices))
+def test_every_option_a_command_takes_is_read_when_it_runs(tmp_path, command):
+    # an option the command never reads is still echoed in its output's
+    # config, as if it had acted on it; --config is read by main
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli.build_parser()
+    args = parser.parse_args(_representative_argv(command, tmp_path), namespace=Recording())
+    func = args.func
+    reads.clear()
+    assert func(args) == 0
+    options = {action.dest for action in parser._telecert_subparsers.choices[command]._actions} - {"help"}
+    assert sorted(options - reads - {"config"}) == []
 
 
 @pytest.mark.parametrize("doc", [{"per_objective": {"state": 1.3}}, [1.3], {"alpha": "high"}, {"alpha": True}])

@@ -599,7 +599,8 @@ def test_fold_on_exported_stacks(tmp_path):
 
 def test_cho_solve_matches_dense_solve():
     rng = np.random.default_rng(5)
-    # one block, and several blocks with a short last one
+    # a small factor, and one larger than any companion's (at most 183
+    # rows, from a fully untrusted file)
     for m in (40, 300):
         a = _random_spd(m, rng)
         rhs = rng.standard_normal((m, 2))
