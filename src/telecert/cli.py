@@ -510,9 +510,16 @@ def main(argv=None) -> int:
         if unknown:
             print(f"telecert: error: --config keys that {args.command} has no option for: {', '.join(unknown)}", file=sys.stderr)
             return 1
+        # A switch (--iid/--non-iid) takes no value, so argparse would
+        # keep any JSON value as it is, and "false" would read as true.
+        loose = sorted(k for k, v in config.items() if not takes_value[k] and not isinstance(v, bool))
+        if loose:
+            values = ", ".join(f"{k} = {json.dumps(config[k])}" for k in loose)
+            print(f"telecert: error: --config switches take true or false: {values}", file=sys.stderr)
+            return 1
         # argparse converts a string default with its option's own type,
         # as if it had been given as the flag, so a value of the wrong
-        # kind is a usage error; --iid and --non-iid take no value.
+        # kind is a usage error.
         sub.set_defaults(**{k: str(v) if v is not None and takes_value[k] else v for k, v in config.items()})
         args = parser.parse_args(argv)
     try:

@@ -47,14 +47,22 @@ it ends, and gets its solo solution bit for bit, as the tests check.  A
 stacked step either steps every member or raises, and then it is redone
 member by member (`_step_each`): each member climbs its own jitter ladder
 for the Schur factorization, and a member whose own step fails ends there
-while the others take their solo steps.  The driver builds the part of
-a companion that neither the objective nor the violation level moves
-(`_Companion`: free moments, row elimination, constraint cells) once per
-command and symmetry group and poses each distinct point on it once; the
-points posed on one structure are one family.  The one-sided `state` and
-`ZB` problems are one, as are the fully untrusted `state` and `ZAZB`; a
-one-point one-sided `derive-alpha --kind both` is one run of two
-members, the default grid one of ten.
+while the others take their solo steps.
+
+The driver builds what the violation level does not move once per
+process, in bounded caches whose arrays are read-only: the word list per
+(setting, word cap), at most 8; the reduced problem and its symmetry
+group per (setting, inequality, word cap, objective), at most 16; and
+the part of a companion that neither the objective nor the violation
+level moves (`_Companion`: free moments, row elimination, constraint
+cells) per bytes of its label, normalization and inequality rows and
+group, at most 8.  Each call then poses each distinct point on its
+structure once, and the points posed on one structure are one family.
+A fresh process builds everything once, as before; a process that
+derives again (a sweep, the benchmark, the tests) reuses it.  The
+one-sided `state` and `ZB` problems are one, as are the fully untrusted
+`state` and `ZAZB`; a one-point one-sided `derive-alpha --kind both` is
+one run of two members, the default grid one of ten.
 
 The constraint matrices are sparse (an 81x81 moment-problem constraint
 has a median of 28 nonzero entries), so an instance holds each A_i only
@@ -93,6 +101,7 @@ against the unreduced solves to 1e-6.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -191,8 +200,12 @@ class SdpSolution:
     "non-finite-scaling", "step-too-small", "iteration-cap" or
     "linalg-error" (an eigendecomposition or linear solve failed).
     `status` is the verdict on the reported iterate and can differ: a stall
-    can still end "optimal".  `kept_constraints` lists every constraint:
-    the instances are full-rank by construction (`companion_instance`).
+    can still end "optimal".  `unmet` names the tests of the certificate
+    contract that the reported iterate fails ("gap", "primal residual",
+    "dual residual", "eigenvalue"), in that order; it is empty when the
+    status is "optimal" or "infeasible", which the contract does not
+    judge.  `kept_constraints` lists every constraint: the instances are
+    full-rank by construction (`companion_instance`).
     """
 
     primal: np.ndarray
@@ -208,6 +221,7 @@ class SdpSolution:
     trace: list
     kept_constraints: list
     termination: str
+    unmet: list
 
 
 def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -656,14 +670,16 @@ class _Member:
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         rp_norm = float(np.linalg.norm(rp) / norm_b)
         rd_norm = float(np.linalg.norm(rd) / norm_c)
+        unmet = []
         if status != "infeasible":
             contract = (
-                gap <= 1e-6 * (1.0 + abs(pobj))
-                and rp_norm <= 1e-7
-                and rd_norm <= 1e-7
-                and np.linalg.eigvalsh(x).min() >= -1e-8
+                ("gap", gap <= 1e-6 * (1.0 + abs(pobj))),
+                ("primal residual", rp_norm <= 1e-7),
+                ("dual residual", rd_norm <= 1e-7),
+                ("eigenvalue", np.linalg.eigvalsh(x).min() >= -1e-8),
             )
-            status = "optimal" if contract else "max-iterations"
+            unmet = [name for name, holds in contract if not holds]
+            status = "max-iterations" if unmet else "optimal"
         back = np.ix_(np.argsort(cells.perm), np.argsort(cells.perm))
         return SdpSolution(
             primal=x[back],
@@ -679,6 +695,7 @@ class _Member:
             trace=self.trace,
             kept_constraints=list(range(m)),
             termination=termination,
+            unmet=unmet,
         )
 
 
@@ -882,7 +899,8 @@ class _Companion:
     theirs depends on d, so `pose` checks it.  What is left,
     max b.z  s.t.  C0 - sum z_j (-G_j) >= 0,  has one constraint matrix
     per free moment that no pivot takes, each with cells of its own moment,
-    so they are linearly independent.
+    so they are linearly independent.  Its arrays are read-only, since a
+    cache shares it between calls.
     """
 
     def __init__(self, label: np.ndarray, e, group):
@@ -900,7 +918,7 @@ class _Companion:
                 pivots.append(v)
                 later = i + 1 + np.flatnonzero(reduced[i + 1 :, v])
                 reduced[later] -= reduced[later, v, None] / row[v] * row
-        self.kept, self.pivots = kept, pivots
+        self.kept, self.pivots = np.array(kept, dtype=np.intp), np.array(pivots, dtype=np.intp)
         self.dropped = np.setdiff1d(np.arange(len(e_all)), kept)
         self.free = free = np.flatnonzero(~np.isin(np.arange(m), pivots))
         self.e_piv = e_all[kept][:, pivots]
@@ -921,6 +939,9 @@ class _Companion:
         j, cell, weight = (np.concatenate(part) for part in zip(*terms))
         key, slot = np.unique((j * n + rows[cell]) * n + cols[cell], return_inverse=True)
         self.cells = (key // (n * n), key // n % n, key % n, -np.bincount(slot, weight * values[cell]))
+        fixed = (self.of_class, self.sign, e_all, self.kept, self.pivots, self.dropped, free, self.e_piv, coupling)
+        for array in (*fixed, *self.pivot_cells, rows, cols, values, *self.cells):
+            array.flags.writeable = False
 
     def _merged(self, vec):
         """A vector over the classes as one over the free moments."""
@@ -1040,45 +1061,85 @@ def _data_key(*arrays) -> tuple:
     return tuple(np.asarray(a).tobytes() for a in arrays)
 
 
+@dataclass(frozen=True)
+class _Structure:
+    """A companion structure's data, (label, norm, q, *group), equal and
+    hashed by its bytes (`_data_key`), so that `_companion` can cache on it."""
+
+    key: tuple
+    data: tuple = field(compare=False)
+
+
+# The caches below are bounded, so a sweep over settings, word caps and
+# objectives cannot grow memory without limit; a command needs at most
+# four problems and two structures.  Exceptions are not cached.
+@functools.lru_cache(maxsize=8)
+def _words(setting: str, cap: int) -> tuple:
+    return tuple(npa.generate_words(setting, cap))
+
+
+@functools.lru_cache(maxsize=16)
+def _reduced_problem(setting: str, inequality: str, cap: int, objective: str):
+    """The reduced problem of one objective, posed at the maximal
+    violation, and its symmetry group, with read-only arrays."""
+    wmax = cert.max_violation(setting, inequality)
+    reduced = npa.reduce_problem(npa.build_moment_problem(setting, _words(setting, cap), objective, inequality, wmax))
+    group = npa.symmetry_group(reduced)
+    for array in (reduced.problem.entry_ids, reduced.label, reduced.p, reduced.q, reduced.norm, *group):
+        array.flags.writeable = False
+    return reduced, group
+
+
+@functools.lru_cache(maxsize=8)
+def _companion(structure: _Structure) -> _Companion:
+    label, norm, q, *group = structure.data
+    return _Companion(label, [norm, q], group)
+
+
 def solve_moment_problems(points) -> list:
     """Certified minima of reduced problems' objectives at violation levels,
-    one `MomentSolveResult` per (reduced problem, violation) pair.
+    one `MomentSolveResult` per (reduced problem, group, violation) point;
+    the group is the problem's symmetry group as `npa.symmetry_group`
+    returns it.
 
-    A reduced problem is known by its data (label, p, norm and q), and a
-    point by that data and its violation.  The symmetry group is found
-    once per distinct reduced problem, the companion structure
-    (`_Companion`) is built once per distinct label, norm, q and group,
-    and each distinct point is posed and solved once; its solution goes
-    to every point that posed it.  The points posed on one structure
-    share its cells and blocks and are one family (`solve_family`).  This
-    is the one place that refuses a solve that did not end "optimal",
-    point by point, in the order of `points`."""
-    groups, structures, distinct, posed, of_point = {}, {}, {}, [], []
-    for reduced, violation in points:
-        data = _data_key(reduced.label, reduced.p, reduced.norm, reduced.q)
-        if (data, violation) not in distinct:
-            if data not in groups:
-                groups[data] = npa.symmetry_group(reduced)
-            shared = (data[0],) + data[2:] + _data_key(*groups[data])
-            if shared not in structures:
-                structures[shared] = (_Companion(reduced.label, [reduced.norm, reduced.q], groups[data]), [])
-            structure, family = structures[shared]
-            distinct[data, violation] = len(posed)
-            family.append(len(posed))
+    The companion structure (`_Companion`) of a point is known by the
+    bytes of its label, norm, q and group, and comes from a bounded cache
+    (`_companion`), so a structure is built once per process while it stays
+    cached, and a different group, however it was found, gets its own.  A
+    distinct point (structure, p and violation) is posed and solved once;
+    its solution goes to every point that posed it.  The points posed on
+    one structure share its cells and blocks and are one family
+    (`solve_family`).  This is the one place that refuses a solve that did
+    not end "optimal", point by point, in the order of `points`; the
+    refusal names the solve's termination, iterations, relative gap and
+    the contract tests it failed (`SdpSolution.unmet`)."""
+    families, distinct, posed, of_point = {}, {}, [], []
+    for reduced, group, violation in points:
+        data = (reduced.label, reduced.norm, reduced.q, *group)
+        shared = _data_key(*data)
+        point = (shared, reduced.p.tobytes(), violation)
+        if point not in distinct:
+            structure = _companion(_Structure(shared, data))
+            distinct[point] = len(posed)
+            families.setdefault(shared, []).append(len(posed))
             posed.append(structure.pose(reduced.p, [1.0, violation]))
-        of_point.append(distinct[data, violation])
+        of_point.append(distinct[point])
     solutions = [None] * len(posed)
-    for _, family in structures.values():
+    for family in families.values():
         for k, sol in zip(family, solve_family([posed[k][0] for k in family])):
             solutions[k] = sol
     results = []
-    for (reduced, violation), k in zip(points, of_point):
+    for (reduced, _, violation), k in zip(points, of_point):
         (_, offset, recover), sol = posed[k], solutions[k]
         if sol.status != "optimal":
             # Never report a bound the solver could not certify (an
             # unreachable violation level shows up here as an unbounded
             # companion).
-            raise SdpError(f"moment problem at violation {violation!r}: solve ended with status {sol.status!r}")
+            failed = f", failed {', '.join(sol.unmet)}" if sol.unmet else ""
+            raise SdpError(
+                f"moment problem at violation {violation!r} ({sol.termination} after {sol.iterations} iterations, "
+                f"relative gap {sol.relative_gap:.2e}{failed}): solve ended with status {sol.status!r}"
+            )
         y = recover(sol.dual)
         results.append(
             MomentSolveResult(
@@ -1093,17 +1154,18 @@ def solve_moment_problems(points) -> list:
 
 def _curve_solves(setting: str, inequality: str, objectives, epsilons, max_local_length: int | None) -> dict:
     """{objective: [(eps, `MomentSolveResult`)]} at violation (max - eps)
-    per grid point, from one word list, one reduced problem per objective
-    and one solve per distinct point (`solve_moment_problems`)."""
+    per grid point, from the cached reduced problem and group of each
+    objective (`_reduced_problem`) and one solve per distinct point
+    (`solve_moment_problems`)."""
     epsilons = [float(e) for e in epsilons]
     wmax = cert.max_violation(setting, inequality)
     if not all(0.0 < e <= 0.5 * wmax for e in epsilons):
         raise ValueError("epsilon grid must sit in (0, half the maximal violation]")
-    words = npa.generate_words(setting, _word_cap(setting, max_local_length))
+    cap = _word_cap(setting, max_local_length)
     points = []
     for objective in objectives:
-        reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality, wmax))
-        points += [(reduced, wmax - eps) for eps in epsilons]
+        reduced, group = _reduced_problem(setting, inequality, cap, objective)
+        points += [(reduced, group, wmax - eps) for eps in epsilons]
     results = iter(solve_moment_problems(points))
     return {objective: [(eps, next(results)) for eps in epsilons] for objective in objectives}
 

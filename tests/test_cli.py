@@ -610,6 +610,54 @@ def test_solver_refusal_exits_one(capsys, monkeypatch):
     assert captured.err.endswith(": solve ended with status 'max-iterations'\n")
 
 
+def test_solver_refusal_names_the_stall(capsys, monkeypatch):
+    # a solve that stalls short of the contract is named as a stall, with
+    # its iterations, relative gap and the contract tests it fails
+    argv = ["derive-alpha", "--trust", "1sdi", "--kind", "state", "--eps-grid", "0.1"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    (solve,) = json.loads(out)["reports"]["state"]["solves"]["state"]
+    solve_family = sdp.solve_family
+
+    def stalled(instances, **kwargs):
+        return [
+            dataclasses.replace(sol, status="max-iterations", termination="stall", unmet=["primal residual", "eigenvalue"])
+            for sol in solve_family(instances, **kwargs)
+        ]
+
+    monkeypatch.setattr(sdp, "solve_family", stalled)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        f"telecert: error: moment problem at violation 1.9 (stall after {solve['iterations']} iterations, "
+        f"relative gap {solve['relative_gap']:.2e}, failed primal residual, eigenvalue): "
+        "solve ended with status 'max-iterations'\n"
+    )
+
+
+def test_config_switch_values_other_than_booleans_refused(tmp_path, capsys):
+    # --iid and --non-iid take no value, so argparse would keep the file's
+    # value as it is: "false" ran the iid formula and echoed "false"
+    path = tmp_path / "c.json"
+    for value in ("false", "true", 0, 1, None, [False]):
+        path.write_text(json.dumps({"eps": 0.25, "q": 35, "x": 1, "iid": value}))
+        code = cli.main(["certify", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"telecert: error: --config switches take true or false: iid = {json.dumps(value)}\n"
+    # JSON booleans are read as the flags would be
+    for iid, flag in ((True, "--iid"), (False, "--non-iid")):
+        path.write_text(json.dumps({"eps": 0.25, "q": 35, "x": 1, "iid": iid}))
+        code, out = run_cli(["certify", "--config", str(path)], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["config"].pop("config") == str(path)
+        code, out = run_cli(["certify", flag, "--eps", "0.25", "--q", "35", "--x", "1"], capsys)
+        expected = json.loads(out)
+        assert expected["config"].pop("config") is None
+        assert doc == expected and doc["iid"] is iid
+
+
 def test_config_file_defaults(tmp_path, capsys):
     config = {"eps": 0.25, "q": 35.0, "x": 1.0, "trust": "1sdi", "inequality": "steering"}
     path = tmp_path / "config.json"

@@ -381,8 +381,9 @@ def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequ
     companion, offset, _ = sdp.companion_instance(*sdp.fold_ties(problem))
     file_sol = sdp.solve(companion)
     assert file_sol.status == "optimal"
-    reduced = sdp.solve_moment_problems([(npa.reduce_problem(prob), prob.violation)])[0]
-    assert offset - file_sol.primal_objective == pytest.approx(reduced.bound, abs=1e-6)
+    reduced = npa.reduce_problem(prob)
+    result = sdp.solve_moment_problems([(reduced, npa.symmetry_group(reduced), prob.violation)])[0]
+    assert offset - file_sol.primal_objective == pytest.approx(result.bound, abs=1e-6)
 
 
 @pytest.mark.extended

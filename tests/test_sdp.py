@@ -27,6 +27,13 @@ def cell_constraints(owner, rows, cols, values, rhs):
     return sdp.Constraints(*(np.array(a) for a in (owner, rows, cols, values, rhs)))
 
 
+def moment_point(problem):
+    """A `sdp.solve_moment_problems` point: a moment problem's reduction,
+    its symmetry group and its violation level."""
+    reduced = npa.reduce_problem(problem)
+    return reduced, npa.symmetry_group(reduced), problem.violation
+
+
 def moment_companion(reduced, violation):
     """The companion `sdp.solve_moment_problems` solves."""
     group = npa.symmetry_group(reduced)
@@ -199,7 +206,7 @@ def test_instance_cell_contract():
 def test_state_problem_at_maximal_violation():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0 - 1e-6)
-    result = sdp.solve_moment_problems([(npa.reduce_problem(problem), problem.violation)])[0]
+    result = sdp.solve_moment_problems([moment_point(problem)])[0]
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
 
@@ -207,7 +214,7 @@ def test_minimizing_moment_matrix_is_feasible():
     words = npa.generate_words("1sdi", 3)
     eps = 0.1
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0 - eps)
-    result = sdp.solve_moment_problems([(npa.reduce_problem(problem), problem.violation)])[0]
+    result = sdp.solve_moment_problems([moment_point(problem)])[0]
     reduced = npa.reduce_problem(problem)
     gamma = result.gamma
     assert np.linalg.eigvalsh(gamma).min() >= -1e-7
@@ -297,13 +304,13 @@ def test_unreachable_violation_level_raises():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.2)
     with pytest.raises(sdp.SdpError):
-        sdp.solve_moment_problems([(npa.reduce_problem(problem), problem.violation)])
+        sdp.solve_moment_problems([moment_point(problem)])
 
 
 def test_state_problem_at_exact_maximum():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0)
-    result = sdp.solve_moment_problems([(npa.reduce_problem(problem), problem.violation)])[0]
+    result = sdp.solve_moment_problems([moment_point(problem)])[0]
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
 
@@ -586,7 +593,7 @@ def test_fold_on_exported_stacks(tmp_path):
         assert e.shape == (2, classes) and list(d) == [pytest.approx(problem.violation), 1.0]
         value, count = file_minimum(instance)
         assert count == classes - 2
-        assert value == pytest.approx(sdp.solve_moment_problems([(reduced, problem.violation)])[0].bound, abs=1e-6)
+        assert value == pytest.approx(sdp.solve_moment_problems([moment_point(problem)])[0].bound, abs=1e-6)
 
     # hand-made: a scaled duplicate is dropped, a conflicting one refused
     a = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -1299,3 +1306,61 @@ def test_commands_solve_one_run_per_family(monkeypatch):
         assert sizes == runs
         for kind, report in reports.items():
             assert report == sdp.derive_alpha(setting, inequality, kind, epsilons)
+
+
+# ---------------------------------------------------------------------------
+# The per-process caches of problems and companion structures
+
+
+def test_a_second_derivation_builds_nothing_again(monkeypatch):
+    # the word list, the moment problems, their reductions and groups and
+    # the companion structures are built by the first call alone, and the
+    # second call reports what the first did
+    built = {}
+
+    def counted(name, function):
+        def counting(*args, **kwargs):
+            built[name] = built.get(name, 0) + 1
+            return function(*args, **kwargs)
+
+        return counting
+
+    for module, name in ((npa, "generate_words"), (npa, "build_moment_problem"), (npa, "reduce_problem"),
+                         (npa, "symmetry_group"), (sdp, "_Companion")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for cache in (sdp._words, sdp._reduced_problem, sdp._companion):
+        cache.cache_clear()
+    cold = sdp.derive_alphas("di", "chsh", ("state", "measurement"), (0.1,))
+    # state, ZAZB and XAXB share one structure; ZAXB keeps only the flip
+    assert built == {"generate_words": 1, "build_moment_problem": 4, "reduce_problem": 4, "symmetry_group": 4, "_Companion": 2}
+    built.clear()
+    assert sdp.derive_alphas("di", "chsh", ("state", "measurement"), (0.1,)) == cold
+    assert built == {}
+
+
+def test_cached_problems_and_structures_are_read_only():
+    reduced, group = sdp._reduced_problem("di", "chsh", 4, "ZAXB")
+    data = (reduced.label, reduced.norm, reduced.q, *group)
+    structure = sdp._companion(sdp._Structure(sdp._data_key(*data), data))
+    parts = [reduced.problem.entry_ids, reduced.label, reduced.p, reduced.q, reduced.norm, *group]
+    for value in vars(structure).values():
+        parts += value if isinstance(value, (list, tuple)) else [value]
+    for array in (part for part in parts if isinstance(part, np.ndarray)):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[:1] = 0
+
+
+def test_a_patched_group_gets_its_own_structure(monkeypatch):
+    # The structure cache is keyed on the bytes of the group a point
+    # carries, so the point solved again with the trivial group is posed
+    # on a structure of its own, unreduced, and not on the cached one.
+    wmax = cert.max_violation("di", "chsh")
+    reduced = npa.reduce_problem(npa.build_moment_problem("di", npa.generate_words("di", 4), "state", "chsh", wmax))
+    point = (reduced, npa.symmetry_group(reduced), wmax - 0.1)
+    (split,) = sdp.solve_moment_problems([point])
+    monkeypatch.setattr(npa, "symmetry_group", trivial_group)
+    (full,) = sdp.solve_moment_problems([(reduced, npa.symmetry_group(reduced), wmax - 0.1)])
+    assert (len(split.solution.kept_constraints), len(full.solution.kept_constraints)) == (59, 183)
+    assert full.bound == pytest.approx(split.bound, abs=1e-6)
+    # the cached structure of the whole group still serves the point
+    assert sdp.solve_moment_problems([point])[0].bound == split.bound
