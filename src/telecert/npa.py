@@ -13,6 +13,10 @@ integer labels: an entry id per word pair (its canonical key), a complex
 label per scalar cell and a real label per scalar cell, each numbered in
 the sorted order of the tuples it stands for.  The equality constraints,
 the real reduction, the symmetry check and the SDPA export all read them.
+
+A moment problem carries no violation level: the level enters as one
+right-hand side (Navascues, Pironio & Acin, NJP 10, 073013, 2008), which
+the solve (`sdp.solve_moment_problems`) and `export_sdpa` take.
 """
 
 from __future__ import annotations
@@ -444,7 +448,6 @@ class MomentProblem:
     words: list
     objective: str
     inequality: str
-    violation: float
     block: int = field(init=False, compare=False)
     dim: int = field(init=False, compare=False)
     keys: list = field(init=False, compare=False, repr=False)
@@ -501,18 +504,12 @@ class MomentProblem:
         return np.array(labels, dtype=np.intp), np.array([coef for *_, coef in items])
 
 
-def build_moment_problem(
-    setting: str,
-    words,
-    objective: str,
-    inequality: str,
-    violation: float,
-) -> MomentProblem:
-    """Assemble the moment problem for one fidelity objective constrained
-    to a given violation level."""
+def build_moment_problem(setting: str, words, objective: str, inequality: str) -> MomentProblem:
+    """Assemble the moment problem for one fidelity objective under one
+    inequality, at every violation level."""
     if objective not in OBJECTIVES[setting]:
         raise ValueError(f"objective {objective!r} not available for {setting}")
-    return MomentProblem(setting, list(words), objective, inequality, float(violation))
+    return MomentProblem(setting, list(words), objective, inequality)
 
 
 def instantiate_gamma(model: qcore.MeasurementModel, state, words) -> np.ndarray:
@@ -529,7 +526,7 @@ def instantiate_gamma(model: qcore.MeasurementModel, state, words) -> np.ndarray
     return gamma
 
 
-def check_gamma(problem: MomentProblem, gamma: np.ndarray, tol: float = 1e-10) -> dict:
+def check_gamma(problem: MomentProblem, gamma: np.ndarray) -> dict:
     """Constraint residuals and eigenvalue floor of a numeric moment matrix."""
     rows, cols = problem.equality_chains().T
     tied = gamma[rows, cols]
@@ -540,7 +537,7 @@ def check_gamma(problem: MomentProblem, gamma: np.ndarray, tol: float = 1e-10) -
         "max_equality_residual": worst,
         "hermiticity": herm,
         "min_eigenvalue": min_eig,
-        "ok": worst <= tol and herm <= tol and min_eig >= -1e-9,
+        "ok": worst <= 1e-10 and herm <= 1e-10 and min_eig >= -1e-9,
     }
 
 
@@ -672,8 +669,9 @@ def words_to_json(words) -> dict:
     }
 
 
-def export_sdpa(problem: MomentProblem, path, constraints: str = "generated") -> dict:
-    """Write the real reduction of the problem as a sparse SDPA file.
+def export_sdpa(problem: MomentProblem, path, violation: float, constraints: str = "generated") -> dict:
+    """Write the real reduction of the problem at a violation level as a
+    sparse SDPA file.
 
     The variable is the real symmetric moment matrix (one block of the
     moment dimension), which has the same optimum as the Hermitian one
@@ -715,11 +713,11 @@ def export_sdpa(problem: MomentProblem, path, constraints: str = "generated") ->
         "setting": problem.setting,
         "objective": problem.objective,
         "inequality": problem.inequality,
-        "violation": repr(float(problem.violation)),
+        "violation": repr(float(violation)),
         "words": [w.symbols() for w in problem.words],
         "constraints": constraints,
     }
-    c_values = [repr(float(problem.violation)), "1.0"] + ["0.0"] * len(first)
+    c_values = [repr(float(violation)), "1.0"] + ["0.0"] * len(first)
     lines = [
         '"telecert moment problem; dual optimum = -(minimum objective value); '
         'variable is the real symmetric moment matrix',

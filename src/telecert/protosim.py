@@ -335,8 +335,7 @@ def true_extracted_fidelity(source: Source, index: int) -> float:
 
 
 def _extracted_fidelity(mode: str, state, model: qcore.MeasurementModel) -> float:
-    side = "bob" if mode == "two-basis" else "both"
-    extracted = qcore.swap_isometry_extract(state, model, side=side)
+    extracted = qcore.swap_isometry_extract(state, model)
     return qcore.fidelity_to_pure(extracted, extraction_target(mode))
 
 
@@ -399,14 +398,14 @@ class SoundnessStats:
     def violation_fraction(self) -> float:
         return self.bound_violations / self.accepted if self.accepted else 0.0
 
-    def margin(self, sigmas: float = 3.0) -> float:
+    def margin(self) -> float:
         if not self.accepted:
             return 0.0
         p = max(self.violation_fraction, 1.0 / self.accepted)
-        return sigmas * math.sqrt(p * (1.0 - p) / self.accepted)
+        return 3.0 * math.sqrt(p * (1.0 - p) / self.accepted)
 
-    def honored(self, sigmas: float = 3.0) -> bool:
-        allowed = (1.0 - self.certificate_probability) + self.margin(sigmas)
+    def honored(self) -> bool:
+        allowed = (1.0 - self.certificate_probability) + self.margin()
         return self.violation_fraction <= allowed
 
     def to_json(self) -> dict:

@@ -1,10 +1,11 @@
 """Dense linear algebra for two-qubit certification primitives.
 
 States, Werner-type mixtures, two-setting measurement models with
-untrusted projectors, the ancilla-swap extraction channel, and the
-standard teleportation circuit.  Everything is complex float64;
-Hermiticity is restored by explicit symmetrization after constructive
-operations, with a deviation check before symmetrizing.
+untrusted projectors, the ancilla-swap extraction channel on the
+untrusted side(s) a model has, and the standard teleportation circuit.
+Everything is complex float64; Hermiticity is restored by explicit
+symmetrization after constructive operations, with a deviation check
+before symmetrizing.
 
 The constant objects are built and checked once per process and then
 shared: the ideal Pauli devices (one model per trust setting) and the
@@ -28,12 +29,12 @@ ID2 = np.eye(2, dtype=complex)
 HERMITICITY_TOL = 1e-10
 
 
-def _hermitize(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Symmetrize (M + M†)/2, rejecting inputs that deviate beyond ``tol``."""
+def _hermitize(matrix: np.ndarray) -> np.ndarray:
+    """Symmetrize (M + M†)/2, rejecting deviations beyond HERMITICITY_TOL."""
     matrix = np.asarray(matrix, dtype=complex)
     adjoint = matrix.conj().T
     deviation = np.abs(matrix - adjoint).max()
-    if deviation > tol:
+    if deviation > HERMITICITY_TOL:
         raise ValueError(f"matrix deviates from Hermitian by {deviation:.3e}")
     return 0.5 * (matrix + adjoint)
 
@@ -291,15 +292,16 @@ def _extraction_products(model: MeasurementModel, party: str) -> list:
     return products
 
 
-def swap_isometry_extract(state, model: MeasurementModel, side: str = "bob") -> TwoQubitState:
-    """Apply the swap extraction to the untrusted side(s) and return the
-    two-qubit marginal on the ancilla register(s).
+def swap_isometry_extract(state, model: MeasurementModel) -> TwoQubitState:
+    """Apply the swap extraction to the untrusted side(s) of the model and
+    return the two-qubit marginal on the ancilla register(s).
 
-    side="bob" extracts Bob only (trusted Alice remains the first qubit);
-    side="both" extracts both parties onto fresh ancillas.
+    A one-sided model extracts Bob only (trusted Alice remains the first
+    qubit); a fully untrusted one (`MeasurementModel.device_independent`)
+    extracts both parties onto fresh ancillas.
     """
     rho = _as_density(state)
-    if side == "bob":
+    if not model.device_independent:
         d_b = model.bob_dim
         d_a = rho.shape[0] // d_b
         if d_a * d_b != rho.shape[0] or d_a != 2:
@@ -312,21 +314,17 @@ def swap_isometry_extract(state, model: MeasurementModel, side: str = "bob") -> 
                 block = partial_trace_bob(rho, d_a, d_b, products[i][j])
                 out[np.ix_((i, 2 + i), (j, 2 + j))] = block
         return TwoQubitState(out)
-    if side == "both":
-        if not model.device_independent:
-            raise ValueError("two-sided extraction needs an untrusted Alice model")
-        d_a, d_b = model.alice_dim, model.bob_dim
-        if d_a * d_b != rho.shape[0]:
-            raise ValueError("state dimension does not match the model")
-        pa, pb = _extraction_products(model, "alice"), _extraction_products(model, "bob")
-        out = np.empty((4, 4), dtype=complex)
-        for i in (0, 1):
-            for j in (0, 1):
-                for k in (0, 1):
-                    for l in (0, 1):
-                        out[2 * i + j, 2 * k + l] = product_expectation(rho, pa[i][k], pb[j][l])
-        return TwoQubitState(out)
-    raise ValueError(f"unknown side {side!r}")
+    d_a, d_b = model.alice_dim, model.bob_dim
+    if d_a * d_b != rho.shape[0]:
+        raise ValueError("state dimension does not match the model")
+    pa, pb = _extraction_products(model, "alice"), _extraction_products(model, "bob")
+    out = np.empty((4, 4), dtype=complex)
+    for i in (0, 1):
+        for j in (0, 1):
+            for k in (0, 1):
+                for l in (0, 1):
+                    out[2 * i + j, 2 * k + l] = product_expectation(rho, pa[i][k], pb[j][l])
+    return TwoQubitState(out)
 
 
 # ---------------------------------------------------------------------------

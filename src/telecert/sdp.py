@@ -50,16 +50,16 @@ for the Schur factorization, and a member whose own step fails ends there
 while the others take their solo steps.
 
 The driver builds what the violation level does not move once per
-process, in bounded caches whose arrays are read-only: the word list per
-(setting, word cap), at most 8; the reduced problem and its symmetry
-group per (setting, inequality, word cap, objective), at most 16; and
-the part of a companion that neither the objective nor the violation
-level moves (`_Companion`: free moments, row elimination, constraint
-cells) per bytes of its label, normalization and inequality rows and
-group, at most 8.  Each call then poses each distinct point on its
-structure once, and the points posed on one structure are one family.
-A fresh process builds everything once, as before; a process that
-derives again (a sweep, the benchmark, the tests) reuses it.  The
+process, in bounded caches whose arrays are read-only: the reduced
+problem and its symmetry group per (setting, inequality, word cap,
+objective), at most 16 (`moment_points`, which `npa-export` writes
+too); and the part of a companion that neither the objective nor the
+violation level moves (`_Companion`: free moments, row elimination,
+constraint cells) per bytes of its label, normalization and inequality
+rows and group, at most 8.  Each call then poses each distinct point on
+its structure once, and the points posed on one structure are one
+family.  A fresh process builds everything once, as before; a process
+that derives again (a sweep, the benchmark, the tests) reuses it.  The
 one-sided `state` and `ZB` problems are one, as are the fully untrusted
 `state` and `ZAZB`; a one-point one-sided `derive-alpha --kind both` is
 one run of two members, the default grid one of ten.
@@ -179,13 +179,13 @@ class SdpInstance:
         self.constraints = Constraints(owner[order], rows[order], cols[order], values[order], rhs)
 
 
-def _check_symmetric(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _check_symmetric(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     # NaN fails every comparison, so the symmetry test below would pass it.
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(mat - mat.T)) > tol * max(1.0, np.max(np.abs(mat))):
+    if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
         raise ValueError("matrix is not symmetric")
     return 0.5 * (mat + mat.T)
 
@@ -610,7 +610,6 @@ class _Member:
         self.xi = max(10.0, np.sqrt(n), n * np.max((1.0 + np.abs(b)) / (1.0 + norms)))
         self.eta = max(10.0, np.sqrt(n), (1.0 + max(np.linalg.norm(c), np.max(norms))) / np.sqrt(n))
         self.trace = []
-        self.status = "max-iterations"
         self.stall = 0
         self.best = None  # (merit, x, y, s); the iterates are never modified in place
         self.end = None  # (termination, iterations, x, y, s)
@@ -635,12 +634,10 @@ class _Member:
         else:
             self.stall += 1
         if mu / (1.0 + abs(pobj)) < 1e-8 and rp_norm < 1e-8 and rd_norm < 1e-8:
-            self.status = "optimal"
             return "optimal"
         if y_max > 1e9 and rp_norm > 1e-6:
             # Diverging multipliers with a stuck primal residual: the
             # documented divergence heuristic for infeasibility.
-            self.status = "infeasible"
             return "infeasible-divergence"
         # Three non-improving iterates: on the README derivations no merit
         # improved after more than two.
@@ -651,8 +648,9 @@ class _Member:
     def solution(self, cells: _Cells, m: int) -> SdpSolution:
         n, b, c = cells.n, self.b, self.c
         termination, iterations, x, y, s = self.end
-        norm_b, norm_c, status = self.norm_b, self.norm_c, self.status
-        if status != "infeasible" and self.best is not None:
+        norm_b, norm_c = self.norm_b, self.norm_c
+        infeasible = termination == "infeasible-divergence"
+        if not infeasible and self.best is not None:
             # Report the iterate with the best combined merit.
             _, xb, yb, sb = self.best
             final_merit = max(
@@ -670,8 +668,8 @@ class _Member:
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         rp_norm = float(np.linalg.norm(rp) / norm_b)
         rd_norm = float(np.linalg.norm(rd) / norm_c)
-        unmet = []
-        if status != "infeasible":
+        status, unmet = "infeasible", []
+        if not infeasible:
             contract = (
                 ("gap", gap <= 1e-6 * (1.0 + abs(pobj))),
                 ("primal residual", rp_norm <= 1e-7),
@@ -1073,17 +1071,11 @@ class _Structure:
 # The caches below are bounded, so a sweep over settings, word caps and
 # objectives cannot grow memory without limit; a command needs at most
 # four problems and two structures.  Exceptions are not cached.
-@functools.lru_cache(maxsize=8)
-def _words(setting: str, cap: int) -> tuple:
-    return tuple(npa.generate_words(setting, cap))
-
-
 @functools.lru_cache(maxsize=16)
 def _reduced_problem(setting: str, inequality: str, cap: int, objective: str):
-    """The reduced problem of one objective, posed at the maximal
-    violation, and its symmetry group, with read-only arrays."""
-    wmax = cert.max_violation(setting, inequality)
-    reduced = npa.reduce_problem(npa.build_moment_problem(setting, _words(setting, cap), objective, inequality, wmax))
+    """The reduced problem of one objective and its symmetry group, with
+    read-only arrays."""
+    reduced = npa.reduce_problem(npa.build_moment_problem(setting, npa.generate_words(setting, cap), objective, inequality))
     group = npa.symmetry_group(reduced)
     for array in (reduced.problem.entry_ids, reduced.label, reduced.p, reduced.q, reduced.norm, *group):
         array.flags.writeable = False
@@ -1152,20 +1144,27 @@ def solve_moment_problems(points) -> list:
     return results
 
 
-def _curve_solves(setting: str, inequality: str, objectives, epsilons, max_local_length: int | None) -> dict:
-    """{objective: [(eps, `MomentSolveResult`)]} at violation (max - eps)
-    per grid point, from the cached reduced problem and group of each
-    objective (`_reduced_problem`) and one solve per distinct point
-    (`solve_moment_problems`)."""
-    epsilons = [float(e) for e in epsilons]
+def moment_points(setting: str, inequality: str, objective: str, epsilons, max_local_length: int | None) -> list:
+    """The `solve_moment_problems` points of one objective at the violation
+    level (max - eps) of each grid point: its reduced problem at the word
+    cap (the setting's default when None) and its symmetry group, from the
+    per-process cache.  Refuses a grid point outside (0, half the maximal
+    violation], NaN included, before it builds anything."""
     wmax = cert.max_violation(setting, inequality)
     if not all(0.0 < e <= 0.5 * wmax for e in epsilons):
         raise ValueError("epsilon grid must sit in (0, half the maximal violation]")
-    cap = _word_cap(setting, max_local_length)
+    reduced, group = _reduced_problem(setting, inequality, _word_cap(setting, max_local_length), objective)
+    return [(reduced, group, wmax - eps) for eps in epsilons]
+
+
+def _curve_solves(setting: str, inequality: str, objectives, epsilons, max_local_length: int | None) -> dict:
+    """{objective: [(eps, `MomentSolveResult`)]} at violation (max - eps)
+    per grid point, from the points of each objective (`moment_points`)
+    and one solve per distinct point (`solve_moment_problems`)."""
+    epsilons = [float(e) for e in epsilons]
     points = []
     for objective in objectives:
-        reduced, group = _reduced_problem(setting, inequality, cap, objective)
-        points += [(reduced, group, wmax - eps) for eps in epsilons]
+        points += moment_points(setting, inequality, objective, epsilons, max_local_length)
     results = iter(solve_moment_problems(points))
     return {objective: [(eps, next(results)) for eps in epsilons] for objective in objectives}
 

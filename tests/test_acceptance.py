@@ -50,7 +50,7 @@ def test_criterion_1_isometry_expression_equivalence():
                 pauli = qc.SIGMA_Z if objective == "ZB" else qc.SIGMA_X
                 psi2 = np.kron(pauli, model.bob_observable(setting)) @ psi
             direct = qc.fidelity_to_pure(
-                qc.swap_isometry_extract(psi2, model, side="bob"), qc.bell_vector()
+                qc.swap_isometry_extract(psi2, model), qc.bell_vector()
             )
             worst = max(worst, abs(via - direct))
 
@@ -73,7 +73,7 @@ def test_criterion_1_isometry_expression_equivalence():
                 psi2 = np.kron(ma, nb) @ psi
                 target = np.kron(paulis[objective[0]], paulis[objective[2]]) @ qc.rotated_bell_vector()
             direct = qc.fidelity_to_pure(
-                qc.swap_isometry_extract(psi2, model, side="both"), target
+                qc.swap_isometry_extract(psi2, model), target
             )
             worst = max(worst, abs(via - direct))
 
@@ -90,7 +90,7 @@ def test_criterion_2_gamma_structure():
     constraint count above 20000; 50 random instantiations satisfy every
     constraint to 1e-10 and are PSD to -1e-9."""
     words = npa.generate_words("di", 4)
-    problem = npa.build_moment_problem("di", words, "XAXB", "chsh", 2 * math.sqrt(2) - 0.1)
+    problem = npa.build_moment_problem("di", words, "XAXB", "chsh")
     size_ok = problem.dim == 81 and len(words) == 81
 
     # Documented counting convention: one constraint per unordered pair of
@@ -107,7 +107,7 @@ def test_criterion_2_gamma_structure():
         psi = qc.haar_random_vector(da * db, rng)
         model = qc.random_projective_model(db, rng, alice_dim=da)
         gamma = npa.instantiate_gamma(model, psi, words)
-        result = npa.check_gamma(problem, gamma, tol=1e-10)
+        result = npa.check_gamma(problem, gamma)
         worst_residual = max(worst_residual, result["max_equality_residual"])
         worst_eig = min(worst_eig, result["min_eigenvalue"])
     models_ok = worst_residual <= 1e-10 and worst_eig >= -1e-9
@@ -264,7 +264,7 @@ def test_criterion_6_protocol_soundness():
     ok = True
     details = []
     for name, stats, k in suites:
-        honored = stats.honored(sigmas=3.0)
+        honored = stats.honored()
         scale_ok = 5e3 <= k <= 2e5
         ok = ok and honored and scale_ok and stats.trials >= 500
         details.append(

@@ -461,6 +461,47 @@ def test_derive_alpha_refuses_nan_grid(capsys):
     assert captured.err == "telecert: error: epsilon grid must sit in (0, half the maximal violation]\n"
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.5", "0", "1.5"])
+def test_npa_export_refuses_eps_outside_its_range(tmp_path, capsys, eps):
+    # derive-alpha's grid rule: (0, half the maximal violation], here 1
+    out_path = tmp_path / "p.dat-s"
+    code = cli.main(["npa-export", "--eps", eps, "--out", str(out_path), "--words-out", str(tmp_path / "w.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "telecert: error: epsilon grid must sit in (0, half the maximal violation]\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_npa_export_writes_the_problem_a_derivation_built(tmp_path, monkeypatch, capsys):
+    # after a derivation, the export in the same process builds no word
+    # list and no problem, and writes what a fresh process writes
+    exports = [
+        ["--trust", "1sdi", "--inequality", "steering", "--objective", "state", "--constraints", form]
+        for form in ("generated", "deduplicated")
+    ]
+    files = ["p.dat-s", "report.json", "words.json"]
+
+    def argv(args):
+        return ["npa-export", *args, "--eps", "0.1", "--out", files[0], "--report-out", files[1], "--words-out", files[2]]
+
+    sdp.derive_alphas("1sdi", "steering", ("state", "measurement"), (0.1,))
+    built = []
+    for name in ("generate_words", "build_moment_problem"):
+        monkeypatch.setattr(npa, name, lambda *args, name=name: built.append(name))
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    for number, args in enumerate(exports):
+        warm, fresh = tmp_path / f"warm{number}", tmp_path / f"fresh{number}"
+        warm.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(warm)
+        assert cli.main(argv(args)) == 0
+        subprocess.run([sys.executable, "-m", "telecert.cli", *argv(args)], cwd=fresh, env=env, check=True)
+        for name in files:
+            assert (warm / name).read_bytes() == (fresh / name).read_bytes(), (args, name)
+    assert built == []
+
+
 def test_plan_rejects_eps_outside_unit_interval(capsys):
     for eps in ("0", "1", "-0.5"):
         code = cli.main(["plan", "--target-f", "0.6667", "--eps", eps])

@@ -19,7 +19,7 @@ def real_moments(red, gamma):
     return y
 
 
-def assert_sdpa_meta(path, prob, constraints):
+def assert_sdpa_meta(path, prob, violation, constraints):
     """The file's metadata line records the exported moment problem."""
     line = next(l for l in path.read_text().splitlines() if l.startswith('"meta '))
     assert json.loads(line[len('"meta '):]) == {
@@ -27,7 +27,7 @@ def assert_sdpa_meta(path, prob, constraints):
         "setting": prob.setting,
         "objective": prob.objective,
         "inequality": prob.inequality,
-        "violation": repr(float(prob.violation)),
+        "violation": repr(float(violation)),
         "words": json.loads(json.dumps(npa.words_to_json(prob.words)["words"])),
         "constraints": constraints,
     }
@@ -206,7 +206,7 @@ def test_functionals_match_direct_extraction():
                 setting = 0 if objective == "ZB" else 1
                 psi2 = np.kron(pauli, model.bob_observable(setting)) @ psi
             direct = qc.fidelity_to_pure(
-                qc.swap_isometry_extract(psi2, model, side="bob"), qc.bell_vector()
+                qc.swap_isometry_extract(psi2, model), qc.bell_vector()
             )
             assert via == pytest.approx(direct, abs=1e-9)
 
@@ -214,11 +214,11 @@ def test_functionals_match_direct_extraction():
 def test_ideal_model_objective_values():
     # ideal configuration reaches objective 1 and the maximal violation
     words = npa.generate_words("1sdi", 3)
-    red = npa.reduce_problem(npa.build_moment_problem("1sdi", words, "state", "steering", 2.0))
+    red = npa.reduce_problem(npa.build_moment_problem("1sdi", words, "state", "steering"))
     gamma = npa.instantiate_gamma(qc.ideal_model(), qc.bell_vector(), words)
     y = real_moments(red, gamma)
     for objective in ("state", "ZB", "XB"):
-        prob = npa.build_moment_problem("1sdi", words, objective, "steering", 2.0)
+        prob = npa.build_moment_problem("1sdi", words, objective, "steering")
         r = npa.reduce_problem(prob)
         assert r.p @ real_moments(r, gamma) == pytest.approx(1.0, abs=1e-12)
     assert red.q @ y == pytest.approx(2.0, abs=1e-12)
@@ -228,7 +228,7 @@ def test_ideal_model_objective_values():
         qc.ideal_model(device_independent=True), qc.rotated_bell_vector(), wd
     )
     for objective in ("state", "ZAZB", "XAXB", "ZAXB"):
-        prob = npa.build_moment_problem("di", wd, objective, "chsh", 2 * np.sqrt(2))
+        prob = npa.build_moment_problem("di", wd, objective, "chsh")
         r = npa.reduce_problem(prob)
         yd = real_moments(r, gd)
         assert r.p @ yd == pytest.approx(1.0, abs=1e-12)
@@ -238,7 +238,7 @@ def test_ideal_model_objective_values():
 def test_werner_purification_objective_value(purify_with_bob_ancilla):
     v = 0.69
     words = npa.generate_words("1sdi", 3)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering", 2 * v)
+    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
     red = npa.reduce_problem(prob)
     vec, _ = purify_with_bob_ancilla(qc.werner_state(v))
     gamma = npa.instantiate_gamma(qc.ideal_model().extended(4), vec, words)
@@ -250,7 +250,7 @@ def test_werner_purification_objective_value(purify_with_bob_ancilla):
 def test_missing_word_error():
     words = npa.generate_words("1sdi", 1)  # too short for the length-5 moments
     with pytest.raises(npa.MissingWordError):
-        npa.build_moment_problem("1sdi", words, "XB", "steering", 2.0)
+        npa.build_moment_problem("1sdi", words, "XB", "steering")
 
 
 def test_instantiate_gamma_ideal_structure():
@@ -268,7 +268,7 @@ def test_instantiate_gamma_ideal_structure():
 def test_gamma_constraints_hold_on_random_models():
     rng = np.random.default_rng(8)
     words = npa.generate_words("1sdi", 3)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering", 1.9)
+    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
     for _ in range(8):
         d = int(rng.choice([2, 4]))
         psi = qc.haar_random_vector(2 * d, rng)
@@ -281,7 +281,7 @@ def test_gamma_constraints_hold_on_random_models():
             assert np.trace(block).real <= 1 + 1e-10
 
     wd = npa.generate_words("di", 3)
-    probd = npa.build_moment_problem("di", wd, "state", "chsh", 2.0)
+    probd = npa.build_moment_problem("di", wd, "state", "chsh")
     for _ in range(4):
         psi = qc.haar_random_vector(4, rng)
         model = qc.random_projective_model(2, rng, alice_dim=2)
@@ -297,7 +297,7 @@ def test_dimension_mismatch_rejected():
 
 def test_reduced_assembly_round_trip(purify_with_bob_ancilla):
     words = npa.generate_words("1sdi", 3)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering", 1.9)
+    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
     red = npa.reduce_problem(prob)
     vec, _ = purify_with_bob_ancilla(qc.werner_state(0.81))
     gamma = npa.instantiate_gamma(qc.ideal_model().extended(4), vec, words)
@@ -308,7 +308,7 @@ def test_reduced_assembly_round_trip(purify_with_bob_ancilla):
 
 def test_equality_counts_di_measurement():
     wd = npa.generate_words("di", 4)
-    prob = npa.build_moment_problem("di", wd, "XAXB", "chsh", 2.0)
+    prob = npa.build_moment_problem("di", wd, "XAXB", "chsh")
     assert prob.dim == 81
     assert len(prob.keys) == 289  # scalar entries: one complex class per word key
     assert len(prob.equality_chains()) == 6272
@@ -318,11 +318,11 @@ def test_equality_counts_di_measurement():
 
 def test_export_import_round_trip(tmp_path):
     words = npa.generate_words("1sdi", 3)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering", 2 - 0.13)
+    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
     path = tmp_path / "problem.dat-s"
-    info = npa.export_sdpa(prob, path)
+    info = npa.export_sdpa(prob, path, 2 - 0.13)
     assert info["dimension"] == 14
-    assert_sdpa_meta(path, prob, "generated")
+    assert_sdpa_meta(path, prob, 2 - 0.13, "generated")
     # header bookkeeping: constraint count in the file matches the summary
     lines = [l for l in path.read_text().splitlines() if not l.startswith('"')]
     assert int(lines[0]) == info["constraints_written"]
@@ -334,11 +334,11 @@ def test_export_import_round_trip(tmp_path):
 
 def test_export_deduplicated_variant(tmp_path):
     words = npa.generate_words("1sdi", 2)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering", 1.8)
+    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
     path = tmp_path / "dedup.dat-s"
-    info = npa.export_sdpa(prob, path, constraints="deduplicated")
-    assert_sdpa_meta(path, prob, "deduplicated")
-    full = npa.export_sdpa(prob, tmp_path / "full.dat-s", constraints="generated")
+    info = npa.export_sdpa(prob, path, 1.8, constraints="deduplicated")
+    assert_sdpa_meta(path, prob, 1.8, "deduplicated")
+    full = npa.export_sdpa(prob, tmp_path / "full.dat-s", 1.8, constraints="generated")
     assert info["constraints_written"] < full["constraints_written"]
 
 
@@ -371,18 +371,17 @@ def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequ
     from telecert import sdp
 
     words = npa.generate_words(setting, cap)
-    prob = npa.build_moment_problem(
-        setting, words, objective, inequality, cert.max_violation(setting, inequality) - eps
-    )
+    prob = npa.build_moment_problem(setting, words, objective, inequality)
+    violation = cert.max_violation(setting, inequality) - eps
     path = tmp_path / "p.dat-s"
-    npa.export_sdpa(prob, path, constraints=constraints)
+    npa.export_sdpa(prob, path, violation, constraints=constraints)
     objective_matrix, constraints = npa.read_sdpa_numeric(path)
     problem = sdp.SdpInstance(objective_matrix, sdp.Constraints(*constraints))
     companion, offset, _ = sdp.companion_instance(*sdp.fold_ties(problem))
     file_sol = sdp.solve(companion)
     assert file_sol.status == "optimal"
     reduced = npa.reduce_problem(prob)
-    result = sdp.solve_moment_problems([(reduced, npa.symmetry_group(reduced), prob.violation)])[0]
+    result = sdp.solve_moment_problems([(reduced, npa.symmetry_group(reduced), violation)])[0]
     assert offset - file_sol.primal_objective == pytest.approx(result.bound, abs=1e-6)
 
 
@@ -390,19 +389,19 @@ def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequ
 def test_di_measurement_export_constraint_count(tmp_path):
     # the written header must carry the full generated constraint list
     words = npa.generate_words("di", 4)
-    prob = npa.build_moment_problem("di", words, "XAXB", "chsh", 2 * np.sqrt(2) - 0.1)
+    prob = npa.build_moment_problem("di", words, "XAXB", "chsh")
     path = tmp_path / "di.dat-s"
-    info = npa.export_sdpa(prob, path)
+    info = npa.export_sdpa(prob, path, 2 * np.sqrt(2) - 0.1)
     assert info["constraints_written"] > 20000
     assert info["equality_pairs"] == 47700
     header_m = int(next(l for l in path.read_text().splitlines() if not l.startswith('"')))
     assert header_m == info["constraints_written"]
-    assert_sdpa_meta(path, prob, "generated")
+    assert_sdpa_meta(path, prob, 2 * np.sqrt(2) - 0.1, "generated")
     # both forms fit the reader's limits, and fold into the 185 real
     # classes with the violation and normalization rows left over
     from telecert import sdp
 
-    dedup = npa.export_sdpa(prob, tmp_path / "dedup.dat-s", constraints="deduplicated")
+    dedup = npa.export_sdpa(prob, tmp_path / "dedup.dat-s", 2 * np.sqrt(2) - 0.1, constraints="deduplicated")
     assert (dedup["constraints_written"], dedup["dimension"]) == (3138, 81)
     for written in (path, tmp_path / "dedup.dat-s"):
         objective, cells = npa.read_sdpa_numeric(written)
@@ -414,10 +413,7 @@ def test_entry_keys_conjugate_symmetric():
     # the moment identity at (k, l) pairs with (l, k) under the adjoint
     for setting, cap in (("1sdi", 3), ("di", 2)):
         words = npa.generate_words(setting, cap)
-        prob = npa.build_moment_problem(
-            setting, words, "state", "steering" if setting == "1sdi" else "chsh",
-            cert.max_violation(setting, "steering" if setting == "1sdi" else "chsh"),
-        )
+        prob = npa.build_moment_problem(setting, words, "state", "steering" if setting == "1sdi" else "chsh")
         m = len(words)
         for k in range(m):
             for l in range(m):
@@ -455,7 +451,7 @@ def test_cell_labels_match_tuple_reference(setting, words):
     assert complex_labels.tolist() == ranks(cell)
     assert real_labels.tolist() == ranks(real)
     try:
-        problem = npa.build_moment_problem(setting, words, "state", "steering" if b == 2 else "chsh", 1.9)
+        problem = npa.build_moment_problem(setting, words, "state", "steering" if b == 2 else "chsh")
     except npa.MissingWordError:
         return  # cap 1 words are too short for the fidelity functional
     assert problem.keys == keys and np.array_equal(problem.entry_ids, entry_ids)
@@ -465,7 +461,7 @@ def test_cell_labels_match_tuple_reference(setting, words):
 def test_identity_word_required():
     words = [w for w in npa.generate_words("1sdi", 2) if w.length > 0]
     with pytest.raises(ValueError):
-        npa.build_moment_problem("1sdi", words, "state", "steering", 2.0)
+        npa.build_moment_problem("1sdi", words, "state", "steering")
 
 
 def test_sdpa_error_paths(tmp_path):
@@ -492,9 +488,9 @@ def test_sdpa_error_paths(tmp_path):
         with pytest.raises(ValueError, match="block size line .*every block needs a size of at least 1"):
             npa.read_sdpa_numeric(broken)
     words = npa.generate_words("1sdi", 2)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering", 1.9)
+    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
     with pytest.raises(ValueError):
-        npa.export_sdpa(prob, tmp_path / "x.dat-s", constraints="everything")
+        npa.export_sdpa(prob, tmp_path / "x.dat-s", 1.9, constraints="everything")
 
 
 def test_sdpa_reader_matches_cell_reference(tmp_path):
@@ -546,7 +542,7 @@ def test_swap_symmetry_detection():
     identity = np.arange(len(words))
     parity = (-1.0) ** np.array([w.length for w in words])
     for objective in ("state", "ZAZB", "XAXB"):
-        reduced = npa.reduce_problem(npa.build_moment_problem("di", words, objective, "chsh", 2.7))
+        reduced = npa.reduce_problem(npa.build_moment_problem("di", words, objective, "chsh"))
         word_image, word_sign, class_image, class_sign = npa.symmetry_group(reduced)
         # identity, swap, flip and swap plus flip
         assert len(word_image) == 4
@@ -581,7 +577,7 @@ def test_swap_symmetry_detection():
     label.flat[np.flatnonzero(label == odd)[0]] = u
     assert len(npa.symmetry_group(dataclasses.replace(reduced, label=label))[0]) == 1
     # ZAXB becomes XAZB under the swap, and keeps only the flip
-    zaxb = npa.reduce_problem(npa.build_moment_problem("di", words, "ZAXB", "chsh", 2.7))
+    zaxb = npa.reduce_problem(npa.build_moment_problem("di", words, "ZAXB", "chsh"))
     word_image, word_sign, _, _ = npa.symmetry_group(zaxb)
     assert np.array_equal(word_image, [identity, identity]) and np.array_equal(word_sign, [np.ones(81), parity])
     # an odd objective term keeps the flip out, and the swap with it unless
@@ -595,10 +591,10 @@ def test_swap_symmetry_detection():
         assert len(word_image) == order and np.all(word_sign == 1.0)
     # a word whose swap image is not in the list: the flip alone
     lopsided = npa.generate_words("di", 3) + [npa.OperatorWord("di", (0, 1, 0, 1), ())]
-    reduced = npa.reduce_problem(npa.build_moment_problem("di", lopsided, "state", "chsh", 2.7))
+    reduced = npa.reduce_problem(npa.build_moment_problem("di", lopsided, "state", "chsh"))
     assert len(npa.symmetry_group(reduced)[0]) == 2
     # one-sided problems have the trivial group
-    one_sided = npa.reduce_problem(npa.build_moment_problem("1sdi", npa.generate_words("1sdi", 3), "state", "steering", 1.9))
+    one_sided = npa.reduce_problem(npa.build_moment_problem("1sdi", npa.generate_words("1sdi", 3), "state", "steering"))
     word_image, word_sign, class_image, class_sign = npa.symmetry_group(one_sided)
     assert np.array_equal(word_image, [np.arange(14)]) and np.array_equal(word_sign, np.ones((1, 14)))
     assert np.array_equal(class_image, [np.arange(len(one_sided.p))]) and np.all(class_sign == 1.0)

@@ -183,6 +183,44 @@ def test_extraction_fidelities_of_sources():
     assert protosim.true_extracted_fidelity(drift, k - 1) == pytest.approx((1 + 3 * 0.8) / 4, abs=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["two-basis", "four-setting"])
+def test_extraction_side_follows_the_model_as_it_followed_the_mode(mode):
+    # reference: the extraction side chosen by the protocol mode, Bob's for
+    # two-basis runs and both for four-setting ones, with the Kraus
+    # products formed afresh
+    def side_by_mode(state, model):
+        rho = qc._as_density(state)
+        kb = qc._extraction_kraus(model.bob_observable(0), model.bob_observable(1))
+        out = np.zeros((4, 4), dtype=complex)
+        if mode == "two-basis":
+            for i, j in itertools.product((0, 1), repeat=2):
+                block = qc.partial_trace_bob(rho, 2, model.bob_dim, kb[j].conj().T @ kb[i])
+                out[np.ix_((i, 2 + i), (j, 2 + j))] = block
+        else:
+            ka = qc._extraction_kraus(model.alice_observable(0), model.alice_observable(1))
+            for i, j, k, l in itertools.product((0, 1), repeat=4):
+                out[2 * i + j, 2 * k + l] = qc.product_expectation(rho, ka[k].conj().T @ ka[i], kb[l].conj().T @ kb[j])
+        return qc.fidelity_to_pure(qc.TwoQubitState(out), protosim.extraction_target(mode))
+
+    rng = np.random.default_rng(29)
+    k = 101
+    # an adaptive strategy emitting a random pair of the mode's trust setting
+    alice_dim = None if mode == "two-basis" else 2
+    emitted = (qc.haar_random_vector(8, rng), qc.random_projective_model(4, rng, alice_dim=alice_dim))
+    adaptive = protosim.AdaptiveSource(mode, lambda history: emitted)
+    adaptive.withhold(5, [])
+    sources = [
+        (protosim.honest_ideal_source(mode), (0,)),
+        (protosim.werner_source(mode, 0.8), (0,)),
+        (protosim.one_bad_pair_source(mode, k, 17, 0.9), (17, 3)),
+        (protosim.drifting_visibility_source(mode, k, 1.0, 0.8), (0, 50, k - 1)),
+        (adaptive, (5,)),
+    ]
+    for source, indices in sources:
+        for index in indices:
+            assert protosim.true_extracted_fidelity(source, index) == side_by_mode(*source.pair(index))
+
+
 def test_one_bad_pair_statistics_match_oracle():
     k = 2001
     bad_index = 1000

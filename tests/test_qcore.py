@@ -147,7 +147,7 @@ def test_extended_ideal_model_is_fresh(purify_with_bob_ancilla):
 
 
 def test_extraction_ideal_is_identity():
-    ext = qc.swap_isometry_extract(qc.bell_vector(), qc.ideal_model(), side="bob")
+    ext = qc.swap_isometry_extract(qc.bell_vector(), qc.ideal_model())
     assert np.max(np.abs(ext.matrix - qc.werner_state(1.0).matrix)) < 1e-12
     assert np.trace(ext.matrix).real == pytest.approx(1.0, abs=1e-10)
 
@@ -157,18 +157,18 @@ def test_extraction_werner_purification(purify_with_bob_ancilla):
         vec, bob_dim = purify_with_bob_ancilla(qc.werner_state(v))
         model = qc.ideal_model().extended(4)
         assert model.bob_dim == bob_dim
-        ext = qc.swap_isometry_extract(vec, model, side="bob")
+        ext = qc.swap_isometry_extract(vec, model)
         assert qc.fidelity_to_pure(ext, qc.bell_vector()) == pytest.approx((1 + 3 * v) / 4, abs=1e-9)
 
 
 def test_extraction_dimension_mismatch():
     with pytest.raises(ValueError):
-        qc.swap_isometry_extract(qc.haar_random_vector(8, np.random.default_rng(0)), qc.ideal_model(), side="bob")
+        qc.swap_isometry_extract(qc.haar_random_vector(8, np.random.default_rng(0)), qc.ideal_model())
 
 
 def test_extraction_both_sides_ideal():
     target = qc.rotated_bell_vector()
-    ext = qc.swap_isometry_extract(target, qc.ideal_model(device_independent=True), side="both")
+    ext = qc.swap_isometry_extract(target, qc.ideal_model(device_independent=True))
     assert qc.fidelity_to_pure(ext, target) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -193,7 +193,7 @@ def test_extraction_reuses_the_kraus_products_bit_for_bit():
         for _ in range(2):  # the second call reads the products kept on the model
             g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
-            assert np.array_equal(qc.swap_isometry_extract(rho, model, side=side).matrix, reference(rho, model, side))
+            assert np.array_equal(qc.swap_isometry_extract(rho, model).matrix, reference(rho, model, side))
 
 
 def test_extraction_matches_functional_route():
@@ -211,7 +211,7 @@ def test_extraction_matches_functional_route():
         moments = npa.evaluate_moments("1sdi", psi, model, keys)
         via_moments = npa.evaluate_functional("1sdi", func, moments)
         direct = qc.fidelity_to_pure(
-            qc.swap_isometry_extract(psi, model, side="bob"), qc.bell_vector()
+            qc.swap_isometry_extract(psi, model), qc.bell_vector()
         )
         assert via_moments == pytest.approx(direct, abs=1e-9)
 

@@ -27,11 +27,11 @@ def cell_constraints(owner, rows, cols, values, rhs):
     return sdp.Constraints(*(np.array(a) for a in (owner, rows, cols, values, rhs)))
 
 
-def moment_point(problem):
+def moment_point(problem, violation):
     """A `sdp.solve_moment_problems` point: a moment problem's reduction,
-    its symmetry group and its violation level."""
+    its symmetry group and a violation level."""
     reduced = npa.reduce_problem(problem)
-    return reduced, npa.symmetry_group(reduced), problem.violation
+    return reduced, npa.symmetry_group(reduced), violation
 
 
 def moment_companion(reduced, violation):
@@ -205,16 +205,16 @@ def test_instance_cell_contract():
 
 def test_state_problem_at_maximal_violation():
     words = npa.generate_words("1sdi", 3)
-    problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0 - 1e-6)
-    result = sdp.solve_moment_problems([moment_point(problem)])[0]
+    problem = npa.build_moment_problem("1sdi", words, "state", "steering")
+    result = sdp.solve_moment_problems([moment_point(problem, 2.0 - 1e-6)])[0]
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
 
 def test_minimizing_moment_matrix_is_feasible():
     words = npa.generate_words("1sdi", 3)
     eps = 0.1
-    problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0 - eps)
-    result = sdp.solve_moment_problems([moment_point(problem)])[0]
+    problem = npa.build_moment_problem("1sdi", words, "state", "steering")
+    result = sdp.solve_moment_problems([moment_point(problem, 2.0 - eps)])[0]
     reduced = npa.reduce_problem(problem)
     gamma = result.gamma
     assert np.linalg.eigvalsh(gamma).min() >= -1e-7
@@ -302,15 +302,15 @@ def test_default_grid_iteration_budget():
 
 def test_unreachable_violation_level_raises():
     words = npa.generate_words("1sdi", 3)
-    problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.2)
+    problem = npa.build_moment_problem("1sdi", words, "state", "steering")
     with pytest.raises(sdp.SdpError):
-        sdp.solve_moment_problems([moment_point(problem)])
+        sdp.solve_moment_problems([moment_point(problem, 2.2)])
 
 
 def test_state_problem_at_exact_maximum():
     words = npa.generate_words("1sdi", 3)
-    problem = npa.build_moment_problem("1sdi", words, "state", "steering", 2.0)
-    result = sdp.solve_moment_problems([moment_point(problem)])[0]
+    problem = npa.build_moment_problem("1sdi", words, "state", "steering")
+    result = sdp.solve_moment_problems([moment_point(problem, 2.0)])[0]
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
 
@@ -321,7 +321,7 @@ def test_state_problem_at_exact_maximum():
 def _companion(setting, inequality, eps):
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
-    problem = npa.build_moment_problem(setting, words, "state", inequality, wmax)
+    problem = npa.build_moment_problem(setting, words, "state", inequality)
     instance, _, _ = moment_companion(npa.reduce_problem(problem), wmax - eps)
     return instance
 
@@ -368,9 +368,9 @@ def test_cells_match_dense_formulas(tmp_path):
     one_sided = _companion("1sdi", "steering", 0.1)
     # a 14-dim export read back from its file
     words = npa.generate_words("1sdi", 3)
-    problem = npa.build_moment_problem("1sdi", words, "state", "steering", 1.9)
+    problem = npa.build_moment_problem("1sdi", words, "state", "steering")
     path = tmp_path / "p.dat-s"
-    npa.export_sdpa(problem, path, constraints="deduplicated")
+    npa.export_sdpa(problem, path, 1.9, constraints="deduplicated")
     objective, constraints = npa.read_sdpa_numeric(path)
     exported = sdp.SdpInstance(objective, sdp.Constraints(*constraints))
     assert exported.dim == 14
@@ -565,12 +565,12 @@ def test_termination_reasons(monkeypatch):
 
 def _exported_stack(tmp_path, setting, inequality, word_cap):
     words = npa.generate_words(setting, word_cap)
-    wmax = cert.max_violation(setting, inequality)
-    problem = npa.build_moment_problem(setting, words, "state", inequality, wmax - 0.1)
+    violation = cert.max_violation(setting, inequality) - 0.1
+    problem = npa.build_moment_problem(setting, words, "state", inequality)
     path = tmp_path / f"{setting}.dat-s"
-    npa.export_sdpa(problem, path, constraints="generated")
+    npa.export_sdpa(problem, path, violation, constraints="generated")
     objective, constraints = npa.read_sdpa_numeric(path)
-    return sdp.SdpInstance(objective, sdp.Constraints(*constraints)), problem
+    return sdp.SdpInstance(objective, sdp.Constraints(*constraints)), problem, violation
 
 
 def test_fold_on_exported_stacks(tmp_path):
@@ -582,7 +582,7 @@ def test_fold_on_exported_stacks(tmp_path):
         ("1sdi", "steering", 3, 168, 33),
         ("di", "chsh", 2, 1352, 53),
     ):
-        instance, problem = _exported_stack(tmp_path, setting, inequality, cap)
+        instance, problem, violation = _exported_stack(tmp_path, setting, inequality, cap)
         assert len(instance.constraints) == written
         label, p, e, d, _ = sdp.fold_ties(instance)
         reduced = npa.reduce_problem(problem)
@@ -590,10 +590,10 @@ def test_fold_on_exported_stacks(tmp_path):
         # the same partition of the cells as the real reduction's
         pairs = np.unique(np.stack([label.ravel(), reduced.label.ravel()]), axis=1)
         assert pairs.shape[1] == classes
-        assert e.shape == (2, classes) and list(d) == [pytest.approx(problem.violation), 1.0]
+        assert e.shape == (2, classes) and list(d) == [pytest.approx(violation), 1.0]
         value, count = file_minimum(instance)
         assert count == classes - 2
-        assert value == pytest.approx(sdp.solve_moment_problems([moment_point(problem)])[0].bound, abs=1e-6)
+        assert value == pytest.approx(sdp.solve_moment_problems([moment_point(problem, violation)])[0].bound, abs=1e-6)
 
     # hand-made: a scaled duplicate is dropped, a conflicting one refused
     a = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -730,7 +730,7 @@ def test_swap_reduced_bounds_match_unreduced(monkeypatch):
     wmax = cert.max_violation("di", "chsh")
     words = npa.generate_words("di", 4)
     violations = [wmax - eps for eps in (0.01, 0.1, 0.2)]
-    reduced = {obj: npa.reduce_problem(npa.build_moment_problem("di", words, obj, "chsh", wmax)) for obj in SPLITS}
+    reduced = {obj: npa.reduce_problem(npa.build_moment_problem("di", words, obj, "chsh")) for obj in SPLITS}
     groups = {obj: npa.symmetry_group(red) for obj, red in reduced.items()}
     runs = {obj: _bounds(red, violations) for obj, red in reduced.items()}
     monkeypatch.setattr(npa, "symmetry_group", trivial_group)
@@ -769,7 +769,7 @@ def test_odd_objective_term_keeps_the_flip_out(monkeypatch, paired):
     # the reduced solve still matches the unreduced one
     wmax = cert.max_violation("di", "chsh")
     words = npa.generate_words("di", 4)
-    reduced = npa.reduce_problem(npa.build_moment_problem("di", words, "state", "chsh", wmax))
+    reduced = npa.reduce_problem(npa.build_moment_problem("di", words, "state", "chsh"))
     # cell (k, 0) carries the moment of word k
     position = {w.key: k for k, w in enumerate(words)}
     za, zb = (reduced.label[position[key], 0] for key in (((0,), ()), ((), (0,))))
@@ -796,7 +796,7 @@ def test_swap_adapted_basis_is_orthogonal():
     words = npa.generate_words("di", 4)
     rng = np.random.default_rng(23)
     for objective, moments, sizes in (("XAXB", 61, [25, 16, 20, 20]), ("ZAXB", 105, [41, 40])):
-        reduced = npa.reduce_problem(npa.build_moment_problem("di", words, objective, "chsh", 2.7))
+        reduced = npa.reduce_problem(npa.build_moment_problem("di", words, objective, "chsh"))
         of_class, sign, (owner, rows, cols, values) = sdp._moment_basis(reduced.label, npa.symmetry_group(reduced))
         assert of_class.max() + 1 == moments and np.all(rows <= cols)
         assert np.count_nonzero(sign == 0.0) == 80
@@ -819,7 +819,7 @@ def test_state_curves_are_convex(setting, inequality):
     # duality gap, which sets the slack.
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
-    reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, "state", inequality, wmax))
+    reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, "state", inequality))
     eps = (0.01, 0.02, 0.05, 0.1, 0.2)
     values, errors = [], []
     for e in eps:
@@ -867,7 +867,7 @@ def test_companion_constraints_are_independent(tmp_path):
         wmax = cert.max_violation(setting, inequality)
         words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
         for objective in npa.OBJECTIVES[setting]:
-            reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality, wmax))
+            reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality))
             for eps in (0.01, 0.2):
                 instance, _, _ = moment_companion(reduced, wmax - eps)
                 assert _relative_smallest_singular_value(instance) >= INDEPENDENCE_FLOOR
@@ -878,9 +878,9 @@ def test_companion_constraints_are_independent(tmp_path):
         ("di", "chsh", "generated", 183),
     ):
         words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
-        problem = npa.build_moment_problem(setting, words, "state", inequality, cert.max_violation(setting, inequality) - 0.1)
+        problem = npa.build_moment_problem(setting, words, "state", inequality)
         path = tmp_path / f"{setting}-{form}.dat-s"
-        npa.export_sdpa(problem, path, constraints=form)
+        npa.export_sdpa(problem, path, cert.max_violation(setting, inequality) - 0.1, constraints=form)
         objective, cells = npa.read_sdpa_numeric(path)
         instance, _, _ = file_companion(sdp.SdpInstance(objective, sdp.Constraints(*cells)))
         assert len(instance.constraints) == constraints
@@ -1011,7 +1011,7 @@ def test_coupling_terms_only_at_nonzero_couplings(setting, inequality):
     # problem and sparse random rows over its classes, under its group.
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
-    reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, "state", inequality, wmax))
+    reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, "state", inequality))
     group = npa.symmetry_group(reduced)
     rng = np.random.default_rng(29)
     extra, _ = _sparse_rows(rng, 12, len(reduced.p))
@@ -1047,7 +1047,7 @@ def test_one_structure_poses_every_point_as_a_fresh_companion(setting, inequalit
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
     state, reduced = (
-        npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality, wmax))
+        npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality))
         for objective in ("state", other)
     )
     group = npa.symmetry_group(state)
@@ -1085,7 +1085,7 @@ def _companions(setting, inequality, objectives, epsilons):
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
     instances = []
     for objective in objectives:
-        reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality, wmax))
+        reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality))
         instances += [moment_companion(reduced, wmax - eps)[0] for eps in epsilons]
     return instances
 
@@ -1313,9 +1313,9 @@ def test_commands_solve_one_run_per_family(monkeypatch):
 
 
 def test_a_second_derivation_builds_nothing_again(monkeypatch):
-    # the word list, the moment problems, their reductions and groups and
-    # the companion structures are built by the first call alone, and the
-    # second call reports what the first did
+    # the word lists, the moment problems, their reductions and groups and
+    # the companion structures are built by the first call alone, one word
+    # list per problem, and the second call reports what the first did
     built = {}
 
     def counted(name, function):
@@ -1328,11 +1328,11 @@ def test_a_second_derivation_builds_nothing_again(monkeypatch):
     for module, name in ((npa, "generate_words"), (npa, "build_moment_problem"), (npa, "reduce_problem"),
                          (npa, "symmetry_group"), (sdp, "_Companion")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    for cache in (sdp._words, sdp._reduced_problem, sdp._companion):
+    for cache in (sdp._reduced_problem, sdp._companion):
         cache.cache_clear()
     cold = sdp.derive_alphas("di", "chsh", ("state", "measurement"), (0.1,))
     # state, ZAZB and XAXB share one structure; ZAXB keeps only the flip
-    assert built == {"generate_words": 1, "build_moment_problem": 4, "reduce_problem": 4, "symmetry_group": 4, "_Companion": 2}
+    assert built == {"generate_words": 4, "build_moment_problem": 4, "reduce_problem": 4, "symmetry_group": 4, "_Companion": 2}
     built.clear()
     assert sdp.derive_alphas("di", "chsh", ("state", "measurement"), (0.1,)) == cold
     assert built == {}
@@ -1355,7 +1355,7 @@ def test_a_patched_group_gets_its_own_structure(monkeypatch):
     # carries, so the point solved again with the trivial group is posed
     # on a structure of its own, unreduced, and not on the cached one.
     wmax = cert.max_violation("di", "chsh")
-    reduced = npa.reduce_problem(npa.build_moment_problem("di", npa.generate_words("di", 4), "state", "chsh", wmax))
+    reduced = npa.reduce_problem(npa.build_moment_problem("di", npa.generate_words("di", 4), "state", "chsh"))
     point = (reduced, npa.symmetry_group(reduced), wmax - 0.1)
     (split,) = sdp.solve_moment_problems([point])
     monkeypatch.setattr(npa, "symmetry_group", trivial_group)
