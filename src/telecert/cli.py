@@ -148,21 +148,24 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _source_factory(args, mode: str):
-    """``source_factory(copies, rng)`` for run_trials.  The iid sources
-    consume no randomness, so one instance serves the whole batch."""
+def _source_factory(args, mode: str, copies: int):
+    """``source_factory(copies, rng)`` for run_trials of ``copies``-pair
+    runs.  The iid and drift sources draw no randomness and keep no
+    per-run state, so one instance serves the whole batch; a one-bad-pair
+    source draws its bad index per trial."""
     from . import protosim
 
-    if args.source in ("honest", "werner"):
-        source = (
-            protosim.honest_ideal_source(mode) if args.source == "honest" else protosim.werner_source(mode, args.visibility)
-        )
-        return lambda copies, rng: source
     if args.source == "one-bad-pair":
         return lambda copies, rng: protosim.one_bad_pair_source(mode, copies, int(rng.integers(copies)), args.visibility)
-    if args.source == "drift":
-        return lambda copies, rng: protosim.drifting_visibility_source(mode, copies, args.visibility, args.v_end)
-    raise ValueError(f"unknown source {args.source!r}")
+    if args.source == "honest":
+        source = protosim.honest_ideal_source(mode)
+    elif args.source == "werner":
+        source = protosim.werner_source(mode, args.visibility)
+    elif args.source == "drift":
+        source = protosim.drifting_visibility_source(mode, copies, args.visibility, args.v_end)
+    else:
+        raise ValueError(f"unknown source {args.source!r}")
+    return lambda copies, rng: source
 
 
 def cmd_simulate(args) -> int:
@@ -187,7 +190,8 @@ def cmd_simulate(args) -> int:
     from . import protosim
 
     mode = protosim.protocol_mode(params)
-    trials = protosim.run_trials(_source_factory(args, mode), params, args.trials, args.seed)
+    copies = protosim.adjusted_copies(params)
+    trials = protosim.run_trials(_source_factory(args, mode, copies), params, args.trials, args.seed)
     stats = protosim.SoundnessStats.start(params, args.trials)
     rows = []
     for number, trial in enumerate(trials):
@@ -215,7 +219,7 @@ def cmd_simulate(args) -> int:
         "bound_violations": stats.bound_violations,
         "certificate_fidelity": stats.certificate_fidelity,
         "certificate_probability": stats.certificate_probability,
-        "copies": protosim.adjusted_copies(params),
+        "copies": copies,
     }
     if args.out:
         _write_csv(args, ["trial", "verdict", "statistic", "certified_F", "true_F", "teleport_F"], rows, args.out)

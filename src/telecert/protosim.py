@@ -10,16 +10,21 @@ extracted fidelity of the withheld pair.
 Acceptance reads only each subset's agreement count, the number of its
 pairs with outcome product ab = +1, and by the Born rule a pair with
 correlation <AB> agrees with probability (1 + <AB>)/2.  So a run samples
-counts, not outcomes: an iid source draws one binomial count per subset,
-a round-indexed source draws the random partition and one uniform per
-tested pair, and only a history-adaptive source, whose strategy reads
-the (setting, a, b) history, is measured round by round from the exact
-joint outcome distribution.  Such a round is a handful of scalar
-operations: the pair's marginals and correlation come from one product
-with an operator stack kept on the measurement model, and its outcomes
-from two uniforms through :func:`born_outcomes`.  Batches of runs come
-from one trial loop, :func:`run_trials`, which the soundness tally and
-the command line both consume.
+counts, not outcomes: an iid source draws one binomial count per subset
+at agreement probabilities it computes once, a round-indexed source
+draws the random partition (``permutation(K - 1)``, shifted by one past
+the withheld index) and one uniform per tested pair, and only a
+history-adaptive source, whose strategy reads the (setting, a, b)
+history, is measured round by round from the exact joint outcome
+distribution.  Such a round is a handful of scalar operations: the
+pair's marginals and correlation come from one product with an operator
+stack kept on the measurement model, and its outcomes from two uniforms
+through :func:`born_outcomes`.  Batches of runs come from one trial
+loop, :func:`run_trials`, which the soundness tally and the command line
+both consume; a source that draws nothing and keeps no per-run state
+(iid, drift) can serve a whole batch.  The true extracted fidelity of a
+round-indexed source's ordinary (ideal-device Werner-type) pair is kept
+in a bounded per-process memo keyed by (mode, visibility).
 """
 
 from __future__ import annotations
@@ -70,7 +75,8 @@ class Source:
 
     def correlations(self, rounds: np.ndarray) -> np.ndarray:
         """<AB> of each pair in ``rounds``, a (subsets, size) array of pair
-        indices whose row t is measured at setting t."""
+        indices whose row t is measured at setting t, as a new array that
+        the caller may overwrite."""
         return np.array(
             [[self.pair_statistics(*self.pair(int(i)), t)[2] for i in row] for t, row in enumerate(rounds)]
         )
@@ -127,6 +133,8 @@ class IidSource(Source):
         self.setting_correlations = np.array(
             [self.pair_statistics(state, model, t)[2] for t in range(len(LAYOUTS[mode]))]
         )
+        #: Born-rule probability (1 + <AB>)/2 that a tested pair agrees.
+        self.agreement_probabilities = np.clip(0.5 * (1.0 + self.setting_correlations), 0.0, 1.0)
 
     @functools.cached_property
     def extracted_fidelity(self) -> float:
@@ -163,9 +171,12 @@ class VisibilitySequenceSource(Source):
         signs = np.array(list(LAYOUTS[self.mode].values()))
         if self.mode == "four-setting":
             signs /= SQRT2
-        corr = self.visibilities[rounds] * signs[:, None]
+        corr = self.visibilities[rounds]
+        corr *= signs[:, None]
         for idx, (state, model) in self.special.items():
-            for t, pos in zip(*np.nonzero(rounds == idx)):
+            # flatnonzero scans a flat mask several times faster than the
+            # two-dimensional nonzero, and finds the same cells in order.
+            for t, pos in zip(*np.unravel_index(np.flatnonzero(rounds == idx), rounds.shape)):
                 corr[t, pos] = self.pair_statistics(state, model, int(t))[2]
         return corr
 
@@ -177,6 +188,9 @@ class VisibilitySequenceSource(Source):
 
 def one_bad_pair_source(mode: str, copies: int, bad_index: int, visibility: float = 1.0) -> VisibilitySequenceSource:
     """All pairs at the given visibility except one maximally mixed pair."""
+    # An index no round carries would leave every pair good.
+    if not 0 <= bad_index < copies:
+        raise ValueError(f"bad_index {bad_index} outside [0, {copies})")
     return VisibilitySequenceSource(
         mode, np.full(copies, visibility), special={int(bad_index): _ideal_pair(mode, 0.0)}
     )
@@ -257,6 +271,20 @@ def born_outcomes(m_a, m_b, corr, u_a, u_b):
     return a, b
 
 
+def _tested_rounds(k: int, withheld: int, subsets: int, rng) -> np.ndarray:
+    """The k - 1 pair indices other than ``withheld`` in uniformly random
+    order, one row per subset.
+
+    ``permutation(k - 1)`` shuffles ``arange(k - 1)`` exactly as it would
+    shuffle the k - 1 indices other than the withheld one, so shifting the
+    indices from ``withheld`` on by one gives the same rounds from the
+    same draws, without building that index list.
+    """
+    rounds = rng.permutation(k - 1)
+    rounds += rounds >= withheld
+    return rounds.reshape(subsets, -1)
+
+
 def _measure_adaptively(source: AdaptiveSource, rounds: np.ndarray, withheld: int, rng):
     """Agreement counts of an adaptive source, measured round by round in
     subset order, each outcome pair drawn from the Born rule of the pair
@@ -284,17 +312,22 @@ def run_protocol(source: Source, params: cert.CertificateParams, rng):
     if source.mode != mode:
         raise ValueError(f"source mode {source.mode!r} does not match params ({mode})")
     k = adjusted_copies(params)
+    if isinstance(source, VisibilitySequenceSource) and len(source.visibilities) != k:
+        raise ValueError(f"source has {len(source.visibilities)} rounds, the run has {k} copies")
     layout = LAYOUTS[mode]
     size = (k - 1) // len(layout)
     r = int(rng.integers(k))
     if isinstance(source, IidSource):
-        agreements = rng.binomial(size, np.clip(0.5 * (1.0 + source.setting_correlations), 0.0, 1.0))
+        agreements = rng.binomial(size, source.agreement_probabilities)
     else:
-        rounds = rng.permutation(np.delete(np.arange(k), r)).reshape(len(layout), size)
+        rounds = _tested_rounds(k, r, len(layout), rng)
         if source.adaptive:
             agreements = _measure_adaptively(source, rounds, r, rng)
         else:
-            agree = rng.random(rounds.shape) < 0.5 * (1.0 + source.correlations(rounds))
+            probabilities = source.correlations(rounds)
+            probabilities += 1.0
+            probabilities *= 0.5
+            agree = rng.random(rounds.shape) < probabilities
             agreements = np.count_nonzero(agree, axis=1)
 
     agreements = [int(c) for c in agreements]
@@ -331,12 +364,23 @@ def true_extracted_fidelity(source: Source, index: int) -> float:
     reference state, evaluated at the devices the source actually used."""
     if isinstance(source, IidSource):
         return source.extracted_fidelity
+    if isinstance(source, VisibilitySequenceSource) and index not in source.special:
+        return _ideal_extracted_fidelity(source.mode, float(source.visibilities[index]))
     return _extracted_fidelity(source.mode, *source.pair(index))
 
 
 def _extracted_fidelity(mode: str, state, model: qcore.MeasurementModel) -> float:
     extracted = qcore.swap_isometry_extract(state, model)
     return qcore.fidelity_to_pure(extracted, extraction_target(mode))
+
+
+# Bounded like qcore._werner_mixture, so a drifting source's continuum of
+# visibilities cannot grow memory.
+@functools.lru_cache(maxsize=64)
+def _ideal_extracted_fidelity(mode: str, visibility: float) -> float:
+    """True extracted fidelity of the mode's Werner-type pair on ideal
+    devices, evaluated once per (mode, visibility) and process."""
+    return _extracted_fidelity(mode, *_ideal_pair(mode, visibility))
 
 
 class Trial(NamedTuple):

@@ -311,8 +311,7 @@ def swap_isometry_extract(state, model: MeasurementModel) -> TwoQubitState:
         for i in (0, 1):
             for j in (0, 1):
                 # Output index is 2a + ancilla, so Alice stays the leading qubit.
-                block = partial_trace_bob(rho, d_a, d_b, products[i][j])
-                out[np.ix_((i, 2 + i), (j, 2 + j))] = block
+                out[i::2, j::2] = partial_trace_bob(rho, d_a, d_b, products[i][j])
         return TwoQubitState(out)
     d_a, d_b = model.alice_dim, model.bob_dim
     if d_a * d_b != rho.shape[0]:

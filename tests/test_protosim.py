@@ -386,6 +386,79 @@ def test_sequence_sources_refuse_nan_visibility(mode):
         protosim.drifting_visibility_source(mode, 5, 1.0, nan)
 
 
+@pytest.mark.parametrize("subsets", sorted({len(layout) for layout in protosim.LAYOUTS.values()}))
+def test_tested_rounds_are_the_permuted_other_indices(subsets):
+    # reference: the partition as first written, a permutation of the
+    # index list without the withheld pair
+    for k in (subsets + 1, 2 * subsets + 1, 25 * subsets + 1, 311 if subsets == 2 else 313):
+        for r in sorted({0, 1, k // 2, k - 2, k - 1}):
+            for seed in range(3):
+                rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                rounds = protosim._tested_rounds(k, r, subsets, rng)
+                expected = reference.permutation(np.delete(np.arange(k), r)).reshape(subsets, -1)
+                assert rounds.dtype == expected.dtype
+                assert np.array_equal(rounds, expected)
+                assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("mode", sorted(protosim.LAYOUTS))
+def test_ideal_pair_fidelity_memo_is_the_extraction(mode):
+    visibilities = np.concatenate([[0.0, 0.8, 0.97, 1.0], np.linspace(1.0, 0.8, 8777)[1::1250]])
+    protosim._ideal_extracted_fidelity.cache_clear()
+    source = protosim.VisibilitySequenceSource(mode, visibilities)
+    for index in range(len(visibilities)):
+        expected = protosim._extracted_fidelity(mode, *source.pair(index))
+        assert protosim.true_extracted_fidelity(source, index) == expected
+        assert protosim.true_extracted_fidelity(source, index) == expected  # from the memo
+    info = protosim._ideal_extracted_fidelity.cache_info()
+    assert (info.misses, info.hits) == (len(visibilities), len(visibilities))
+
+    # the special pair goes through its own extraction
+    protosim._ideal_extracted_fidelity.cache_clear()
+    bad = protosim.one_bad_pair_source(mode, 11, 3, 0.9)
+    assert protosim.true_extracted_fidelity(bad, 3) == protosim._extracted_fidelity(mode, *bad.special[3])
+    assert protosim._ideal_extracted_fidelity.cache_info().currsize == 0
+
+    # a drifting source's continuum of visibilities cannot grow memory
+    drift = protosim.drifting_visibility_source(mode, 200, 1.0, 0.8)
+    for index in range(200):
+        protosim.true_extracted_fidelity(drift, index)
+    info = protosim._ideal_extracted_fidelity.cache_info()
+    assert info.maxsize == 64 and info.currsize == 64
+
+
+@pytest.mark.parametrize("mode", sorted(protosim.LAYOUTS))
+def test_one_drift_source_serves_a_batch(mode):
+    trust, inequality = ("1sdi", "steering") if mode == "two-basis" else ("di", "chsh")
+    params = cert.CertificateParams(trust, inequality, False, 0.4, 1.2, 0.5)
+    shared = protosim.drifting_visibility_source(mode, protosim.adjusted_copies(params), 1.0, 0.8)
+    factories = (
+        lambda k, rng: protosim.drifting_visibility_source(mode, k, 1.0, 0.8),
+        lambda k, rng: shared,
+    )
+    fresh, reused = (
+        [(t.transcript, t.true_fidelity, t.rng.random()) for t in protosim.run_trials(factory, params, 30, seed=17)]
+        for factory in factories
+    )
+    assert fresh == reused
+
+
+@pytest.mark.parametrize("mode", sorted(protosim.LAYOUTS))
+def test_round_indexed_sources_refuse_a_wrong_length(mode):
+    trust, inequality = ("1sdi", "steering") if mode == "two-basis" else ("di", "chsh")
+    params = cert.CertificateParams(trust, inequality, False, 0.4, 1.2, 0.5)
+    k = protosim.adjusted_copies(params)
+    # a longer source was cut short, a shorter one died with an IndexError
+    for copies in (10 * k, k - 1, k + 1):
+        source = protosim.drifting_visibility_source(mode, copies, 1.0, 0.0)
+        with pytest.raises(ValueError, match=f"source has {copies} rounds, the run has {k} copies"):
+            protosim.run_protocol(source, params, np.random.default_rng(0))
+    # an index no round carries would give an all-good source
+    for bad_index in (-1, k, k + 5):
+        with pytest.raises(ValueError, match=rf"bad_index {bad_index} outside \[0, {k}\)"):
+            protosim.one_bad_pair_source(mode, k, bad_index)
+
+
 def test_greedy_adversary_soundness_is_pinned():
     # The benchmark's adaptive adversary: a maximally mixed pair while
     # under 5% of the measured rounds came out anticorrelated.
