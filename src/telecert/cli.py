@@ -261,11 +261,11 @@ def cmd_npa_export(args) -> int:
     _require(args, "eps")
     from . import npa, sdp
 
-    [(reduced, _, violation)] = sdp.moment_points(args.trust, args.inequality, args.objective, [args.eps], args.word_cap)
-    info = npa.export_sdpa(reduced.problem, args.out, violation, constraints=args.constraints)
+    [(problem, violation)] = sdp.moment_points(args.trust, args.inequality, args.objective, [args.eps], args.word_cap)
+    info = npa.export_sdpa(problem, args.out, violation, constraints=args.constraints)
     if args.words_out:
         with open(args.words_out, "w") as handle:
-            json.dump(npa.words_to_json(reduced.problem.words), handle, sort_keys=True, indent=1)
+            json.dump(npa.words_to_json(problem.words), handle, sort_keys=True, indent=1)
             handle.write("\n")
     _write_json(args, {"schema": "npa/1", "kind": "export", **info}, args.report_out)
     return 0

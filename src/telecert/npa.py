@@ -14,9 +14,13 @@ label per scalar cell and a real label per scalar cell, each numbered in
 the sorted order of the tuples it stands for.  The equality constraints,
 the real reduction, the symmetry check and the SDPA export all read them.
 
-A moment problem carries no violation level: the level enters as one
-right-hand side (Navascues, Pironio & Acin, NJP 10, 073013, 2008), which
-the solve (`sdp.solve_moment_problems`) and `export_sdpa` take.
+A moment problem (`build_moment_problem`) is one object from build to
+solve and export: it carries its word table, its real reduction
+(`reduce_problem`) and its symmetry group (`symmetry_group`), each
+computed once when it is built.  It carries no violation level: the
+level enters as one right-hand side (Navascues, Pironio & Acin, NJP 10,
+073013, 2008), which the solve (`sdp.solve_moment_problems`) and
+`export_sdpa` take.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -433,41 +437,33 @@ def _tied_pairs(labels: np.ndarray, every: bool) -> tuple[np.ndarray, np.ndarray
     return order[first], order[second]
 
 
-@dataclass
 class MomentProblem:
-    """Symbolic moment matrix plus objective/inequality data.
+    """The moment problem of one fidelity objective under one inequality,
+    at every violation level, with everything its solve and its export
+    read, computed once when it is built.
 
     ``keys`` are the distinct canonical word keys canon(col^dag row) of
     the word pairs, sorted, and ``entry_ids[k, l]`` is the position in
     ``keys`` of the key of cell block (k, l); one-sided problems have 2x2
     trusted-side blocks (block=2), fully untrusted ones scalar entries
-    (block=1).
+    (block=1).  ``label``, ``p``, ``q`` and ``norm`` are its real
+    reduction (`reduce_problem`) and ``group`` its symmetry group
+    (`symmetry_group`).
     """
 
-    setting: str
-    words: list
-    objective: str
-    inequality: str
-    block: int = field(init=False, compare=False)
-    dim: int = field(init=False, compare=False)
-    keys: list = field(init=False, compare=False, repr=False)
-    entry_ids: np.ndarray = field(init=False, compare=False, repr=False)
-    p_coeffs: dict = field(init=False, compare=False, repr=False)
-    q_coeffs: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        self.block = 2 if self.setting == SETTING_1SDI else 1
-        self.dim = self.block * len(self.words)
-        if not any(w.key == ((), ()) for w in self.words):
+    def __init__(self, setting: str, words: list, objective: str, inequality: str):
+        self.setting, self.words, self.objective, self.inequality = setting, words, objective, inequality
+        self.block = 2 if setting == SETTING_1SDI else 1
+        self.dim = self.block * len(words)
+        if not any(w.key == ((), ()) for w in words):
             raise ValueError("word list must contain the identity word")
-        self.keys, self.entry_ids = _entry_table(self.setting, self.words)
-        self.p_coeffs = fidelity_functional(self.setting, self.objective)
-        self.q_coeffs = inequality_functional(self.setting, self.inequality)
-        needed = set(functional_keys(self.setting, self.p_coeffs))
-        needed |= set(functional_keys(self.setting, self.q_coeffs))
-        missing = needed - set(self.keys)
-        if missing:
-            raise MissingWordError(f"moment matrix lacks required words: {sorted(missing)}")
+        self.keys, self.entry_ids = _entry_table(setting, words)
+        self.label, self.p, self.q, self.norm = reduce_problem(self)
+        self.group = symmetry_group(self)
+
+    def assemble(self, y: np.ndarray) -> np.ndarray:
+        """The real symmetric moment matrix with class moments y."""
+        return y[self.label]
 
     # --- constraints -------------------------------------------------------
 
@@ -492,21 +488,11 @@ class MomentProblem:
         sizes = np.bincount(complex_.ravel())
         return int(np.sum(sizes * (sizes - 1) // 2))
 
-    def functional_items(self, functional: dict) -> tuple[np.ndarray, np.ndarray]:
-        """A functional's terms as (complex labels, coefficients), in the
-        order of its items."""
-        if self.setting == SETTING_1SDI:
-            items = [(((), w), i, j, c[i, j]) for w, c in functional.items() for i, j in np.argwhere(np.abs(c) > 1e-15)]
-        else:
-            items = [(key, 0, 0, coef) for key, coef in functional.items()]
-        b = self.block
-        labels = [(bisect.bisect_left(self.keys, key) * b + i) * b + j for key, i, j, _ in items]
-        return np.array(labels, dtype=np.intp), np.array([coef for *_, coef in items])
-
 
 def build_moment_problem(setting: str, words, objective: str, inequality: str) -> MomentProblem:
     """Assemble the moment problem for one fidelity objective under one
-    inequality, at every violation level."""
+    inequality, at every violation level, with its real reduction and its
+    symmetry group."""
     if objective not in OBJECTIVES[setting]:
         raise ValueError(f"objective {objective!r} not available for {setting}")
     return MomentProblem(setting, list(words), objective, inequality)
@@ -549,31 +535,24 @@ def check_gamma(problem: MomentProblem, gamma: np.ndarray) -> dict:
 # symmetric moment matrices; adjoint word pairs then share one value.
 
 
-@dataclass
-class ReducedProblem:
-    """The moment problem over its free real moments, one per real class.
-
-    ``label[r, c]`` is the real class of scalar cell (r, c) (see
-    `_cell_labels`); p, q and norm are the objective, the inequality and
-    the normalization as vectors over the classes.
-    """
-
-    problem: MomentProblem
-    label: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    norm: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.problem.dim
-
-    def assemble(self, y: np.ndarray) -> np.ndarray:
-        return y[self.label]
-
-
-def reduce_problem(problem: MomentProblem) -> ReducedProblem:
-    complex_, label = _cell_labels(problem.entry_ids, problem.block)
+def reduce_problem(problem: MomentProblem) -> tuple:
+    """The problem over its free real moments, one per real class, as
+    (label, p, q, norm): ``label[r, c]`` is the real class of scalar cell
+    (r, c) (see `_cell_labels`), and p, q and norm are the objective, the
+    inequality and the normalization as vectors over the classes.  Raises
+    `MissingWordError` when a functional reads a moment the words lack."""
+    setting, keys, b = problem.setting, problem.keys, problem.block
+    # Each functional's terms (key, i, j, coefficient), in the order of its items.
+    terms = []
+    for functional in (fidelity_functional(setting, problem.objective), inequality_functional(setting, problem.inequality)):
+        if setting == SETTING_1SDI:
+            terms.append([(((), w), i, j, c[i, j]) for w, c in functional.items() for i, j in np.argwhere(np.abs(c) > 1e-15)])
+        else:
+            terms.append([(key, 0, 0, coef) for key, coef in functional.items()])
+    missing = {key for items in terms for key, *_ in items} - set(keys)
+    if missing:
+        raise MissingWordError(f"moment matrix lacks required words: {sorted(missing)}")
+    complex_, label = _cell_labels(problem.entry_ids, b)
     # The real class of each complex label, read at its first cell; every
     # key fills a whole block, so the labels run over 0..max without gaps.
     _, cell = np.unique(complex_, return_index=True)
@@ -585,44 +564,47 @@ def reduce_problem(problem: MomentProblem) -> ReducedProblem:
         np.add.at(vec, real[labels], coefs)
         return vec
 
-    p = vector_from(*problem.functional_items(problem.p_coeffs))
-    q = vector_from(*problem.functional_items(problem.q_coeffs))
+    p, q = (
+        vector_from(np.array([(bisect.bisect_left(keys, key) * b + i) * b + j for key, i, j, _ in items], dtype=np.intp),
+                    np.array([coef for *_, coef in items]))
+        for items in terms
+    )
     # The identity key ((), ()) sorts first: its diagonal places (0, i, i).
-    b = problem.block
     norm = vector_from(np.arange(b) * (b + 1), np.ones(b))
-    return ReducedProblem(problem, label, p, q, norm)
+    return label, p, q, norm
 
 
-def _class_action(reduced: ReducedProblem, word_image: np.ndarray, word_sign: np.ndarray):
+def _class_action(problem: MomentProblem, word_image: np.ndarray, word_sign: np.ndarray):
     """The action on the real classes of the signed row permutation that
     sends row k to word_sign[k] times row word_image[k]: (class_image,
     class_sign), or None unless it maps the cells of every class onto the
     cells of one class with one sign and keeps p, q and norm up to that
     sign.  Cell (r, c) goes to (word_image[r], word_image[c]) with sign
     word_sign[r] word_sign[c]."""
-    image = reduced.label[np.ix_(word_image, word_image)]
+    image = problem.label[np.ix_(word_image, word_image)]
     sign = np.outer(word_sign, word_sign)
-    class_image = np.empty(len(reduced.p), dtype=np.intp)
-    class_image[reduced.label] = image
-    class_sign = np.empty(len(reduced.p))
-    class_sign[reduced.label] = sign
-    sizes = np.bincount(reduced.label.ravel())
+    class_image = np.empty(len(problem.p), dtype=np.intp)
+    class_image[problem.label] = image
+    class_sign = np.empty(len(problem.p))
+    class_sign[problem.label] = sign
+    sizes = np.bincount(problem.label.ravel())
     # The map is a bijection on cells, so the image of a class inside one
     # class of the same size is that whole class.
     if not (
-        np.array_equal(class_image[reduced.label], image)
-        and np.array_equal(class_sign[reduced.label], sign)
+        np.array_equal(class_image[problem.label], image)
+        and np.array_equal(class_sign[problem.label], sign)
         and np.array_equal(sizes[class_image], sizes)
     ):
         return None
-    if any(not np.array_equal(vec[class_image] * class_sign, vec) for vec in (reduced.p, reduced.q, reduced.norm)):
+    if any(not np.array_equal(vec[class_image] * class_sign, vec) for vec in (problem.p, problem.q, problem.norm)):
         return None
     return class_image, class_sign
 
 
-def symmetry_group(reduced: ReducedProblem):
-    """The symmetries of a reduced problem among the Alice<->Bob swap
-    (a, b) -> (b, a) and the global sign flip (A, B) -> (-A, -B).
+def symmetry_group(problem: MomentProblem):
+    """The symmetries of a moment problem's reduction among the
+    Alice<->Bob swap (a, b) -> (b, a) and the global sign flip
+    (A, B) -> (-A, -B).
 
     A symmetry is a signed word permutation: the swap sends word k to the
     word of swapped parts with sign +1, the flip sends it to itself with
@@ -636,7 +618,6 @@ def symmetry_group(reduced: ReducedProblem):
     moments are equal up to the sign on each class orbit, and zero on a
     class an element maps onto itself with sign -1.
     """
-    problem = reduced.problem
     n = problem.dim
     elements = [(np.arange(n), np.ones(n))]
     candidates = []
@@ -650,10 +631,10 @@ def symmetry_group(reduced: ReducedProblem):
             candidates = [(swap, np.ones(n)), (np.arange(n), flip), (swap, flip)]
     for image, sign in candidates:
         known = any(np.array_equal(image, i) and np.array_equal(sign, s) for i, s in elements)
-        if not known and _class_action(reduced, image, sign) is not None:
+        if not known and _class_action(problem, image, sign) is not None:
             # candidate after each element: row k goes to s[k] sign[i[k]] image[i[k]]
             elements += [(image[i], s * sign[i]) for i, s in elements]
-    actions = [_class_action(reduced, i, s) for i, s in elements]
+    actions = [_class_action(problem, i, s) for i, s in elements]
     return tuple(np.array(part) for part in (*zip(*elements), *zip(*actions)))
 
 
@@ -670,16 +651,16 @@ def words_to_json(words) -> dict:
 
 
 def export_sdpa(problem: MomentProblem, path, violation: float, constraints: str = "generated") -> dict:
-    """Write the real reduction of the problem at a violation level as a
-    sparse SDPA file.
+    """Write the problem's real reduction at a violation level as a
+    sparse SDPA file; the reduction is the one the problem was built with.
 
     The variable is the real symmetric moment matrix (one block of the
     moment dimension), which has the same optimum as the Hermitian one
-    (the conjugation argument above :class:`ReducedProblem`).  The objective, the violation level and
-    the normalization read one upper-triangle cell of each real class;
-    the equality constraints tie the upper-triangle cells of each class,
-    as a chain to its first cell (``deduplicated``) or as every pair
-    (``generated``).
+    (the conjugation argument above `reduce_problem`).  The objective, the
+    violation level and the normalization read one upper-triangle cell of
+    each real class; the equality constraints tie the upper-triangle cells
+    of each class, as a chain to its first cell (``deduplicated``) or as
+    every pair (``generated``).
 
     SDPA-dual semantics: max tr(F0 Y) s.t. tr(Fi Y) = c_i, Y >= 0, with
     F0 = -(objective reader), so the file's dual optimum equals minus the
@@ -688,14 +669,13 @@ def export_sdpa(problem: MomentProblem, path, violation: float, constraints: str
     """
     if constraints not in ("generated", "deduplicated"):
         raise ValueError("constraints must be 'generated' or 'deduplicated'")
-    reduced = reduce_problem(problem)
     rows, cols = np.triu_indices(problem.dim)
-    upper = reduced.label[rows, cols]
+    upper = problem.label[rows, cols]
     first, other = _tied_pairs(upper, every=constraints == "generated")
     # Matrix 0 reads the objective, 1 the violation level and 2 the
     # normalization, each class at its first upper-triangle cell (they are
     # in row-major order); each further matrix ties a pair of cells.
-    readers = np.stack([-reduced.p, reduced.q, reduced.norm])
+    readers = np.stack([-problem.p, problem.q, problem.norm])
     matno, cls = np.nonzero(readers)
     _, reads = np.unique(upper, return_index=True)
     matno, cell, weight = (

@@ -50,6 +50,16 @@ LAYOUTS = {
     "four-setting": {"00": 1.0, "01": 1.0, "10": 1.0, "11": -1.0},
 }
 
+#: Most copies a run may have: ``rng.integers(K)`` draws its withheld
+#: index as an int64, which numpy accepts up to K = 2**63.
+MAX_COPIES = 2**63
+
+#: Most copies a round-indexed source may have: 8 bytes of visibility per
+#: copy, and about 25 more while a run samples (the permutation, the
+#: correlations, the uniforms and two masks).  It admits Figure 2's largest
+#: planned K, 1e8: 0.8 GB for the source, about 2.5 GB for a run.
+MAX_ROUND_INDEXED_COPIES = 10**8
+
 
 def protocol_mode(params: cert.CertificateParams) -> str:
     """The subset layout a run with these parameters measures."""
@@ -186,8 +196,16 @@ class VisibilitySequenceSource(Source):
         return _ideal_pair(self.mode, float(self.visibilities[index]))
 
 
+def _check_round_indexed(copies: int) -> None:
+    """Refuse a round-indexed source above `MAX_ROUND_INDEXED_COPIES` before it allocates."""
+    if copies > MAX_ROUND_INDEXED_COPIES:
+        raise ValueError(f"a round-indexed source of K = {copies} copies exceeds the {MAX_ROUND_INDEXED_COPIES} it admits "
+                         "(8 bytes of visibility per copy, and about 25 more while a run samples)")
+
+
 def one_bad_pair_source(mode: str, copies: int, bad_index: int, visibility: float = 1.0) -> VisibilitySequenceSource:
     """All pairs at the given visibility except one maximally mixed pair."""
+    _check_round_indexed(copies)
     # An index no round carries would leave every pair good.
     if not 0 <= bad_index < copies:
         raise ValueError(f"bad_index {bad_index} outside [0, {copies})")
@@ -197,6 +215,7 @@ def one_bad_pair_source(mode: str, copies: int, bad_index: int, visibility: floa
 
 
 def drifting_visibility_source(mode: str, copies: int, v_start: float, v_end: float) -> VisibilitySequenceSource:
+    _check_round_indexed(copies)
     return VisibilitySequenceSource(mode, np.linspace(v_start, v_end, copies))
 
 
@@ -400,11 +419,13 @@ def run_trials(source_factory, params: cert.CertificateParams, n_trials: int, se
     ``source_factory(copies, rng)`` gives each trial's source: a fresh one,
     or one shared by the batch when it keeps no per-run state; the true
     extracted fidelity of the withheld pair is evaluated for each
-    accepted run.
+    accepted run.  Refuses a copy count above `MAX_COPIES`.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     k = adjusted_copies(params)
+    if k > MAX_COPIES:
+        raise ValueError(f"the run needs K = {k} copies; numpy draws the withheld index for K up to {MAX_COPIES} (2**63)")
     for stream in np.random.SeedSequence(seed).spawn(n_trials):
         rng = np.random.default_rng(stream)
         source = source_factory(k, rng)

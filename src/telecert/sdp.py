@@ -50,13 +50,14 @@ for the Schur factorization, and a member whose own step fails ends there
 while the others take their solo steps.
 
 The driver builds what the violation level does not move once per
-process, in bounded caches whose arrays are read-only: the reduced
-problem and its symmetry group per (setting, inequality, word cap,
-objective), at most 16 (`moment_points`, which `npa-export` writes
-too); and the part of a companion that neither the objective nor the
-violation level moves (`_Companion`: free moments, row elimination,
-constraint cells) per bytes of its label, normalization and inequality
-rows and group, at most 8.  Each call then poses each distinct point on
+process, in bounded caches whose arrays are read-only: the moment
+problem, which carries its reduction and its symmetry group, per
+(setting, inequality, word cap, objective), at most 16 (`moment_points`,
+whose problem `npa-export` writes too); and the part of a companion that
+neither the objective nor the violation level moves (`_Companion`: free
+moments, row elimination, constraint cells) per bytes of its label,
+normalization and inequality rows and group, at most 8.  A point is a
+(problem, violation level) pair.  Each call poses each distinct point on
 its structure once, and the points posed on one structure are one
 family.  A fresh process builds everything once, as before; a process
 that derives again (a sweep, the benchmark, the tests) reuses it.  The
@@ -81,7 +82,7 @@ construction, so `solve` has no presolve.  For moment problems that form
 is the small one (Lofberg, "Dualize it", Optim. Methods Softw. 24, 2009).
 An SDPA file's problem is brought to it by `fold_ties`, which joins the
 cells its tie constraints equate into classes, the structure of
-`npa.ReducedProblem.label`: the deduplicated and the generated exports
+`npa.MomentProblem.label`: the deduplicated and the generated exports
 of the fully untrusted problem (3138 and 47702 constraints) both fold to
 its 185 classes and solve with 183 constraints.
 
@@ -822,7 +823,6 @@ class MomentSolveResult:
     bound: float
     solution: SdpSolution
     moments: np.ndarray
-    gamma: np.ndarray
 
 
 def _moment_basis(label: np.ndarray, group):
@@ -1072,14 +1072,12 @@ class _Structure:
 # objectives cannot grow memory without limit; a command needs at most
 # four problems and two structures.  Exceptions are not cached.
 @functools.lru_cache(maxsize=16)
-def _reduced_problem(setting: str, inequality: str, cap: int, objective: str):
-    """The reduced problem of one objective and its symmetry group, with
-    read-only arrays."""
-    reduced = npa.reduce_problem(npa.build_moment_problem(setting, npa.generate_words(setting, cap), objective, inequality))
-    group = npa.symmetry_group(reduced)
-    for array in (reduced.problem.entry_ids, reduced.label, reduced.p, reduced.q, reduced.norm, *group):
+def _reduced_problem(setting: str, inequality: str, cap: int, objective: str) -> npa.MomentProblem:
+    """The moment problem of one objective, with read-only arrays."""
+    problem = npa.build_moment_problem(setting, npa.generate_words(setting, cap), objective, inequality)
+    for array in (problem.entry_ids, problem.label, problem.p, problem.q, problem.norm, *problem.group):
         array.flags.writeable = False
-    return reduced, group
+    return problem
 
 
 @functools.lru_cache(maxsize=8)
@@ -1089,15 +1087,14 @@ def _companion(structure: _Structure) -> _Companion:
 
 
 def solve_moment_problems(points) -> list:
-    """Certified minima of reduced problems' objectives at violation levels,
-    one `MomentSolveResult` per (reduced problem, group, violation) point;
-    the group is the problem's symmetry group as `npa.symmetry_group`
-    returns it.
+    """Certified minima of moment problems' objectives at violation levels,
+    one `MomentSolveResult` per (problem, violation) point.
 
     The companion structure (`_Companion`) of a point is known by the
-    bytes of its label, norm, q and group, and comes from a bounded cache
-    (`_companion`), so a structure is built once per process while it stays
-    cached, and a different group, however it was found, gets its own.  A
+    bytes of its problem's label, norm, q and group, and comes from a
+    bounded cache (`_companion`), so a structure is built once per process
+    while it stays cached, and a different group, however it was found,
+    gets its own.  A
     distinct point (structure, p and violation) is posed and solved once;
     its solution goes to every point that posed it.  The points posed on
     one structure share its cells and blocks and are one family
@@ -1106,22 +1103,22 @@ def solve_moment_problems(points) -> list:
     refusal names the solve's termination, iterations, relative gap and
     the contract tests it failed (`SdpSolution.unmet`)."""
     families, distinct, posed, of_point = {}, {}, [], []
-    for reduced, group, violation in points:
-        data = (reduced.label, reduced.norm, reduced.q, *group)
+    for problem, violation in points:
+        data = (problem.label, problem.norm, problem.q, *problem.group)
         shared = _data_key(*data)
-        point = (shared, reduced.p.tobytes(), violation)
+        point = (shared, problem.p.tobytes(), violation)
         if point not in distinct:
             structure = _companion(_Structure(shared, data))
             distinct[point] = len(posed)
             families.setdefault(shared, []).append(len(posed))
-            posed.append(structure.pose(reduced.p, [1.0, violation]))
+            posed.append(structure.pose(problem.p, [1.0, violation]))
         of_point.append(distinct[point])
     solutions = [None] * len(posed)
     for family in families.values():
         for k, sol in zip(family, solve_family([posed[k][0] for k in family])):
             solutions[k] = sol
     results = []
-    for (reduced, _, violation), k in zip(points, of_point):
+    for (_, violation), k in zip(points, of_point):
         (_, offset, recover), sol = posed[k], solutions[k]
         if sol.status != "optimal":
             # Never report a bound the solver could not certify (an
@@ -1132,29 +1129,21 @@ def solve_moment_problems(points) -> list:
                 f"moment problem at violation {violation!r} ({sol.termination} after {sol.iterations} iterations, "
                 f"relative gap {sol.relative_gap:.2e}{failed}): solve ended with status {sol.status!r}"
             )
-        y = recover(sol.dual)
-        results.append(
-            MomentSolveResult(
-                bound=float(offset - sol.primal_objective),
-                solution=sol,
-                moments=y,
-                gamma=reduced.assemble(y),
-            )
-        )
+        results.append(MomentSolveResult(bound=float(offset - sol.primal_objective), solution=sol, moments=recover(sol.dual)))
     return results
 
 
 def moment_points(setting: str, inequality: str, objective: str, epsilons, max_local_length: int | None) -> list:
     """The `solve_moment_problems` points of one objective at the violation
-    level (max - eps) of each grid point: its reduced problem at the word
-    cap (the setting's default when None) and its symmetry group, from the
-    per-process cache.  Refuses a grid point outside (0, half the maximal
-    violation], NaN included, before it builds anything."""
+    level (max - eps) of each grid point: its moment problem at the word
+    cap (the setting's default when None), from the per-process cache.
+    Refuses a grid point outside (0, half the maximal violation], NaN
+    included, before it builds anything."""
     wmax = cert.max_violation(setting, inequality)
     if not all(0.0 < e <= 0.5 * wmax for e in epsilons):
         raise ValueError("epsilon grid must sit in (0, half the maximal violation]")
-    reduced, group = _reduced_problem(setting, inequality, _word_cap(setting, max_local_length), objective)
-    return [(reduced, group, wmax - eps) for eps in epsilons]
+    problem = _reduced_problem(setting, inequality, _word_cap(setting, max_local_length), objective)
+    return [(problem, wmax - eps) for eps in epsilons]
 
 
 def _curve_solves(setting: str, inequality: str, objectives, epsilons, max_local_length: int | None) -> dict:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,16 @@ def _purify_with_bob_ancilla(state):
 @pytest.fixture
 def purify_with_bob_ancilla():
     return _purify_with_bob_ancilla
+
+
+def _altered(problem, **fields):
+    """A shallow copy of a built moment problem with the given fields
+    replaced, and nothing recomputed from them."""
+    other = copy.copy(problem)
+    vars(other).update(fields)
+    return other
+
+
+@pytest.fixture
+def altered():
+    return _altered

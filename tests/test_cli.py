@@ -197,6 +197,44 @@ def test_simulate_refuses_negative_seed(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_simulate_refuses_a_copy_count_numpy_cannot_draw(tmp_path, capsys, monkeypatch):
+    # K is about 8.9e19, above the 2**63 that the withheld index's int64
+    # draw accepts
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the copy count was checked")
+
+    monkeypatch.setattr(protosim, "run_protocol", no_trials)
+    out = tmp_path / "runs.csv"
+    assert cli.main(["simulate", "--eps", "0.25", "--q", "1e9", "--x", "1", "--out", str(out)]) == 1
+    k = protosim.adjusted_copies(cert.CertificateParams("1sdi", "steering", True, 0.25, 1e9, 1.0))
+    assert k > 2**63
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"telecert: error: the run needs K = {k} copies; numpy draws the withheld index for K up to {2**63} (2**63)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["one-bad-pair", "drift"])
+def test_simulate_refuses_a_round_indexed_source_above_its_bound(tmp_path, capsys, monkeypatch, source):
+    # the bound is lowered below this run's K = 1929, so that even a check
+    # that regresses allocates no large array
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the copy count was checked")
+
+    monkeypatch.setattr(protosim, "MAX_ROUND_INDEXED_COPIES", 1000)
+    monkeypatch.setattr(protosim, "run_protocol", no_trials)
+    out = tmp_path / "runs.csv"
+    argv = ["simulate", "--non-iid", "--eps", "0.3", "--q", "3", "--x", "1", "--source", source, "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "telecert: error: a round-indexed source of K = 1929 copies exceeds the 1000 it admits "
+        "(8 bytes of visibility per copy, and about 25 more while a run samples)\n"
+    )
+    assert not out.exists()
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     argv = [
         "simulate", "--eps", "0.2", "--q", "4", "--x", "1",
@@ -475,7 +513,8 @@ def test_npa_export_refuses_eps_outside_its_range(tmp_path, capsys, eps):
 
 def test_npa_export_writes_the_problem_a_derivation_built(tmp_path, monkeypatch, capsys):
     # after a derivation, the export in the same process builds no word
-    # list and no problem, and writes what a fresh process writes
+    # list and no problem, reduces nothing and finds no group, and writes
+    # what a fresh process writes
     exports = [
         ["--trust", "1sdi", "--inequality", "steering", "--objective", "state", "--constraints", form]
         for form in ("generated", "deduplicated")
@@ -487,7 +526,7 @@ def test_npa_export_writes_the_problem_a_derivation_built(tmp_path, monkeypatch,
 
     sdp.derive_alphas("1sdi", "steering", ("state", "measurement"), (0.1,))
     built = []
-    for name in ("generate_words", "build_moment_problem"):
+    for name in ("generate_words", "build_moment_problem", "reduce_problem", "symmetry_group"):
         monkeypatch.setattr(npa, name, lambda *args, name=name: built.append(name))
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
     for number, args in enumerate(exports):

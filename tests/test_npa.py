@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -214,12 +213,11 @@ def test_functionals_match_direct_extraction():
 def test_ideal_model_objective_values():
     # ideal configuration reaches objective 1 and the maximal violation
     words = npa.generate_words("1sdi", 3)
-    red = npa.reduce_problem(npa.build_moment_problem("1sdi", words, "state", "steering"))
+    red = npa.build_moment_problem("1sdi", words, "state", "steering")
     gamma = npa.instantiate_gamma(qc.ideal_model(), qc.bell_vector(), words)
     y = real_moments(red, gamma)
     for objective in ("state", "ZB", "XB"):
-        prob = npa.build_moment_problem("1sdi", words, objective, "steering")
-        r = npa.reduce_problem(prob)
+        r = npa.build_moment_problem("1sdi", words, objective, "steering")
         assert r.p @ real_moments(r, gamma) == pytest.approx(1.0, abs=1e-12)
     assert red.q @ y == pytest.approx(2.0, abs=1e-12)
 
@@ -228,8 +226,7 @@ def test_ideal_model_objective_values():
         qc.ideal_model(device_independent=True), qc.rotated_bell_vector(), wd
     )
     for objective in ("state", "ZAZB", "XAXB", "ZAXB"):
-        prob = npa.build_moment_problem("di", wd, objective, "chsh")
-        r = npa.reduce_problem(prob)
+        r = npa.build_moment_problem("di", wd, objective, "chsh")
         yd = real_moments(r, gd)
         assert r.p @ yd == pytest.approx(1.0, abs=1e-12)
         assert r.q @ yd == pytest.approx(2 * np.sqrt(2), abs=1e-12)
@@ -238,8 +235,7 @@ def test_ideal_model_objective_values():
 def test_werner_purification_objective_value(purify_with_bob_ancilla):
     v = 0.69
     words = npa.generate_words("1sdi", 3)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
-    red = npa.reduce_problem(prob)
+    red = npa.build_moment_problem("1sdi", words, "state", "steering")
     vec, _ = purify_with_bob_ancilla(qc.werner_state(v))
     gamma = npa.instantiate_gamma(qc.ideal_model().extended(4), vec, words)
     y = real_moments(red, gamma)
@@ -297,8 +293,7 @@ def test_dimension_mismatch_rejected():
 
 def test_reduced_assembly_round_trip(purify_with_bob_ancilla):
     words = npa.generate_words("1sdi", 3)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
-    red = npa.reduce_problem(prob)
+    red = npa.build_moment_problem("1sdi", words, "state", "steering")
     vec, _ = purify_with_bob_ancilla(qc.werner_state(0.81))
     gamma = npa.instantiate_gamma(qc.ideal_model().extended(4), vec, words)
     y = real_moments(red, gamma)
@@ -380,8 +375,7 @@ def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequ
     companion, offset, _ = sdp.companion_instance(*sdp.fold_ties(problem))
     file_sol = sdp.solve(companion)
     assert file_sol.status == "optimal"
-    reduced = npa.reduce_problem(prob)
-    result = sdp.solve_moment_problems([(reduced, npa.symmetry_group(reduced), violation)])[0]
+    result = sdp.solve_moment_problems([(prob, violation)])[0]
     assert offset - file_sol.primal_objective == pytest.approx(result.bound, abs=1e-6)
 
 
@@ -455,7 +449,7 @@ def test_cell_labels_match_tuple_reference(setting, words):
     except npa.MissingWordError:
         return  # cap 1 words are too short for the fidelity functional
     assert problem.keys == keys and np.array_equal(problem.entry_ids, entry_ids)
-    assert npa.reduce_problem(problem).label.tolist() == ranks(real)
+    assert problem.label.tolist() == ranks(real)
 
 
 def test_identity_word_required():
@@ -537,13 +531,13 @@ def test_sdpa_reader_matches_cell_reference(tmp_path):
             assert np.array_equal(a, b)
 
 
-def test_swap_symmetry_detection():
+def test_swap_symmetry_detection(altered):
     words = npa.generate_words("di", 4)
     identity = np.arange(len(words))
     parity = (-1.0) ** np.array([w.length for w in words])
     for objective in ("state", "ZAZB", "XAXB"):
-        reduced = npa.reduce_problem(npa.build_moment_problem("di", words, objective, "chsh"))
-        word_image, word_sign, class_image, class_sign = npa.symmetry_group(reduced)
+        reduced = npa.build_moment_problem("di", words, objective, "chsh")
+        word_image, word_sign, class_image, class_sign = reduced.group
         # identity, swap, flip and swap plus flip
         assert len(word_image) == 4
         assert np.array_equal(word_image[0], identity) and np.all(word_sign[0] == 1.0)
@@ -571,14 +565,14 @@ def test_swap_symmetry_detection():
     label = reduced.label.copy()
     cell_u, cell_w = np.flatnonzero(label == u)[0], np.flatnonzero(label == w)[0]
     label.flat[cell_u], label.flat[cell_w] = w, u
-    word_image, word_sign, _, _ = npa.symmetry_group(dataclasses.replace(reduced, label=label))
+    word_image, word_sign, _, _ = npa.symmetry_group(altered(reduced, label=label))
     assert np.array_equal(word_image, [identity, identity]) and np.array_equal(word_sign, [np.ones(81), parity])
     odd = np.flatnonzero(class_sign[2] < 0)[0]
     label.flat[np.flatnonzero(label == odd)[0]] = u
-    assert len(npa.symmetry_group(dataclasses.replace(reduced, label=label))[0]) == 1
+    assert len(npa.symmetry_group(altered(reduced, label=label))[0]) == 1
     # ZAXB becomes XAZB under the swap, and keeps only the flip
-    zaxb = npa.reduce_problem(npa.build_moment_problem("di", words, "ZAXB", "chsh"))
-    word_image, word_sign, _, _ = npa.symmetry_group(zaxb)
+    zaxb = npa.build_moment_problem("di", words, "ZAXB", "chsh")
+    word_image, word_sign, _, _ = zaxb.group
     assert np.array_equal(word_image, [identity, identity]) and np.array_equal(word_sign, [np.ones(81), parity])
     # an odd objective term keeps the flip out, and the swap with it unless
     # the term's swap image is there too
@@ -587,14 +581,14 @@ def test_swap_symmetry_detection():
     for terms, order in (([za], 1), ([za, zb], 2)):
         p = reduced.p.copy()
         p[terms] = 0.3
-        word_image, word_sign, _, _ = npa.symmetry_group(dataclasses.replace(reduced, p=p))
+        word_image, word_sign, _, _ = npa.symmetry_group(altered(reduced, p=p))
         assert len(word_image) == order and np.all(word_sign == 1.0)
     # a word whose swap image is not in the list: the flip alone
     lopsided = npa.generate_words("di", 3) + [npa.OperatorWord("di", (0, 1, 0, 1), ())]
-    reduced = npa.reduce_problem(npa.build_moment_problem("di", lopsided, "state", "chsh"))
-    assert len(npa.symmetry_group(reduced)[0]) == 2
+    reduced = npa.build_moment_problem("di", lopsided, "state", "chsh")
+    assert len(reduced.group[0]) == 2
     # one-sided problems have the trivial group
-    one_sided = npa.reduce_problem(npa.build_moment_problem("1sdi", npa.generate_words("1sdi", 3), "state", "steering"))
-    word_image, word_sign, class_image, class_sign = npa.symmetry_group(one_sided)
+    one_sided = npa.build_moment_problem("1sdi", npa.generate_words("1sdi", 3), "state", "steering")
+    word_image, word_sign, class_image, class_sign = one_sided.group
     assert np.array_equal(word_image, [np.arange(14)]) and np.array_equal(word_sign, np.ones((1, 14)))
     assert np.array_equal(class_image, [np.arange(len(one_sided.p))]) and np.all(class_sign == 1.0)

@@ -459,6 +459,20 @@ def test_round_indexed_sources_refuse_a_wrong_length(mode):
             protosim.one_bad_pair_source(mode, k, bad_index)
 
 
+@pytest.mark.parametrize("mode", sorted(protosim.LAYOUTS))
+def test_round_indexed_sources_refuse_more_copies_than_they_admit(monkeypatch, mode):
+    # the bound is lowered, so that even a check that regresses allocates
+    # no large array
+    monkeypatch.setattr(protosim, "MAX_ROUND_INDEXED_COPIES", 20)
+    assert len(protosim.one_bad_pair_source(mode, 20, 19).visibilities) == 20
+    assert len(protosim.drifting_visibility_source(mode, 20, 1.0, 0.8).visibilities) == 20
+    message = "a round-indexed source of K = 21 copies exceeds the 20 it admits"
+    with pytest.raises(ValueError, match=message):
+        protosim.one_bad_pair_source(mode, 21, 0)
+    with pytest.raises(ValueError, match=message):
+        protosim.drifting_visibility_source(mode, 21, 1.0, 0.8)
+
+
 def test_greedy_adversary_soundness_is_pinned():
     # The benchmark's adaptive adversary: a maximally mixed pair while
     # under 5% of the measured rounds came out anticorrelated.

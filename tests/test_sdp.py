@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -27,17 +25,9 @@ def cell_constraints(owner, rows, cols, values, rhs):
     return sdp.Constraints(*(np.array(a) for a in (owner, rows, cols, values, rhs)))
 
 
-def moment_point(problem, violation):
-    """A `sdp.solve_moment_problems` point: a moment problem's reduction,
-    its symmetry group and a violation level."""
-    reduced = npa.reduce_problem(problem)
-    return reduced, npa.symmetry_group(reduced), violation
-
-
-def moment_companion(reduced, violation):
+def moment_companion(problem, violation):
     """The companion `sdp.solve_moment_problems` solves."""
-    group = npa.symmetry_group(reduced)
-    return sdp.companion_instance(reduced.label, reduced.p, [reduced.norm, reduced.q], [1.0, violation], group)
+    return sdp.companion_instance(problem.label, problem.p, [problem.norm, problem.q], [1.0, violation], problem.group)
 
 
 def file_companion(instance):
@@ -206,7 +196,7 @@ def test_instance_cell_contract():
 def test_state_problem_at_maximal_violation():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering")
-    result = sdp.solve_moment_problems([moment_point(problem, 2.0 - 1e-6)])[0]
+    result = sdp.solve_moment_problems([(problem, 2.0 - 1e-6)])[0]
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
 
@@ -214,14 +204,12 @@ def test_minimizing_moment_matrix_is_feasible():
     words = npa.generate_words("1sdi", 3)
     eps = 0.1
     problem = npa.build_moment_problem("1sdi", words, "state", "steering")
-    result = sdp.solve_moment_problems([moment_point(problem, 2.0 - eps)])[0]
-    reduced = npa.reduce_problem(problem)
-    gamma = result.gamma
-    assert np.linalg.eigvalsh(gamma).min() >= -1e-7
-    assert reduced.q @ result.moments == pytest.approx(2.0 - eps, abs=1e-7)
-    assert reduced.norm @ result.moments == pytest.approx(1.0, abs=1e-9)
+    result = sdp.solve_moment_problems([(problem, 2.0 - eps)])[0]
+    assert np.linalg.eigvalsh(problem.assemble(result.moments)).min() >= -1e-7
+    assert problem.q @ result.moments == pytest.approx(2.0 - eps, abs=1e-7)
+    assert problem.norm @ result.moments == pytest.approx(1.0, abs=1e-9)
     # primal- and dual-side objective values agree up to the gap contract
-    assert reduced.p @ result.moments == pytest.approx(result.bound, abs=2e-6)
+    assert problem.p @ result.moments == pytest.approx(result.bound, abs=2e-6)
 
 
 def test_curve_monotone_and_below_werner_ceiling():
@@ -304,13 +292,13 @@ def test_unreachable_violation_level_raises():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering")
     with pytest.raises(sdp.SdpError):
-        sdp.solve_moment_problems([moment_point(problem, 2.2)])
+        sdp.solve_moment_problems([(problem, 2.2)])
 
 
 def test_state_problem_at_exact_maximum():
     words = npa.generate_words("1sdi", 3)
     problem = npa.build_moment_problem("1sdi", words, "state", "steering")
-    result = sdp.solve_moment_problems([moment_point(problem, 2.0)])[0]
+    result = sdp.solve_moment_problems([(problem, 2.0)])[0]
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
 
@@ -322,7 +310,7 @@ def _companion(setting, inequality, eps):
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
     problem = npa.build_moment_problem(setting, words, "state", inequality)
-    instance, _, _ = moment_companion(npa.reduce_problem(problem), wmax - eps)
+    instance, _, _ = moment_companion(problem, wmax - eps)
     return instance
 
 
@@ -585,15 +573,14 @@ def test_fold_on_exported_stacks(tmp_path):
         instance, problem, violation = _exported_stack(tmp_path, setting, inequality, cap)
         assert len(instance.constraints) == written
         label, p, e, d, _ = sdp.fold_ties(instance)
-        reduced = npa.reduce_problem(problem)
-        assert label.max() + 1 == len(reduced.p) == classes
+        assert label.max() + 1 == len(problem.p) == classes
         # the same partition of the cells as the real reduction's
-        pairs = np.unique(np.stack([label.ravel(), reduced.label.ravel()]), axis=1)
+        pairs = np.unique(np.stack([label.ravel(), problem.label.ravel()]), axis=1)
         assert pairs.shape[1] == classes
         assert e.shape == (2, classes) and list(d) == [pytest.approx(violation), 1.0]
         value, count = file_minimum(instance)
         assert count == classes - 2
-        assert value == pytest.approx(sdp.solve_moment_problems([moment_point(problem, violation)])[0].bound, abs=1e-6)
+        assert value == pytest.approx(sdp.solve_moment_problems([(problem, violation)])[0].bound, abs=1e-6)
 
     # hand-made: a scaled duplicate is dropped, a conflicting one refused
     a = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -724,24 +711,22 @@ def _bounds(reduced, violations):
 SPLITS = {"state": (59, [25, 16, 20, 20]), "ZAZB": (59, [25, 16, 20, 20]), "XAXB": (59, [25, 16, 20, 20]), "ZAXB": (103, [41, 40])}
 
 
-def test_swap_reduced_bounds_match_unreduced(monkeypatch):
+def test_swap_reduced_bounds_match_unreduced(altered):
     # every fully untrusted objective at eps 0.01, 0.1 and 0.2, reduced by
     # its symmetry group and with symmetry detection disabled
     wmax = cert.max_violation("di", "chsh")
     words = npa.generate_words("di", 4)
     violations = [wmax - eps for eps in (0.01, 0.1, 0.2)]
-    reduced = {obj: npa.reduce_problem(npa.build_moment_problem("di", words, obj, "chsh")) for obj in SPLITS}
-    groups = {obj: npa.symmetry_group(red) for obj, red in reduced.items()}
+    reduced = {obj: npa.build_moment_problem("di", words, obj, "chsh") for obj in SPLITS}
     runs = {obj: _bounds(red, violations) for obj, red in reduced.items()}
-    monkeypatch.setattr(npa, "symmetry_group", trivial_group)
     # the classes of cells (r, c) with an odd total word length
     lengths = np.array([w.length for w in words])
     odd = np.zeros(185, dtype=bool)
     odd[reduced["state"].label[(lengths[:, None] + lengths) % 2 == 1]] = True
     assert np.count_nonzero(odd) == 80
     for objective, red in reduced.items():
-        _, _, class_image, class_sign = groups[objective]
-        full_runs = _bounds(red, violations)
+        _, _, class_image, class_sign = red.group
+        full_runs = _bounds(altered(red, group=trivial_group(red)), violations)
         constraints, sizes = SPLITS[objective]
         for violation, (instance, value, moments) in runs[objective].items():
             full_instance, full, _ = full_runs[violation]
@@ -763,26 +748,26 @@ def test_swap_reduced_bounds_match_unreduced(monkeypatch):
 
 
 @pytest.mark.parametrize("paired", [False, True])
-def test_odd_objective_term_keeps_the_flip_out(monkeypatch, paired):
+def test_odd_objective_term_keeps_the_flip_out(altered, paired):
     # an objective that reads <Z_A> (and <Z_B>, its swap image, when
     # paired) is not flip-symmetric: the group keeps at most the swap, and
     # the reduced solve still matches the unreduced one
     wmax = cert.max_violation("di", "chsh")
     words = npa.generate_words("di", 4)
-    reduced = npa.reduce_problem(npa.build_moment_problem("di", words, "state", "chsh"))
+    reduced = npa.build_moment_problem("di", words, "state", "chsh")
     # cell (k, 0) carries the moment of word k
     position = {w.key: k for k, w in enumerate(words)}
     za, zb = (reduced.label[position[key], 0] for key in (((0,), ()), ((), (0,))))
     p = reduced.p.copy()
     p[[za, zb] if paired else [za]] += 0.3
-    odd = dataclasses.replace(reduced, p=p)
-    word_image, word_sign, _, _ = npa.symmetry_group(odd)
+    odd = altered(reduced, p=p)
+    odd.group = npa.symmetry_group(odd)
+    word_image, word_sign, _, _ = odd.group
     assert len(word_image) == (2 if paired else 1) and np.all(word_sign == 1.0)
     violation = wmax - 0.1
     (_, value, moments), = _bounds(odd, [violation]).values()
     (_, even_value, _), = _bounds(reduced, [violation]).values()
-    monkeypatch.setattr(npa, "symmetry_group", trivial_group)
-    (_, full, _), = _bounds(odd, [violation]).values()
+    (_, full, _), = _bounds(altered(odd, group=trivial_group(odd)), [violation]).values()
     assert value == pytest.approx(full, abs=1e-6)
     # the odd term moves the optimum, so a wrongly kept flip would show
     assert value < even_value - 1e-3
@@ -796,8 +781,8 @@ def test_swap_adapted_basis_is_orthogonal():
     words = npa.generate_words("di", 4)
     rng = np.random.default_rng(23)
     for objective, moments, sizes in (("XAXB", 61, [25, 16, 20, 20]), ("ZAXB", 105, [41, 40])):
-        reduced = npa.reduce_problem(npa.build_moment_problem("di", words, objective, "chsh"))
-        of_class, sign, (owner, rows, cols, values) = sdp._moment_basis(reduced.label, npa.symmetry_group(reduced))
+        reduced = npa.build_moment_problem("di", words, objective, "chsh")
+        of_class, sign, (owner, rows, cols, values) = sdp._moment_basis(reduced.label, reduced.group)
         assert of_class.max() + 1 == moments and np.all(rows <= cols)
         assert np.count_nonzero(sign == 0.0) == 80
         mats = np.zeros((moments, 81, 81))
@@ -819,7 +804,7 @@ def test_state_curves_are_convex(setting, inequality):
     # duality gap, which sets the slack.
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
-    reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, "state", inequality))
+    reduced = npa.build_moment_problem(setting, words, "state", inequality)
     eps = (0.01, 0.02, 0.05, 0.1, 0.2)
     values, errors = [], []
     for e in eps:
@@ -867,7 +852,7 @@ def test_companion_constraints_are_independent(tmp_path):
         wmax = cert.max_violation(setting, inequality)
         words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
         for objective in npa.OBJECTIVES[setting]:
-            reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality))
+            reduced = npa.build_moment_problem(setting, words, objective, inequality)
             for eps in (0.01, 0.2):
                 instance, _, _ = moment_companion(reduced, wmax - eps)
                 assert _relative_smallest_singular_value(instance) >= INDEPENDENCE_FLOOR
@@ -1011,8 +996,8 @@ def test_coupling_terms_only_at_nonzero_couplings(setting, inequality):
     # problem and sparse random rows over its classes, under its group.
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
-    reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, "state", inequality))
-    group = npa.symmetry_group(reduced)
+    reduced = npa.build_moment_problem(setting, words, "state", inequality)
+    group = reduced.group
     rng = np.random.default_rng(29)
     extra, _ = _sparse_rows(rng, 12, len(reduced.p))
     e = np.vstack([reduced.norm, reduced.q, extra])
@@ -1047,11 +1032,11 @@ def test_one_structure_poses_every_point_as_a_fresh_companion(setting, inequalit
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
     state, reduced = (
-        npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality))
+        npa.build_moment_problem(setting, words, objective, inequality)
         for objective in ("state", other)
     )
-    group = npa.symmetry_group(state)
-    assert all(np.array_equal(a, b) for a, b in zip(group, npa.symmetry_group(reduced)))
+    group = state.group
+    assert all(np.array_equal(a, b) for a, b in zip(group, reduced.group))
     e = [state.norm, state.q]
     structure = sdp._Companion(state.label, e, group)
     rng = np.random.default_rng(31)
@@ -1085,7 +1070,7 @@ def _companions(setting, inequality, objectives, epsilons):
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
     instances = []
     for objective in objectives:
-        reduced = npa.reduce_problem(npa.build_moment_problem(setting, words, objective, inequality))
+        reduced = npa.build_moment_problem(setting, words, objective, inequality)
         instances += [moment_companion(reduced, wmax - eps)[0] for eps in epsilons]
     return instances
 
@@ -1339,10 +1324,10 @@ def test_a_second_derivation_builds_nothing_again(monkeypatch):
 
 
 def test_cached_problems_and_structures_are_read_only():
-    reduced, group = sdp._reduced_problem("di", "chsh", 4, "ZAXB")
-    data = (reduced.label, reduced.norm, reduced.q, *group)
+    problem = sdp._reduced_problem("di", "chsh", 4, "ZAXB")
+    data = (problem.label, problem.norm, problem.q, *problem.group)
     structure = sdp._companion(sdp._Structure(sdp._data_key(*data), data))
-    parts = [reduced.problem.entry_ids, reduced.label, reduced.p, reduced.q, reduced.norm, *group]
+    parts = [problem.entry_ids, problem.label, problem.p, problem.q, problem.norm, *problem.group]
     for value in vars(structure).values():
         parts += value if isinstance(value, (list, tuple)) else [value]
     for array in (part for part in parts if isinstance(part, np.ndarray)):
@@ -1351,15 +1336,16 @@ def test_cached_problems_and_structures_are_read_only():
 
 
 def test_a_patched_group_gets_its_own_structure(monkeypatch):
-    # The structure cache is keyed on the bytes of the group a point
-    # carries, so the point solved again with the trivial group is posed
-    # on a structure of its own, unreduced, and not on the cached one.
+    # The structure cache is keyed on the bytes of the group a point's
+    # problem carries, so the problem built again under the trivial group
+    # is posed on a structure of its own, unreduced, and not on the cached
+    # one.
     wmax = cert.max_violation("di", "chsh")
-    reduced = npa.reduce_problem(npa.build_moment_problem("di", npa.generate_words("di", 4), "state", "chsh"))
-    point = (reduced, npa.symmetry_group(reduced), wmax - 0.1)
+    words = npa.generate_words("di", 4)
+    point = (npa.build_moment_problem("di", words, "state", "chsh"), wmax - 0.1)
     (split,) = sdp.solve_moment_problems([point])
     monkeypatch.setattr(npa, "symmetry_group", trivial_group)
-    (full,) = sdp.solve_moment_problems([(reduced, npa.symmetry_group(reduced), wmax - 0.1)])
+    (full,) = sdp.solve_moment_problems([(npa.build_moment_problem("di", words, "state", "chsh"), wmax - 0.1)])
     assert (len(split.solution.kept_constraints), len(full.solution.kept_constraints)) == (59, 183)
     assert full.bound == pytest.approx(split.bound, abs=1e-6)
     # the cached structure of the whole group still serves the point
