@@ -157,9 +157,7 @@ def _source_factory(args, mode: str, copies: int):
 
     if args.source == "one-bad-pair":
         return lambda copies, rng: protosim.one_bad_pair_source(mode, copies, int(rng.integers(copies)), args.visibility)
-    if args.source == "honest":
-        source = protosim.honest_ideal_source(mode)
-    elif args.source == "werner":
+    if args.source in ("honest", "werner"):  # cmd_simulate holds honest at visibility 1
         source = protosim.werner_source(mode, args.visibility)
     elif args.source == "drift":
         source = protosim.drifting_visibility_source(mode, copies, args.visibility, args.v_end)
@@ -339,9 +337,10 @@ def cmd_figure2(args) -> int:
             result = cert.plan(epsilon=FIGURE2_PLAN_EPS[iid], **plan_kwargs)
             if not result.feasible:
                 result = cert.plan(**plan_kwargs)
+            # Every plan of these constant targets is feasible, and its eps
+            # joins the grid at F >= 2/3, so every curve crosses the grid.
             planned[iid] = result
-            if result.feasible:
-                grid.append(result.params.epsilon)
+            grid.append(result.params.epsilon)
         families.append((trust, planned))
     grid = sorted(set(grid))
 
@@ -352,9 +351,6 @@ def cmd_figure2(args) -> int:
         for iid in (True, False):
             tag = f"{trust}_{'iid' if iid else 'noniid'}"
             result = planned[iid]
-            if not result.feasible:
-                crossings[tag] = None
-                continue
             q, x = result.params.q, result.params.x
             rows = cert.sweep_rows(trust, "chsh", grid, q, x)
             key = "fidelity_iid" if iid else "fidelity_noniid"
@@ -362,10 +358,10 @@ def cmd_figure2(args) -> int:
             columns[f"F_{tag}"] = [r[key] for r in rows]
             columns[f"K_{tag}"] = [r[kkey] for r in rows]
             header.extend([f"F_{tag}", f"K_{tag}"])
-            feasible_eps = [e for e, f in zip(grid, columns[f"F_{tag}"]) if f >= FIGURE2_TARGET_F]
+            crossing = max(e for e, f in zip(grid, columns[f"F_{tag}"]) if f >= FIGURE2_TARGET_F)
             crossings[tag] = {
-                "epsilon": max(feasible_eps) if feasible_eps else None,
-                "violation": (cert.max_violation(trust, "chsh") - max(feasible_eps)) if feasible_eps else None,
+                "epsilon": crossing,
+                "violation": cert.max_violation(trust, "chsh") - crossing,
                 "q": q,
                 "x": x,
                 "planned_epsilon": result.params.epsilon,

@@ -22,9 +22,11 @@ stack kept on the measurement model, and its outcomes from two uniforms
 through :func:`born_outcomes`.  Batches of runs come from one trial
 loop, :func:`run_trials`, which the soundness tally and the command line
 both consume; a source that draws nothing and keeps no per-run state
-(iid, drift) can serve a whole batch.  The true extracted fidelity of a
-round-indexed source's ordinary (ideal-device Werner-type) pair is kept
-in a bounded per-process memo keyed by (mode, visibility).
+(iid, drift) can serve a whole batch.  A round-indexed source's pairs
+are Werner-type pairs on ideal devices, and the one-bad-pair source's
+maximally mixed pair is its round of visibility 0; the true extracted
+fidelity of each is kept in a bounded per-process memo keyed by (mode,
+visibility).
 """
 
 from __future__ import annotations
@@ -73,8 +75,10 @@ def protocol_mode(params: cert.CertificateParams) -> str:
 
 
 class Source:
-    """Base source: override ``pair`` with the physical state and devices
-    of each round, and ``correlations`` where they have a closed form."""
+    """Base source: the protocol mode and the Born-rule statistics of one
+    pair at one subset's setting.  Each source gives ``pair(index)``, the
+    state and devices of a round, and is sampled along its own path in
+    :func:`run_protocol`: iid, round-indexed or history-adaptive."""
 
     adaptive = False
 
@@ -82,14 +86,6 @@ class Source:
         if mode not in LAYOUTS:
             raise ValueError(f"unknown protocol mode {mode!r}")
         self.mode = mode
-
-    def correlations(self, rounds: np.ndarray) -> np.ndarray:
-        """<AB> of each pair in ``rounds``, a (subsets, size) array of pair
-        indices whose row t is measured at setting t, as a new array that
-        the caller may overwrite."""
-        return np.array(
-            [[self.pair_statistics(*self.pair(int(i)), t)[2] for i in row] for t, row in enumerate(rounds)]
-        )
 
     def pair_statistics(self, state, model: qcore.MeasurementModel, setting: int):
         """Born-rule (marginal_a, marginal_b, correlation) of one pair."""
@@ -118,9 +114,6 @@ class Source:
             return a_obs, model.bob_observable(model_setting)
         x, y = divmod(setting, 2)
         return model.alice_observable(x), model.bob_observable(y)
-
-    def pair(self, index: int):
-        raise NotImplementedError
 
 
 def _ideal_pair(mode: str, visibility: float):
@@ -159,23 +152,21 @@ def werner_source(mode: str, visibility: float) -> IidSource:
     return IidSource(mode, *_ideal_pair(mode, visibility))
 
 
-def honest_ideal_source(mode: str) -> IidSource:
-    return werner_source(mode, 1.0)
-
-
 class VisibilitySequenceSource(Source):
     """Round-indexed Werner-type source with ideal devices; visibility may
-    vary per round, and one round may be replaced by an arbitrary pair."""
+    vary per round, and a maximally mixed pair is a round of visibility 0."""
 
-    def __init__(self, mode: str, visibilities: np.ndarray, special: dict | None = None):
+    def __init__(self, mode: str, visibilities: np.ndarray):
         super().__init__(mode)
         self.visibilities = np.asarray(visibilities, dtype=float)
         # Written to hold, so that NaN fails it too.
         if not np.all((self.visibilities >= 0.0) & (self.visibilities <= 1.0)):
             raise ValueError("visibilities must sit in [0, 1]")
-        self.special = special or {}
 
-    def correlations(self, rounds):
+    def correlations(self, rounds: np.ndarray) -> np.ndarray:
+        """<AB> of each pair in ``rounds``, a (subsets, size) array of pair
+        indices whose row t is measured at setting t, as a new array that
+        the caller may overwrite."""
         # Werner-type pairs on ideal devices: correlation v on both steering
         # subsets, v/sqrt(2) with the subset's CHSH sign on the setting pairs.
         signs = np.array(list(LAYOUTS[self.mode].values()))
@@ -183,16 +174,9 @@ class VisibilitySequenceSource(Source):
             signs /= SQRT2
         corr = self.visibilities[rounds]
         corr *= signs[:, None]
-        for idx, (state, model) in self.special.items():
-            # flatnonzero scans a flat mask several times faster than the
-            # two-dimensional nonzero, and finds the same cells in order.
-            for t, pos in zip(*np.unravel_index(np.flatnonzero(rounds == idx), rounds.shape)):
-                corr[t, pos] = self.pair_statistics(state, model, int(t))[2]
         return corr
 
     def pair(self, index: int):
-        if index in self.special:
-            return self.special[index]
         return _ideal_pair(self.mode, float(self.visibilities[index]))
 
 
@@ -204,14 +188,15 @@ def _check_round_indexed(copies: int) -> None:
 
 
 def one_bad_pair_source(mode: str, copies: int, bad_index: int, visibility: float = 1.0) -> VisibilitySequenceSource:
-    """All pairs at the given visibility except one maximally mixed pair."""
+    """All pairs at the given visibility except the maximally mixed pair at
+    ``bad_index``, a round of visibility 0."""
     _check_round_indexed(copies)
     # An index no round carries would leave every pair good.
     if not 0 <= bad_index < copies:
         raise ValueError(f"bad_index {bad_index} outside [0, {copies})")
-    return VisibilitySequenceSource(
-        mode, np.full(copies, visibility), special={int(bad_index): _ideal_pair(mode, 0.0)}
-    )
+    visibilities = np.full(copies, visibility)
+    visibilities[bad_index] = 0.0
+    return VisibilitySequenceSource(mode, visibilities)
 
 
 def drifting_visibility_source(mode: str, copies: int, v_start: float, v_end: float) -> VisibilitySequenceSource:
@@ -383,7 +368,7 @@ def true_extracted_fidelity(source: Source, index: int) -> float:
     reference state, evaluated at the devices the source actually used."""
     if isinstance(source, IidSource):
         return source.extracted_fidelity
-    if isinstance(source, VisibilitySequenceSource) and index not in source.special:
+    if isinstance(source, VisibilitySequenceSource):
         return _ideal_extracted_fidelity(source.mode, float(source.visibilities[index]))
     return _extracted_fidelity(source.mode, *source.pair(index))
 

@@ -261,7 +261,9 @@ class _Cells:
         grouped = np.argsort(self.rank[owner], kind="stable")
         owner, r, c, self.vals = owner[grouped], r[grouped], c[grouped], vals[grouped]
         label = _components(n, *np.concatenate([np.nonzero(objective), (r, c)], axis=1))
-        groups = [np.flatnonzero(label == root) for root in np.unique(label)]
+        # One group per component root, ascending; plain np.unique (and
+        # np.setdiff1d through it) would import numpy.ma into every process.
+        groups = [np.flatnonzero(label == root) for root in np.flatnonzero(label == np.arange(n))]
         self.perm = np.concatenate(groups)
         ends = np.cumsum([len(idx) for idx in groups])
         self.blocks = [slice(end - len(idx), end) for idx, end in zip(groups, ends)]
@@ -917,7 +919,7 @@ class _Companion:
                 later = i + 1 + np.flatnonzero(reduced[i + 1 :, v])
                 reduced[later] -= reduced[later, v, None] / row[v] * row
         self.kept, self.pivots = np.array(kept, dtype=np.intp), np.array(pivots, dtype=np.intp)
-        self.dropped = np.setdiff1d(np.arange(len(e_all)), kept)
+        self.dropped = np.flatnonzero(~np.isin(np.arange(len(e_all)), kept))
         self.free = free = np.flatnonzero(~np.isin(np.arange(m), pivots))
         self.e_piv = e_all[kept][:, pivots]
         self.coupling = coupling = -np.linalg.solve(self.e_piv, e_all[kept][:, free])  # k x (m-k)

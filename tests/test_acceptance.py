@@ -213,7 +213,7 @@ def test_criterion_5_protocol_completeness():
     k = protosim.adjusted_copies(params)
 
     rng = np.random.default_rng(100)
-    honest = protosim.honest_ideal_source("two-basis")
+    honest = protosim.werner_source("two-basis", 1.0)
     honest_accepted = sum(
         protosim.run_protocol(honest, params, rng)[0].accepted for _ in range(100)
     )

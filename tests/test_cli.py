@@ -601,7 +601,11 @@ def test_figure2_outputs(tmp_path, capsys):
     assert all(a >= b for a, b in zip(ki, ki[1:]))  # K decreasing in eps
     cdoc = json.loads(crossings.read_text())
     assert cdoc["classical_bound"] == pytest.approx(2 / 3)
-    assert cdoc["crossings"]["1sdi_iid"]["epsilon"] is not None
+    # every plan is feasible, and its curve meets the bound at its planned eps
+    assert sorted(cdoc["crossings"]) == ["1sdi_iid", "1sdi_noniid", "di_iid", "di_noniid"]
+    for crossing in cdoc["crossings"].values():
+        assert crossing["epsilon"] is not None
+        assert crossing["epsilon"] >= crossing["planned_epsilon"]
 
 
 def test_usage_error_exit_code():
@@ -666,6 +670,21 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
     loaded = _modules_loaded_by(argv, tmp_path)
     assert "telecert.cert" in loaded
     assert loaded.isdisjoint(absent), sorted(loaded & set(absent))
+
+
+def test_numerical_commands_do_not_load_numpy_ma(tmp_path):
+    # numpy's plain np.unique (and np.setdiff1d through it) imports
+    # numpy.ma, several milliseconds of every fresh process
+    commands = [
+        ["derive-alpha", "--trust", "1sdi", "--kind", "both", "--eps-grid", "0.1"],
+        ["derive-alpha", "--trust", "di", "--inequality", "chsh", "--kind", "state", "--eps-grid", "0.1"],
+        ["npa-export", "--trust", "di", "--inequality", "chsh", "--eps", "0.1", "--constraints", "deduplicated", "--out", "di.dat-s"],
+        ["sdp-solve", "--in", "di.dat-s", "--out", "solve.json"],
+        ["simulate", "--trust", "di", "--inequality", "chsh", "--non-iid", "--eps", "0.9", "--q", "1", "--x", "0.05",
+         "--source", "one-bad-pair", "--trials", "20", "--teleport-inputs", "5"],
+    ]
+    for argv in commands:
+        assert "numpy.ma" not in _modules_loaded_by(argv, tmp_path), argv[0]
 
 
 def test_sdp_errors_are_the_package_root_class():
@@ -894,6 +913,30 @@ def test_alpha_json_without_alpha(tmp_path, capsys, doc):
     code = cli.main(["certify", "--eps", "0.2", "--q", "20", "--x", "1", "--alpha-json", str(path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("telecert: error:")
+
+
+@pytest.mark.parametrize(
+    "argv, alpha, message",
+    [
+        (["certify", "--eps", "0.25"], None, "missing required option(s): --q, --x"),
+        (["derive-alpha", "--eps-grid", ","], None, "empty grid"),
+        (["certify", "--eps", "0.2", "--q", "20", "--x", "1"], "1.3", "{path}: not an alpha report (no numeric 'reports.state.alpha')"),
+        (["certify", "--eps", "0.2", "--q", "20", "--x", "1"], True, "{path}: not an alpha report (no numeric 'reports.state.alpha')"),
+    ],
+    ids=["missing-options", "empty-grid", "string-alpha", "boolean-alpha"],
+)
+def test_outside_input_refused_before_any_output(tmp_path, capsys, argv, alpha, message):
+    path = tmp_path / "alpha.json"
+    if alpha is not None:
+        # a report for the command's setting whose state alpha is no number
+        path.write_text(json.dumps({"reports": {"state": {"setting": "1sdi", "inequality": "steering", "alpha": alpha}}}))
+        argv = argv + ["--alpha-json", str(path)]
+    code = cli.main(argv + ["--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"telecert: error: {message.format(path=path)}\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == (["alpha.json"] if alpha is not None else [])
 
 
 @pytest.fixture(scope="module")

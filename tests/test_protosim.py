@@ -44,32 +44,13 @@ def test_adjusted_copies_partition():
 def test_honest_ideal_always_accepts():
     rng = np.random.default_rng(1)
     params = steering_params()
-    source = protosim.honest_ideal_source("two-basis")
+    source = protosim.werner_source("two-basis", 1.0)
     for _ in range(25):
         transcript, certificate = protosim.run_protocol(source, params, rng)
         check_transcript(transcript, params)
         assert transcript.accepted
         assert certificate is not None
         assert transcript.subset_averages == [1.0, 1.0]
-
-
-def test_honest_source_is_unit_visibility_werner():
-    for mode, n in (("two-basis", 2), ("four-setting", 4)):
-        honest = protosim.honest_ideal_source(mode)
-        werner = protosim.werner_source(mode, 1.0)
-        assert np.array_equal(honest.state.matrix, werner.state.matrix)
-        target = protosim.extraction_target(mode)
-        assert np.allclose(honest.state.matrix, np.outer(target, target.conj()), atol=1e-15)
-        assert np.array_equal(honest.setting_correlations, werner.setting_correlations)
-        # ideal correlations: 1 on both steering subsets, +-1/sqrt(2) on the CHSH pairs
-        signs = np.array(list(protosim.LAYOUTS[mode].values()))
-        expected = signs if mode == "two-basis" else signs / math.sqrt(2)
-        assert len(honest.setting_correlations) == n
-        assert np.allclose(honest.setting_correlations, expected, atol=1e-12)
-        # the round-indexed closed form agrees with the iid Born-rule values
-        rounds = np.arange(n).reshape(n, 1)
-        sequence = protosim.VisibilitySequenceSource(mode, np.ones(n))
-        assert np.allclose(sequence.correlations(rounds)[:, 0], expected, atol=1e-12)
 
 
 def test_transcript_structure():
@@ -146,7 +127,7 @@ def test_blindness_of_withheld_index():
 def test_chsh_modes():
     rng = np.random.default_rng(7)
     params = cert.CertificateParams("di", "chsh", True, 0.3, 8.0, 1.0)
-    source = protosim.honest_ideal_source("four-setting")
+    source = protosim.werner_source("four-setting", 1.0)
     acc = 0
     for _ in range(10):
         transcript, _ = protosim.run_protocol(source, params, rng)
@@ -156,7 +137,7 @@ def test_chsh_modes():
 
     # one-sided CHSH runs on the two-basis layout with a rescaled statistic
     params_1sdi = cert.CertificateParams("1sdi", "chsh", True, 0.2, 8.0, 1.0)
-    source_1sdi = protosim.honest_ideal_source("two-basis")
+    source_1sdi = protosim.werner_source("two-basis", 1.0)
     transcript, certificate = protosim.run_protocol(source_1sdi, params_1sdi, rng)
     check_transcript(transcript, params_1sdi)
     assert transcript.accepted
@@ -168,7 +149,7 @@ def test_mode_mismatch_rejected():
     rng = np.random.default_rng(8)
     params = cert.CertificateParams("di", "chsh", True, 0.3, 8.0, 1.0)
     with pytest.raises(ValueError):
-        protosim.run_protocol(protosim.honest_ideal_source("two-basis"), params, rng)
+        protosim.run_protocol(protosim.werner_source("two-basis", 1.0), params, rng)
 
 
 def test_extraction_fidelities_of_sources():
@@ -210,7 +191,7 @@ def test_extraction_side_follows_the_model_as_it_followed_the_mode(mode):
     adaptive = protosim.AdaptiveSource(mode, lambda history: emitted)
     adaptive.withhold(5, [])
     sources = [
-        (protosim.honest_ideal_source(mode), (0,)),
+        (protosim.werner_source(mode, 1.0), (0,)),
         (protosim.werner_source(mode, 0.8), (0,)),
         (protosim.one_bad_pair_source(mode, k, 17, 0.9), (17, 3)),
         (protosim.drifting_visibility_source(mode, k, 1.0, 0.8), (0, 50, k - 1)),
@@ -224,12 +205,30 @@ def test_extraction_side_follows_the_model_as_it_followed_the_mode(mode):
 def test_one_bad_pair_statistics_match_oracle():
     k = 2001
     bad_index = 1000
-    source = protosim.one_bad_pair_source("two-basis", k, bad_index)
-    corr = source.correlations(np.array([[0, bad_index], [k - 1, bad_index + 1]]))
-    assert np.allclose(corr, [[1.0, 0.0], [1.0, 1.0]], atol=1e-12)
-    # the maximally mixed pair has zero marginals too
-    m_a, m_b, _ = source.pair_statistics(*source.pair(bad_index), 1)
-    assert abs(m_a) < 1e-12 and abs(m_b) < 1e-12
+    for mode in protosim.LAYOUTS:
+        source = protosim.one_bad_pair_source(mode, k, bad_index)
+        subsets = len(protosim.LAYOUTS[mode])
+        # ideal correlations: 1 on both steering subsets, +-1/sqrt(2) on the
+        # CHSH pairs, and 0 for the bad pair at every setting
+        signs = np.array(list(protosim.LAYOUTS[mode].values()))
+        expected = signs if mode == "two-basis" else signs / math.sqrt(2)
+        rounds = np.array([[t, bad_index] for t in range(subsets)])
+        corr = source.correlations(rounds)
+        assert np.allclose(corr, np.column_stack([expected, np.zeros(subsets)]), atol=1e-12)
+        # a good pair is the mode's target state, as the iid source's is
+        target = protosim.extraction_target(mode)
+        iid = protosim.werner_source(mode, 1.0)
+        for state in (source.pair(0)[0], iid.state):
+            assert np.allclose(state.matrix, np.outer(target, target.conj()), atol=1e-15)
+        assert np.allclose(iid.setting_correlations, expected, atol=1e-12)
+        # the round-indexed closed form agrees with the Born-rule values of
+        # each round's pair, and the maximally mixed pair has zero marginals
+        for t in range(subsets):
+            for position, index in enumerate(rounds[t]):
+                m_a, m_b, born = source.pair_statistics(*source.pair(int(index)), t)
+                assert born == pytest.approx(corr[t, position], abs=1e-12)
+                if index == bad_index:
+                    assert abs(m_a) < 1e-12 and abs(m_b) < 1e-12
 
 
 def test_soundness_one_bad_pair():
@@ -377,6 +376,48 @@ def test_sequence_random_stream_is_pinned(mode, kind):
     assert runs == PINNED_SEQUENCE[(mode, kind)]
 
 
+#: (withheld, agreements, true_fidelity) of trials 0-7 of a seed-11
+#: one-bad-pair batch at K = 3 (two-basis) and K = 5 (four-setting), and
+#: the empirical fidelity of teleporting 5 inputs through each withheld bad
+#: pair, recorded while the bad pair had its own correlation and
+#: extraction path.  At these K it is tested in most runs and withheld in
+#: some (true fidelity 1/4), so the pins cover its correlations, its
+#: extraction and its teleportation.
+PINNED_BAD_PAIR = {
+    "two-basis": (
+        [
+            (2, [1, 1], 0.2499999999999999), (2, [0, 1], None), (0, [1, 0], None), (0, [1, 1], 0.9999999999999993),
+            (0, [1, 1], 0.9999999999999993), (0, [1, 0], None), (1, [1, 1], 0.9999999999999993), (2, [1, 0], None),
+        ],
+        [0.5],
+    ),
+    "four-setting": (
+        [
+            (4, [1, 1, 1, 1], 0.999999999999999), (4, [1, 1, 1, 0], 0.999999999999999), (0, [0, 1, 1, 1], None),
+            (0, [1, 1, 1, 0], 0.999999999999999), (1, [1, 1, 1, 0], 0.999999999999999), (0, [0, 0, 1, 0], None),
+            (1, [1, 1, 1, 0], 0.999999999999999), (3, [1, 1, 1, 0], 0.24999999999999983),
+        ],
+        [0.49999999999999983],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_BAD_PAIR))
+def test_bad_pair_random_stream_is_pinned(mode):
+    trust, inequality = ("1sdi", "steering") if mode == "two-basis" else ("di", "chsh")
+    params = cert.CertificateParams(trust, inequality, False, 0.9, 1.0, 0.05)
+    assert protosim.adjusted_copies(params) == {"two-basis": 3, "four-setting": 5}[mode]
+    factory = lambda k, rng: protosim.one_bad_pair_source(mode, k, int(rng.integers(k)))
+    runs, teleported = [], []
+    for trial in protosim.run_trials(factory, params, 8, seed=11):
+        check_transcript(trial.transcript, params)
+        runs.append((trial.transcript.withheld, trial.transcript.agreements, trial.true_fidelity))
+        if trial.true_fidelity is not None and trial.true_fidelity < 0.5:  # the bad pair was withheld
+            report = protosim.teleport_with_certificate(trial.source, trial.transcript, trial.certificate, 5, trial.rng)
+            teleported.append(report["empirical_fidelity"])
+    assert (runs, teleported) == PINNED_BAD_PAIR[mode]
+
+
 @pytest.mark.parametrize("mode", sorted(protosim.LAYOUTS))
 def test_sequence_sources_refuse_nan_visibility(mode):
     nan = float("nan")
@@ -413,11 +454,14 @@ def test_ideal_pair_fidelity_memo_is_the_extraction(mode):
     info = protosim._ideal_extracted_fidelity.cache_info()
     assert (info.misses, info.hits) == (len(visibilities), len(visibilities))
 
-    # the special pair goes through its own extraction
+    # the bad pair is the memo's visibility-0 entry
     protosim._ideal_extracted_fidelity.cache_clear()
     bad = protosim.one_bad_pair_source(mode, 11, 3, 0.9)
-    assert protosim.true_extracted_fidelity(bad, 3) == protosim._extracted_fidelity(mode, *bad.special[3])
-    assert protosim._ideal_extracted_fidelity.cache_info().currsize == 0
+    expected = protosim._extracted_fidelity(mode, *protosim._ideal_pair(mode, 0.0))
+    assert protosim.true_extracted_fidelity(bad, 3) == expected
+    assert protosim._ideal_extracted_fidelity(mode, 0.0) == expected
+    info = protosim._ideal_extracted_fidelity.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
     # a drifting source's continuum of visibilities cannot grow memory
     drift = protosim.drifting_visibility_source(mode, 200, 1.0, 0.8)
@@ -594,11 +638,7 @@ def test_iid_source_with_arbitrary_model():
     psi = qc.haar_random_vector(8, rng)
     model = qc.random_projective_model(4, rng)
 
-    class ArbitrarySource(protosim.Source):
-        def pair(self, index):
-            return psi, model
-
-    source = ArbitrarySource("two-basis")
+    source = protosim.IidSource("two-basis", psi, model)
     params = cert.CertificateParams("1sdi", "steering", True, 0.6, 1.0, 0.5)
     transcript, certificate = protosim.run_protocol(source, params, rng)
     check_transcript(transcript, params)
