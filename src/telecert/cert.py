@@ -23,6 +23,10 @@ DEFAULT_ALPHA = {
     ("di", "chsh"): 1.19,
 }
 
+#: Where a certificate's slope comes from: the published constant, a
+#: number the caller gives, or the state bound of a `derive-alpha` report.
+ALPHA_SOURCES = ("paper-default", "explicit", "sdp-derived")
+
 #: Published slopes for the measurement bound (steering / CHSH trust cases).
 MEASUREMENT_ALPHA = {"1sdi": 3.10, "di": 3.70}
 
@@ -62,7 +66,11 @@ def _check_epsilon(eps: float) -> None:
 class CertificateParams:
     """Protocol parameters: trust setting, inequality, statistics model,
     deviation budget epsilon, slack divisor q, confidence exponent x, and
-    the self-testing slope alpha (defaulted from the published constants)."""
+    the self-testing slope alpha (defaulted from the published constants)
+    with its source, one of `ALPHA_SOURCES`.  Without a source it is
+    "paper-default" when no alpha is given and "explicit" when one is.
+    "paper-default" takes no alpha other than the published one, and the
+    other sources need an alpha."""
 
     trust: str
     inequality: str
@@ -71,7 +79,7 @@ class CertificateParams:
     q: float
     x: float
     alpha: float | None = None
-    alpha_source: str = "paper-default"
+    alpha_source: str | None = None
 
     def __post_init__(self):
         if self.trust not in TRUSTS:
@@ -81,8 +89,17 @@ class CertificateParams:
         if self.trust == "di" and self.inequality == "steering":
             raise ValueError("steering requires a trusted side")
         _check_epsilon(self.epsilon)
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", default_alpha(self.trust, self.inequality))
+        if self.alpha_source is None:
+            object.__setattr__(self, "alpha_source", "paper-default" if self.alpha is None else "explicit")
+        if self.alpha_source not in ALPHA_SOURCES:
+            raise ValueError(f"unknown alpha source {self.alpha_source!r}; expected one of {', '.join(ALPHA_SOURCES)}")
+        if self.alpha_source == "paper-default":
+            published = default_alpha(self.trust, self.inequality)
+            if self.alpha not in (None, published):
+                raise ValueError(f"alpha {self.alpha} is not the published {published} that 'paper-default' names")
+            object.__setattr__(self, "alpha", published)
+        elif self.alpha is None:
+            raise ValueError(f"alpha source {self.alpha_source!r} needs an alpha")
         # NaN fails every comparison, so each range is written to hold.
         if not 1.0 <= self.q < math.inf:
             raise ValueError("q must be finite and at least 1")
@@ -379,7 +396,7 @@ def plan(
     epsilon: float | None = None,
     max_copies: float | None = None,
     alpha: float | None = None,
-    alpha_source: str = "paper-default",
+    alpha_source: str | None = None,
 ) -> PlanResult:
     """Parameters minimizing the copy count subject to the certificate
     meeting (target_fidelity, target_probability).
@@ -406,7 +423,9 @@ def plan(
     found or than max_copies, and a floor equal to the count found is not
     pruned, so the selection, which does not depend on the visiting order,
     is the one an exhaustive pass over the grid makes.  The returned
-    parameters are re-verified through ``fidelity_bound``.
+    parameters are re-verified through ``fidelity_bound``.  They record
+    ``alpha`` and ``alpha_source`` as `CertificateParams` does, which
+    checks the pair before the search.
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError("target fidelity must sit in (0, 1)")
@@ -424,11 +443,11 @@ def plan(
         eps_grid = [lo * (hi / lo) ** (t / 119.0) for t in range(120)]
     x_hi = 16.0
     r_fidelity = 1.0 - target_fidelity
+    # One check covers every grid point: a given eps is eps_grid[0], the
+    # free grid lies inside (0, 1) and every grid x is finite and positive.
+    CertificateParams(trust, inequality, iid, eps_grid[0], 1.0, 1.0, alpha, alpha_source)
     rows = []
     for eps in eps_grid:
-        # Every grid x is finite and positive, so one check covers the
-        # (eps, x) points of the row.
-        CertificateParams(trust, inequality, iid, eps, 1.0, 1.0, alpha_value)
         x_lo = 0.05
         # x must at least cover the probability target through 1 - eps^x.
         if target_probability > 0.0:
@@ -478,7 +497,7 @@ def plan(
         reason += f" for {trust}/{inequality} ({'iid' if iid else 'non-iid'})"
         return PlanResult(False, None, None, reason)
     k, eps, q, x = best
-    params = CertificateParams(trust, inequality, iid, eps, q, x, alpha_value, alpha_source)
+    params = CertificateParams(trust, inequality, iid, eps, q, x, alpha, alpha_source)
     cert = fidelity_bound(params)
     if cert.fidelity < target_fidelity or cert.probability < target_probability:
         return PlanResult(False, None, None, "re-verification failed at the optimum")

@@ -3,7 +3,9 @@
 Subcommands: plan, certify, simulate, derive-alpha, npa-export,
 sdp-solve, figure2.  Every output embeds the invoking configuration
 (with `simulate`'s seed), formula identifiers, and the package version;
-identical configurations produce byte-identical files.  Exit codes: 0 on
+identical configurations produce byte-identical files, those of the
+solver (`derive-alpha`, `sdp-solve`) only at a fixed BLAS thread count,
+which no output records.  Exit codes: 0 on
 success, 2 on infeasible targets or a rejected run, 1 on errors.
 
 Only the standard library and the pure-Python planner `cert` load with
@@ -78,12 +80,15 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _resolve_alpha(args) -> tuple[float | None, str]:
-    """The slope of the command's certificate: --alpha, else the state bound
+    """The slope of the command's certificate: --alpha, or the state bound
     of an --alpha-json report derived for the command's --trust and
-    --inequality, else None for the published constant."""
-    if getattr(args, "alpha", None) is not None:
-        return float(args.alpha), "explicit"
+    --inequality, or None for the published constant.  Both at once, from
+    flags or --config, are refused: one of them would go unread."""
     path = getattr(args, "alpha_json", None)
+    if getattr(args, "alpha", None) is not None:
+        if path:
+            raise ValueError("--alpha and --alpha-json both give the slope; pass one of them")
+        return float(args.alpha), "explicit"
     if path:
         with open(path) as handle:
             doc = json.load(handle)

@@ -8,6 +8,15 @@ functionals are derived symbolically from the same circuit algebra used
 by :mod:`telecert.qcore`, so the two routes can be cross-checked
 numerically entry by entry.
 
+Both trust settings share one block formalism.  A moment is a b x b
+block, b = `MomentProblem.block`: one-sided, the 2x2 block of Bob's
+assemblage on Alice's trusted qubit (b = 2); fully untrusted, a scalar
+(b = 1).  A functional is a dict {(alice_word, bob_word): b x b
+coefficient block}, one-sided with alice_word (), and its value on the
+moments is the sum over its keys of the entrywise products of the
+coefficient and moment blocks.  `evaluate_moments` returns its moments
+in the same shape.
+
 Which cells of the moment matrix carry the same moment is held as
 integer labels: an entry id per word pair (its canonical key), a complex
 label per scalar cell and a real label per scalar cell, each numbered in
@@ -26,6 +35,7 @@ level enters as one right-hand side (Navascues, Pironio & Acin, NJP 10,
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -194,10 +204,19 @@ def _kraus_polys_observable() -> list[dict]:
 _OBS_MATRICES = {0: qcore.SIGMA_Z, 1: qcore.SIGMA_X}
 
 
+def _blocks(block: int, terms) -> dict:
+    """{key: block x block coefficient array}, summing the (key, i, j,
+    coefficient) terms in their order, without the blocks that vanish."""
+    coeffs: dict = {}
+    for key, i, j, coef in terms:
+        coeffs.setdefault(key, np.zeros((block, block)))[i, j] += coef
+    return {key: c for key, c in coeffs.items() if np.max(np.abs(c)) > 1e-15}
+
+
 def steering_fidelity_functional(objective: str) -> dict:
     """Extraction-fidelity functional for the one-sided setting.
 
-    Returns {bob_word: 2x2 coefficient matrix C}; the value on an
+    Returns {((), bob_word): 2x2 coefficient block C}; the value on an
     assemblage is sum_w sum_ij C_w[i, j] tau_w[i, j].
     """
     if objective not in OBJECTIVES[SETTING_1SDI]:
@@ -208,30 +227,29 @@ def steering_fidelity_functional(objective: str) -> dict:
         sandwich = {(0,): 2.0, (): -1.0}
     elif objective == "XB":
         sandwich = {(1,): 2.0, (): -1.0}
-    coeffs: dict = {}
+    terms = []
     for i in (0, 1):
         for j in (0, 1):
             poly = _poly_mul(_poly_adjoint(kraus[j]), kraus[i], _reduce_projector)
             if sandwich is not None:
                 poly = _poly_mul(_poly_mul(sandwich, poly, _reduce_projector), sandwich, _reduce_projector)
             for word, coef in poly.items():
-                cw = coeffs.setdefault(word, np.zeros((2, 2)))
                 if objective == "XB":
                     # Trusted conjugation by sigma_X permutes basis labels.
-                    cw[1 - i, 1 - j] += 0.5 * coef
+                    terms.append((((), word), 1 - i, 1 - j, 0.5 * coef))
                 elif objective == "ZB":
                     # Trusted conjugation by sigma_Z flips off-diagonal signs.
-                    cw[i, j] += 0.5 * coef * (-1.0) ** (i + j)
+                    terms.append((((), word), i, j, 0.5 * coef * (-1.0) ** (i + j)))
                 else:
-                    cw[i, j] += 0.5 * coef
-    return {w: c for w, c in coeffs.items() if np.max(np.abs(c)) > 1e-15}
+                    terms.append((((), word), i, j, 0.5 * coef))
+    return _blocks(2, terms)
 
 
 def di_fidelity_functional(objective: str) -> dict:
     """Extraction-fidelity functional for the fully untrusted setting.
 
-    Returns {(alice_word, bob_word): coefficient}; the value on a model
-    is sum coef * <A_word x B_word>.
+    Returns {(alice_word, bob_word): 1x1 coefficient block}; the value
+    on a model is sum coef * <A_word x B_word>.
     """
     if objective not in OBJECTIVES[SETTING_DI]:
         raise ValueError(f"unknown device-independent objective {objective!r}")
@@ -244,7 +262,7 @@ def di_fidelity_functional(objective: str) -> dict:
         pauli_a = _OBS_MATRICES[0 if objective[0] == "Z" else 1]
         pauli_b = _OBS_MATRICES[0 if objective[2] == "Z" else 1]
         target = (np.kron(pauli_a, pauli_b) @ target).real
-    coeffs: dict = {}
+    terms = []
     for i, j, k, l in itertools.product((0, 1), repeat=4):
         poly_a = _poly_mul(_poly_adjoint(kraus[k]), kraus[i], _reduce_observable)
         poly_b = _poly_mul(_poly_adjoint(kraus[l]), kraus[j], _reduce_observable)
@@ -254,23 +272,23 @@ def di_fidelity_functional(objective: str) -> dict:
         weight = target[2 * i + j] * target[2 * k + l]
         if abs(weight) < 1e-15:
             continue
-        for wa, ca in poly_a.items():
-            for wb, cb in poly_b.items():
-                key = (wa, wb)
-                coeffs[key] = coeffs.get(key, 0.0) + weight * ca * cb
-    return {k: c for k, c in coeffs.items() if abs(c) > 1e-15}
+        terms += [((wa, wb), 0, 0, weight * ca * cb) for wa, ca in poly_a.items() for wb, cb in poly_b.items()]
+    return _blocks(1, terms)
 
 
 def steering_inequality_functional() -> dict:
-    """<sigma_Z x Z_B> + <sigma_X x X_B> in assemblage coefficients."""
+    """<sigma_Z x Z_B> + <sigma_X x X_B> as 2x2 assemblage coefficient
+    blocks, keyed ((), bob_word)."""
     return {
-        (): np.array([[-1.0, -1.0], [-1.0, 1.0]]),
-        (0,): np.array([[2.0, 0.0], [0.0, -2.0]]),
-        (1,): np.array([[0.0, 2.0], [2.0, 0.0]]),
+        ((), ()): np.array([[-1.0, -1.0], [-1.0, 1.0]]),
+        ((), (0,)): np.array([[2.0, 0.0], [0.0, -2.0]]),
+        ((), (1,)): np.array([[0.0, 2.0], [2.0, 0.0]]),
     }
 
 
 def inequality_functional(setting: str, inequality: str) -> dict:
+    """The inequality's functional in the setting's blocks (see the
+    module docstring)."""
     if inequality not in INEQUALITIES:
         raise ValueError(f"unknown inequality {inequality!r}")
     if setting == SETTING_1SDI:
@@ -282,14 +300,15 @@ def inequality_functional(setting: str, inequality: str) -> dict:
     if inequality != "chsh":
         raise ValueError("the fully untrusted setting uses the CHSH inequality")
     return {
-        ((0,), (0,)): 1.0,
-        ((0,), (1,)): 1.0,
-        ((1,), (0,)): 1.0,
-        ((1,), (1,)): -1.0,
+        ((0,), (0,)): np.array([[1.0]]),
+        ((0,), (1,)): np.array([[1.0]]),
+        ((1,), (0,)): np.array([[1.0]]),
+        ((1,), (1,)): np.array([[-1.0]]),
     }
 
 
 def fidelity_functional(setting: str, objective: str) -> dict:
+    """The objective's extraction-fidelity functional in the setting's blocks."""
     if setting == SETTING_1SDI:
         return steering_fidelity_functional(objective)
     return di_fidelity_functional(objective)
@@ -299,29 +318,26 @@ def fidelity_functional(setting: str, objective: str) -> dict:
 # Moment evaluation against explicit models (the substitution oracle).
 
 
-def _local_operator(setting: str, party: str, word: tuple, model: qcore.MeasurementModel) -> np.ndarray:
-    if setting == SETTING_1SDI:
-        dim = model.bob_dim
+def _word_operators(dim: int, factor):
+    """The operator of a local word, the product of factor(s) over its
+    symbols s, computed once per word."""
+
+    @functools.cache
+    def operator(word: tuple) -> np.ndarray:
         op = np.eye(dim, dtype=complex)
         for s in word:
-            op = op @ model.bob_projectors[s][0]
+            op = op @ factor(s)
         return op
-    dim = model.alice_dim if party == "A" else model.bob_dim
-    op = np.eye(dim, dtype=complex)
-    for s in word:
-        obs = model.alice_observable(s) if party == "A" else model.bob_observable(s)
-        op = op @ obs
-    return op
+
+    return operator
 
 
 def evaluate_moments(setting: str, state, model: qcore.MeasurementModel, keys) -> dict:
-    """Moments for the given canonical word keys on an explicit model.
-
-    One-sided keys map to 2x2 trusted-side blocks, fully untrusted keys
-    to complex scalars.
+    """Moments for the given canonical word keys on an explicit model, as
+    {key: b x b block}: one-sided, the 2x2 block of Bob's word against the
+    trusted qubit; fully untrusted, the 1x1 block <A_word x B_word>.
     """
     rho = qcore._as_density(state)
-    out = {}
     if setting == SETTING_1SDI:
         d_b = model.bob_dim
         d_a, rem = divmod(rho.shape[0], d_b)
@@ -329,44 +345,26 @@ def evaluate_moments(setting: str, state, model: qcore.MeasurementModel, keys) -
             raise ValueError(
                 f"state dimension {rho.shape[0]} does not match a qubit x {d_b} split"
             )
-        cache: dict = {}
-        for key in keys:
-            _, bob = key
-            if bob not in cache:
-                cache[bob] = _local_operator(setting, "B", bob, model)
-            out[key] = qcore.partial_trace_bob(rho, d_a, d_b, cache[bob])
-        return out
-    cache_a: dict = {}
-    cache_b: dict = {}
-    for key in keys:
-        wa, wb = key
-        if wa not in cache_a:
-            cache_a[wa] = _local_operator(setting, "A", wa, model)
-        if wb not in cache_b:
-            cache_b[wb] = _local_operator(setting, "B", wb, model)
-        out[key] = qcore.product_expectation(rho, cache_a[wa], cache_b[wb])
-    return out
+        bob = _word_operators(d_b, lambda s: model.bob_projectors[s][0])
+        return {key: qcore.partial_trace_bob(rho, d_a, d_b, bob(key[1])) for key in keys}
+    alice = _word_operators(model.alice_dim, model.alice_observable)
+    bob = _word_operators(model.bob_dim, model.bob_observable)
+    return {key: np.reshape(qcore.product_expectation(rho, alice(key[0]), bob(key[1])), (1, 1)) for key in keys}
 
 
 def evaluate_functional(setting: str, functional: dict, moments: dict) -> float:
-    """Real value of a functional on a moment assignment; the imaginary
-    part must cancel (it does for Hermitian-consistent moments)."""
-    total = 0.0 + 0.0j
-    if setting == SETTING_1SDI:
-        for word, cw in functional.items():
-            tau = moments[((), word)]
-            total += np.sum(cw * tau)
-    else:
-        for key, coef in functional.items():
-            total += coef * moments[key]
+    """Real value of a functional on a moment assignment, the sum of its
+    coefficient blocks times the moment blocks entry by entry, in either
+    setting; the imaginary part must cancel (it does for
+    Hermitian-consistent moments)."""
+    total = sum(np.sum(c * moments[key]) for key, c in functional.items())
     if abs(total.imag) > 1e-9:
         raise ValueError(f"functional value has imaginary part {total.imag:.3e}")
     return float(total.real)
 
 
 def functional_keys(setting: str, functional: dict) -> list:
-    if setting == SETTING_1SDI:
-        return [((), w) for w in functional]
+    """The word keys a functional reads, in either setting."""
     return list(functional)
 
 
@@ -504,12 +502,11 @@ def instantiate_gamma(model: qcore.MeasurementModel, state, words) -> np.ndarray
         raise ValueError("need at least one word")
     setting = words[0].setting
     keys, entry_ids = _entry_table(setting, words)
-    # one moment per key, in key order: a scalar, or a 2x2 one-sided block
+    # one b x b moment block per key, in key order; cell (b k + i, b l + j)
+    # is entry (i, j) of the block of word pair (k, l)
     moments = np.array(list(evaluate_moments(setting, state, model, keys).values()), dtype=complex)
-    gamma = moments[entry_ids]
-    if setting == SETTING_1SDI:
-        gamma = gamma.transpose(0, 2, 1, 3).reshape(2 * len(words), 2 * len(words))
-    return gamma
+    dim = moments.shape[-1] * len(words)
+    return moments[entry_ids].transpose(0, 2, 1, 3).reshape(dim, dim)
 
 
 def check_gamma(problem: MomentProblem, gamma: np.ndarray) -> dict:
@@ -543,12 +540,10 @@ def reduce_problem(problem: MomentProblem) -> tuple:
     `MissingWordError` when a functional reads a moment the words lack."""
     setting, keys, b = problem.setting, problem.keys, problem.block
     # Each functional's terms (key, i, j, coefficient), in the order of its items.
-    terms = []
-    for functional in (fidelity_functional(setting, problem.objective), inequality_functional(setting, problem.inequality)):
-        if setting == SETTING_1SDI:
-            terms.append([(((), w), i, j, c[i, j]) for w, c in functional.items() for i, j in np.argwhere(np.abs(c) > 1e-15)])
-        else:
-            terms.append([(key, 0, 0, coef) for key, coef in functional.items()])
+    terms = [
+        [(key, i, j, c[i, j]) for key, c in functional.items() for i, j in np.argwhere(np.abs(c) > 1e-15)]
+        for functional in (fidelity_functional(setting, problem.objective), inequality_functional(setting, problem.inequality))
+    ]
     missing = {key for items in terms for key, *_ in items} - set(keys)
     if missing:
         raise MissingWordError(f"moment matrix lacks required words: {sorted(missing)}")

@@ -341,7 +341,7 @@ def _exhaustive_plan(target_f, target_p, trust, inequality, iid, epsilon=None, m
         reason += f" for {trust}/{inequality} ({'iid' if iid else 'non-iid'})"
         return cert.PlanResult(False, None, None, reason)
     k, eps, q, x = best
-    params = cert.CertificateParams(trust, inequality, iid, eps, q, x, alpha_value, "paper-default")
+    params = cert.CertificateParams(trust, inequality, iid, eps, q, x, alpha)
     c = cert.fidelity_bound(params)
     if c.fidelity < target_f or c.probability < target_p:
         return cert.PlanResult(False, None, None, "re-verification failed at the optimum")
@@ -485,6 +485,27 @@ def test_certificate_serialization():
     assert doc["formula"] == "steering-iid"
     assert doc["params"]["alpha"] == 1.26
     assert doc["params"]["alpha_source"] == "paper-default"
+
+
+def test_alpha_source_names_where_alpha_comes_from():
+    # without a source: the published constant when no alpha is given,
+    # "explicit" for a number
+    assert (params().alpha, params().alpha_source) == (1.26, "paper-default")
+    assert (params(alpha=0.2).alpha, params(alpha=0.2).alpha_source) == (0.2, "explicit")
+    derived = cert.CertificateParams("1sdi", "steering", True, 0.25, 35.0, 1.0, 1.3035, "sdp-derived")
+    assert derived.alpha_source == "sdp-derived"
+    assert cert.CertificateParams("1sdi", "steering", True, 0.25, 35.0, 1.0, 1.26, "paper-default").alpha == 1.26
+    for alpha, source in [(1.3, "paper"), (1.3, "derived"), (None, ""), (0.2, "paper-default"), (None, "explicit"), (None, "sdp-derived")]:
+        with pytest.raises(ValueError, match="alpha"):
+            cert.CertificateParams("1sdi", "steering", True, 0.25, 35.0, 1.0, alpha, source)
+    # the planner records the same sources
+    targets = (2 / 3, 0.75, "1sdi", "steering", True)
+    for kwargs, source in [({}, "paper-default"), ({"alpha": 1.0}, "explicit"), ({"alpha": 1.0, "alpha_source": "sdp-derived"}, "sdp-derived")]:
+        res = cert.plan(*targets, epsilon=0.25, **kwargs)
+        assert res.feasible and res.params.alpha == kwargs.get("alpha", 1.26)
+        assert res.params.alpha_source == res.certificate.to_json()["params"]["alpha_source"] == source
+    with pytest.raises(ValueError):
+        cert.plan(*targets, epsilon=0.25, alpha=1.0, alpha_source="paper-default")
 
 
 def test_sweep_rows():

@@ -981,6 +981,27 @@ def test_alpha_json_must_match_the_command(alpha_reports, capsys, command, kind,
     assert captured.err.startswith(f"telecert: error: {alpha_reports[kind]}: {message}")
 
 
+@pytest.mark.parametrize("command", sorted(_ALPHA_COMMANDS))
+@pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
+def test_alpha_and_alpha_json_refused_together(tmp_path, capsys, command, from_config):
+    # --alpha would win and the report would go unread, a missing file too
+    missing = str(tmp_path / "missing.json")
+    argv = _ALPHA_COMMANDS[command] + ["--out", str(tmp_path / "out")]
+    if command == "simulate":
+        argv += ["--summary-out", str(tmp_path / "summary")]
+    if from_config:
+        (tmp_path / "cfg.json").write_text(json.dumps({"alpha": 0.5, "alpha_json": missing}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    else:
+        argv += ["--alpha", "0.5", "--alpha-json", missing]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "telecert: error: --alpha and --alpha-json both give the slope; pass one of them\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == (["cfg.json"] if from_config else [])
+
+
 def test_alpha_json_matching_report(alpha_reports, capsys):
     report = json.loads(alpha_reports["state"].read_text())
     alpha = report["reports"]["state"]["alpha"]

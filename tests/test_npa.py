@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -133,12 +134,12 @@ def test_word_ordering_graded_lex():
 
 def test_steering_state_functional_golden():
     f = npa.steering_fidelity_functional("state")
-    assert np.allclose(f[(0,)], [[0.5, 0.0], [0.0, -0.5]])
-    assert np.allclose(f[()], [[0.0, 0.0], [0.0, 0.5]])
-    assert np.allclose(f[(1, 0)], [[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(f[(0, 1)], [[0.0, 0.0], [1.0, 0.0]])
-    assert np.allclose(f[(0, 1, 0)], [[0.0, -1.0], [-1.0, 0.0]])
-    assert set(f) == {(), (0,), (1, 0), (0, 1), (0, 1, 0)}
+    assert np.allclose(f[((), (0,))], [[0.5, 0.0], [0.0, -0.5]])
+    assert np.allclose(f[((), ())], [[0.0, 0.0], [0.0, 0.5]])
+    assert np.allclose(f[((), (1, 0))], [[0.0, 1.0], [0.0, 0.0]])
+    assert np.allclose(f[((), (0, 1))], [[0.0, 0.0], [1.0, 0.0]])
+    assert np.allclose(f[((), (0, 1, 0))], [[0.0, -1.0], [-1.0, 0.0]])
+    assert set(f) == {((), ()), ((), (0,)), ((), (1, 0)), ((), (0, 1)), ((), (0, 1, 0))}
 
 
 def test_steering_zb_equals_state_functional():
@@ -151,12 +152,12 @@ def test_steering_zb_equals_state_functional():
 
 def test_steering_xb_functional_golden():
     f = npa.steering_fidelity_functional("XB")
-    assert np.allclose(f[(1, 0, 1, 0, 1)], [[0.0, -4.0], [-4.0, 0.0]])
-    assert np.allclose(f[(1, 0, 1)], [[-2.0, 2.0], [2.0, 2.0]])
-    assert np.allclose(f[()], [[0.5, 0.0], [0.0, 0.0]])
-    assert np.allclose(f[(0,)], [[-0.5, 0.0], [0.0, 0.5]])
-    assert np.allclose(f[(0, 1, 0, 1)], [[0.0, 2.0], [2.0, 0.0]])
-    assert np.allclose(f[(1, 0, 1, 0)], [[0.0, 2.0], [2.0, 0.0]])
+    assert np.allclose(f[((), (1, 0, 1, 0, 1))], [[0.0, -4.0], [-4.0, 0.0]])
+    assert np.allclose(f[((), (1, 0, 1))], [[-2.0, 2.0], [2.0, 2.0]])
+    assert np.allclose(f[((), ())], [[0.5, 0.0], [0.0, 0.0]])
+    assert np.allclose(f[((), (0,))], [[-0.5, 0.0], [0.0, 0.5]])
+    assert np.allclose(f[((), (0, 1, 0, 1))], [[0.0, 2.0], [2.0, 0.0]])
+    assert np.allclose(f[((), (1, 0, 1, 0))], [[0.0, 2.0], [2.0, 0.0]])
 
 
 def test_di_state_functional_golden():
@@ -456,6 +457,69 @@ def test_identity_word_required():
     words = [w for w in npa.generate_words("1sdi", 2) if w.length > 0]
     with pytest.raises(ValueError):
         npa.build_moment_problem("1sdi", words, "state", "steering")
+
+
+@pytest.mark.parametrize("setting", ["1sdi", "di"])
+def test_functionals_and_moments_are_word_key_blocks(setting):
+    # one shape in both settings: {(alice_word, bob_word): b x b block}
+    b = 2 if setting == "1sdi" else 1
+    functionals = [npa.fidelity_functional(setting, o) for o in npa.OBJECTIVES[setting]]
+    functionals += [npa.inequality_functional(setting, i) for i in npa.INEQUALITIES if (setting, i) != ("di", "steering")]
+    rng = np.random.default_rng(5)
+    psi = qc.haar_random_vector(4, rng)
+    model = qc.random_projective_model(2, rng, alice_dim=None if b == 2 else 2)
+    for functional in functionals:
+        keys = npa.functional_keys(setting, functional)
+        assert keys == list(functional)
+        moments = npa.evaluate_moments(setting, psi, model, keys)
+        for blocks in (functional, moments):
+            assert list(blocks) == keys
+            for (alice, bob), block in blocks.items():
+                assert isinstance(alice, tuple) and isinstance(bob, tuple) and block.shape == (b, b)
+                assert alice == () or b == 1
+
+
+def reduction_digest(problem) -> str:
+    """SHA-256 of a problem's real reduction (p, q, norm, label) and its
+    symmetry group, each array with its shape, integers as little-endian
+    int64 and floats as float64, so that no platform integer width enters."""
+    digest = hashlib.sha256()
+    for array in (problem.p, problem.q, problem.norm, problem.label, *problem.group):
+        array = np.asarray(array)
+        array = array.astype("<i8" if array.dtype.kind in "iu" else "<f8")
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "setting, inequality, objective, cap, expected",
+    [
+        ("1sdi", "steering", "state", 3, "5cbff518cd190c4031a1f063ebb3a1b97a6416991633deaeaa604d619e4fff5a"),
+        ("1sdi", "steering", "ZB", 3, "5cbff518cd190c4031a1f063ebb3a1b97a6416991633deaeaa604d619e4fff5a"),
+        ("1sdi", "steering", "XB", 3, "8dcb488140d2539f88dafcabc734a4e646a9d5e60ab919b1f0b7edfd0d076a73"),
+        ("1sdi", "chsh", "state", 3, "6370ef62544c9e9d45725bd17b85f98e4424cff5646b19acc919aed9612ef938"),
+        ("1sdi", "chsh", "ZB", 3, "6370ef62544c9e9d45725bd17b85f98e4424cff5646b19acc919aed9612ef938"),
+        ("1sdi", "chsh", "XB", 3, "40e3fee6cdbea4cad219d01ace7a23099582066c1c6eaee02c01f6da8505ec63"),
+        ("di", "chsh", "state", 4, "70544db20b42e9088e3b07e5b112586d6ee7c5b4ea383eedd2f6721368f664c7"),
+        ("di", "chsh", "ZAZB", 4, "70544db20b42e9088e3b07e5b112586d6ee7c5b4ea383eedd2f6721368f664c7"),
+        ("di", "chsh", "XAXB", 4, "0e4e9d0006f62989b47c43aa751b1216fcb54c9dd1e082e855033073b81c9002"),
+        ("di", "chsh", "ZAXB", 4, "f5463dfc0ed04b2da922c9b62d56b9c65116ecfa9cdabef6f195b66e82e5c089"),
+        ("di", "chsh", "state", 3, "e4fc2c333723224748c7fc7937815c87dd1421d5ccaa2378c185aec9c6ea757e"),
+        ("di", "chsh", "ZAZB", 3, "e4fc2c333723224748c7fc7937815c87dd1421d5ccaa2378c185aec9c6ea757e"),
+        ("di", "chsh", "XAXB", 3, "a47112bdfebaaf78f75ef75210f8a15e0efa2c16fa874e503988ac422957e917"),
+        ("di", "chsh", "ZAXB", 3, "5484027d4bea5399908cbafd4f780325707a2934ac90001d7155ffa82fc94a46"),
+    ],
+)
+def test_reduced_rows_and_group_are_pinned(setting, inequality, objective, cap, expected):
+    # The reduction every solve and export reads, bit for bit: the default
+    # word caps (1sdi 3, di 4) and the fully untrusted cap 3.  A moved
+    # coefficient bit shows here before it moves a solved point.
+    from telecert import sdp
+
+    assert cap in (sdp.DEFAULT_WORD_CAP[setting], 3)
+    problem = npa.build_moment_problem(setting, npa.generate_words(setting, cap), objective, inequality)
+    assert reduction_digest(problem) == expected
 
 
 def test_sdpa_error_paths(tmp_path):

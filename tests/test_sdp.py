@@ -234,6 +234,20 @@ def test_default_grid_steering_state_points_are_pinned():
     ]
 
 
+@pytest.mark.parametrize("objective", ["state", "ZB", "XB"])
+def test_one_sided_chsh_is_steering_at_scaled_eps(objective):
+    # The one-sided CHSH functional is the steering one times sqrt(2), and
+    # its maximum 2 sqrt(2) is sqrt(2) times 2, so the CHSH point at eps is
+    # the steering point at eps / sqrt(2), and the fitted slopes differ by
+    # sqrt(2).
+    grid = (0.01, 0.02, 0.05, 0.1, 0.2)
+    chsh = sdp.min_fidelity_curve("1sdi", objective, "chsh", grid)
+    steering = sdp.min_fidelity_curve("1sdi", objective, "steering", [eps / np.sqrt(2.0) for eps in grid])
+    for (eps, f_chsh), (_, f_steering) in zip(chsh, steering):
+        assert f_chsh == pytest.approx(f_steering, abs=1e-9), eps
+    assert sdp.fit_alpha(steering) / sdp.fit_alpha(chsh) == pytest.approx(np.sqrt(2.0), abs=1e-9)
+
+
 def test_fit_alpha():
     line = [(0.01 * k, 1 - 1.26 * 0.01 * k) for k in range(1, 6)]
     assert sdp.fit_alpha(line) == pytest.approx(1.26, abs=1e-12)
