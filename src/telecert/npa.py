@@ -66,7 +66,9 @@ _OBS_SYMBOLS = {"Z": 0, "X": 1}
 #: dimension squared per free moment.  A file's n x n matrix has at most
 #: n(n+1)/2 free moments, when no tie joins two cells, so the reader
 #: refuses a header whose n exceeds that bound before reading any entry:
-#: it admits the 81x81 fully untrusted problem, about 174 MB.  The dense
+#: it admits the 81x81 fully untrusted problem, about 174 MB.  The default
+#: fully untrusted word cap is 3 (49x49), and the bound stays at 81 so that
+#: a `--word-cap 4` export is still an `sdp-solve` input.  The dense
 #: equality rows of a folded file (`sdp.fold_ties`) share the bound.
 MAX_WORKSPACE_ENTRIES = 81**2 * (81 * 82 // 2)
 
@@ -347,6 +349,10 @@ def evaluate_moments(setting: str, state, model: qcore.MeasurementModel, keys) -
             )
         bob = _word_operators(d_b, lambda s: model.bob_projectors[s][0])
         return {key: qcore.partial_trace_bob(rho, d_a, d_b, bob(key[1])) for key in keys}
+    if not model.device_independent:
+        raise ValueError("fully untrusted moments need Alice's measurements: the model has no untrusted Alice side")
+    if rho.shape[0] != model.alice_dim * model.bob_dim:
+        raise ValueError(f"state dimension {rho.shape[0]} does not match a {model.alice_dim} x {model.bob_dim} split")
     alice = _word_operators(model.alice_dim, model.alice_observable)
     bob = _word_operators(model.bob_dim, model.bob_observable)
     return {key: np.reshape(qcore.product_expectation(rho, alice(key[0]), bob(key[1])), (1, 1)) for key in keys}

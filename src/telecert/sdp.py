@@ -65,8 +65,9 @@ one-sided `state` and `ZB` problems are one, as are the fully untrusted
 `state` and `ZAZB`; a one-point one-sided `derive-alpha --kind both` is
 one run of two members, the default grid one of ten.
 
-The constraint matrices are sparse (an 81x81 moment-problem constraint
-has a median of 28 nonzero entries), so an instance holds each A_i only
+The constraint matrices are sparse (an 81x81 moment-problem constraint,
+at fully untrusted word cap 4, has a median of 28 nonzero entries), so an
+instance holds each A_i only
 as the cells of its upper triangle (`Constraints`), as the companion writes
 them; the objective is dense.  The cells give the blocks, and the Schur
 matrix S_ij = tr(A_i W A_j W) is assembled from them block by block
@@ -83,8 +84,9 @@ is the small one (Lofberg, "Dualize it", Optim. Methods Softw. 24, 2009).
 An SDPA file's problem is brought to it by `fold_ties`, which joins the
 cells its tie constraints equate into classes, the structure of
 `npa.MomentProblem.label`: the deduplicated and the generated exports
-of the fully untrusted problem (3138 and 47702 constraints) both fold to
-its 185 classes and solve with 183 constraints.
+of the fully untrusted problem (1118 and 10390 constraints at the
+default word cap 3, 3138 and 47702 at cap 4) both fold to its 109 (185)
+classes and solve with 107 (183) constraints.
 
 The problem's symmetries among the Alice<->Bob swap and the global sign
 flip (A, B) -> (-A, -B) form an abelian group (`npa.symmetry_group`
@@ -94,10 +96,19 @@ shares one moment up to sign, the classes of odd word length that the
 flip negates are zero, and the companion is posed in a basis adapted to
 the group's characters, where it is block-diagonal (Gatermann & Parrilo,
 J. Pure Appl. Algebra 192, 2004).  The fully untrusted `state`, `ZAZB`
-and `XAXB` problems keep the whole group and split 25 + 16 + 20 + 20
-with 59 constraints, and `ZAXB` keeps the flip and splits 41 + 40 with
-103, instead of one 81x81 block with 183; tests check their bounds
-against the unreduced solves to 1e-6.
+and `XAXB` problems keep the whole group and split 16 + 9 + 12 + 12
+with 35 constraints, and `ZAXB` keeps the flip and splits 25 + 24 with
+59, instead of one 49x49 block with 107 (at word cap 4: 25 + 16 + 20 + 20
+with 59 and 41 + 40 with 103, instead of one 81x81 block with 183);
+tests check their bounds against the unreduced solves to 1e-6.
+
+The fully untrusted default word cap is 3 (local words up to length 3,
+49 words).  Every level of the relaxation gives a sound lower bound, and
+cap 3 gives cap 4's curves: at every objective and default-grid point,
+the certified value of each cap's solve (the weak-duality minorant of
+its primal iterate, Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46,
+2007) agrees with the other cap's to 2.4e-7, as a test checks to 1e-6.
+`--word-cap 4` poses the 81-word problem.
 """
 
 from __future__ import annotations
@@ -110,7 +121,7 @@ import numpy as np
 
 from . import SdpError, cert, npa
 
-DEFAULT_WORD_CAP = {npa.SETTING_1SDI: 3, npa.SETTING_DI: 4}
+DEFAULT_WORD_CAP = {npa.SETTING_1SDI: 3, npa.SETTING_DI: 3}
 
 # The measurement constant of a trust setting is the worst case over its
 # measurement objectives.

@@ -353,7 +353,8 @@ def test_sdp_solve_refuses_oversized_header(tmp_path, capsys):
     assert "a 162x162 matrix" in err and "13203 free moments" in err and "2.77 GB" in err
     assert f"at most {npa.MAX_WORKSPACE_ENTRIES}" in err
     assert elapsed < 1.0
-    # the largest admitted dimension is the fully untrusted problem's 81
+    # the largest admitted dimension is 81, the fully untrusted problem's
+    # at `--word-cap 4`
     assert 81**2 * (81 * 82 // 2) <= npa.MAX_WORKSPACE_ENTRIES < 82**2 * (82 * 83 // 2)
 
 

@@ -292,6 +292,24 @@ def test_dimension_mismatch_rejected():
         npa.instantiate_gamma(qc.ideal_model(), qc.haar_random_vector(6, np.random.default_rng(0)), words)
 
 
+def test_fully_untrusted_moments_need_alice_side():
+    # a model without Alice's measurements, and a state that does not
+    # split over the two sides, are refused by name before any word
+    # operator is built
+    rng = np.random.default_rng(0)
+    psi = qc.haar_random_vector(4, rng)
+    words = npa.generate_words("di", 2)
+    keys = npa.functional_keys("di", npa.fidelity_functional("di", "state"))
+    for model, state, message in (
+        (qc.random_projective_model(2, rng), psi, "no untrusted Alice side"),
+        (qc.random_projective_model(2, rng, alice_dim=2), qc.haar_random_vector(6, rng), "dimension 6 does not match a 2 x 2 split"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            npa.evaluate_moments("di", state, model, keys)
+        with pytest.raises(ValueError, match=message):
+            npa.instantiate_gamma(model, state, words)
+
+
 def test_reduced_assembly_round_trip(purify_with_bob_ancilla):
     words = npa.generate_words("1sdi", 3)
     red = npa.build_moment_problem("1sdi", words, "state", "steering")
@@ -513,11 +531,12 @@ def reduction_digest(problem) -> str:
 )
 def test_reduced_rows_and_group_are_pinned(setting, inequality, objective, cap, expected):
     # The reduction every solve and export reads, bit for bit: the default
-    # word caps (1sdi 3, di 4) and the fully untrusted cap 3.  A moved
-    # coefficient bit shows here before it moves a solved point.
+    # word caps (1sdi 3, di 3) and the fully untrusted cap 4, which
+    # `--word-cap 4` and criterion 2 use.  A moved coefficient bit shows
+    # here before it moves a solved point.
     from telecert import sdp
 
-    assert cap in (sdp.DEFAULT_WORD_CAP[setting], 3)
+    assert cap == sdp.DEFAULT_WORD_CAP[setting] or (setting, cap) == ("di", 4)
     problem = npa.build_moment_problem(setting, npa.generate_words(setting, cap), objective, inequality)
     assert reduction_digest(problem) == expected
 

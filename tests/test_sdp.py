@@ -320,9 +320,11 @@ def test_state_problem_at_exact_maximum():
 # Cell-based Schur assembly, step length and termination reasons
 
 
-def _companion(setting, inequality, eps):
+def _companion(setting, inequality, eps, cap=None):
+    """The `state` companion at violation (max - eps), at the word cap (the
+    setting's default when None)."""
     wmax = cert.max_violation(setting, inequality)
-    words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
+    words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting] if cap is None else cap)
     problem = npa.build_moment_problem(setting, words, "state", inequality)
     instance, _, _ = moment_companion(problem, wmax - eps)
     return instance
@@ -362,10 +364,13 @@ def _assert_cells_match_dense(instance, rng, sizes=None):
 
 def test_cells_match_dense_formulas(tmp_path):
     rng = np.random.default_rng(7)
-    # fully untrusted CHSH companion: negated 0/1 cell patterns, and the
-    # pivot-coupling terms give some constraints cells of both signs
-    di = _companion("di", "chsh", 0.1)
+    # fully untrusted CHSH companions at word caps 4 and 3: negated 0/1
+    # cell patterns, and the pivot-coupling terms give some constraints
+    # cells of both signs
+    di = _companion("di", "chsh", 0.1, cap=4)
     assert any(a.min() < 0 < a.max() for a in dense_matrices(di))
+    di_cap_3 = _companion("di", "chsh", 0.1, cap=3)
+    assert any(a.min() < 0 < a.max() for a in dense_matrices(di_cap_3))
     # one-sided steering companion
     one_sided = _companion("1sdi", "steering", 0.1)
     # a 14-dim export read back from its file
@@ -385,6 +390,7 @@ def test_cells_match_dense_formulas(tmp_path):
     ]
     for instance, sizes in (
         (di, [25, 16, 20, 20]),
+        (di_cap_3, [16, 9, 12, 12]),
         (one_sided, None),
         (exported, None),
         (dense_instance(np.zeros((3, 3)), [(a, 0.0) for a in hand]), None),
@@ -631,12 +637,15 @@ def test_cho_solve_matches_dense_solve():
 def test_cells_with_constraints_empty_in_a_block():
     rng = np.random.default_rng(13)
     # the symmetry-reduced fully untrusted companion splits 25 + 16 + 20 +
-    # 20, and some of its constraints have no cell in the last three blocks
-    di = _companion("di", "chsh", 0.1)
-    for lo, hi in ((25, 41), (41, 61), (61, 81)):
-        empty = ~np.any(dense_matrices(di)[:, lo:hi, lo:hi], axis=(1, 2))
-        assert 0 < np.count_nonzero(empty) < len(empty)
-    _assert_cells_match_dense(di, rng, [25, 16, 20, 20])
+    # 20 at word cap 4 and 16 + 9 + 12 + 12 at cap 3, and some of its
+    # constraints have no cell in the last three blocks
+    for cap, sizes in ((4, [25, 16, 20, 20]), (3, [16, 9, 12, 12])):
+        di = _companion("di", "chsh", 0.1, cap=cap)
+        ends = np.cumsum(sizes)
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            empty = ~np.any(dense_matrices(di)[:, lo:hi, lo:hi], axis=(1, 2))
+            assert 0 < np.count_nonzero(empty) < len(empty)
+        _assert_cells_match_dense(di, rng, sizes)
     # hand-made: blocks {0, 1} and {2}; constraints empty in one block,
     # in both (first, in between and last) and spanning both
     zero = np.zeros((3, 3))
@@ -691,7 +700,7 @@ def test_block_split_matches_single_block(monkeypatch):
     across[0, 2] = across[2, 0] = across[1, 3] = across[3, 1] = 0.5
     constraints.append((across, 0.2))
     block_diagonal = dense_instance(objective, constraints)
-    # the DI companion, whose symmetry-adapted basis splits it 25 + 16 + 20 + 20
+    # the DI companion, whose symmetry-adapted basis splits it 16 + 9 + 12 + 12
     companion = _companion("di", "chsh", 0.05)
     split = [sdp.solve(instance) for instance in (block_diagonal, companion)]
 
@@ -721,44 +730,53 @@ def _bounds(reduced, violations):
     return runs
 
 
-# constraints and blocks of the reduced companion; 183 constraints unreduced
-SPLITS = {"state": (59, [25, 16, 20, 20]), "ZAZB": (59, [25, 16, 20, 20]), "XAXB": (59, [25, 16, 20, 20]), "ZAXB": (103, [41, 40])}
+# Per word cap: the constraints and blocks of each objective's reduced
+# companion, and the unreduced companion's dimension, constraints, real
+# classes and classes of odd total word length.
+SPLITS = {
+    4: {"state": (59, [25, 16, 20, 20]), "ZAZB": (59, [25, 16, 20, 20]), "XAXB": (59, [25, 16, 20, 20]), "ZAXB": (103, [41, 40])},
+    3: {"state": (35, [16, 9, 12, 12]), "ZAZB": (35, [16, 9, 12, 12]), "XAXB": (35, [16, 9, 12, 12]), "ZAXB": (59, [25, 24])},
+}
+UNREDUCED = {4: (81, 183, 185, 80), 3: (49, 107, 109, 48)}
 
 
 def test_swap_reduced_bounds_match_unreduced(altered):
-    # every fully untrusted objective at eps 0.01, 0.1 and 0.2, reduced by
-    # its symmetry group and with symmetry detection disabled
+    # every fully untrusted objective at eps 0.01, 0.1 and 0.2 and word caps
+    # 4 and 3, reduced by its symmetry group and with symmetry detection
+    # disabled
     wmax = cert.max_violation("di", "chsh")
-    words = npa.generate_words("di", 4)
     violations = [wmax - eps for eps in (0.01, 0.1, 0.2)]
-    reduced = {obj: npa.build_moment_problem("di", words, obj, "chsh") for obj in SPLITS}
-    runs = {obj: _bounds(red, violations) for obj, red in reduced.items()}
-    # the classes of cells (r, c) with an odd total word length
-    lengths = np.array([w.length for w in words])
-    odd = np.zeros(185, dtype=bool)
-    odd[reduced["state"].label[(lengths[:, None] + lengths) % 2 == 1]] = True
-    assert np.count_nonzero(odd) == 80
-    for objective, red in reduced.items():
-        _, _, class_image, class_sign = red.group
-        full_runs = _bounds(altered(red, group=trivial_group(red)), violations)
-        constraints, sizes = SPLITS[objective]
-        for violation, (instance, value, moments) in runs[objective].items():
-            full_instance, full, _ = full_runs[violation]
-            assert (len(instance.constraints), len(full_instance.constraints)) == (constraints, 183)
-            assert value == pytest.approx(full, abs=1e-6)
-            cells = sdp._Cells(instance.constraints, instance.objective)
-            assert [sl.stop - sl.start for sl in cells.blocks] == sizes
-            assert np.array_equal(cells.perm, np.arange(81))
-            # the moments come back for all 185 classes: zero on odd ones,
-            # equal on swap pairs, and invariant under every element
-            assert len(moments) == 185
-            assert not moments[odd].any()
-            for image, sign in zip(class_image, class_sign):
-                assert np.array_equal(moments[image] * sign, moments)
-            assert red.q @ moments == pytest.approx(violation, abs=1e-7)
-            assert red.norm @ moments == pytest.approx(1.0, abs=1e-9)
-            assert red.p @ moments == pytest.approx(value, abs=2e-6)
-            assert np.linalg.eigvalsh(red.assemble(moments)).min() >= -1e-7
+    for cap, splits in SPLITS.items():
+        n, unreduced, classes, odd_classes = UNREDUCED[cap]
+        words = npa.generate_words("di", cap)
+        reduced = {obj: npa.build_moment_problem("di", words, obj, "chsh") for obj in splits}
+        runs = {obj: _bounds(red, violations) for obj, red in reduced.items()}
+        # the classes of cells (r, c) with an odd total word length
+        lengths = np.array([w.length for w in words])
+        odd = np.zeros(classes, dtype=bool)
+        odd[reduced["state"].label[(lengths[:, None] + lengths) % 2 == 1]] = True
+        assert np.count_nonzero(odd) == odd_classes
+        for objective, red in reduced.items():
+            _, _, class_image, class_sign = red.group
+            full_runs = _bounds(altered(red, group=trivial_group(red)), violations)
+            constraints, sizes = splits[objective]
+            for violation, (instance, value, moments) in runs[objective].items():
+                full_instance, full, _ = full_runs[violation]
+                assert (len(instance.constraints), len(full_instance.constraints)) == (constraints, unreduced)
+                assert value == pytest.approx(full, abs=1e-6)
+                cells = sdp._Cells(instance.constraints, instance.objective)
+                assert [sl.stop - sl.start for sl in cells.blocks] == sizes
+                assert np.array_equal(cells.perm, np.arange(n))
+                # the moments come back for all classes: zero on odd ones,
+                # equal on swap pairs, and invariant under every element
+                assert len(moments) == classes
+                assert not moments[odd].any()
+                for image, sign in zip(class_image, class_sign):
+                    assert np.array_equal(moments[image] * sign, moments)
+                assert red.q @ moments == pytest.approx(violation, abs=1e-7)
+                assert red.norm @ moments == pytest.approx(1.0, abs=1e-9)
+                assert red.p @ moments == pytest.approx(value, abs=2e-6)
+                assert np.linalg.eigvalsh(red.assemble(moments)).min() >= -1e-7
 
 
 @pytest.mark.parametrize("paired", [False, True])
@@ -853,32 +871,36 @@ def _relative_smallest_singular_value(instance):
 
 #: Floor on the smallest relative singular value of a companion's
 #: constraint stack.  The free moments own disjoint cells, so the stack is
-#: well conditioned: about 0.38 for the one-sided companions and 0.088 for
-#: the fully untrusted ones.  A dependent stack reads about 1e-16.
+#: well conditioned: about 0.38 for the one-sided companions, and 0.12 and
+#: 0.088 for the fully untrusted ones at word caps 3 and 4.  A dependent
+#: stack reads about 1e-16.
 INDEPENDENCE_FLOOR = 1e-2
 
 
 def test_companion_constraints_are_independent(tmp_path):
     # `solve` has no presolve: it relies on the companion's constraint
     # matrices being linearly independent, for every README objective at
-    # both ends of the default grid and for the folded exports
-    for setting, inequality in (("1sdi", "steering"), ("1sdi", "chsh"), ("di", "chsh")):
+    # both ends of the default grid and for the folded exports, at the
+    # default word caps and at the fully untrusted cap 4
+    for setting, inequality, cap in (("1sdi", "steering", 3), ("1sdi", "chsh", 3), ("di", "chsh", 3), ("di", "chsh", 4)):
         wmax = cert.max_violation(setting, inequality)
-        words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
+        words = npa.generate_words(setting, cap)
         for objective in npa.OBJECTIVES[setting]:
             reduced = npa.build_moment_problem(setting, words, objective, inequality)
             for eps in (0.01, 0.2):
                 instance, _, _ = moment_companion(reduced, wmax - eps)
                 assert _relative_smallest_singular_value(instance) >= INDEPENDENCE_FLOOR
-    for setting, inequality, form, constraints in (
-        ("1sdi", "steering", "generated", 31),
-        ("1sdi", "steering", "deduplicated", 31),
-        ("di", "chsh", "deduplicated", 183),
-        ("di", "chsh", "generated", 183),
+    for setting, inequality, cap, form, constraints in (
+        ("1sdi", "steering", 3, "generated", 31),
+        ("1sdi", "steering", 3, "deduplicated", 31),
+        ("di", "chsh", 3, "deduplicated", 107),
+        ("di", "chsh", 3, "generated", 107),
+        ("di", "chsh", 4, "deduplicated", 183),
+        ("di", "chsh", 4, "generated", 183),
     ):
-        words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
+        words = npa.generate_words(setting, cap)
         problem = npa.build_moment_problem(setting, words, "state", inequality)
-        path = tmp_path / f"{setting}-{form}.dat-s"
+        path = tmp_path / f"{setting}-{cap}-{form}.dat-s"
         npa.export_sdpa(problem, path, cert.max_violation(setting, inequality) - 0.1, constraints=form)
         objective, cells = npa.read_sdpa_numeric(path)
         instance, _, _ = file_companion(sdp.SdpInstance(objective, sdp.Constraints(*cells)))
@@ -1364,3 +1386,49 @@ def test_a_patched_group_gets_its_own_structure(monkeypatch):
     assert full.bound == pytest.approx(split.bound, abs=1e-6)
     # the cached structure of the whole group still serves the point
     assert sdp.solve_moment_problems([point])[0].bound == split.bound
+
+
+# ---------------------------------------------------------------------------
+# Certified curve points: the fully untrusted word cap
+
+
+def _certified_minorant(instance, offset, x):
+    """A lower bound on a fully untrusted moment problem's minimum from any
+    symmetric X, the companion's primal iterate included (Jansson, Chaykin
+    & Keil, SIAM J. Numer. Anal. 46, 2007).
+
+    For a feasible dual z, S = C0 - sum_j z_j A_j >= 0 is the moment
+    matrix in an orthonormal basis, and with r = b - A(X) the minimum is
+    offset - b.z = offset - tr(C0 X) + tr(S X) - z.r.  Every diagonal cell
+    of Gamma is the normalized identity moment, so tr S = n and each free
+    moment has |z_j| <= 1: tr(S X) >= -n max(0, -lambda_min(X)) and
+    z.r >= -sum_j |r_j|."""
+    con = instance.constraints
+    weight = np.where(con.rows == con.cols, 1.0, 2.0) * con.values
+    r = con.rhs - np.bincount(con.owner, weight * x[con.rows, con.cols], minlength=len(con.rhs))
+    negative = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
+    return offset - float(np.sum(instance.objective * x)) - float(np.sum(np.abs(r))) - instance.dim * negative
+
+
+def test_word_cap_3_certifies_the_cap_4_curves():
+    # The default fully untrusted word cap 3 relaxes cap 4, so its certified
+    # values bound the quantum minimum too.  At every objective and
+    # default-grid point, each cap's minorant from its own solve sits below
+    # the point it reports, and the two caps' minorants agree to 1e-6.
+    assert sdp.DEFAULT_WORD_CAP["di"] == 3
+    minorants = {}
+    for cap in (3, 4):
+        for objective in npa.OBJECTIVES["di"]:
+            points = sdp.moment_points("di", "chsh", objective, DEFAULT_GRID, cap)
+            problem = points[0][0]
+            identity = problem.label[0, 0]
+            assert np.all(problem.label.diagonal() == identity)
+            assert np.flatnonzero(problem.norm).tolist() == [identity] and problem.norm[identity] == 1.0
+            for eps, (problem, violation), result in zip(DEFAULT_GRID, points, sdp.solve_moment_problems(points)):
+                instance, offset, _ = moment_companion(problem, violation)
+                value = _certified_minorant(instance, offset, result.solution.primal)
+                assert value <= result.bound <= value + 1e-6
+                minorants[cap, objective, eps] = value
+    for objective in npa.OBJECTIVES["di"]:
+        for eps in DEFAULT_GRID:
+            assert minorants[3, objective, eps] == pytest.approx(minorants[4, objective, eps], abs=1e-6)
