@@ -16,6 +16,9 @@ from dataclasses import dataclass
 TRUSTS = ("1sdi", "di")
 INEQUALITIES = ("steering", "chsh")
 
+#: The inequality each trust setting's moment problem is posed with.
+WITNESS = {"1sdi": "steering", "di": "chsh"}
+
 #: Published self-testing slopes used by default for the state bound.
 DEFAULT_ALPHA = {
     ("1sdi", "steering"): 1.26,
@@ -48,6 +51,13 @@ def max_violation(trust: str, inequality: str) -> float:
             raise ValueError("steering requires a trusted side")
         return 2.0
     return 2.0 * math.sqrt(2.0)
+
+
+def witness_scale(trust: str, inequality: str) -> float:
+    """The inequality in units of the setting's witness (`WITNESS`): 1.0,
+    or sqrt(2) for one-sided CHSH, the steering correlators with maximum
+    2 sqrt(2) against 2.  The inequality at v is the witness at v / scale."""
+    return max_violation(trust, inequality) / max_violation(trust, WITNESS[trust])
 
 
 def default_alpha(trust: str, inequality: str) -> float:
@@ -249,8 +259,7 @@ def measurement_selftest_fidelity(violation: float, trust: str) -> float:
     """
     if trust not in TRUSTS:
         raise ValueError(f"unknown trust setting {trust!r}")
-    inequality = "steering" if trust == "1sdi" else "chsh"
-    top = max_violation(trust, inequality)
+    top = max_violation(trust, WITNESS[trust])
     if violation > top + 1e-12:
         raise ValueError(f"violation {violation} exceeds the maximum {top}")
     eps = max(0.0, top - violation)

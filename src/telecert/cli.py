@@ -190,7 +190,13 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--v-end is read only by --source drift, not --source {args.source}")
     if args.seed < 0:
         raise ValueError("--seed must be at least 0")
-    from . import protosim
+    from . import protosim, qcore
+
+    if args.teleport_inputs > qcore.MAX_TELEPORT_INPUTS:
+        raise ValueError(
+            f"--teleport-inputs {args.teleport_inputs} exceeds the {qcore.MAX_TELEPORT_INPUTS} inputs "
+            "a teleportation admits (about 1 kB per input)"
+        )
 
     mode = protosim.protocol_mode(params)
     copies = protosim.adjusted_copies(params)

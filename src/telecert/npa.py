@@ -3,7 +3,7 @@
 Rows of the moment matrix are canonical products of the untrusted
 operators: Bob's outcome-0 projectors in the one-sided setting, and
 dichotomic Z/X observables per party in the fully untrusted setting.
-The fidelity functionals of the swap extraction and the inequality
+The fidelity functionals of the swap extraction and the witness
 functionals are derived symbolically from the same circuit algebra used
 by :mod:`telecert.qcore`, so the two routes can be cross-checked
 numerically entry by entry.
@@ -26,10 +26,10 @@ the real reduction, the symmetry check and the SDPA export all read them.
 A moment problem (`build_moment_problem`) is one object from build to
 solve and export: it carries its word table, its real reduction
 (`reduce_problem`) and its symmetry group (`symmetry_group`), each
-computed once when it is built.  It carries no violation level: the
-level enters as one right-hand side (Navascues, Pironio & Acin, NJP 10,
-073013, 2008), which the solve (`sdp.solve_moment_problems`) and
-`export_sdpa` take.
+computed once when it is built, under its setting's witness
+(`cert.WITNESS`).  It carries no violation level: the level enters as
+one right-hand side (Navascues, Pironio & Acin, NJP 10, 073013, 2008),
+which the solve (`sdp.solve_moment_problems`) and `export_sdpa` take.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore
+from . import cert, qcore
 
 SETTING_1SDI = "1sdi"
 SETTING_DI = "di"
@@ -51,8 +51,6 @@ OBJECTIVES = {
     SETTING_1SDI: ("state", "ZB", "XB"),
     SETTING_DI: ("state", "ZAZB", "XAXB", "ZAXB"),
 }
-
-INEQUALITIES = ("steering", "chsh")
 
 # Symbol table: projector alphabet for the one-sided setting (outcome-0
 # projectors of Bob's two settings), observable alphabet for both parties
@@ -278,29 +276,15 @@ def di_fidelity_functional(objective: str) -> dict:
     return _blocks(1, terms)
 
 
-def steering_inequality_functional() -> dict:
-    """<sigma_Z x Z_B> + <sigma_X x X_B> as 2x2 assemblage coefficient
-    blocks, keyed ((), bob_word)."""
-    return {
-        ((), ()): np.array([[-1.0, -1.0], [-1.0, 1.0]]),
-        ((), (0,)): np.array([[2.0, 0.0], [0.0, -2.0]]),
-        ((), (1,)): np.array([[0.0, 2.0], [2.0, 0.0]]),
-    }
-
-
-def inequality_functional(setting: str, inequality: str) -> dict:
-    """The inequality's functional in the setting's blocks (see the
-    module docstring)."""
-    if inequality not in INEQUALITIES:
-        raise ValueError(f"unknown inequality {inequality!r}")
+def inequality_functional(setting: str) -> dict:
+    """The setting's witness (`cert.WITNESS`) in its blocks: one-sided
+    <sigma_Z x Z_B> + <sigma_X x X_B>, fully untrusted CHSH."""
     if setting == SETTING_1SDI:
-        base = steering_inequality_functional()
-        if inequality == "steering":
-            return base
-        # CHSH as a steering witness: same correlators scaled by sqrt(2).
-        return {w: np.sqrt(2.0) * c for w, c in base.items()}
-    if inequality != "chsh":
-        raise ValueError("the fully untrusted setting uses the CHSH inequality")
+        return {
+            ((), ()): np.array([[-1.0, -1.0], [-1.0, 1.0]]),
+            ((), (0,)): np.array([[2.0, 0.0], [0.0, -2.0]]),
+            ((), (1,)): np.array([[0.0, 2.0], [2.0, 0.0]]),
+        }
     return {
         ((0,), (0,)): np.array([[1.0]]),
         ((0,), (1,)): np.array([[1.0]]),
@@ -358,7 +342,7 @@ def evaluate_moments(setting: str, state, model: qcore.MeasurementModel, keys) -
     return {key: np.reshape(qcore.product_expectation(rho, alice(key[0]), bob(key[1])), (1, 1)) for key in keys}
 
 
-def evaluate_functional(setting: str, functional: dict, moments: dict) -> float:
+def evaluate_functional(functional: dict, moments: dict) -> float:
     """Real value of a functional on a moment assignment, the sum of its
     coefficient blocks times the moment blocks entry by entry, in either
     setting; the imaginary part must cancel (it does for
@@ -367,11 +351,6 @@ def evaluate_functional(setting: str, functional: dict, moments: dict) -> float:
     if abs(total.imag) > 1e-9:
         raise ValueError(f"functional value has imaginary part {total.imag:.3e}")
     return float(total.real)
-
-
-def functional_keys(setting: str, functional: dict) -> list:
-    """The word keys a functional reads, in either setting."""
-    return list(functional)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +421,9 @@ def _tied_pairs(labels: np.ndarray, every: bool) -> tuple[np.ndarray, np.ndarray
 
 
 class MomentProblem:
-    """The moment problem of one fidelity objective under one inequality,
-    at every violation level, with everything its solve and its export
-    read, computed once when it is built.
+    """The moment problem of one fidelity objective under its setting's
+    witness, at every violation level, with everything its solve and its
+    export read, computed once when it is built.
 
     ``keys`` are the distinct canonical word keys canon(col^dag row) of
     the word pairs, sorted, and ``entry_ids[k, l]`` is the position in
@@ -455,8 +434,8 @@ class MomentProblem:
     (`symmetry_group`).
     """
 
-    def __init__(self, setting: str, words: list, objective: str, inequality: str):
-        self.setting, self.words, self.objective, self.inequality = setting, words, objective, inequality
+    def __init__(self, setting: str, words: list, objective: str):
+        self.setting, self.words, self.objective = setting, words, objective
         self.block = 2 if setting == SETTING_1SDI else 1
         self.dim = self.block * len(words)
         if not any(w.key == ((), ()) for w in words):
@@ -493,13 +472,13 @@ class MomentProblem:
         return int(np.sum(sizes * (sizes - 1) // 2))
 
 
-def build_moment_problem(setting: str, words, objective: str, inequality: str) -> MomentProblem:
-    """Assemble the moment problem for one fidelity objective under one
-    inequality, at every violation level, with its real reduction and its
-    symmetry group."""
+def build_moment_problem(setting: str, words, objective: str) -> MomentProblem:
+    """Assemble the moment problem for one fidelity objective under the
+    setting's witness, at every violation level, with its real reduction
+    and its symmetry group."""
     if objective not in OBJECTIVES[setting]:
         raise ValueError(f"objective {objective!r} not available for {setting}")
-    return MomentProblem(setting, list(words), objective, inequality)
+    return MomentProblem(setting, list(words), objective)
 
 
 def instantiate_gamma(model: qcore.MeasurementModel, state, words) -> np.ndarray:
@@ -542,13 +521,13 @@ def reduce_problem(problem: MomentProblem) -> tuple:
     """The problem over its free real moments, one per real class, as
     (label, p, q, norm): ``label[r, c]`` is the real class of scalar cell
     (r, c) (see `_cell_labels`), and p, q and norm are the objective, the
-    inequality and the normalization as vectors over the classes.  Raises
+    witness and the normalization as vectors over the classes.  Raises
     `MissingWordError` when a functional reads a moment the words lack."""
     setting, keys, b = problem.setting, problem.keys, problem.block
     # Each functional's terms (key, i, j, coefficient), in the order of its items.
     terms = [
         [(key, i, j, c[i, j]) for key, c in functional.items() for i, j in np.argwhere(np.abs(c) > 1e-15)]
-        for functional in (fidelity_functional(setting, problem.objective), inequality_functional(setting, problem.inequality))
+        for functional in (fidelity_functional(setting, problem.objective), inequality_functional(setting))
     ]
     missing = {key for items in terms for key, *_ in items} - set(keys)
     if missing:
@@ -693,7 +672,7 @@ def export_sdpa(problem: MomentProblem, path, violation: float, constraints: str
         "schema": "npa-sdpa/2",
         "setting": problem.setting,
         "objective": problem.objective,
-        "inequality": problem.inequality,
+        "inequality": cert.WITNESS[problem.setting],
         "violation": repr(float(violation)),
         "words": [w.symbols() for w in problem.words],
         "constraints": constraints,

@@ -46,7 +46,7 @@ SQRT2 = math.sqrt(2.0)
 #: in setting order, with the sign its average carries in the statistic.
 #: Steering-type runs use two subsets (X x X and Z x Z); fully untrusted
 #: CHSH runs use the four setting pairs.  CHSH with one-sided trust is the
-#: steering layout with the statistic rescaled by sqrt(2).
+#: steering layout with the statistic in CHSH units (`cert.witness_scale`).
 LAYOUTS = {
     "two-basis": {"XX": 1.0, "ZZ": 1.0},
     "four-setting": {"00": 1.0, "01": 1.0, "10": 1.0, "11": -1.0},
@@ -337,8 +337,7 @@ def run_protocol(source: Source, params: cert.CertificateParams, rng):
     agreements = [int(c) for c in agreements]
     averages = [(2 * c - size) / size for c in agreements]
     statistic = sum(s * a for s, a in zip(layout.values(), averages))
-    if mode == "two-basis" and params.inequality == "chsh":
-        statistic *= SQRT2
+    statistic *= cert.witness_scale(params.trust, params.inequality)
     threshold = params.max_violation - params.epsilon
     accepted = statistic >= threshold
 

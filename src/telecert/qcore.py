@@ -335,6 +335,12 @@ _BELL_BASIS = np.array(
 ) * (1.0 / np.sqrt(2.0))
 _CORRECTIONS = np.array([ID2, SIGMA_X, SIGMA_Z, SIGMA_X @ SIGMA_Z])
 
+#: Most inputs one `teleport_average_fidelity` call draws.  It holds every
+#: input at once: the draws, the amplitudes and Bob's four states per input
+#: before and after correction, about 1 kB per input at the peak (measured
+#: with tracemalloc), so the bound admits about 1 GB.
+MAX_TELEPORT_INPUTS = 10**6
+
 
 def teleport_average_fidelity(resource: TwoQubitState, n_inputs: int, rng) -> float:
     """Mean teleportation fidelity over Haar-random pure input qubits,
@@ -342,6 +348,8 @@ def teleport_average_fidelity(resource: TwoQubitState, n_inputs: int, rng) -> fl
     would draw them."""
     if n_inputs < 1:
         raise ValueError("n_inputs must be at least 1")
+    if n_inputs > MAX_TELEPORT_INPUTS:
+        raise ValueError(f"{n_inputs} teleportation inputs exceed the {MAX_TELEPORT_INPUTS} a call admits (about 1 kB per input)")
     rho = resource.matrix.reshape(2, 2, 2, 2)  # indices (a, b, a', b')
     z = rng.standard_normal((n_inputs, 2, 2))
     phi = z[:, 0] + 1j * z[:, 1]

@@ -52,18 +52,20 @@ while the others take their solo steps.
 The driver builds what the violation level does not move once per
 process, in bounded caches whose arrays are read-only: the moment
 problem, which carries its reduction and its symmetry group, per
-(setting, inequality, word cap, objective), at most 16 (`moment_points`,
-whose problem `npa-export` writes too); and the part of a companion that
+(setting, word cap, objective), at most 16 (`moment_points`, whose
+problem `npa-export` writes too); and the part of a companion that
 neither the objective nor the violation level moves (`_Companion`: free
 moments, row elimination, constraint cells) per bytes of its label,
-normalization and inequality rows and group, at most 8.  A point is a
+normalization and witness rows and group, at most 8.  A point is a
 (problem, violation level) pair.  Each call poses each distinct point on
 its structure once, and the points posed on one structure are one
 family.  A fresh process builds everything once, as before; a process
 that derives again (a sweep, the benchmark, the tests) reuses it.  The
 one-sided `state` and `ZB` problems are one, as are the fully untrusted
 `state` and `ZAZB`; a one-point one-sided `derive-alpha --kind both` is
-one run of two members, the default grid one of ten.
+one run of two members, the default grid one of ten.  One-sided CHSH at
+eps is the steering problem at (2 sqrt(2) - eps) / sqrt(2), so after a
+steering derivation it builds nothing.
 
 The constraint matrices are sparse (an 81x81 moment-problem constraint,
 at fully untrusted word cap 4, has a median of 28 nonzero entries), so an
@@ -1085,9 +1087,9 @@ class _Structure:
 # objectives cannot grow memory without limit; a command needs at most
 # four problems and two structures.  Exceptions are not cached.
 @functools.lru_cache(maxsize=16)
-def _reduced_problem(setting: str, inequality: str, cap: int, objective: str) -> npa.MomentProblem:
+def _reduced_problem(setting: str, cap: int, objective: str) -> npa.MomentProblem:
     """The moment problem of one objective, with read-only arrays."""
-    problem = npa.build_moment_problem(setting, npa.generate_words(setting, cap), objective, inequality)
+    problem = npa.build_moment_problem(setting, npa.generate_words(setting, cap), objective)
     for array in (problem.entry_ids, problem.label, problem.p, problem.q, problem.norm, *problem.group):
         array.flags.writeable = False
     return problem
@@ -1148,15 +1150,17 @@ def solve_moment_problems(points) -> list:
 
 def moment_points(setting: str, inequality: str, objective: str, epsilons, max_local_length: int | None) -> list:
     """The `solve_moment_problems` points of one objective at the violation
-    level (max - eps) of each grid point: its moment problem at the word
-    cap (the setting's default when None), from the per-process cache.
-    Refuses a grid point outside (0, half the maximal violation], NaN
-    included, before it builds anything."""
+    level (max - eps) of each grid point, in the witness's units
+    (`cert.witness_scale`): its moment problem at the word cap (the
+    setting's default when None), from the per-process cache.  Refuses a
+    grid point outside (0, half the maximal violation], NaN included,
+    before it builds anything."""
     wmax = cert.max_violation(setting, inequality)
     if not all(0.0 < e <= 0.5 * wmax for e in epsilons):
         raise ValueError("epsilon grid must sit in (0, half the maximal violation]")
-    problem = _reduced_problem(setting, inequality, _word_cap(setting, max_local_length), objective)
-    return [(problem, wmax - eps) for eps in epsilons]
+    scale = cert.witness_scale(setting, inequality)
+    problem = _reduced_problem(setting, _word_cap(setting, max_local_length), objective)
+    return [(problem, (wmax - eps) / scale) for eps in epsilons]
 
 
 def _curve_solves(setting: str, inequality: str, objectives, epsilons, max_local_length: int | None) -> dict:

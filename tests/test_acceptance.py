@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete.  Criterion 3 re-derives the self-testing constants by
-solving the full moment-matrix programs (the 81x81 measurement cases are
-the long pole; expect roughly a minute).
+solving the moment-matrix programs at the default word caps (14x14
+one-sided, 49x49 fully untrusted); the whole suite takes a few seconds.
 """
 
 import json
@@ -35,14 +35,14 @@ def test_criterion_1_isometry_expression_equivalence():
     worst = 0.0
 
     funcs_1sdi = {o: npa.steering_fidelity_functional(o) for o in ("state", "ZB", "XB")}
-    keys_1sdi = {o: npa.functional_keys("1sdi", f) for o, f in funcs_1sdi.items()}
+    keys_1sdi = {o: list(f) for o, f in funcs_1sdi.items()}
     for _ in range(200):
         d = int(rng.choice([2, 4]))
         psi = qc.haar_random_vector(2 * d, rng)
         model = qc.random_projective_model(d, rng)
         for objective in ("state", "ZB", "XB"):
             moments = npa.evaluate_moments("1sdi", psi, model, keys_1sdi[objective])
-            via = npa.evaluate_functional("1sdi", funcs_1sdi[objective], moments)
+            via = npa.evaluate_functional(funcs_1sdi[objective], moments)
             if objective == "state":
                 psi2 = psi
             else:
@@ -55,7 +55,7 @@ def test_criterion_1_isometry_expression_equivalence():
             worst = max(worst, abs(via - direct))
 
     funcs_di = {o: npa.di_fidelity_functional(o) for o in ("state", "ZAZB", "XAXB", "ZAXB")}
-    keys_di = {o: npa.functional_keys("di", f) for o, f in funcs_di.items()}
+    keys_di = {o: list(f) for o, f in funcs_di.items()}
     paulis = {"Z": qc.SIGMA_Z, "X": qc.SIGMA_X}
     for _ in range(200):
         da, db = int(rng.choice([2, 4])), int(rng.choice([2, 4]))
@@ -63,7 +63,7 @@ def test_criterion_1_isometry_expression_equivalence():
         model = qc.random_projective_model(db, rng, alice_dim=da)
         for objective in ("state", "ZAZB", "XAXB", "ZAXB"):
             moments = npa.evaluate_moments("di", psi, model, keys_di[objective])
-            via = npa.evaluate_functional("di", funcs_di[objective], moments)
+            via = npa.evaluate_functional(funcs_di[objective], moments)
             if objective == "state":
                 psi2 = psi
                 target = qc.rotated_bell_vector()
@@ -90,7 +90,7 @@ def test_criterion_2_gamma_structure():
     constraint count above 20000; 50 random instantiations satisfy every
     constraint to 1e-10 and are PSD to -1e-9."""
     words = npa.generate_words("di", 4)
-    problem = npa.build_moment_problem("di", words, "XAXB", "chsh")
+    problem = npa.build_moment_problem("di", words, "XAXB")
     size_ok = problem.dim == 81 and len(words) == 81
 
     # Documented counting convention: one constraint per unordered pair of
@@ -126,8 +126,8 @@ def test_criterion_3_alpha_rederivation():
     """Self-testing constants from the solver on the stated grid, inside
     the published windows; Werner feasibility ceiling respected; the
     sqrt(2 alpha) trace-distance conversion matches the quoted coefficient
-    table on the published constant pairs.  Extended runtime: the 81x81
-    measurement solves dominate."""
+    table on the published constant pairs.  The 49x49 fully untrusted
+    measurement solves take most of its time, under a second in all."""
     t0 = time.time()
     checks = []
 

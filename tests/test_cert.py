@@ -101,6 +101,15 @@ def test_fidelity_bound_noniid_quoted_point():
     assert c.probability == pytest.approx((1 - 0.08) * expected_f, abs=1e-12)
 
 
+def test_witness_scale_is_one_or_exactly_sqrt2():
+    # one-sided CHSH is the steering witness in units sqrt(2), to the bit,
+    # so that scaling by it is exact; a witness is its own unit
+    assert cert.witness_scale("1sdi", "chsh") == math.sqrt(2.0)
+    assert cert.witness_scale("1sdi", "steering") == cert.witness_scale("di", "chsh") == 1.0
+    with pytest.raises(ValueError, match="steering requires a trusted side"):
+        cert.witness_scale("di", "steering")
+
+
 def test_fidelity_bound_chsh_forms():
     eps, q, x = 0.3, 12.0, 1.0
     c = cert.fidelity_bound(params(inequality="chsh", eps=eps, q=q))

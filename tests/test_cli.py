@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import telecert
-from telecert import cert, cli, npa, protosim, sdp
+from telecert import cert, cli, npa, protosim, qcore, sdp
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -231,6 +231,25 @@ def test_simulate_refuses_a_round_indexed_source_above_its_bound(tmp_path, capsy
     assert captured.err == (
         "telecert: error: a round-indexed source of K = 1929 copies exceeds the 1000 it admits "
         "(8 bytes of visibility per copy, and about 25 more while a run samples)\n"
+    )
+    assert not out.exists()
+
+
+def test_simulate_refuses_teleport_inputs_above_their_bound(tmp_path, capsys, monkeypatch):
+    # the bound is lowered to 100, so that even a check that regresses
+    # allocates no large array; the refusal comes before any trial
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the teleportation inputs were checked")
+
+    monkeypatch.setattr(qcore, "MAX_TELEPORT_INPUTS", 100)
+    monkeypatch.setattr(protosim, "run_protocol", no_trials)
+    out = tmp_path / "runs.csv"
+    argv = ["simulate", "--eps", "0.25", "--q", "35", "--x", "1", "--teleport-inputs", "101", "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "telecert: error: --teleport-inputs 101 exceeds the 100 inputs a teleportation admits (about 1 kB per input)\n"
     )
     assert not out.exists()
 

@@ -20,13 +20,14 @@ def real_moments(red, gamma):
 
 
 def assert_sdpa_meta(path, prob, violation, constraints):
-    """The file's metadata line records the exported moment problem."""
+    """The file's metadata line records the exported moment problem, posed
+    with its setting's witness."""
     line = next(l for l in path.read_text().splitlines() if l.startswith('"meta '))
     assert json.loads(line[len('"meta '):]) == {
         "schema": "npa-sdpa/2",
         "setting": prob.setting,
         "objective": prob.objective,
-        "inequality": prob.inequality,
+        "inequality": {"1sdi": "steering", "di": "chsh"}[prob.setting],
         "violation": repr(float(violation)),
         "words": json.loads(json.dumps(npa.words_to_json(prob.words)["words"])),
         "constraints": constraints,
@@ -192,13 +193,13 @@ def test_functionals_match_direct_extraction():
     rng = np.random.default_rng(31)
     for objective in ("state", "ZB", "XB"):
         func = npa.steering_fidelity_functional(objective)
-        keys = npa.functional_keys("1sdi", func)
+        keys = list(func)
         for _ in range(10):
             d = int(rng.choice([2, 4]))
             psi = qc.haar_random_vector(2 * d, rng)
             model = qc.random_projective_model(d, rng)
             moments = npa.evaluate_moments("1sdi", psi, model, keys)
-            via = npa.evaluate_functional("1sdi", func, moments)
+            via = npa.evaluate_functional(func, moments)
             if objective == "state":
                 psi2 = psi
             else:
@@ -214,11 +215,11 @@ def test_functionals_match_direct_extraction():
 def test_ideal_model_objective_values():
     # ideal configuration reaches objective 1 and the maximal violation
     words = npa.generate_words("1sdi", 3)
-    red = npa.build_moment_problem("1sdi", words, "state", "steering")
+    red = npa.build_moment_problem("1sdi", words, "state")
     gamma = npa.instantiate_gamma(qc.ideal_model(), qc.bell_vector(), words)
     y = real_moments(red, gamma)
     for objective in ("state", "ZB", "XB"):
-        r = npa.build_moment_problem("1sdi", words, objective, "steering")
+        r = npa.build_moment_problem("1sdi", words, objective)
         assert r.p @ real_moments(r, gamma) == pytest.approx(1.0, abs=1e-12)
     assert red.q @ y == pytest.approx(2.0, abs=1e-12)
 
@@ -227,7 +228,7 @@ def test_ideal_model_objective_values():
         qc.ideal_model(device_independent=True), qc.rotated_bell_vector(), wd
     )
     for objective in ("state", "ZAZB", "XAXB", "ZAXB"):
-        r = npa.build_moment_problem("di", wd, objective, "chsh")
+        r = npa.build_moment_problem("di", wd, objective)
         yd = real_moments(r, gd)
         assert r.p @ yd == pytest.approx(1.0, abs=1e-12)
         assert r.q @ yd == pytest.approx(2 * np.sqrt(2), abs=1e-12)
@@ -236,7 +237,7 @@ def test_ideal_model_objective_values():
 def test_werner_purification_objective_value(purify_with_bob_ancilla):
     v = 0.69
     words = npa.generate_words("1sdi", 3)
-    red = npa.build_moment_problem("1sdi", words, "state", "steering")
+    red = npa.build_moment_problem("1sdi", words, "state")
     vec, _ = purify_with_bob_ancilla(qc.werner_state(v))
     gamma = npa.instantiate_gamma(qc.ideal_model().extended(4), vec, words)
     y = real_moments(red, gamma)
@@ -247,7 +248,7 @@ def test_werner_purification_objective_value(purify_with_bob_ancilla):
 def test_missing_word_error():
     words = npa.generate_words("1sdi", 1)  # too short for the length-5 moments
     with pytest.raises(npa.MissingWordError):
-        npa.build_moment_problem("1sdi", words, "XB", "steering")
+        npa.build_moment_problem("1sdi", words, "XB")
 
 
 def test_instantiate_gamma_ideal_structure():
@@ -265,7 +266,7 @@ def test_instantiate_gamma_ideal_structure():
 def test_gamma_constraints_hold_on_random_models():
     rng = np.random.default_rng(8)
     words = npa.generate_words("1sdi", 3)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
+    prob = npa.build_moment_problem("1sdi", words, "state")
     for _ in range(8):
         d = int(rng.choice([2, 4]))
         psi = qc.haar_random_vector(2 * d, rng)
@@ -278,7 +279,7 @@ def test_gamma_constraints_hold_on_random_models():
             assert np.trace(block).real <= 1 + 1e-10
 
     wd = npa.generate_words("di", 3)
-    probd = npa.build_moment_problem("di", wd, "state", "chsh")
+    probd = npa.build_moment_problem("di", wd, "state")
     for _ in range(4):
         psi = qc.haar_random_vector(4, rng)
         model = qc.random_projective_model(2, rng, alice_dim=2)
@@ -299,7 +300,7 @@ def test_fully_untrusted_moments_need_alice_side():
     rng = np.random.default_rng(0)
     psi = qc.haar_random_vector(4, rng)
     words = npa.generate_words("di", 2)
-    keys = npa.functional_keys("di", npa.fidelity_functional("di", "state"))
+    keys = list(npa.fidelity_functional("di", "state"))
     for model, state, message in (
         (qc.random_projective_model(2, rng), psi, "no untrusted Alice side"),
         (qc.random_projective_model(2, rng, alice_dim=2), qc.haar_random_vector(6, rng), "dimension 6 does not match a 2 x 2 split"),
@@ -312,7 +313,7 @@ def test_fully_untrusted_moments_need_alice_side():
 
 def test_reduced_assembly_round_trip(purify_with_bob_ancilla):
     words = npa.generate_words("1sdi", 3)
-    red = npa.build_moment_problem("1sdi", words, "state", "steering")
+    red = npa.build_moment_problem("1sdi", words, "state")
     vec, _ = purify_with_bob_ancilla(qc.werner_state(0.81))
     gamma = npa.instantiate_gamma(qc.ideal_model().extended(4), vec, words)
     y = real_moments(red, gamma)
@@ -322,7 +323,7 @@ def test_reduced_assembly_round_trip(purify_with_bob_ancilla):
 
 def test_equality_counts_di_measurement():
     wd = npa.generate_words("di", 4)
-    prob = npa.build_moment_problem("di", wd, "XAXB", "chsh")
+    prob = npa.build_moment_problem("di", wd, "XAXB")
     assert prob.dim == 81
     assert len(prob.keys) == 289  # scalar entries: one complex class per word key
     assert len(prob.equality_chains()) == 6272
@@ -332,7 +333,7 @@ def test_equality_counts_di_measurement():
 
 def test_export_import_round_trip(tmp_path):
     words = npa.generate_words("1sdi", 3)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
+    prob = npa.build_moment_problem("1sdi", words, "state")
     path = tmp_path / "problem.dat-s"
     info = npa.export_sdpa(prob, path, 2 - 0.13)
     assert info["dimension"] == 14
@@ -348,7 +349,7 @@ def test_export_import_round_trip(tmp_path):
 
 def test_export_deduplicated_variant(tmp_path):
     words = npa.generate_words("1sdi", 2)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
+    prob = npa.build_moment_problem("1sdi", words, "state")
     path = tmp_path / "dedup.dat-s"
     info = npa.export_sdpa(prob, path, 1.8, constraints="deduplicated")
     assert_sdpa_meta(path, prob, 1.8, "deduplicated")
@@ -381,14 +382,16 @@ def test_words_json_round_trip():
 )
 def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequality, eps, cap, constraints):
     # the exported file and the in-memory reduction pose one problem: the
-    # file's ties fold into the real classes, and its minimum is the bound
+    # file's ties fold into the real classes, and its minimum is the bound.
+    # One-sided CHSH at eps is the steering problem at (2 sqrt(2) - eps) / sqrt(2).
     from telecert import sdp
 
-    words = npa.generate_words(setting, cap)
-    prob = npa.build_moment_problem(setting, words, objective, inequality)
-    violation = cert.max_violation(setting, inequality) - eps
+    [(prob, violation)] = sdp.moment_points(setting, inequality, objective, [eps], cap)
+    scale = np.sqrt(2.0) if (setting, inequality) == ("1sdi", "chsh") else 1.0
+    assert violation == (cert.max_violation(setting, inequality) - eps) / scale
     path = tmp_path / "p.dat-s"
     npa.export_sdpa(prob, path, violation, constraints=constraints)
+    assert_sdpa_meta(path, prob, violation, constraints)
     objective_matrix, constraints = npa.read_sdpa_numeric(path)
     problem = sdp.SdpInstance(objective_matrix, sdp.Constraints(*constraints))
     companion, offset, _ = sdp.companion_instance(*sdp.fold_ties(problem))
@@ -402,7 +405,7 @@ def test_file_route_matches_reduced_solution(tmp_path, setting, objective, inequ
 def test_di_measurement_export_constraint_count(tmp_path):
     # the written header must carry the full generated constraint list
     words = npa.generate_words("di", 4)
-    prob = npa.build_moment_problem("di", words, "XAXB", "chsh")
+    prob = npa.build_moment_problem("di", words, "XAXB")
     path = tmp_path / "di.dat-s"
     info = npa.export_sdpa(prob, path, 2 * np.sqrt(2) - 0.1)
     assert info["constraints_written"] > 20000
@@ -426,7 +429,7 @@ def test_entry_keys_conjugate_symmetric():
     # the moment identity at (k, l) pairs with (l, k) under the adjoint
     for setting, cap in (("1sdi", 3), ("di", 2)):
         words = npa.generate_words(setting, cap)
-        prob = npa.build_moment_problem(setting, words, "state", "steering" if setting == "1sdi" else "chsh")
+        prob = npa.build_moment_problem(setting, words, "state")
         m = len(words)
         for k in range(m):
             for l in range(m):
@@ -464,7 +467,7 @@ def test_cell_labels_match_tuple_reference(setting, words):
     assert complex_labels.tolist() == ranks(cell)
     assert real_labels.tolist() == ranks(real)
     try:
-        problem = npa.build_moment_problem(setting, words, "state", "steering" if b == 2 else "chsh")
+        problem = npa.build_moment_problem(setting, words, "state")
     except npa.MissingWordError:
         return  # cap 1 words are too short for the fidelity functional
     assert problem.keys == keys and np.array_equal(problem.entry_ids, entry_ids)
@@ -474,7 +477,7 @@ def test_cell_labels_match_tuple_reference(setting, words):
 def test_identity_word_required():
     words = [w for w in npa.generate_words("1sdi", 2) if w.length > 0]
     with pytest.raises(ValueError):
-        npa.build_moment_problem("1sdi", words, "state", "steering")
+        npa.build_moment_problem("1sdi", words, "state")
 
 
 @pytest.mark.parametrize("setting", ["1sdi", "di"])
@@ -482,13 +485,12 @@ def test_functionals_and_moments_are_word_key_blocks(setting):
     # one shape in both settings: {(alice_word, bob_word): b x b block}
     b = 2 if setting == "1sdi" else 1
     functionals = [npa.fidelity_functional(setting, o) for o in npa.OBJECTIVES[setting]]
-    functionals += [npa.inequality_functional(setting, i) for i in npa.INEQUALITIES if (setting, i) != ("di", "steering")]
+    functionals.append(npa.inequality_functional(setting))
     rng = np.random.default_rng(5)
     psi = qc.haar_random_vector(4, rng)
     model = qc.random_projective_model(2, rng, alice_dim=None if b == 2 else 2)
     for functional in functionals:
-        keys = npa.functional_keys(setting, functional)
-        assert keys == list(functional)
+        keys = list(functional)
         moments = npa.evaluate_moments(setting, psi, model, keys)
         for blocks in (functional, moments):
             assert list(blocks) == keys
@@ -516,9 +518,6 @@ def reduction_digest(problem) -> str:
         ("1sdi", "steering", "state", 3, "5cbff518cd190c4031a1f063ebb3a1b97a6416991633deaeaa604d619e4fff5a"),
         ("1sdi", "steering", "ZB", 3, "5cbff518cd190c4031a1f063ebb3a1b97a6416991633deaeaa604d619e4fff5a"),
         ("1sdi", "steering", "XB", 3, "8dcb488140d2539f88dafcabc734a4e646a9d5e60ab919b1f0b7edfd0d076a73"),
-        ("1sdi", "chsh", "state", 3, "6370ef62544c9e9d45725bd17b85f98e4424cff5646b19acc919aed9612ef938"),
-        ("1sdi", "chsh", "ZB", 3, "6370ef62544c9e9d45725bd17b85f98e4424cff5646b19acc919aed9612ef938"),
-        ("1sdi", "chsh", "XB", 3, "40e3fee6cdbea4cad219d01ace7a23099582066c1c6eaee02c01f6da8505ec63"),
         ("di", "chsh", "state", 4, "70544db20b42e9088e3b07e5b112586d6ee7c5b4ea383eedd2f6721368f664c7"),
         ("di", "chsh", "ZAZB", 4, "70544db20b42e9088e3b07e5b112586d6ee7c5b4ea383eedd2f6721368f664c7"),
         ("di", "chsh", "XAXB", 4, "0e4e9d0006f62989b47c43aa751b1216fcb54c9dd1e082e855033073b81c9002"),
@@ -533,11 +532,13 @@ def test_reduced_rows_and_group_are_pinned(setting, inequality, objective, cap, 
     # The reduction every solve and export reads, bit for bit: the default
     # word caps (1sdi 3, di 3) and the fully untrusted cap 4, which
     # `--word-cap 4` and criterion 2 use.  A moved coefficient bit shows
-    # here before it moves a solved point.
+    # here before it moves a solved point.  Each setting has one problem
+    # per objective, posed with its witness.
     from telecert import sdp
 
     assert cap == sdp.DEFAULT_WORD_CAP[setting] or (setting, cap) == ("di", 4)
-    problem = npa.build_moment_problem(setting, npa.generate_words(setting, cap), objective, inequality)
+    assert inequality == cert.WITNESS[setting]
+    problem = npa.build_moment_problem(setting, npa.generate_words(setting, cap), objective)
     assert reduction_digest(problem) == expected
 
 
@@ -565,7 +566,7 @@ def test_sdpa_error_paths(tmp_path):
         with pytest.raises(ValueError, match="block size line .*every block needs a size of at least 1"):
             npa.read_sdpa_numeric(broken)
     words = npa.generate_words("1sdi", 2)
-    prob = npa.build_moment_problem("1sdi", words, "state", "steering")
+    prob = npa.build_moment_problem("1sdi", words, "state")
     with pytest.raises(ValueError):
         npa.export_sdpa(prob, tmp_path / "x.dat-s", 1.9, constraints="everything")
 
@@ -619,7 +620,7 @@ def test_swap_symmetry_detection(altered):
     identity = np.arange(len(words))
     parity = (-1.0) ** np.array([w.length for w in words])
     for objective in ("state", "ZAZB", "XAXB"):
-        reduced = npa.build_moment_problem("di", words, objective, "chsh")
+        reduced = npa.build_moment_problem("di", words, objective)
         word_image, word_sign, class_image, class_sign = reduced.group
         # identity, swap, flip and swap plus flip
         assert len(word_image) == 4
@@ -654,7 +655,7 @@ def test_swap_symmetry_detection(altered):
     label.flat[np.flatnonzero(label == odd)[0]] = u
     assert len(npa.symmetry_group(altered(reduced, label=label))[0]) == 1
     # ZAXB becomes XAZB under the swap, and keeps only the flip
-    zaxb = npa.build_moment_problem("di", words, "ZAXB", "chsh")
+    zaxb = npa.build_moment_problem("di", words, "ZAXB")
     word_image, word_sign, _, _ = zaxb.group
     assert np.array_equal(word_image, [identity, identity]) and np.array_equal(word_sign, [np.ones(81), parity])
     # an odd objective term keeps the flip out, and the swap with it unless
@@ -668,10 +669,10 @@ def test_swap_symmetry_detection(altered):
         assert len(word_image) == order and np.all(word_sign == 1.0)
     # a word whose swap image is not in the list: the flip alone
     lopsided = npa.generate_words("di", 3) + [npa.OperatorWord("di", (0, 1, 0, 1), ())]
-    reduced = npa.build_moment_problem("di", lopsided, "state", "chsh")
+    reduced = npa.build_moment_problem("di", lopsided, "state")
     assert len(reduced.group[0]) == 2
     # one-sided problems have the trivial group
-    one_sided = npa.build_moment_problem("1sdi", npa.generate_words("1sdi", 3), "state", "steering")
+    one_sided = npa.build_moment_problem("1sdi", npa.generate_words("1sdi", 3), "state")
     word_image, word_sign, class_image, class_sign = one_sided.group
     assert np.array_equal(word_image, [np.arange(14)]) and np.array_equal(word_sign, np.ones((1, 14)))
     assert np.array_equal(class_image, [np.arange(len(one_sided.p))]) and np.all(class_sign == 1.0)

@@ -203,13 +203,13 @@ def test_extraction_matches_functional_route():
 
     rng = np.random.default_rng(13)
     func = npa.steering_fidelity_functional("state")
-    keys = npa.functional_keys("1sdi", func)
+    keys = list(func)
     for _ in range(30):
         d = int(rng.choice([2, 4]))
         psi = qc.haar_random_vector(2 * d, rng)
         model = qc.random_projective_model(d, rng)
         moments = npa.evaluate_moments("1sdi", psi, model, keys)
-        via_moments = npa.evaluate_functional("1sdi", func, moments)
+        via_moments = npa.evaluate_functional(func, moments)
         direct = qc.fidelity_to_pure(
             qc.swap_isometry_extract(psi, model), qc.bell_vector()
         )
@@ -227,6 +227,19 @@ def test_teleport_werner_average():
     for v, expected in ((0.0, 0.5), (0.5, 0.75), (1.0, 1.0)):
         emp = qc.teleport_average_fidelity(qc.werner_state(v), 40, rng)
         assert emp == pytest.approx(expected, abs=1e-10)
+
+
+def test_teleport_refuses_more_inputs_than_its_bound(monkeypatch):
+    # the bound is lowered, so that a check that regresses draws little;
+    # the refusal comes before the first draw
+    class NoDraws:
+        def standard_normal(self, *args, **kwargs):
+            raise AssertionError("inputs were drawn before their count was checked")
+
+    monkeypatch.setattr(qc, "MAX_TELEPORT_INPUTS", 10)
+    with pytest.raises(ValueError, match="11 teleportation inputs exceed the 10 a call admits"):
+        qc.teleport_average_fidelity(qc.werner_state(1.0), 11, NoDraws())
+    assert qc.teleport_average_fidelity(qc.werner_state(1.0), 10, np.random.default_rng(2)) == pytest.approx(1.0, abs=1e-10)
 
 
 def _teleport_loop(resource, n_inputs, rng):

@@ -195,7 +195,7 @@ def test_instance_cell_contract():
 
 def test_state_problem_at_maximal_violation():
     words = npa.generate_words("1sdi", 3)
-    problem = npa.build_moment_problem("1sdi", words, "state", "steering")
+    problem = npa.build_moment_problem("1sdi", words, "state")
     result = sdp.solve_moment_problems([(problem, 2.0 - 1e-6)])[0]
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
@@ -203,7 +203,7 @@ def test_state_problem_at_maximal_violation():
 def test_minimizing_moment_matrix_is_feasible():
     words = npa.generate_words("1sdi", 3)
     eps = 0.1
-    problem = npa.build_moment_problem("1sdi", words, "state", "steering")
+    problem = npa.build_moment_problem("1sdi", words, "state")
     result = sdp.solve_moment_problems([(problem, 2.0 - eps)])[0]
     assert np.linalg.eigvalsh(problem.assemble(result.moments)).min() >= -1e-7
     assert problem.q @ result.moments == pytest.approx(2.0 - eps, abs=1e-7)
@@ -304,14 +304,14 @@ def test_default_grid_iteration_budget():
 
 def test_unreachable_violation_level_raises():
     words = npa.generate_words("1sdi", 3)
-    problem = npa.build_moment_problem("1sdi", words, "state", "steering")
+    problem = npa.build_moment_problem("1sdi", words, "state")
     with pytest.raises(sdp.SdpError):
         sdp.solve_moment_problems([(problem, 2.2)])
 
 
 def test_state_problem_at_exact_maximum():
     words = npa.generate_words("1sdi", 3)
-    problem = npa.build_moment_problem("1sdi", words, "state", "steering")
+    problem = npa.build_moment_problem("1sdi", words, "state")
     result = sdp.solve_moment_problems([(problem, 2.0)])[0]
     assert result.bound == pytest.approx(1.0, abs=1e-5)
 
@@ -323,10 +323,8 @@ def test_state_problem_at_exact_maximum():
 def _companion(setting, inequality, eps, cap=None):
     """The `state` companion at violation (max - eps), at the word cap (the
     setting's default when None)."""
-    wmax = cert.max_violation(setting, inequality)
-    words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting] if cap is None else cap)
-    problem = npa.build_moment_problem(setting, words, "state", inequality)
-    instance, _, _ = moment_companion(problem, wmax - eps)
+    [(problem, violation)] = sdp.moment_points(setting, inequality, "state", [eps], cap)
+    instance, _, _ = moment_companion(problem, violation)
     return instance
 
 
@@ -375,7 +373,7 @@ def test_cells_match_dense_formulas(tmp_path):
     one_sided = _companion("1sdi", "steering", 0.1)
     # a 14-dim export read back from its file
     words = npa.generate_words("1sdi", 3)
-    problem = npa.build_moment_problem("1sdi", words, "state", "steering")
+    problem = npa.build_moment_problem("1sdi", words, "state")
     path = tmp_path / "p.dat-s"
     npa.export_sdpa(problem, path, 1.9, constraints="deduplicated")
     objective, constraints = npa.read_sdpa_numeric(path)
@@ -574,7 +572,7 @@ def test_termination_reasons(monkeypatch):
 def _exported_stack(tmp_path, setting, inequality, word_cap):
     words = npa.generate_words(setting, word_cap)
     violation = cert.max_violation(setting, inequality) - 0.1
-    problem = npa.build_moment_problem(setting, words, "state", inequality)
+    problem = npa.build_moment_problem(setting, words, "state")
     path = tmp_path / f"{setting}.dat-s"
     npa.export_sdpa(problem, path, violation, constraints="generated")
     objective, constraints = npa.read_sdpa_numeric(path)
@@ -749,7 +747,7 @@ def test_swap_reduced_bounds_match_unreduced(altered):
     for cap, splits in SPLITS.items():
         n, unreduced, classes, odd_classes = UNREDUCED[cap]
         words = npa.generate_words("di", cap)
-        reduced = {obj: npa.build_moment_problem("di", words, obj, "chsh") for obj in splits}
+        reduced = {obj: npa.build_moment_problem("di", words, obj) for obj in splits}
         runs = {obj: _bounds(red, violations) for obj, red in reduced.items()}
         # the classes of cells (r, c) with an odd total word length
         lengths = np.array([w.length for w in words])
@@ -786,7 +784,7 @@ def test_odd_objective_term_keeps_the_flip_out(altered, paired):
     # the reduced solve still matches the unreduced one
     wmax = cert.max_violation("di", "chsh")
     words = npa.generate_words("di", 4)
-    reduced = npa.build_moment_problem("di", words, "state", "chsh")
+    reduced = npa.build_moment_problem("di", words, "state")
     # cell (k, 0) carries the moment of word k
     position = {w.key: k for k, w in enumerate(words)}
     za, zb = (reduced.label[position[key], 0] for key in (((0,), ()), ((), (0,))))
@@ -813,7 +811,7 @@ def test_swap_adapted_basis_is_orthogonal():
     words = npa.generate_words("di", 4)
     rng = np.random.default_rng(23)
     for objective, moments, sizes in (("XAXB", 61, [25, 16, 20, 20]), ("ZAXB", 105, [41, 40])):
-        reduced = npa.build_moment_problem("di", words, objective, "chsh")
+        reduced = npa.build_moment_problem("di", words, objective)
         of_class, sign, (owner, rows, cols, values) = sdp._moment_basis(reduced.label, reduced.group)
         assert of_class.max() + 1 == moments and np.all(rows <= cols)
         assert np.count_nonzero(sign == 0.0) == 80
@@ -836,7 +834,7 @@ def test_state_curves_are_convex(setting, inequality):
     # duality gap, which sets the slack.
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
-    reduced = npa.build_moment_problem(setting, words, "state", inequality)
+    reduced = npa.build_moment_problem(setting, words, "state")
     eps = (0.01, 0.02, 0.05, 0.1, 0.2)
     values, errors = [], []
     for e in eps:
@@ -883,12 +881,9 @@ def test_companion_constraints_are_independent(tmp_path):
     # both ends of the default grid and for the folded exports, at the
     # default word caps and at the fully untrusted cap 4
     for setting, inequality, cap in (("1sdi", "steering", 3), ("1sdi", "chsh", 3), ("di", "chsh", 3), ("di", "chsh", 4)):
-        wmax = cert.max_violation(setting, inequality)
-        words = npa.generate_words(setting, cap)
         for objective in npa.OBJECTIVES[setting]:
-            reduced = npa.build_moment_problem(setting, words, objective, inequality)
-            for eps in (0.01, 0.2):
-                instance, _, _ = moment_companion(reduced, wmax - eps)
+            for reduced, violation in sdp.moment_points(setting, inequality, objective, (0.01, 0.2), cap):
+                instance, _, _ = moment_companion(reduced, violation)
                 assert _relative_smallest_singular_value(instance) >= INDEPENDENCE_FLOOR
     for setting, inequality, cap, form, constraints in (
         ("1sdi", "steering", 3, "generated", 31),
@@ -899,7 +894,7 @@ def test_companion_constraints_are_independent(tmp_path):
         ("di", "chsh", 4, "generated", 183),
     ):
         words = npa.generate_words(setting, cap)
-        problem = npa.build_moment_problem(setting, words, "state", inequality)
+        problem = npa.build_moment_problem(setting, words, "state")
         path = tmp_path / f"{setting}-{cap}-{form}.dat-s"
         npa.export_sdpa(problem, path, cert.max_violation(setting, inequality) - 0.1, constraints=form)
         objective, cells = npa.read_sdpa_numeric(path)
@@ -1032,7 +1027,7 @@ def test_coupling_terms_only_at_nonzero_couplings(setting, inequality):
     # problem and sparse random rows over its classes, under its group.
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
-    reduced = npa.build_moment_problem(setting, words, "state", inequality)
+    reduced = npa.build_moment_problem(setting, words, "state")
     group = reduced.group
     rng = np.random.default_rng(29)
     extra, _ = _sparse_rows(rng, 12, len(reduced.p))
@@ -1068,7 +1063,7 @@ def test_one_structure_poses_every_point_as_a_fresh_companion(setting, inequalit
     wmax = cert.max_violation(setting, inequality)
     words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
     state, reduced = (
-        npa.build_moment_problem(setting, words, objective, inequality)
+        npa.build_moment_problem(setting, words, objective)
         for objective in ("state", other)
     )
     group = state.group
@@ -1102,13 +1097,11 @@ DEFAULT_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
 
 def _companions(setting, inequality, objectives, epsilons):
     """The companions `derive_alphas` poses, objective by objective."""
-    wmax = cert.max_violation(setting, inequality)
-    words = npa.generate_words(setting, sdp.DEFAULT_WORD_CAP[setting])
-    instances = []
-    for objective in objectives:
-        reduced = npa.build_moment_problem(setting, words, objective, inequality)
-        instances += [moment_companion(reduced, wmax - eps)[0] for eps in epsilons]
-    return instances
+    return [
+        moment_companion(problem, violation)[0]
+        for objective in objectives
+        for problem, violation in sdp.moment_points(setting, inequality, objective, epsilons, None)
+    ]
 
 
 def _assert_solo(got, instance, max_iterations=100):
@@ -1333,10 +1326,9 @@ def test_commands_solve_one_run_per_family(monkeypatch):
 # The per-process caches of problems and companion structures
 
 
-def test_a_second_derivation_builds_nothing_again(monkeypatch):
-    # the word lists, the moment problems, their reductions and groups and
-    # the companion structures are built by the first call alone, one word
-    # list per problem, and the second call reports what the first did
+def _count_builds(monkeypatch, names):
+    """Empty the per-process caches and count the calls of each (module,
+    name) from here on, by name, into the returned dict."""
     built = {}
 
     def counted(name, function):
@@ -1346,11 +1338,19 @@ def test_a_second_derivation_builds_nothing_again(monkeypatch):
 
         return counting
 
-    for module, name in ((npa, "generate_words"), (npa, "build_moment_problem"), (npa, "reduce_problem"),
-                         (npa, "symmetry_group"), (sdp, "_Companion")):
+    for module, name in names:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for cache in (sdp._reduced_problem, sdp._companion):
         cache.cache_clear()
+    return built
+
+
+def test_a_second_derivation_builds_nothing_again(monkeypatch):
+    # the word lists, the moment problems, their reductions and groups and
+    # the companion structures are built by the first call alone, one word
+    # list per problem, and the second call reports what the first did
+    built = _count_builds(monkeypatch, ((npa, "generate_words"), (npa, "build_moment_problem"), (npa, "reduce_problem"),
+                                        (npa, "symmetry_group"), (sdp, "_Companion")))
     cold = sdp.derive_alphas("di", "chsh", ("state", "measurement"), (0.1,))
     # state, ZAZB and XAXB share one structure; ZAXB keeps only the flip
     assert built == {"generate_words": 4, "build_moment_problem": 4, "reduce_problem": 4, "symmetry_group": 4, "_Companion": 2}
@@ -1359,8 +1359,22 @@ def test_a_second_derivation_builds_nothing_again(monkeypatch):
     assert built == {}
 
 
+def test_one_sided_chsh_derivation_builds_nothing_after_steering(monkeypatch, tmp_path):
+    # One-sided CHSH is the steering witness at another level, so after a
+    # steering derivation for both kinds the CHSH one poses its points on
+    # the steering problems and structure: state, ZB and XB share one
+    from telecert import cli
+
+    built = _count_builds(monkeypatch, ((npa, "build_moment_problem"), (sdp, "_Companion")))
+    for inequality, counts in (("steering", {"build_moment_problem": 3, "_Companion": 1}), ("chsh", {})):
+        built.clear()
+        argv = ["derive-alpha", "--trust", "1sdi", "--inequality", inequality, "--kind", "both"]
+        assert cli.main(argv + ["--out", str(tmp_path / f"{inequality}.json")]) == 0
+        assert built == counts, inequality
+
+
 def test_cached_problems_and_structures_are_read_only():
-    problem = sdp._reduced_problem("di", "chsh", 4, "ZAXB")
+    problem = sdp._reduced_problem("di", 4, "ZAXB")
     data = (problem.label, problem.norm, problem.q, *problem.group)
     structure = sdp._companion(sdp._Structure(sdp._data_key(*data), data))
     parts = [problem.entry_ids, problem.label, problem.p, problem.q, problem.norm, *problem.group]
@@ -1378,10 +1392,10 @@ def test_a_patched_group_gets_its_own_structure(monkeypatch):
     # one.
     wmax = cert.max_violation("di", "chsh")
     words = npa.generate_words("di", 4)
-    point = (npa.build_moment_problem("di", words, "state", "chsh"), wmax - 0.1)
+    point = (npa.build_moment_problem("di", words, "state"), wmax - 0.1)
     (split,) = sdp.solve_moment_problems([point])
     monkeypatch.setattr(npa, "symmetry_group", trivial_group)
-    (full,) = sdp.solve_moment_problems([(npa.build_moment_problem("di", words, "state", "chsh"), wmax - 0.1)])
+    (full,) = sdp.solve_moment_problems([(npa.build_moment_problem("di", words, "state"), wmax - 0.1)])
     assert (len(split.solution.kept_constraints), len(full.solution.kept_constraints)) == (59, 183)
     assert full.bound == pytest.approx(split.bound, abs=1e-6)
     # the cached structure of the whole group still serves the point
