@@ -6,6 +6,9 @@ through the average-to-individual step, for non-iid ones; copy-count
 formulas; the measurement self-test bound; an inverse planner that finds
 protocol parameters meeting a fidelity/confidence target with as few
 copies as possible; and visibility thresholds for Werner-type sources.
+
+A certificate's slope alpha in F >= 1 - alpha eps travels with its
+source as one `SlopeBound`; the published ones are `PUBLISHED_BOUNDS`.
 """
 
 from __future__ import annotations
@@ -19,19 +22,32 @@ INEQUALITIES = ("steering", "chsh")
 #: The inequality each trust setting's moment problem is posed with.
 WITNESS = {"1sdi": "steering", "di": "chsh"}
 
-#: Published self-testing slopes used by default for the state bound.
-DEFAULT_ALPHA = {
-    ("1sdi", "steering"): 1.26,
-    ("1sdi", "chsh"): 0.90,
-    ("di", "chsh"): 1.19,
+
+@dataclass(frozen=True)
+class SlopeBound:
+    """A self-testing slope alpha and its source: "paper-default" (published),
+    "explicit" (given) or "sdp-derived" (a `derive-alpha` state bound)."""
+
+    alpha: float
+    source: str
+
+    def __post_init__(self):
+        if self.source not in ("paper-default", "explicit", "sdp-derived"):
+            raise ValueError(f"unknown alpha source {self.source!r}; expected one of paper-default, explicit, sdp-derived")
+        # NaN fails the comparison, so it is refused too.
+        if self.alpha is None or not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+
+
+#: Published self-testing slopes: the state bounds the certificates use
+#: by default, and the measurement bounds of each setting's witness.
+PUBLISHED_BOUNDS = {
+    ("1sdi", "steering", "state"): SlopeBound(1.26, "paper-default"),
+    ("1sdi", "chsh", "state"): SlopeBound(0.90, "paper-default"),
+    ("di", "chsh", "state"): SlopeBound(1.19, "paper-default"),
+    ("1sdi", "steering", "measurement"): SlopeBound(3.10, "paper-default"),
+    ("di", "chsh", "measurement"): SlopeBound(3.70, "paper-default"),
 }
-
-#: Where a certificate's slope comes from: the published constant, a
-#: number the caller gives, or the state bound of a `derive-alpha` report.
-ALPHA_SOURCES = ("paper-default", "explicit", "sdp-derived")
-
-#: Published slopes for the measurement bound (steering / CHSH trust cases).
-MEASUREMENT_ALPHA = {"1sdi": 3.10, "di": 3.70}
 
 #: Trace-distance coefficients quoted alongside the fidelity slopes; the
 #: conversion is coefficient = sqrt(2 * alpha).
@@ -46,10 +62,14 @@ TRACE_DISTANCE_COEFFICIENTS = {
 
 
 def max_violation(trust: str, inequality: str) -> float:
+    if trust not in TRUSTS:
+        raise ValueError(f"unknown trust setting {trust!r}")
     if inequality == "steering":
         if trust == "di":
             raise ValueError("steering requires a trusted side")
         return 2.0
+    if inequality != "chsh":
+        raise ValueError(f"unknown inequality {inequality!r}")
     return 2.0 * math.sqrt(2.0)
 
 
@@ -60,27 +80,12 @@ def witness_scale(trust: str, inequality: str) -> float:
     return max_violation(trust, inequality) / max_violation(trust, WITNESS[trust])
 
 
-def default_alpha(trust: str, inequality: str) -> float:
-    try:
-        return DEFAULT_ALPHA[(trust, inequality)]
-    except KeyError:
-        raise ValueError(f"no default constant for ({trust}, {inequality})") from None
-
-
-def _check_epsilon(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise ValueError("epsilon must sit in (0, 1)")
-
-
 @dataclass(frozen=True)
 class CertificateParams:
     """Protocol parameters: trust setting, inequality, statistics model,
     deviation budget epsilon, slack divisor q, confidence exponent x, and
-    the self-testing slope alpha (defaulted from the published constants)
-    with its source, one of `ALPHA_SOURCES`.  Without a source it is
-    "paper-default" when no alpha is given and "explicit" when one is.
-    "paper-default" takes no alpha other than the published one, and the
-    other sources need an alpha."""
+    the self-testing slope's `SlopeBound`, the published state bound when
+    none is given.  A "paper-default" bound must be the published one."""
 
     trust: str
     inequality: str
@@ -88,35 +93,30 @@ class CertificateParams:
     epsilon: float
     q: float
     x: float
-    alpha: float | None = None
-    alpha_source: str | None = None
+    bound: SlopeBound | None = None
 
     def __post_init__(self):
-        if self.trust not in TRUSTS:
-            raise ValueError(f"unknown trust setting {self.trust!r}")
-        if self.inequality not in INEQUALITIES:
-            raise ValueError(f"unknown inequality {self.inequality!r}")
-        if self.trust == "di" and self.inequality == "steering":
-            raise ValueError("steering requires a trusted side")
-        _check_epsilon(self.epsilon)
-        if self.alpha_source is None:
-            object.__setattr__(self, "alpha_source", "paper-default" if self.alpha is None else "explicit")
-        if self.alpha_source not in ALPHA_SOURCES:
-            raise ValueError(f"unknown alpha source {self.alpha_source!r}; expected one of {', '.join(ALPHA_SOURCES)}")
-        if self.alpha_source == "paper-default":
-            published = default_alpha(self.trust, self.inequality)
-            if self.alpha not in (None, published):
-                raise ValueError(f"alpha {self.alpha} is not the published {published} that 'paper-default' names")
-            object.__setattr__(self, "alpha", published)
-        elif self.alpha is None:
-            raise ValueError(f"alpha source {self.alpha_source!r} needs an alpha")
+        max_violation(self.trust, self.inequality)  # refuses an unknown pair
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError("epsilon must sit in (0, 1)")
+        published = PUBLISHED_BOUNDS[(self.trust, self.inequality, "state")]
+        if self.bound is None:
+            object.__setattr__(self, "bound", published)
+        elif self.bound.source == "paper-default" and self.bound != published:
+            raise ValueError(f"alpha {self.bound.alpha} is not the published {published.alpha} that 'paper-default' names")
         # NaN fails every comparison, so each range is written to hold.
         if not 1.0 <= self.q < math.inf:
             raise ValueError("q must be finite and at least 1")
         if not 0.0 < self.x < math.inf:
             raise ValueError("x must be finite and positive")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
+
+    @property
+    def alpha(self) -> float:
+        return self.bound.alpha
+
+    @property
+    def alpha_source(self) -> str:
+        return self.bound.source
 
     @property
     def max_violation(self) -> float:
@@ -260,10 +260,11 @@ def measurement_selftest_fidelity(violation: float, trust: str) -> float:
     if trust not in TRUSTS:
         raise ValueError(f"unknown trust setting {trust!r}")
     top = max_violation(trust, WITNESS[trust])
-    if violation > top + 1e-12:
-        raise ValueError(f"violation {violation} exceeds the maximum {top}")
+    # NaN fails the comparison, so it is refused too.
+    if not -math.inf < violation <= top + 1e-12:
+        raise ValueError(f"violation {violation} must be finite and at most the maximum {top}")
     eps = max(0.0, top - violation)
-    return max(0.0, 1.0 - MEASUREMENT_ALPHA[trust] * eps)
+    return max(0.0, 1.0 - PUBLISHED_BOUNDS[(trust, WITNESS[trust], "measurement")].alpha * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +405,7 @@ def plan(
     iid: bool,
     epsilon: float | None = None,
     max_copies: float | None = None,
-    alpha: float | None = None,
-    alpha_source: str | None = None,
+    bound: SlopeBound | None = None,
 ) -> PlanResult:
     """Parameters minimizing the copy count subject to the certificate
     meeting (target_fidelity, target_probability).
@@ -432,9 +432,9 @@ def plan(
     found or than max_copies, and a floor equal to the count found is not
     pruned, so the selection, which does not depend on the visiting order,
     is the one an exhaustive pass over the grid makes.  The returned
-    parameters are re-verified through ``fidelity_bound``.  They record
-    ``alpha`` and ``alpha_source`` as `CertificateParams` does, which
-    checks the pair before the search.
+    parameters are re-verified through ``fidelity_bound``.  The slope is
+    ``bound``, resolved and checked by `CertificateParams` before the
+    search.
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError("target fidelity must sit in (0, 1)")
@@ -443,7 +443,6 @@ def plan(
     # NaN fails the comparison, so a NaN limit is refused too.
     if max_copies is not None and not max_copies >= 1.0:
         raise ValueError("max copies must be at least 1")
-    alpha_value = alpha if alpha is not None else default_alpha(trust, inequality)
 
     if epsilon is not None:
         eps_grid = [float(epsilon)]
@@ -454,7 +453,8 @@ def plan(
     r_fidelity = 1.0 - target_fidelity
     # One check covers every grid point: a given eps is eps_grid[0], the
     # free grid lies inside (0, 1) and every grid x is finite and positive.
-    CertificateParams(trust, inequality, iid, eps_grid[0], 1.0, 1.0, alpha, alpha_source)
+    bound = CertificateParams(trust, inequality, iid, eps_grid[0], 1.0, 1.0, bound).bound
+    alpha = bound.alpha
     rows = []
     for eps in eps_grid:
         x_lo = 0.05
@@ -463,7 +463,7 @@ def plan(
             x_floor = math.log(1.0 - target_probability) / math.log(eps)
             x_lo = max(x_lo, min(x_floor, x_hi))
         # The fidelity target alone bounds q at every x of the row.
-        q_floor = _q_floor(inequality, iid, eps, r_fidelity, alpha_value)
+        q_floor = _q_floor(inequality, iid, eps, r_fidelity, alpha)
         if q_floor is not None:
             rows.append((_copies(inequality, iid, eps, q_floor, x_lo), eps, x_lo, q_floor))
     rows.sort()
@@ -484,11 +484,11 @@ def plan(
                 if room <= 0.0:
                     continue  # no q gives positive confidence
                 r = min(r_fidelity, 1.0 - target_probability / room)
-                q_floor = _q_floor(inequality, iid, eps, r, alpha_value)
+                q_floor = _q_floor(inequality, iid, eps, r, alpha)
                 if q_floor is None or _copies(inequality, iid, eps, q_floor, x) > limit:
                     continue
             q = _min_q_for_targets(
-                inequality, iid, eps, x, target_fidelity, target_probability, alpha_value
+                inequality, iid, eps, x, target_fidelity, target_probability, alpha
             )
             if q is None:
                 continue
@@ -506,7 +506,7 @@ def plan(
         reason += f" for {trust}/{inequality} ({'iid' if iid else 'non-iid'})"
         return PlanResult(False, None, None, reason)
     k, eps, q, x = best
-    params = CertificateParams(trust, inequality, iid, eps, q, x, alpha, alpha_source)
+    params = CertificateParams(trust, inequality, iid, eps, q, x, bound)
     cert = fidelity_bound(params)
     if cert.fidelity < target_fidelity or cert.probability < target_probability:
         return PlanResult(False, None, None, "re-verification failed at the optimum")

@@ -79,16 +79,16 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def _resolve_alpha(args) -> tuple[float | None, str]:
+def _resolve_bound(args) -> cert.SlopeBound | None:
     """The slope of the command's certificate: --alpha, or the state bound
     of an --alpha-json report derived for the command's --trust and
-    --inequality, or None for the published constant.  Both at once, from
+    --inequality, or None for the published bound.  Both at once, from
     flags or --config, are refused: one of them would go unread."""
     path = getattr(args, "alpha_json", None)
     if getattr(args, "alpha", None) is not None:
         if path:
             raise ValueError("--alpha and --alpha-json both give the slope; pass one of them")
-        return float(args.alpha), "explicit"
+        return cert.SlopeBound(float(args.alpha), "explicit")
     if path:
         with open(path) as handle:
             doc = json.load(handle)
@@ -105,8 +105,8 @@ def _resolve_alpha(args) -> tuple[float | None, str]:
         alpha = state.get("alpha")
         if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
             raise ValueError(f"{path}: not an alpha report (no numeric 'reports.state.alpha')")
-        return float(alpha), "sdp-derived"
-    return None, "paper-default"
+        return cert.SlopeBound(float(alpha), "sdp-derived")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,6 @@ def _resolve_alpha(args) -> tuple[float | None, str]:
 
 def cmd_plan(args) -> int:
     _require(args, "target_f")
-    alpha, alpha_source = _resolve_alpha(args)
     result = cert.plan(
         args.target_f,
         args.target_p,
@@ -123,8 +122,7 @@ def cmd_plan(args) -> int:
         args.iid,
         epsilon=args.eps,
         max_copies=args.max_k,
-        alpha=alpha,
-        alpha_source=alpha_source,
+        bound=_resolve_bound(args),
     )
     payload = result.to_json()
     if result.feasible:
@@ -144,9 +142,8 @@ def cmd_plan(args) -> int:
 
 def cmd_certify(args) -> int:
     _require(args, "eps", "q", "x")
-    alpha, alpha_source = _resolve_alpha(args)
     params = cert.CertificateParams(
-        args.trust, args.inequality, args.iid, args.eps, args.q, args.x, alpha, alpha_source
+        args.trust, args.inequality, args.iid, args.eps, args.q, args.x, _resolve_bound(args)
     )
     certificate = cert.fidelity_bound(params)
     _write_json(args, certificate.to_json(), args.out)
@@ -178,9 +175,8 @@ def cmd_simulate(args) -> int:
     for flag, value in (("--visibility", args.visibility), ("--v-end", args.v_end)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite")
-    alpha, alpha_source = _resolve_alpha(args)
     params = cert.CertificateParams(
-        args.trust, args.inequality, args.iid, args.eps, args.q, args.x, alpha, alpha_source
+        args.trust, args.inequality, args.iid, args.eps, args.q, args.x, _resolve_bound(args)
     )
     # A flag the source never reads would be echoed in the summary's config
     # as if it had been simulated.

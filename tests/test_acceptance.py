@@ -159,14 +159,15 @@ def test_criterion_3_alpha_rederivation():
 
     # Trace-distance table: the published fidelity slopes convert to the
     # published trace-distance coefficients via sqrt(2 alpha) within 2%.
-    pairs = [
-        (cert.DEFAULT_ALPHA[("1sdi", "steering")], ("1sdi", "steering", "state")),
-        (cert.MEASUREMENT_ALPHA["1sdi"], ("1sdi", "steering", "measurement")),
-        (cert.DEFAULT_ALPHA[("1sdi", "chsh")], ("1sdi", "chsh", "state")),
-        (cert.DEFAULT_ALPHA[("di", "chsh")], ("di", "chsh", "state")),
-        (cert.MEASUREMENT_ALPHA["di"], ("di", "chsh", "measurement")),
+    keys = [
+        ("1sdi", "steering", "state"),
+        ("1sdi", "steering", "measurement"),
+        ("1sdi", "chsh", "state"),
+        ("di", "chsh", "state"),
+        ("di", "chsh", "measurement"),
     ]
-    for alpha, key in pairs:
+    for key in keys:
+        alpha = cert.PUBLISHED_BOUNDS[key].alpha
         coeff = cert.TRACE_DISTANCE_COEFFICIENTS[key]
         ok = abs(math.sqrt(2 * alpha) - coeff) <= 0.02 * coeff
         checks.append((f"sqrt(2*{alpha}) ~ {coeff}", ok))

@@ -10,8 +10,16 @@ import pytest
 from telecert import cert
 
 
+def explicit(alpha):
+    return None if alpha is None else cert.SlopeBound(alpha, "explicit")
+
+
+def published(trust, inequality):
+    return cert.PUBLISHED_BOUNDS[(trust, inequality, "state")].alpha
+
+
 def params(trust="1sdi", inequality="steering", iid=True, eps=0.25, q=35.0, x=1.0, alpha=None):
-    return cert.CertificateParams(trust, inequality, iid, eps, q, x, alpha)
+    return cert.CertificateParams(trust, inequality, iid, eps, q, x, explicit(alpha))
 
 
 def test_cert_imports_only_the_standard_library():
@@ -207,7 +215,7 @@ def test_plan_holds_returned_copies_to_limit():
 
 def test_planner_validates_inputs():
     with pytest.raises(ValueError, match="alpha must be positive"):
-        cert.plan(0.7, 0.6, "1sdi", "steering", True, alpha=-1)
+        cert.plan(0.7, 0.6, "1sdi", "steering", True, bound=explicit(-1))
     for eps in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError, match=r"epsilon must sit in \(0, 1\)"):
             cert.plan(0.7, 0.6, "1sdi", "steering", True, epsilon=eps)
@@ -217,7 +225,7 @@ def test_planner_validates_inputs():
 
 
 def _meets(trust, inequality, iid, eps, q, x, target_f, target_p, alpha):
-    c = cert.fidelity_bound(cert.CertificateParams(trust, inequality, iid, eps, q, x, alpha))
+    c = cert.fidelity_bound(cert.CertificateParams(trust, inequality, iid, eps, q, x, explicit(alpha)))
     return c.fidelity >= target_f and c.probability >= target_p and not c.vacuous
 
 
@@ -259,13 +267,13 @@ def test_min_q_matches_certificate_bisection():
     )
     outcomes = {"floor": 0, "feasible": 0, "infeasible": 0, "vacuous": 0}
     for (trust, inequality, iid), eps, x, target_p, target_f, alpha in grid:
-        alpha = alpha or cert.default_alpha(trust, inequality)
+        alpha = alpha or published(trust, inequality)
         args = (trust, inequality, iid, eps, x, target_f, target_p, alpha)
         expected = _reference_min_q(*args)
         q = cert._min_q_for_targets(*args[1:])
         assert (q is None) == (expected is None), args
         if expected is None:
-            vacuous = cert.fidelity_bound(cert.CertificateParams(trust, inequality, iid, eps, 1e9, x, alpha)).vacuous
+            vacuous = cert.fidelity_bound(cert.CertificateParams(trust, inequality, iid, eps, 1e9, x, explicit(alpha))).vacuous
             outcomes["vacuous" if vacuous else "infeasible"] += 1
             continue
         assert _meets(trust, inequality, iid, eps, q, x, target_f, target_p, alpha), (args, q)
@@ -304,7 +312,7 @@ def test_plan_matches_bisection_planner(key):
     assert res.params.q == pytest.approx(q, rel=1e-9, abs=0.0)
 
 
-def _exhaustive_plan(target_f, target_p, trust, inequality, iid, epsilon=None, max_copies=None, alpha=None):
+def _exhaustive_plan(target_f, target_p, trust, inequality, iid, epsilon=None, max_copies=None, bound=None):
     # Reference: the planner before its branch and bound, which calls
     # _min_q_for_targets at every point of the eps x x grid.
     if not 0.0 < target_f < 1.0:
@@ -313,16 +321,16 @@ def _exhaustive_plan(target_f, target_p, trust, inequality, iid, epsilon=None, m
         raise ValueError("target probability must sit in [0, 1)")
     if max_copies is not None and not max_copies >= 1.0:
         raise ValueError("max copies must be at least 1")
-    alpha_value = alpha if alpha is not None else cert.default_alpha(trust, inequality)
+    alpha = bound.alpha if bound is not None else published(trust, inequality)
 
     def best_over_x(eps):
-        cert.CertificateParams(trust, inequality, iid, eps, 1.0, 1.0, alpha_value)
+        cert.CertificateParams(trust, inequality, iid, eps, 1.0, 1.0, bound)
         best = None
         x_lo, x_hi = 0.05, 16.0
         if target_p > 0.0:
             x_lo = max(x_lo, min(math.log(1.0 - target_p) / math.log(eps), x_hi))
         for x in [x_lo * (x_hi / x_lo) ** (t / 39.0) for t in range(40)]:
-            q = cert._min_q_for_targets(inequality, iid, eps, x, target_f, target_p, alpha_value)
+            q = cert._min_q_for_targets(inequality, iid, eps, x, target_f, target_p, alpha)
             if q is None:
                 continue
             q *= 1.0 + 1e-9
@@ -350,7 +358,7 @@ def _exhaustive_plan(target_f, target_p, trust, inequality, iid, epsilon=None, m
         reason += f" for {trust}/{inequality} ({'iid' if iid else 'non-iid'})"
         return cert.PlanResult(False, None, None, reason)
     k, eps, q, x = best
-    params = cert.CertificateParams(trust, inequality, iid, eps, q, x, alpha)
+    params = cert.CertificateParams(trust, inequality, iid, eps, q, x, bound)
     c = cert.fidelity_bound(params)
     if c.fidelity < target_f or c.probability < target_p:
         return cert.PlanResult(False, None, None, "re-verification failed at the optimum")
@@ -378,14 +386,14 @@ def _random_targets(count, seed=17):
         elif kind == 1:
             target_f = float(rng.uniform(0.01, 0.999999))
         else:
-            a = alpha or cert.default_alpha(trust, inequality)
+            a = alpha or published(trust, inequality)
             e = eps or float(10 ** rng.uniform(-3, -0.5))
             inner = a * e * (1 + 10 ** rng.uniform(-14, -2))
             target_f = 1 - (inner if iid else math.sqrt(inner))
             if not 0 < target_f < 1:
                 target_f = 0.9
         target_p = (0.0, 0.6, 0.75, float(rng.uniform(0, 0.99)))[rng.integers(4)]
-        yield (target_f, target_p, trust, inequality, iid), dict(epsilon=eps, max_copies=limit, alpha=alpha)
+        yield (target_f, target_p, trust, inequality, iid), dict(epsilon=eps, max_copies=limit, bound=explicit(alpha))
 
 
 def _plan_doc(result):
@@ -404,7 +412,7 @@ def test_plan_matches_exhaustive_grid_search():
         assert _plan_doc(cert.plan(*args, **kwargs)) == _plan_doc(expected), (args, kwargs)
         seen["fixed" if kwargs["epsilon"] is not None else "free"] += 1
         seen["limit"] += kwargs["max_copies"] is not None
-        seen["alpha"] += kwargs["alpha"] is not None
+        seen["alpha"] += kwargs["bound"] is not None
         seen["p0"] += args[1] == 0.0
         seen["feasible" if expected.feasible else "infeasible"] += 1
     assert min(seen.values()) >= 20, seen
@@ -420,7 +428,7 @@ def test_q_floor_bounds_copy_count():
     )
     checked = 0
     for (trust, inequality), iid, eps, x, target_p, target_f in grid:
-        alpha = cert.default_alpha(trust, inequality)
+        alpha = published(trust, inequality)
         q = cert._min_q_for_targets(inequality, iid, eps, x, target_f, target_p, alpha)
         rs = [1.0 - target_f]
         if not iid:
@@ -474,17 +482,21 @@ def test_werner_thresholds():
 
 
 def test_trace_distance_table_consistency():
-    # sqrt(2 alpha) reproduces the quoted trace-distance coefficients
-    pairs = [
-        (cert.DEFAULT_ALPHA[("1sdi", "steering")], ("1sdi", "steering", "state")),
-        (cert.MEASUREMENT_ALPHA["1sdi"], ("1sdi", "steering", "measurement")),
-        (cert.DEFAULT_ALPHA[("1sdi", "chsh")], ("1sdi", "chsh", "state")),
-        (cert.DEFAULT_ALPHA[("di", "chsh")], ("di", "chsh", "state")),
-        (cert.MEASUREMENT_ALPHA["di"], ("di", "chsh", "measurement")),
-    ]
-    for alpha, key in pairs:
-        coeff = cert.TRACE_DISTANCE_COEFFICIENTS[key]
-        assert math.sqrt(2 * alpha) == pytest.approx(coeff, rel=0.02)
+    # sqrt(2 alpha) reproduces every quoted trace-distance coefficient.  The
+    # one-sided CHSH measurement row has no slope of its own; its slope is
+    # the steering one in CHSH units, 3.10 / sqrt(2), and sqrt(2 * 3.10 /
+    # sqrt(2)) = 2.094.
+    for (trust, inequality, kind), coeff in cert.TRACE_DISTANCE_COEFFICIENTS.items():
+        bound = cert.PUBLISHED_BOUNDS.get((trust, inequality, kind))
+        if bound is None:
+            assert (trust, inequality, kind) == ("1sdi", "chsh", "measurement")
+            alpha = cert.PUBLISHED_BOUNDS[(trust, cert.WITNESS[trust], kind)].alpha / cert.witness_scale(trust, inequality)
+        else:
+            assert bound.source == "paper-default"
+            alpha = bound.alpha
+        assert math.sqrt(2 * alpha) == pytest.approx(coeff, rel=0.02), (trust, inequality, kind)
+    # and the table holds no published slope without a coefficient
+    assert set(cert.PUBLISHED_BOUNDS) < set(cert.TRACE_DISTANCE_COEFFICIENTS)
 
 
 def test_certificate_serialization():
@@ -497,24 +509,67 @@ def test_certificate_serialization():
 
 
 def test_alpha_source_names_where_alpha_comes_from():
-    # without a source: the published constant when no alpha is given,
-    # "explicit" for a number
+    # without a bound: the published one, the table's own object
     assert (params().alpha, params().alpha_source) == (1.26, "paper-default")
+    assert params().bound is cert.PUBLISHED_BOUNDS[("1sdi", "steering", "state")]
     assert (params(alpha=0.2).alpha, params(alpha=0.2).alpha_source) == (0.2, "explicit")
-    derived = cert.CertificateParams("1sdi", "steering", True, 0.25, 35.0, 1.0, 1.3035, "sdp-derived")
+    derived = cert.CertificateParams("1sdi", "steering", True, 0.25, 35.0, 1.0, cert.SlopeBound(1.3035, "sdp-derived"))
     assert derived.alpha_source == "sdp-derived"
-    assert cert.CertificateParams("1sdi", "steering", True, 0.25, 35.0, 1.0, 1.26, "paper-default").alpha == 1.26
+    assert cert.CertificateParams("1sdi", "steering", True, 0.25, 35.0, 1.0, cert.SlopeBound(1.26, "paper-default")).alpha == 1.26
+    # refused by the bound itself (an unknown source, no alpha) or, for a
+    # "paper-default" bound that is not the published one, by the params
     for alpha, source in [(1.3, "paper"), (1.3, "derived"), (None, ""), (0.2, "paper-default"), (None, "explicit"), (None, "sdp-derived")]:
         with pytest.raises(ValueError, match="alpha"):
-            cert.CertificateParams("1sdi", "steering", True, 0.25, 35.0, 1.0, alpha, source)
+            cert.CertificateParams("1sdi", "steering", True, 0.25, 35.0, 1.0, cert.SlopeBound(alpha, source))
+    # another setting's published bound is not this setting's
+    with pytest.raises(ValueError, match="not the published 1.26"):
+        cert.CertificateParams("1sdi", "steering", True, 0.25, 35.0, 1.0, cert.PUBLISHED_BOUNDS[("di", "chsh", "state")])
     # the planner records the same sources
     targets = (2 / 3, 0.75, "1sdi", "steering", True)
-    for kwargs, source in [({}, "paper-default"), ({"alpha": 1.0}, "explicit"), ({"alpha": 1.0, "alpha_source": "sdp-derived"}, "sdp-derived")]:
-        res = cert.plan(*targets, epsilon=0.25, **kwargs)
-        assert res.feasible and res.params.alpha == kwargs.get("alpha", 1.26)
+    for bound, source in [(None, "paper-default"), (explicit(1.0), "explicit"), (cert.SlopeBound(1.0, "sdp-derived"), "sdp-derived")]:
+        res = cert.plan(*targets, epsilon=0.25, bound=bound)
+        assert res.feasible and res.params.alpha == (1.26 if bound is None else 1.0)
         assert res.params.alpha_source == res.certificate.to_json()["params"]["alpha_source"] == source
     with pytest.raises(ValueError):
-        cert.plan(*targets, epsilon=0.25, alpha=1.0, alpha_source="paper-default")
+        cert.plan(*targets, epsilon=0.25, bound=cert.SlopeBound(1.0, "paper-default"))
+
+
+@pytest.mark.parametrize("alpha", [None, 0.0, -1.0, math.nan, math.inf])
+def test_slope_bound_refuses_a_missing_or_out_of_range_alpha(alpha):
+    # a ValueError, None included, with the message the commands print
+    with pytest.raises(ValueError, match="^alpha must be positive and finite$"):
+        cert.SlopeBound(alpha, "explicit")
+
+
+@pytest.mark.parametrize("trust", cert.TRUSTS)
+@pytest.mark.parametrize("violation", [math.nan, -math.inf, math.inf])
+def test_measurement_fidelity_refuses_a_non_finite_violation(trust, violation):
+    # NaN failed the range check and max(0, nan) certified fidelity 1
+    with pytest.raises(ValueError, match="must be finite"):
+        cert.measurement_selftest_fidelity(violation, trust)
+
+
+@pytest.mark.parametrize(
+    "trust, inequality, message",
+    [
+        ("1sdi", "CHSH", "unknown inequality 'CHSH'"),
+        ("di", "bogus", "unknown inequality 'bogus'"),
+        ("bogus", "chsh", "unknown trust setting 'bogus'"),
+        ("DI", "steering", "unknown trust setting 'DI'"),
+        ("di", "steering", "steering requires a trusted side"),
+    ],
+)
+def test_max_violation_refuses_an_unknown_pair(trust, inequality, message):
+    # it returned 2 sqrt(2) for any inequality but steering
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cert.max_violation(trust, inequality)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cert.witness_scale(trust, inequality)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cert.CertificateParams(trust, inequality, True, 0.25, 35.0, 1.0)
+    # the planner's refusal is the params', as certify's and simulate's are
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cert.plan(2 / 3, 0.75, trust, inequality, True)
 
 
 def test_sweep_rows():

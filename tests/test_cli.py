@@ -1032,5 +1032,5 @@ def test_alpha_json_matching_report(alpha_reports, capsys):
         doc = json.loads(out)
         if command == "certify":
             assert doc["params"]["alpha"] == alpha and doc["params"]["alpha_source"] == "sdp-derived"
-            params = cert.CertificateParams("1sdi", "chsh", True, 0.02, 2.0, 1.0, alpha, "sdp-derived")
+            params = cert.CertificateParams("1sdi", "chsh", True, 0.02, 2.0, 1.0, cert.SlopeBound(alpha, "sdp-derived"))
             assert doc["fidelity"] == cert.fidelity_bound(params).fidelity

@@ -601,7 +601,7 @@ def test_violation_counter_with_unsound_constant():
     # runs certify more than the true extracted fidelity 0.7, so every
     # accepted trial must be counted as a bound violation
     params = cert.CertificateParams(
-        "1sdi", "steering", True, 0.85, 3.0, 1.0, alpha=0.2, alpha_source="explicit"
+        "1sdi", "steering", True, 0.85, 3.0, 1.0, cert.SlopeBound(0.2, "explicit")
     )
     template = cert.fidelity_bound(params)
     assert template.fidelity > (1 + 3 * 0.6) / 4
