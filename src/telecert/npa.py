@@ -1,21 +1,24 @@
 """Operator-word algebra and moment-matrix construction.
 
 Rows of the moment matrix are canonical products of the untrusted
-operators: Bob's outcome-0 projectors in the one-sided setting, and
-dichotomic Z/X observables per party in the fully untrusted setting.
+operators, in one alphabet for both trust settings: the dichotomic Z/X
+observables of each untrusted party (Bob's alone in the one-sided
+setting), reduced by the involution Z^2 = X^2 = 1.  A word is unitary, so
+every diagonal block of the moment matrix is the normalized identity
+moment.
 The fidelity functionals of the swap extraction and the witness
 functionals are derived symbolically from the same circuit algebra used
 by :mod:`telecert.qcore`, so the two routes can be cross-checked
 numerically entry by entry.
 
 Both trust settings share one block formalism.  A moment is a b x b
-block, b = `MomentProblem.block`: one-sided, the 2x2 block of Bob's
-assemblage on Alice's trusted qubit (b = 2); fully untrusted, a scalar
-(b = 1).  A functional is a dict {(alice_word, bob_word): b x b
-coefficient block}, one-sided with alice_word (), and its value on the
-moments is the sum over its keys of the entrywise products of the
-coefficient and moment blocks.  `evaluate_moments` returns its moments
-in the same shape.
+block, b = `MomentProblem.block`: one-sided, the 2x2 block
+tr_B[rho (1 x w)] of Bob's word w on Alice's trusted qubit (b = 2);
+fully untrusted, a scalar (b = 1).  A functional is a dict
+{(alice_word, bob_word): b x b coefficient block}, one-sided with
+alice_word (), and its value on the moments is the sum over its keys of
+the entrywise products of the coefficient and moment blocks.
+`evaluate_moments` returns its moments in the same shape.
 
 Which cells of the moment matrix carry the same moment is held as
 integer labels: an entry id per word pair (its canonical key), a complex
@@ -52,10 +55,7 @@ OBJECTIVES = {
     SETTING_DI: ("state", "ZAZB", "XAXB", "ZAXB"),
 }
 
-# Symbol table: projector alphabet for the one-sided setting (outcome-0
-# projectors of Bob's two settings), observable alphabet for both parties
-# in the fully untrusted setting.
-_PROJ_SYMBOLS = {"E00": 0, "E01": 1}
+# Symbol table: the two dichotomic observables of each untrusted party.
 _OBS_SYMBOLS = {"Z": 0, "X": 1}
 
 
@@ -67,21 +67,14 @@ _OBS_SYMBOLS = {"Z": 0, "X": 1}
 #: it admits the 81x81 fully untrusted problem, about 174 MB.  The default
 #: fully untrusted word cap is 3 (49x49), and the bound stays at 81 so that
 #: a `--word-cap 4` export is still an `sdp-solve` input.  The dense
-#: equality rows of a folded file (`sdp.fold_ties`) share the bound.
+#: equality rows of a folded file (`sdp.fold_ties`), the word-pair table of
+#: a word list (`_entry_table`) and the Schur workspace of any solve
+#: (`sdp._Cells`) share the bound, each checked before it is allocated.
 MAX_WORKSPACE_ENTRIES = 81**2 * (81 * 82 // 2)
 
 
 class MissingWordError(ValueError):
     """A functional references a moment absent from the word set."""
-
-
-def _reduce_projector(seq) -> tuple:
-    out = []
-    for s in seq:
-        if out and out[-1] == s:
-            continue  # idempotence: EE = E
-        out.append(s)
-    return tuple(out)
 
 
 def _reduce_observable(seq) -> tuple:
@@ -103,30 +96,22 @@ class OperatorWord:
     bob: tuple = ()
 
     def __post_init__(self):
-        if self.setting == SETTING_1SDI:
-            if self.alice:
-                raise ValueError("one-sided words carry Bob symbols only")
-            object.__setattr__(self, "bob", _reduce_projector(self.bob))
-        elif self.setting == SETTING_DI:
-            object.__setattr__(self, "alice", _reduce_observable(self.alice))
-            object.__setattr__(self, "bob", _reduce_observable(self.bob))
-        else:
+        if self.setting not in (SETTING_1SDI, SETTING_DI):
             raise ValueError(f"unknown setting {self.setting!r}")
+        if self.setting == SETTING_1SDI and self.alice:
+            raise ValueError("one-sided words carry Bob symbols only")
+        object.__setattr__(self, "alice", _reduce_observable(self.alice))
+        object.__setattr__(self, "bob", _reduce_observable(self.bob))
 
     @classmethod
     def from_symbols(cls, setting: str, symbols) -> "OperatorWord":
-        """Build a word from party-tagged symbols such as ("B", "E00") or
+        """Build a word from party-tagged symbols such as ("B", "X") or
         ("A", "Z"); cross-party commutation puts Alice before Bob."""
         alice, bob = [], []
         for party, name in symbols:
-            if setting == SETTING_1SDI:
-                if party != "B" or name not in _PROJ_SYMBOLS:
-                    raise ValueError(f"symbol ({party}, {name}) not in the projector alphabet")
-                bob.append(_PROJ_SYMBOLS[name])
-            else:
-                if name not in _OBS_SYMBOLS:
-                    raise ValueError(f"symbol ({party}, {name}) not in the observable alphabet")
-                (alice if party == "A" else bob).append(_OBS_SYMBOLS[name])
+            if name not in _OBS_SYMBOLS:
+                raise ValueError(f"symbol ({party}, {name}) not in the observable alphabet")
+            (alice if party == "A" else bob).append(_OBS_SYMBOLS[name])
         return cls(setting, tuple(alice), tuple(bob))
 
     @property
@@ -138,11 +123,8 @@ class OperatorWord:
         return len(self.alice) + len(self.bob)
 
     def symbols(self) -> list:
-        names_p = {v: k for k, v in _PROJ_SYMBOLS.items()}
-        names_o = {v: k for k, v in _OBS_SYMBOLS.items()}
-        if self.setting == SETTING_1SDI:
-            return [("B", names_p[s]) for s in self.bob]
-        return [("A", names_o[s]) for s in self.alice] + [("B", names_o[s]) for s in self.bob]
+        names = {v: k for k, v in _OBS_SYMBOLS.items()}
+        return [("A", names[s]) for s in self.alice] + [("B", names[s]) for s in self.bob]
 
 
 def _alternating(max_length: int) -> list[tuple]:
@@ -172,11 +154,11 @@ def generate_words(setting: str, max_local_length: int) -> list[OperatorWord]:
 # Word polynomials: sparse real-linear combinations of canonical words.
 
 
-def _poly_mul(p: dict, q: dict, reduce) -> dict:
+def _poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for wp, cp in p.items():
         for wq, cq in q.items():
-            w = reduce(wp + wq)
+            w = _reduce_observable(wp + wq)
             out[w] = out.get(w, 0.0) + cp * cq
     return {w: c for w, c in out.items() if abs(c) > 1e-15}
 
@@ -185,19 +167,11 @@ def _poly_adjoint(p: dict) -> dict:
     return {w[::-1]: c for w, c in p.items()}
 
 
-def _kraus_polys_projector() -> list[dict]:
-    # K0 = E, K1 = X (1 - E) with E the setting-0 projector and
-    # X = 2 E' - 1 the setting-1 observable.
-    e0 = {(0,): 1.0}
-    x = {(1,): 2.0, (): -1.0}
-    k1 = _poly_mul(x, {(): 1.0, (0,): -1.0}, _reduce_projector)
-    return [e0, k1]
-
-
 def _kraus_polys_observable() -> list[dict]:
-    # Same channel written over Z/X observable words: E = (1 + Z)/2.
+    # The swap extraction's Kraus operators K0 = E, K1 = X (1 - E) over
+    # Z/X observable words, with E = (1 + Z)/2 the outcome-0 projector.
     k0 = {(): 0.5, (0,): 0.5}
-    k1 = _poly_mul({(1,): 1.0}, {(): 0.5, (0,): -0.5}, _reduce_observable)
+    k1 = _poly_mul({(1,): 1.0}, {(): 0.5, (0,): -0.5})
     return [k0, k1]
 
 
@@ -216,23 +190,19 @@ def _blocks(block: int, terms) -> dict:
 def steering_fidelity_functional(objective: str) -> dict:
     """Extraction-fidelity functional for the one-sided setting.
 
-    Returns {((), bob_word): 2x2 coefficient block C}; the value on an
-    assemblage is sum_w sum_ij C_w[i, j] tau_w[i, j].
+    Returns {((), bob_word): 2x2 coefficient block C}; the value on the
+    moment blocks tau_w is sum_w sum_ij C_w[i, j] tau_w[i, j].
     """
     if objective not in OBJECTIVES[SETTING_1SDI]:
         raise ValueError(f"unknown one-sided objective {objective!r}")
-    kraus = _kraus_polys_projector()
-    sandwich = None
-    if objective == "ZB":
-        sandwich = {(0,): 2.0, (): -1.0}
-    elif objective == "XB":
-        sandwich = {(1,): 2.0, (): -1.0}
+    kraus = _kraus_polys_observable()
+    sandwich = {"state": None, "ZB": {(0,): 1.0}, "XB": {(1,): 1.0}}[objective]
     terms = []
     for i in (0, 1):
         for j in (0, 1):
-            poly = _poly_mul(_poly_adjoint(kraus[j]), kraus[i], _reduce_projector)
+            poly = _poly_mul(_poly_adjoint(kraus[j]), kraus[i])
             if sandwich is not None:
-                poly = _poly_mul(_poly_mul(sandwich, poly, _reduce_projector), sandwich, _reduce_projector)
+                poly = _poly_mul(_poly_mul(sandwich, poly), sandwich)
             for word, coef in poly.items():
                 if objective == "XB":
                     # Trusted conjugation by sigma_X permutes basis labels.
@@ -264,11 +234,11 @@ def di_fidelity_functional(objective: str) -> dict:
         target = (np.kron(pauli_a, pauli_b) @ target).real
     terms = []
     for i, j, k, l in itertools.product((0, 1), repeat=4):
-        poly_a = _poly_mul(_poly_adjoint(kraus[k]), kraus[i], _reduce_observable)
-        poly_b = _poly_mul(_poly_adjoint(kraus[l]), kraus[j], _reduce_observable)
+        poly_a = _poly_mul(_poly_adjoint(kraus[k]), kraus[i])
+        poly_b = _poly_mul(_poly_adjoint(kraus[l]), kraus[j])
         if sand_a is not None:
-            poly_a = _poly_mul(_poly_mul(sand_a, poly_a, _reduce_observable), sand_a, _reduce_observable)
-            poly_b = _poly_mul(_poly_mul(sand_b, poly_b, _reduce_observable), sand_b, _reduce_observable)
+            poly_a = _poly_mul(_poly_mul(sand_a, poly_a), sand_a)
+            poly_b = _poly_mul(_poly_mul(sand_b, poly_b), sand_b)
         weight = target[2 * i + j] * target[2 * k + l]
         if abs(weight) < 1e-15:
             continue
@@ -280,11 +250,7 @@ def inequality_functional(setting: str) -> dict:
     """The setting's witness (`cert.WITNESS`) in its blocks: one-sided
     <sigma_Z x Z_B> + <sigma_X x X_B>, fully untrusted CHSH."""
     if setting == SETTING_1SDI:
-        return {
-            ((), ()): np.array([[-1.0, -1.0], [-1.0, 1.0]]),
-            ((), (0,)): np.array([[2.0, 0.0], [0.0, -2.0]]),
-            ((), (1,)): np.array([[0.0, 2.0], [2.0, 0.0]]),
-        }
+        return {((), (0,)): np.array([[1.0, 0.0], [0.0, -1.0]]), ((), (1,)): np.array([[0.0, 1.0], [1.0, 0.0]])}
     return {
         ((0,), (0,)): np.array([[1.0]]),
         ((0,), (1,)): np.array([[1.0]]),
@@ -324,6 +290,7 @@ def evaluate_moments(setting: str, state, model: qcore.MeasurementModel, keys) -
     trusted qubit; fully untrusted, the 1x1 block <A_word x B_word>.
     """
     rho = qcore._as_density(state)
+    bob = _word_operators(model.bob_dim, model.bob_observable)
     if setting == SETTING_1SDI:
         d_b = model.bob_dim
         d_a, rem = divmod(rho.shape[0], d_b)
@@ -331,14 +298,12 @@ def evaluate_moments(setting: str, state, model: qcore.MeasurementModel, keys) -
             raise ValueError(
                 f"state dimension {rho.shape[0]} does not match a qubit x {d_b} split"
             )
-        bob = _word_operators(d_b, lambda s: model.bob_projectors[s][0])
         return {key: qcore.partial_trace_bob(rho, d_a, d_b, bob(key[1])) for key in keys}
     if not model.device_independent:
         raise ValueError("fully untrusted moments need Alice's measurements: the model has no untrusted Alice side")
     if rho.shape[0] != model.alice_dim * model.bob_dim:
         raise ValueError(f"state dimension {rho.shape[0]} does not match a {model.alice_dim} x {model.bob_dim} split")
     alice = _word_operators(model.alice_dim, model.alice_observable)
-    bob = _word_operators(model.bob_dim, model.bob_observable)
     return {key: np.reshape(qcore.product_expectation(rho, alice(key[0]), bob(key[1])), (1, 1)) for key in keys}
 
 
@@ -357,7 +322,7 @@ def evaluate_functional(functional: dict, moments: dict) -> float:
 # The moment problem.
 
 
-def _entry_table(setting: str, words) -> tuple[list, np.ndarray]:
+def _entry_table(words) -> tuple[list, np.ndarray]:
     """The distinct canonical keys canon(col^dag row) of a word list, in
     sorted order, and the m x m array of their positions: the entry id
     of each (row, col) pair of words.
@@ -366,14 +331,21 @@ def _entry_table(setting: str, words) -> tuple[list, np.ndarray]:
     which a word list has few, so each pair of distinct local words is
     reduced once per party, into a product table whose ids follow the
     sorted order of the products.  (Alice id, Bob id) pairs then sort as
-    the (Alice word, Bob word) keys do."""
-    reduce = _reduce_projector if setting == SETTING_1SDI else _reduce_observable
+    the (Alice word, Bob word) keys do.  A list whose table would hold
+    more than `MAX_WORKSPACE_ENTRIES` entries is refused before it is
+    built."""
+    if len(words) ** 2 > MAX_WORKSPACE_ENTRIES:
+        raise ValueError(
+            f"{len(words)} words: their word-pair table would hold {len(words) ** 2} int64 entries; "
+            f"the solver accepts at most {MAX_WORKSPACE_ENTRIES}"
+        )
     code, products = 0, []
     for local in ([w.alice for w in words], [w.bob for w in words]):
         distinct = sorted(set(local))
-        table = [[reduce(col[::-1] + row) for row in distinct] for col in distinct]
+        table = [[_reduce_observable(col[::-1] + row) for row in distinct] for col in distinct]
         values = sorted(set(itertools.chain.from_iterable(table)))
-        ids = np.array([[values.index(word) for word in line] for line in table])
+        position = {word: k for k, word in enumerate(values)}
+        ids = np.array([[position[word] for word in line] for line in table])
         at = np.array([distinct.index(word) for word in local])
         # entry (k, l) holds the product of column word l with row word k
         code = code * len(values) + ids[at[None, :], at[:, None]]
@@ -440,7 +412,7 @@ class MomentProblem:
         self.dim = self.block * len(words)
         if not any(w.key == ((), ()) for w in words):
             raise ValueError("word list must contain the identity word")
-        self.keys, self.entry_ids = _entry_table(setting, words)
+        self.keys, self.entry_ids = _entry_table(words)
         self.label, self.p, self.q, self.norm = reduce_problem(self)
         self.group = symmetry_group(self)
 
@@ -463,7 +435,7 @@ class MomentProblem:
 
         Convention: one constraint per unordered pair of distinct scalar
         cells of the full moment matrix that the automation identifies as
-        carrying the same moment (idempotence/involution reductions plus
+        carrying the same moment (involution reductions plus
         cross-party commutation); conjugate-mirror duplicates are counted
         once because the matrix is Hermitian by construction.
         """
@@ -486,7 +458,7 @@ def instantiate_gamma(model: qcore.MeasurementModel, state, words) -> np.ndarray
     if not words:
         raise ValueError("need at least one word")
     setting = words[0].setting
-    keys, entry_ids = _entry_table(setting, words)
+    keys, entry_ids = _entry_table(words)
     # one b x b moment block per key, in key order; cell (b k + i, b l + j)
     # is entry (i, j) of the block of word pair (k, l)
     moments = np.array(list(evaluate_moments(setting, state, model, keys).values()), dtype=complex)

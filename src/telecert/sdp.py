@@ -258,7 +258,9 @@ class _Cells:
     `perm` so that each block is a contiguous slice in `blocks`, and the
     maps read and write X in that numbering.  Every map takes and returns
     constraints in the caller's order.  The Schur matrix is the sum of one
-    `_SchurBlock` per block.
+    `_SchurBlock` per block, whose workspace holds one block-sized product
+    per constraint with a cell in the block; a workspace of more than
+    `npa.MAX_WORKSPACE_ENTRIES` entries is refused before it is allocated.
     """
 
     def __init__(self, constraints: Constraints, objective: np.ndarray):
@@ -292,11 +294,20 @@ class _Cells:
         self.pos2 = np.concatenate([[0], np.stack([self.pos, c * n + r], axis=1).ravel()])
         self.vals2 = np.concatenate([[0.0], np.repeat(self.vals, 2)])
         self.starts2 = np.where(self.counts > 0, 1 + 2 * (np.cumsum(self.counts) - self.counts), 0)
-        self._parts = []
-        for sl in self.blocks:
-            inside = (r >= sl.start) & (r < sl.stop)
-            part = _SchurBlock(owner[inside], r[inside] - sl.start, c[inside] - sl.start, self.vals[inside], m, sl.stop - sl.start)
-            self._parts.append((sl, part))
+        inside = [(r >= sl.start) & (r < sl.stop) for sl in self.blocks]
+        entries = sum(
+            np.count_nonzero(np.bincount(owner[on], minlength=m)) * (sl.stop - sl.start) ** 2
+            for sl, on in zip(self.blocks, inside)
+        )
+        if entries > npa.MAX_WORKSPACE_ENTRIES:
+            raise ValueError(
+                f"{m} constraints over a {n}x{n} matrix in {len(self.blocks)} blocks: their Schur workspace would hold "
+                f"{entries} float64 entries ({entries * 8 / 1e9:.2f} GB); the solver accepts at most {npa.MAX_WORKSPACE_ENTRIES}"
+            )
+        self._parts = [
+            (sl, _SchurBlock(owner[on], r[on] - sl.start, c[on] - sl.start, self.vals[on], m, sl.stop - sl.start))
+            for sl, on in zip(self.blocks, inside)
+        ]
 
     def a_map(self, x):
         """tr(A_i X) for every constraint, over any leading axes of X.  Each

@@ -315,7 +315,7 @@ def test_word_cap_below_one_refused(tmp_path, capsys):
 
 def test_npa_export_and_sdp_solve(tmp_path, capsys):
     # both constraint forms stay within the reader's size limits
-    for constraints, written in (("generated", 168), ("deduplicated", 74)):
+    for constraints, written in (("generated", 177), ("deduplicated", 74)):
         problem = tmp_path / f"{constraints}.dat-s"
         words = tmp_path / "words.json"
         code, _ = run_cli(
@@ -375,6 +375,28 @@ def test_sdp_solve_refuses_oversized_header(tmp_path, capsys):
     # the largest admitted dimension is 81, the fully untrusted problem's
     # at `--word-cap 4`
     assert 81**2 * (81 * 82 // 2) <= npa.MAX_WORKSPACE_ENTRIES < 82**2 * (82 * 83 // 2)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 6561 words: the word-pair table is refused before it is built
+        (["--trust", "di", "--inequality", "chsh", "--word-cap", "40", "--eps-grid", "0.1"],
+         "6561 words: their word-pair table would hold 43046721 int64 entries"),
+        # a 602x602 problem: its Schur workspace is refused before the solve
+        # allocates it
+        (["--trust", "1sdi", "--word-cap", "150"],
+         "1501 constraints over a 602x602 matrix in 1 blocks: their Schur workspace would hold 543968404 float64 entries (4.35 GB)"),
+    ],
+    ids=["di-cap40", "1sdi-cap150"],
+)
+def test_derive_alpha_refuses_an_oversized_word_cap(tmp_path, capsys, argv, message):
+    out = tmp_path / "alpha.json"
+    code = cli.main(["derive-alpha", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err and f"the solver accepts at most {npa.MAX_WORKSPACE_ENTRIES}" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_sdp_solve_refuses_oversized_dense_stack(tmp_path, capsys):

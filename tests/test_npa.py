@@ -34,9 +34,13 @@ def assert_sdpa_meta(path, prob, violation, constraints):
     }
 
 
-def test_canonicalize_projector_idempotence():
-    w = word("1sdi", ("B", "E00"), ("B", "E00"))
-    assert w.bob == (0,)
+def test_canonicalize_one_sided_involution():
+    # one-sided words are Bob's observables, reduced as the fully
+    # untrusted ones are: ZZ = XX = identity
+    w = word("1sdi", ("B", "X"), ("B", "Z"), ("B", "Z"))
+    assert w.bob == (1,)
+    assert word("1sdi", ("B", "Z"), ("B", "Z")).bob == ()
+    assert w.symbols() == [("B", "X")]
     # the reduced form is a fixpoint of the constructor
     assert npa.OperatorWord(w.setting, w.alice, w.bob) == w
 
@@ -58,12 +62,12 @@ def test_canonicalize_cross_party_commutation():
 
 
 def test_mixed_alphabet_rejected():
+    # one alphabet in both settings, and no Alice symbols one-sided
     with pytest.raises(ValueError):
         word("1sdi", ("A", "Z"))
-    with pytest.raises(ValueError):
-        word("1sdi", ("B", "Z"))
-    with pytest.raises(ValueError):
-        word("di", ("B", "E00"))
+    for setting in ("1sdi", "di"):
+        with pytest.raises(ValueError, match="not in the observable alphabet"):
+            word(setting, ("B", "E00"))
 
 
 def test_canonicalization_confluence():
@@ -71,23 +75,19 @@ def test_canonicalization_confluence():
     # a time must land on the same canonical form
     rng = np.random.default_rng(42)
 
-    def random_order_reduce(seq, involution):
+    def random_order_reduce(seq):
         seq = list(seq)
         while True:
             sites = [i for i in range(len(seq) - 1) if seq[i] == seq[i + 1]]
             if not sites:
                 return tuple(seq)
             i = int(rng.choice(sites))
-            if involution:
-                del seq[i : i + 2]
-            else:
-                del seq[i]
+            del seq[i : i + 2]
 
     for _ in range(10_000):
         length = int(rng.integers(0, 9))
         seq = tuple(int(s) for s in rng.integers(0, 2, length))
-        assert random_order_reduce(seq, False) == npa._reduce_projector(seq)
-        assert random_order_reduce(seq, True) == npa._reduce_observable(seq)
+        assert random_order_reduce(seq) == npa._reduce_observable(seq)
 
 
 def test_generate_words_counts():
@@ -96,26 +96,24 @@ def test_generate_words_counts():
 
     # brute-force oracle: enumerate all symbol strings up to the cap and
     # deduplicate canonical forms
-    def brute(setting, cap):
+    def brute(cap):
         seen = set()
         for length in range(cap + 1):
             for bits in range(2**length):
                 seq = tuple((bits >> k) & 1 for k in range(length))
-                reduced = (
-                    npa._reduce_projector(seq) if setting == "1sdi" else npa._reduce_observable(seq)
-                )
+                reduced = npa._reduce_observable(seq)
                 if len(reduced) <= cap:
                     seen.add(reduced)
         return seen
 
     w3 = npa.generate_words("1sdi", 3)
     assert len(w3) == 7
-    assert {w.bob for w in w3} == brute("1sdi", 3)
+    assert {w.bob for w in w3} == brute(3)
 
     wd = npa.generate_words("di", 4)
     assert len(wd) == 81
     locals_a = {w.alice for w in wd}
-    assert locals_a == brute("di", 4)
+    assert locals_a == brute(4)
     assert len(locals_a) == 9
     with pytest.raises(ValueError):
         npa.generate_words("1sdi", 0)
@@ -135,12 +133,13 @@ def test_word_ordering_graded_lex():
 
 def test_steering_state_functional_golden():
     f = npa.steering_fidelity_functional("state")
-    assert np.allclose(f[((), (0,))], [[0.5, 0.0], [0.0, -0.5]])
-    assert np.allclose(f[((), ())], [[0.0, 0.0], [0.0, 0.5]])
-    assert np.allclose(f[((), (1, 0))], [[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(f[((), (0, 1))], [[0.0, 0.0], [1.0, 0.0]])
-    assert np.allclose(f[((), (0, 1, 0))], [[0.0, -1.0], [-1.0, 0.0]])
-    assert set(f) == {((), ()), ((), (0,)), ((), (1, 0)), ((), (0, 1)), ((), (0, 1, 0))}
+    assert np.allclose(f[((), ())], [[0.25, 0.0], [0.0, 0.25]])
+    assert np.allclose(f[((), (0,))], [[0.25, 0.0], [0.0, -0.25]])
+    assert np.allclose(f[((), (1,))], [[0.0, 0.125], [0.125, 0.0]])
+    assert np.allclose(f[((), (1, 0))], [[0.0, 0.125], [-0.125, 0.0]])
+    assert np.allclose(f[((), (0, 1))], [[0.0, -0.125], [0.125, 0.0]])
+    assert np.allclose(f[((), (0, 1, 0))], [[0.0, -0.125], [-0.125, 0.0]])
+    assert set(f) == {((), ()), ((), (0,)), ((), (1,)), ((), (1, 0)), ((), (0, 1)), ((), (0, 1, 0))}
 
 
 def test_steering_zb_equals_state_functional():
@@ -153,12 +152,13 @@ def test_steering_zb_equals_state_functional():
 
 def test_steering_xb_functional_golden():
     f = npa.steering_fidelity_functional("XB")
-    assert np.allclose(f[((), (1, 0, 1, 0, 1))], [[0.0, -4.0], [-4.0, 0.0]])
-    assert np.allclose(f[((), (1, 0, 1))], [[-2.0, 2.0], [2.0, 2.0]])
-    assert np.allclose(f[((), ())], [[0.5, 0.0], [0.0, 0.0]])
-    assert np.allclose(f[((), (0,))], [[-0.5, 0.0], [0.0, 0.5]])
-    assert np.allclose(f[((), (0, 1, 0, 1))], [[0.0, 2.0], [2.0, 0.0]])
-    assert np.allclose(f[((), (1, 0, 1, 0))], [[0.0, 2.0], [2.0, 0.0]])
+    assert np.allclose(f[((), (1, 0, 1, 0, 1))], [[0.0, -0.125], [-0.125, 0.0]])
+    assert np.allclose(f[((), (1, 0, 1))], [[-0.25, 0.0], [0.0, 0.25]])
+    assert np.allclose(f[((), ())], [[0.25, 0.0], [0.0, 0.25]])
+    assert np.allclose(f[((), (1,))], [[0.0, 0.125], [0.125, 0.0]])
+    assert np.allclose(f[((), (0, 1))], [[0.0, -0.125], [0.125, 0.0]])
+    assert np.allclose(f[((), (1, 0))], [[0.0, 0.125], [-0.125, 0.0]])
+    assert set(f) == {((), ()), ((), (1,)), ((), (0, 1)), ((), (1, 0)), ((), (1, 0, 1)), ((), (1, 0, 1, 0, 1))}
 
 
 def test_di_state_functional_golden():
@@ -254,13 +254,15 @@ def test_missing_word_error():
 def test_instantiate_gamma_ideal_structure():
     words = npa.generate_words("1sdi", 3)
     gamma = npa.instantiate_gamma(qc.ideal_model(), qc.bell_vector(), words)
-    # identity-row block tau_{0|0} in the Z eigenbasis
+    # identity-row block of Bob's Z in the Z eigenbasis, and of his X
     k = [w.bob for w in words].index((0,))
-    block = gamma[0:2, 2 * k : 2 * k + 2]
-    assert np.allclose(block, np.diag([0.5, 0.0]), atol=1e-12)
-    # diagonal blocks are contractions: trace at most one
+    assert np.allclose(gamma[0:2, 2 * k : 2 * k + 2], np.diag([0.5, -0.5]), atol=1e-12)
+    k = [w.bob for w in words].index((1,))
+    assert np.allclose(gamma[0:2, 2 * k : 2 * k + 2], [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
+    # every word is unitary, so every diagonal block is Alice's reduced
+    # state, the identity-word block
     for k in range(len(words)):
-        assert np.trace(gamma[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]).real <= 1 + 1e-10
+        assert np.allclose(gamma[2 * k : 2 * k + 2, 2 * k : 2 * k + 2], np.eye(2) / 2, atol=1e-12)
 
 
 def test_gamma_constraints_hold_on_random_models():
@@ -363,6 +365,8 @@ def test_words_json_round_trip():
         doc = npa.words_to_json(words)
         assert doc["schema"] == "npa/1"
         doc = json.loads(json.dumps(doc))
+        # one alphabet in both settings: Bob's Z and X come first
+        assert doc["words"][1:3] == [[["B", "Z"]], [["B", "X"]]]
         assert [
             npa.OperatorWord.from_symbols(doc["setting"], [tuple(sym) for sym in symbols])
             for symbols in doc["words"]
@@ -453,7 +457,7 @@ def test_cell_labels_match_tuple_reference(setting, words):
         [npa.OperatorWord(setting, col.alice[::-1] + row.alice, col.bob[::-1] + row.bob).key for col in words]
         for row in words
     ]
-    keys, entry_ids = npa._entry_table(setting, words)
+    keys, entry_ids = npa._entry_table(words)
     assert keys == sorted({key for row in entry for key in row})
     assert [[keys[v] for v in row] for row in entry_ids.tolist()] == entry
     cell = [[(entry[r // b][c // b], r % b, c % b) for c in range(b * len(words))] for r in range(b * len(words))]
@@ -515,9 +519,9 @@ def reduction_digest(problem) -> str:
 @pytest.mark.parametrize(
     "setting, inequality, objective, cap, expected",
     [
-        ("1sdi", "steering", "state", 3, "5cbff518cd190c4031a1f063ebb3a1b97a6416991633deaeaa604d619e4fff5a"),
-        ("1sdi", "steering", "ZB", 3, "5cbff518cd190c4031a1f063ebb3a1b97a6416991633deaeaa604d619e4fff5a"),
-        ("1sdi", "steering", "XB", 3, "8dcb488140d2539f88dafcabc734a4e646a9d5e60ab919b1f0b7edfd0d076a73"),
+        ("1sdi", "steering", "state", 3, "11d34e6b71b35896380fe3e6cb582e77822b7660fc3a3c83dfc982544d927049"),
+        ("1sdi", "steering", "ZB", 3, "11d34e6b71b35896380fe3e6cb582e77822b7660fc3a3c83dfc982544d927049"),
+        ("1sdi", "steering", "XB", 3, "b3136108f7bfd4149e6576536e9d8b30544941a57cded21cdc0241b3893f97a1"),
         ("di", "chsh", "state", 4, "70544db20b42e9088e3b07e5b112586d6ee7c5b4ea383eedd2f6721368f664c7"),
         ("di", "chsh", "ZAZB", 4, "70544db20b42e9088e3b07e5b112586d6ee7c5b4ea383eedd2f6721368f664c7"),
         ("di", "chsh", "XAXB", 4, "0e4e9d0006f62989b47c43aa751b1216fcb54c9dd1e082e855033073b81c9002"),

@@ -226,11 +226,11 @@ def test_default_grid_steering_state_points_are_pinned():
     # here; the solve contract lets a point move by up to 1e-6.
     curve = sdp.min_fidelity_curve("1sdi", "state", "steering", (0.01, 0.02, 0.05, 0.1, 0.2))
     assert [f for _, f in curve] == [
-        0.9869651261941854,
-        0.9740408661477971,
-        0.9359261183805176,
-        0.8745689533164893,
-        0.7597814959724009,
+        0.9869651850196987,
+        0.9740408624161538,
+        0.9359260857848919,
+        0.8745688709571005,
+        0.7597815826006675,
     ]
 
 
@@ -580,12 +580,12 @@ def _exported_stack(tmp_path, setting, inequality, word_cap):
 
 
 def test_fold_on_exported_stacks(tmp_path):
-    # the one-sided file has more constraints (168) than the 105
+    # the one-sided file has more constraints (177) than the 105
     # upper-triangle entries of its 14x14 matrix; the ties of each file
     # fold into the real classes of its reduction, and the violation and
     # normalization rows take two pivots
     for setting, inequality, cap, written, classes in (
-        ("1sdi", "steering", 3, 168, 33),
+        ("1sdi", "steering", 3, 177, 33),
         ("di", "chsh", 2, 1352, 53),
     ):
         instance, problem, violation = _exported_stack(tmp_path, setting, inequality, cap)
@@ -1095,12 +1095,13 @@ def test_one_structure_poses_every_point_as_a_fresh_companion(setting, inequalit
 DEFAULT_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
 
 
-def _companions(setting, inequality, objectives, epsilons):
-    """The companions `derive_alphas` poses, objective by objective."""
+def _companions(setting, inequality, objectives, epsilons, cap=None):
+    """The companions `derive_alphas` poses, objective by objective, at the
+    word cap (the setting's default when None)."""
     return [
         moment_companion(problem, violation)[0]
         for objective in objectives
-        for problem, violation in sdp.moment_points(setting, inequality, objective, epsilons, None)
+        for problem, violation in sdp.moment_points(setting, inequality, objective, epsilons, cap)
     ]
 
 
@@ -1133,15 +1134,16 @@ def test_family_members_are_their_solo_solves(setting, inequality, objectives, e
 
 
 def test_a_member_that_ends_does_not_stop_the_others():
-    # Capped at 15 iterations, the default-grid family has members that
-    # stall, members that converge and one that hits the cap, each as alone.
-    instances = _companions("1sdi", "steering", ("state", "ZB", "XB"), DEFAULT_GRID)
-    family = sdp.solve_family(instances, max_iterations=15)
+    # Capped at 16 iterations, the fully untrusted state and XAXB family
+    # at word cap 4 on the default grid has members that stall, members
+    # that converge and members that hit the cap, each as alone.
+    instances = _companions("di", "chsh", ("state", "XAXB"), DEFAULT_GRID, cap=4)
+    family = sdp.solve_family(instances, max_iterations=16)
     ends = {sol.termination for sol in family}
     assert {"stall", "optimal", "iteration-cap"} <= ends
     assert len({sol.iterations for sol in family}) > 2
     for got, instance in zip(family, instances):
-        _assert_solo(got, instance, max_iterations=15)
+        _assert_solo(got, instance, max_iterations=16)
 
 
 def _poison_schur(monkeypatch, instance, call):
@@ -1385,6 +1387,22 @@ def test_cached_problems_and_structures_are_read_only():
             array.flat[:1] = 0
 
 
+def test_schur_workspace_is_refused_before_it_is_allocated(monkeypatch):
+    # The fully untrusted word cap 5 companion (121x121, 89 constraints in
+    # blocks 36+25+30+30) holds 323819 workspace entries, inside the bound;
+    # one entry less and it is refused before any block is built.
+    [(problem, violation)] = sdp.moment_points("di", "chsh", "state", [0.1], 5)
+    instance, _, _ = moment_companion(problem, violation)
+    cells = sdp._Cells(instance.constraints, instance.objective != 0.0)
+    assert (len(instance.constraints), [sl.stop - sl.start for sl in cells.blocks]) == (89, [36, 25, 30, 30])
+    entries = sum(part._half.size for _, part in cells._parts)
+    assert entries == 323819 <= npa.MAX_WORKSPACE_ENTRIES
+    monkeypatch.setattr(npa, "MAX_WORKSPACE_ENTRIES", entries - 1)
+    monkeypatch.setattr(sdp, "_SchurBlock", None)
+    with pytest.raises(ValueError, match=f"would hold {entries} float64 entries"):
+        sdp._Cells(instance.constraints, instance.objective != 0.0)
+
+
 def test_a_patched_group_gets_its_own_structure(monkeypatch):
     # The structure cache is keyed on the bytes of the group a point's
     # problem carries, so the problem built again under the trivial group
@@ -1407,21 +1425,44 @@ def test_a_patched_group_gets_its_own_structure(monkeypatch):
 
 
 def _certified_minorant(instance, offset, x):
-    """A lower bound on a fully untrusted moment problem's minimum from any
-    symmetric X, the companion's primal iterate included (Jansson, Chaykin
-    & Keil, SIAM J. Numer. Anal. 46, 2007).
+    """A lower bound on a moment problem's minimum from any symmetric X,
+    the companion's primal iterate included (Jansson, Chaykin & Keil, SIAM
+    J. Numer. Anal. 46, 2007).
 
     For a feasible dual z, S = C0 - sum_j z_j A_j >= 0 is the moment
     matrix in an orthonormal basis, and with r = b - A(X) the minimum is
     offset - b.z = offset - tr(C0 X) + tr(S X) - z.r.  Every diagonal cell
-    of Gamma is the normalized identity moment, so tr S = n and each free
-    moment has |z_j| <= 1: tr(S X) >= -n max(0, -lambda_min(X)) and
-    z.r >= -sum_j |r_j|."""
+    of Gamma is a normalization class (`_certified_points` checks it):
+    fully untrusted the identity moment, one-sided a diagonal entry of
+    Alice's reduced state, each in [0, 1] with the norm classes summing to
+    1.  So tr S <= n and each free moment has |z_j| <= 1:
+    tr(S X) >= -n max(0, -lambda_min(X)) and z.r >= -sum_j |r_j|."""
     con = instance.constraints
     weight = np.where(con.rows == con.cols, 1.0, 2.0) * con.values
     r = con.rhs - np.bincount(con.owner, weight * x[con.rows, con.cols], minlength=len(con.rhs))
     negative = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
     return offset - float(np.sum(instance.objective * x)) - float(np.sum(np.abs(r))) - instance.dim * negative
+
+
+def _certified_points(setting, inequality, caps):
+    """{(cap, objective, eps): (minorant, result)} over the setting's
+    objectives and the default grid, each point's minorant from its own
+    solve sitting below the point it reports, within 1e-6.  Each problem's
+    diagonal cells are first checked to be its normalization classes,
+    which the minorant needs."""
+    points = {}
+    for cap in caps:
+        for objective in npa.OBJECTIVES[setting]:
+            posed = sdp.moment_points(setting, inequality, objective, DEFAULT_GRID, cap)
+            problem = posed[0][0]
+            diagonal = np.unique(problem.label.diagonal())
+            assert np.array_equal(np.flatnonzero(problem.norm), diagonal) and np.all(problem.norm[diagonal] == 1.0)
+            for eps, (problem, violation), result in zip(DEFAULT_GRID, posed, sdp.solve_moment_problems(posed)):
+                instance, offset, _ = moment_companion(problem, violation)
+                value = _certified_minorant(instance, offset, result.solution.primal)
+                assert value <= result.bound <= value + 1e-6
+                points[cap, objective, eps] = value, result
+    return points
 
 
 def test_word_cap_3_certifies_the_cap_4_curves():
@@ -1430,19 +1471,21 @@ def test_word_cap_3_certifies_the_cap_4_curves():
     # default-grid point, each cap's minorant from its own solve sits below
     # the point it reports, and the two caps' minorants agree to 1e-6.
     assert sdp.DEFAULT_WORD_CAP["di"] == 3
-    minorants = {}
-    for cap in (3, 4):
-        for objective in npa.OBJECTIVES["di"]:
-            points = sdp.moment_points("di", "chsh", objective, DEFAULT_GRID, cap)
-            problem = points[0][0]
-            identity = problem.label[0, 0]
-            assert np.all(problem.label.diagonal() == identity)
-            assert np.flatnonzero(problem.norm).tolist() == [identity] and problem.norm[identity] == 1.0
-            for eps, (problem, violation), result in zip(DEFAULT_GRID, points, sdp.solve_moment_problems(points)):
-                instance, offset, _ = moment_companion(problem, violation)
-                value = _certified_minorant(instance, offset, result.solution.primal)
-                assert value <= result.bound <= value + 1e-6
-                minorants[cap, objective, eps] = value
+    points = _certified_points("di", "chsh", (3, 4))
     for objective in npa.OBJECTIVES["di"]:
         for eps in DEFAULT_GRID:
-            assert minorants[3, objective, eps] == pytest.approx(minorants[4, objective, eps], abs=1e-6)
+            assert points[3, objective, eps][0] == pytest.approx(points[4, objective, eps][0], abs=1e-6)
+
+
+def test_one_sided_word_caps_3_4_and_5_certify_each_other():
+    # One-sided words are unitary, so every diagonal cell of Gamma is one of
+    # the two norm classes and the minorant holds.  At word caps 3, 4 and 5
+    # every steering solve ends optimal, each point sits within 1e-6 above
+    # its minorant, and the caps agree to 1e-6.
+    assert sdp.DEFAULT_WORD_CAP["1sdi"] == 3
+    points = _certified_points("1sdi", "steering", (3, 4, 5))
+    assert {result.solution.termination for _, result in points.values()} == {"optimal"}
+    for objective in npa.OBJECTIVES["1sdi"]:
+        for eps in DEFAULT_GRID:
+            for cap in (4, 5):
+                assert points[cap, objective, eps][0] == pytest.approx(points[3, objective, eps][0], abs=1e-6)
